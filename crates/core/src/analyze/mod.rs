@@ -8,15 +8,17 @@
 //! contradictory machine predicates, dead conjuncts, and pinned
 //! operators that cannot do what they were pinned for.
 //!
-//! The analyzer is pure: it re-uses the logical planner, the optimizer
-//! and the [`CostModel`](crate::opt::cost::CostModel), but posts
-//! nothing. Entry points:
+//! The analyzer is pure: it prices the plan the front end already
+//! built with the [`CostModel`](crate::opt::cost::CostModel) and posts
+//! nothing. `prepare` is that front end — plan, compile, price, once
+//! per query — and execution, `check()`, EXPLAIN and service admission
+//! all start from its `Prepared` result. Entry points:
 //!
 //! * [`QueryBuilder::check`](crate::session::QueryBuilder::check) —
 //!   analyze without executing, returning the diagnostics;
 //! * [`LintPolicy`] on the session/query — under [`LintPolicy::Deny`]
 //!   an Error-level diagnostic rejects the query with
-//!   [`QurkError::Rejected`](crate::error::QurkError::Rejected)
+//!   [`QurkError::Rejected`]
 //!   pre-execution; under the default [`LintPolicy::Warn`] diagnostics
 //!   ride along on the
 //!   [`QueryReport`](crate::session::QueryReport) and EXPLAIN output.
@@ -30,12 +32,12 @@ mod rules;
 pub use diag::{Code, Diagnostic, Severity, Span};
 
 use crate::catalog::Catalog;
-use crate::error::Result;
+use crate::error::{QurkError, Result};
 use crate::lang::ast::Query;
 use crate::lang::token::{Lexer, TokenKind};
-use crate::opt::physical::{compile, OptimizeMode};
+use crate::opt::physical::{compile, CompiledPlan, OptimizeMode};
 use crate::opt::stats::StatisticsStore;
-use crate::plan::plan_query;
+use crate::plan::{plan_query, LogicalPlan};
 use crate::session::ExecConfig;
 
 /// What the session does with diagnostics at execution time.
@@ -47,7 +49,7 @@ pub enum LintPolicy {
     #[default]
     Warn,
     /// Analyze; any Error-level diagnostic rejects the query with
-    /// [`QurkError::Rejected`](crate::error::QurkError::Rejected)
+    /// [`QurkError::Rejected`]
     /// before any HIT is posted.
     Deny,
 }
@@ -131,13 +133,98 @@ impl SpanIndex {
     }
 }
 
-/// Run the full rule set against a parsed query.
+/// A query taken through the front end once: planned, compiled under
+/// the configured optimize mode, and priced for QA005.
+pub(crate) struct Prepared {
+    pub(crate) ast: Query,
+    pub(crate) logical: LogicalPlan,
+    pub(crate) compiled: CompiledPlan,
+    /// QA005's floor: the cheapest admissible physical plan's dollars.
+    pub(crate) floor_dollars: f64,
+}
+
+/// Plan and compile `ast` once against `stats`.
 ///
-/// Compiles the plan under the configured optimize mode *and* under
-/// [`OptimizeMode::AsWritten`]: QA005's cost floor is the cheapest
-/// admissible physical plan, not just the one the optimizer picked.
-/// Errors only on plan/compile failure; diagnostics are the Ok value,
-/// sorted Error-first then by code.
+/// QA005's floor is the cheaper of the chosen plan and the
+/// [`OptimizeMode::AsWritten`] plan. Every cost-based deviation logs a
+/// decision, so an empty decision log means the as-written plan *is*
+/// the chosen plan, and only a non-empty log costs a second compile.
+pub(crate) fn prepare(
+    ast: Query,
+    catalog: &Catalog,
+    config: &ExecConfig,
+    stats: &StatisticsStore,
+) -> Result<Prepared> {
+    let logical = plan_query(&ast, catalog)?;
+    let compiled = compile(&logical, catalog, config, stats)?;
+    let floor_dollars = if compiled.decisions.is_empty() {
+        compiled.estimate.dollars
+    } else {
+        let as_written = ExecConfig {
+            optimize: OptimizeMode::AsWritten,
+            ..config.clone()
+        };
+        let alt = compile(&logical, catalog, &as_written, stats)?;
+        compiled.estimate.dollars.min(alt.estimate.dollars)
+    };
+    Ok(Prepared {
+        ast,
+        logical,
+        compiled,
+        floor_dollars,
+    })
+}
+
+impl Prepared {
+    /// Run QA001–QA007 against the prepared plan, sorted Error-first
+    /// then by code. `src` is the query text, for spans.
+    pub(crate) fn diagnose(
+        &self,
+        src: &str,
+        config: &ExecConfig,
+        stats: &StatisticsStore,
+        budget_dollars: Option<f64>,
+    ) -> Vec<Diagnostic> {
+        let spans = SpanIndex::new(src);
+        let cx = rules::RuleCx {
+            spans: &spans,
+            query: &self.ast,
+            chosen: &self.compiled,
+            floor_dollars: self.floor_dollars,
+            config,
+            stats,
+            budget_dollars,
+        };
+        let mut diagnostics = rules::run_all(&cx);
+        diagnostics.sort_by(|a, b| a.severity.cmp(&b.severity).then(a.code.cmp(&b.code)));
+        diagnostics
+    }
+
+    /// The lint-policy gate in front of execution: no analysis under
+    /// [`LintPolicy::Allow`]; under [`LintPolicy::Deny`] an Error-level
+    /// diagnostic rejects the query with [`QurkError::Rejected`].
+    /// Returns the diagnostics to attach to the report.
+    pub(crate) fn gate(
+        &self,
+        src: &str,
+        config: &ExecConfig,
+        stats: &StatisticsStore,
+        budget_dollars: Option<f64>,
+    ) -> Result<Vec<Diagnostic>> {
+        if config.lint.policy == LintPolicy::Allow {
+            return Ok(Vec::new());
+        }
+        let diagnostics = self.diagnose(src, config, stats, budget_dollars);
+        if config.lint.policy == LintPolicy::Deny && diagnostics.iter().any(Diagnostic::is_error) {
+            return Err(QurkError::Rejected { diagnostics });
+        }
+        Ok(diagnostics)
+    }
+}
+
+/// Run the full rule set against a parsed query: prepare it, then
+/// diagnose. Errors only on plan/compile failure; diagnostics are the
+/// Ok value, sorted Error-first then by code.
 pub fn analyze_query(
     src: &str,
     query: &Query,
@@ -146,31 +233,8 @@ pub fn analyze_query(
     stats: &StatisticsStore,
     budget_dollars: Option<f64>,
 ) -> Result<Vec<Diagnostic>> {
-    let logical = plan_query(query, catalog)?;
-    let chosen = compile(&logical, catalog, config, stats)?;
-    let floor_dollars = if config.optimize == OptimizeMode::AsWritten {
-        chosen.estimate.dollars
-    } else {
-        let as_written = ExecConfig {
-            optimize: OptimizeMode::AsWritten,
-            ..config.clone()
-        };
-        let alt = compile(&logical, catalog, &as_written, stats)?;
-        chosen.estimate.dollars.min(alt.estimate.dollars)
-    };
-    let spans = SpanIndex::new(src);
-    let cx = rules::RuleCx {
-        spans: &spans,
-        query,
-        chosen: &chosen,
-        floor_dollars,
-        config,
-        stats,
-        budget_dollars,
-    };
-    let mut diagnostics = rules::run_all(&cx);
-    diagnostics.sort_by(|a, b| a.severity.cmp(&b.severity).then(a.code.cmp(&b.code)));
-    Ok(diagnostics)
+    let prepared = prepare(query.clone(), catalog, config, stats)?;
+    Ok(prepared.diagnose(src, config, stats, budget_dollars))
 }
 
 /// Render a diagnostics block for EXPLAIN surfaces.

@@ -1,88 +1,18 @@
-//! The legacy executor — now a thin shim over [`crate::session`].
-//!
-//! [`Executor`] predates the [`Session`](crate::session::Session) /
-//! [`QueryBuilder`](crate::session::QueryBuilder) API and is kept so
-//! existing call sites compile unchanged; it delegates every query to
-//! a `Session` borrowing the same marketplace, so both paths produce
-//! identical results on the same workload. (One caveat: the session's
-//! cache dedupes whole HIT specs, where the old `TaskCache` cached
-//! per question — overlapping-but-differently-batched queries re-ask
-//! the crowd; exact re-runs stay free.) New code should use `Session`:
-//!
-//! ```text
-//! // old                                   // new
-//! let mut ex = Executor::new(&cat, &mut m);   let mut s = Session::builder()
-//! ex.config.sort = mode;                          .catalog(&cat).backend(m)
-//! ex.query(sql)?                                  .build();
-//!                                             s.query(sql).sort(mode).run()?
-//! ```
-//!
-//! `ExecConfig`, `SortMode` and `QueryReport` live in
-//! [`crate::session`] and are re-exported here under their historical
-//! paths.
-
-use qurk_crowd::Marketplace;
-
-use crate::catalog::Catalog;
-use crate::error::Result;
-use crate::plan::LogicalPlan;
-use crate::relation::Relation;
-use crate::session::Session;
-
-pub use crate::session::{ExecConfig, QueryReport, SortMode};
-
-/// Runs queries for one catalog against one marketplace.
-#[deprecated(
-    since = "0.1.0",
-    note = "use session::Session with a CrowdBackend instead"
-)]
-pub struct Executor<'a> {
-    session: Session<'a, &'a mut Marketplace>,
-    /// Executor-wide configuration; mutate freely between queries
-    /// (the `Session` API does this per query instead).
-    pub config: ExecConfig,
-}
-
-#[allow(deprecated)]
-impl<'a> Executor<'a> {
-    pub fn new(catalog: &'a Catalog, market: &'a mut Marketplace) -> Self {
-        Executor {
-            session: Session::new(catalog, market),
-            config: ExecConfig::default(),
-        }
-    }
-
-    pub fn with_config(mut self, config: ExecConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Parse, plan and execute a query.
-    pub fn query(&mut self, sql: &str) -> Result<Relation> {
-        Ok(self.query_report(sql)?.relation)
-    }
-
-    /// [`Self::query`] plus cost accounting and the plan explanation.
-    pub fn query_report(&mut self, sql: &str) -> Result<QueryReport> {
-        self.session.execute(sql, &self.config, None)
-    }
-
-    /// Execute a logical plan.
-    pub fn run_plan(&mut self, plan: &LogicalPlan) -> Result<Relation> {
-        self.session.execute_plan(plan, &self.config, None)
-    }
-}
+//! Engine tests: every physical operator end to end through
+//! [`Session`](crate::session::Session) on a seeded simulated crowd —
+//! filters, joins, sorts, MAX/MIN extraction, combining, edge cases,
+//! and worker bans.
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
-    use super::*;
+    use crate::catalog::Catalog;
     use crate::error::QurkError;
     use crate::relation::Relation;
     use crate::schema::{Schema, ValueType};
+    use crate::session::Session;
     use crate::value::Value;
     use qurk_crowd::truth::{DimensionParams, PredicateTruth};
-    use qurk_crowd::{CrowdConfig, EntityId, GroundTruth};
+    use qurk_crowd::{CrowdConfig, EntityId, GroundTruth, Marketplace};
 
     /// A toy world: table `people` with items that have an `isTall`
     /// predicate, a `height` dimension, and entities for joining.
@@ -152,9 +82,9 @@ mod tests {
     #[test]
     fn filter_query_end_to_end() {
         let (catalog, mut market) = setup();
-        let mut ex = Executor::new(&catalog, &mut market);
-        let rel = ex
-            .query("SELECT p.name FROM people AS p WHERE isTall(p.img)")
+        let mut session = Session::new(&catalog, &mut market);
+        let rel = session
+            .run("SELECT p.name FROM people AS p WHERE isTall(p.img)")
             .unwrap();
         assert_eq!(rel.schema().fields()[0].name, "p.name");
         let names: Vec<&str> = rel.rows().iter().map(|r| r[0].as_text().unwrap()).collect();
@@ -170,9 +100,10 @@ mod tests {
     #[test]
     fn machine_predicate_costs_no_hits() {
         let (catalog, mut market) = setup();
-        let mut ex = Executor::new(&catalog, &mut market);
-        let report = ex
-            .query_report("SELECT p.name FROM people AS p WHERE p.id < 3")
+        let mut session = Session::new(&catalog, &mut market);
+        let report = session
+            .query("SELECT p.name FROM people AS p WHERE p.id < 3")
+            .report()
             .unwrap();
         assert_eq!(report.relation.len(), 3);
         assert_eq!(report.hits_posted, 0);
@@ -182,9 +113,10 @@ mod tests {
     #[test]
     fn machine_filter_runs_before_crowd_filter() {
         let (catalog, mut market) = setup();
-        let mut ex = Executor::new(&catalog, &mut market);
-        let report = ex
-            .query_report("SELECT p.name FROM people AS p WHERE isTall(p.img) AND p.id >= 8")
+        let mut session = Session::new(&catalog, &mut market);
+        let report = session
+            .query("SELECT p.name FROM people AS p WHERE isTall(p.img) AND p.id >= 8")
+            .report()
             .unwrap();
         // Only 2 rows survive the machine filter, so the crowd sees at
         // most one HIT (batch 5).
@@ -195,9 +127,9 @@ mod tests {
     #[test]
     fn join_query_end_to_end() {
         let (catalog, mut market) = setup();
-        let mut ex = Executor::new(&catalog, &mut market);
-        let rel = ex
-            .query(
+        let mut session = Session::new(&catalog, &mut market);
+        let rel = session
+            .run(
                 "SELECT p.name, ph.pid FROM people p JOIN photos ph \
                  ON samePerson(p.img, ph.img)",
             )
@@ -217,9 +149,9 @@ mod tests {
     #[test]
     fn order_by_crowd_rank() {
         let (catalog, mut market) = setup();
-        let mut ex = Executor::new(&catalog, &mut market);
-        let rel = ex
-            .query("SELECT p.id FROM people p ORDER BY byHeight(p.img) DESC")
+        let mut session = Session::new(&catalog, &mut market);
+        let rel = session
+            .run("SELECT p.id FROM people p ORDER BY byHeight(p.img) DESC")
             .unwrap();
         let ids: Vec<i64> = rel.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         // DESC: tallest first.
@@ -231,9 +163,9 @@ mod tests {
     #[test]
     fn order_by_asc_reverses() {
         let (catalog, mut market) = setup();
-        let mut ex = Executor::new(&catalog, &mut market);
-        let rel = ex
-            .query("SELECT p.id FROM people p ORDER BY byHeight(p.img) LIMIT 3")
+        let mut session = Session::new(&catalog, &mut market);
+        let rel = session
+            .run("SELECT p.id FROM people p ORDER BY byHeight(p.img) LIMIT 3")
             .unwrap();
         // ASC: shortest first; limit applies after sort.
         assert_eq!(rel.len(), 3);
@@ -244,9 +176,9 @@ mod tests {
     #[test]
     fn order_by_machine_column() {
         let (catalog, mut market) = setup();
-        let mut ex = Executor::new(&catalog, &mut market);
-        let rel = ex
-            .query("SELECT p.id FROM people p ORDER BY p.id DESC LIMIT 2")
+        let mut session = Session::new(&catalog, &mut market);
+        let rel = session
+            .run("SELECT p.id FROM people p ORDER BY p.id DESC LIMIT 2")
             .unwrap();
         let ids: Vec<i64> = rel.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(ids, vec![9, 8]);
@@ -255,8 +187,8 @@ mod tests {
     #[test]
     fn select_star() {
         let (catalog, mut market) = setup();
-        let mut ex = Executor::new(&catalog, &mut market);
-        let rel = ex.query("SELECT * FROM people LIMIT 1").unwrap();
+        let mut session = Session::new(&catalog, &mut market);
+        let rel = session.run("SELECT * FROM people LIMIT 1").unwrap();
         assert_eq!(rel.schema().len(), 3);
         assert_eq!(rel.len(), 1);
     }
@@ -264,9 +196,9 @@ mod tests {
     #[test]
     fn unknown_column_errors() {
         let (catalog, mut market) = setup();
-        let mut ex = Executor::new(&catalog, &mut market);
+        let mut session = Session::new(&catalog, &mut market);
         assert!(matches!(
-            ex.query("SELECT nope FROM people"),
+            session.run("SELECT nope FROM people"),
             Err(QurkError::UnknownColumn(_))
         ));
     }
@@ -274,9 +206,10 @@ mod tests {
     #[test]
     fn report_accounts_costs() {
         let (catalog, mut market) = setup();
-        let mut ex = Executor::new(&catalog, &mut market);
-        let report = ex
-            .query_report("SELECT p.name FROM people AS p WHERE isTall(p.img)")
+        let mut session = Session::new(&catalog, &mut market);
+        let report = session
+            .query("SELECT p.name FROM people AS p WHERE isTall(p.img)")
+            .report()
             .unwrap();
         // 10 items / batch 5 = 2 HITs x 5 assignments x $0.015.
         assert_eq!(report.hits_posted, 2);
@@ -287,36 +220,25 @@ mod tests {
     #[test]
     fn or_groups_execute() {
         let (catalog, mut market) = setup();
-        let mut ex = Executor::new(&catalog, &mut market);
-        let rel = ex
-            .query("SELECT p.id FROM people p WHERE isTall(p.img) OR p.id < 2")
+        let mut session = Session::new(&catalog, &mut market);
+        let rel = session
+            .run("SELECT p.id FROM people p WHERE isTall(p.img) OR p.id < 2")
             .unwrap();
         let ids: Vec<i64> = rel.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert!(ids.contains(&0) && ids.contains(&1), "ids={ids:?}");
         assert!(ids.iter().filter(|&&i| i >= 5).count() >= 4);
     }
-
-    #[test]
-    fn executor_and_session_agree() {
-        // The deprecated path must produce the same rows as Session on
-        // the same seeded world.
-        let sql = "SELECT p.id FROM people p WHERE isTall(p.img) ORDER BY p.id";
-        let (catalog, mut market) = setup();
-        let via_executor = Executor::new(&catalog, &mut market).query(sql).unwrap();
-        let (catalog2, market2) = setup();
-        let via_session = Session::new(&catalog2, market2).run(sql).unwrap();
-        assert_eq!(via_executor, via_session);
-    }
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod edge_tests {
-    use super::*;
+    use crate::catalog::Catalog;
+    use crate::relation::Relation;
     use crate::schema::{Schema, ValueType};
+    use crate::session::Session;
     use crate::value::Value;
     use qurk_crowd::truth::PredicateTruth;
-    use qurk_crowd::{CrowdConfig, GroundTruth};
+    use qurk_crowd::{CrowdConfig, GroundTruth, Marketplace};
 
     fn empty_world() -> (Catalog, Marketplace) {
         let gt = GroundTruth::new();
@@ -346,7 +268,7 @@ mod edge_tests {
     #[test]
     fn empty_table_flows_through_every_operator() {
         let (catalog, mut market) = empty_world();
-        let mut ex = Executor::new(&catalog, &mut market);
+        let mut session = Session::new(&catalog, &mut market);
         for sql in [
             "SELECT id FROM t",
             "SELECT id FROM t WHERE p(t.img)",
@@ -355,10 +277,10 @@ mod edge_tests {
             "SELECT id FROM t ORDER BY r(t.img) LIMIT 3",
             "SELECT * FROM t LIMIT 0",
         ] {
-            let rel = ex.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let rel = session.run(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
             assert_eq!(rel.len(), 0, "{sql}");
         }
-        drop(ex);
+        drop(session);
         assert_eq!(market.hits_posted(), 0, "empty inputs must not post HITs");
     }
 
@@ -386,8 +308,8 @@ mod edge_tests {
             .define_tasks("TASK p(field) TYPE Filter:\n Prompt: \"%s?\", tuple[field]")
             .unwrap();
         let mut market = Marketplace::new(&CrowdConfig::default(), gt);
-        let mut ex = Executor::new(&catalog, &mut market);
-        let out = ex.query("SELECT id FROM t WHERE p(t.img)").unwrap();
+        let mut session = Session::new(&catalog, &mut market);
+        let out = session.run("SELECT id FROM t WHERE p(t.img)").unwrap();
         let ids: Vec<i64> = out.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert!(!ids.contains(&1), "NULL-item row must not pass: {ids:?}");
     }
@@ -395,9 +317,9 @@ mod edge_tests {
     #[test]
     fn limit_zero_and_oversized_limit() {
         let (catalog, mut market) = empty_world();
-        let mut ex = Executor::new(&catalog, &mut market);
-        assert_eq!(ex.query("SELECT id FROM t LIMIT 0").unwrap().len(), 0);
-        assert_eq!(ex.query("SELECT id FROM t LIMIT 999").unwrap().len(), 0);
+        let mut session = Session::new(&catalog, &mut market);
+        assert_eq!(session.run("SELECT id FROM t LIMIT 0").unwrap().len(), 0);
+        assert_eq!(session.run("SELECT id FROM t LIMIT 999").unwrap().len(), 0);
     }
 
     #[test]
@@ -421,9 +343,9 @@ mod edge_tests {
             .define_tasks("TASK j(a, b) TYPE EquiJoin:\n Combiner: MajorityVote")
             .unwrap();
         let mut market = Marketplace::new(&CrowdConfig::default(), gt);
-        let mut ex = Executor::new(&catalog, &mut market);
-        let out = ex
-            .query("SELECT x.id, y.id FROM t AS x JOIN t AS y ON j(x.img, y.img)")
+        let mut session = Session::new(&catalog, &mut market);
+        let out = session
+            .run("SELECT x.id, y.id FROM t AS x JOIN t AS y ON j(x.img, y.img)")
             .unwrap();
         // Items a and b depict the same entity: all 4 crossings match.
         assert!(out.len() >= 3, "self-join found {} pairs", out.len());
@@ -431,13 +353,14 @@ mod edge_tests {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod max_min_tests {
-    use super::*;
+    use crate::catalog::Catalog;
+    use crate::relation::Relation;
     use crate::schema::{Schema, ValueType};
+    use crate::session::Session;
     use crate::value::Value;
     use qurk_crowd::truth::DimensionParams;
-    use qurk_crowd::{CrowdConfig, GroundTruth};
+    use qurk_crowd::{CrowdConfig, GroundTruth, Marketplace};
 
     fn world(n: usize) -> (Catalog, Marketplace) {
         let mut gt = GroundTruth::new();
@@ -463,9 +386,10 @@ mod max_min_tests {
     #[test]
     fn limit_one_desc_runs_max_extraction() {
         let (catalog, mut market) = world(20);
-        let mut ex = Executor::new(&catalog, &mut market);
-        let report = ex
-            .query_report("SELECT id FROM t ORDER BY byD(t.img) DESC LIMIT 1")
+        let mut session = Session::new(&catalog, &mut market);
+        let report = session
+            .query("SELECT id FROM t ORDER BY byD(t.img) DESC LIMIT 1")
+            .report()
             .unwrap();
         assert_eq!(report.relation.len(), 1);
         assert_eq!(report.relation.rows()[0][0], Value::Int(19));
@@ -477,9 +401,9 @@ mod max_min_tests {
     #[test]
     fn limit_one_asc_runs_min_extraction() {
         let (catalog, mut market) = world(20);
-        let mut ex = Executor::new(&catalog, &mut market);
-        let rel = ex
-            .query("SELECT id FROM t ORDER BY byD(t.img) LIMIT 1")
+        let mut session = Session::new(&catalog, &mut market);
+        let rel = session
+            .run("SELECT id FROM t ORDER BY byD(t.img) LIMIT 1")
             .unwrap();
         assert_eq!(rel.rows()[0][0], Value::Int(0));
     }
@@ -487,9 +411,10 @@ mod max_min_tests {
     #[test]
     fn limit_two_still_does_full_sort() {
         let (catalog, mut market) = world(10);
-        let mut ex = Executor::new(&catalog, &mut market);
-        let report = ex
-            .query_report("SELECT id FROM t ORDER BY byD(t.img) DESC LIMIT 2")
+        let mut session = Session::new(&catalog, &mut market);
+        let report = session
+            .query("SELECT id FROM t ORDER BY byD(t.img) DESC LIMIT 2")
+            .report()
             .unwrap();
         assert_eq!(report.relation.len(), 2);
         let ids: Vec<i64> = report
@@ -504,9 +429,9 @@ mod max_min_tests {
     #[test]
     fn limit_one_on_empty_is_empty() {
         let (catalog, mut market) = world(20);
-        let mut ex = Executor::new(&catalog, &mut market);
-        let rel = ex
-            .query("SELECT id FROM t WHERE id < 0 ORDER BY byD(t.img) LIMIT 1")
+        let mut session = Session::new(&catalog, &mut market);
+        let rel = session
+            .run("SELECT id FROM t WHERE id < 0 ORDER BY byD(t.img) LIMIT 1")
             .unwrap();
         assert!(rel.is_empty());
     }
@@ -514,10 +439,8 @@ mod max_min_tests {
 
 #[cfg(test)]
 mod ban_tests {
-    use super::*;
     use crate::ops::join::{identify_spammers, JoinOp};
-    use crate::schema::Schema;
-    use qurk_crowd::{CrowdConfig, EntityId, GroundTruth};
+    use qurk_crowd::{CrowdConfig, EntityId, GroundTruth, Marketplace};
 
     /// §6: QA spam scores identify bad workers; banning them improves a
     /// *subsequent* run on the same marketplace.
@@ -563,18 +486,18 @@ mod ban_tests {
                 assert!(!banned.contains(w), "banned worker {w:?} still answering");
             }
         }
-        let _ = Schema::default();
     }
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod combining_tests {
-    use super::*;
+    use crate::catalog::Catalog;
+    use crate::relation::Relation;
     use crate::schema::{Schema, ValueType};
+    use crate::session::Session;
     use crate::value::Value;
     use qurk_crowd::truth::PredicateTruth;
-    use qurk_crowd::{CrowdConfig, GroundTruth};
+    use qurk_crowd::{CrowdConfig, GroundTruth, Marketplace};
 
     fn world() -> (Catalog, Marketplace) {
         let mut gt = GroundTruth::new();
@@ -620,15 +543,17 @@ mod combining_tests {
     #[test]
     fn combining_cuts_hits_at_equal_answers() {
         let (catalog, mut market) = world();
-        let mut ex = Executor::new(&catalog, &mut market);
-        let serial = ex
-            .query_report("SELECT id FROM t WHERE a(t.img) AND b(t.img)")
+        let mut session = Session::new(&catalog, &mut market);
+        let serial = session
+            .query("SELECT id FROM t WHERE a(t.img) AND b(t.img)")
+            .report()
             .unwrap();
         let (catalog, mut market) = world();
-        let mut ex = Executor::new(&catalog, &mut market);
-        ex.config.combine_conjunct_filters = true;
-        let combined = ex
-            .query_report("SELECT id FROM t WHERE a(t.img) AND b(t.img)")
+        let mut session = Session::new(&catalog, &mut market);
+        session.config_mut().combine_conjunct_filters = true;
+        let combined = session
+            .query("SELECT id FROM t WHERE a(t.img) AND b(t.img)")
+            .report()
             .unwrap();
         // Serial: 4 HITs for `a` + ~2 for survivors of `a`.
         // Combined: 4 HITs carrying both questions.

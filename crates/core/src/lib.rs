@@ -11,23 +11,23 @@
 //! metering and caching decorators over the backend you give it:
 //!
 //! ```text
-//!  query text ──lang::parser──▶ AST ──plan──▶ logical plan
-//!      │                                        │
+//!  query text ──lang::parser──▶ AST
+//!                                               │
 //!  TASK DSL ──catalog (task templates)──────────┤
 //!                                               ▼
-//!                  opt::physical::compile       OPTIMIZER: cost-based
-//!                    ├─ opt::stats              physical plan selection
-//!                    ├─ opt::cost               (HIT/$/latency model;
-//!                    └─ opt::explain            as-written fallback)
-//!                                               │ physical plan
+//!                  analyze::prepare             FRONT END, once per query:
+//!                    ├─ plan                    logical plan
+//!                    ├─ opt::physical::compile  OPTIMIZER: cost-based
+//!                    │    ├─ opt::stats         physical plan selection
+//!                    │    └─ opt::cost          (as-written fallback)
+//!                    └─ QA005 cost floor        │ Prepared plan
 //!                                               ▼
-//!                  analyze::analyze_query       ANALYZER: pre-flight
-//!                    └─ QA001…QA007 rules       diagnostics (check() /
-//!                       (reuses opt::cost)      LintPolicy deny|warn|allow)
+//!                  Prepared::diagnose           ANALYZER: QA001…QA007 over
+//!                                               the prepared plan (check() /
+//!                                               LintPolicy deny|warn|allow)
 //!                                               │
 //!                                               ▼
 //!                             session::Session / QueryBuilder
-//!                             (exec::Executor = deprecated shim)
 //!                                               │
 //!                 ops::{filter, generative, join, sort}   [generic over B]
 //!                                               │        └──▶ opt::stats
@@ -126,7 +126,6 @@ pub mod backend;
 pub mod catalog;
 pub mod columnar;
 pub mod error;
-pub mod exec;
 pub mod hit;
 pub mod intern;
 pub mod lang;
@@ -148,8 +147,6 @@ pub mod prelude {
     pub use crate::backend::{CachingBackend, CrowdBackend, MeteringBackend, ReplayBackend};
     pub use crate::catalog::Catalog;
     pub use crate::error::QurkError;
-    #[allow(deprecated)]
-    pub use crate::exec::Executor;
     pub use crate::opt::{CostEstimate, OptimizeMode, StatisticsStore};
     pub use crate::relation::Relation;
     pub use crate::schema::{Schema, ValueType};
@@ -165,8 +162,6 @@ pub use backend::{
 pub use catalog::Catalog;
 pub use columnar::{RelationWindow, PROCESSING_WINDOW_SIZE};
 pub use error::QurkError;
-#[allow(deprecated)]
-pub use exec::Executor;
 pub use intern::{IStr, SymbolTable, ValueId};
 pub use opt::{CostEstimate, CostModel, OptimizeMode, PlanReport, StatisticsStore};
 pub use relation::Relation;
@@ -178,3 +173,9 @@ pub use session::{ExecConfig, QueryBuilder, QueryReport, Session, SessionBuilder
 pub use store::{CrashPoint, DurableStore, FaultPlan, QueryCheckpoint, StoreError, StoreHealth};
 pub use tuple::Tuple;
 pub use value::Value;
+
+/// Engine tests: every physical operator end to end through
+/// [`session::Session`].
+#[cfg(test)]
+#[path = "engine_tests.rs"]
+mod exec;

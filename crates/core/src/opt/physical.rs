@@ -1180,6 +1180,55 @@ mod tests {
         assert_eq!(clause2.possibly.len(), 1);
     }
 
+    /// Every cost-based deviation logs a decision, so an empty log means
+    /// the as-written compile is the same plan at the same estimate —
+    /// the invariant that lets the analyzer skip its second compile.
+    #[test]
+    fn empty_decisions_iff_as_written_plan_is_identical() {
+        let mut stats = StatisticsStore::new();
+        stats.observe_filter("a", 100, 90);
+        stats.observe_filter("b", 100, 10);
+        stats.observe_join("j", 900, 30);
+        stats.observe_sort("d", 0.05);
+        stats.observe_feature("g", 0.05, 0.5);
+        let cases = [
+            ("SELECT id FROM t WHERE a(t.img) AND b(t.img)", 30, true),
+            ("SELECT id FROM t WHERE b(t.img) AND a(t.img)", 30, true),
+            ("SELECT id FROM t WHERE a(t.img)", 30, false),
+            ("SELECT t.id FROM t JOIN u ON j(t.img, u.img)", 30, true),
+            ("SELECT t.id FROM t JOIN u ON j(t.img, u.img)", 10, false),
+            (
+                "SELECT t.id FROM t JOIN u ON j(t.img, u.img) AND POSSIBLY g(t.img) = g(u.img)",
+                30,
+                true,
+            ),
+            ("SELECT id FROM t ORDER BY byD(t.img)", 30, true),
+            ("SELECT id FROM t ORDER BY byD(t.img)", 10, false),
+        ];
+        let as_written = ExecConfig {
+            optimize: OptimizeMode::AsWritten,
+            ..Default::default()
+        };
+        for (sql, rows, deviates) in cases {
+            let chosen = compile_sql(sql, rows, &ExecConfig::default(), &stats);
+            let written = compile_sql(sql, rows, &as_written, &stats);
+            let same = format!("{:?}", chosen.root) == format!("{:?}", written.root)
+                && chosen.estimate == written.estimate;
+            assert_eq!(
+                chosen.decisions.is_empty(),
+                same,
+                "{sql}: {:?}",
+                chosen.decisions
+            );
+            assert_eq!(
+                !chosen.decisions.is_empty(),
+                deviates,
+                "{sql}: {:?}",
+                chosen.decisions
+            );
+        }
+    }
+
     #[test]
     fn total_cost_sums_the_tree() {
         let config = ExecConfig::default();

@@ -33,7 +33,7 @@
 //! (deltas of monotone counters merge associatively).
 
 use std::collections::HashMap;
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 /// A pass/fail tally (filter tuples, join pairs).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -402,34 +402,54 @@ impl StatisticsStore {
 /// store is never left in a torn state worth discarding.
 #[derive(Debug, Default)]
 pub struct SharedStatistics {
-    inner: RwLock<StatisticsStore>,
+    inner: RwLock<Epoched>,
+}
+
+/// The shared evidence plus a counter bumped by every write, so a plan
+/// compiled against one snapshot can tell whether it is still current.
+#[derive(Debug, Default)]
+struct Epoched {
+    store: StatisticsStore,
+    epoch: u64,
 }
 
 impl SharedStatistics {
     /// Wrap an existing store (empty via `SharedStatistics::default()`).
     pub fn new(initial: StatisticsStore) -> Self {
         SharedStatistics {
-            inner: RwLock::new(initial),
+            inner: RwLock::new(Epoched {
+                store: initial,
+                epoch: 0,
+            }),
         }
     }
 
-    fn read(&self) -> RwLockReadGuard<'_, StatisticsStore> {
+    fn read(&self) -> RwLockReadGuard<'_, Epoched> {
         self.inner.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn write(&self) -> RwLockWriteGuard<'_, StatisticsStore> {
-        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    /// Apply one write under the lock, moving the epoch.
+    fn update(&self, f: impl FnOnce(&mut StatisticsStore)) {
+        let mut guard = self.inner.write().unwrap_or_else(PoisonError::into_inner);
+        guard.epoch += 1;
+        f(&mut guard.store);
     }
 
     /// A consistent copy of the current evidence.
     pub fn snapshot(&self) -> StatisticsStore {
-        self.read().clone()
+        self.read().store.clone()
+    }
+
+    /// [`Self::snapshot`] plus the epoch it was taken at.
+    pub(crate) fn snapshot_with_epoch(&self) -> (StatisticsStore, u64) {
+        let guard = self.read();
+        (guard.store.clone(), guard.epoch)
     }
 
     /// Merge a completed query's learning delta (see
     /// [`StatisticsStore::diff`]) into the shared evidence.
     pub fn commit(&self, delta: &StatisticsStore) {
-        self.write().merge(delta);
+        self.update(|s| s.merge(delta));
     }
 
     /// Unwrap the store, recovering from poisoning.
@@ -437,36 +457,37 @@ impl SharedStatistics {
         self.inner
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
+            .store
     }
 
     /// Thread-safe [`StatisticsStore::record_filter`].
     pub fn record_filter(&self, task: &str, seen: usize, passed: usize) {
-        self.write().record_filter(task, seen, passed);
+        self.update(|s| s.record_filter(task, seen, passed));
     }
 
     /// Thread-safe [`StatisticsStore::record_join`].
     pub fn record_join(&self, task: &str, pairs: usize, matches: usize) {
-        self.write().record_join(task, pairs, matches);
+        self.update(|s| s.record_join(task, pairs, matches));
     }
 
     /// Thread-safe [`StatisticsStore::record_feature`].
     pub fn record_feature(&self, task: &str, kappa: f64, selectivity: f64) {
-        self.write().record_feature(task, kappa, selectivity);
+        self.update(|s| s.record_feature(task, kappa, selectivity));
     }
 
     /// Thread-safe [`StatisticsStore::record_sort`].
     pub fn record_sort(&self, dimension: &str, ambiguity: f64) {
-        self.write().record_sort(dimension, ambiguity);
+        self.update(|s| s.record_sort(dimension, ambiguity));
     }
 
     /// Thread-safe [`StatisticsStore::record_epoch`].
     pub fn record_epoch(&self, hits: u64, secs: f64) {
-        self.write().record_epoch(hits, secs);
+        self.update(|s| s.record_epoch(hits, secs));
     }
 
     /// Thread-safe [`StatisticsStore::record_round`].
     pub fn record_round(&self, work_units: f64, secs: f64) {
-        self.write().record_round(work_units, secs);
+        self.update(|s| s.record_round(work_units, secs));
     }
 }
 

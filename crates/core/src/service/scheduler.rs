@@ -56,11 +56,10 @@ use std::sync::Arc;
 
 use qurk_crowd::market::{HitGroupId, RunOutcome};
 
-use crate::analyze::{analyze_query, LintPolicy};
+use crate::analyze::{prepare, Prepared};
 use crate::backend::{CachingBackend, CrowdBackend};
 use crate::catalog::Catalog;
 use crate::error::{QurkError, Result};
-use crate::lang::ast::Query as ParsedQuery;
 use crate::lang::parser::parse_query;
 use crate::opt::stats::{SharedStatistics, StatisticsStore};
 use crate::service::report::ServiceStats;
@@ -152,9 +151,12 @@ struct TenantState {
 struct Submission {
     tenant: usize,
     sql: String,
-    /// The AST the admission gate analyzed — the query thread executes
-    /// exactly this, never a re-parse of `sql`.
-    parsed: ParsedQuery,
+    /// The plan the admission gate analyzed — the query thread executes
+    /// exactly this, never a re-parse of `sql`, and recompiles it (from
+    /// its AST) only if the statistics moved since admission.
+    prepared: Prepared,
+    /// The [`SharedStatistics`] epoch `prepared` was compiled at.
+    stats_epoch: u64,
     budget: Option<f64>,
     /// Durable checkpoint id when the service has a store attached.
     persist_id: Option<u64>,
@@ -289,8 +291,9 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
     /// [`Self::run_pending`], keeping its original checkpoint id and
     /// budget. Each checkpoint is **re-admitted through the same gate
     /// as [`Self::submit`]** against the recovered statistics: under
-    /// [`LintPolicy::Deny`] a checkpoint that would be rejected today
-    /// is retired (its checkpoint is marked done) instead of executed —
+    /// [`LintPolicy::Deny`](crate::analyze::LintPolicy::Deny) a
+    /// checkpoint that would be rejected today is retired (its
+    /// checkpoint is marked done) instead of executed —
     /// a crash must not smuggle a query past the admission analyzer.
     /// The resumed queries replay their already-paid rounds from the
     /// recovered cache instead of re-posting them, and their reports
@@ -310,15 +313,12 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
                 store.append_query_done(cp.id);
                 continue;
             };
-            match self.admit(&cp.sql, cp.budget) {
-                Ok(parsed) => {
+            match self.admit(tenant, cp.sql, cp.budget) {
+                Ok(job) => {
                     self.pending.push(Submission {
-                        tenant,
-                        sql: cp.sql,
-                        parsed,
-                        budget: cp.budget,
                         persist_id: Some(cp.id),
                         resumed: true,
+                        ..job
                     });
                     resumed += 1;
                 }
@@ -370,28 +370,32 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
     }
 
     /// The admission gate shared by [`Self::submit`] and
-    /// [`Self::recover`]: parse, then run the pre-flight analyzer
-    /// against the current shared statistics. Returns the parsed AST —
-    /// the exact query that will execute.
-    fn admit(&self, sql: &str, budget: Option<f64>) -> Result<ParsedQuery> {
-        let parsed = parse_query(sql)?;
-        if self.config.lint.policy != LintPolicy::Allow {
-            let snapshot = self.stats.snapshot();
-            let diagnostics =
-                analyze_query(sql, &parsed, self.catalog, &self.config, &snapshot, budget)?;
-            if self.config.lint.policy == LintPolicy::Deny
-                && diagnostics.iter().any(crate::analyze::Diagnostic::is_error)
-            {
-                return Err(QurkError::Rejected { diagnostics });
-            }
-        }
-        Ok(parsed)
+    /// [`Self::recover`]: parse and prepare against the current shared
+    /// statistics, then run the lint-policy gate priced at the budget
+    /// the query would run under now. Returns the submission, carrying
+    /// the exact plan that will execute.
+    fn admit(&self, tenant: usize, sql: String, budget: Option<f64>) -> Result<Submission> {
+        let (snapshot, stats_epoch) = self.stats.snapshot_with_epoch();
+        let prepared = prepare(parse_query(&sql)?, self.catalog, &self.config, &snapshot)?;
+        let effective = self.effective_budget(tenant, budget);
+        prepared.gate(&sql, &self.config, &snapshot, effective)?;
+        Ok(Submission {
+            tenant,
+            sql,
+            prepared,
+            stats_epoch,
+            budget,
+            persist_id: None,
+            resumed: false,
+        })
     }
 
     /// Admit a query for a tenant. Admission runs the pre-flight
     /// analyzer ([`crate::analyze`]) against the current shared
-    /// statistics: under [`LintPolicy::Deny`] a query with error-level
-    /// diagnostics is rejected here, before anything is queued.
+    /// statistics and the tenant's remaining budget: under
+    /// [`LintPolicy::Deny`](crate::analyze::LintPolicy::Deny) a query
+    /// with error-level diagnostics is rejected here, before anything
+    /// is queued.
     /// Returns the submission's position in the next
     /// [`Self::run_pending`] batch.
     pub fn submit(&mut self, tenant: &str, sql: &str) -> Result<usize> {
@@ -407,38 +411,16 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
         budget: Option<f64>,
     ) -> Result<usize> {
         let tenant = self.tenant_index(tenant)?;
-        let parsed = self.admit(sql, budget)?;
+        let mut job = self.admit(tenant, sql.to_owned(), budget)?;
         // Checkpoint write-ahead of the queue push: once admission is
         // acknowledged, a crash before the query finishes leaves a
         // live checkpoint for `recover()` to resume.
-        let persist_id = self
+        job.persist_id = self
             .store
             .as_ref()
             .map(|s| s.append_checkpoint(&self.tenants[tenant].name, sql, budget));
-        self.pending.push(Submission {
-            tenant,
-            sql: sql.to_owned(),
-            parsed,
-            budget,
-            persist_id,
-            resumed: false,
-        });
+        self.pending.push(job);
         Ok(self.pending.len() - 1)
-    }
-
-    /// Test-only: enqueue a submission whose carried AST deliberately
-    /// differs from its SQL text, proving execution uses the admitted
-    /// AST and never re-parses.
-    #[cfg(test)]
-    fn push_raw_submission(&mut self, tenant: usize, sql: &str, parsed: ParsedQuery) {
-        self.pending.push(Submission {
-            tenant,
-            sql: sql.to_owned(),
-            parsed,
-            budget: None,
-            persist_id: None,
-            resumed: false,
-        });
     }
 
     /// Number of admitted, not-yet-executed queries.
@@ -471,12 +453,12 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
             .into_backend()
     }
 
-    /// The dollar budget a submission may spend right now: the tighter
-    /// of its own budget and what its tenant has left.
-    fn effective_budget(&self, job: &Submission) -> Option<f64> {
-        let t = &self.tenants[job.tenant];
+    /// The dollar budget a query may spend right now: the tighter of
+    /// its own budget and what its tenant has left.
+    fn effective_budget(&self, tenant: usize, budget: Option<f64>) -> Option<f64> {
+        let t = &self.tenants[tenant];
         let tenant_left = t.budget.map(|b| (b - t.spent).max(0.0));
-        match (job.budget, tenant_left) {
+        match (budget, tenant_left) {
             (Some(q), Some(r)) => Some(q.min(r)),
             (Some(q), None) => Some(q),
             (None, r) => r,
@@ -500,8 +482,11 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
         }
         // Batch boundary for the shared cache's eviction bound.
         self.shared.begin_batch();
-        let snapshot = self.stats.snapshot();
-        let budgets: Vec<Option<f64>> = jobs.iter().map(|j| self.effective_budget(j)).collect();
+        let (snapshot, epoch) = self.stats.snapshot_with_epoch();
+        let budgets: Vec<Option<f64>> = jobs
+            .iter()
+            .map(|j| self.effective_budget(j.tenant, j.budget))
+            .collect();
         let policy = self.policy;
 
         enum TaskState {
@@ -601,8 +586,8 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
                     let config = self.config.clone();
                     let seed_stats = snapshot.clone();
                     let budget = budgets[i];
-                    let sql = job.sql.clone();
-                    let parsed = job.parsed.clone();
+                    let (sql, admitted) = (&job.sql, &job.prepared);
+                    let stale = job.stats_epoch != epoch;
                     let tx = event_tx.clone();
                     scope.spawn(move || {
                         // Rendezvous: do nothing until the scheduler
@@ -613,17 +598,24 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
                         let backend =
                             TenantBackend::new(shared, market_query, i, tx.clone(), resume_rx);
                         let msg = catch_unwind(AssertUnwindSafe(|| {
-                            let exec_config = config.clone();
+                            // Execute the plan admission analyzed; only
+                            // if the statistics moved since then is it
+                            // recompiled, from the admitted AST.
+                            let refreshed = stale
+                                .then(|| {
+                                    prepare(admitted.ast.clone(), catalog, &config, &seed_stats)
+                                })
+                                .transpose();
                             let mut session = Session::builder()
                                 .catalog(catalog)
                                 .backend(backend)
-                                .config(config)
+                                .config(config.clone())
                                 .statistics(seed_stats.clone())
                                 .build();
-                            // Execute the AST admission analyzed — the
-                            // SQL text is only for diagnostics.
-                            let result =
-                                session.execute_parsed(&sql, &parsed, &exec_config, budget);
+                            let result = refreshed.and_then(|refreshed| {
+                                let prepared = refreshed.as_ref().unwrap_or(admitted);
+                                session.execute_prepared(sql, prepared, &config, budget)
+                            });
                             let stats_delta = session.statistics().diff(&seed_stats);
                             DoneMsg {
                                 result,
@@ -933,15 +925,17 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opt::physical::{PhysNode, PhysicalPlan};
+    use crate::opt::CostEstimate;
     use crate::{Relation, Schema, Value, ValueType};
     use qurk_crowd::{CrowdConfig, GroundTruth, Marketplace};
 
-    /// The query thread must execute the AST the admission gate
-    /// analyzed, never a re-parse of the SQL text. The submission
-    /// below carries SQL naming a table that does not exist — if
-    /// execution re-parsed, planning would fail with UnknownTable.
+    /// The query thread must execute the plan admission prepared, never
+    /// a recompile of it: a submission whose compiled plan is altered
+    /// after admission runs the altered plan — until the statistics
+    /// epoch moves, which recompiles from the admitted AST.
     #[test]
-    fn execution_uses_the_admitted_ast_not_a_reparse() {
+    fn execution_runs_the_admitted_plan_until_statistics_move() {
         let mut catalog = Catalog::new();
         let mut rel = Relation::new(Schema::new(&[("id", ValueType::Int)]));
         for i in 0..4 {
@@ -951,14 +945,44 @@ mod tests {
         let market = Marketplace::new(&CrowdConfig::default().with_seed(1), GroundTruth::new());
         let mut svc = QueryService::new(&catalog, market);
         svc.register_tenant("t", None);
-        let parsed = parse_query("SELECT n.id FROM nums AS n").unwrap();
-        svc.push_raw_submission(0, "SELECT x.id FROM nosuch AS x", parsed);
+        let limit_admitted_plan = |svc: &mut QueryService<'_, Marketplace>| {
+            let compiled = &mut svc.pending[0].prepared.compiled;
+            compiled.root = PhysicalPlan {
+                node: PhysNode::Limit {
+                    input: Box::new(compiled.root.clone()),
+                    n: 2,
+                },
+                rows_out: 2.0,
+                cost: CostEstimate::ZERO,
+            };
+        };
+
+        svc.submit("t", "SELECT n.id FROM nums AS n").unwrap();
+        limit_admitted_plan(&mut svc);
         let report = svc
             .run_pending()
             .pop()
             .unwrap()
-            .expect("the admitted AST plans and executes");
-        assert_eq!(report.relation.len(), 4);
+            .expect("the admitted plan executes");
+        assert_eq!(report.relation.len(), 2);
+        assert!(
+            report.plan.physical.starts_with("Limit 2"),
+            "{}",
+            report.plan.physical
+        );
         assert_eq!(report.hits_posted, 0);
+
+        svc.submit("t", "SELECT n.id FROM nums AS n").unwrap();
+        limit_admitted_plan(&mut svc);
+        // The recompile starts from the admitted AST, never the text:
+        // re-parsing this would fail to plan with UnknownTable.
+        svc.pending[0].sql = "SELECT x.id FROM nosuch AS x".to_owned();
+        svc.statistics().record_epoch(0, 0.0);
+        let report = svc
+            .run_pending()
+            .pop()
+            .unwrap()
+            .expect("the recompiled plan executes");
+        assert_eq!(report.relation.len(), 4, "moved statistics recompile");
     }
 }

@@ -12,17 +12,18 @@
 //!               └─ B          your backend (Marketplace, Replay, …)
 //! ```
 //!
-//! Each query is planned logically ([`crate::plan`]), lowered to a
-//! physical plan by the optimizer ([`crate::opt::physical`]) — cost
-//! based by default, degrading to the as-written plan while no
-//! statistics exist — and executed. Queries are configured fluently
-//! and per query; overrides never touch the session's defaults, and
-//! explicitly-set operators are *pinned* (the optimizer will not
-//! override them):
+//! Each query is prepared once (`analyze::prepare`): planned
+//! logically ([`crate::plan`]), lowered to a physical plan by the
+//! optimizer ([`crate::opt::physical`]) — cost based by default,
+//! degrading to the as-written plan while no statistics exist — and
+//! priced for the pre-flight analyzer. Then it is executed. Queries
+//! are configured fluently and per query; overrides never touch the
+//! session's defaults, and explicitly-set operators are *pinned* (the
+//! optimizer will not override them):
 //!
 //! ```no_run
 //! # use qurk::prelude::*;
-//! # use qurk::exec::SortMode;
+//! # use qurk::session::SortMode;
 //! # use qurk::ops::sort::{HybridSort, RateSort};
 //! # fn demo(catalog: &Catalog, market: qurk_crowd::Marketplace) -> Result<(), QurkError> {
 //! let mut session = Session::builder().catalog(catalog).backend(market).build();
@@ -44,7 +45,7 @@ use std::sync::Arc;
 
 use qurk_crowd::ItemId;
 
-use crate::analyze::{analyze_query, render_diagnostics, Diagnostic, LintConfig, LintPolicy};
+use crate::analyze::{prepare, render_diagnostics, Diagnostic, LintConfig, LintPolicy, Prepared};
 use crate::backend::{BackendUsage, CachingBackend, CrowdBackend, MeteringBackend};
 use crate::catalog::Catalog;
 use crate::error::{QurkError, Result};
@@ -58,9 +59,8 @@ use crate::ops::join::feature_filter::{FeatureFilter, FeatureFilterConfig, Featu
 use crate::ops::join::JoinOp;
 use crate::ops::sort::{CompareSort, HybridSort, PairTally, RateSort, SortOutcome};
 use crate::opt::explain::PlanReport;
-use crate::opt::physical::{compile, OptimizeMode, PhysNode, PhysicalPlan, PinSet};
+use crate::opt::physical::{OptimizeMode, PhysNode, PhysicalPlan, PinSet};
 use crate::opt::stats::StatisticsStore;
-use crate::plan::{plan_query, LogicalPlan};
 use crate::relation::Relation;
 use crate::schema::ValueType;
 use crate::service::report::ServiceStats;
@@ -374,57 +374,48 @@ impl<'c, B: CrowdBackend> Session<'c, B> {
         self.query(sql).run()
     }
 
-    /// Execute with an explicit config (the shim and QueryBuilder
-    /// funnel through here).
+    /// Parse, prepare and execute with an explicit config
+    /// ([`QueryBuilder::report`] funnels through here).
     pub(crate) fn execute(
         &mut self,
         sql: &str,
         config: &ExecConfig,
         budget_dollars: Option<f64>,
     ) -> Result<QueryReport> {
-        let parsed = parse_query(sql)?;
-        self.execute_parsed(sql, &parsed, config, budget_dollars)
+        let prepared = prepare(parse_query(sql)?, self.catalog, config, &self.stats)?;
+        self.execute_prepared(sql, &prepared, config, budget_dollars)
     }
 
-    /// Execute an already-parsed query. The service scheduler parses
-    /// once at admission and carries the AST to the query thread, so
-    /// what executes is exactly what the admission gate analyzed —
-    /// `sql` is only used for diagnostics rendering.
-    pub(crate) fn execute_parsed(
+    /// Execute a prepared query: the lint-policy gate, then its
+    /// compiled plan. The service scheduler prepares at admission and
+    /// hands the result to the query thread, so what executes is
+    /// exactly what the admission gate analyzed — `sql` is only used
+    /// for diagnostics rendering.
+    pub(crate) fn execute_prepared(
         &mut self,
         sql: &str,
-        parsed: &crate::lang::ast::Query,
+        prepared: &Prepared,
         config: &ExecConfig,
         budget_dollars: Option<f64>,
     ) -> Result<QueryReport> {
-        let logical = plan_query(parsed, self.catalog)?;
-        let compiled = compile(&logical, self.catalog, config, &self.stats)?;
-        let plan = PlanReport::from(&compiled);
-        let diagnostics = if config.lint.policy == LintPolicy::Allow {
-            Vec::new()
-        } else {
-            let diagnostics = analyze_query(
-                sql,
-                parsed,
-                self.catalog,
-                config,
-                &self.stats,
-                budget_dollars,
-            )?;
-            if config.lint.policy == LintPolicy::Deny
-                && diagnostics.iter().any(Diagnostic::is_error)
-            {
-                return Err(QurkError::Rejected { diagnostics });
-            }
-            diagnostics
-        };
+        let diagnostics = prepared.gate(sql, config, &self.stats, budget_dollars)?;
         let stats_before = self.store.is_some().then(|| self.stats.clone());
         // Batch boundary for the cache's eviction bound: entries the
         // previous query touched become evictable, entries this query
         // touches are pinned until it finishes.
         self.backend.inner_mut().begin_batch();
         self.backend.begin_epoch();
-        let outcome = self.run_physical(&compiled.root, budget_dollars);
+        let budget = budget_dollars.map(|limit| BudgetGuard {
+            limit,
+            start_spend: self.backend.spend_dollars(),
+        });
+        let outcome = PlanRunner {
+            catalog: self.catalog,
+            backend: &mut self.backend,
+            stats: &mut self.stats,
+            budget,
+        }
+        .run_plan(&prepared.compiled.root);
         let usage = self.backend.end_epoch();
         self.stats
             .record_epoch(usage.hits_posted as u64, usage.elapsed_secs);
@@ -453,42 +444,11 @@ impl<'c, B: CrowdBackend> Session<'c, B> {
             cost_dollars: usage.dollars,
             assignments: usage.assignments,
             elapsed_secs: usage.elapsed_secs,
-            explain: logical.to_string(),
-            plan,
+            explain: prepared.logical.to_string(),
+            plan: PlanReport::from(&prepared.compiled),
             diagnostics,
             service: None,
         })
-    }
-
-    /// Execute an already-built logical plan (lowered through the
-    /// optimizer under `config.optimize`).
-    pub(crate) fn execute_plan(
-        &mut self,
-        plan: &LogicalPlan,
-        config: &ExecConfig,
-        budget_dollars: Option<f64>,
-    ) -> Result<Relation> {
-        let compiled = compile(plan, self.catalog, config, &self.stats)?;
-        self.run_physical(&compiled.root, budget_dollars)
-    }
-
-    /// Execute a compiled physical plan.
-    fn run_physical(
-        &mut self,
-        plan: &PhysicalPlan,
-        budget_dollars: Option<f64>,
-    ) -> Result<Relation> {
-        let budget = budget_dollars.map(|limit| BudgetGuard {
-            limit,
-            start_spend: self.backend.spend_dollars(),
-        });
-        let mut runner = PlanRunner {
-            catalog: self.catalog,
-            backend: &mut self.backend,
-            stats: &mut self.stats,
-            budget,
-        };
-        runner.run_plan(plan)
     }
 }
 
@@ -605,49 +565,28 @@ impl<B: CrowdBackend> QueryBuilder<'_, '_, B> {
     /// optimize, and return the diagnostics. Posts no crowd work and
     /// never rejects — callers inspect the findings themselves.
     pub fn check(self) -> Result<Vec<Diagnostic>> {
-        let parsed = parse_query(&self.sql)?;
-        analyze_query(
-            &self.sql,
-            &parsed,
-            self.session.catalog,
-            &self.config,
-            &self.session.stats,
-            self.budget_dollars,
-        )
+        Ok(self.analyze()?.1)
     }
 
     /// Parse, plan and optimize without posting any crowd work;
     /// returns the EXPLAIN text (logical plan, chosen physical plan,
     /// the cost model's estimate, and any analyzer diagnostics).
     pub fn explain(self) -> Result<String> {
-        let parsed = parse_query(&self.sql)?;
-        let logical = plan_query(&parsed, self.session.catalog)?;
-        let compiled = compile(
-            &logical,
-            self.session.catalog,
-            &self.config,
-            &self.session.stats,
-        )?;
-        let diagnostics = analyze_query(
-            &self.sql,
-            &parsed,
-            self.session.catalog,
-            &self.config,
-            &self.session.stats,
-            self.budget_dollars,
-        )?;
-        let report = PlanReport {
-            mode: compiled.mode,
-            physical: compiled.root.to_string(),
-            decisions: compiled.decisions,
-            estimate: compiled.estimate,
-        };
+        let (prepared, diagnostics) = self.analyze()?;
+        let plan = PlanReport::from(&prepared.compiled);
         Ok(format!(
-            "logical plan:\n{}{}{}",
-            logical,
-            report.render(None),
+            "{}{}",
+            plan.render_with_logical(&prepared.logical.to_string(), None),
             render_diagnostics(&diagnostics)
         ))
+    }
+
+    /// Prepare the query and diagnose it, posting nothing.
+    fn analyze(&self) -> Result<(Prepared, Vec<Diagnostic>)> {
+        let (sql, config, stats) = (&self.sql, &self.config, &self.session.stats);
+        let prepared = prepare(parse_query(sql)?, self.session.catalog, config, stats)?;
+        let diagnostics = prepared.diagnose(sql, config, stats, self.budget_dollars);
+        Ok((prepared, diagnostics))
     }
 }
 
@@ -658,8 +597,6 @@ struct BudgetGuard {
     start_spend: f64,
 }
 
-/// Executes one physical plan against a backend, feeding the session's
-/// statistics store with every operator outcome.
 /// One side of a compiled machine-filter comparison: a resolved column
 /// index (read from the relation's column slices) or a pre-evaluated
 /// literal.
@@ -668,6 +605,8 @@ enum FilterOperand {
     Const(Value),
 }
 
+/// Executes one physical plan against a backend, feeding the session's
+/// statistics store with every operator outcome.
 struct PlanRunner<'r, B: CrowdBackend> {
     catalog: &'r Catalog,
     backend: &'r mut B,

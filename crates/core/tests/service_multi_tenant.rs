@@ -5,9 +5,16 @@
 //! byte-identical to running the same queries sequentially, proven on
 //! a replayed crowd.
 
+use std::sync::Arc;
+
 use qurk::backend::{RecordingBackend, ReplayBackend, ReplayTrace};
+use qurk::lang::parse_query;
+use qurk::plan::plan_query;
 use qurk::service::QueryService;
-use qurk::{Catalog, QurkError, Relation, Schema, Value, ValueType};
+use qurk::{
+    Catalog, Code, DurableStore, ExecConfig, LintPolicy, QurkError, Relation, Schema, Value,
+    ValueType,
+};
 use qurk_crowd::truth::{DimensionParams, PredicateTruth};
 use qurk_crowd::{CrowdConfig, EntityId, GroundTruth, Marketplace};
 
@@ -259,4 +266,86 @@ fn a_service_survives_multiple_batches_and_reuses_the_cache() {
     let stats = second.service.unwrap();
     assert!(stats.shared_cache_hits > 0);
     assert!(stats.saved_dollars > 0.0);
+}
+
+/// Regression: admission must price QA005 against the budget the query
+/// would actually run under — the tighter of its own budget and the
+/// tenant's remainder. A drained tenant's crowd query is rejected at
+/// `submit`, before it is queued or checkpointed.
+#[test]
+fn admission_prices_the_tenants_remaining_budget() {
+    let path =
+        std::env::temp_dir().join(format!("qurk-admission-budget-{}.qwal", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let (catalog, market) = world(7);
+    let config = ExecConfig {
+        lint: qurk::LintConfig {
+            policy: LintPolicy::Deny,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let store = Arc::new(DurableStore::open(&path).unwrap());
+    let mut svc = QueryService::with_store(&catalog, market, config, Arc::clone(&store));
+    svc.register_tenant("broke", Some(0.0));
+    match svc.submit("broke", FILTER_SQL) {
+        Err(QurkError::Rejected { diagnostics }) => {
+            assert!(
+                diagnostics.iter().any(|d| d.code == Code::QA005),
+                "{diagnostics:?}"
+            );
+        }
+        other => panic!("expected a QA005 rejection at submit, got {other:?}"),
+    }
+    assert_eq!(svc.pending_len(), 0);
+    assert!(
+        store.live_checkpoints().is_empty(),
+        "a rejected query must leave no checkpoint"
+    );
+    drop(svc);
+    drop(store);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Statistics learned between `submit` and `run_pending` move the
+/// epoch, so the query runs what a fresh compile against the batch
+/// snapshot gives — here a learned selectivity that reorders the two
+/// conjuncts — not the plan admission compiled from empty statistics.
+#[test]
+fn statistics_learned_after_admission_recompile_the_plan() {
+    let (mut catalog, market) = world(7);
+    catalog
+        .define_tasks(
+            r#"TASK isBlond(field) TYPE Filter:
+                Prompt: "<img src='%s'> Blond?", tuple[field]
+            "#,
+        )
+        .unwrap();
+    let sql = "SELECT p.id FROM people AS p WHERE isTall(p.img) AND isBlond(p.img)";
+    let mut svc = QueryService::new(&catalog, market);
+    svc.register_tenant("alice", None);
+    svc.submit("alice", sql).unwrap();
+    svc.statistics().record_filter("isTall", 100, 90);
+    svc.statistics().record_filter("isBlond", 100, 10);
+
+    let logical = plan_query(&parse_query(sql).unwrap(), &catalog).unwrap();
+    let fresh = qurk::opt::compile(
+        &logical,
+        &catalog,
+        &ExecConfig::default(),
+        &svc.statistics().snapshot(),
+    )
+    .unwrap();
+    assert!(
+        fresh
+            .decisions
+            .iter()
+            .any(|d| d.starts_with("filter order")),
+        "{:?}",
+        fresh.decisions
+    );
+
+    let report = svc.run_pending().pop().unwrap().unwrap();
+    assert_eq!(report.plan.decisions, fresh.decisions);
+    assert_eq!(report.plan.physical, fresh.root.to_string());
 }

@@ -1,7 +1,9 @@
 //! The point of the parallel machine phase: a batch of machine-heavy
 //! queries finishes in less wall-clock time than running them one at
 //! a time, because between yield points every query thread executes
-//! concurrently. Results stay byte-identical either way.
+//! concurrently. Results stay byte-identical either way. Tier-1 runs
+//! only the byte-identity half; the wall-clock half is opt-in
+//! (`--ignored`) and runs in the bench-wallclock CI job.
 
 use std::time::Instant;
 
@@ -40,53 +42,77 @@ fn market() -> Marketplace {
 const N: usize = 8;
 const SQL: &str = "SELECT b.id, b.a, b.b, b.c FROM big AS b";
 
-#[test]
-fn batch_machine_time_beats_sequential_on_multi_core() {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let catalog = machine_world(300_000);
+const ROWS: i64 = 300_000;
 
-    // Warm up (page in the table, JIT nothing — this is Rust — but
-    // stabilize allocator state) and capture the reference relation.
-    let reference = {
-        let mut svc = QueryService::new(&catalog, market());
-        svc.register_tenant("warm", None);
-        svc.submit("warm", SQL).unwrap();
-        svc.run_pending().pop().unwrap().unwrap().relation
-    };
+/// Warm up (page in the table, stabilize allocator state) and capture
+/// the reference relation.
+fn reference(catalog: &Catalog) -> Relation {
+    let mut svc = QueryService::new(catalog, market());
+    svc.register_tenant("warm", None);
+    svc.submit("warm", SQL).unwrap();
+    svc.run_pending().pop().unwrap().unwrap().relation
+}
 
-    // Sequential: N single-query batches, one after another.
-    let seq_start = Instant::now();
-    let mut svc = QueryService::new(&catalog, market());
+/// Sequential: N single-query batches, one after another.
+fn run_sequential(catalog: &Catalog, reference: &Relation) {
+    let mut svc = QueryService::new(catalog, market());
     svc.register_tenant("t", None);
     for _ in 0..N {
         svc.submit("t", SQL).unwrap();
         let r = svc.run_pending().pop().unwrap().unwrap();
         assert_eq!(r.relation.len(), reference.len());
     }
-    let sequential = seq_start.elapsed();
+}
 
-    // Concurrent: the same N queries in ONE batch — the machine phase
-    // runs them all on their own OS threads between barriers.
-    let batch_start = Instant::now();
-    let mut svc = QueryService::new(&catalog, market());
+/// Concurrent: the same N queries in ONE batch — the machine phase
+/// runs them all on their own OS threads between barriers.
+fn run_batch(catalog: &Catalog) -> Vec<Relation> {
+    let mut svc = QueryService::new(catalog, market());
     svc.register_tenant("t", None);
     for _ in 0..N {
         svc.submit("t", SQL).unwrap();
     }
     let reports = svc.run_pending();
-    let batch = batch_start.elapsed();
     assert_eq!(reports.len(), N);
-    for r in reports {
-        let r = r.unwrap();
-        // Machine-only queries are trivially deterministic under
-        // concurrency; assert it anyway — it is the cheap half of the
-        // replay determinism tests in service_multi_tenant.rs.
+    reports.into_iter().map(|r| r.unwrap().relation).collect()
+}
+
+/// Machine-only queries are trivially deterministic under concurrency;
+/// assert it anyway — it is the cheap half of the replay determinism
+/// tests in service_multi_tenant.rs.
+#[test]
+fn concurrent_machine_batch_matches_sequential_results() {
+    let catalog = machine_world(ROWS);
+    let reference = reference(&catalog);
+    run_sequential(&catalog, &reference);
+    for relation in run_batch(&catalog) {
         assert_eq!(
-            format!("{:?}", r.relation),
-            format!("{:?}", reference),
+            format!("{relation:?}"),
+            format!("{reference:?}"),
             "concurrent machine-only query diverged"
         );
     }
+}
+
+/// The wall-clock half: on a multi-core host the batch beats
+/// sequential by at least 15%. Host load can fail it, so it stays out
+/// of tier-1; run it with
+/// `cargo test --release --test service_parallel -- --ignored`.
+#[test]
+#[ignore = "wall-clock timing; run with --ignored"]
+fn batch_machine_phases_overlap_on_multi_core() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let catalog = machine_world(ROWS);
+    let reference = reference(&catalog);
+
+    let seq_start = Instant::now();
+    run_sequential(&catalog, &reference);
+    let sequential = seq_start.elapsed();
+
+    let batch_start = Instant::now();
+    let relations = run_batch(&catalog);
+    let batch = batch_start.elapsed();
+    assert!(relations.iter().all(|r| r.len() == reference.len()));
 
     if cores < 2 {
         eprintln!("single core: skipping the overlap assertion");

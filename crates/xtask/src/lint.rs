@@ -75,14 +75,9 @@ impl fmt::Display for Violation {
 }
 
 /// Files where `Marketplace` may appear outside `crates/crowd`: the
-/// trait-impl boundary, the deprecated pre-trait shim, and the
-/// qurk-serve composition root (which constructs the concrete world
-/// the server runs against).
-const MARKETPLACE_ALLOWLIST: &[&str] = &[
-    "crates/core/src/backend.rs",
-    "crates/core/src/exec.rs",
-    "crates/serve/src/main.rs",
-];
+/// trait-impl boundary and the qurk-serve composition root (which
+/// constructs the concrete world the server runs against).
+const MARKETPLACE_ALLOWLIST: &[&str] = &["crates/core/src/backend.rs", "crates/serve/src/main.rs"];
 
 /// Marker that justifies an `unwrap()`/`expect(` in ops code.
 const UNWRAP_MARKER: &str = "lint:allow(unwrap)";

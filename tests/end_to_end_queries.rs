@@ -271,37 +271,3 @@ fn cost_accounting_matches_ledger_arithmetic() {
     assert_eq!(market.ledger.assignments_paid, 15);
     assert!((market.ledger.total() - report.cost_dollars).abs() < 1e-9);
 }
-
-/// The deprecated `Executor` path must keep compiling and return the
-/// same rows and cost numbers as the `Session` path on the same
-/// seeded world.
-#[test]
-#[allow(deprecated)]
-fn executor_shim_matches_session_path() {
-    for (seed, sql) in [
-        (10, "SELECT p.id FROM people p WHERE isFemale(p.img)"),
-        (
-            11,
-            "SELECT p.id FROM people p ORDER BY byHeight(p.img) DESC LIMIT 3",
-        ),
-        (
-            12,
-            "SELECT p.id, ph.pid FROM people p JOIN photos ph ON samePerson(p.img, ph.img)",
-        ),
-    ] {
-        let (catalog, mut market) = world(seed);
-        let mut ex = Executor::new(&catalog, &mut market);
-        let old = ex.query_report(sql).unwrap();
-        let (catalog2, market2) = world(seed);
-        let mut session = Session::new(&catalog2, market2);
-        let new = session.query(sql).report().unwrap();
-        assert_eq!(old.relation, new.relation, "{sql}");
-        assert_eq!(old.hits_posted, new.hits_posted, "{sql}");
-        assert!(
-            (old.cost_dollars - new.cost_dollars).abs() < 1e-9,
-            "{sql}: {} vs {}",
-            old.cost_dollars,
-            new.cost_dollars
-        );
-    }
-}

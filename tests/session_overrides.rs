@@ -1,8 +1,8 @@
 //! Per-query configuration isolation: `QueryBuilder` overrides must
 //! apply to exactly one query and never leak into subsequent queries
-//! on the same `Session` — the bug class the old shared-`ExecConfig`
-//! `Executor` invited (`ex.config.sort = ...` stuck until someone
-//! reset it).
+//! on the same `Session` — the bug class a shared, mutable
+//! `ExecConfig` invites (a sort mode set for one query sticks until
+//! someone resets it).
 
 use qurk::ops::filter::FilterOp;
 use qurk::ops::join::{JoinOp, JoinStrategy};
