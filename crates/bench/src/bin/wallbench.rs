@@ -1,9 +1,10 @@
 //! `wallbench` — the data-layout wall-clock suite (ISSUE 9).
 //!
 //! Times the retained naive baselines against the optimized hot paths
-//! (EM combine, τ/κ metrics, machine-side join candidate generation),
-//! medians the three standard end-to-end workloads, and writes
-//! `BENCH_wallclock.json` for the CI artifact and the tier-1 gate.
+//! (EM combine, τ/κ metrics, machine-side join candidate generation,
+//! compare-sort group planning), medians the three standard end-to-end
+//! workloads, and writes `BENCH_wallclock.json` for the CI artifact and
+//! the tier-1 gate.
 //!
 //! ```text
 //! cargo run --release -p qurk-bench --bin wallbench [-- <output.json>]

@@ -27,6 +27,7 @@ use std::time::Instant;
 
 use criterion::{Criterion, SampleSummary, Throughput};
 use qurk::ops::partition::{candidate_pairs, candidate_pairs_naive};
+use qurk::ops::sort::CompareSort;
 use qurk_combine::em::{LabelObservation, QualityAdjust, QualityAdjustConfig};
 use qurk_metrics::{fleiss_kappa, kendall_tau_b, kendall_tau_b_quadratic, CountMatrix};
 
@@ -325,7 +326,7 @@ fn summarize(
         .expect("sample_size >= 1 always yields samples")
 }
 
-/// Run the four baseline-vs-optimized microbenchmarks with
+/// Run the five baseline-vs-optimized microbenchmarks with
 /// `samples` timed iterations each.
 pub fn run_microbenches(samples: usize) -> Vec<MicroBench> {
     let mut c = Criterion::default();
@@ -422,6 +423,21 @@ pub fn run_microbenches(samples: usize) -> Vec<MicroBench> {
             criterion::black_box(candidate_pairs(&selected, &left, &right));
         });
         push("join-partition", true, elements, base, opt);
+    }
+
+    // Compare-sort group planning at `sort-compare`'s size: recounting
+    // every degree and gain per choice vs keeping them current.
+    {
+        let (n, s, seed) = (128, 5, CompareSort::default().seed);
+        let elements = (n * (n - 1) / 2) as u64;
+        g.throughput(Throughput::Elements(elements));
+        let base = summarize(&mut g, "plan-groups/naive", || {
+            criterion::black_box(CompareSort::plan_groups_naive(n, s, seed));
+        });
+        let opt = summarize(&mut g, "plan-groups/incremental", || {
+            criterion::black_box(CompareSort::plan_groups(n, s, seed));
+        });
+        push("plan-groups", true, elements, base, opt);
     }
 
     g.finish();
@@ -592,7 +608,7 @@ mod tests {
     #[ignore = "wall-clock timing; run with --ignored"]
     fn layout_pass_speedups_hold_when_remeasured() {
         let micro = run_microbenches(5);
-        assert_eq!(micro.len(), 4);
+        assert_eq!(micro.len(), 5);
         for m in &micro {
             println!(
                 "{}: {:.2}x ({} ns -> {} ns)",

@@ -78,7 +78,85 @@ impl CompareSort {
     /// batch-generation algorithm may generate overlapping groups").
     /// The count approaches the `N(N−1)/(S(S−1))` lower bound the
     /// paper quotes.
+    ///
+    /// Each group is seeded with the item having the most uncovered
+    /// partners (ties broken by a random rotation, keeping the last
+    /// maximum), then grown by the item covering the most new pairs
+    /// with the group so far (ties to the smallest index). Per-item
+    /// uncovered degrees and per-candidate gains are kept current as
+    /// pairs are covered and members join, so a group costs O(S·N)
+    /// and the whole plan O(N³/S). Emits exactly the groups of
+    /// [`Self::plan_groups_naive`].
     pub fn plan_groups(n: usize, s: usize, seed: u64) -> Vec<Vec<usize>> {
+        assert!(s >= 2, "group size must be at least 2");
+        if n <= 1 {
+            return Vec::new();
+        }
+        let s = s.min(n);
+        let mut rng = StdRng::seed_from_u64(seed);
+        // uncovered[i * n + j]: the pair {i, j} is in no group yet.
+        let mut uncovered = vec![true; n * n];
+        for i in 0..n {
+            uncovered[i * n + i] = false;
+        }
+        // degree[i]: uncovered partners of i.
+        let mut degree = vec![n - 1; n];
+        // gain[i]: uncovered pairs i would add to the group being built.
+        let mut gain = vec![0usize; n];
+        let mut in_group = vec![false; n];
+        let mut remaining = n * (n - 1) / 2;
+        let mut groups = Vec::new();
+        while remaining > 0 {
+            let start = rng.random_range(0..n);
+            let mut first = start;
+            for k in 0..n {
+                let i = (k + start) % n;
+                if degree[i] >= degree[first] {
+                    first = i;
+                }
+            }
+            let mut group = Vec::with_capacity(s);
+            let mut member = Some(first);
+            while let Some(m) = member {
+                group.push(m);
+                in_group[m] = true;
+                for (g, &unc) in gain.iter_mut().zip(&uncovered[m * n..(m + 1) * n]) {
+                    *g += usize::from(unc);
+                }
+                if group.len() == s {
+                    break;
+                }
+                member = None;
+                for i in 0..n {
+                    if !in_group[i] && member.is_none_or(|b| gain[i] > gain[b]) {
+                        member = Some(i);
+                    }
+                }
+            }
+            for (a, &x) in group.iter().enumerate() {
+                in_group[x] = false;
+                for &y in &group[a + 1..] {
+                    if uncovered[x * n + y] {
+                        uncovered[x * n + y] = false;
+                        uncovered[y * n + x] = false;
+                        degree[x] -= 1;
+                        degree[y] -= 1;
+                        remaining -= 1;
+                    }
+                }
+            }
+            gain.fill(0);
+            group.sort_unstable();
+            groups.push(group);
+        }
+        groups
+    }
+
+    /// The original generator behind [`Self::plan_groups`]: recounts
+    /// every item's uncovered partners and every candidate's gain from
+    /// the pair matrix for each choice, O(N⁴/S²) overall. Retained as
+    /// the equivalence oracle and wall-clock baseline.
+    pub fn plan_groups_naive(n: usize, s: usize, seed: u64) -> Vec<Vec<usize>> {
         assert!(s >= 2, "group size must be at least 2");
         if n <= 1 {
             return Vec::new();
@@ -750,6 +828,47 @@ mod tests {
             "groups={}",
             groups.len()
         );
+    }
+
+    #[test]
+    fn plan_groups_matches_the_naive_generator() {
+        for n in 2..=32 {
+            for s in 2..=6 {
+                for seed in [0, 42, 0x50B7] {
+                    assert_eq!(
+                        CompareSort::plan_groups(n, s, seed),
+                        CompareSort::plan_groups_naive(n, s, seed),
+                        "n={n} s={s} seed={seed}"
+                    );
+                }
+            }
+        }
+        for (n, s) in [(48, 5), (64, 3), (64, 6)] {
+            assert_eq!(
+                CompareSort::plan_groups(n, s, 7),
+                CompareSort::plan_groups_naive(n, s, 7),
+                "n={n} s={s}"
+            );
+        }
+    }
+
+    /// The rest of the estimator's exact range, up to
+    /// `EXACT_COMPARE_PLAN_MAX_N`, sampled every seventh size; the
+    /// naive side is too slow for a debug build, so run it with
+    /// `cargo test --release -p qurk plan_groups -- --ignored`.
+    #[test]
+    #[ignore = "slow without optimizations; run with --release --ignored"]
+    fn plan_groups_matches_the_naive_generator_up_to_256() {
+        for n in (33..=256).step_by(7).chain([128, 255, 256]) {
+            for s in 2..=6 {
+                let seed = n as u64;
+                assert_eq!(
+                    CompareSort::plan_groups(n, s, seed),
+                    CompareSort::plan_groups_naive(n, s, seed),
+                    "n={n} s={s} seed={seed}"
+                );
+            }
+        }
     }
 
     #[test]

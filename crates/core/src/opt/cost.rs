@@ -98,8 +98,10 @@ fn smart_hit_unit(rows: usize, cols: usize) -> f64 {
 }
 
 /// Above this input size the compare-sort estimate switches from the
-/// exact covering-design count to the `N(N−1)/(S(S−1))` bound (the
-/// exact generator is cubic in N).
+/// exact covering-design count to the `N(N−1)/(S(S−1))` bound. The
+/// exact count runs the real generator, O(N³/S) (about 2 ms at N = 128,
+/// S = 5 in release); the threshold also decides where QA004 starts
+/// warning, so moving it changes estimates and diagnostics.
 pub const EXACT_COMPARE_PLAN_MAX_N: usize = 256;
 
 /// Estimated resource usage of a (sub)plan. Additive across operators.

@@ -18,7 +18,9 @@
 //! * Oversized batches are refused outright (§4.2.2: group-size-20
 //!   comparison HITs sat uncompleted for hours).
 
-use std::collections::HashSet;
+// lint:hot-path
+
+use std::collections::{BTreeSet, HashSet};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -71,7 +73,9 @@ pub struct Hit {
     pub posted_at: SimTime,
     completed: u32,
     in_flight: u32,
-    touched_by: HashSet<WorkerId>,
+    /// Workers holding or having submitted an assignment (at most
+    /// `assignments_requested` of them, so a scan beats hashing).
+    touched_by: Vec<WorkerId>,
 }
 
 impl Hit {
@@ -79,9 +83,14 @@ impl Hit {
         crate::question::hit_work_units(self.kind, &self.questions)
     }
 
-    fn needs_worker(&self, w: WorkerId) -> bool {
+    /// Still accepting workers: not every requested assignment is
+    /// completed or in flight.
+    fn is_open(&self) -> bool {
         self.completed + self.in_flight < self.assignments_requested
-            && !self.touched_by.contains(&w)
+    }
+
+    fn is_complete(&self) -> bool {
+        self.completed >= self.assignments_requested
     }
 
     fn outstanding(&self) -> u32 {
@@ -105,6 +114,11 @@ pub struct Assignment {
 struct GroupState {
     hits: Vec<HitId>,
     posted_at: SimTime,
+    /// Open HITs ([`Hit::is_open`]) in posting order.
+    open: BTreeSet<HitId>,
+    /// Per worker (dense id): how many of `open` that worker touched.
+    /// A worker can take `open.len() - touched_open[w]` HITs here.
+    touched_open: Vec<u32>,
 }
 
 #[derive(Debug)]
@@ -133,6 +147,13 @@ pub enum RunOutcome {
 }
 
 /// The simulated marketplace.
+///
+/// No event's cost grows with the number of posted HITs: the loop
+/// keeps a count of incomplete HITs, and each group indexes its open
+/// HITs and how many of them each worker has touched, so an arrival
+/// costs O(groups) and finding a worker's next HIT skips only HITs that
+/// worker already touched. [`Self::update_hit`] is the only writer of a
+/// HIT's counters, so the index cannot drift.
 pub struct Marketplace {
     truth: GroundTruth,
     pool: WorkerPool,
@@ -142,6 +163,8 @@ pub struct Marketplace {
     default_assignments: u32,
     hits: Vec<Hit>,
     groups: Vec<GroupState>,
+    /// HITs with fewer completed assignments than requested.
+    incomplete: usize,
     completed: Vec<Assignment>,
     collected_mark: usize,
     queue: EventQueue<SimEvent>,
@@ -157,12 +180,14 @@ impl Marketplace {
         Marketplace {
             truth,
             pool: WorkerPool::generate(&config.workers, config.seed),
+            // lint:allow(hot-clone): once per marketplace, not per event
             sim: config.sim.clone(),
             price: config.price,
             ledger: Ledger::new(),
             default_assignments: config.assignments_per_hit,
             hits: Vec::new(),
             groups: Vec::new(),
+            incomplete: 0,
             completed: Vec::new(),
             collected_mark: 0,
             queue: EventQueue::new(),
@@ -234,13 +259,17 @@ impl Marketplace {
                 posted_at: self.now,
                 completed: 0,
                 in_flight: 0,
-                touched_by: HashSet::new(),
+                touched_by: Vec::new(),
             });
             hit_ids.push(id);
         }
+        // Fresh HITs are open, incomplete and untouched.
+        self.incomplete += hit_ids.len();
         self.groups.push(GroupState {
+            open: hit_ids.iter().copied().collect(),
             hits: hit_ids,
             posted_at: self.now,
+            touched_open: vec![0; self.pool.len()],
         });
         group
     }
@@ -276,11 +305,10 @@ impl Marketplace {
                     accepted_at,
                     session_left,
                 } => self.handle_finish(worker, hit, accepted_at, session_left),
-                SimEvent::LockExpires { worker, hit } => {
-                    let h = &mut self.hits[hit.0];
+                SimEvent::LockExpires { worker, hit } => self.update_hit(hit, |h| {
                     h.in_flight = h.in_flight.saturating_sub(1);
-                    h.touched_by.remove(&worker);
-                }
+                    h.touched_by.retain(|&t| t != worker);
+                }),
             }
         }
         RunOutcome::Completed
@@ -293,9 +321,7 @@ impl Marketplace {
 
     /// All assignments completed across every posted HIT?
     pub fn all_done(&self) -> bool {
-        self.hits
-            .iter()
-            .all(|h| h.completed >= h.assignments_requested)
+        self.incomplete == 0
     }
 
     /// Completed assignments for a group (all of them, in completion
@@ -322,6 +348,7 @@ impl Marketplace {
 
     /// The HITs of a group, in the order their specs were posted.
     pub fn group_hits(&self, group: HitGroupId) -> Vec<HitId> {
+        // lint:allow(hot-clone): caller-owned copy, once per posted group
         self.groups[group.0].hits.clone()
     }
 
@@ -336,6 +363,62 @@ impl Marketplace {
 
     pub fn hit(&self, id: HitId) -> &Hit {
         &self.hits[id.0]
+    }
+
+    // ---- index maintenance ----
+
+    /// The only way to change a HIT's `in_flight`, `completed` or
+    /// `touched_by`: take the HIT out of its group's index, apply
+    /// `mutate`, and index it again. Costs O(assignments requested).
+    fn update_hit(&mut self, id: HitId, mutate: impl FnOnce(&mut Hit)) {
+        self.index_hit(id, false);
+        mutate(&mut self.hits[id.0]);
+        self.index_hit(id, true);
+    }
+
+    /// Add (`add`) or remove one HIT's contribution to the incomplete
+    /// counter and to its group's open set and `touched_open` counts.
+    fn index_hit(&mut self, id: HitId, add: bool) {
+        let h = &self.hits[id.0];
+        if !h.is_complete() {
+            if add {
+                self.incomplete += 1;
+            } else {
+                self.incomplete -= 1;
+            }
+        }
+        if !h.is_open() {
+            return;
+        }
+        let g = &mut self.groups[h.group.0];
+        for w in &h.touched_by {
+            if add {
+                g.touched_open[w.0] += 1;
+            } else {
+                g.touched_open[w.0] -= 1;
+            }
+        }
+        if add {
+            g.open.insert(id);
+        } else {
+            g.open.remove(&id);
+        }
+    }
+
+    /// HITs of a group that `worker` could start.
+    fn available(&self, group: usize, worker: WorkerId) -> u32 {
+        let g = &self.groups[group];
+        g.open.len() as u32 - g.touched_open[worker.0]
+    }
+
+    /// The first HIT (in posting order) of a group that `worker` could
+    /// start: the first open one it has not touched.
+    fn first_available(&self, group: usize, worker: WorkerId) -> Option<HitId> {
+        self.groups[group]
+            .open
+            .iter()
+            .copied()
+            .find(|h| !self.hits[h.0].touched_by.contains(&worker))
     }
 
     // ---- event handlers ----
@@ -368,18 +451,8 @@ impl Marketplace {
 
         // Engagement: total remaining work across groups this worker
         // could contribute to.
-        let candidate_groups: Vec<(usize, u32)> = self
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(gi, g)| {
-                let avail: u32 = g
-                    .hits
-                    .iter()
-                    .filter(|&&h| self.hits[h.0].needs_worker(worker_id))
-                    .count() as u32;
-                (gi, avail)
-            })
+        let candidate_groups: Vec<(usize, u32)> = (0..self.groups.len())
+            .map(|gi| (gi, self.available(gi, worker_id)))
             .filter(|&(_, avail)| avail > 0)
             .collect();
         let total_avail: u32 = candidate_groups.iter().map(|&(_, a)| a).sum();
@@ -413,11 +486,7 @@ impl Marketplace {
             }
             let (group_idx, _) = remaining.swap_remove(chosen);
 
-            let Some(&first_hit) = self.groups[group_idx]
-                .hits
-                .iter()
-                .find(|&&h| self.hits[h.0].needs_worker(worker_id))
-            else {
+            let Some(first_hit) = self.first_available(group_idx, worker_id) else {
                 continue;
             };
             let wu = self.hits[first_hit.0].work_units();
@@ -450,10 +519,11 @@ impl Marketplace {
     }
 
     fn start_assignment(&mut self, worker: WorkerId, hit: HitId, session_left: u32) {
-        let h = &mut self.hits[hit.0];
-        h.in_flight += 1;
-        h.touched_by.insert(worker);
-        let wu = h.work_units();
+        self.update_hit(hit, |h| {
+            h.in_flight += 1;
+            h.touched_by.push(worker);
+        });
+        let wu = self.hits[hit.0].work_units();
 
         if self.rng.random::<f64>() < self.sim.abandon_probability {
             let at = self.now.plus_secs(self.sim.abandon_lock_secs);
@@ -483,24 +553,22 @@ impl Marketplace {
         accepted_at: SimTime,
         session_left: u32,
     ) {
-        // Produce the answers at submission time.
-        let (questions, kind, group, wu) = {
-            let h = &self.hits[hit.0];
-            (h.questions.clone(), h.kind, h.group, h.work_units())
-        };
+        // Produce the answers at submission time, borrowing the HIT,
+        // the worker, the truth and the RNG side by side.
+        let h = &self.hits[hit.0];
+        let group = h.group;
         let ctx = HitContext {
-            kind,
-            total_work_units: wu,
+            kind: h.kind,
+            total_work_units: h.work_units(),
         };
-        let answers = {
-            let w = self.pool.get(worker).clone();
-            w.answer_hit(&questions, ctx, &self.truth, &mut self.rng)
-        };
-        {
-            let h = &mut self.hits[hit.0];
+        let answers =
+            self.pool
+                .get(worker)
+                .answer_hit(&h.questions, ctx, &self.truth, &mut self.rng);
+        self.update_hit(hit, |h| {
             h.in_flight = h.in_flight.saturating_sub(1);
             h.completed += 1;
-        }
+        });
         self.pool.get_mut(worker).completed += 1;
         self.ledger.charge(self.price);
         let id = AssignmentId(self.completed.len());
@@ -516,13 +584,36 @@ impl Marketplace {
 
         // Continue the session within the same group if possible.
         if session_left > 0 {
-            if let Some(&next) = self.groups[group.0]
-                .hits
-                .iter()
-                .find(|&&h| self.hits[h.0].needs_worker(worker))
-            {
+            if let Some(next) = self.first_available(group.0, worker) {
                 self.start_assignment(worker, next, session_left - 1);
             }
+        }
+    }
+
+    /// Recompute every index by brute force and compare.
+    #[cfg(test)]
+    fn check_index(&self) {
+        let incomplete = self.hits.iter().filter(|h| !h.is_complete()).count();
+        assert_eq!(self.incomplete, incomplete, "incomplete counter");
+        for (gi, g) in self.groups.iter().enumerate() {
+            let open: BTreeSet<HitId> = g
+                .hits
+                .iter()
+                .copied()
+                .filter(|h| self.hits[h.0].is_open())
+                .collect();
+            assert_eq!(g.open, open, "open set of group {gi}");
+            for (w, &count) in g.touched_open.iter().enumerate() {
+                let touched = open
+                    .iter()
+                    .filter(|h| self.hits[h.0].touched_by.contains(&WorkerId(w)))
+                    .count();
+                assert_eq!(count as usize, touched, "touched_open[{w}] of group {gi}");
+            }
+        }
+        for h in &self.hits {
+            assert!(h.completed + h.in_flight <= h.assignments_requested);
+            assert_eq!(h.touched_by.len(), (h.completed + h.in_flight) as usize);
         }
     }
 }
@@ -722,6 +813,92 @@ mod tests {
         v[rank.min(v.len() - 1)]
     }
 
+    /// FNV-1a over each assignment's `(hit, worker, accepted_at bits,
+    /// submitted_at bits, answers)`, in completion order.
+    fn timeline_hash(assignments: &[Assignment]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for a in assignments {
+            eat(&(a.hit.0 as u64).to_le_bytes());
+            eat(&(a.worker.0 as u64).to_le_bytes());
+            eat(&a.accepted_at.secs().to_bits().to_le_bytes());
+            eat(&a.submitted_at.secs().to_bits().to_le_bytes());
+            eat(format!("{:?}", a.answers).as_bytes());
+        }
+        h
+    }
+
+    /// The event order itself is pinned: a fixed-seed marketplace with
+    /// mixed group kinds, the default abandonment rate, a banned worker
+    /// and a stalled oversized group must reproduce this exact
+    /// timeline. Two runs of the same code agreeing (the determinism
+    /// tests above) cannot catch a change that reorders events or
+    /// draws; this constant can.
+    #[test]
+    fn pinned_timeline_is_unchanged() {
+        let mut truth = GroundTruth::new();
+        let items = truth.new_items(24);
+        for (i, &it) in items.iter().enumerate() {
+            truth.set_predicate(
+                it,
+                "p",
+                PredicateTruth {
+                    value: i % 3 == 0,
+                    error_rate: 0.05,
+                },
+            );
+            truth.set_score(it, "size", i as f64);
+            truth.set_entity(it, crate::truth::EntityId((i / 2) as u64));
+        }
+        let cfg = CrowdConfig::default().with_seed(0x5EED);
+        assert_eq!(cfg.sim.abandon_probability, 0.03);
+        let mut m = Marketplace::new(&cfg, truth);
+        let compare = |chunk: &[crate::truth::ItemId]| {
+            HitSpec::new(
+                vec![Question::CompareGroup {
+                    items: chunk.to_vec(),
+                    dimension: "size".into(),
+                }],
+                HitKind::SortCompare,
+            )
+        };
+        let filter = m.post_group(filter_specs(&items[..12]));
+        let join = m.post_group(
+            items
+                .chunks(2)
+                .map(|c| {
+                    HitSpec::new(
+                        vec![Question::JoinPair {
+                            left: c[0],
+                            right: c[1],
+                        }],
+                        HitKind::JoinSimple,
+                    )
+                })
+                .collect(),
+        );
+        let sort = m.post_group(items.chunks(4).map(compare).collect());
+        let oversized = m.post_group(vec![compare(&items[..20])]);
+
+        assert_eq!(m.run(3600.0), RunOutcome::TimedOut);
+        let mut timeline = m.drain_new_assignments();
+        m.ban_workers([timeline[0].worker]);
+        assert_eq!(m.run(12.0 * 3600.0), RunOutcome::TimedOut);
+        timeline.extend(m.drain_new_assignments());
+
+        for g in [filter, join, sort] {
+            assert_eq!(m.group_outstanding(g), 0);
+        }
+        assert_eq!(m.group_outstanding(oversized), 5);
+        assert_eq!(timeline.len(), (12 + 12 + 6) * 5);
+        assert_eq!(timeline_hash(&timeline), 0xa55b_6b56_cf86_3aa8);
+    }
+
     #[test]
     fn drain_returns_only_new() {
         let (mut m, items) = small_market(4);
@@ -799,14 +976,19 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Marketplace invariants hold for arbitrary small workloads:
-        /// exact assignment counts, distinct workers per HIT, ledger
-        /// consistency, monotone virtual time, non-negative latencies.
+        /// Marketplace invariants hold for arbitrary small workloads of
+        /// several groups with abandonment on: exact assignment counts,
+        /// distinct workers per HIT, ledger consistency, monotone
+        /// virtual time, non-negative latencies — and after every
+        /// `run()` slice the incremental index matches a brute-force
+        /// recount.
         #[test]
         fn marketplace_invariants(
             num_items in 1usize..12,
             batch in 1usize..4,
             assignments in 1u32..7,
+            num_groups in 1usize..4,
+            abandon in 0.0f64..0.3,
             seed in 0u64..1000,
         ) {
             let mut truth = GroundTruth::new();
@@ -817,48 +999,70 @@ mod proptests {
                     error_rate: 0.1,
                 });
             }
-            let cfg = CrowdConfig::default().with_seed(seed);
+            let mut cfg = CrowdConfig::default().with_seed(seed);
+            cfg.sim.abandon_probability = abandon;
             let mut m = Marketplace::new(&cfg, truth);
-            let specs: Vec<HitSpec> = items
-                .chunks(batch)
-                .map(|chunk| HitSpec::new(
-                    chunk.iter().map(|&it| Question::Filter {
-                        item: it,
-                        predicate: "p".into(),
-                    }).collect(),
-                    HitKind::Filter,
-                ))
-                .collect();
-            let num_hits = specs.len();
-            let g = m.post_group_with_assignments(specs, assignments);
-            prop_assert_eq!(m.run_to_completion(), RunOutcome::Completed);
-
-            // Exact assignment counts.
-            let collected: Vec<_> = m.assignments(g).collect();
-            prop_assert_eq!(collected.len(), num_hits * assignments as usize);
-
-            // Distinct workers per HIT; answers arity matches questions.
-            use std::collections::HashMap;
-            let mut per_hit: HashMap<HitId, Vec<WorkerId>> = HashMap::new();
-            for a in &collected {
-                per_hit.entry(a.hit).or_default().push(a.worker);
-                prop_assert_eq!(a.answers.len(), m.hit(a.hit).questions.len());
-                prop_assert!(a.submitted_at.secs() >= a.accepted_at.secs());
+            let mut groups = Vec::new();
+            let mut hits_per_group = Vec::new();
+            for k in 0..num_groups {
+                // Each group batches differently so their sizes differ.
+                let specs: Vec<HitSpec> = items
+                    .chunks(batch + k)
+                    .map(|chunk| HitSpec::new(
+                        chunk.iter().map(|&it| Question::Filter {
+                            item: it,
+                            predicate: "p".into(),
+                        }).collect(),
+                        HitKind::Filter,
+                    ))
+                    .collect();
+                hits_per_group.push(specs.len());
+                groups.push(m.post_group_with_assignments(specs, assignments));
+                m.check_index();
             }
-            for workers in per_hit.values() {
-                let set: HashSet<_> = workers.iter().collect();
-                prop_assert_eq!(set.len(), workers.len());
+            let mut slices = 0;
+            loop {
+                let before = m.now().secs();
+                let outcome = m.run(1800.0);
+                m.check_index();
+                prop_assert!(m.now().secs() >= before);
+                if outcome == RunOutcome::Completed {
+                    break;
+                }
+                slices += 1;
+                prop_assert!(slices < 30 * 48, "never completed");
+            }
+            prop_assert!(m.all_done());
+
+            for (&g, &num_hits) in groups.iter().zip(&hits_per_group) {
+                // Exact assignment counts.
+                let collected: Vec<_> = m.assignments(g).collect();
+                prop_assert_eq!(collected.len(), num_hits * assignments as usize);
+
+                // Distinct workers per HIT; answers arity matches questions.
+                use std::collections::HashMap;
+                let mut per_hit: HashMap<HitId, Vec<WorkerId>> = HashMap::new();
+                for a in &collected {
+                    per_hit.entry(a.hit).or_default().push(a.worker);
+                    prop_assert_eq!(a.answers.len(), m.hit(a.hit).questions.len());
+                    prop_assert!(a.submitted_at.secs() >= a.accepted_at.secs());
+                }
+                for workers in per_hit.values() {
+                    let set: HashSet<_> = workers.iter().collect();
+                    prop_assert_eq!(set.len(), workers.len());
+                }
+
+                // Latencies non-negative.
+                for l in m.group_latencies(g) {
+                    prop_assert!(l >= 0.0);
+                }
             }
 
             // Ledger arithmetic.
-            prop_assert_eq!(m.ledger.assignments_paid, collected.len() as u64);
-            let expect = collected.len() as f64 * 0.015;
+            let paid: usize = hits_per_group.iter().sum::<usize>() * assignments as usize;
+            prop_assert_eq!(m.ledger.assignments_paid, paid as u64);
+            let expect = paid as f64 * 0.015;
             prop_assert!((m.ledger.total() - expect).abs() < 1e-9);
-
-            // Latencies non-negative.
-            for l in m.group_latencies(g) {
-                prop_assert!(l >= 0.0);
-            }
         }
     }
 }

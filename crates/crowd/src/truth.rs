@@ -20,6 +20,13 @@
 //!   type (case/spacing variants normalize to the canonical answer).
 //!
 //! The oracle is append-only and shared read-only by worker models.
+//!
+//! Lookups sit on the simulator's hot path (every answer perceives one
+//! or more items), so every table is keyed by name first and probed
+//! with a borrowed `&str`, and each dimension keeps its score range
+//! current instead of scanning for it.
+
+// lint:hot-path
 
 use std::collections::HashMap;
 
@@ -31,10 +38,60 @@ pub struct ItemId(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EntityId(pub u64);
 
-/// Latent per-dimension sort information.
-#[derive(Debug, Clone, Copy)]
-struct ScoreEntry {
-    score: f64,
+/// Per-name tables: name → item → value, so a lookup borrows the name.
+type ByName<T> = HashMap<String, HashMap<ItemId, T>>;
+
+fn lookup<'a, T>(table: &'a ByName<T>, name: &str, item: ItemId) -> Option<&'a T> {
+    table.get(name)?.get(&item)
+}
+
+/// Insert into a [`ByName`] table, allocating the name only when new.
+fn insert<T>(table: &mut ByName<T>, name: &str, item: ItemId, value: T) {
+    match table.get_mut(name) {
+        Some(items) => {
+            items.insert(item, value);
+        }
+        None => {
+            table.insert(name.to_owned(), HashMap::from([(item, value)]));
+        }
+    }
+}
+
+/// Latent scores of one sort dimension and their current range.
+#[derive(Debug, Clone)]
+struct DimensionScores {
+    by_item: HashMap<ItemId, f64>,
+    lo: f64,
+    hi: f64,
+}
+
+impl Default for DimensionScores {
+    fn default() -> Self {
+        DimensionScores {
+            by_item: HashMap::new(),
+            lo: f64::INFINITY,
+            hi: f64::NEG_INFINITY,
+        }
+    }
+}
+
+impl DimensionScores {
+    fn set(&mut self, item: ItemId, score: f64) {
+        if self.by_item.insert(item, score).is_some() {
+            // The replaced score may have been an extreme: rescan.
+            self.lo = self
+                .by_item
+                .values()
+                .fold(f64::INFINITY, |lo, &s| lo.min(s));
+            self.hi = self
+                .by_item
+                .values()
+                .fold(f64::NEG_INFINITY, |hi, &s| hi.max(s));
+        } else {
+            self.lo = self.lo.min(score);
+            self.hi = self.hi.max(score);
+        }
+    }
 }
 
 /// Per-dimension perception parameters.
@@ -110,27 +167,26 @@ pub struct TextTruth {
     pub variants: Vec<(String, f64)>,
 }
 
-/// The oracle. Keys are `(item, name)` pairs; names are interned by the
-/// datasets layer (they are tiny and few, so plain `String` keys are
-/// simpler than an interner and nowhere near hot).
+/// The oracle. Tables are keyed by name, then item; names are few and
+/// short, so plain `String` keys probed by `&str` need no interner.
 #[derive(Debug, Default, Clone)]
 pub struct GroundTruth {
-    scores: HashMap<(ItemId, String), ScoreEntry>,
+    scores: HashMap<String, DimensionScores>,
     dimensions: HashMap<String, DimensionParams>,
     entities: HashMap<ItemId, EntityId>,
     /// Similarity between *different* entities, keyed with the smaller
     /// entity id first. Missing = `default_similarity`.
     similarities: HashMap<(EntityId, EntityId), f64>,
     default_similarity: f64,
-    features: HashMap<(ItemId, String), FeatureTruth>,
+    features: ByName<FeatureTruth>,
     /// Override distributions used when the feature is asked in the
     /// combined (all-features-at-once) interface; falls back to
     /// `features`. Captures the paper's §3.3.4 finding that the
     /// combined interface changes answer quality per feature.
-    features_combined: HashMap<(ItemId, String), FeatureTruth>,
+    features_combined: ByName<FeatureTruth>,
     feature_options: HashMap<String, Vec<String>>,
-    predicates: HashMap<(ItemId, String), PredicateTruth>,
-    texts: HashMap<(ItemId, String), TextTruth>,
+    predicates: ByName<PredicateTruth>,
+    texts: ByName<TextTruth>,
     next_item: u64,
 }
 
@@ -165,37 +221,29 @@ impl GroundTruth {
         self.dimensions.get(name).copied().unwrap_or_default()
     }
 
-    /// Set an item's latent score on a dimension.
+    /// Set an item's latent score on a dimension, keeping the
+    /// dimension's range current (recomputed when a score is
+    /// overwritten, since the old value may have been an extreme).
     pub fn set_score(&mut self, item: ItemId, dimension: &str, score: f64) {
-        self.scores
-            .insert((item, dimension.to_owned()), ScoreEntry { score });
+        match self.scores.get_mut(dimension) {
+            Some(d) => d.set(item, score),
+            None => {
+                let mut d = DimensionScores::default();
+                d.set(item, score);
+                self.scores.insert(dimension.to_owned(), d);
+            }
+        }
     }
 
     /// Latent score, if registered.
     pub fn score(&self, item: ItemId, dimension: &str) -> Option<f64> {
-        self.scores
-            .get(&(item, dimension.to_owned()))
-            .map(|e| e.score)
+        self.scores.get(dimension)?.by_item.get(&item).copied()
     }
 
     /// Min/max score over all items registered on a dimension; used to
     /// normalize perception noise and to calibrate Likert mapping.
     pub fn score_range(&self, dimension: &str) -> Option<(f64, f64)> {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        let mut any = false;
-        for ((_, d), e) in &self.scores {
-            if d == dimension {
-                lo = lo.min(e.score);
-                hi = hi.max(e.score);
-                any = true;
-            }
-        }
-        if any {
-            Some((lo, hi))
-        } else {
-            None
-        }
+        self.scores.get(dimension).map(|d| (d.lo, d.hi))
     }
 
     /// Ground-truth best-to-worst ordering of `items` on `dimension`
@@ -290,7 +338,7 @@ impl GroundTruth {
             opts.len()
         );
         assert!(truth.value < opts.len(), "true value out of range");
-        self.features.insert((item, feature.to_owned()), truth);
+        insert(&mut self.features, feature, item, truth);
     }
 
     /// Convenience: a crisp feature where a careful worker answers the
@@ -321,7 +369,7 @@ impl GroundTruth {
     }
 
     pub fn feature(&self, item: ItemId, feature: &str) -> Option<&FeatureTruth> {
-        self.features.get(&(item, feature.to_owned()))
+        lookup(&self.features, feature, item)
     }
 
     /// Set the distribution used when the feature is asked in the
@@ -335,36 +383,34 @@ impl GroundTruth {
             truth.report_probs.len() == opts.len() || truth.report_probs.len() == opts.len() + 1,
             "report_probs arity mismatch"
         );
-        self.features_combined
-            .insert((item, feature.to_owned()), truth);
+        insert(&mut self.features_combined, feature, item, truth);
     }
 
     /// Feature truth as perceived through the combined interface,
     /// falling back to the single-feature distribution.
     pub fn feature_combined(&self, item: ItemId, feature: &str) -> Option<&FeatureTruth> {
-        self.features_combined
-            .get(&(item, feature.to_owned()))
-            .or_else(|| self.features.get(&(item, feature.to_owned())))
+        lookup(&self.features_combined, feature, item)
+            .or_else(|| lookup(&self.features, feature, item))
     }
 
     // ---- predicates ----
 
     pub fn set_predicate(&mut self, item: ItemId, predicate: &str, truth: PredicateTruth) {
-        self.predicates.insert((item, predicate.to_owned()), truth);
+        insert(&mut self.predicates, predicate, item, truth);
     }
 
     pub fn predicate(&self, item: ItemId, predicate: &str) -> Option<PredicateTruth> {
-        self.predicates.get(&(item, predicate.to_owned())).copied()
+        lookup(&self.predicates, predicate, item).copied()
     }
 
     // ---- generative text ----
 
     pub fn set_text(&mut self, item: ItemId, field: &str, truth: TextTruth) {
-        self.texts.insert((item, field.to_owned()), truth);
+        insert(&mut self.texts, field, item, truth);
     }
 
     pub fn text(&self, item: ItemId, field: &str) -> Option<&TextTruth> {
-        self.texts.get(&(item, field.to_owned()))
+        lookup(&self.texts, field, item)
     }
 
     /// Number of items allocated so far.
@@ -399,6 +445,22 @@ mod tests {
         assert_eq!(gt.score(items[1], "height"), None);
         assert_eq!(gt.score_range("area"), Some((400.0, 676.0)));
         assert_eq!(gt.score_range("nope"), None);
+    }
+
+    #[test]
+    fn overwriting_an_extreme_score_recomputes_the_range() {
+        let mut gt = GroundTruth::new();
+        let items = gt.new_items(3);
+        gt.set_score(items[0], "area", 400.0);
+        gt.set_score(items[1], "area", 529.0);
+        gt.set_score(items[2], "area", 676.0);
+        gt.set_score(items[2], "area", 500.0);
+        assert_eq!(gt.score_range("area"), Some((400.0, 529.0)));
+        gt.set_score(items[0], "area", 450.0);
+        assert_eq!(gt.score_range("area"), Some((450.0, 529.0)));
+        gt.set_score(items[1], "area", 900.0);
+        assert_eq!(gt.score_range("area"), Some((450.0, 900.0)));
+        assert_eq!(gt.score(items[1], "area"), Some(900.0));
     }
 
     #[test]
