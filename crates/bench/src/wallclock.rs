@@ -641,8 +641,8 @@ mod tests {
 
     /// Replay byte-identity across the layout pass: for each standard
     /// workload, a live recorded run and its trace replay render the
-    /// same result relation byte for byte. Interned text, columnar
-    /// mirrors, flat EM scratch, and the partitioned candidate
+    /// same result relation byte for byte. Interned text, column-major
+    /// relations, flat EM scratch, and the partitioned candidate
     /// generator must all be invisible in query output.
     #[test]
     fn replayed_workloads_are_byte_identical_to_live() {

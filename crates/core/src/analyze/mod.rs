@@ -55,7 +55,7 @@ pub enum LintPolicy {
 }
 
 /// Analyzer configuration, carried on
-/// [`ExecConfig`](crate::session::ExecConfig).
+/// [`ExecConfig`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LintConfig {
     pub policy: LintPolicy,

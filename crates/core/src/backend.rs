@@ -667,7 +667,7 @@ impl<B: CrowdBackend> CachingBackend<B> {
     /// Called when the query that posted the group **fails** before
     /// its rounds complete: leaving the keys pending would make every
     /// future identical spec piggyback
-    /// ([`VirtualSource::Shared`]) on a group nobody is driving to
+    /// (`VirtualSource::Shared`) on a group nobody is driving to
     /// completion — a leak that turns into a hang or a miss. After
     /// release, an identical spec re-posts live. A group that already
     /// recorded is untouched (its keys are in the cache, not pending).

@@ -87,7 +87,7 @@ mod tests {
             .run("SELECT p.name FROM people AS p WHERE isTall(p.img)")
             .unwrap();
         assert_eq!(rel.schema().fields()[0].name, "p.name");
-        let names: Vec<&str> = rel.rows().iter().map(|r| r[0].as_text().unwrap()).collect();
+        let names: Vec<&str> = rel.column(0).iter().map(|v| v.as_text().unwrap()).collect();
         // Mostly the tall half.
         let tall = names
             .iter()
@@ -138,7 +138,6 @@ mod tests {
         assert!(rel.len() >= 8, "matches={}", rel.len());
         let correct = rel
             .rows()
-            .iter()
             .filter(|r| {
                 r[0].as_text().unwrap()[1..].parse::<i64>().unwrap() == r[1].as_int().unwrap()
             })
@@ -153,7 +152,7 @@ mod tests {
         let rel = session
             .run("SELECT p.id FROM people p ORDER BY byHeight(p.img) DESC")
             .unwrap();
-        let ids: Vec<i64> = rel.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
+        let ids: Vec<i64> = rel.rows().map(|r| r[0].as_int().unwrap()).collect();
         // DESC: tallest first.
         let tau =
             qurk_metrics::tau_between_orders(&ids, &(0..10).rev().collect::<Vec<i64>>()).unwrap();
@@ -169,7 +168,7 @@ mod tests {
             .unwrap();
         // ASC: shortest first; limit applies after sort.
         assert_eq!(rel.len(), 3);
-        let ids: Vec<i64> = rel.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
+        let ids: Vec<i64> = rel.rows().map(|r| r[0].as_int().unwrap()).collect();
         assert!(ids.iter().all(|&i| i <= 4), "ids={ids:?}");
     }
 
@@ -180,7 +179,7 @@ mod tests {
         let rel = session
             .run("SELECT p.id FROM people p ORDER BY p.id DESC LIMIT 2")
             .unwrap();
-        let ids: Vec<i64> = rel.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
+        let ids: Vec<i64> = rel.rows().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(ids, vec![9, 8]);
     }
 
@@ -224,7 +223,7 @@ mod tests {
         let rel = session
             .run("SELECT p.id FROM people p WHERE isTall(p.img) OR p.id < 2")
             .unwrap();
-        let ids: Vec<i64> = rel.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
+        let ids: Vec<i64> = rel.rows().map(|r| r[0].as_int().unwrap()).collect();
         assert!(ids.contains(&0) && ids.contains(&1), "ids={ids:?}");
         assert!(ids.iter().filter(|&&i| i >= 5).count() >= 4);
     }
@@ -310,7 +309,7 @@ mod edge_tests {
         let mut market = Marketplace::new(&CrowdConfig::default(), gt);
         let mut session = Session::new(&catalog, &mut market);
         let out = session.run("SELECT id FROM t WHERE p(t.img)").unwrap();
-        let ids: Vec<i64> = out.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
+        let ids: Vec<i64> = out.rows().map(|r| r[0].as_int().unwrap()).collect();
         assert!(!ids.contains(&1), "NULL-item row must not pass: {ids:?}");
     }
 
@@ -392,7 +391,7 @@ mod max_min_tests {
             .report()
             .unwrap();
         assert_eq!(report.relation.len(), 1);
-        assert_eq!(report.relation.rows()[0][0], Value::Int(19));
+        assert_eq!(report.relation.row(0)[0], Value::Int(19));
         // Tournament over 20 items in batches of 5: 4 + 1 = 5 HITs —
         // far below the ~19-group full sort.
         assert!(report.hits_posted <= 6, "hits={}", report.hits_posted);
@@ -405,7 +404,7 @@ mod max_min_tests {
         let rel = session
             .run("SELECT id FROM t ORDER BY byD(t.img) LIMIT 1")
             .unwrap();
-        assert_eq!(rel.rows()[0][0], Value::Int(0));
+        assert_eq!(rel.row(0)[0], Value::Int(0));
     }
 
     #[test]
@@ -420,7 +419,6 @@ mod max_min_tests {
         let ids: Vec<i64> = report
             .relation
             .rows()
-            .iter()
             .map(|r| r[0].as_int().unwrap())
             .collect();
         assert_eq!(ids, vec![9, 8]);
@@ -434,6 +432,123 @@ mod max_min_tests {
             .run("SELECT id FROM t WHERE id < 0 ORDER BY byD(t.img) LIMIT 1")
             .unwrap();
         assert!(rel.is_empty());
+    }
+}
+
+#[cfg(test)]
+mod null_sort_tests {
+    use crate::catalog::Catalog;
+    use crate::relation::Relation;
+    use crate::schema::{Schema, ValueType};
+    use crate::session::Session;
+    use crate::value::Value;
+    use qurk_crowd::truth::DimensionParams;
+    use qurk_crowd::{CrowdConfig, GroundTruth, Marketplace};
+
+    /// Table `t(id, x, img)`: 64 rows whose Int column `x` is NULL in
+    /// about a third of them, placed by `seed`.
+    fn nullable_world(seed: u64) -> (Catalog, Marketplace) {
+        let mut gt = GroundTruth::new();
+        let items = gt.new_items(64);
+        let mut rel = Relation::new(Schema::new(&[
+            ("id", ValueType::Int),
+            ("x", ValueType::Int),
+            ("img", ValueType::Item),
+        ]));
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        for (i, &it) in items.iter().enumerate() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let x = if state.is_multiple_of(3) {
+                Value::Null
+            } else {
+                Value::Int((state >> 8) as i64 % 20)
+            };
+            rel.push(vec![Value::Int(i as i64), x, Value::Item(it)])
+                .unwrap();
+        }
+        let mut catalog = Catalog::new();
+        catalog.register_table("t", rel);
+        (catalog, Marketplace::new(&CrowdConfig::default(), gt))
+    }
+
+    fn xs(rel: &Relation) -> Vec<Option<i64>> {
+        rel.column(0).iter().map(Value::as_int).collect()
+    }
+
+    #[test]
+    fn order_by_nullable_column_asc_puts_nulls_last() {
+        for seed in 0..50 {
+            let (catalog, mut market) = nullable_world(seed);
+            let mut session = Session::new(&catalog, &mut market);
+            let out = xs(&session.run("SELECT t.x FROM t ORDER BY t.x").unwrap());
+            assert_eq!(out.len(), 64);
+            let nulls = out.iter().filter(|v| v.is_none()).count();
+            assert!(nulls > 0, "seed {seed}: no NULLs generated");
+            assert!(out[64 - nulls..].iter().all(Option::is_none), "seed {seed}");
+            assert!(
+                out[..64 - nulls].windows(2).all(|w| w[0] <= w[1]),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn order_by_nullable_column_desc_puts_nulls_first() {
+        for seed in 0..50 {
+            let (catalog, mut market) = nullable_world(seed);
+            let mut session = Session::new(&catalog, &mut market);
+            let out = xs(&session.run("SELECT t.x FROM t ORDER BY t.x DESC").unwrap());
+            let nulls = out.iter().filter(|v| v.is_none()).count();
+            assert!(out[..nulls].iter().all(Option::is_none), "seed {seed}");
+            assert!(out[nulls..].iter().all(Option::is_some), "seed {seed}");
+            assert!(out[nulls..].windows(2).all(|w| w[0] >= w[1]), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn crowd_key_after_nullable_machine_key_sorts_null_rows_as_one_group() {
+        // Group key `g` is 0, 1 or NULL; within each group the crowd
+        // orders rows by a crisp score equal to the row id.
+        let mut gt = GroundTruth::new();
+        gt.define_dimension("d", DimensionParams::crisp(0.02));
+        let items = gt.new_items(12);
+        let mut rel = Relation::new(Schema::new(&[
+            ("id", ValueType::Int),
+            ("g", ValueType::Int),
+            ("img", ValueType::Item),
+        ]));
+        for (i, &it) in items.iter().enumerate() {
+            gt.set_score(it, "d", i as f64);
+            let g = match i % 3 {
+                0 => Value::Null,
+                1 => Value::Int(1),
+                _ => Value::Int(0),
+            };
+            rel.push(vec![Value::Int(i as i64), g, Value::Item(it)])
+                .unwrap();
+        }
+        let mut catalog = Catalog::new();
+        catalog.register_table("t", rel);
+        catalog
+            .define_tasks("TASK byD(field) TYPE Rank:\n OrderDimensionName: \"d\"")
+            .unwrap();
+        let mut market = Marketplace::new(&CrowdConfig::default(), gt);
+        let mut session = Session::new(&catalog, &mut market);
+        let out = session
+            .run("SELECT t.g, t.id FROM t ORDER BY t.g, byD(t.img) DESC")
+            .unwrap();
+        let got: Vec<(Option<i64>, i64)> = out
+            .rows()
+            .map(|r| (r[0].as_int(), r[1].as_int().unwrap()))
+            .collect();
+        let want: Vec<(Option<i64>, i64)> = [(Some(0), [11, 8, 5, 2]), (Some(1), [10, 7, 4, 1])]
+            .into_iter()
+            .chain([(None, [9, 6, 3, 0])])
+            .flat_map(|(g, ids)| ids.into_iter().map(move |id| (g, id)))
+            .collect();
+        assert_eq!(got, want);
     }
 }
 
@@ -564,9 +679,7 @@ mod combining_tests {
             serial.hits_posted
         );
         // Same survivors (ids divisible by 6, modulo crowd noise).
-        let ids = |r: &Relation| -> Vec<i64> {
-            r.rows().iter().map(|t| t[0].as_int().unwrap()).collect()
-        };
+        let ids = |r: &Relation| -> Vec<i64> { r.rows().map(|t| t[0].as_int().unwrap()).collect() };
         let mut s = ids(&serial.relation);
         let mut c = ids(&combined.relation);
         s.sort_unstable();

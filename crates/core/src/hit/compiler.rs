@@ -9,12 +9,12 @@
 //! backend would post.
 
 use crate::lang::ast::{Template, TupleVar};
-use crate::schema::Schema;
+use crate::relation::Row;
 use crate::task::{TaskDef, TaskType};
-use crate::tuple::Tuple;
 use crate::value::Value;
 
-/// Renders task templates + tuples into HIT HTML.
+/// Renders task templates + rows into HIT HTML. Each [`Row`] resolves
+/// template fields through its own relation's schema.
 #[derive(Debug, Default, Clone)]
 pub struct HitCompiler;
 
@@ -23,16 +23,11 @@ impl HitCompiler {
         HitCompiler
     }
 
-    fn render_template(
-        template: &Template,
-        schema: &Schema,
-        tuple: &Tuple,
-        tuple2: Option<(&Schema, &Tuple)>,
-    ) -> String {
+    fn render_template(template: &Template, tuple: Row<'_>, tuple2: Option<Row<'_>>) -> String {
         template.render(|var, field| {
             let v: Option<&Value> = match (var, tuple2) {
-                (TupleVar::Tuple | TupleVar::Tuple1, _) => tuple.field(schema, field),
-                (TupleVar::Tuple2, Some((s2, t2))) => t2.field(s2, field),
+                (TupleVar::Tuple | TupleVar::Tuple1, _) => tuple.field(field),
+                (TupleVar::Tuple2, Some(t2)) => t2.field(field),
                 (TupleVar::Tuple2, None) => None,
             };
             v.map(Value::render).unwrap_or_else(|| "?".to_owned())
@@ -41,12 +36,12 @@ impl HitCompiler {
 
     /// Filter form (§2.1): prompt + Yes/No buttons, one block per
     /// batched tuple.
-    pub fn compile_filter(&self, task: &TaskDef, schema: &Schema, tuples: &[&Tuple]) -> String {
+    pub fn compile_filter(&self, task: &TaskDef, tuples: &[Row<'_>]) -> String {
         assert_eq!(task.ty, TaskType::Filter, "not a filter task");
         let prompt = task.prompt.as_ref().expect("validated filter has prompt");
         let mut html = String::from("<form class='qurk filter'>\n");
-        for (i, t) in tuples.iter().enumerate() {
-            let body = Self::render_template(prompt, schema, t, None);
+        for (i, &t) in tuples.iter().enumerate() {
+            let body = Self::render_template(prompt, t, None);
             html.push_str(&format!(
                 "<div class='q' id='q{i}'>{body}\
                  <br><input type='radio' name='a{i}' value='yes'>{}\
@@ -59,15 +54,15 @@ impl HitCompiler {
     }
 
     /// Generative form (§2.2): prompt + one input per field.
-    pub fn compile_generative(&self, task: &TaskDef, schema: &Schema, tuples: &[&Tuple]) -> String {
+    pub fn compile_generative(&self, task: &TaskDef, tuples: &[Row<'_>]) -> String {
         assert_eq!(task.ty, TaskType::Generative, "not a generative task");
         let prompt = task
             .prompt
             .as_ref()
             .expect("validated generative has prompt");
         let mut html = String::from("<form class='qurk generative'>\n");
-        for (i, t) in tuples.iter().enumerate() {
-            let body = Self::render_template(prompt, schema, t, None);
+        for (i, &t) in tuples.iter().enumerate() {
+            let body = Self::render_template(prompt, t, None);
             html.push_str(&format!("<div class='q' id='q{i}'>{body}"));
             for f in &task.fields {
                 match &f.response {
@@ -100,26 +95,20 @@ impl HitCompiler {
 
     /// SimpleJoin / NaiveBatch interface (Figures 2a, 2b): stacked
     /// pairs with Yes/No radios.
-    pub fn compile_join_pairs(
-        &self,
-        task: &TaskDef,
-        left_schema: &Schema,
-        right_schema: &Schema,
-        pairs: &[(&Tuple, &Tuple)],
-    ) -> String {
+    pub fn compile_join_pairs(&self, task: &TaskDef, pairs: &[(Row<'_>, Row<'_>)]) -> String {
         assert_eq!(task.ty, TaskType::EquiJoin, "not a join task");
         let noun = task.singular_name.as_deref().unwrap_or("item");
         let mut html = String::from("<form class='qurk join'>\n");
-        for (i, (l, r)) in pairs.iter().enumerate() {
+        for (i, &(l, r)) in pairs.iter().enumerate() {
             let lh = task
                 .left_normal
                 .as_ref()
-                .map(|t| Self::render_template(t, left_schema, l, None))
+                .map(|t| Self::render_template(t, l, None))
                 .unwrap_or_else(|| "?".into());
             let rh = task
                 .right_normal
                 .as_ref()
-                .map(|t| Self::render_template(t, right_schema, r, Some((right_schema, r))))
+                .map(|t| Self::render_template(t, r, Some(r)))
                 .unwrap_or_else(|| "?".into());
             html.push_str(&format!(
                 "<div class='pair' id='p{i}'><table><tr><td>{lh}</td><td>{rh}</td>\
@@ -134,41 +123,23 @@ impl HitCompiler {
 
     /// SmartBatch grid (Figure 2c): two columns of preview images,
     /// click matching pairs, or tick "no matches".
-    pub fn compile_join_grid(
-        &self,
-        task: &TaskDef,
-        left_schema: &Schema,
-        right_schema: &Schema,
-        left: &[&Tuple],
-        right: &[&Tuple],
-    ) -> String {
+    pub fn compile_join_grid(&self, task: &TaskDef, left: &[Row<'_>], right: &[Row<'_>]) -> String {
         assert_eq!(task.ty, TaskType::EquiJoin, "not a join task");
         let noun = task.plural_name.as_deref().unwrap_or("items");
-        let render_col =
-            |tpl: Option<&Template>, schema: &Schema, tuples: &[&Tuple], side: &str| {
-                let mut s = format!("<div class='col {side}'>");
-                for (i, t) in tuples.iter().enumerate() {
-                    let body = tpl
-                        .map(|tp| Self::render_template(tp, schema, t, Some((schema, t))))
-                        .unwrap_or_else(|| "?".into());
-                    s.push_str(&format!("<div class='cell' data-idx='{i}'>{body}</div>"));
-                }
-                s.push_str("</div>");
-                s
-            };
+        let render_col = |tpl: Option<&Template>, tuples: &[Row<'_>], side: &str| {
+            let mut s = format!("<div class='col {side}'>");
+            for (i, &t) in tuples.iter().enumerate() {
+                let body = tpl
+                    .map(|tp| Self::render_template(tp, t, Some(t)))
+                    .unwrap_or_else(|| "?".into());
+                s.push_str(&format!("<div class='cell' data-idx='{i}'>{body}</div>"));
+            }
+            s.push_str("</div>");
+            s
+        };
         let mut html = String::from("<form class='qurk smartjoin'>\n");
-        html.push_str(&render_col(
-            task.left_preview.as_ref(),
-            left_schema,
-            left,
-            "left",
-        ));
-        html.push_str(&render_col(
-            task.right_preview.as_ref(),
-            right_schema,
-            right,
-            "right",
-        ));
+        html.push_str(&render_col(task.left_preview.as_ref(), left, "left"));
+        html.push_str(&render_col(task.right_preview.as_ref(), right, "right"));
         html.push_str(&format!(
             "<div class='controls'>Click pairs of matching {noun}. \
              <label><input type='checkbox' name='nomatch'>No {noun} match</label></div>\n"
@@ -178,7 +149,7 @@ impl HitCompiler {
     }
 
     /// Comparison sort interface (Figure 5a): order a group of items.
-    pub fn compile_compare(&self, task: &TaskDef, schema: &Schema, group: &[&Tuple]) -> String {
+    pub fn compile_compare(&self, task: &TaskDef, group: &[Row<'_>]) -> String {
         assert_eq!(task.ty, TaskType::Rank, "not a rank task");
         let dim = task.order_dimension.as_deref().unwrap_or("order");
         let plural = task.plural_name.as_deref().unwrap_or("items");
@@ -188,11 +159,11 @@ impl HitCompiler {
             "<form class='qurk compare'>\n<p>Drag the {plural} in order of {dim}, \
              from {least} to {most}.</p>\n<ol class='sortable'>\n"
         );
-        for (i, t) in group.iter().enumerate() {
+        for (i, &t) in group.iter().enumerate() {
             let body = task
                 .html
                 .as_ref()
-                .map(|tp| Self::render_template(tp, schema, t, None))
+                .map(|tp| Self::render_template(tp, t, None))
                 .unwrap_or_else(|| "?".into());
             html.push_str(&format!("<li data-idx='{i}'>{body}</li>\n"));
         }
@@ -205,9 +176,8 @@ impl HitCompiler {
     pub fn compile_rate(
         &self,
         task: &TaskDef,
-        schema: &Schema,
-        item: &Tuple,
-        context: &[&Tuple],
+        item: Row<'_>,
+        context: &[Row<'_>],
         scale: u8,
     ) -> String {
         assert_eq!(task.ty, TaskType::Rank, "not a rank task");
@@ -216,11 +186,11 @@ impl HitCompiler {
         let least = task.least_name.as_deref().unwrap_or("least");
         let most = task.most_name.as_deref().unwrap_or("most");
         let mut html = String::from("<form class='qurk rate'>\n<div class='context'>");
-        for c in context {
+        for &c in context {
             let body = task
                 .html
                 .as_ref()
-                .map(|tp| Self::render_template(tp, schema, c, None))
+                .map(|tp| Self::render_template(tp, c, None))
                 .unwrap_or_else(|| "?".into());
             html.push_str(&format!("<span class='ctx'>{body}</span>"));
         }
@@ -228,7 +198,7 @@ impl HitCompiler {
         let body = task
             .html
             .as_ref()
-            .map(|tp| Self::render_template(tp, schema, item, None))
+            .map(|tp| Self::render_template(tp, item, None))
             .unwrap_or_else(|| "?".into());
         html.push_str(&format!(
             "<div class='target'>{body}</div>\n<p>Rate this {singular} by {dim} \
@@ -248,7 +218,8 @@ impl HitCompiler {
 mod tests {
     use super::*;
     use crate::lang::parser::parse_tasks;
-    use crate::schema::ValueType;
+    use crate::relation::Relation;
+    use crate::schema::{Schema, ValueType};
     use crate::task::TaskDef;
 
     fn filter_task() -> TaskDef {
@@ -293,23 +264,27 @@ mod tests {
         TaskDef::from_ast(&asts[0]).unwrap()
     }
 
-    fn schema() -> Schema {
-        Schema::new(&[("name", ValueType::Text), ("img", ValueType::Item)])
-    }
-
-    fn tuple(n: u64) -> Tuple {
-        Tuple::new(vec![
-            Value::text(format!("n{n}")),
-            Value::Item(qurk_crowd::ItemId(n)),
-        ])
+    /// Row `i` is `(name "n{i}", img item://i)`.
+    fn relation(n: u64) -> Relation {
+        let mut rel = Relation::new(Schema::new(&[
+            ("name", ValueType::Text),
+            ("img", ValueType::Item),
+        ]));
+        for i in 0..n {
+            rel.push(vec![
+                Value::text(format!("n{i}")),
+                Value::Item(qurk_crowd::ItemId(i)),
+            ])
+            .unwrap();
+        }
+        rel
     }
 
     #[test]
     fn filter_html_substitutes_and_batches() {
         let c = HitCompiler::new();
-        let s = schema();
-        let (t1, t2) = (tuple(1), tuple(2));
-        let html = c.compile_filter(&filter_task(), &s, &[&t1, &t2]);
+        let rel = relation(3);
+        let html = c.compile_filter(&filter_task(), &[rel.row(1), rel.row(2)]);
         assert!(html.contains("item://1"));
         assert!(html.contains("item://2"));
         assert!(html.contains("Yes!"));
@@ -320,9 +295,8 @@ mod tests {
     #[test]
     fn join_pair_html_renders_both_sides() {
         let c = HitCompiler::new();
-        let s = schema();
-        let (l, r) = (tuple(1), tuple(9));
-        let html = c.compile_join_pairs(&join_task(), &s, &s, &[(&l, &r)]);
+        let rel = relation(10);
+        let html = c.compile_join_pairs(&join_task(), &[(rel.row(1), rel.row(9))]);
         assert!(html.contains("item://1"));
         assert!(html.contains("item://9"));
         assert!(html.contains("same celebrity"));
@@ -331,11 +305,8 @@ mod tests {
     #[test]
     fn smart_grid_has_columns_and_no_match_box() {
         let c = HitCompiler::new();
-        let s = schema();
-        let l1 = tuple(1);
-        let l2 = tuple(2);
-        let r1 = tuple(3);
-        let html = c.compile_join_grid(&join_task(), &s, &s, &[&l1, &l2], &[&r1]);
+        let rel = relation(4);
+        let html = c.compile_join_grid(&join_task(), &[rel.row(1), rel.row(2)], &[rel.row(3)]);
         assert!(html.contains("class='col left'"));
         assert!(html.contains("class='col right'"));
         assert!(html.contains("nomatch"));
@@ -345,10 +316,9 @@ mod tests {
     #[test]
     fn compare_html_lists_group() {
         let c = HitCompiler::new();
-        let s = schema();
-        let ts: Vec<Tuple> = (0..5).map(tuple).collect();
-        let refs: Vec<&Tuple> = ts.iter().collect();
-        let html = c.compile_compare(&rank_task(), &s, &refs);
+        let rel = relation(5);
+        let group: Vec<Row<'_>> = rel.rows().collect();
+        let html = c.compile_compare(&rank_task(), &group);
         assert!(html.contains("order of area"));
         assert!(html.contains("from smallest to largest"));
         assert_eq!(html.matches("<li").count(), 5);
@@ -357,11 +327,9 @@ mod tests {
     #[test]
     fn rate_html_has_likert_and_context() {
         let c = HitCompiler::new();
-        let s = schema();
-        let target = tuple(0);
-        let ctx: Vec<Tuple> = (1..11).map(tuple).collect();
-        let refs: Vec<&Tuple> = ctx.iter().collect();
-        let html = c.compile_rate(&rank_task(), &s, &target, &refs, 7);
+        let rel = relation(11);
+        let ctx: Vec<Row<'_>> = rel.rows().skip(1).collect();
+        let html = c.compile_rate(&rank_task(), rel.row(0), &ctx, 7);
         assert_eq!(html.matches("type='radio'").count(), 7);
         assert_eq!(html.matches("class='ctx'").count(), 10);
         assert!(html.contains("1 = smallest, 7 = largest"));
@@ -371,8 +339,7 @@ mod tests {
     #[should_panic(expected = "not a filter task")]
     fn type_mismatch_panics() {
         let c = HitCompiler::new();
-        let s = schema();
-        let t = tuple(0);
-        c.compile_filter(&rank_task(), &s, &[&t]);
+        let rel = relation(1);
+        c.compile_filter(&rank_task(), &[rel.row(0)]);
     }
 }

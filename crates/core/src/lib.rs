@@ -124,7 +124,6 @@ pub mod adaptive;
 pub mod analyze;
 pub mod backend;
 pub mod catalog;
-pub mod columnar;
 pub mod error;
 pub mod hit;
 pub mod intern;
@@ -138,7 +137,6 @@ pub mod service;
 pub mod session;
 pub mod store;
 pub mod task;
-pub mod tuple;
 pub mod value;
 
 /// Convenient re-exports for typical use.
@@ -160,18 +158,16 @@ pub use backend::{
     ReplayTrace,
 };
 pub use catalog::Catalog;
-pub use columnar::{RelationWindow, PROCESSING_WINDOW_SIZE};
 pub use error::QurkError;
 pub use intern::{IStr, SymbolTable, ValueId};
 pub use opt::{CostEstimate, CostModel, OptimizeMode, PlanReport, StatisticsStore};
-pub use relation::Relation;
+pub use relation::{Relation, RelationWindow, Row, PROCESSING_WINDOW_SIZE};
 pub use schema::{Schema, ValueType};
 pub use service::{
     PollOrder, QueryService, SchedulePolicy, ServiceStats, SharedMarket, TenantBackend,
 };
 pub use session::{ExecConfig, QueryBuilder, QueryReport, Session, SessionBuilder, SortMode};
 pub use store::{CrashPoint, DurableStore, FaultPlan, QueryCheckpoint, StoreError, StoreHealth};
-pub use tuple::Tuple;
 pub use value::Value;
 
 /// Engine tests: every physical operator end to end through

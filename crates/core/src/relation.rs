@@ -4,34 +4,45 @@
 //! types of input including relational databases and tab-delimited text
 //! files." We reproduce the tab-delimited path; rows type-check against
 //! the declared schema on the way in.
+//!
+//! A relation is stored column-major: one flat `Vec<Value>` per schema
+//! field. Since [`Value`] is a 16-byte `Copy` type (text is interned),
+//! a column of n values is a contiguous 16·n-byte slab that streams
+//! through the cache. Machine-side operators (predicate evaluation,
+//! sort keys, candidate pre-pruning) touch one or two columns of many
+//! rows, so they sweep [`Relation::column`] slices in fixed-size
+//! windows ([`PROCESSING_WINDOW_SIZE`] rows) that keep a working set
+//! of a few columns cache-resident. Row-at-a-time code borrows [`Row`]
+//! views, which read the same columns.
+// lint:hot-path
 
-use crate::columnar::{self, ColumnStore, RelationWindow, PROCESSING_WINDOW_SIZE};
+use std::fmt;
+
 use crate::error::{QurkError, Result};
 use crate::schema::{Schema, ValueType};
-use crate::tuple::Tuple;
 use crate::value::Value;
 
-/// A schema-checked bag of tuples.
-///
-/// Storage is dual-layout: the row view (`Vec<Tuple>`, the original
-/// API) and a column-major [`ColumnStore`] mirror kept in lock-step on
-/// every append (relations are append-only, so the two can never
-/// diverge). Machine-side operators read flat [`Self::column`] slices
-/// and [`Self::windows`]; crowd-side code keeps using [`Self::rows`].
+/// Rows per processing window: 1024 rows × 16 B/value keeps a handful
+/// of columns comfortably inside L2 while amortizing per-window
+/// overhead.
+pub const PROCESSING_WINDOW_SIZE: usize = 1024;
+
+/// A schema-checked bag of rows, stored column-major: `cols[c][r]` is
+/// row `r`'s value in column `c`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Relation {
     schema: Schema,
-    rows: Vec<Tuple>,
-    cols: ColumnStore,
+    cols: Vec<Vec<Value>>,
+    len: usize,
 }
 
 impl Relation {
     pub fn new(schema: Schema) -> Self {
-        let cols = ColumnStore::new(schema.len());
+        let cols = vec![Vec::new(); schema.len()];
         Relation {
             schema,
-            rows: Vec::new(),
             cols,
+            len: 0,
         }
     }
 
@@ -39,16 +50,23 @@ impl Relation {
         &self.schema
     }
 
-    pub fn rows(&self) -> &[Tuple] {
-        &self.rows
-    }
-
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
+    }
+
+    /// Borrowed view of row `idx`. Panics if `idx >= len()`.
+    pub fn row(&self, idx: usize) -> Row<'_> {
+        assert!(idx < self.len, "row {idx} out of range ({} rows)", self.len);
+        Row { rel: self, idx }
+    }
+
+    /// Every row, in order, as borrowed views.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = Row<'_>> + DoubleEndedIterator {
+        (0..self.len).map(move |idx| Row { rel: self, idx })
     }
 
     /// Append a row, type-checking against the schema.
@@ -68,17 +86,11 @@ impl Relation {
                 )));
             }
         }
-        self.cols.push_row(&values);
-        self.rows.push(Tuple::new(values));
+        for (col, v) in self.cols.iter_mut().zip(values) {
+            col.push(v);
+        }
+        self.len += 1;
         Ok(())
-    }
-
-    /// Append an already-checked tuple (internal fast path for
-    /// operators that construct rows from existing relations).
-    pub(crate) fn push_unchecked(&mut self, tuple: Tuple) {
-        debug_assert_eq!(tuple.len(), self.schema.len());
-        self.cols.push_row(tuple.values());
-        self.rows.push(tuple);
     }
 
     /// Build column-wise from pre-assembled columns (one `Vec<Value>`
@@ -111,55 +123,63 @@ impl Relation {
                 }
             }
         }
-        let rows = (0..n)
-            .map(|r| Tuple::new(columns.iter().map(|c| c[r]).collect()))
-            .collect();
         Ok(Relation {
             schema,
-            rows,
-            cols: ColumnStore::from_columns(columns),
+            cols: columns,
+            len: n,
         })
     }
 
     /// Zero-copy column slice: all rows' values for schema field
     /// `idx`, contiguous in memory.
     pub fn column(&self, idx: usize) -> &[Value] {
-        self.cols.column(idx)
+        &self.cols[idx]
     }
 
     /// Iterate the relation in fixed-size processing windows
     /// ([`PROCESSING_WINDOW_SIZE`] rows) of zero-copy column slices.
     pub fn windows(&self) -> impl Iterator<Item = RelationWindow<'_>> {
-        columnar::windows(&self.cols, PROCESSING_WINDOW_SIZE)
+        self.windows_of(PROCESSING_WINDOW_SIZE)
     }
 
     /// Like [`Self::windows`] with an explicit window size (tests,
     /// benches, and operators with unusual working sets).
     pub fn windows_of(&self, size: usize) -> impl Iterator<Item = RelationWindow<'_>> {
-        columnar::windows(&self.cols, size)
+        let size = size.max(1);
+        (0..self.len.div_ceil(size)).map(move |w| {
+            let start = w * size;
+            RelationWindow {
+                rel: self,
+                start,
+                end: (start + size).min(self.len),
+            }
+        })
     }
 
     /// Columnar gather: a new relation containing `indices`' rows (in
-    /// the given order, duplicates allowed). Copies column-by-column —
-    /// a flat sweep per column instead of a `Tuple` clone per row.
+    /// the given order, duplicates allowed), copied column by column.
     pub fn gather(&self, indices: &[usize]) -> Relation {
-        let columns: Vec<Vec<Value>> = (0..self.schema.len())
-            .map(|c| {
-                let col = self.cols.column(c);
-                indices.iter().map(|&r| col[r]).collect()
-            })
+        let cols = self
+            .cols
+            .iter()
+            .map(|col| indices.iter().map(|&r| col[r]).collect())
             .collect();
-        let rows = indices.iter().map(|&r| self.rows[r].clone()).collect();
         Relation {
+            // lint:allow(hot-clone): one schema per output relation, not per row.
             schema: self.schema.clone(),
-            rows,
-            cols: ColumnStore::from_columns(columns),
+            cols,
+            len: indices.len(),
         }
     }
 
-    /// Iterate rows.
-    pub fn iter(&self) -> std::slice::Iter<'_, Tuple> {
-        self.rows.iter()
+    /// Side-by-side concatenation of two equal-length relations (join
+    /// output): `self`'s columns, then `other`'s, under
+    /// [`Schema::join`].
+    pub(crate) fn zip(mut self, other: Relation) -> Relation {
+        debug_assert_eq!(self.len, other.len);
+        self.schema = self.schema.join(&other.schema);
+        self.cols.extend(other.cols);
+        self
     }
 
     /// Rename columns to `alias.<base>` (scan under an alias).
@@ -198,12 +218,88 @@ impl Relation {
     /// Serialize to tab-delimited text (inverse of [`Self::from_tsv`]).
     pub fn to_tsv(&self) -> String {
         let mut out = String::new();
-        for row in &self.rows {
-            let line: Vec<String> = row.values().iter().map(render_tsv).collect();
+        for row in self.rows() {
+            let line: Vec<String> = row.values().map(render_tsv).collect();
             out.push_str(&line.join("\t"));
             out.push('\n');
         }
         out
+    }
+}
+
+/// Borrowed view of one row of a [`Relation`]: indexing and
+/// [`Self::field`] read straight from the relation's columns.
+#[derive(Clone, Copy)]
+pub struct Row<'a> {
+    rel: &'a Relation,
+    idx: usize,
+}
+
+impl<'a> Row<'a> {
+    /// Position of this row in its relation.
+    pub fn index(&self) -> usize {
+        self.idx
+    }
+
+    pub fn get(&self, col: usize) -> Option<&'a Value> {
+        self.rel.cols.get(col).map(|c| &c[self.idx])
+    }
+
+    /// Value by column name, resolved through the relation's schema
+    /// (supports qualified names).
+    pub fn field(&self, name: &str) -> Option<&'a Value> {
+        self.rel.schema.resolve(name).and_then(|c| self.get(c))
+    }
+
+    /// The row's values in schema order.
+    pub fn values(&self) -> impl Iterator<Item = &'a Value> {
+        let idx = self.idx;
+        self.rel.cols.iter().map(move |c| &c[idx])
+    }
+}
+
+impl std::ops::Index<usize> for Row<'_> {
+    type Output = Value;
+
+    fn index(&self, col: usize) -> &Value {
+        &self.rel.cols[col][self.idx]
+    }
+}
+
+impl fmt::Debug for Row<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.values()).finish()
+    }
+}
+
+/// Zero-copy view of one processing window: a contiguous row range
+/// with per-column `&[Value]` slices.
+#[derive(Clone, Copy)]
+pub struct RelationWindow<'a> {
+    rel: &'a Relation,
+    start: usize,
+    end: usize,
+}
+
+impl<'a> RelationWindow<'a> {
+    /// Index (into the whole relation) of this window's first row.
+    pub fn start(&self) -> usize {
+        self.start
+    }
+
+    /// Rows in this window (≤ the window size it was cut with).
+    pub fn len(&self) -> usize {
+        self.end - self.start
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+
+    /// This window's slice of column `idx` — zero-copy into the
+    /// relation's column.
+    pub fn column(&self, idx: usize) -> &'a [Value] {
+        &self.rel.cols[idx][self.start..self.end]
     }
 }
 
@@ -241,15 +337,6 @@ fn parse_value(raw: &str, ty: ValueType, line: usize) -> Result<Value> {
     }
 }
 
-impl<'a> IntoIterator for &'a Relation {
-    type Item = &'a Tuple;
-    type IntoIter = std::slice::Iter<'a, Tuple>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.rows.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,6 +347,19 @@ mod tests {
             ("name", ValueType::Text),
             ("img", ValueType::Item),
         ])
+    }
+
+    /// `n` rows of `(Int i, Text "r{i}")`.
+    fn numbered(n: usize) -> Relation {
+        let mut r = Relation::new(Schema::new(&[
+            ("x", ValueType::Int),
+            ("s", ValueType::Text),
+        ]));
+        for i in 0..n {
+            r.push(vec![Value::Int(i as i64), Value::text(format!("r{i}"))])
+                .unwrap();
+        }
+        r
     }
 
     #[test]
@@ -275,12 +375,21 @@ mod tests {
     }
 
     #[test]
+    fn push_appends_to_every_column() {
+        let r = numbered(3);
+        assert_eq!(r.len(), 3);
+        assert_eq!(r.schema().len(), 2);
+        assert_eq!(r.column(0), &[Value::Int(0), Value::Int(1), Value::Int(2)]);
+        assert_eq!(r.column(1)[2], Value::text("r2"));
+    }
+
+    #[test]
     fn tsv_roundtrip() {
         let text = "1\talice\titem://4\n2\tNULL\titem://5\n";
         let r = Relation::from_tsv(schema(), text).unwrap();
         assert_eq!(r.len(), 2);
-        assert_eq!(r.rows()[1][1], Value::Null);
-        assert_eq!(r.rows()[0][2], Value::Item(qurk_crowd::ItemId(4)));
+        assert_eq!(r.row(1)[1], Value::Null);
+        assert_eq!(r.row(0)[2], Value::Item(qurk_crowd::ItemId(4)));
         assert_eq!(r.to_tsv(), text);
     }
 
@@ -318,6 +427,17 @@ mod tests {
     }
 
     #[test]
+    fn from_columns_matches_push() {
+        let a = numbered(5);
+        let b = Relation::from_columns(
+            a.schema().clone(),
+            vec![a.column(0).to_vec(), a.column(1).to_vec()],
+        )
+        .unwrap();
+        assert_eq!(a, b);
+    }
+
+    #[test]
     fn from_columns_validates() {
         // Wrong column count.
         assert!(Relation::from_columns(schema(), vec![vec![]]).is_err());
@@ -344,11 +464,37 @@ mod tests {
         let r = Relation::from_tsv(schema(), "1\ta\titem://1\n2\tb\titem://2\n").unwrap();
         assert_eq!(r.column(0), &[Value::Int(1), Value::Int(2)]);
         assert_eq!(r.column(1), &[Value::text("a"), Value::text("b")]);
-        for (ri, row) in r.rows().iter().enumerate() {
+        for row in r.rows() {
+            assert_eq!(row.values().count(), r.schema().len());
             for ci in 0..r.schema().len() {
-                assert_eq!(r.column(ci)[ri], row[ci]);
+                assert_eq!(r.column(ci)[row.index()], row[ci]);
             }
         }
+    }
+
+    #[test]
+    fn row_field_access_via_schema() {
+        let r = Relation::from_columns(
+            Schema::new(&[("c.name", ValueType::Text), ("c.img", ValueType::Item)]),
+            vec![vec![Value::text("alice")], vec![Value::Null]],
+        )
+        .unwrap();
+        let row = r.row(0);
+        assert_eq!(row.field("name"), Some(&Value::text("alice")));
+        assert_eq!(row.field("c.name"), Some(&Value::text("alice")));
+        assert_eq!(row.field("missing"), None);
+        assert_eq!(format!("{row:?}"), "[Text(\"alice\"), Null]");
+    }
+
+    #[test]
+    fn row_indexing() {
+        let r = Relation::from_columns(
+            Schema::new(&[("b", ValueType::Bool)]),
+            vec![vec![Value::Bool(true)]],
+        )
+        .unwrap();
+        assert_eq!(r.row(0)[0], Value::Bool(true));
+        assert_eq!(r.row(0).get(1), None);
     }
 
     #[test]
@@ -366,15 +512,62 @@ mod tests {
     }
 
     #[test]
+    fn windows_cover_all_rows_without_overlap() {
+        let r = numbered(10);
+        let w: Vec<_> = r.windows_of(4).collect();
+        assert_eq!(w.len(), 3);
+        assert_eq!((w[0].start(), w[0].len()), (0, 4));
+        assert_eq!((w[1].start(), w[1].len()), (4, 4));
+        assert_eq!((w[2].start(), w[2].len()), (8, 2));
+        assert!(!w[2].is_empty());
+        assert_eq!(w[2].column(1), &[Value::text("r8"), Value::text("r9")]);
+    }
+
+    #[test]
+    fn empty_relation_yields_no_windows() {
+        assert_eq!(numbered(0).windows_of(8).count(), 0);
+        assert_eq!(numbered(0).windows().count(), 0);
+    }
+
+    #[test]
+    fn exact_multiple_window() {
+        let r = numbered(8);
+        let w: Vec<_> = r.windows_of(4).collect();
+        assert_eq!(w.len(), 2);
+        assert_eq!(w[1].len(), 4);
+        let r = numbered(2 * PROCESSING_WINDOW_SIZE);
+        let w: Vec<_> = r.windows().collect();
+        assert_eq!(w.len(), 2);
+        assert_eq!(w[1].start(), PROCESSING_WINDOW_SIZE);
+        assert_eq!(w[1].len(), PROCESSING_WINDOW_SIZE);
+    }
+
+    #[test]
     fn gather_selects_rows_in_order() {
         let r = Relation::from_tsv(schema(), "1\ta\titem://1\n2\tb\titem://2\n3\tc\titem://3\n")
             .unwrap();
         let g = r.gather(&[2, 0, 2]);
         assert_eq!(g.len(), 3);
-        assert_eq!(g.rows()[0], r.rows()[2]);
-        assert_eq!(g.rows()[1], r.rows()[0]);
+        assert!(g.row(0).values().eq(r.row(2).values()));
+        assert!(g.row(1).values().eq(r.row(0).values()));
         assert_eq!(g.column(0), &[Value::Int(3), Value::Int(1), Value::Int(3)]);
         assert_eq!(g.schema(), r.schema());
+    }
+
+    #[test]
+    fn zip_concatenates_columns() {
+        let a = numbered(2).qualified("a");
+        let b = Relation::from_columns(
+            Schema::new(&[("y", ValueType::Int)]),
+            vec![vec![Value::Int(7), Value::Int(8)]],
+        )
+        .unwrap();
+        let z = a.zip(b);
+        assert_eq!(z.len(), 2);
+        assert_eq!(z.schema().len(), 3);
+        assert_eq!(z.row(1)[2], Value::Int(8));
+        assert_eq!(z.row(1).field("a.s"), Some(&Value::text("r1")));
+        assert_eq!(z.row(0).field("y"), Some(&Value::Int(7)));
     }
 
     #[test]
@@ -388,7 +581,9 @@ mod tests {
         let mut r = Relation::new(Schema::new(&[("x", ValueType::Int)]));
         r.push(vec![Value::Int(1)]).unwrap();
         r.push(vec![Value::Int(2)]).unwrap();
-        let sum: i64 = r.iter().map(|t| t[0].as_int().unwrap()).sum();
+        let sum: i64 = r.rows().map(|t| t[0].as_int().unwrap()).sum();
         assert_eq!(sum, 3);
+        assert_eq!(r.rows().len(), 2);
+        assert_eq!(r.rows().next_back().unwrap()[0], Value::Int(2));
     }
 }

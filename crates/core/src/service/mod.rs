@@ -26,18 +26,18 @@
 //!                                            └────────────────────┘
 //! ```
 //!
-//! * [`scheduler`] — [`QueryService`](scheduler::QueryService): admission,
-//!   tenant budgets, fairness ([`SchedulePolicy`](scheduler::SchedulePolicy)),
+//! * [`scheduler`] — [`QueryService`]: admission,
+//!   tenant budgets, fairness ([`SchedulePolicy`]),
 //!   and the barrier scheduler: between yield points all runnable
 //!   query threads execute concurrently (machine-side work genuinely
 //!   overlaps on multi-core hosts); shared-state writes happen only at
 //!   barriers, in policy order, so N concurrent queries still produce
 //!   byte-identical results to running them sequentially.
-//! * [`tenant`] — [`SharedMarket`](tenant::SharedMarket) (the one
+//! * [`tenant`] — [`SharedMarket`] (the one
 //!   mutex-guarded backend + per-query meters) and
-//!   [`TenantBackend`](tenant::TenantBackend) (a query's yielding
+//!   [`TenantBackend`] (a query's yielding
 //!   handle on it).
-//! * [`report`] — [`ServiceStats`](report::ServiceStats), the
+//! * [`report`] — [`ServiceStats`], the
 //!   multi-tenancy accounting attached to each
 //!   [`QueryReport`](crate::session::QueryReport).
 //! * [`protocol`] — the length-prefixed text wire protocol spoken by

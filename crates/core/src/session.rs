@@ -61,12 +61,11 @@ use crate::ops::sort::{CompareSort, HybridSort, PairTally, RateSort, SortOutcome
 use crate::opt::explain::PlanReport;
 use crate::opt::physical::{OptimizeMode, PhysNode, PhysicalPlan, PinSet};
 use crate::opt::stats::StatisticsStore;
-use crate::relation::Relation;
+use crate::relation::{Relation, Row};
 use crate::schema::ValueType;
 use crate::service::report::ServiceStats;
 use crate::store::{DurableStore, StoreHealth};
 use crate::task::TaskType;
-use crate::tuple::Tuple;
 use crate::value::Value;
 
 /// Which sort implementation ORDER BY uses (§4.1).
@@ -683,11 +682,8 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
             }
             PhysNode::Limit { input, n } => {
                 let rel = self.run_plan(input)?;
-                let mut out = Relation::new(rel.schema().clone());
-                for row in rel.rows().iter().take(*n) {
-                    out.push_unchecked(row.clone());
-                }
-                Ok(out)
+                let keep: Vec<usize> = (0..rel.len().min(*n)).collect();
+                Ok(rel.gather(&keep))
             }
             PhysNode::Project { input, items } => {
                 let rel = self.run_plan(input)?;
@@ -698,11 +694,11 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
 
     // ---------------- helpers ----------------
 
-    fn eval_expr(&self, rel: &Relation, row: &Tuple, e: &Expr) -> Result<Value> {
+    fn eval_expr(row: Row<'_>, e: &Expr) -> Result<Value> {
         match e {
             Expr::Column(name) => row
-                .field(rel.schema(), name)
-                .cloned()
+                .field(name)
+                .copied()
                 .ok_or_else(|| QurkError::UnknownColumn(name.clone())),
             Expr::Literal(Literal::Number(n)) => {
                 if n.fract() == 0.0 {
@@ -767,7 +763,7 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
             return Ok(rel.gather(&keep));
         }
 
-        let mut out = Relation::new(rel.schema().clone());
+        let mut keep = Vec::new();
         'rows: for row in rel.rows() {
             for p in predicates {
                 let Predicate::Compare { left, op, right } = p else {
@@ -775,16 +771,16 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
                         "machine filter received a crowd predicate".into(),
                     ));
                 };
-                let l = self.eval_expr(&rel, row, left)?;
-                let r = self.eval_expr(&rel, row, right)?;
+                let l = Self::eval_expr(row, left)?;
+                let r = Self::eval_expr(row, right)?;
                 match l.sql_cmp(&r) {
                     Some(ord) if op.eval(ord) => {}
                     _ => continue 'rows, // false or NULL
                 }
             }
-            out.push_unchecked(row.clone());
+            keep.push(row.index());
         }
-        Ok(out)
+        Ok(rel.gather(&keep))
     }
 
     /// Compile machine predicates to column indices and constants for
@@ -867,14 +863,7 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
         let col = self.resolve_item_col(&rel, arg)?;
         // Rows with NULL items cannot be asked about and fail the
         // filter.
-        let mut items = Vec::new();
-        let mut item_rows = Vec::new();
-        for (ri, row) in rel.rows().iter().enumerate() {
-            if let Some(item) = row[col].as_item() {
-                items.push(item);
-                item_rows.push(ri);
-            }
-        }
+        let (items, item_rows) = non_null_items(&rel, col);
         let op = FilterOp {
             combiner: task.combiner,
             ..op.clone()
@@ -883,13 +872,12 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
         let passed = mask.iter().filter(|&&b| b).count();
         self.stats
             .record_filter(task.oracle_key(), items.len(), passed);
-        let mut out = Relation::new(rel.schema().clone());
-        for (k, &ri) in item_rows.iter().enumerate() {
-            if mask[k] {
-                out.push_unchecked(rel.rows()[ri].clone());
-            }
-        }
-        Ok(out)
+        let keep: Vec<usize> = item_rows
+            .iter()
+            .zip(&mask)
+            .filter_map(|(&ri, &pass)| pass.then_some(ri))
+            .collect();
+        Ok(rel.gather(&keep))
     }
 
     /// §2.6 combining: all conjunct filters of a tuple in one HIT.
@@ -922,15 +910,7 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
         // Combining requires one shared item per tuple (the paper
         // combines tasks over "the same tuple"); fall back to the
         // first column's item.
-        let col = cols[0];
-        let mut items = Vec::new();
-        let mut item_rows = Vec::new();
-        for (ri, row) in rel.rows().iter().enumerate() {
-            if let Some(item) = row[col].as_item() {
-                items.push(item);
-                item_rows.push(ri);
-            }
-        }
+        let (items, item_rows) = non_null_items(&rel, cols[0]);
         // Unlike the serial path, combining keeps the configured
         // combiner for every conjunct (per-task combiners cannot be
         // honored inside one shared HIT).
@@ -939,13 +919,12 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
             let passed = masks.iter().filter(|m| m[pi]).count();
             self.stats.record_filter(pred, items.len(), passed);
         }
-        let mut out = Relation::new(rel.schema().clone());
-        for (k, &ri) in item_rows.iter().enumerate() {
-            if masks[k].iter().all(|&b| b) {
-                out.push_unchecked(rel.rows()[ri].clone());
-            }
-        }
-        Ok(out)
+        let keep: Vec<usize> = item_rows
+            .iter()
+            .zip(&masks)
+            .filter_map(|(&ri, m)| m.iter().all(|&b| b).then_some(ri))
+            .collect();
+        Ok(rel.gather(&keep))
     }
 
     fn crowd_filter_or(
@@ -970,10 +949,11 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
             for p in machine.into_iter().chain(crowd) {
                 match p {
                     Predicate::Compare { left, op, right } => {
-                        for (ri, row) in rel.rows().iter().enumerate() {
+                        for row in rel.rows() {
+                            let ri = row.index();
                             if group_mask[ri] {
-                                let l = self.eval_expr(&rel, row, left)?;
-                                let r = self.eval_expr(&rel, row, right)?;
+                                let l = Self::eval_expr(row, left)?;
+                                let r = Self::eval_expr(row, right)?;
                                 group_mask[ri] = matches!(
                                     l.sql_cmp(&r),
                                     Some(ord) if op.eval(ord)
@@ -990,9 +970,9 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
                         let col = self.resolve_item_col(&rel, arg)?;
                         let mut items = Vec::new();
                         let mut rows = Vec::new();
-                        for (ri, row) in rel.rows().iter().enumerate() {
+                        for (ri, v) in rel.column(col).iter().enumerate() {
                             if group_mask[ri] {
-                                match row[col].as_item() {
+                                match v.as_item() {
                                     Some(it) => {
                                         items.push(it);
                                         rows.push(ri);
@@ -1019,13 +999,8 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
                 keep[ri] = keep[ri] || g;
             }
         }
-        let mut out = Relation::new(rel.schema().clone());
-        for (ri, row) in rel.rows().iter().enumerate() {
-            if keep[ri] {
-                out.push_unchecked(row.clone());
-            }
-        }
-        Ok(out)
+        let keep: Vec<usize> = (0..rel.len()).filter(|&ri| keep[ri]).collect();
+        Ok(rel.gather(&keep))
     }
 
     fn crowd_join(
@@ -1137,9 +1112,9 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
         }
 
         let collect_items = |rel: &Relation, col: usize| -> Vec<ItemId> {
-            rel.rows()
+            rel.column(col)
                 .iter()
-                .map(|row| row[col].as_item().unwrap_or(ItemId(u64::MAX)))
+                .map(|v| v.as_item().unwrap_or(ItemId(u64::MAX)))
                 .collect()
         };
         let left_items = collect_items(&left_rel, lcol);
@@ -1174,12 +1149,8 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
         self.stats
             .record_join(&clause.on.name, pairs_asked, outcome.matches.len());
 
-        let schema = left_rel.schema().join(right_rel.schema());
-        let mut out = Relation::new(schema);
-        for &(i, j) in &outcome.matches {
-            out.push_unchecked(left_rel.rows()[i].concat(&right_rel.rows()[j]));
-        }
-        Ok(out)
+        let (li, ri): (Vec<usize>, Vec<usize>) = outcome.matches.iter().copied().unzip();
+        Ok(left_rel.gather(&li).zip(right_rel.gather(&ri)))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1197,7 +1168,7 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
         let (opts, _) = task.feature_options().ok_or_else(|| {
             QurkError::Other(format!("feature task {} must be categorical", call.name))
         })?;
-        let items: Vec<ItemId> = rel.rows().iter().filter_map(|r| r[col].as_item()).collect();
+        let (items, item_rows) = non_null_items(rel, col);
         let gen = GenerativeOp {
             batch_size: feature_filter.batch_size,
             combined_interface: false,
@@ -1215,14 +1186,9 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
                 }
             }
         };
-        let mut out = Relation::new(rel.schema().clone());
-        let mut k = 0usize;
-        for row in rel.rows() {
-            if row[col].as_item().is_none() {
-                continue;
-            }
-            let extracted = outcome.rows[k].get("value").cloned().unwrap_or(Value::Null);
-            k += 1;
+        let mut keep = Vec::new();
+        for (&ri, extracted) in item_rows.iter().zip(&outcome.rows) {
+            let extracted = extracted.get("value").copied().unwrap_or(Value::Null);
             let pass = match (&extracted, op) {
                 (Value::Null, _) => true, // UNKNOWN matches anything
                 (Value::Text(t), CmpOp::Eq) => *t == want,
@@ -1239,10 +1205,10 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
                 _ => false,
             };
             if pass {
-                out.push_unchecked(row.clone());
+                keep.push(ri);
             }
         }
-        Ok(out)
+        Ok(rel.gather(&keep))
     }
 
     /// MAX/MIN aggregate: tournament extraction of the single best
@@ -1256,27 +1222,27 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
                 found: task.ty.name(),
             });
         }
-        let mut out = Relation::new(rel.schema().clone());
         if rel.is_empty() {
-            return Ok(out);
+            return Ok(rel);
         }
         self.charge_gate()?;
         let arg = call.args.first().ok_or_else(|| {
             QurkError::Other(format!("rank task {} needs an argument", call.name))
         })?;
         let col = self.resolve_item_col(&rel, arg)?;
-        let items: Vec<ItemId> = rel.rows().iter().filter_map(|r| r[col].as_item()).collect();
+        let (items, _) = non_null_items(&rel, col);
         if items.is_empty() {
-            return Ok(out);
+            return Ok(rel.gather(&[]));
         }
         // DESC LIMIT 1 = MAX ("most"); ASC LIMIT 1 = MIN ("least").
         // Batches of 5, the paper's comparison group size.
         let (best, _hits) =
             crate::ops::sort::extract_best(self.backend, &items, task.oracle_key(), 5, desc, None)?;
-        if let Some(row) = rel.rows().iter().find(|r| r[col].as_item() == Some(best)) {
-            out.push_unchecked(row.clone());
-        }
-        Ok(out)
+        let best_row = rel
+            .column(col)
+            .iter()
+            .position(|v| v.as_item() == Some(best));
+        Ok(rel.gather(best_row.as_slice()))
     }
 
     fn order_by(&mut self, rel: Relation, keys: &[OrderExpr], mode: &SortMode) -> Result<Relation> {
@@ -1312,9 +1278,10 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
         }
 
         // Machine sort (stable). The comparator reads the key columns'
-        // contiguous slices rather than indexing into row objects, so
-        // each key comparison touches only the cache lines of the
-        // columns actually being sorted on.
+        // contiguous slices, so each key comparison touches only the
+        // cache lines of the columns actually being sorted on. Keys
+        // compare under `Value::sort_cmp`, a total order (NULLs last
+        // under ASC, first under DESC), as `sort_by` requires.
         let key_cols: Vec<(&[Value], bool)> = machine
             .iter()
             .map(|&(col, desc)| (rel.column(col), desc))
@@ -1322,7 +1289,7 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
         let mut order: Vec<usize> = (0..rel.len()).collect();
         order.sort_by(|&a, &b| {
             for &(col, desc) in &key_cols {
-                let ord = col[a].sql_cmp(&col[b]).unwrap_or(std::cmp::Ordering::Equal);
+                let ord = col[a].sort_cmp(&col[b]);
                 let ord = if desc { ord.reverse() } else { ord };
                 if ord != std::cmp::Ordering::Equal {
                     return ord;
@@ -1348,12 +1315,14 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
 
             // Group rows sharing the machine-key prefix, sort each
             // group with the crowd (§5's per-actor scene ordering).
+            // Grouping uses the sort's own equality, so NULL keys form
+            // one group.
             let mut grouped: Vec<Vec<usize>> = Vec::new();
             for &ri in &order {
                 let same_group = grouped.last().is_some_and(|g: &Vec<usize>| {
-                    machine
+                    key_cols
                         .iter()
-                        .all(|&(c, _)| rel.rows()[g[0]][c].sql_eq(&rel.rows()[ri][c]) == Some(true))
+                        .all(|&(col, _)| col[g[0]].sort_cmp(&col[ri]).is_eq())
                 });
                 if same_group {
                     grouped.last_mut().unwrap().push(ri);
@@ -1361,11 +1330,12 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
                     grouped.push(vec![ri]);
                 }
             }
+            let item_col = rel.column(col);
             let mut final_order = Vec::with_capacity(rel.len());
             for group in grouped {
                 let items: Vec<ItemId> = group
                     .iter()
-                    .filter_map(|&ri| rel.rows()[ri][col].as_item())
+                    .filter_map(|&ri| item_col[ri].as_item())
                     .collect();
                 if items.len() <= 1 {
                     final_order.extend(group);
@@ -1398,7 +1368,7 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
                     .collect();
                 let mut group_sorted = group.clone();
                 group_sorted.sort_by_key(|&ri| {
-                    rel.rows()[ri][col]
+                    item_col[ri]
                         .as_item()
                         .and_then(|it| item_rank.get(&it).copied())
                         .unwrap_or(usize::MAX)
@@ -1411,11 +1381,7 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
             order = final_order;
         }
 
-        let mut out = Relation::new(rel.schema().clone());
-        for ri in order {
-            out.push_unchecked(rel.rows()[ri].clone());
-        }
-        Ok(out)
+        Ok(rel.gather(&order))
     }
 
     /// Learn the dimension's ambiguity from a completed sort: pairwise
@@ -1498,9 +1464,9 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
                         })?;
                         let col = self.resolve_item_col(&rel, arg)?;
                         let items_vec: Vec<ItemId> = rel
-                            .rows()
+                            .column(col)
                             .iter()
-                            .map(|r| r[col].as_item().unwrap_or(ItemId(u64::MAX)))
+                            .map(|v| v.as_item().unwrap_or(ItemId(u64::MAX)))
                             .collect();
                         let gen = GenerativeOp::default();
                         let out = gen.run(self.backend, task, &items_vec)?;
@@ -1522,19 +1488,29 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
             }
         }
 
-        let mut out = Relation::new(schema);
-        for (ri, row) in rel.rows().iter().enumerate() {
-            let values: Vec<Value> = cols
-                .iter()
-                .map(|c| match c {
-                    Col::Copy(i) => row[*i],
-                    Col::Gen { values } => values.get(ri).cloned().unwrap_or(Value::Null),
-                })
-                .collect();
-            out.push_unchecked(Tuple::new(values));
-        }
-        Ok(out)
+        let n = rel.len();
+        let columns = cols
+            .into_iter()
+            .map(|c| match c {
+                Col::Copy(i) => rel.column(i).to_vec(),
+                Col::Gen { mut values } => {
+                    values.resize(n, Value::Null);
+                    values
+                }
+            })
+            .collect();
+        Relation::from_columns(schema, columns)
     }
+}
+
+/// The non-NULL items of Item column `col` and the rows they sit in:
+/// rows with a NULL item cannot be asked about.
+fn non_null_items(rel: &Relation, col: usize) -> (Vec<ItemId>, Vec<usize>) {
+    rel.column(col)
+        .iter()
+        .enumerate()
+        .filter_map(|(ri, v)| v.as_item().map(|it| (it, ri)))
+        .unzip()
 }
 
 /// Mean pairwise disagreement over all voted pairs of a comparison

@@ -120,6 +120,14 @@ impl<'a> Dec<'a> {
         self.pos >= self.buf.len()
     }
 
+    /// Capacity to preallocate for `n` decoded elements of at least
+    /// `min_bytes` encoded bytes each: `n` capped at what the remaining
+    /// payload could hold, so a corrupt count cannot force a huge
+    /// allocation before the reads that would reject it.
+    fn capacity(&self, n: usize, min_bytes: usize) -> usize {
+        n.min(self.buf.len().saturating_sub(self.pos) / min_bytes)
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
         let end = self
             .pos
@@ -230,7 +238,7 @@ fn dec_answer(d: &mut Dec<'_>) -> Result<Answer, StoreError> {
         2 => Answer::Text(d.str()?),
         3 => {
             let n = d.u32()? as usize;
-            let mut items = Vec::with_capacity(n);
+            let mut items = Vec::with_capacity(d.capacity(n, 8));
             for _ in 0..n {
                 items.push(ItemId(d.u64()?));
             }
@@ -259,13 +267,15 @@ pub(crate) fn enc_trace_entry(e: &mut Enc, entry: &TraceEntry) {
 pub(crate) fn dec_trace_entry(d: &mut Dec<'_>) -> Result<TraceEntry, StoreError> {
     let question_count = d.usize()?;
     let n = d.u32()? as usize;
-    let mut assignments = Vec::with_capacity(n);
+    // worker + two delays + answer count.
+    let mut assignments = Vec::with_capacity(d.capacity(n, 8 + 8 + 8 + 4));
     for _ in 0..n {
         let worker = WorkerId(d.usize()?);
         let accept_delay_secs = d.f64()?;
         let submit_delay_secs = d.f64()?;
         let m = d.u32()? as usize;
-        let mut answers = Vec::with_capacity(m);
+        // The shortest answer is a tag byte plus a one-byte body.
+        let mut answers = Vec::with_capacity(d.capacity(m, 2));
         for _ in 0..m {
             answers.push(dec_answer(d)?);
         }
@@ -405,6 +415,40 @@ mod tests {
         // A length prefix pointing past the buffer must not overflow.
         let mut d = Dec::new(&[0xFF, 0xFF, 0xFF, 0xFF]);
         assert!(d.str().is_err());
+    }
+
+    #[test]
+    fn huge_counts_are_corrupt_not_aborts() {
+        // A trace entry claiming u32::MAX assignments in a 12-byte
+        // payload.
+        let mut e = Enc::new();
+        e.usize(1);
+        e.u32(u32::MAX);
+        let bytes = e.into_bytes();
+        assert_eq!(bytes.len(), 12);
+        let err = dec_trace_entry(&mut Dec::new(&bytes)).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+
+        // One assignment claiming u32::MAX answers.
+        let mut e = Enc::new();
+        e.usize(1);
+        e.u32(1);
+        e.usize(3);
+        e.f64(0.0);
+        e.f64(1.0);
+        e.u32(u32::MAX);
+        let bytes = e.into_bytes();
+        let err = dec_trace_entry(&mut Dec::new(&bytes)).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+
+        // An Ordering answer claiming u32::MAX items.
+        let mut e = Enc::new();
+        e.u8(3);
+        e.u32(u32::MAX);
+        e.u64(7);
+        let bytes = e.into_bytes();
+        let err = dec_answer(&mut Dec::new(&bytes)).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
     }
 
     #[test]

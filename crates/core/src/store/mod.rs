@@ -14,8 +14,8 @@
 //!    the cache instead of re-posting them.
 //!
 //! The format is a single append-only, checksummed segment file with
-//! periodic compaction ([`log`]); every mutation is one framed record
-//! ([`durable`]) written **ahead** of the in-memory acknowledgement.
+//! periodic compaction (`log`); every mutation is one framed record
+//! (`durable`) written **ahead** of the in-memory acknowledgement.
 //! Crash behavior is specified by a numbered [`CrashPoint`] catalogue
 //! and verified by a deterministic fault-injection harness
 //! ([`FaultPlan`], `tests/crash_matrix.rs`): at every crash point ×

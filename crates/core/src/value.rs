@@ -100,6 +100,38 @@ impl Value {
         }
     }
 
+    /// Total order for sort keys. Agrees with [`Self::sql_cmp`] where
+    /// that is defined; NULL sorts after every non-NULL value (so NULLs
+    /// come last under ASC and first under DESC, as in PostgreSQL),
+    /// floats compare by [`f64::total_cmp`], and values of
+    /// incomparable types order by type.
+    pub fn sort_cmp(&self, other: &Value) -> std::cmp::Ordering {
+        use std::cmp::Ordering;
+        use Value::*;
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Null, _) => Ordering::Greater,
+            (_, Null) => Ordering::Less,
+            (Float(a), Float(b)) => a.total_cmp(b),
+            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
+            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            _ => self
+                .sql_cmp(other)
+                .unwrap_or_else(|| self.type_rank().cmp(&other.type_rank())),
+        }
+    }
+
+    /// Rank of each type class in [`Self::sort_cmp`]'s cross-type order.
+    fn type_rank(&self) -> u8 {
+        match self {
+            Value::Bool(_) => 0,
+            Value::Int(_) | Value::Float(_) => 1,
+            Value::Text(_) => 2,
+            Value::Item(_) => 3,
+            Value::Null => 4,
+        }
+    }
+
     /// SQL equality (`None` when either side is NULL or incomparable).
     pub fn sql_eq(&self, other: &Value) -> Option<bool> {
         self.sql_cmp(other).map(|o| o == std::cmp::Ordering::Equal)
@@ -186,6 +218,19 @@ mod tests {
         );
         // Mixed incompatible types are incomparable.
         assert_eq!(Value::text("a").sql_cmp(&Value::Int(1)), None);
+    }
+
+    #[test]
+    fn sort_order_is_total_with_nulls_last() {
+        assert_eq!(Value::Null.sort_cmp(&Value::Null), Ordering::Equal);
+        assert_eq!(Value::Null.sort_cmp(&Value::Int(1)), Ordering::Greater);
+        assert_eq!(Value::Int(1).sort_cmp(&Value::Null), Ordering::Less);
+        assert_eq!(Value::Int(2).sort_cmp(&Value::Float(2.0)), Ordering::Equal);
+        assert_eq!(
+            Value::Float(f64::NAN).sort_cmp(&Value::Float(1.0)),
+            Ordering::Greater
+        );
+        assert_eq!(Value::text("a").sort_cmp(&Value::Int(1)), Ordering::Greater);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Property tests for the dual-layout `Relation` (ISSUE 9): a relation
-//! built row-wise and the same data built column-wise must be
-//! indistinguishable — equal as values, equal in sort behaviour, equal
-//! under schema resolution, and with column slices that mirror the row
-//! view exactly.
+//! Property tests for the column-major `Relation`: a relation built
+//! row by row (`push`) and the same data built column-wise
+//! (`from_columns`) must be indistinguishable — equal as values, equal
+//! in sort behaviour, equal under schema resolution — and its `Row`
+//! views, column slices, windows and gathers must agree cell for cell.
 
 use proptest::prelude::*;
 use qurk::prelude::*;
@@ -113,7 +113,7 @@ proptest! {
         for c in 0..tys.len() {
             let col = rel.column(c);
             prop_assert_eq!(col.len(), rel.len());
-            for (r, row) in rel.rows().iter().enumerate() {
+            for (r, row) in rel.rows().enumerate() {
                 prop_assert_eq!(col[r], row[c]);
             }
         }
@@ -151,7 +151,7 @@ proptest! {
         }
 
         let mut row_order: Vec<usize> = (0..by_row.len()).collect();
-        row_order.sort_by(|&a, &b| total(&by_row.rows()[a][key], &by_row.rows()[b][key]));
+        row_order.sort_by(|&a, &b| total(&by_row.row(a)[key], &by_row.row(b)[key]));
         let col = by_col.column(key);
         let mut col_order: Vec<usize> = (0..by_col.len()).collect();
         col_order.sort_by(|&a, &b| total(&col[a], &col[b]));

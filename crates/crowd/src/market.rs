@@ -152,7 +152,7 @@ pub enum RunOutcome {
 /// keeps a count of incomplete HITs, and each group indexes its open
 /// HITs and how many of them each worker has touched, so an arrival
 /// costs O(groups) and finding a worker's next HIT skips only HITs that
-/// worker already touched. [`Self::update_hit`] is the only writer of a
+/// worker already touched. `Self::update_hit` is the only writer of a
 /// HIT's counters, so the index cannot drift.
 pub struct Marketplace {
     truth: GroundTruth,

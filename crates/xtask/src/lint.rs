@@ -1,9 +1,9 @@
 //! Source-level invariant checks over the workspace tree.
 //!
-//! Five rules, all motivated by the multi-tenant service:
+//! Six rules, all motivated by the multi-tenant service:
 //!
 //! * **marketplace-isolation** — production code must speak
-//!   [`CrowdBackend`], never the concrete `Marketplace`. Allowed:
+//!   `CrowdBackend`, never the concrete `Marketplace`. Allowed:
 //!   `crates/crowd` itself, test/bench/example code, and the two
 //!   boundary files that adapt the marketplace to the trait.
 //! * **ops-unwrap** — no `unwrap()`/`expect(` in
@@ -36,8 +36,9 @@
 //!   its torn-tail recovery and fault-injection coverage. Reading
 //!   (`File::open`, `fs::read*`) is unrestricted.
 //! * **hot-clone** — in modules that declare `// lint:hot-path` (the
-//!   data-layout pass's interning, columnar, EM, metrics, and
-//!   candidate-generation modules), no `.clone()` in production code
+//!   data-layout pass's interning, relation, EM, metrics, and
+//!   candidate-generation modules, and the crowd simulator's
+//!   marketplace and ground truth), no `.clone()` in production code
 //!   unless the call site carries a `// lint:allow(hot-clone): <why>`
 //!   marker. Those modules were flattened specifically to kill
 //!   steady-state allocation; an unexamined clone is how the layout

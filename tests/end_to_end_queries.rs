@@ -109,7 +109,7 @@ fn filter_and_machine_predicate_compose() {
     let rel = session
         .run("SELECT p.id FROM people p WHERE isFemale(p.img) AND p.id < 6")
         .unwrap();
-    let ids: Vec<i64> = rel.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
+    let ids: Vec<i64> = rel.rows().map(|r| r[0].as_int().unwrap()).collect();
     // Expect mostly {0, 2, 4}.
     assert!(ids.len() >= 2 && ids.len() <= 4, "ids={ids:?}");
     for id in &ids {
@@ -134,7 +134,6 @@ fn join_with_possibly_feature_filtering() {
     let correct = report
         .relation
         .rows()
-        .iter()
         .filter(|r| r[0].as_int() == r[1].as_int())
         .count();
     assert!(correct >= 9, "correct={correct}");
@@ -152,7 +151,7 @@ fn order_by_with_limit_returns_top_k() {
     let rel = session
         .run("SELECT p.id FROM people p ORDER BY byHeight(p.img) DESC LIMIT 3")
         .unwrap();
-    let ids: Vec<i64> = rel.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
+    let ids: Vec<i64> = rel.rows().map(|r| r[0].as_int().unwrap()).collect();
     assert_eq!(ids.len(), 3);
     // Top-3 tallest are 11, 10, 9 (modulo small crowd error).
     for id in &ids {

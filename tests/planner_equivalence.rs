@@ -214,7 +214,6 @@ proptest! {
             .collect();
         let got: Vec<i64> = as_written
             .rows()
-            .iter()
             .map(|r| r[0].as_int().unwrap())
             .collect();
         prop_assert_eq!(got, expected, "query: {}", sql);
