@@ -480,14 +480,6 @@ impl<B: CrowdBackend> CachingBackend<B> {
         self.cache_misses = 0;
     }
 
-    /// Export the recorded spec → assignment traces (e.g. to seed a
-    /// [`ReplayBackend`]).
-    pub fn export_trace(&self) -> ReplayTrace {
-        ReplayTrace {
-            entries: self.cache.clone(),
-        }
-    }
-
     /// Bound the cache to at most `max` recorded specs, evicting the
     /// least recently used beyond that (`None` removes the bound).
     ///
@@ -508,11 +500,6 @@ impl<B: CrowdBackend> CachingBackend<B> {
     pub fn with_max_entries(mut self, max: usize) -> Self {
         self.set_max_entries(Some(max));
         self
-    }
-
-    /// The configured cache bound, if any.
-    pub fn max_entries(&self) -> Option<usize> {
-        self.max_entries
     }
 
     /// Entries evicted by the [`Self::set_max_entries`] bound so far.
@@ -1171,8 +1158,7 @@ pub struct TraceEntry {
 }
 
 /// A spec-keyed trace of crowd answers, produced by
-/// [`RecordingBackend`] (or [`CachingBackend::export_trace`]) and
-/// consumed by [`ReplayBackend`].
+/// [`RecordingBackend`] and consumed by [`ReplayBackend`].
 #[derive(Debug, Clone, Default)]
 pub struct ReplayTrace {
     entries: HashMap<u64, TraceEntry>,

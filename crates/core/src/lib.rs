@@ -38,10 +38,10 @@
 //!                         └─ B: CrowdBackend    Marketplace | Replay | …
 //!
 //!   MULTI-TENANT (qurk-serve):
-//!                  service::QueryService        admission gate + budgets +
-//!                    └─ service::scheduler      fairness policy; PARALLEL
-//!                         │                     machine phase, barrier per
-//!                         │                     HIT round, 1 serialized clock
+//!                  service::QueryService        admission gate + budgets;
+//!                    └─ service::scheduler      PARALLEL machine phase,
+//!                         │                     barrier per HIT round in
+//!                         │                     submission order, 1 clock
 //!                         └─ service::TenantBackend ──▶ service::SharedMarket
 //!                              (stages posts,           (LRU-bounded cross-
 //!                               yields on `run`)         tenant Task Cache)
@@ -163,9 +163,7 @@ pub use intern::{IStr, SymbolTable, ValueId};
 pub use opt::{CostEstimate, CostModel, OptimizeMode, PlanReport, StatisticsStore};
 pub use relation::{Relation, RelationWindow, Row, PROCESSING_WINDOW_SIZE};
 pub use schema::{Schema, ValueType};
-pub use service::{
-    PollOrder, QueryService, SchedulePolicy, ServiceStats, SharedMarket, TenantBackend,
-};
+pub use service::{QueryService, ServiceStats, SharedMarket, TenantBackend};
 pub use session::{ExecConfig, QueryBuilder, QueryReport, Session, SessionBuilder, SortMode};
 pub use store::{CrashPoint, DurableStore, FaultPlan, QueryCheckpoint, StoreError, StoreHealth};
 pub use value::Value;

@@ -397,7 +397,7 @@ impl StatisticsStore {
 /// * **One-shot writers**: the `record_*` methods take the write lock
 ///   for a single observation.
 ///
-/// A poisoned lock (a panicking writer) is recovered rather than
+/// Lock poisoning (a panicking writer) is recovered from rather than
 /// propagated: every recorded quantity is a monotone tally, so the
 /// store is never left in a torn state worth discarding.
 #[derive(Debug, Default)]

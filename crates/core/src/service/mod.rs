@@ -11,8 +11,8 @@
 //!   tenant A ──┐                              ┌────────────────────┐
 //!   tenant B ──┼─ submit ─► QueryService ───► │ deterministic      │
 //!   tenant C ──┘  (admission: lint gate,      │ barrier scheduler  │
-//!                  budgets, fairness policy)  │ (commits in policy │
-//!                                             │  order)            │
+//!                  budgets)                   │ (commits in        │
+//!                                             │  submission order) │
 //!                                             └───────┬────────────┘
 //!             machine phase: ALL runnable            │ marketplace
 //!             query threads run in PARALLEL,         ▼ phase: one
@@ -26,13 +26,12 @@
 //!                                            └────────────────────┘
 //! ```
 //!
-//! * [`scheduler`] — [`QueryService`]: admission,
-//!   tenant budgets, fairness ([`SchedulePolicy`]),
-//!   and the barrier scheduler: between yield points all runnable
-//!   query threads execute concurrently (machine-side work genuinely
+//! * [`scheduler`] — [`QueryService`]: admission, tenant budgets, and
+//!   the barrier scheduler: between yield points all runnable query
+//!   threads execute concurrently (machine-side work genuinely
 //!   overlaps on multi-core hosts); shared-state writes happen only at
-//!   barriers, in policy order, so N concurrent queries still produce
-//!   byte-identical results to running them sequentially.
+//!   barriers, in submission order, so N concurrent queries still
+//!   produce byte-identical results to running them sequentially.
 //! * [`tenant`] — [`SharedMarket`] (the one
 //!   mutex-guarded backend + per-query meters) and
 //!   [`TenantBackend`] (a query's yielding
@@ -52,5 +51,5 @@ pub mod tenant;
 
 pub use protocol::Request;
 pub use report::ServiceStats;
-pub use scheduler::{PollOrder, QueryService, SchedulePolicy};
-pub use tenant::{SharedMarket, StagedPost, TenantBackend};
+pub use scheduler::QueryService;
+pub use tenant::{SharedMarket, TenantBackend};

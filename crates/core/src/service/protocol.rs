@@ -32,7 +32,7 @@
 //! Dollar amounts are always formatted with three decimals so scripted
 //! sessions diff stably (the CI smoke job relies on this).
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// A parsed request frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,11 +106,18 @@ impl Request {
 /// the stream), not an allocation request.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
+/// Most bytes [`read_frame`] reads for one length line: a `usize` has
+/// at most 20 digits, which leaves room for padding and a `\r\n`. A
+/// longer line is a framing error, so garbage without a newline is
+/// never buffered whole.
+const MAX_LENGTH_LINE_BYTES: u64 = 32;
+
 /// One read off the wire: a frame body, a framing error, or EOF.
 ///
 /// Framing errors are **data**, not [`io::Error`]s, so a server can
 /// answer `ERR ...` and decide whether the stream is still usable:
-/// after a bad length line, an oversized prefix, or a truncated body
+/// after a bad (too long, non-UTF-8 or non-numeric) length line, an
+/// oversized prefix, or a truncated body
 /// the reader has lost frame sync (`resync: false`) and the only safe
 /// move is to close; after a well-framed body that merely is not UTF-8
 /// the counted bytes were fully consumed and the next frame parses
@@ -138,19 +145,34 @@ pub fn write_frame<W: Write + ?Sized>(w: &mut W, body: &str) -> io::Result<()> {
 /// for which cases are recoverable); `Err` is reserved for real I/O
 /// failures on the underlying reader.
 pub fn read_frame<R: BufRead + ?Sized>(r: &mut R) -> io::Result<Frame> {
-    let mut len_line = String::new();
+    let mut len_line = Vec::new();
     loop {
         len_line.clear();
-        if r.read_line(&mut len_line)? == 0 {
+        let mut bounded = Read::take(&mut *r, MAX_LENGTH_LINE_BYTES);
+        if bounded.read_until(b'\n', &mut len_line)? == 0 {
             return Ok(Frame::Eof);
         }
-        if !len_line.trim().is_empty() {
+        // A whitespace-only chunk (a blank line, or a bounded slice of
+        // a long one) is skipped like any blank line.
+        if !len_line.trim_ascii().is_empty() {
             break;
         }
     }
-    let Ok(len) = len_line.trim().parse::<usize>() else {
+    if len_line.last() != Some(&b'\n') && len_line.len() as u64 == MAX_LENGTH_LINE_BYTES {
         return Ok(Frame::Malformed {
-            reason: format!("bad frame length {:?}", len_line.trim()),
+            reason: format!("frame length line exceeds {MAX_LENGTH_LINE_BYTES} bytes"),
+            resync: false,
+        });
+    }
+    let Ok(len_text) = std::str::from_utf8(&len_line) else {
+        return Ok(Frame::Malformed {
+            reason: "frame length line is not UTF-8".to_owned(),
+            resync: false,
+        });
+    };
+    let Ok(len) = len_text.trim().parse::<usize>() else {
+        return Ok(Frame::Malformed {
+            reason: format!("bad frame length {:?}", len_text.trim()),
             resync: false,
         });
     };
@@ -211,7 +233,10 @@ mod tests {
 
     #[test]
     fn blank_lines_between_frames_are_skipped() {
-        let mut r = Cursor::new("\n\n3\nRUN\n\n4\nQUIT\n");
+        // A blank run longer than the length-line bound is skipped one
+        // bounded chunk at a time.
+        let long_blank = " ".repeat(100);
+        let mut r = Cursor::new(format!("\n\n3\nRUN\n{long_blank}\n4\nQUIT\n"));
         assert_eq!(body(read_frame(&mut r).unwrap()), "RUN");
         assert_eq!(body(read_frame(&mut r).unwrap()), "QUIT");
         assert_eq!(read_frame(&mut r).unwrap(), Frame::Eof);
@@ -227,6 +252,39 @@ mod tests {
             }
             other => panic!("expected Malformed, got {other:?}"),
         }
+    }
+
+    /// Reads `input` once, asserting a fatal framing error whose
+    /// reason mentions `why`, and returns how many bytes were consumed.
+    fn fatal_malformed_consumed(input: Vec<u8>, why: &str) -> u64 {
+        let mut r = Cursor::new(input);
+        match read_frame(&mut r).unwrap() {
+            Frame::Malformed { reason, resync } => {
+                assert!(reason.contains(why), "{reason}");
+                assert!(!resync);
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+        r.position()
+    }
+
+    #[test]
+    fn endless_length_line_is_rejected_after_a_bounded_read() {
+        let digits = vec![b'7'; 4 << 20];
+        let consumed = fatal_malformed_consumed(digits, "length line exceeds");
+        assert!(
+            consumed <= MAX_LENGTH_LINE_BYTES,
+            "consumed {consumed} bytes"
+        );
+    }
+
+    #[test]
+    fn non_utf8_length_line_is_fatal_malformed_not_an_io_error() {
+        let consumed = fatal_malformed_consumed(b"1\xff2\nRUN".to_vec(), "not UTF-8");
+        assert!(
+            consumed <= MAX_LENGTH_LINE_BYTES,
+            "consumed {consumed} bytes"
+        );
     }
 
     #[test]
@@ -317,5 +375,39 @@ mod tests {
     fn dollars_are_stable() {
         assert_eq!(fmt_dollars(0.0), "$0.000");
         assert_eq!(fmt_dollars(1.0 / 3.0), "$0.333");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::io::Cursor;
+
+    proptest! {
+        /// The wire entry points are total on hostile input: any bytes
+        /// read as frames until EOF or lost sync, and every body (and
+        /// the whole input, lossily decoded) parses to a request or an
+        /// error — never a panic. Every read that is not EOF consumes
+        /// at least one byte, so the stream ends within `len + 1` reads.
+        #[test]
+        fn wire_entry_points_never_panic(bytes in prop::collection::vec(0u8..=255, 0..512)) {
+            let _ = Request::parse(&String::from_utf8_lossy(&bytes));
+            let mut r = Cursor::new(&bytes);
+            let mut ended = false;
+            for _ in 0..=bytes.len() {
+                match read_frame(&mut r).unwrap() {
+                    Frame::Body(body) => {
+                        let _ = Request::parse(&body);
+                    }
+                    Frame::Malformed { resync: true, .. } => {}
+                    Frame::Malformed { resync: false, .. } | Frame::Eof => {
+                        ended = true;
+                        break;
+                    }
+                }
+            }
+            prop_assert!(ended);
+        }
     }
 }

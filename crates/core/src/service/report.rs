@@ -31,11 +31,6 @@ pub struct ServiceStats {
     /// Dollars the shared cache saved this query: assignments it would
     /// have paid for, priced at the marketplace's per-assignment rate.
     pub saved_dollars: f64,
-    /// The scheduler barrier at which the query's thread was admitted
-    /// (0 = it started with the batch). Non-zero means the fairness
-    /// policy's concurrency caps held it queued while earlier queries
-    /// ran — the batch-relative measure of scheduling delay.
-    pub admitted_round: u64,
     /// True when the query was resumed from a persisted checkpoint
     /// after a restart ([`QueryService::recover`](crate::service::QueryService::recover))
     /// rather than submitted in this process's lifetime.
@@ -58,12 +53,6 @@ impl ServiceStats {
             "  cache           {} specs served without posting (${:.3} saved)\n",
             self.shared_cache_hits, self.saved_dollars
         ));
-        if self.admitted_round > 0 {
-            out.push_str(&format!(
-                "  admitted        at scheduler barrier {} (held by fairness caps)\n",
-                self.admitted_round
-            ));
-        }
         if self.resumed {
             out.push_str("  resumed         from a persisted checkpoint after restart\n");
         }
@@ -84,7 +73,6 @@ mod tests {
             rounds_shared: 2,
             shared_cache_hits: 7,
             saved_dollars: 0.525,
-            admitted_round: 0,
             resumed: false,
         };
         let text = s.render();
@@ -94,16 +82,7 @@ mod tests {
         assert!(text.contains("7 specs"));
         assert!(text.contains("$0.525"));
         assert!(!text.contains("resumed"));
-        assert!(!text.contains("admitted"));
-        let resumed = ServiceStats {
-            resumed: true,
-            ..s.clone()
-        };
+        let resumed = ServiceStats { resumed: true, ..s };
         assert!(resumed.render().contains("resumed"));
-        let held = ServiceStats {
-            admitted_round: 4,
-            ..s
-        };
-        assert!(held.render().contains("barrier 4"));
     }
 }

@@ -2,45 +2,39 @@
 //!
 //! No async runtime is available (dependencies are vendored), so
 //! concurrency is plain threads. Every query runs on its own OS
-//! thread; only the **marketplace** is serialized on the one shared
-//! clock. Between yield points all runnable query threads execute
-//! **concurrently** — planning, EM combining, machine filters and
-//! sorts from N tenants genuinely overlap on a multi-core host — and
-//! determinism is preserved by a barrier:
+//! thread, started when the batch starts; only the **marketplace** is
+//! serialized on the one shared clock. Between yield points all
+//! runnable query threads execute **concurrently** — planning, EM
+//! combining, machine filters and sorts from N tenants genuinely
+//! overlap on a multi-core host — and determinism is preserved by a
+//! barrier. [`QueryService::run_pending`] loops over three steps:
 //!
 //! 1. **Parallel machine phase** — resume *every* runnable query at
 //!    once. Each resumed thread runs machine-side until its next yield
-//!    and sends exactly one event: [`SchedulerEvent::NeedCrowd`] (its
-//!    next crowd round, with the posts it staged locally — see
-//!    [`TenantBackend`]) or [`SchedulerEvent::Done`]. The scheduler
-//!    collects exactly one event per resumed thread (the barrier),
-//!    then processes them in **policy order** (tenant priority, then
-//!    submission order): staged posts are committed to the shared
-//!    market, rounds journaled, and completed work folded into the
-//!    shared cache — all on the scheduler thread, so the marketplace,
-//!    the meters and the durable journal never observe thread-timing
-//!    nondeterminism. A query whose round is already complete (fully
-//!    cached) becomes runnable again immediately.
-//! 2. **Marketplace phase** — every running query is parked on a
-//!    posted round. Run the one shared backend in stages toward the
-//!    waiting queries' deadlines (nearest first) and stop as soon as
-//!    any query's round resolves: complete (its outstanding work hit
-//!    zero) or timed out (the shared clock passed its deadline).
-//!    Queries resolved while ≥ 2 were parked count the round as
-//!    *shared* — one marketplace step served several tenants.
+//!    and sends exactly one event: `NeedCrowd` (its next crowd round,
+//!    with the posts it staged locally — see [`TenantBackend`]) or
+//!    `Done`.
+//! 2. **Barrier** — the scheduler collects exactly one event per
+//!    resumed thread, then resolves them in **submission order**:
+//!    staged posts are committed to the shared market, rounds
+//!    journaled, and completed work folded into the shared cache — all
+//!    on the scheduler thread, so the marketplace, the meters and the
+//!    durable journal never observe thread-timing nondeterminism. A
+//!    query whose round is already complete (fully cached) becomes
+//!    runnable again immediately.
+//! 3. **Marketplace step** — when nothing is runnable, every running
+//!    query is parked on a posted round. Run the one shared backend in
+//!    stages toward the waiting queries' deadlines (nearest first) and
+//!    stop as soon as any query's round resolves: complete (its
+//!    outstanding work hit zero) or timed out (the shared clock passed
+//!    its deadline). Queries resolved while ≥ 2 were parked count the
+//!    round as *shared* — one marketplace step served several tenants.
 //!
-//! Because the clock only advances in the marketplace phase and all
-//! shared-state writes happen on the scheduler thread in policy order,
-//! a batch of N concurrent queries is still byte-identical to running
-//! them sequentially on a replayed crowd (tested in
+//! Because the clock only advances in the marketplace step and all
+//! shared-state writes happen on the scheduler thread in submission
+//! order, a batch of N concurrent queries is still byte-identical to
+//! running them sequentially on a replayed crowd (tested in
 //! `tests/service_multi_tenant.rs` and `tests/service_parallel.rs`).
-//!
-//! **Fairness** is a [`SchedulePolicy`]: per-tenant priorities order
-//! both thread admission and barrier commits; [`PollOrder::RoundRobin`]
-//! interleaves tenants when admitting queued queries; `max_active` /
-//! `max_per_tenant` cap how many query threads run at once (queries
-//! over the cap stay queued and are admitted as slots free up —
-//! [`ServiceStats::admitted_round`] records the wait).
 //!
 //! Statistics follow **snapshot isolation** (see
 //! [`SharedStatistics`]): each query learns into a private copy seeded
@@ -49,7 +43,6 @@
 //! each other's half-finished evidence, and what a batch learns only
 //! steers the *next* batch's plans.
 
-use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
@@ -67,28 +60,25 @@ use crate::service::tenant::{SharedMarket, StagedPost, TenantBackend};
 use crate::session::{ExecConfig, QueryReport, Session};
 use crate::store::DurableStore;
 
-/// Wake-up message from scheduler to a parked query thread.
+/// Wake-up message from the scheduler to a query thread parked in
+/// [`TenantBackend`]'s `run`: the marketplace step for its posted
+/// round finished with `outcome`. `groups` are the shared-market ids
+/// the barrier assigned to the posts the query staged before
+/// yielding, in staging order.
 #[derive(Debug)]
-pub enum Resume {
-    /// Begin executing (sent exactly once, before the session runs).
-    Start,
-    /// The marketplace step for the query's posted round finished with
-    /// this outcome. `groups` are the shared-market ids the barrier
-    /// assigned to the posts the query staged before yielding, in
-    /// staging order (empty when the round was refused — see
-    /// [`QurkError::InvalidDeadline`]).
-    Round {
-        outcome: RunOutcome,
-        groups: Vec<HitGroupId>,
-    },
+pub(crate) struct Resume {
+    pub outcome: RunOutcome,
+    pub groups: Vec<HitGroupId>,
 }
 
 /// What a query thread sends the scheduler. Exactly one event is sent
 /// per resume — that's what makes the barrier sound.
 #[derive(Debug)]
-pub enum SchedulerEvent {
+pub(crate) enum SchedulerEvent {
     /// The query staged `posts` and yields until the shared
-    /// marketplace has run for up to `limit_secs` of virtual time.
+    /// marketplace has run for up to `limit_secs` of virtual time
+    /// (finite and non-negative: [`TenantBackend`] refuses any other
+    /// round without yielding).
     NeedCrowd {
         query: usize,
         limit_secs: f64,
@@ -98,40 +88,20 @@ pub enum SchedulerEvent {
     Done { query: usize, msg: Box<DoneMsg> },
 }
 
+impl SchedulerEvent {
+    fn query(&self) -> usize {
+        match self {
+            SchedulerEvent::NeedCrowd { query, .. } | SchedulerEvent::Done { query, .. } => *query,
+        }
+    }
+}
+
 /// A finished query's payload.
 #[derive(Debug)]
-pub struct DoneMsg {
+pub(crate) struct DoneMsg {
     pub result: Result<QueryReport>,
     /// What the query learned beyond the batch-start snapshot.
     pub stats_delta: StatisticsStore,
-}
-
-/// How the scheduler orders queued queries when admitting them to the
-/// machine phase (within one priority level).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PollOrder {
-    /// First submitted, first admitted (the historical behavior).
-    #[default]
-    Submission,
-    /// Interleave tenants: the tenant with the fewest queries admitted
-    /// this batch goes first, so one tenant flooding `submit()` cannot
-    /// starve another tenant's single query behind its queue.
-    RoundRobin,
-}
-
-/// Fairness knobs for [`QueryService::run_pending`]. The default is
-/// fully permissive: submission order, no caps — every admitted query
-/// starts immediately and the parallel machine phase runs them all.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SchedulePolicy {
-    /// Admission order among queued queries of equal priority.
-    pub order: PollOrder,
-    /// Cap on concurrently executing queries across all tenants
-    /// (`None` = unlimited; `Some(0)` is treated as 1).
-    pub max_active: Option<usize>,
-    /// Cap on concurrently executing queries per tenant
-    /// (`None` = unlimited; `Some(0)` is treated as 1).
-    pub max_per_tenant: Option<usize>,
 }
 
 /// One registered tenant.
@@ -142,9 +112,6 @@ struct TenantState {
     budget: Option<f64>,
     /// Dollars attributed so far.
     spent: f64,
-    /// Scheduling priority (higher first; default 0). A process-local
-    /// knob — not journaled to the durable store.
-    priority: i32,
 }
 
 /// One admitted, not-yet-executed query.
@@ -190,7 +157,6 @@ pub struct QueryService<'c, B: CrowdBackend> {
     shared: Arc<SharedMarket<B>>,
     stats: SharedStatistics,
     config: ExecConfig,
-    policy: SchedulePolicy,
     tenants: Vec<TenantState>,
     pending: Vec<Submission>,
     /// Durable state (task cache, statistics, checkpoints, tenants) —
@@ -212,7 +178,6 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
             shared: Arc::new(SharedMarket::new(backend)),
             stats: SharedStatistics::default(),
             config,
-            policy: SchedulePolicy::default(),
             tenants: Vec::new(),
             pending: Vec::new(),
             store: None,
@@ -238,7 +203,6 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
                 name: t.name,
                 budget: t.budget,
                 spent: t.spent,
-                priority: 0,
             })
             .collect();
         QueryService {
@@ -246,7 +210,6 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
             shared: Arc::new(SharedMarket::with_caching(caching)),
             stats: SharedStatistics::new(store.stats_snapshot()),
             config,
-            policy: SchedulePolicy::default(),
             tenants,
             pending: Vec::new(),
             store: Some(store),
@@ -256,25 +219,6 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
     /// The attached durable store, if any.
     pub fn store(&self) -> Option<&Arc<DurableStore>> {
         self.store.as_ref()
-    }
-
-    /// The fairness policy for subsequent [`Self::run_pending`] calls.
-    pub fn set_policy(&mut self, policy: SchedulePolicy) {
-        self.policy = policy;
-    }
-
-    /// The current fairness policy.
-    pub fn policy(&self) -> SchedulePolicy {
-        self.policy
-    }
-
-    /// Set a tenant's scheduling priority (higher runs first; default
-    /// 0). Priorities order both admission of queued queries and
-    /// barrier commits within a batch.
-    pub fn set_tenant_priority(&mut self, name: &str, priority: i32) -> Result<()> {
-        let t = self.tenant_index(name)?;
-        self.tenants[t].priority = priority;
-        Ok(())
     }
 
     /// Bound the shared task cache to `max` recorded specs, evicting
@@ -344,7 +288,6 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
                 name: name.to_owned(),
                 budget,
                 spent: 0.0,
-                priority: 0,
             });
         }
         if let Some(store) = &self.store {
@@ -470,7 +413,7 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
     ///
     /// Machine-side work runs in parallel on real OS threads; shared
     /// state is only written at barriers and marketplace steps, in
-    /// policy order, so results are deterministic (module docs).
+    /// submission order, so results are deterministic (module docs).
     /// Budgets are fixed at batch start, so two same-tenant queries in
     /// one batch can jointly overshoot a tenant budget by at most one
     /// round each — the budget is re-checked before every subsequent
@@ -483,414 +426,216 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
         // Batch boundary for the shared cache's eviction bound.
         self.shared.begin_batch();
         let (snapshot, epoch) = self.stats.snapshot_with_epoch();
-        let budgets: Vec<Option<f64>> = jobs
-            .iter()
-            .map(|j| self.effective_budget(j.tenant, j.budget))
-            .collect();
-        let policy = self.policy;
-
-        enum TaskState {
-            /// Admitted; thread not yet started (fairness caps).
-            Queued,
-            /// Thread parked, waiting for this resume.
-            Runnable(Resume),
-            /// Resumed; its barrier event has not been collected yet.
-            Running,
-            /// Parked on a posted round with a marketplace deadline.
-            Waiting {
-                deadline: f64,
-            },
-            Finished,
-        }
-        struct TaskCtl {
-            resume_tx: Option<Sender<Resume>>,
-            state: TaskState,
-            /// Market-side meter id; assigned when the thread starts.
-            market_query: Option<usize>,
-            rounds: u64,
-            rounds_shared: u64,
-            queue_wait_secs: f64,
-            /// Shared-market ids committed for the query's staged
-            /// posts, delivered with its next resume.
-            pending_groups: Vec<HitGroupId>,
-            /// Barrier index at which the thread was admitted.
-            admitted_round: u64,
-            /// Set when a round carried an invalid deadline: the round
-            /// was refused and this error replaces the query's result.
-            poisoned: Option<QurkError>,
-            done: Option<Box<DoneMsg>>,
-        }
-
-        let (event_tx, event_rx) = channel::<SchedulerEvent>();
-
-        // `tasks` (and its resume senders) must live *inside* the
-        // scope: if the scheduler panics, dropping the senders is what
-        // unparks the query threads so the scope's implicit join can
-        // finish instead of deadlocking.
-        let mut tasks = std::thread::scope(|scope| {
-            let mut tasks: Vec<TaskCtl> = jobs
-                .iter()
-                .map(|_| TaskCtl {
-                    resume_tx: None,
-                    state: TaskState::Queued,
-                    market_query: None,
-                    rounds: 0,
-                    rounds_shared: 0,
-                    queue_wait_secs: 0.0,
-                    pending_groups: Vec::new(),
-                    admitted_round: 0,
-                    poisoned: None,
-                    done: None,
-                })
-                .collect();
-            let mut active_per_tenant = vec![0usize; self.tenants.len()];
-            let mut admitted_per_tenant = vec![0usize; self.tenants.len()];
-            let mut total_active = 0usize;
-            let mut barrier_no: u64 = 0;
-            let mut finished = 0usize;
-
+        let this = &*self;
+        let tasks = std::thread::scope(|scope| {
+            let (event_tx, event_rx) = channel::<SchedulerEvent>();
+            // The resume senders live inside the scope: if the
+            // scheduler panics or gives up, dropping them unparks every
+            // query thread so the scope's implicit join cannot deadlock.
+            let mut resume_txs: Vec<Sender<Resume>> = Vec::with_capacity(jobs.len());
+            let mut tasks = Vec::with_capacity(jobs.len());
+            for (i, job) in jobs.iter().enumerate() {
+                let market_query = this.shared.register_query();
+                let (resume_tx, resume_rx) = channel();
+                let shared = Arc::clone(&this.shared);
+                let backend =
+                    TenantBackend::new(shared, market_query, i, event_tx.clone(), resume_rx);
+                let budget = this.effective_budget(job.tenant, job.budget);
+                let (catalog, config, seed) = (this.catalog, &this.config, &snapshot);
+                let done_tx = event_tx.clone();
+                scope.spawn(move || {
+                    let msg = run_query(job, backend, catalog, config, seed, epoch, budget);
+                    let _ = done_tx.send(SchedulerEvent::Done {
+                        query: i,
+                        msg: Box::new(msg),
+                    });
+                });
+                resume_txs.push(resume_tx);
+                tasks.push(Task::new(market_query, job.persist_id));
+            }
+            // Only the query threads hold senders now, so `recv` fails
+            // once every thread has exited — even without its event.
+            drop(event_tx);
+            // Every thread starts at spawn: its first event is owed.
+            let mut running = tasks.len();
+            let mut finished = 0;
             while finished < tasks.len() {
-                // ---- admission: start queued threads as the fairness
-                // caps allow, highest priority first; within a
-                // priority, round-robin interleaves tenants by how
-                // many queries each has had admitted this batch.
-                loop {
-                    if let Some(cap) = policy.max_active {
-                        if total_active >= cap.max(1) {
-                            break;
-                        }
+                for (task, tx) in tasks.iter_mut().zip(&resume_txs) {
+                    if let Some(resume) = task.take_resume() {
+                        // A failed send means the thread is gone; the
+                        // short barrier below notices.
+                        let _ = tx.send(resume);
+                        running += 1;
                     }
-                    let per_tenant_cap = policy.max_per_tenant.map(|c| c.max(1));
-                    let next = jobs
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, job)| {
-                            matches!(tasks[i].state, TaskState::Queued)
-                                && per_tenant_cap
-                                    .is_none_or(|cap| active_per_tenant[job.tenant] < cap)
-                        })
-                        .min_by_key(|&(i, job)| {
-                            let rr = match policy.order {
-                                PollOrder::Submission => 0,
-                                PollOrder::RoundRobin => admitted_per_tenant[job.tenant],
-                            };
-                            (Reverse(self.tenants[job.tenant].priority), rr, i)
-                        })
-                        .map(|(i, _)| i);
-                    let Some(i) = next else { break };
-                    let job = &jobs[i];
-                    let market_query = self.shared.register_query();
-                    let (resume_tx, resume_rx) = channel::<Resume>();
-                    let shared = Arc::clone(&self.shared);
-                    let catalog = self.catalog;
-                    let config = self.config.clone();
-                    let seed_stats = snapshot.clone();
-                    let budget = budgets[i];
-                    let (sql, admitted) = (&job.sql, &job.prepared);
-                    let stale = job.stats_epoch != epoch;
-                    let tx = event_tx.clone();
-                    scope.spawn(move || {
-                        // Rendezvous: do nothing until the scheduler
-                        // says so.
-                        if resume_rx.recv().is_err() {
-                            return; // scheduler vanished before start
-                        }
-                        let backend =
-                            TenantBackend::new(shared, market_query, i, tx.clone(), resume_rx);
-                        let msg = catch_unwind(AssertUnwindSafe(|| {
-                            // Execute the plan admission analyzed; only
-                            // if the statistics moved since then is it
-                            // recompiled, from the admitted AST.
-                            let refreshed = stale
-                                .then(|| {
-                                    prepare(admitted.ast.clone(), catalog, &config, &seed_stats)
-                                })
-                                .transpose();
-                            let mut session = Session::builder()
-                                .catalog(catalog)
-                                .backend(backend)
-                                .config(config.clone())
-                                .statistics(seed_stats.clone())
-                                .build();
-                            let result = refreshed.and_then(|refreshed| {
-                                let prepared = refreshed.as_ref().unwrap_or(admitted);
-                                session.execute_prepared(sql, prepared, &config, budget)
-                            });
-                            let stats_delta = session.statistics().diff(&seed_stats);
-                            DoneMsg {
-                                result,
-                                stats_delta,
-                            }
-                        }))
-                        .unwrap_or_else(|_| DoneMsg {
-                            result: Err(QurkError::Other("query thread panicked".to_owned())),
-                            stats_delta: StatisticsStore::new(),
-                        });
-                        let _ = tx.send(SchedulerEvent::Done {
-                            query: i,
-                            msg: Box::new(msg),
-                        });
-                    });
-                    tasks[i].resume_tx = Some(resume_tx);
-                    tasks[i].market_query = Some(market_query);
-                    tasks[i].admitted_round = barrier_no;
-                    tasks[i].state = TaskState::Runnable(Resume::Start);
-                    active_per_tenant[job.tenant] += 1;
-                    admitted_per_tenant[job.tenant] += 1;
-                    total_active += 1;
                 }
-
-                // ---- parallel machine phase: resume every runnable
-                // thread at once and collect one event from each.
-                let mut resumed = 0usize;
-                for task in tasks.iter_mut() {
-                    if !matches!(task.state, TaskState::Runnable(_)) {
-                        continue;
+                if running > 0 {
+                    let events: Vec<SchedulerEvent> = event_rx.iter().take(running).collect();
+                    let short = events.len() < running;
+                    running = 0;
+                    finished += this.resolve_barrier(&mut tasks, events);
+                    if short {
+                        break; // every thread exited, some without an event
                     }
-                    let resume = match std::mem::replace(&mut task.state, TaskState::Running) {
-                        TaskState::Runnable(r) => r,
-                        _ => unreachable!("guarded by the matches! above"),
-                    };
-                    // A failed send means the thread already finished;
-                    // its Done event is queued and collected below.
-                    let _ = task
-                        .resume_tx
-                        .as_ref()
-                        .expect("runnable tasks have started threads")
-                        .send(resume);
-                    resumed += 1;
-                }
-                if resumed > 0 {
-                    let mut events = Vec::with_capacity(resumed);
-                    let mut dead = false;
-                    for _ in 0..resumed {
-                        match event_rx.recv() {
-                            Ok(ev) => events.push(ev),
-                            Err(_) => {
-                                // All threads gone without their
-                                // events: every remaining task is dead.
-                                dead = true;
-                                break;
-                            }
-                        }
-                    }
-                    barrier_no += 1;
-                    // The barrier: process events in policy order —
-                    // priority first, then submission order — so every
-                    // shared-state write below is deterministic no
-                    // matter how the threads interleaved.
-                    events.sort_by_key(|ev| {
-                        let q = match ev {
-                            SchedulerEvent::NeedCrowd { query, .. } => *query,
-                            SchedulerEvent::Done { query, .. } => *query,
-                        };
-                        (Reverse(self.tenants[jobs[q].tenant].priority), q)
-                    });
-                    // Pass 1: commit staged posts to the shared market
-                    // and journal round heartbeats. All posts land
-                    // before any completion check, so same-barrier
-                    // spec sharing is order-stable.
-                    for ev in &mut events {
-                        let SchedulerEvent::NeedCrowd {
-                            query,
-                            limit_secs,
-                            posts,
-                        } = ev
-                        else {
-                            continue;
-                        };
-                        let q = *query;
-                        if tasks[q].poisoned.is_some() {
-                            continue;
-                        }
-                        if !(limit_secs.is_finite() && *limit_secs >= 0.0) {
-                            // Refuse the round: an infinite deadline
-                            // would run the simulation forever, a NaN
-                            // made resume order nondeterministic. The
-                            // posts are never committed and the query
-                            // fails with a typed error.
-                            tasks[q].poisoned = Some(QurkError::InvalidDeadline {
-                                limit_secs: *limit_secs,
-                            });
-                            continue;
-                        }
-                        let mq = tasks[q]
-                            .market_query
-                            .expect("running tasks have market ids");
-                        for post in posts.drain(..) {
-                            let g = self.shared.post(mq, post.specs, post.assignments);
-                            tasks[q].pending_groups.push(g);
-                        }
-                        tasks[q].rounds += 1;
-                        // Journal consumed rounds as they happen so a
-                        // crash mid-query leaves an accurate
-                        // checkpoint (its paid work is already in the
-                        // cache records).
-                        if let (Some(store), Some(id)) = (&self.store, jobs[q].persist_id) {
-                            store.append_rounds(id, tasks[q].rounds);
-                        }
-                    }
-                    // Pass 2: classify, in the same order.
-                    for ev in events {
-                        match ev {
-                            SchedulerEvent::NeedCrowd {
-                                query, limit_secs, ..
-                            } => {
-                                if tasks[query].poisoned.is_some() {
-                                    tasks[query].state = TaskState::Runnable(Resume::Round {
-                                        outcome: RunOutcome::TimedOut,
-                                        groups: Vec::new(),
-                                    });
-                                    continue;
-                                }
-                                let mq = tasks[query]
-                                    .market_query
-                                    .expect("running tasks have market ids");
-                                if self.shared.query_outstanding(mq) == 0 {
-                                    // Fully cached/complete round:
-                                    // runnable again without a
-                                    // marketplace step. Fold on the
-                                    // scheduler thread so the journal
-                                    // never sees thread-timing order.
-                                    self.shared.fold_completed(mq);
-                                    tasks[query].state = TaskState::Runnable(Resume::Round {
-                                        outcome: RunOutcome::Completed,
-                                        groups: std::mem::take(&mut tasks[query].pending_groups),
-                                    });
-                                } else {
-                                    tasks[query].state = TaskState::Waiting {
-                                        deadline: self.shared.now().secs() + limit_secs,
-                                    };
-                                }
-                            }
-                            SchedulerEvent::Done { query, msg } => {
-                                tasks[query].done = Some(msg);
-                                tasks[query].state = TaskState::Finished;
-                                finished += 1;
-                                total_active -= 1;
-                                active_per_tenant[jobs[query].tenant] -= 1;
-                            }
-                        }
-                    }
-                    if dead {
-                        break;
-                    }
-                    continue;
-                }
-
-                // ---- marketplace phase: everyone is parked on a
-                // round. Run the shared clock toward the nearest
-                // deadlines, stopping at the first resolution.
-                let mut waiting: Vec<(f64, usize)> = tasks
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, t)| match t.state {
-                        TaskState::Waiting { deadline } => Some((deadline, i)),
-                        _ => None,
-                    })
-                    .collect();
-                if waiting.is_empty() {
+                } else if !this.market_step(&mut tasks) {
                     break; // defensive: nothing runnable, nothing waiting
                 }
-                // total_cmp: deadlines are validated finite at the
-                // barrier, but a total order keeps resume order
-                // well-defined no matter what.
-                waiting.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                let shared_round = waiting.len() >= 2;
-                let mut stages: Vec<f64> = waiting.iter().map(|&(d, _)| d).collect();
-                stages.dedup();
-                for stage in stages {
-                    let dt = stage - self.shared.now().secs();
-                    if dt > 0.0 {
-                        let _ = self.shared.run(dt);
-                    }
-                    let now = self.shared.now().secs();
-                    let mut resolved_any = false;
-                    for &(deadline, i) in &waiting {
-                        if !matches!(tasks[i].state, TaskState::Waiting { .. }) {
-                            continue;
-                        }
-                        let mq = tasks[i]
-                            .market_query
-                            .expect("waiting tasks have market ids");
-                        let outstanding = self.shared.query_outstanding(mq);
-                        let outcome = if outstanding == 0 {
-                            Some(RunOutcome::Completed)
-                        } else if now + DEADLINE_EPS >= deadline {
-                            Some(RunOutcome::TimedOut)
-                        } else {
-                            None
-                        };
-                        let Some(outcome) = outcome else { continue };
-                        // Fold whatever completed into the shared
-                        // cache *here*, in resolution order — on a
-                        // timeout the query may still read its
-                        // finished groups, and those folds (journal
-                        // appends included) must not race other
-                        // threads in the next machine phase.
-                        if outcome == RunOutcome::Completed {
-                            let completion = self.shared.completion_time(mq);
-                            tasks[i].queue_wait_secs += (now - completion).max(0.0);
-                        } else {
-                            self.shared.fold_completed(mq);
-                        }
-                        if shared_round {
-                            tasks[i].rounds_shared += 1;
-                        }
-                        tasks[i].state = TaskState::Runnable(Resume::Round {
-                            outcome,
-                            groups: std::mem::take(&mut tasks[i].pending_groups),
-                        });
-                        resolved_any = true;
-                    }
-                    if resolved_any {
-                        break;
-                    }
-                }
-            }
-            // Wake any still-parked thread (only on abnormal exits) so
-            // the scope's implicit join cannot deadlock.
-            for task in &mut tasks {
-                task.resume_tx = None;
             }
             tasks
         });
+        self.finish(&jobs, tasks)
+    }
 
-        // ---- collect, in submission order: commit learning, attribute
-        // spend, attach service stats.
+    /// The barrier: commit the staged posts of every `NeedCrowd` event
+    /// to the shared market and journal its round, then classify each
+    /// task — runnable again (its round is already complete), waiting
+    /// on the marketplace, or finished. Everything happens in
+    /// submission order, so every shared-state write is deterministic
+    /// no matter how the query threads interleaved. Returns how many
+    /// queries finished.
+    fn resolve_barrier(&self, tasks: &mut [Task], mut events: Vec<SchedulerEvent>) -> usize {
+        events.sort_by_key(SchedulerEvent::query);
+        // Pass 1: all posts land before any completion check, so
+        // same-barrier spec sharing is order-stable.
+        for event in &mut events {
+            let SchedulerEvent::NeedCrowd { query, posts, .. } = event else {
+                continue;
+            };
+            let task = &mut tasks[*query];
+            for post in posts.drain(..) {
+                let group = self
+                    .shared
+                    .post(task.market_query, post.specs, post.assignments);
+                task.pending_groups.push(group);
+            }
+            task.rounds += 1;
+            // Journal consumed rounds as they happen so a crash
+            // mid-query leaves an accurate checkpoint (its paid work is
+            // already in the cache records).
+            if let (Some(store), Some(id)) = (&self.store, task.persist_id) {
+                store.append_rounds(id, task.rounds);
+            }
+        }
+        // Pass 2: classify, in the same order.
+        let mut finished = 0;
+        for event in events {
+            match event {
+                SchedulerEvent::NeedCrowd {
+                    query, limit_secs, ..
+                } => {
+                    let task = &mut tasks[query];
+                    let mq = task.market_query;
+                    task.state = if self.shared.query_outstanding(mq) == 0 {
+                        // Fully cached/complete round: runnable again
+                        // without a marketplace step. Fold on the
+                        // scheduler thread so the journal never sees
+                        // thread-timing order.
+                        self.shared.fold_completed(mq);
+                        task.resolve(RunOutcome::Completed)
+                    } else {
+                        TaskState::Waiting {
+                            deadline: self.shared.now().secs() + limit_secs,
+                        }
+                    };
+                }
+                SchedulerEvent::Done { query, msg } => {
+                    tasks[query].done = Some(msg);
+                    tasks[query].state = TaskState::Finished;
+                    finished += 1;
+                }
+            }
+        }
+        finished
+    }
+
+    /// The marketplace step: every live query is parked on a posted
+    /// round. Run the shared clock toward the waiting deadlines,
+    /// nearest first, and stop at the first stage that resolves any
+    /// round. Returns `false` when no query is waiting.
+    fn market_step(&self, tasks: &mut [Task]) -> bool {
+        let mut waiting: Vec<(f64, usize)> = tasks
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| match t.state {
+                TaskState::Waiting { deadline } => Some((deadline, i)),
+                _ => None,
+            })
+            .collect();
+        if waiting.is_empty() {
+            return false;
+        }
+        // total_cmp: deadlines are finite (the tenant backend refuses
+        // any other round), but a total order keeps resume order
+        // well-defined no matter what.
+        waiting.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let shared_round = waiting.len() >= 2;
+        let mut stages: Vec<f64> = waiting.iter().map(|&(d, _)| d).collect();
+        stages.dedup();
+        for stage in stages {
+            let dt = stage - self.shared.now().secs();
+            if dt > 0.0 {
+                let _ = self.shared.run(dt);
+            }
+            let now = self.shared.now().secs();
+            let mut resolved_any = false;
+            for &(deadline, i) in &waiting {
+                let task = &mut tasks[i];
+                if !matches!(task.state, TaskState::Waiting { .. }) {
+                    continue;
+                }
+                let mq = task.market_query;
+                let outcome = if self.shared.query_outstanding(mq) == 0 {
+                    RunOutcome::Completed
+                } else if now + DEADLINE_EPS >= deadline {
+                    RunOutcome::TimedOut
+                } else {
+                    continue;
+                };
+                // Fold whatever completed into the shared cache *here*,
+                // in resolution order — on a timeout the query may
+                // still read its finished groups, and those folds
+                // (journal appends included) must not race other
+                // threads in the next machine phase.
+                if outcome == RunOutcome::Completed {
+                    let completion = self.shared.completion_time(mq);
+                    task.queue_wait_secs += (now - completion).max(0.0);
+                } else {
+                    self.shared.fold_completed(mq);
+                }
+                if shared_round {
+                    task.rounds_shared += 1;
+                }
+                task.state = task.resolve(outcome);
+                resolved_any = true;
+            }
+            if resolved_any {
+                break;
+            }
+        }
+        true
+    }
+
+    /// Close a batch, in submission order: attribute each query's
+    /// spend to its tenant, commit its statistics delta, attach its
+    /// [`ServiceStats`], and retire its checkpoint.
+    fn finish(&mut self, jobs: &[Submission], tasks: Vec<Task>) -> Vec<Result<QueryReport>> {
         let mut out = Vec::with_capacity(jobs.len());
-        for (i, job) in jobs.iter().enumerate() {
-            let task = &mut tasks[i];
-            let msg = task.done.take();
-            let spend = task
-                .market_query
-                .map_or(0.0, |mq| self.shared.query_spend(mq));
-            self.tenants[job.tenant].spent += spend;
-            let result = match msg {
+        for (job, task) in jobs.iter().zip(tasks) {
+            let mq = task.market_query;
+            self.tenants[job.tenant].spent += self.shared.query_spend(mq);
+            let result = match task.done {
                 Some(msg) => {
                     self.stats.commit(&msg.stats_delta);
                     if let Some(store) = &self.store {
                         store.append_stats_delta(&msg.stats_delta);
                     }
-                    // A refused round (invalid deadline) overrides the
-                    // thread's own error with the typed cause.
-                    let base = match task.poisoned.take() {
-                        Some(e) => Err(e),
-                        None => msg.result,
-                    };
-                    base.map(|mut report| {
+                    msg.result.map(|mut report| {
                         report.service = Some(ServiceStats {
                             tenant: self.tenants[job.tenant].name.clone(),
                             queue_wait_secs: task.queue_wait_secs,
                             rounds: task.rounds,
                             rounds_shared: task.rounds_shared,
-                            shared_cache_hits: task
-                                .market_query
-                                .map_or(0, |mq| self.shared.query_cached_hits(mq)),
-                            saved_dollars: task
-                                .market_query
-                                .map_or(0.0, |mq| self.shared.query_saved(mq)),
-                            admitted_round: task.admitted_round,
+                            shared_cache_hits: self.shared.query_cached_hits(mq),
+                            saved_dollars: self.shared.query_saved(mq),
                             resumed: job.resumed,
                         });
                         report
@@ -904,9 +649,7 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
                 // A failed query abandons its in-flight rounds: drop
                 // its dedup slots so later identical specs re-post
                 // instead of piggybacking on work nobody is driving.
-                if let Some(mq) = task.market_query {
-                    self.shared.release_query(mq);
-                }
+                self.shared.release_query(mq);
             }
             if let (Some(store), Some(id)) = (&self.store, job.persist_id) {
                 // The query resolved (either way) and its result was
@@ -922,13 +665,189 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
     }
 }
 
+/// Where one query stands in the barrier loop.
+enum TaskState {
+    /// Executing machine-side; its barrier event is still owed.
+    Running,
+    /// Parked; resumed with this at the next machine phase.
+    Runnable(Resume),
+    /// Parked on a posted round with a marketplace deadline.
+    Waiting {
+        deadline: f64,
+    },
+    Finished,
+}
+
+/// The scheduler's bookkeeping for one query of the batch.
+struct Task {
+    /// Market-side meter id.
+    market_query: usize,
+    /// Durable checkpoint id when the service has a store attached.
+    persist_id: Option<u64>,
+    state: TaskState,
+    rounds: u64,
+    rounds_shared: u64,
+    queue_wait_secs: f64,
+    /// Shared-market ids committed for the query's staged posts,
+    /// delivered with its next resume.
+    pending_groups: Vec<HitGroupId>,
+    done: Option<Box<DoneMsg>>,
+}
+
+impl Task {
+    fn new(market_query: usize, persist_id: Option<u64>) -> Self {
+        Task {
+            market_query,
+            persist_id,
+            state: TaskState::Running,
+            rounds: 0,
+            rounds_shared: 0,
+            queue_wait_secs: 0.0,
+            pending_groups: Vec::new(),
+            done: None,
+        }
+    }
+
+    /// The runnable state that resumes the query's round with
+    /// `outcome` and the groups committed for it.
+    fn resolve(&mut self, outcome: RunOutcome) -> TaskState {
+        TaskState::Runnable(Resume {
+            outcome,
+            groups: std::mem::take(&mut self.pending_groups),
+        })
+    }
+
+    /// Take a runnable task's resume, marking it running; `None` (and
+    /// no change) for any other state.
+    fn take_resume(&mut self) -> Option<Resume> {
+        match std::mem::replace(&mut self.state, TaskState::Running) {
+            TaskState::Runnable(resume) => Some(resume),
+            other => {
+                self.state = other;
+                None
+            }
+        }
+    }
+}
+
+/// One query thread: execute the plan admission analyzed — recompiled
+/// from its AST only if the statistics moved past `epoch` — through
+/// `backend`, and return the result with what the query learned beyond
+/// `seed`. A panic becomes an `Err` report; a round the backend refused
+/// for its deadline fails the query with [`QurkError::InvalidDeadline`].
+fn run_query<B: CrowdBackend>(
+    job: &Submission,
+    backend: TenantBackend<B>,
+    catalog: &Catalog,
+    config: &ExecConfig,
+    seed: &StatisticsStore,
+    epoch: u64,
+    budget: Option<f64>,
+) -> DoneMsg {
+    catch_unwind(AssertUnwindSafe(|| {
+        let refreshed = (job.stats_epoch != epoch)
+            .then(|| prepare(job.prepared.ast.clone(), catalog, config, seed))
+            .transpose();
+        let mut session = Session::builder()
+            .catalog(catalog)
+            .backend(backend)
+            .config(config.clone())
+            .statistics(seed.clone())
+            .build();
+        let mut result = refreshed.and_then(|refreshed| {
+            let prepared = refreshed.as_ref().unwrap_or(&job.prepared);
+            session.execute_prepared(&job.sql, prepared, config, budget)
+        });
+        if let Some(limit_secs) = session.backend().inner().inner().refused_deadline() {
+            result = Err(QurkError::InvalidDeadline { limit_secs });
+        }
+        DoneMsg {
+            result,
+            stats_delta: session.statistics().diff(seed),
+        }
+    }))
+    .unwrap_or_else(|_| DoneMsg {
+        result: Err(QurkError::Other("query thread panicked".to_owned())),
+        stats_delta: StatisticsStore::new(),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::opt::physical::{PhysNode, PhysicalPlan};
     use crate::opt::CostEstimate;
     use crate::{Relation, Schema, Value, ValueType};
-    use qurk_crowd::{CrowdConfig, GroundTruth, Marketplace};
+    use qurk_crowd::question::HitKind;
+    use qurk_crowd::truth::PredicateTruth;
+    use qurk_crowd::{CrowdConfig, GroundTruth, HitSpec, Marketplace, Question};
+
+    /// The barrier commits in submission order whatever order the
+    /// events arrived in: the same `NeedCrowd` events delivered
+    /// reversed and in order commit identical shared-market group ids,
+    /// round counts and live/cached splits. Query 2 re-posts query 0's
+    /// spec, so which of them pays depends on commit order.
+    #[test]
+    fn resolve_barrier_commits_in_submission_order() {
+        let commit = |reverse: bool| {
+            let mut gt = GroundTruth::new();
+            let items = gt.new_items(3);
+            for &item in &items {
+                let truth = PredicateTruth {
+                    value: true,
+                    error_rate: 0.0,
+                };
+                gt.set_predicate(item, "p", truth);
+            }
+            let market = Marketplace::new(&CrowdConfig::default().with_seed(1), gt);
+            let catalog = Catalog::new();
+            let svc = QueryService::new(&catalog, market);
+            let spec = |i: usize| {
+                let question = Question::Filter {
+                    item: items[i],
+                    predicate: "p".into(),
+                };
+                HitSpec::new(vec![question], HitKind::Filter)
+            };
+            let mut tasks: Vec<Task> = (0..3)
+                .map(|_| Task::new(svc.shared.register_query(), None))
+                .collect();
+            let mut events: Vec<SchedulerEvent> = [0, 1, 0]
+                .into_iter()
+                .enumerate()
+                .map(|(query, item)| SchedulerEvent::NeedCrowd {
+                    query,
+                    limit_secs: 60.0,
+                    posts: vec![StagedPost {
+                        specs: vec![spec(item), spec(2)],
+                        assignments: None,
+                    }],
+                })
+                .collect();
+            if reverse {
+                events.reverse();
+            }
+            assert_eq!(svc.resolve_barrier(&mut tasks, events), 0);
+            tasks
+                .iter()
+                .map(|t| {
+                    let mq = t.market_query;
+                    let split = (
+                        svc.shared.query_live_hits(mq),
+                        svc.shared.query_cached_hits(mq),
+                    );
+                    (t.pending_groups.clone(), t.rounds, split)
+                })
+                .collect::<Vec<_>>()
+        };
+        let in_order = commit(false);
+        assert_eq!(commit(true), in_order);
+        let groups: Vec<HitGroupId> = in_order.iter().map(|t| t.0[0]).collect();
+        assert_eq!(groups, [HitGroupId(0), HitGroupId(1), HitGroupId(2)]);
+        assert!(in_order.iter().all(|t| t.1 == 1), "one round each");
+        let splits: Vec<(u64, u64)> = in_order.iter().map(|t| t.2).collect();
+        assert_eq!(splits, [(2, 0), (1, 1), (0, 2)], "first to commit pays");
+    }
 
     /// The query thread must execute the plan admission prepared, never
     /// a recompile of it: a submission whose compiled plan is altered

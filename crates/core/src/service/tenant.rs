@@ -7,16 +7,18 @@
 //!
 //! * **stages** posts locally during the parallel machine phase —
 //!   between yields, query threads run concurrently, so posts buffer
-//!   under local group ids ([`StagedPost`]) and travel with the
-//!   [`SchedulerEvent::NeedCrowd`] yield; the scheduler commits them
-//!   to the shared market in deterministic policy order at the
-//!   barrier, metering which of the query's specs were served live
-//!   vs. from the shared cache (including piggybacking on another
-//!   tenant's identical in-flight spec), and
+//!   under local group ids and travel with the query's `NeedCrowd`
+//!   yield; the scheduler commits them to the shared market in
+//!   submission order at the barrier, metering which of the query's
+//!   specs were served live vs. from the shared cache (including
+//!   piggybacking on another tenant's identical in-flight spec), and
 //! * turns [`CrowdBackend::run`] into the cooperative **yield point**:
 //!   instead of driving the clock itself, the query flushes its staged
-//!   posts, parks on a rendezvous channel, and the scheduler advances
-//!   the one shared marketplace for everybody.
+//!   posts, parks on a channel, and the scheduler advances the one
+//!   shared marketplace for everybody. A round whose limit is not a
+//!   finite, non-negative number of seconds is refused right here,
+//!   without yielding, and fails the query with
+//!   [`QurkError::InvalidDeadline`](crate::error::QurkError::InvalidDeadline).
 //!
 //! Per-query dollar attribution is exact: every completed live
 //! assignment belongs to exactly one query's group, and both the
@@ -233,7 +235,7 @@ impl<B: CrowdBackend> SharedMarket<B> {
 
     /// Fold every completed group of `query` into the shared cache
     /// (and its journal). The scheduler calls this at deterministic
-    /// points — barrier resolutions, in policy order — **before**
+    /// points — barrier resolutions, in submission order — **before**
     /// resuming threads, so journal append order never depends on how
     /// the parallel machine phase's threads interleave.
     pub fn fold_completed(&self, query: usize) {
@@ -261,11 +263,6 @@ impl<B: CrowdBackend> SharedMarket<B> {
     /// Entries evicted by the shared cache's bound so far.
     pub fn cache_evictions(&self) -> u64 {
         self.lock().backend.evictions()
-    }
-
-    /// Number of distinct specs currently resident in the shared cache.
-    pub fn cache_len(&self) -> usize {
-        self.lock().backend.len()
     }
 
     /// Release the in-flight dedup slots of every group a **failed**
@@ -297,7 +294,7 @@ impl<B: CrowdBackend> SharedMarket<B> {
 /// the scheduler by [`SchedulerEvent::NeedCrowd`] and committed to the
 /// shared market at the barrier.
 #[derive(Debug)]
-pub struct StagedPost {
+pub(crate) struct StagedPost {
     pub specs: Vec<HitSpec>,
     pub assignments: Option<u32>,
 }
@@ -305,7 +302,7 @@ pub struct StagedPost {
 /// Local-group bookkeeping for one [`TenantBackend`]: the backend
 /// hands out its own dense group ids immediately (operators need an
 /// id at post time), and learns the committed shared-market ids from
-/// the scheduler's [`Resume::Round`] after the next yield.
+/// the scheduler's [`Resume`] after the next yield.
 #[derive(Debug, Default)]
 struct Ledger {
     /// Committed shared-market group id per local id; `None` while the
@@ -330,12 +327,15 @@ pub struct TenantBackend<B> {
     query: usize,
     /// Scheduler-side index within the current batch.
     task: usize,
-    /// Rendezvous with the scheduler. Mutex-wrapped only to keep the
-    /// backend `Sync` (each backend is owned by exactly one query
+    /// Channels to and from the scheduler. Mutex-wrapped only to keep
+    /// the backend `Sync` (each backend is owned by exactly one query
     /// thread; the locks are never contended).
     yield_tx: Mutex<Sender<SchedulerEvent>>,
     resume_rx: Mutex<Receiver<Resume>>,
     ledger: Mutex<Ledger>,
+    /// The first invalid round limit this query asked for; once set,
+    /// every round is refused without yielding.
+    refused: Option<f64>,
 }
 
 impl<B: CrowdBackend> TenantBackend<B> {
@@ -355,12 +355,14 @@ impl<B: CrowdBackend> TenantBackend<B> {
             yield_tx: Mutex::new(yield_tx),
             resume_rx: Mutex::new(resume_rx),
             ledger: Mutex::new(Ledger::default()),
+            refused: None,
         }
     }
 
-    /// The market-side query id this backend posts as.
-    pub fn query_id(&self) -> usize {
-        self.query
+    /// The first round limit this backend refused as not a finite,
+    /// non-negative number of seconds, if any.
+    pub(crate) fn refused_deadline(&self) -> Option<f64> {
+        self.refused
     }
 
     fn ledger(&self) -> MutexGuard<'_, Ledger> {
@@ -404,13 +406,21 @@ impl<B: CrowdBackend> CrowdBackend for TenantBackend<B> {
     /// The cooperative yield: flush staged posts to the scheduler and
     /// park this query until the shared marketplace has run far enough
     /// to resolve its round. The barrier answers with the committed
-    /// group ids ([`Resume::Round`]), which fill the local ledger
-    /// before the operator reads any results. A closed channel
-    /// (scheduler gone) reads as a timeout, which the operator
-    /// surfaces as
+    /// group ids (a `Resume`), which fill the local ledger before the
+    /// operator reads any results. A closed channel (scheduler gone)
+    /// reads as a timeout, which the operator surfaces as
     /// [`QurkError::CrowdIncomplete`](crate::error::QurkError::CrowdIncomplete).
     fn run(&mut self, limit_secs: f64) -> RunOutcome {
         let posts: Vec<StagedPost> = self.ledger().staged.drain(..).collect();
+        if self.refused.is_some() || !(limit_secs.is_finite() && limit_secs >= 0.0) {
+            // Refuse the round without yielding: an infinite deadline
+            // would run the shared simulation forever, a NaN would make
+            // resume order nondeterministic. The posts are never
+            // committed, later rounds are refused too, and the query
+            // thread reports the typed cause.
+            self.refused.get_or_insert(limit_secs);
+            return RunOutcome::TimedOut;
+        }
         let sent = {
             let tx = self.yield_tx.lock().unwrap_or_else(PoisonError::into_inner);
             tx.send(SchedulerEvent::NeedCrowd {
@@ -430,7 +440,7 @@ impl<B: CrowdBackend> CrowdBackend for TenantBackend<B> {
             rx.recv()
         };
         match received {
-            Ok(Resume::Round { outcome, groups }) => {
+            Ok(Resume { outcome, groups }) => {
                 let mut l = self.ledger();
                 let mut committed = groups.into_iter();
                 for slot in l.real.iter_mut().filter(|s| s.is_none()) {
@@ -439,13 +449,7 @@ impl<B: CrowdBackend> CrowdBackend for TenantBackend<B> {
                 }
                 outcome
             }
-            // `Start` is consumed by the query thread before this
-            // backend exists; seeing it here means the scheduler is
-            // confused — fail the round rather than hang. An invalid
-            // deadline also lands here: the scheduler refuses to
-            // commit the round's posts and resumes with `TimedOut`, so
-            // the operator fails fast instead of waiting forever.
-            Ok(Resume::Start) | Err(_) => RunOutcome::TimedOut,
+            Err(_) => RunOutcome::TimedOut,
         }
     }
 

@@ -147,7 +147,7 @@ impl DurableStore {
     }
 
     /// Every record is self-contained and the state is re-derivable
-    /// from the log, so a poisoned lock (a panicking query thread mid-
+    /// from the log, so lock poisoning (a panicking query thread mid-
     /// append) is recovered, not propagated.
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)

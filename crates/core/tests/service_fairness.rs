@@ -1,10 +1,6 @@
-//! Regression tests for the service's fairness policy, the bounded
-//! shared cache, round-deadline validation, and checkpoint
-//! re-admission on recovery.
+//! Regression tests for the service's bounded shared cache,
+//! round-deadline validation, and checkpoint re-admission on recovery.
 //!
-//! * **Starvation**: a tenant flooding `submit()` cannot delay another
-//!   tenant's single query past the first scheduler barrier under
-//!   round-robin admission (and priority overrides submission order).
 //! * **Eviction**: with `max_entries` set, evicted-then-re-posted
 //!   specs are paid for again and the books still balance — Σ tenant
 //!   spend == market total.
@@ -19,7 +15,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use qurk::service::{PollOrder, QueryService, SchedulePolicy};
+use qurk::service::QueryService;
 use qurk::store::DurableStore;
 use qurk::{Catalog, ExecConfig, QurkError, Relation, Schema, Value, ValueType};
 use qurk_crowd::truth::{DimensionParams, PredicateTruth};
@@ -66,103 +62,6 @@ fn world(seed: u64) -> (Catalog, Marketplace) {
         )
         .unwrap();
     (catalog, market)
-}
-
-/// Six floods from alice, then one query from bob, under
-/// `max_active = 2`. Submission order makes bob wait for a slot;
-/// round-robin admits him at the very first barrier.
-#[test]
-fn round_robin_admission_prevents_starvation() {
-    let run = |order: PollOrder| {
-        let (catalog, market) = world(7);
-        let mut svc = QueryService::new(&catalog, market);
-        svc.set_policy(SchedulePolicy {
-            order,
-            max_active: Some(2),
-            max_per_tenant: None,
-        });
-        svc.register_tenant("alice", None);
-        svc.register_tenant("bob", None);
-        for _ in 0..6 {
-            svc.submit("alice", FILTER_SQL).unwrap();
-        }
-        svc.submit("bob", FILTER_SQL).unwrap();
-        let reports: Vec<_> = svc
-            .run_pending()
-            .into_iter()
-            .map(|r| r.expect("flood workload succeeds"))
-            .collect();
-        assert_eq!(reports.len(), 7);
-        // Everyone still gets the same (cached) answer.
-        for r in &reports[1..] {
-            assert_eq!(r.relation, reports[0].relation);
-        }
-        reports[6].service.as_ref().unwrap().admitted_round
-    };
-
-    let fifo = run(PollOrder::Submission);
-    assert!(
-        fifo > 0,
-        "submission order should queue bob behind the flood (admitted at {fifo})"
-    );
-    let rr = run(PollOrder::RoundRobin);
-    assert_eq!(
-        rr, 0,
-        "round-robin must admit bob's single query at the first barrier"
-    );
-}
-
-/// Priority overrides submission order: bob at priority 1 is admitted
-/// before the whole flood even though he submitted last.
-#[test]
-fn priority_overrides_submission_order() {
-    let (catalog, market) = world(7);
-    let mut svc = QueryService::new(&catalog, market);
-    svc.set_policy(SchedulePolicy {
-        order: PollOrder::Submission,
-        max_active: Some(1),
-        max_per_tenant: None,
-    });
-    svc.register_tenant("alice", None);
-    svc.register_tenant("bob", None);
-    svc.set_tenant_priority("bob", 1).unwrap();
-    for _ in 0..4 {
-        svc.submit("alice", FILTER_SQL).unwrap();
-    }
-    svc.submit("bob", FILTER_SQL).unwrap();
-    let reports: Vec<_> = svc.run_pending().into_iter().map(|r| r.unwrap()).collect();
-    assert_eq!(
-        reports[4].service.as_ref().unwrap().admitted_round,
-        0,
-        "the high-priority tenant takes the single slot first"
-    );
-    assert!(
-        reports[0].service.as_ref().unwrap().admitted_round > 0,
-        "alice's first query waited behind bob"
-    );
-}
-
-/// `max_per_tenant` caps one tenant's concurrency without touching
-/// another's.
-#[test]
-fn per_tenant_cap_limits_only_the_flooding_tenant() {
-    let (catalog, market) = world(7);
-    let mut svc = QueryService::new(&catalog, market);
-    svc.set_policy(SchedulePolicy {
-        order: PollOrder::Submission,
-        max_active: None,
-        max_per_tenant: Some(1),
-    });
-    svc.register_tenant("alice", None);
-    svc.register_tenant("bob", None);
-    svc.submit("alice", FILTER_SQL).unwrap();
-    svc.submit("alice", FILTER_SQL).unwrap();
-    svc.submit("bob", FILTER_SQL).unwrap();
-    let reports: Vec<_> = svc.run_pending().into_iter().map(|r| r.unwrap()).collect();
-    let admitted = |i: usize| reports[i].service.as_ref().unwrap().admitted_round;
-    assert_eq!(admitted(0), 0);
-    assert!(admitted(1) > 0, "alice's second query waits on her cap");
-    assert_eq!(admitted(2), 0, "bob is not throttled by alice's cap");
 }
 
 /// Bound the shared cache, force evictions across batches, and prove

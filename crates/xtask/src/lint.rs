@@ -21,7 +21,7 @@
 //!   barrier, and a listener must block in `accept()`/frame reads,
 //!   never poll), and no `.lock().unwrap()` / `.read().unwrap()` /
 //!   `.write().unwrap()` without a `// lint:allow(lock-poison): <why>`
-//!   marker — a poisoned lock would otherwise cascade one query's
+//!   marker — lock poisoning would otherwise cascade one query's
 //!   panic into the whole service (prefer
 //!   `unwrap_or_else(PoisonError::into_inner)`). In `crates/serve/src/`
 //!   additionally no unbounded reads (`.read_to_end(` /
