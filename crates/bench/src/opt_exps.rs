@@ -6,8 +6,8 @@
 //! 1. runs the query **as written** on a live simulated crowd — this
 //!    is both the baseline and the statistics-learning run;
 //! 2. re-runs the same query **cost-based** on a fresh same-seed
-//!    crowd, seeded with the learned statistics, recording the
-//!    spec→assignment trace (the compile-time estimate is captured
+//!    crowd, seeded with the learned statistics; its task cache records
+//!    the spec→assignment trace (the compile-time estimate is captured
 //!    from the same run's `QueryReport`);
 //! 3. **replays** the cost-based run from its trace — deterministic
 //!    "actuals" the cost model's estimates are validated against.
@@ -19,7 +19,7 @@
 //! of replayed actuals.
 
 use qurk::prelude::*;
-use qurk::{CostEstimate, RecordingBackend, ReplayTrace};
+use qurk::CostEstimate;
 use qurk_crowd::truth::PredicateTruth;
 use qurk_crowd::Marketplace;
 use qurk_data::celebrity::{GENDER_OPTIONS, HAIR_OPTIONS};
@@ -112,22 +112,18 @@ pub(crate) fn learn(w: &Workload) -> (RunNumbers, StatisticsStore) {
 
 /// Passes 2–3: cost-based live run with `stats`, then replay it.
 fn optimized(w: &Workload, as_written: RunNumbers, stats: &StatisticsStore) -> WorkloadComparison {
-    // Pass 2: cost based on a fresh same-seed crowd, recording specs.
+    // Pass 2: cost based on a fresh same-seed crowd; its task cache
+    // records every spec's answers.
     let mut cb_session = Session::builder()
         .catalog(&w.catalog)
-        .backend(RecordingBackend::new((w.make_market)()))
+        .backend((w.make_market)())
         .optimize(OptimizeMode::CostBased)
         .statistics(stats.clone())
         .build();
     // (the compile-time estimate below is produced from `stats`,
     // before any of this run's own observations exist)
     let cb_report = cb_session.query(&w.sql).report().unwrap();
-    let trace: ReplayTrace = cb_session
-        .backend_mut()
-        .inner_mut()
-        .inner_mut()
-        .trace()
-        .clone();
+    let trace = cb_session.backend().inner().trace().clone();
 
     // Pass 3: replay the cost-based plan — deterministic actuals.
     let mut replay_session = Session::builder()

@@ -26,10 +26,12 @@
 use std::time::Instant;
 
 use criterion::{Criterion, SampleSummary, Throughput};
-use qurk::ops::partition::{candidate_pairs, candidate_pairs_naive};
+use qurk::ops::partition::candidate_pairs;
 use qurk::ops::sort::CompareSort;
 use qurk_combine::em::{LabelObservation, QualityAdjust, QualityAdjustConfig};
 use qurk_metrics::{fleiss_kappa, kendall_tau_b, kendall_tau_b_quadratic, CountMatrix};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 use crate::opt_exps::{learn, trial_workloads};
 
@@ -215,6 +217,96 @@ pub fn em_corpus(items: usize, votes_per_item: usize, workers: usize) -> Vec<Lab
         }
     }
     obs
+}
+
+/// The original generator behind [`CompareSort::plan_groups`]:
+/// recounts every item's uncovered partners and every candidate's gain
+/// from the pair matrix for each choice, O(N⁴/S²) overall. Retained as
+/// the equivalence oracle and wall-clock baseline.
+fn plan_groups_naive(n: usize, s: usize, seed: u64) -> Vec<Vec<usize>> {
+    assert!(s >= 2, "group size must be at least 2");
+    if n <= 1 {
+        return Vec::new();
+    }
+    let s = s.min(n);
+    let mut rng = StdRng::seed_from_u64(seed);
+    // uncovered[i] = set of j > i not yet covered with i.
+    let mut uncovered: Vec<Vec<bool>> = (0..n).map(|i| vec![true; n - i]).collect();
+    let mut remaining: u64 = (n as u64) * (n as u64 - 1) / 2;
+    let is_unc = |unc: &Vec<Vec<bool>>, a: usize, b: usize| {
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        unc[lo][hi - lo]
+    };
+    let mut groups = Vec::new();
+    while remaining > 0 {
+        // Seed the group with the item having the most uncovered
+        // partners (random tie-break via rotation).
+        let start = rng.random_range(0..n);
+        let first = (0..n)
+            .map(|k| (k + start) % n)
+            .max_by_key(|&i| {
+                (0..n)
+                    .filter(|&j| j != i && is_unc(&uncovered, i, j))
+                    .count()
+            })
+            .expect("uncovered pairs imply n >= 2");
+        let mut group = vec![first];
+        while group.len() < s {
+            // Add the item covering the most new pairs with the
+            // current group.
+            let best = (0..n)
+                .filter(|i| !group.contains(i))
+                .map(|i| {
+                    let new = group.iter().filter(|&&g| is_unc(&uncovered, i, g)).count();
+                    (new, i)
+                })
+                .max_by_key(|&(new, i)| (new, n - i))
+                .map(|(_, i)| i);
+            match best {
+                Some(i) => group.push(i),
+                None => break,
+            }
+        }
+        // Mark pairs covered.
+        for a in 0..group.len() {
+            for b in (a + 1)..group.len() {
+                let (lo, hi) = if group[a] < group[b] {
+                    (group[a], group[b])
+                } else {
+                    (group[b], group[a])
+                };
+                if uncovered[lo][hi - lo] {
+                    uncovered[lo][hi - lo] = false;
+                    remaining -= 1;
+                }
+            }
+        }
+        group.sort_unstable();
+        groups.push(group);
+    }
+    groups
+}
+
+/// The reference |L|×|R| scan behind [`candidate_pairs`]: the
+/// wall-clock baseline and the equivalence oracle.
+fn candidate_pairs_naive(
+    selected: &[usize],
+    left: &[Vec<Option<usize>>],
+    right: &[Vec<Option<usize>>],
+) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for (i, lrow) in left.iter().enumerate() {
+        for (j, rrow) in right.iter().enumerate() {
+            let pass = selected.iter().all(|&fi| match (lrow[fi], rrow[fi]) {
+                (Some(a), Some(b)) => a == b,
+                _ => true,
+            });
+            if pass {
+                out.push((i, j));
+            }
+        }
+    }
+    out
 }
 
 /// Deterministic score vector with heavy ties (mod 13) — the τ shape
@@ -432,7 +524,7 @@ pub fn run_microbenches(samples: usize) -> Vec<MicroBench> {
         let elements = (n * (n - 1) / 2) as u64;
         g.throughput(Throughput::Elements(elements));
         let base = summarize(&mut g, "plan-groups/naive", || {
-            criterion::black_box(CompareSort::plan_groups_naive(n, s, seed));
+            criterion::black_box(plan_groups_naive(n, s, seed));
         });
         let opt = summarize(&mut g, "plan-groups/incremental", || {
             criterion::black_box(CompareSort::plan_groups(n, s, seed));
@@ -559,6 +651,7 @@ pub fn committed_artifact_path() -> std::path::PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     /// Baseline faithfulness: the naive EM reimplementation and the
     /// optimized combiner agree on posteriors and priors, so the bench
@@ -578,6 +671,93 @@ mod tests {
         }
         for (x, y) in naive_priors.iter().zip(&out.priors) {
             assert!((x - y).abs() < 1e-12, "prior drift: {x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn plan_groups_matches_the_naive_generator() {
+        for n in 2..=32 {
+            for s in 2..=6 {
+                for seed in [0, 42, 0x50B7] {
+                    assert_eq!(
+                        CompareSort::plan_groups(n, s, seed),
+                        plan_groups_naive(n, s, seed),
+                        "n={n} s={s} seed={seed}"
+                    );
+                }
+            }
+        }
+        for (n, s) in [(48, 5), (64, 3), (64, 6)] {
+            assert_eq!(
+                CompareSort::plan_groups(n, s, 7),
+                plan_groups_naive(n, s, 7),
+                "n={n} s={s}"
+            );
+        }
+    }
+
+    /// The rest of the estimator's exact range, up to
+    /// `EXACT_COMPARE_PLAN_MAX_N`, sampled every seventh size; the
+    /// naive side is too slow for a debug build, so the bench-wallclock
+    /// CI step runs it with
+    /// `cargo test --release -p qurk-bench wallclock -- --ignored`.
+    #[test]
+    #[ignore = "slow without optimizations; run with --release --ignored"]
+    fn plan_groups_matches_the_naive_generator_up_to_256() {
+        for n in (33..=256).step_by(7).chain([128, 255, 256]) {
+            for s in 2..=6 {
+                let seed = n as u64;
+                assert_eq!(
+                    CompareSort::plan_groups(n, s, seed),
+                    plan_groups_naive(n, s, seed),
+                    "n={n} s={s} seed={seed}"
+                );
+            }
+        }
+    }
+
+    /// Deterministic pseudo-random extraction table.
+    fn random_table(n: usize, features: &[usize], wild_pct: u64, seed: u64) -> FeatureTable {
+        let mut s = seed;
+        let mut next = || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            s >> 33
+        };
+        (0..n)
+            .map(|_| {
+                features
+                    .iter()
+                    .map(|&k| {
+                        if next() % 100 < wild_pct {
+                            None
+                        } else {
+                            Some((next() % k as u64) as usize)
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn as_set(pairs: Vec<(usize, usize)>) -> HashSet<(usize, usize)> {
+        let n = pairs.len();
+        let set: HashSet<_> = pairs.into_iter().collect();
+        assert_eq!(set.len(), n, "duplicate pairs emitted");
+        set
+    }
+
+    #[test]
+    fn partitioned_matches_naive_on_random_tables() {
+        for seed in 0..5u64 {
+            let left = random_table(40, &[3, 4], 15, seed * 2 + 1);
+            let right = random_table(30, &[3, 4], 15, seed * 2 + 2);
+            for selected in [vec![], vec![0], vec![1], vec![0, 1]] {
+                let fast = as_set(candidate_pairs(&selected, &left, &right));
+                let naive = as_set(candidate_pairs_naive(&selected, &left, &right));
+                assert_eq!(fast, naive, "seed={seed} selected={selected:?}");
+            }
         }
     }
 
@@ -647,14 +827,13 @@ mod tests {
     #[test]
     fn replayed_workloads_are_byte_identical_to_live() {
         use qurk::prelude::*;
-        use qurk::{RecordingBackend, ReplayTrace};
         for w in trial_workloads(0x0071) {
             let mut live = Session::builder()
                 .catalog(&w.catalog)
-                .backend(RecordingBackend::new((w.make_market)()))
+                .backend((w.make_market)())
                 .build();
             let live_report = live.query(&w.sql).report().unwrap();
-            let trace: ReplayTrace = live.backend_mut().inner_mut().inner_mut().trace().clone();
+            let trace = live.backend().inner().trace().clone();
 
             let mut replay = Session::builder()
                 .catalog(&w.catalog)

@@ -16,9 +16,9 @@
 //!   dollar / virtual-latency accounting, which
 //!   [`crate::session::QueryReport`] reads instead of re-deriving from
 //!   marketplace internals.
-//! * [`RecordingBackend`] / [`ReplayBackend`] — record `HitSpec` →
-//!   assignment traces against a real backend, then replay them with
-//!   no marketplace at all (a deterministic test double).
+//! * [`ReplayBackend`] — serve a [`ReplayTrace`] (the `HitSpec` →
+//!   assignment answers a cache recorded, [`CachingBackend::trace`])
+//!   with no marketplace at all (a deterministic test double).
 //!
 //! # The group contract
 //!
@@ -76,8 +76,8 @@ pub trait CrowdBackend: Send + Sync {
     }
 
     /// Completed assignments of a group, in completion order. Takes
-    /// `&mut self` because caching/recording backends fold freshly
-    /// completed work into their stores here.
+    /// `&mut self` because the caching backend folds freshly
+    /// completed work into its store here.
     fn assignments(&mut self, group: HitGroupId) -> Vec<Assignment>;
 
     /// A group's HITs in spec order.
@@ -267,47 +267,62 @@ pub struct TraceAssignment {
     pub submit_delay_secs: f64,
 }
 
-/// Fold one *completed* inner group into a spec-keyed trace store
-/// (shared by [`CachingBackend`] and [`RecordingBackend`]).
-/// `keys_by_pos` maps inner-hit positions (spec order) to spec keys;
-/// positions absent from it are skipped.
-fn fold_completed_group<B: CrowdBackend + ?Sized>(
-    inner: &mut B,
-    group: HitGroupId,
-    posted_at: SimTime,
-    keys_by_pos: &[(usize, u64)],
-    entries: &mut HashMap<u64, TraceEntry>,
-) {
-    let inner_hits = inner.group_hits(group);
-    let mut by_hit: HashMap<HitId, Vec<Assignment>> = HashMap::new();
-    for a in inner.assignments(group) {
-        by_hit.entry(a.hit).or_default().push(a);
+/// Recorded answers for one HIT spec.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceEntry {
+    pub question_count: usize,
+    pub assignments: Vec<TraceAssignment>,
+}
+
+/// The spec-keyed answer store: the Task Cache's contents
+/// ([`CachingBackend::trace`], [`DurableStore::cache_snapshot`]) and
+/// what a [`ReplayBackend`] serves.
+#[derive(Debug, Clone, Default)]
+pub struct ReplayTrace {
+    pub(crate) entries: HashMap<u64, TraceEntry>,
+}
+
+impl ReplayTrace {
+    /// Number of distinct specs with recorded answers.
+    pub fn len(&self) -> usize {
+        self.entries.len()
     }
-    for &(pos, key) in keys_by_pos {
-        let hit = inner_hits[pos];
-        let assignments = by_hit
-            .remove(&hit)
-            .unwrap_or_default()
-            .into_iter()
-            .map(|a| TraceAssignment {
-                worker: a.worker,
-                answers: a.answers,
-                accept_delay_secs: a.accepted_at.secs() - posted_at.secs(),
-                submit_delay_secs: a.submitted_at.secs() - posted_at.secs(),
-            })
-            .collect();
-        let question_count = inner.hit_question_count(hit);
-        entries.entry(key).or_insert(TraceEntry {
-            question_count,
-            assignments,
-        });
+
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The recorded spec keys, sorted.
+    pub fn keys(&self) -> Vec<u64> {
+        let mut keys: Vec<u64> = self.entries.keys().copied().collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// The recorded entry for one spec key.
+    pub fn get(&self, key: u64) -> Option<&TraceEntry> {
+        self.entries.get(&key)
+    }
+
+    /// The entry for `key` if it can answer a spec of `question_count`
+    /// questions: the counts agree and no assignment carries more
+    /// answers than that. Operators index answers by question position,
+    /// and a store can hold a CRC-valid entry that fails this, so every
+    /// read of an answer goes through here; a mismatch reads as absent.
+    fn answering(&self, key: u64, question_count: usize) -> Option<&TraceEntry> {
+        self.entries.get(&key).filter(|e| {
+            e.question_count == question_count
+                && e.assignments
+                    .iter()
+                    .all(|a| a.answers.len() <= question_count)
+        })
     }
 }
 
 #[derive(Debug, Clone, Copy)]
 enum VirtualSource {
     /// Served from cache; assignments replayed from the store.
-    Cached(u64),
+    Cached,
     /// Forwarded to the inner backend.
     Live { inner_hit_pos: usize },
     /// Identical to a live spec still in flight in another group
@@ -348,9 +363,13 @@ struct CacheGroup {
 ///
 /// Virtual HIT/group ids are allocated by this decorator; callers must
 /// not mix them with the inner backend's ids.
+///
+/// The recorded answers are a [`ReplayTrace`] ([`Self::trace`]): with
+/// no eviction bound, it holds every spec this cache posted live, so
+/// a [`ReplayBackend`] over it reproduces the run with no marketplace.
 pub struct CachingBackend<B> {
     inner: B,
-    cache: HashMap<u64, TraceEntry>,
+    cache: ReplayTrace,
     /// Spec keys posted live but not yet folded into the cache, mapped
     /// to the virtual group that owns the live posting. A subsequent
     /// identical spec piggybacks on the in-flight work
@@ -388,7 +407,7 @@ impl<B: CrowdBackend> CachingBackend<B> {
     pub fn new(inner: B) -> Self {
         CachingBackend {
             inner,
-            cache: HashMap::new(),
+            cache: ReplayTrace::default(),
             pending: HashMap::new(),
             hits: Vec::new(),
             groups: Vec::new(),
@@ -412,13 +431,9 @@ impl<B: CrowdBackend> CachingBackend<B> {
         let mut backend = CachingBackend::new(inner);
         backend.cache = journal.cache_snapshot();
         // Seed recency in sorted-key order so a later eviction pass
-        // over recovered entries is deterministic (the snapshot is a
-        // HashMap; its iteration order is not).
-        let mut keys: Vec<u64> = backend.cache.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
-            backend.tick += 1;
-            backend.recency.insert(key, backend.tick);
+        // over recovered entries is deterministic.
+        for key in backend.cache.keys() {
+            backend.touch(key);
         }
         backend.journal = Some(journal);
         backend
@@ -472,12 +487,10 @@ impl<B: CrowdBackend> CachingBackend<B> {
         self.cache.is_empty()
     }
 
-    /// Drop all recorded answers (subsequent identical specs re-post).
-    pub fn clear(&mut self) {
-        self.cache.clear();
-        self.recency.clear();
-        self.cache_hits = 0;
-        self.cache_misses = 0;
+    /// The recorded answers, keyed by spec content: the replay trace
+    /// of everything this cache has answered (minus evictions).
+    pub fn trace(&self) -> &ReplayTrace {
+        &self.cache
     }
 
     /// Bound the cache to at most `max` recorded specs, evicting the
@@ -494,12 +507,6 @@ impl<B: CrowdBackend> CachingBackend<B> {
     pub fn set_max_entries(&mut self, max: Option<usize>) {
         self.max_entries = max;
         self.enforce_cap();
-    }
-
-    /// Builder form of [`Self::set_max_entries`].
-    pub fn with_max_entries(mut self, max: usize) -> Self {
-        self.set_max_entries(Some(max));
-        self
     }
 
     /// Entries evicted by the [`Self::set_max_entries`] bound so far.
@@ -530,6 +537,7 @@ impl<B: CrowdBackend> CachingBackend<B> {
         while self.cache.len() > max {
             let victim = self
                 .cache
+                .entries
                 .keys()
                 .map(|&k| (self.recency.get(&k).copied().unwrap_or(0), k))
                 .filter(|&(tick, _)| tick < self.batch_floor)
@@ -537,7 +545,7 @@ impl<B: CrowdBackend> CachingBackend<B> {
             let Some((_, key)) = victim else {
                 break; // everything resident is pinned by the current batch
             };
-            self.cache.remove(&key);
+            self.cache.entries.remove(&key);
             self.recency.remove(&key);
             self.evictions += 1;
         }
@@ -553,12 +561,12 @@ impl<B: CrowdBackend> CachingBackend<B> {
             let question_count = spec.questions.len();
             let hit_id = HitId(self.hits.len());
             group_hits.push(hit_id);
-            let source = if self.cache.contains_key(&key) {
+            let source = if self.cache.answering(key, question_count).is_some() {
                 self.cache_hits += 1;
                 // Pin the entry for the rest of the batch: this group
                 // holds only the bare key and will replay it later.
                 self.touch(key);
-                VirtualSource::Cached(key)
+                VirtualSource::Cached
             } else if let Some(&owner) = self.pending.get(&key) {
                 self.cache_hits += 1;
                 self.shared_hits += 1;
@@ -590,59 +598,69 @@ impl<B: CrowdBackend> CachingBackend<B> {
         group_id
     }
 
-    /// Fold a completed group's live results into the cache.
+    /// The cached entry that answers virtual HIT `hit`, if any.
+    fn cached(&self, hit: HitId) -> Option<&TraceEntry> {
+        let vh = &self.hits[hit.0];
+        self.cache.answering(vh.key, vh.question_count)
+    }
+
+    /// Fold a completed group's live results into the cache. An entry
+    /// that already answers its spec is kept (first answer wins); one
+    /// that cannot (a malformed recovered entry) is replaced.
     fn record_group(&mut self, group: HitGroupId) {
-        let (inner_group, posted_at) = {
-            let g = &self.groups[group.0];
-            if g.recorded {
-                return;
-            }
-            let Some(ig) = g.inner else {
-                self.groups[group.0].recorded = true;
-                return;
-            };
-            if self.inner.group_outstanding(ig) > 0 {
-                return; // not finished yet; try again later
-            }
-            (ig, g.posted_at)
+        let g = &self.groups[group.0];
+        if g.recorded {
+            return;
+        }
+        let posted_at = g.posted_at;
+        let Some(ig) = g.inner else {
+            self.groups[group.0].recorded = true;
+            return;
         };
-        let keys_by_pos: Vec<(usize, u64)> = self.groups[group.0]
-            .hits
-            .iter()
-            .filter_map(|&h| {
-                let vh = &self.hits[h.0];
-                match vh.source {
-                    VirtualSource::Live { inner_hit_pos } => Some((inner_hit_pos, vh.key)),
-                    VirtualSource::Cached(_) | VirtualSource::Shared { .. } => None,
-                }
-            })
-            .collect();
-        // Which keys are about to enter the cache for the first time
-        // (fold is `or_insert`, so pre-existing entries are kept).
-        let fresh: Vec<u64> = keys_by_pos
-            .iter()
-            .map(|&(_, key)| key)
-            .filter(|key| !self.cache.contains_key(key))
-            .collect();
-        fold_completed_group(
-            &mut self.inner,
-            inner_group,
-            posted_at,
-            &keys_by_pos,
-            &mut self.cache,
-        );
-        for &(_, key) in &keys_by_pos {
+        if self.inner.group_outstanding(ig) > 0 {
+            return; // not finished yet; try again later
+        }
+        let inner_hits = self.inner.group_hits(ig);
+        let mut by_hit: HashMap<HitId, Vec<Assignment>> = HashMap::new();
+        for a in self.inner.assignments(ig) {
+            by_hit.entry(a.hit).or_default().push(a);
+        }
+        for i in 0..self.groups[group.0].hits.len() {
+            let h = self.groups[group.0].hits[i];
+            let VirtualHit {
+                question_count,
+                source,
+                key,
+            } = self.hits[h.0];
+            let VirtualSource::Live { inner_hit_pos } = source else {
+                continue;
+            };
             self.pending.remove(&key);
             self.touch(key);
-        }
-        // Write-ahead: the paid round becomes durable before its
-        // assignments are returned to (acknowledged by) the caller.
-        if let Some(journal) = &self.journal {
-            for key in fresh {
-                if let Some(entry) = self.cache.get(&key) {
-                    journal.append_cache_entry(key, entry);
-                }
+            if self.cached(h).is_some() {
+                continue;
             }
+            let assignments = by_hit
+                .remove(&inner_hits[inner_hit_pos])
+                .unwrap_or_default()
+                .into_iter()
+                .map(|a| TraceAssignment {
+                    worker: a.worker,
+                    answers: a.answers,
+                    accept_delay_secs: a.accepted_at.secs() - posted_at.secs(),
+                    submit_delay_secs: a.submitted_at.secs() - posted_at.secs(),
+                })
+                .collect();
+            let entry = TraceEntry {
+                question_count,
+                assignments,
+            };
+            // Write-ahead: the paid round becomes durable before its
+            // assignments are returned to (acknowledged by) the caller.
+            if let Some(journal) = &self.journal {
+                journal.append_cache_entry(key, &entry);
+            }
+            self.cache.entries.insert(key, entry);
         }
         self.groups[group.0].recorded = true;
         self.enforce_cap();
@@ -680,20 +698,14 @@ impl<B: CrowdBackend> CachingBackend<B> {
     }
 
     /// Fold the owner groups of this group's unresolved shared specs,
-    /// so [`Self::replay_shared`] finds their answers in the cache.
+    /// so [`Self::replay`] finds their answers in the cache.
     fn record_shared_owners(&mut self, group: HitGroupId) {
         let owners: Vec<usize> = self.groups[group.0]
             .hits
-            .clone()
-            .into_iter()
-            .filter_map(|h| {
-                let vh = &self.hits[h.0];
-                match vh.source {
-                    VirtualSource::Shared { owner } if !self.cache.contains_key(&vh.key) => {
-                        Some(owner)
-                    }
-                    _ => None,
-                }
+            .iter()
+            .filter_map(|&h| match self.hits[h.0].source {
+                VirtualSource::Shared { owner } if self.cached(h).is_none() => Some(owner),
+                _ => None,
             })
             .collect();
         for owner in owners {
@@ -701,18 +713,30 @@ impl<B: CrowdBackend> CachingBackend<B> {
         }
     }
 
-    fn replay(&mut self, key: u64, hit: HitId, group: HitGroupId) -> Vec<Assignment> {
-        let posted_at = self.groups[group.0].posted_at;
+    /// Serve virtual HIT `hit` of `group` from the cache. A cached spec
+    /// (`owner` is `None`) replays instantly: the answer already
+    /// exists, nobody re-does the work. A spec shared with the live
+    /// group `owner` keeps the owner's real completion times, because
+    /// the sharer genuinely waited for the in-flight crowd work; they
+    /// are clamped to the sharer's post time for answers that had
+    /// already arrived when it posted.
+    fn replay(&mut self, hit: HitId, group: HitGroupId, owner: Option<usize>) -> Vec<Assignment> {
+        let own_posted = self.groups[group.0].posted_at;
+        let owner_posted = owner.map(|o| self.groups[o].posted_at);
+        let at = |delay: f64| match owner_posted.map(|p| p.plus_secs(delay)) {
+            Some(t) if t.secs() >= own_posted.secs() => t,
+            _ => own_posted,
+        };
         // Cached sources are pinned against eviction from post time
         // (`touch` in `post_impl`) until the next batch boundary, so
         // the entry is present for any group still being read; a group
         // read across batches degrades to no answers rather than a
         // panic.
-        let Some(entry) = self.cache.get(&key) else {
+        let Some(entry) = self.cached(hit) else {
             return Vec::new();
         };
         let cached = entry.assignments.clone();
-        self.touch(key);
+        self.touch(self.hits[hit.0].key);
         cached
             .into_iter()
             .map(|t| {
@@ -724,54 +748,8 @@ impl<B: CrowdBackend> CachingBackend<B> {
                     group,
                     worker: t.worker,
                     answers: t.answers,
-                    // Replays are instantaneous: the answer already
-                    // exists, nobody re-does the work.
-                    accepted_at: posted_at,
-                    submitted_at: posted_at,
-                }
-            })
-            .collect()
-    }
-
-    /// Serve a shared spec from the cache with the *owner's* real
-    /// completion times: the sharer genuinely waited for the in-flight
-    /// crowd work, unlike a [`VirtualSource::Cached`] replay.
-    /// Timestamps are clamped to the sharer's post time for answers
-    /// that had already arrived when it posted.
-    fn replay_shared(
-        &mut self,
-        key: u64,
-        hit: HitId,
-        group: HitGroupId,
-        owner: usize,
-    ) -> Vec<Assignment> {
-        let own_posted = self.groups[group.0].posted_at;
-        let owner_posted = self.groups[owner].posted_at;
-        let clamp = |t: SimTime| {
-            if t.secs() < own_posted.secs() {
-                own_posted
-            } else {
-                t
-            }
-        };
-        let Some(entry) = self.cache.get(&key) else {
-            return Vec::new();
-        };
-        let cached = entry.assignments.clone();
-        self.touch(key);
-        cached
-            .into_iter()
-            .map(|t| {
-                let id = AssignmentId(usize::MAX - self.next_assignment_id);
-                self.next_assignment_id += 1;
-                Assignment {
-                    id,
-                    hit,
-                    group,
-                    worker: t.worker,
-                    answers: t.answers,
-                    accepted_at: clamp(owner_posted.plus_secs(t.accept_delay_secs)),
-                    submitted_at: clamp(owner_posted.plus_secs(t.submit_delay_secs)),
+                    accepted_at: at(t.accept_delay_secs),
+                    submitted_at: at(t.submit_delay_secs),
                 }
             })
             .collect()
@@ -823,16 +801,12 @@ impl<B: CrowdBackend> CrowdBackend for CachingBackend<B> {
             }
         }
         for h in hits {
-            match self.hits[h.0].source {
-                VirtualSource::Cached(key) => out.extend(self.replay(key, h, group)),
-                VirtualSource::Shared { owner } => {
-                    let key = self.hits[h.0].key;
-                    if self.cache.contains_key(&key) {
-                        out.extend(self.replay_shared(key, h, group, owner));
-                    }
-                }
-                VirtualSource::Live { .. } => {}
-            }
+            let owner = match self.hits[h.0].source {
+                VirtualSource::Cached => None,
+                VirtualSource::Shared { owner } => Some(owner),
+                VirtualSource::Live { .. } => continue,
+            };
+            out.extend(self.replay(h, group, owner));
         }
         out
     }
@@ -849,10 +823,10 @@ impl<B: CrowdBackend> CrowdBackend for CachingBackend<B> {
         }
         for &h in &g.hits {
             match self.hits[h.0].source {
-                VirtualSource::Cached(key) => {
+                VirtualSource::Cached => {
                     // Replayed answers arrive instantly. Missing means
                     // evicted after the group's batch ended.
-                    let n = self.cache.get(&key).map_or(0, |e| e.assignments.len());
+                    let n = self.cached(h).map_or(0, |e| e.assignments.len());
                     out.extend(std::iter::repeat_n(0.0, n));
                 }
                 VirtualSource::Shared { owner } => {
@@ -860,7 +834,7 @@ impl<B: CrowdBackend> CrowdBackend for CachingBackend<B> {
                     // latency is the owner's, minus the head start the
                     // owner had (clamped for answers that landed before
                     // this group was even posted).
-                    if let Some(entry) = self.cache.get(&self.hits[h.0].key) {
+                    if let Some(entry) = self.cached(h) {
                         let offset = g.posted_at.secs() - self.groups[owner].posted_at.secs();
                         out.extend(
                             entry
@@ -883,9 +857,8 @@ impl<B: CrowdBackend> CrowdBackend for CachingBackend<B> {
         // is: count each unresolved owner's outstanding work once.
         let mut seen: Vec<usize> = vec![group.0];
         for &h in &g.hits {
-            let vh = &self.hits[h.0];
-            if let VirtualSource::Shared { owner } = vh.source {
-                if self.cache.contains_key(&vh.key) || seen.contains(&owner) {
+            if let VirtualSource::Shared { owner } = self.hits[h.0].source {
+                if self.cached(h).is_some() || seen.contains(&owner) {
                     continue;
                 }
                 seen.push(owner);
@@ -1148,183 +1121,10 @@ impl<B: CrowdBackend> CrowdBackend for MeteringBackend<B> {
     }
 }
 
-// ----------------------------------------------------- record / replay
+// -------------------------------------------------------------- replay
 
-/// Recorded answers for one HIT spec.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEntry {
-    pub question_count: usize,
-    pub assignments: Vec<TraceAssignment>,
-}
-
-/// A spec-keyed trace of crowd answers, produced by
-/// [`RecordingBackend`] and consumed by [`ReplayBackend`].
-#[derive(Debug, Clone, Default)]
-pub struct ReplayTrace {
-    entries: HashMap<u64, TraceEntry>,
-}
-
-impl ReplayTrace {
-    /// Number of distinct specs with recorded answers.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The recorded spec keys, sorted (for diffing against a durable
-    /// store's [`DurableStore::cache_keys`]).
-    pub fn keys(&self) -> Vec<u64> {
-        let mut keys: Vec<u64> = self.entries.keys().copied().collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    /// The recorded entry for one spec key.
-    pub fn get(&self, key: u64) -> Option<&TraceEntry> {
-        self.entries.get(&key)
-    }
-}
-
-/// A passthrough decorator that records every completed HIT's
-/// assignments, keyed by spec content. Ids are the inner backend's ids
-/// (unlike [`CachingBackend`], nothing is rewritten or deduplicated).
-pub struct RecordingBackend<B> {
-    inner: B,
-    trace: ReplayTrace,
-    groups: Vec<RecordedGroup>,
-}
-
-struct RecordedGroup {
-    inner: HitGroupId,
-    keys: Vec<u64>,
-    posted_at: SimTime,
-    recorded: bool,
-}
-
-impl<B: CrowdBackend> RecordingBackend<B> {
-    pub fn new(inner: B) -> Self {
-        RecordingBackend {
-            inner,
-            trace: ReplayTrace::default(),
-            groups: Vec::new(),
-        }
-    }
-
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-
-    pub fn inner_mut(&mut self) -> &mut B {
-        &mut self.inner
-    }
-
-    /// The trace recorded so far: every group that had completed by
-    /// the last [`CrowdBackend::run`] / [`CrowdBackend::assignments`]
-    /// call is included.
-    pub fn trace(&self) -> &ReplayTrace {
-        &self.trace
-    }
-
-    /// Consume the recorder, returning the trace.
-    pub fn into_trace(self) -> ReplayTrace {
-        self.trace
-    }
-
-    fn post_impl(&mut self, specs: Vec<HitSpec>, assignments: Option<u32>) -> HitGroupId {
-        let keys = specs.iter().map(|s| spec_key(s, assignments)).collect();
-        let posted_at = self.inner.now();
-        let inner = self.inner.post(specs, assignments);
-        self.groups.push(RecordedGroup {
-            inner,
-            keys,
-            posted_at,
-            recorded: false,
-        });
-        inner
-    }
-
-    fn record_completed(&mut self) {
-        for gi in 0..self.groups.len() {
-            if self.groups[gi].recorded || self.inner.group_outstanding(self.groups[gi].inner) > 0 {
-                continue;
-            }
-            let keys_by_pos: Vec<(usize, u64)> =
-                self.groups[gi].keys.iter().copied().enumerate().collect();
-            fold_completed_group(
-                &mut self.inner,
-                self.groups[gi].inner,
-                self.groups[gi].posted_at,
-                &keys_by_pos,
-                &mut self.trace.entries,
-            );
-            self.groups[gi].recorded = true;
-        }
-    }
-}
-
-impl<B: CrowdBackend> CrowdBackend for RecordingBackend<B> {
-    fn post_group(&mut self, specs: Vec<HitSpec>) -> HitGroupId {
-        self.post_impl(specs, None)
-    }
-
-    fn default_assignments(&self) -> u32 {
-        self.inner.default_assignments()
-    }
-
-    fn post_group_with_assignments(&mut self, specs: Vec<HitSpec>, assignments: u32) -> HitGroupId {
-        self.post_impl(specs, Some(assignments))
-    }
-
-    fn run(&mut self, limit_secs: f64) -> RunOutcome {
-        let outcome = self.inner.run(limit_secs);
-        self.record_completed();
-        outcome
-    }
-
-    fn assignments(&mut self, group: HitGroupId) -> Vec<Assignment> {
-        self.record_completed();
-        self.inner.assignments(group)
-    }
-
-    fn group_hits(&self, group: HitGroupId) -> Vec<HitId> {
-        self.inner.group_hits(group)
-    }
-
-    fn group_latencies(&self, group: HitGroupId) -> Vec<f64> {
-        self.inner.group_latencies(group)
-    }
-
-    fn group_outstanding(&self, group: HitGroupId) -> u32 {
-        self.inner.group_outstanding(group)
-    }
-
-    fn hit_question_count(&self, hit: HitId) -> usize {
-        self.inner.hit_question_count(hit)
-    }
-
-    fn ban_workers(&mut self, workers: Vec<WorkerId>) {
-        self.inner.ban_workers(workers)
-    }
-
-    fn now(&self) -> SimTime {
-        self.inner.now()
-    }
-
-    fn hits_posted(&self) -> usize {
-        self.inner.hits_posted()
-    }
-
-    fn spend_dollars(&self) -> f64 {
-        self.inner.spend_dollars()
-    }
-
-    fn assignments_completed(&self) -> u64 {
-        self.inner.assignments_completed()
-    }
-}
+/// Dollars per replayed assignment: the paper's $0.015.
+const REPLAY_PRICE_PER_ASSIGNMENT: f64 = 0.015;
 
 /// A [`CrowdBackend`] with no marketplace behind it: assignments are
 /// served from a [`ReplayTrace`]. Posting a spec absent from the trace
@@ -1336,9 +1136,6 @@ pub struct ReplayBackend {
     hits: Vec<ReplayHit>,
     groups: Vec<ReplayGroup>,
     now: SimTime,
-    price_per_assignment: f64,
-    default_assignments: u32,
-    banned: Vec<WorkerId>,
     next_assignment_id: usize,
 }
 
@@ -1361,33 +1158,17 @@ impl ReplayBackend {
             hits: Vec::new(),
             groups: Vec::new(),
             now: SimTime::ZERO,
-            price_per_assignment: 0.015,
-            default_assignments: 5,
-            banned: Vec::new(),
             next_assignment_id: 0,
         }
     }
 
-    /// Assignments assumed per HIT when `post_group` is used and the
-    /// spec is absent from the trace (only affects the outstanding
-    /// count reported for unanswerable work). Defaults to the paper's 5.
-    pub fn with_default_assignments(mut self, n: u32) -> Self {
-        self.default_assignments = n;
-        self
-    }
-
-    /// Price charged per replayed assignment (defaults to the paper's
-    /// $0.015).
-    pub fn with_price(mut self, dollars_per_assignment: f64) -> Self {
-        self.price_per_assignment = dollars_per_assignment;
-        self
-    }
-
-    /// Workers passed to [`CrowdBackend::ban_workers`]. Replayed
-    /// traces are immutable, so bans are recorded but do not filter
-    /// answers — mirroring "in-flight work is unaffected".
-    pub fn banned(&self) -> &[WorkerId] {
-        &self.banned
+    /// Spec keys of every HIT posted so far, answered or not: what
+    /// reached this stand-in marketplace. Sorted and deduplicated.
+    pub fn posted_keys(&self) -> Vec<u64> {
+        let mut keys: Vec<u64> = self.hits.iter().map(|h| h.key).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
     }
 
     fn post_impl(&mut self, specs: Vec<HitSpec>, assignments: Option<u32>) -> HitGroupId {
@@ -1412,17 +1193,13 @@ impl ReplayBackend {
     }
 
     fn entry(&self, hit: &ReplayHit) -> Option<&TraceEntry> {
-        self.trace.entries.get(&hit.key)
+        self.trace.answering(hit.key, hit.question_count)
     }
 }
 
 impl CrowdBackend for ReplayBackend {
     fn post_group(&mut self, specs: Vec<HitSpec>) -> HitGroupId {
         self.post_impl(specs, None)
-    }
-
-    fn default_assignments(&self) -> u32 {
-        self.default_assignments
     }
 
     fn post_group_with_assignments(&mut self, specs: Vec<HitSpec>, assignments: u32) -> HitGroupId {
@@ -1445,7 +1222,7 @@ impl CrowdBackend for ReplayBackend {
                 if self.hits[hit_id.0].completed {
                     continue;
                 }
-                match self.trace.entries.get(&self.hits[hit_id.0].key) {
+                match self.entry(&self.hits[hit_id.0]) {
                     Some(entry) => {
                         let finish = entry
                             .assignments
@@ -1527,7 +1304,7 @@ impl CrowdBackend for ReplayBackend {
                 let rh = &self.hits[h.0];
                 match self.entry(rh) {
                     Some(e) => e.assignments.len() as u32,
-                    None => rh.requested.unwrap_or(self.default_assignments),
+                    None => rh.requested.unwrap_or(self.default_assignments()),
                 }
             })
             .sum()
@@ -1537,9 +1314,9 @@ impl CrowdBackend for ReplayBackend {
         self.hits[hit.0].question_count
     }
 
-    fn ban_workers(&mut self, workers: Vec<WorkerId>) {
-        self.banned.extend(workers);
-    }
+    /// Replayed traces are immutable, so bans do not filter answers,
+    /// mirroring "in-flight work is unaffected".
+    fn ban_workers(&mut self, _workers: Vec<WorkerId>) {}
 
     fn now(&self) -> SimTime {
         self.now
@@ -1550,7 +1327,7 @@ impl CrowdBackend for ReplayBackend {
     }
 
     fn spend_dollars(&self) -> f64 {
-        self.assignments_completed() as f64 * self.price_per_assignment
+        self.assignments_completed() as f64 * REPLAY_PRICE_PER_ASSIGNMENT
     }
 
     fn assignments_completed(&self) -> u64 {
@@ -1656,6 +1433,41 @@ mod tests {
         b.release_in_flight(g2);
         let g3 = b.post_group(filter_specs(&items));
         assert_eq!(b.assignments(g3).len(), 6 * 5, "cache still serves");
+    }
+
+    /// Regression: a cached entry whose answers do not fit its spec
+    /// (one answer too many per assignment, as a CRC-valid recovered
+    /// entry could carry) reached the operator, which indexes answers
+    /// by question position, and panicked. It must read as a miss,
+    /// re-post live, and be replaced by the live answers.
+    #[test]
+    fn malformed_cached_entry_is_a_miss_not_a_panic() {
+        let (m, items) = market(8);
+        let mut b = CachingBackend::new(m);
+        let op = crate::ops::filter::FilterOp::default();
+        let first = op.run(&mut b, "p", &items).unwrap();
+        let posted = b.hits_posted();
+        for entry in b.cache.entries.values_mut() {
+            for a in &mut entry.assignments {
+                a.answers.push(Answer::Bool(true));
+            }
+        }
+        let second = op.run(&mut b, "p", &items).unwrap();
+        assert_eq!(b.hits_posted(), 2 * posted, "malformed entries re-post");
+        assert_eq!(b.stats(), (0, 2 * posted as u64));
+
+        // A recorded question count that disagrees with the spec is
+        // rejected the same way; the live answers replaced the bad
+        // entries, so a third run is served entirely from the cache.
+        let third = op.run(&mut b, "p", &items).unwrap();
+        assert_eq!(b.hits_posted(), 2 * posted);
+        assert_eq!(third, second);
+        assert_eq!(first.len(), second.len());
+        for entry in b.cache.entries.values_mut() {
+            entry.question_count += 1;
+        }
+        let _ = op.run(&mut b, "p", &items).unwrap();
+        assert_eq!(b.hits_posted(), 3 * posted, "count mismatch re-posts");
     }
 
     #[test]
@@ -1780,11 +1592,11 @@ mod tests {
         // outstanding forever and every `run` call advances the clock
         // to its deadline.
         let (m, items) = market(2);
-        let mut rec = RecordingBackend::new(m);
+        let mut rec = CachingBackend::new(m);
         let g = rec.post_group(filter_specs(&items[..1]));
         rec.run_to_completion();
         let _ = rec.assignments(g);
-        let mut replay = ReplayBackend::from_trace(rec.into_trace());
+        let mut replay = ReplayBackend::from_trace(rec.trace().clone());
 
         // Epoch 1: post a spec the trace cannot answer; it times out.
         let mut b = MeteringBackend::new(&mut replay);
@@ -1810,11 +1622,11 @@ mod tests {
     #[test]
     fn record_then_replay_reproduces_answers() {
         let (m, items) = market(5);
-        let mut rec = RecordingBackend::new(m);
+        let mut rec = CachingBackend::new(m);
         let g = rec.post_group(filter_specs(&items));
         assert_eq!(rec.run_to_completion(), RunOutcome::Completed);
         let original = rec.assignments(g);
-        let trace = rec.into_trace();
+        let trace = rec.trace().clone();
         assert_eq!(trace.len(), 5);
 
         let mut replay = ReplayBackend::from_trace(trace);
@@ -1843,11 +1655,11 @@ mod tests {
     #[test]
     fn replay_times_out_on_unknown_specs() {
         let (m, items) = market(3);
-        let mut rec = RecordingBackend::new(m);
+        let mut rec = CachingBackend::new(m);
         let g = rec.post_group(filter_specs(&items[..2]));
         rec.run_to_completion();
         let _ = rec.assignments(g);
-        let mut replay = ReplayBackend::from_trace(rec.into_trace());
+        let mut replay = ReplayBackend::from_trace(rec.trace().clone());
         let rg = replay.post_group(filter_specs(&items));
         assert_eq!(replay.run_to_completion(), RunOutcome::TimedOut);
         // Outstanding counts assignments (5 per unknown hit), like the
@@ -1864,14 +1676,14 @@ mod tests {
         // out with the full assignment count outstanding, and complete
         // once given enough time.
         let (m, items) = market(4);
-        let mut rec = RecordingBackend::new(m);
+        let mut rec = CachingBackend::new(m);
         let g = rec.post_group(filter_specs(&items));
         rec.run_to_completion();
         let recorded_secs = rec.group_latencies(g).into_iter().fold(0.0f64, f64::max);
         assert!(recorded_secs > 1.0);
         let _ = rec.assignments(g);
 
-        let mut replay = ReplayBackend::from_trace(rec.into_trace());
+        let mut replay = ReplayBackend::from_trace(rec.trace().clone());
         let rg = replay.post_group(filter_specs(&items));
         assert_eq!(replay.run(recorded_secs / 10.0), RunOutcome::TimedOut);
         assert!(replay.group_outstanding(rg) > 0);
@@ -1895,7 +1707,8 @@ mod tests {
     #[test]
     fn lru_bound_evicts_only_at_batch_boundaries() {
         let (m, items) = market(6);
-        let mut b = CachingBackend::new(m).with_max_entries(2);
+        let mut b = CachingBackend::new(m);
+        b.set_max_entries(Some(2));
         // First batch: record 6 entries. All were touched since the
         // (implicit) batch start, so none is evictable yet — the cache
         // overshoots its bound rather than dropping a key a live group
@@ -1927,7 +1740,8 @@ mod tests {
     #[test]
     fn lru_touch_on_hit_refreshes_recency() {
         let (m, items) = market(4);
-        let mut b = CachingBackend::new(m).with_max_entries(3);
+        let mut b = CachingBackend::new(m);
+        b.set_max_entries(Some(3));
         // Record items 0..3; exactly at the bound.
         let g1 = b.post_group(filter_specs(&items[..3]));
         b.run_to_completion();

@@ -154,8 +154,7 @@ pub mod prelude {
 
 pub use analyze::{Code, Diagnostic, LintConfig, LintPolicy, Severity};
 pub use backend::{
-    BackendUsage, CachingBackend, CrowdBackend, MeteringBackend, RecordingBackend, ReplayBackend,
-    ReplayTrace,
+    BackendUsage, CachingBackend, CrowdBackend, MeteringBackend, ReplayBackend, ReplayTrace,
 };
 pub use catalog::Catalog;
 pub use error::QurkError;

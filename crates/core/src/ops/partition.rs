@@ -3,8 +3,9 @@
 //! §3.2's feature filter prunes the crowd join's candidate pairs on
 //! the machine side: a pair survives iff every selected feature agrees
 //! or either side is UNKNOWN (§2.4's wildcard). The reference
-//! formulation ([`candidate_pairs_naive`]) scans the full |L|×|R|
-//! cross product, touching every pair's whole feature row.
+//! formulation scans the full |L|×|R| cross product, touching every
+//! pair's whole feature row; the bench crate keeps it as the oracle
+//! and wall-clock baseline (`qurk_bench::wallclock`).
 //!
 //! [`candidate_pairs`] instead partitions both tables by one selected
 //! feature's value (DPG-style cache partitioning: each partition is a
@@ -16,7 +17,7 @@
 //! all of them. The partition feature is chosen to minimize wildcard
 //! spill — wildcards are the rows that defeat partition pruning.
 //!
-//! Both functions produce the same pair set; the partitioned path
+//! Both produce the same pair set; the partitioned path
 //! emits them partition-by-partition (deterministic, but a different
 //! order), which is why callers treat the result as a set.
 // lint:hot-path
@@ -121,28 +122,6 @@ pub fn candidate_pairs(
     out
 }
 
-/// The reference |L|×|R| scan. Public as the wall-clock bench baseline
-/// and the property-test oracle for [`candidate_pairs`].
-pub fn candidate_pairs_naive(
-    selected: &[usize],
-    left: &[Vec<Option<usize>>],
-    right: &[Vec<Option<usize>>],
-) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for (i, lrow) in left.iter().enumerate() {
-        for (j, rrow) in right.iter().enumerate() {
-            let pass = selected.iter().all(|&fi| match (lrow[fi], rrow[fi]) {
-                (Some(a), Some(b)) => a == b,
-                _ => true,
-            });
-            if pass {
-                out.push((i, j));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,19 +157,6 @@ mod tests {
         let set: HashSet<_> = pairs.into_iter().collect();
         assert_eq!(set.len(), n, "duplicate pairs emitted");
         set
-    }
-
-    #[test]
-    fn partitioned_matches_naive_on_random_tables() {
-        for seed in 0..5u64 {
-            let left = table(40, &[3, 4], 15, seed * 2 + 1);
-            let right = table(30, &[3, 4], 15, seed * 2 + 2);
-            for selected in [vec![], vec![0], vec![1], vec![0, 1]] {
-                let fast = as_set(candidate_pairs(&selected, &left, &right));
-                let naive = as_set(candidate_pairs_naive(&selected, &left, &right));
-                assert_eq!(fast, naive, "seed={seed} selected={selected:?}");
-            }
-        }
     }
 
     #[test]
@@ -231,9 +197,6 @@ mod tests {
         let left = vec![vec![None, Some(0)], vec![None, Some(1)]];
         let right = vec![vec![None, Some(0)], vec![None, Some(2)]];
         let got = as_set(candidate_pairs(&[0, 1], &left, &right));
-        let naive = as_set(candidate_pairs_naive(&[0, 1], &left, &right));
-        assert_eq!(got, naive);
-        assert!(got.contains(&(0, 0)));
-        assert!(!got.contains(&(1, 0)));
+        assert_eq!(got, [(0, 0)].into());
     }
 }

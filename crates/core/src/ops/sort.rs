@@ -85,8 +85,9 @@ impl CompareSort {
     /// with the group so far (ties to the smallest index). Per-item
     /// uncovered degrees and per-candidate gains are kept current as
     /// pairs are covered and members join, so a group costs O(S·N)
-    /// and the whole plan O(N³/S). Emits exactly the groups of
-    /// [`Self::plan_groups_naive`].
+    /// and the whole plan O(N³/S). Emits exactly the groups of the
+    /// original recount-everything generator, which the bench crate
+    /// keeps as its equivalence oracle (`qurk_bench::wallclock`).
     pub fn plan_groups(n: usize, s: usize, seed: u64) -> Vec<Vec<usize>> {
         assert!(s >= 2, "group size must be at least 2");
         if n <= 1 {
@@ -146,75 +147,6 @@ impl CompareSort {
                 }
             }
             gain.fill(0);
-            group.sort_unstable();
-            groups.push(group);
-        }
-        groups
-    }
-
-    /// The original generator behind [`Self::plan_groups`]: recounts
-    /// every item's uncovered partners and every candidate's gain from
-    /// the pair matrix for each choice, O(N⁴/S²) overall. Retained as
-    /// the equivalence oracle and wall-clock baseline.
-    pub fn plan_groups_naive(n: usize, s: usize, seed: u64) -> Vec<Vec<usize>> {
-        assert!(s >= 2, "group size must be at least 2");
-        if n <= 1 {
-            return Vec::new();
-        }
-        let s = s.min(n);
-        let mut rng = StdRng::seed_from_u64(seed);
-        // uncovered[i] = set of j > i not yet covered with i.
-        let mut uncovered: Vec<Vec<bool>> = (0..n).map(|i| vec![true; n - i]).collect();
-        let mut remaining: u64 = (n as u64) * (n as u64 - 1) / 2;
-        let is_unc = |unc: &Vec<Vec<bool>>, a: usize, b: usize| {
-            let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-            unc[lo][hi - lo]
-        };
-        let mut groups = Vec::new();
-        while remaining > 0 {
-            // Seed the group with the item having the most uncovered
-            // partners (random tie-break via rotation).
-            let start = rng.random_range(0..n);
-            let first = (0..n)
-                .map(|k| (k + start) % n)
-                .max_by_key(|&i| {
-                    (0..n)
-                        .filter(|&j| j != i && is_unc(&uncovered, i, j))
-                        .count()
-                })
-                // lint:allow(unwrap): the iterator ranges over 0..n and uncovered pairs imply n >= 2
-                .unwrap();
-            let mut group = vec![first];
-            while group.len() < s {
-                // Add the item covering the most new pairs with the
-                // current group.
-                let best = (0..n)
-                    .filter(|i| !group.contains(i))
-                    .map(|i| {
-                        let new = group.iter().filter(|&&g| is_unc(&uncovered, i, g)).count();
-                        (new, i)
-                    })
-                    .max_by_key(|&(new, i)| (new, n - i))
-                    .map(|(_, i)| i);
-                match best {
-                    Some(i) => group.push(i),
-                    None => break,
-                }
-            }
-            // Mark pairs covered.
-            for a in 0..group.len() {
-                for b in (a + 1)..group.len() {
-                    let (lo, hi) = if group[a] < group[b] {
-                        (group[a], group[b])
-                    } else {
-                        (group[b], group[a])
-                    };
-                    if uncovered[lo][hi - lo] {
-                        uncovered[lo][hi - lo] = false;
-                        remaining -= 1;
-                    }
-                }
-            }
             group.sort_unstable();
             groups.push(group);
         }
@@ -828,47 +760,6 @@ mod tests {
             "groups={}",
             groups.len()
         );
-    }
-
-    #[test]
-    fn plan_groups_matches_the_naive_generator() {
-        for n in 2..=32 {
-            for s in 2..=6 {
-                for seed in [0, 42, 0x50B7] {
-                    assert_eq!(
-                        CompareSort::plan_groups(n, s, seed),
-                        CompareSort::plan_groups_naive(n, s, seed),
-                        "n={n} s={s} seed={seed}"
-                    );
-                }
-            }
-        }
-        for (n, s) in [(48, 5), (64, 3), (64, 6)] {
-            assert_eq!(
-                CompareSort::plan_groups(n, s, 7),
-                CompareSort::plan_groups_naive(n, s, 7),
-                "n={n} s={s}"
-            );
-        }
-    }
-
-    /// The rest of the estimator's exact range, up to
-    /// `EXACT_COMPARE_PLAN_MAX_N`, sampled every seventh size; the
-    /// naive side is too slow for a debug build, so run it with
-    /// `cargo test --release -p qurk plan_groups -- --ignored`.
-    #[test]
-    #[ignore = "slow without optimizations; run with --release --ignored"]
-    fn plan_groups_matches_the_naive_generator_up_to_256() {
-        for n in (33..=256).step_by(7).chain([128, 255, 256]) {
-            for s in 2..=6 {
-                let seed = n as u64;
-                assert_eq!(
-                    CompareSort::plan_groups(n, s, seed),
-                    CompareSort::plan_groups_naive(n, s, seed),
-                    "n={n} s={s} seed={seed}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -541,7 +541,7 @@ mod tests {
     #[test]
     fn latency_uses_learned_secs_per_hit() {
         let mut stats = StatisticsStore::new();
-        stats.observe_epoch(10, 500.0);
+        stats.record_epoch(10, 500.0);
         let m = CostModel::new(&stats);
         let est = m.charge(4.0, 1.0, 20.0, None);
         assert!((est.latency_secs - 200.0).abs() < 1e-9);
@@ -552,8 +552,8 @@ mod tests {
     fn latency_prefers_the_round_regression() {
         let mut stats = StatisticsStore::new();
         // round_secs = 300 + 10·units.
-        stats.observe_round(2.0, 320.0);
-        stats.observe_round(10.0, 400.0);
+        stats.record_round(2.0, 320.0);
+        stats.record_round(10.0, 400.0);
         let m = CostModel::new(&stats);
         // 4 HITs carrying 1.2 units each at 5 assignments: total work
         // 4 × 1.2 × 5 = 24 units over 2 rounds.

@@ -893,8 +893,8 @@ mod tests {
     fn learned_selectivity_reorders_and_combines_filters() {
         let config = ExecConfig::default();
         let mut stats = StatisticsStore::new();
-        stats.observe_filter("a", 100, 90); // unselective
-        stats.observe_filter("b", 100, 10); // selective
+        stats.record_filter("a", 100, 90); // unselective
+        stats.record_filter("b", 100, 10); // selective
         let plan = compile_sql(
             "SELECT id FROM t WHERE a(t.img) AND b(t.img)",
             30,
@@ -924,9 +924,9 @@ mod tests {
             ..Default::default()
         };
         let mut stats = StatisticsStore::new();
-        stats.observe_filter("a", 100, 90);
-        stats.observe_filter("b", 100, 10);
-        stats.observe_join("j", 900, 30);
+        stats.record_filter("a", 100, 90);
+        stats.record_filter("b", 100, 10);
+        stats.record_join("j", 900, 30);
         let plan = compile_sql(
             "SELECT t.id FROM t JOIN u ON j(t.img, u.img) WHERE a(t.img) AND b(t.img)",
             30,
@@ -940,7 +940,7 @@ mod tests {
     fn join_strategy_upgrades_with_stats_at_scale() {
         let config = ExecConfig::default();
         let mut stats = StatisticsStore::new();
-        stats.observe_join("j", 900, 30);
+        stats.record_join("j", 900, 30);
         let plan = compile_sql(
             "SELECT t.id FROM t JOIN u ON j(t.img, u.img)",
             30,
@@ -975,7 +975,7 @@ mod tests {
     fn sort_switches_to_rate_on_crisp_dimension() {
         let config = ExecConfig::default();
         let mut stats = StatisticsStore::new();
-        stats.observe_sort("d", 0.05);
+        stats.record_sort("d", 0.05);
         let plan = compile_sql("SELECT id FROM t ORDER BY byD(t.img)", 30, &config, &stats);
         fn find_sort(p: &PhysicalPlan) -> Option<&SortMode> {
             if let PhysNode::OrderBy { mode, .. } = &p.node {
@@ -993,7 +993,7 @@ mod tests {
         assert!(matches!(find_sort(&small.root), Some(SortMode::Compare(_))));
         // Moderate ambiguity picks the hybrid.
         let mut stats2 = StatisticsStore::new();
-        stats2.observe_sort("d", 0.35);
+        stats2.record_sort("d", 0.35);
         let hybrid = compile_sql("SELECT id FROM t ORDER BY byD(t.img)", 60, &config, &stats2);
         assert!(
             matches!(find_sort(&hybrid.root), Some(SortMode::Hybrid(_, _))),
@@ -1007,7 +1007,7 @@ mod tests {
         let mut config = ExecConfig::default();
         config.pins.sort = true;
         let mut stats = StatisticsStore::new();
-        stats.observe_sort("d", 0.05);
+        stats.record_sort("d", 0.05);
         let plan = compile_sql("SELECT id FROM t ORDER BY byD(t.img)", 30, &config, &stats);
         let PhysNode::Project { input, .. } = &plan.root.node else {
             panic!()
@@ -1055,8 +1055,8 @@ mod tests {
             ..Default::default()
         };
         let mut stats = StatisticsStore::new();
-        stats.observe_join("j", 900, 30);
-        stats.observe_join("j2", 900, 30);
+        stats.record_join("j", 900, 30);
+        stats.record_join("j2", 900, 30);
         // Make `v` smaller than `u` by filtering... simpler: register
         // different cardinalities via a custom catalog.
         let mut cat = catalog(20);
@@ -1106,8 +1106,8 @@ mod tests {
             ..Default::default()
         };
         let mut stats = StatisticsStore::new();
-        stats.observe_join("j", 900, 30);
-        stats.observe_join("j2", 900, 30);
+        stats.record_join("j", 900, 30);
+        stats.record_join("j2", 900, 30);
         let mut cat = catalog(20);
         let schema = Schema::new(&[("id", ValueType::Int), ("img", ValueType::Item)]);
         let mut small = Relation::new(schema);
@@ -1146,7 +1146,7 @@ mod tests {
     fn known_bad_feature_is_pruned_before_sampling() {
         let config = ExecConfig::default();
         let mut stats = StatisticsStore::new();
-        stats.observe_feature("g", 0.05, 0.5); // ambiguous: κ below 0.20
+        stats.record_feature("g", 0.05, 0.5); // ambiguous: κ below 0.20
         let plan = compile_sql(
             "SELECT t.id FROM t JOIN u ON j(t.img, u.img) AND POSSIBLY g(t.img) = g(u.img)",
             30,
@@ -1169,7 +1169,7 @@ mod tests {
         assert_eq!(pruned, &vec!["g".to_owned()]);
         // A healthy feature stays.
         let mut stats2 = StatisticsStore::new();
-        stats2.observe_feature("g", 0.8, 0.5);
+        stats2.record_feature("g", 0.8, 0.5);
         let plan2 = compile_sql(
             "SELECT t.id FROM t JOIN u ON j(t.img, u.img) AND POSSIBLY g(t.img) = g(u.img)",
             30,
@@ -1186,11 +1186,11 @@ mod tests {
     #[test]
     fn empty_decisions_iff_as_written_plan_is_identical() {
         let mut stats = StatisticsStore::new();
-        stats.observe_filter("a", 100, 90);
-        stats.observe_filter("b", 100, 10);
-        stats.observe_join("j", 900, 30);
-        stats.observe_sort("d", 0.05);
-        stats.observe_feature("g", 0.05, 0.5);
+        stats.record_filter("a", 100, 90);
+        stats.record_filter("b", 100, 10);
+        stats.record_join("j", 900, 30);
+        stats.record_sort("d", 0.05);
+        stats.record_feature("g", 0.05, 0.5);
         let cases = [
             ("SELECT id FROM t WHERE a(t.img) AND b(t.img)", 30, true),
             ("SELECT id FROM t WHERE b(t.img) AND a(t.img)", 30, true),

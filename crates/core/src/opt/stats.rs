@@ -187,39 +187,6 @@ impl StatisticsStore {
         self.rounds.sum_ht += h * secs;
     }
 
-    // Legacy `observe_*` names, kept for source compatibility with the
-    // pre-service API; new code uses `record_*`.
-
-    /// Alias for [`Self::record_filter`].
-    pub fn observe_filter(&mut self, task: &str, seen: usize, passed: usize) {
-        self.record_filter(task, seen, passed);
-    }
-
-    /// Alias for [`Self::record_join`].
-    pub fn observe_join(&mut self, task: &str, pairs: usize, matches: usize) {
-        self.record_join(task, pairs, matches);
-    }
-
-    /// Alias for [`Self::record_feature`].
-    pub fn observe_feature(&mut self, task: &str, kappa: f64, selectivity: f64) {
-        self.record_feature(task, kappa, selectivity);
-    }
-
-    /// Alias for [`Self::record_sort`].
-    pub fn observe_sort(&mut self, dimension: &str, ambiguity: f64) {
-        self.record_sort(dimension, ambiguity);
-    }
-
-    /// Alias for [`Self::record_epoch`].
-    pub fn observe_epoch(&mut self, hits: u64, secs: f64) {
-        self.record_epoch(hits, secs);
-    }
-
-    /// Alias for [`Self::record_round`].
-    pub fn observe_round(&mut self, work_units: f64, secs: f64) {
-        self.record_round(work_units, secs);
-    }
-
     // ------------------------------------------------------ estimates
 
     /// Observed selectivity of a filter task.
@@ -509,8 +476,8 @@ mod tests {
     #[test]
     fn filter_selectivity_accumulates() {
         let mut s = StatisticsStore::new();
-        s.observe_filter("f", 10, 2);
-        s.observe_filter("f", 10, 4);
+        s.record_filter("f", 10, 2);
+        s.record_filter("f", 10, 4);
         assert_eq!(s.filter_selectivity("f"), Some(0.3));
         assert!(!s.is_empty());
     }
@@ -518,8 +485,8 @@ mod tests {
     #[test]
     fn feature_latest_sample_wins() {
         let mut s = StatisticsStore::new();
-        s.observe_feature("hair", 0.9, 0.4);
-        s.observe_feature("hair", 0.1, 0.5);
+        s.record_feature("hair", 0.9, 0.4);
+        s.record_feature("hair", 0.1, 0.5);
         let f = s.feature("hair").unwrap();
         assert_eq!(f.kappa, 0.1);
         assert_eq!(f.selectivity, 0.5);
@@ -528,17 +495,17 @@ mod tests {
     #[test]
     fn sort_ambiguity_averages_and_clamps() {
         let mut s = StatisticsStore::new();
-        s.observe_sort("area", 0.2);
-        s.observe_sort("area", 1.8); // clamped to 1.0
+        s.record_sort("area", 0.2);
+        s.record_sort("area", 1.8); // clamped to 1.0
         assert_eq!(s.sort_ambiguity("area"), Some(0.6));
     }
 
     #[test]
     fn epoch_latency_averages_per_hit() {
         let mut s = StatisticsStore::new();
-        s.observe_epoch(0, 100.0); // no HITs: ignored
-        s.observe_epoch(10, 200.0);
-        s.observe_epoch(10, 400.0);
+        s.record_epoch(0, 100.0); // no HITs: ignored
+        s.record_epoch(10, 200.0);
+        s.record_epoch(10, 400.0);
         assert_eq!(s.secs_per_hit(), Some(30.0));
     }
 
@@ -546,9 +513,9 @@ mod tests {
     fn latency_regression_separates_overhead_from_service() {
         let mut s = StatisticsStore::new();
         // round_secs = 100 + 20·units, exactly.
-        s.observe_round(1.0, 120.0);
-        s.observe_round(5.0, 200.0);
-        s.observe_round(10.0, 300.0);
+        s.record_round(1.0, 120.0);
+        s.record_round(5.0, 200.0);
+        s.record_round(10.0, 300.0);
         let (alpha, beta) = s.latency_params().unwrap();
         assert!((alpha - 100.0).abs() < 1e-6, "alpha={alpha}");
         assert!((beta - 20.0).abs() < 1e-6, "beta={beta}");
@@ -557,8 +524,8 @@ mod tests {
     #[test]
     fn latency_uniform_rounds_split_overhead_and_service() {
         let mut s = StatisticsStore::new();
-        s.observe_round(4.0, 200.0);
-        s.observe_round(4.0, 200.0);
+        s.record_round(4.0, 200.0);
+        s.record_round(4.0, 200.0);
         let (alpha, beta) = s.latency_params().unwrap();
         assert!((alpha - 100.0).abs() < 1e-9);
         assert!((beta - 25.0).abs() < 1e-9);
@@ -569,8 +536,8 @@ mod tests {
     fn latency_negative_slope_degrades_to_split() {
         let mut s = StatisticsStore::new();
         // Bigger round finished faster (noise): no negative β leaks.
-        s.observe_round(10.0, 100.0);
-        s.observe_round(2.0, 300.0);
+        s.record_round(10.0, 100.0);
+        s.record_round(2.0, 300.0);
         let (alpha, beta) = s.latency_params().unwrap();
         assert!(alpha >= 0.0 && beta >= 0.0, "({alpha}, {beta})");
     }
@@ -578,13 +545,13 @@ mod tests {
     #[test]
     fn merge_combines_evidence() {
         let mut a = StatisticsStore::new();
-        a.observe_filter("f", 10, 5);
-        a.observe_join("j", 100, 10);
-        a.observe_sort("d", 0.4);
+        a.record_filter("f", 10, 5);
+        a.record_join("j", 100, 10);
+        a.record_sort("d", 0.4);
         let mut b = StatisticsStore::new();
-        b.observe_filter("f", 10, 1);
-        b.observe_feature("g", 0.8, 0.5);
-        b.observe_epoch(5, 50.0);
+        b.record_filter("f", 10, 1);
+        b.record_feature("g", 0.8, 0.5);
+        b.record_epoch(5, 50.0);
         a.merge(&b);
         assert_eq!(a.filter_selectivity("f"), Some(0.3));
         assert_eq!(a.join_selectivity("j"), Some(0.1));

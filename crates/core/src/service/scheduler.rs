@@ -382,8 +382,9 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
     }
 
     /// Tear down the service, returning the inner backend (e.g. to
-    /// export a [`RecordingBackend`](crate::backend::RecordingBackend)
-    /// trace after a serving run).
+    /// read a [`ReplayBackend::posted_keys`](crate::backend::ReplayBackend::posted_keys)
+    /// after a serving run; the answers it cached are
+    /// [`SharedMarket::trace`]).
     ///
     /// # Panics
     /// Panics if called while queries are still running (they hold the

@@ -33,7 +33,7 @@ use qurk_crowd::market::{Assignment, HitGroupId, HitId, RunOutcome};
 use qurk_crowd::sim::SimTime;
 use qurk_crowd::{HitSpec, WorkerId};
 
-use crate::backend::{CachingBackend, CrowdBackend};
+use crate::backend::{CachingBackend, CrowdBackend, ReplayTrace};
 use crate::service::scheduler::{Resume, SchedulerEvent};
 
 /// Per-query usage meter inside the shared market.
@@ -214,6 +214,12 @@ impl<B: CrowdBackend> SharedMarket<B> {
     /// Total HITs posted live to the shared backend (all tenants).
     pub fn total_hits_posted(&self) -> usize {
         self.lock().backend.hits_posted()
+    }
+
+    /// A copy of the shared task cache's recorded answers (see
+    /// [`CachingBackend::trace`]), taken under the lock.
+    pub fn trace(&self) -> ReplayTrace {
+        self.lock().backend.trace().clone()
     }
 
     /// (cache hits, cache misses) across all tenants' specs.

@@ -512,3 +512,99 @@ mod tests {
         assert_eq!(e2.into_bytes(), bytes);
     }
 }
+
+#[cfg(test)]
+mod proptests {
+    use std::sync::OnceLock;
+
+    use proptest::prelude::*;
+    use qurk_crowd::{Answer, ItemId, WorkerId};
+
+    use super::crc32;
+    use crate::backend::{TraceAssignment, TraceEntry};
+    use crate::opt::stats::StatisticsStore;
+    use crate::store::log::HEADER_LEN;
+    use crate::store::testutil::tmp_store_path;
+    use crate::store::DurableStore;
+
+    /// Log bytes, and each record's payload as `(offset, len)` into them.
+    type Log = (Vec<u8>, Vec<(usize, usize)>);
+
+    /// A log with one record of each kind.
+    fn six_record_log() -> &'static Log {
+        static LOG: OnceLock<Log> = OnceLock::new();
+        LOG.get_or_init(|| {
+            let path = tmp_store_path("codec-fuzz-src");
+            let store = DurableStore::open(&path).unwrap();
+            store.append_cache_entry(
+                7,
+                &TraceEntry {
+                    question_count: 2,
+                    assignments: vec![TraceAssignment {
+                        worker: WorkerId(3),
+                        answers: vec![
+                            Answer::Bool(true),
+                            Answer::Ordering(vec![ItemId(1), ItemId(2)]),
+                        ],
+                        accept_delay_secs: 1.0,
+                        submit_delay_secs: 2.5,
+                    }],
+                },
+            );
+            let mut delta = StatisticsStore::new();
+            delta.record_filter("isTall", 10, 4);
+            store.append_stats_delta(&delta);
+            let q = store.append_checkpoint("alice", "SELECT 1", Some(2.0));
+            store.append_rounds(q, 3);
+            store.append_query_done(q);
+            store.append_tenant("alice", Some(5.0), 1.25);
+            drop(store);
+            let log = std::fs::read(&path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            let mut payloads = Vec::new();
+            let mut at = HEADER_LEN as usize;
+            while at < log.len() {
+                let len = u32::from_le_bytes(log[at..at + 4].try_into().unwrap()) as usize;
+                payloads.push((at + 8, len));
+                at += 8 + len;
+            }
+            assert_eq!(payloads.len(), 6);
+            (log, payloads)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Damage one record's payload: 1–4 random bytes, and sometimes
+        /// a `u64::MAX` at a random offset. Then recompute its CRC, so
+        /// the decoder sees the damage instead of the checksum. Opening
+        /// the log returns `Ok` or a typed `StoreError`; it never
+        /// panics or aborts.
+        #[test]
+        fn damaged_records_with_valid_crcs_never_panic(
+            record in 0usize..6,
+            bytes in prop::collection::vec((any::<usize>(), 0u8..=255), 1..=4),
+            max in (any::<bool>(), any::<usize>()),
+        ) {
+            let (log, payloads) = six_record_log();
+            let mut log = log.clone();
+            let (start, len) = payloads[record];
+            for (pos, b) in bytes {
+                log[start + pos % len] = b;
+            }
+            if let (true, pos) = max {
+                if len >= 8 {
+                    let at = start + pos % (len - 7);
+                    log[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+                }
+            }
+            let crc = crc32(&log[start..start + len]);
+            log[start - 4..start].copy_from_slice(&crc.to_le_bytes());
+            let path = tmp_store_path("codec-fuzz");
+            std::fs::write(&path, &log).unwrap();
+            let _ = DurableStore::open(&path);
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+}

@@ -18,11 +18,10 @@
 //! state as one snapshot, in sorted order so equal state produces
 //! equal bytes.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::backend::TraceEntry;
+use crate::backend::{ReplayTrace, TraceEntry};
 use crate::opt::stats::StatisticsStore;
 use crate::store::codec::{dec_stats, dec_trace_entry, enc_stats, enc_trace_entry, Dec, Enc};
 use crate::store::fault::FaultPlan;
@@ -62,7 +61,7 @@ pub struct TenantRecord {
 #[derive(Debug, Clone, Default)]
 pub struct RecoveredState {
     /// Spec key → paid assignments (the durable Task Cache).
-    pub cache: HashMap<u64, TraceEntry>,
+    pub cache: ReplayTrace,
     /// Merged statistics deltas.
     pub stats: StatisticsStore,
     /// Checkpoints without a matching `QueryDone`, in id order.
@@ -101,6 +100,11 @@ pub struct DurableStore {
 /// last snapshot (tests shrink it via [`DurableStore::with_compact_threshold`]).
 const DEFAULT_COMPACT_THRESHOLD: u64 = 1 << 20;
 
+/// Query ids are allocated one at a time from 1, so a recovered id at
+/// or above this can only be damage. Rejecting it on open leaves
+/// [`DurableStore::append_checkpoint`] 2⁶³ ids before it could overflow.
+const MAX_QUERY_ID: u64 = 1 << 63;
+
 impl DurableStore {
     /// Open (creating if absent) the store at `path`, replaying the
     /// log into a [`RecoveredState`].
@@ -124,6 +128,11 @@ impl DurableStore {
         let mut max_id = 0u64;
         for payload in &payloads {
             apply_record(payload, &mut state, &mut done, &mut max_id)?;
+        }
+        if max_id >= MAX_QUERY_ID {
+            return Err(StoreError::corrupt(format!(
+                "query id {max_id} out of range"
+            )));
         }
         state.checkpoints.retain(|c| !done.contains(&c.id));
         state.checkpoints.sort_by_key(|c| c.id);
@@ -174,15 +183,8 @@ impl DurableStore {
     // ------------------------------------------------------- recovery
 
     /// The durable Task Cache as of the last replay/append.
-    pub fn cache_snapshot(&self) -> HashMap<u64, TraceEntry> {
+    pub fn cache_snapshot(&self) -> ReplayTrace {
         self.lock().state.cache.clone()
-    }
-
-    /// Spec keys with durable paid answers, sorted.
-    pub fn cache_keys(&self) -> Vec<u64> {
-        let mut keys: Vec<u64> = self.lock().state.cache.keys().copied().collect();
-        keys.sort_unstable();
-        keys
     }
 
     /// The merged learned statistics.
@@ -219,6 +221,7 @@ impl DurableStore {
         inner
             .state
             .cache
+            .entries
             .entry(key)
             .or_insert_with(|| entry.clone());
         Self::append_and_maybe_compact(&mut inner, e.into_bytes());
@@ -317,13 +320,11 @@ impl DurableStore {
     /// order (equal state ⇒ equal bytes).
     fn compact(inner: &mut Inner) {
         let mut payloads: Vec<Vec<u8>> = Vec::new();
-        let mut keys: Vec<u64> = inner.state.cache.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
+        for key in inner.state.cache.keys() {
             let mut e = Enc::new();
             e.u8(KIND_CACHE_ENTRY);
             e.u64(key);
-            enc_trace_entry(&mut e, &inner.state.cache[&key]);
+            enc_trace_entry(&mut e, &inner.state.cache.entries[&key]);
             payloads.push(e.into_bytes());
         }
         if !inner.state.stats.is_empty() {
@@ -374,7 +375,7 @@ fn apply_record(
         KIND_CACHE_ENTRY => {
             let key = d.u64()?;
             let entry = dec_trace_entry(&mut d)?;
-            state.cache.entry(key).or_insert(entry);
+            state.cache.entries.entry(key).or_insert(entry);
         }
         KIND_STATS_DELTA => {
             let delta = dec_stats(&mut d)?;
@@ -460,8 +461,8 @@ mod tests {
         drop(store);
 
         let store = DurableStore::open(&path).unwrap();
-        assert_eq!(store.cache_keys(), vec![11, 22]);
-        assert_eq!(store.cache_snapshot()[&11], entry(1));
+        assert_eq!(store.cache_snapshot().keys(), vec![11, 22]);
+        assert_eq!(store.cache_snapshot().get(11), Some(&entry(1)));
         assert_eq!(
             store.stats_snapshot().filter_selectivity("isTall"),
             Some(0.4)
@@ -493,8 +494,8 @@ mod tests {
         drop(store);
         let store = DurableStore::open(&path).unwrap();
         assert_eq!(store.len_bytes(), compacted_len);
-        assert_eq!(store.cache_keys().len(), 20);
-        assert_eq!(store.cache_snapshot()[&3], entry(3)); // not entry(103)
+        assert_eq!(store.cache_snapshot().len(), 20);
+        assert_eq!(store.cache_snapshot().get(3), Some(&entry(3))); // not entry(103)
         assert!(store.live_checkpoints().is_empty());
         std::fs::remove_file(&path).unwrap();
     }
@@ -538,7 +539,7 @@ mod tests {
         store.append_cache_entry(3, &entry(3)); // lost
         drop(store);
         let store = DurableStore::open(&path).unwrap();
-        assert_eq!(store.cache_keys(), vec![1, 2]);
+        assert_eq!(store.cache_snapshot().keys(), vec![1, 2]);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -5,7 +5,7 @@
 //! pointers) and complemented by `xtask lint`'s interior-mutability
 //! scan.
 
-use qurk::backend::{CachingBackend, MeteringBackend, RecordingBackend, ReplayBackend};
+use qurk::backend::{CachingBackend, MeteringBackend, ReplayBackend};
 use qurk::service::{SharedMarket, TenantBackend};
 use qurk_crowd::Marketplace;
 
@@ -16,10 +16,9 @@ fn every_backend_impl_is_send_sync() {
     assert_send_sync::<Marketplace>();
     assert_send_sync::<CachingBackend<Marketplace>>();
     assert_send_sync::<MeteringBackend<CachingBackend<Marketplace>>>();
-    assert_send_sync::<RecordingBackend<Marketplace>>();
     assert_send_sync::<ReplayBackend>();
     // Decorators preserve the bounds for any conforming inner backend.
-    assert_send_sync::<RecordingBackend<MeteringBackend<CachingBackend<Marketplace>>>>();
+    assert_send_sync::<MeteringBackend<CachingBackend<ReplayBackend>>>();
     // The service layer shares one market across query threads.
     assert_send_sync::<SharedMarket<Marketplace>>();
     assert_send_sync::<TenantBackend<Marketplace>>();

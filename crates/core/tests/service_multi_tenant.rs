@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use qurk::backend::{RecordingBackend, ReplayBackend, ReplayTrace};
+use qurk::backend::{ReplayBackend, ReplayTrace};
 use qurk::lang::parse_query;
 use qurk::plan::plan_query;
 use qurk::service::QueryService;
@@ -67,7 +67,7 @@ const SORT_SQL: &str = "SELECT p.id FROM people AS p ORDER BY byHeight(p.img)";
 #[test]
 fn identical_specs_across_tenants_are_paid_once() {
     let (catalog, market) = world(7);
-    let mut svc = QueryService::new(&catalog, RecordingBackend::new(market));
+    let mut svc = QueryService::new(&catalog, market);
     svc.register_tenant("alice", None);
     svc.register_tenant("bob", None);
     svc.submit("alice", FILTER_SQL).unwrap();
@@ -117,16 +117,15 @@ fn identical_specs_across_tenants_are_paid_once() {
         "bob's rounds overlapped alice's marketplace steps"
     );
 
-    // The recording proves it end-to-end: the trace holds exactly the
-    // deduplicated spec set (one query's worth), not two.
-    let trace = svc.into_backend().into_trace();
-    assert_eq!(trace.len() as u64, cache_misses);
+    // The shared cache holds exactly the deduplicated spec set (one
+    // query's worth), not two.
+    assert_eq!(svc.market().trace().len() as u64, cache_misses);
 }
 
 /// Record every spec the 8-query batch needs, then replay.
 fn record_trace(catalog: &Catalog, queries: &[(&str, &str)]) -> ReplayTrace {
     let (_, market) = world(7);
-    let mut svc = QueryService::new(catalog, RecordingBackend::new(market));
+    let mut svc = QueryService::new(catalog, market);
     for &(tenant, _) in queries {
         svc.register_tenant(tenant, None);
     }
@@ -136,7 +135,7 @@ fn record_trace(catalog: &Catalog, queries: &[(&str, &str)]) -> ReplayTrace {
     for r in svc.run_pending() {
         r.expect("recording run must succeed");
     }
-    svc.into_backend().into_trace()
+    svc.market().trace()
 }
 
 #[test]

@@ -14,7 +14,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use qurk::backend::{CachingBackend, MeteringBackend, RecordingBackend, ReplayBackend};
+use qurk::backend::{CachingBackend, MeteringBackend, ReplayBackend};
 use qurk::ops::filter::FilterOp;
 use qurk::prelude::*;
 use qurk::ReplayTrace;
@@ -146,13 +146,13 @@ fn full_session_stack_satisfies_contract() {
 fn replay_backend_satisfies_contract_on_recorded_specs() {
     // Record the exact workload the contract checker posts...
     let (m, items) = marketplace(10, 75);
-    let mut rec = RecordingBackend::new(m);
+    let mut rec = CachingBackend::new(m);
     let g = rec.post_group_with_assignments(filter_specs(&items[..6], 4), 3);
     rec.run_to_completion();
     let _ = rec.assignments(g);
     // ...then replay it with no marketplace at all. Replay charges the
     // paper price per assignment, so the spend counter still moves.
-    let mut replay = ReplayBackend::from_trace(rec.into_trace());
+    let mut replay = ReplayBackend::from_trace(rec.trace().clone());
     check_contract(&mut replay, &items);
 }
 
@@ -184,10 +184,10 @@ fn operators_agree_across_backends() {
 #[test]
 fn replayed_operator_run_matches_original() {
     let (m, items) = marketplace(15, 77);
-    let mut rec = RecordingBackend::new(m);
+    let mut rec = CachingBackend::new(m);
     let op = FilterOp::default();
     let original = op.run(&mut rec, "p", &items).unwrap();
-    let trace = rec.into_trace();
+    let trace = rec.trace().clone();
     assert!(!trace.is_empty());
 
     let mut replay = ReplayBackend::from_trace(trace);

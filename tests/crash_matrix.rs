@@ -6,7 +6,8 @@
 //! harness:
 //!
 //! 1. records one ground-truth trace of a three-tenant workload on a
-//!    live marketplace (once per seed);
+//!    live marketplace (once per seed): the service's task cache
+//!    afterwards, [`SharedMarket::trace`](qurk::SharedMarket::trace);
 //! 2. runs the same workload on a durable [`QueryService`] whose store
 //!    is armed to **die** at the crash point (a process crash, modeled
 //!    byte-exactly: every later write is a no-op, torn points leave a
@@ -19,8 +20,9 @@
 //! Invariants asserted for every (crash point, seed) cell:
 //!
 //! * **no double-pay** — no spec key with a durable paid answer is
-//!   ever posted again after recovery (checked against the recovery
-//!   run's [`RecordingBackend`] trace);
+//!   ever posted again after recovery (checked against every spec that
+//!   reached the recovery run's marketplace,
+//!   [`ReplayBackend::posted_keys`], whether or not it was answered);
 //! * **no lost work** — every durable cache entry is byte-equal to
 //!   the original trace's entry for that key (a paid, acknowledged
 //!   round survived the crash intact);
@@ -34,7 +36,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use qurk::backend::{RecordingBackend, ReplayBackend};
+use qurk::backend::ReplayBackend;
 use qurk::service::QueryService;
 use qurk::store::{CrashPoint, DurableStore, FaultPlan};
 use qurk::{Catalog, ExecConfig, OptimizeMode, Relation, ReplayTrace, Schema, Value, ValueType};
@@ -130,12 +132,12 @@ fn register_and_submit(svc: &mut QueryService<'_, impl qurk::CrowdBackend>) {
 
 /// Record the ground-truth trace for one seed on a live marketplace.
 fn record_trace(catalog: &Catalog, market: Marketplace) -> ReplayTrace {
-    let mut svc = QueryService::with_config(catalog, RecordingBackend::new(market), sweep_config());
+    let mut svc = QueryService::with_config(catalog, market, sweep_config());
     register_and_submit(&mut svc);
     for report in svc.run_pending() {
         report.expect("live recording run succeeds");
     }
-    svc.into_backend().into_trace()
+    svc.market().trace()
 }
 
 /// The uninterrupted run every recovery must be byte-identical to:
@@ -152,7 +154,7 @@ fn reference_run(
             .expect("fresh reference store opens")
             .with_compact_threshold(COMPACT_THRESHOLD),
     );
-    let backend = RecordingBackend::new(ReplayBackend::from_trace(trace.clone()));
+    let backend = ReplayBackend::from_trace(trace.clone());
     let mut svc = QueryService::with_store(catalog, backend, sweep_config(), store);
     register_and_submit(&mut svc);
     let reports = svc.run_pending();
@@ -246,15 +248,15 @@ fn recover_and_check(
 
     // No lost work: everything durable is a round the crowd really
     // answered, intact.
-    for (key, entry) in &recovered_cache {
+    for key in recovered_cache.keys() {
         assert_eq!(
-            trace.get(*key),
-            Some(entry),
+            trace.get(key),
+            recovered_cache.get(key),
             "{label}: durable cache entry for key {key} does not match the paid original"
         );
     }
 
-    let backend = RecordingBackend::new(ReplayBackend::from_trace(trace.clone()));
+    let backend = ReplayBackend::from_trace(trace.clone());
     let mut svc = QueryService::with_store(catalog, backend, sweep_config(), Arc::clone(&store));
     for (tenant, budget, _) in workload() {
         svc.register_tenant(tenant, budget);
@@ -302,10 +304,9 @@ fn recover_and_check(
     );
 
     // No double-pay: nothing with a durable paid answer was re-posted.
-    let posted = svc.into_backend().into_trace();
-    for key in posted.keys() {
+    for key in svc.into_backend().posted_keys() {
         assert!(
-            !recovered_cache.contains_key(&key),
+            recovered_cache.get(key).is_none(),
             "{label}: spec key {key} was paid for before the crash and re-posted after"
         );
     }

@@ -5,7 +5,6 @@
 use qurk::ops::join::{JoinOp, JoinStrategy};
 use qurk::ops::sort::{HybridSort, RateSort};
 use qurk::prelude::*;
-use qurk::RecordingBackend;
 use qurk_crowd::truth::{DimensionParams, PredicateTruth};
 use qurk_crowd::{CrowdConfig, EntityId, GroundTruth, Marketplace};
 
@@ -473,7 +472,7 @@ fn qa007_silent_on_clean_query() {
 #[test]
 fn deny_policy_rejects_before_any_post() {
     let (catalog, market) = world(12, 2);
-    let mut session = Session::new(&catalog, RecordingBackend::new(market));
+    let mut session = Session::new(&catalog, market);
     let err = session
         .query("SELECT p.id FROM people p WHERE isFemale(p.img)")
         .lint(LintPolicy::Deny)
@@ -485,9 +484,9 @@ fn deny_policy_rejects_before_any_post() {
     };
     assert!(diagnostics.iter().any(|d| d.code == Code::QA005));
     assert!(err.to_string().contains("rejected by pre-flight analysis"));
-    // Nothing reached the marketplace: no HITs, no recorded trace.
+    // Nothing reached the marketplace: no HITs, no recorded answers.
     assert_eq!(session.backend().hits_posted(), 0);
-    assert!(session.backend().inner().inner().trace().is_empty());
+    assert!(session.backend().inner().trace().is_empty());
 }
 
 #[test]

@@ -101,19 +101,16 @@ fn failed_query_releases_in_flight_slots() {
 /// concurrent query's cache entries survive and keep serving.
 #[test]
 fn release_is_scoped_to_the_failed_query() {
-    use qurk::backend::RecordingBackend;
-
     // Record answers for the filter workload only.
     let (catalog, market) = world();
-    let mut rec = RecordingBackend::new(market);
-    {
-        let mut svc = QueryService::new(&catalog, &mut rec);
+    let trace = {
+        let mut svc = QueryService::new(&catalog, market);
         svc.register_tenant("alice", None);
         svc.submit("alice", FILTER_SQL).expect("admissible");
         let reports = svc.run_pending();
         assert!(reports[0].is_ok(), "live recording run succeeds");
-    }
-    let trace = rec.into_trace();
+        svc.market().trace()
+    };
 
     // bob's sort is NOT in the trace (fails); alice's filter is.
     let backend = ReplayBackend::from_trace(trace);

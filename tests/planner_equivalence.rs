@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use qurk::ops::filter::FilterOp;
 use qurk::prelude::*;
-use qurk::{RecordingBackend, ReplayTrace};
+use qurk::{CachingBackend, ReplayTrace};
 use qurk_crowd::truth::PredicateTruth;
 use qurk_crowd::{CrowdConfig, GroundTruth, ItemId, Marketplace};
 
@@ -75,7 +75,7 @@ fn record_full_trace() -> (ReplayTrace, Vec<ItemId>) {
         }
     }
     let market = Marketplace::new(&CrowdConfig::default().with_seed(0xE0).honest(), gt);
-    let mut rec = RecordingBackend::new(market);
+    let mut rec = CachingBackend::new(market);
     let op = FilterOp {
         batch_size: 1,
         ..Default::default()
@@ -92,7 +92,7 @@ fn record_full_trace() -> (ReplayTrace, Vec<ItemId>) {
             op.run_combined(&mut rec, &perm, &items).unwrap();
         }
     }
-    (rec.into_trace(), items)
+    (rec.trace().clone(), items)
 }
 
 /// All ordered subsets of size ≥ 2.
@@ -192,7 +192,7 @@ proptest! {
         let mut stats = StatisticsStore::new();
         for (pred, sel) in PREDICATES.iter().zip([sel_a, sel_b, sel_c]) {
             let passed = (sel * seen as f64) as usize;
-            stats.observe_filter(pred, seen as usize, passed.min(seen as usize));
+            stats.record_filter(pred, seen as usize, passed.min(seen as usize));
         }
 
         let as_written = run_mode(&trace, &catalog, &sql, OptimizeMode::AsWritten,

@@ -4,7 +4,7 @@
 use qurk::backend::ReplayBackend;
 use qurk::{Catalog, DurableStore, Relation, ReplayTrace, Schema, Session, Value, ValueType};
 use qurk_crowd::truth::PredicateTruth;
-use qurk_crowd::{CrowdConfig, EntityId, GroundTruth, Marketplace};
+use qurk_crowd::{Answer, CrowdConfig, EntityId, GroundTruth, Marketplace};
 
 const FILTER_SQL: &str = "SELECT p.id FROM people AS p WHERE isTall(p.img)";
 
@@ -99,7 +99,7 @@ fn persisted_session_replays_paid_work_after_restart() {
 
     // The store handle is reachable for inspection.
     let store = session.store().expect("store attached").clone();
-    assert!(!store.cache_keys().is_empty());
+    assert!(!store.cache_snapshot().is_empty());
 
     let _ = std::fs::remove_file(&path);
 }
@@ -135,4 +135,59 @@ fn persist_to_rejects_a_corrupt_header() {
     // DurableStore::open agrees (same code path).
     assert!(DurableStore::open(std::env::temp_dir().join("qurk-fresh.qwal")).is_ok());
     let _ = std::fs::remove_file(std::env::temp_dir().join("qurk-fresh.qwal"));
+}
+
+/// A CRC-valid store entry whose answers do not fit its spec (here one
+/// extra answer per assignment) must read as a cache miss and re-post
+/// live, not reach an operator and panic. With the same crowd seed the
+/// re-posted round answers exactly as the original did.
+#[test]
+fn malformed_store_entries_repost_instead_of_panicking() {
+    let good = store_path("malformed-src");
+    let bad = store_path("malformed-dst");
+    let _ = std::fs::remove_file(&good);
+    let _ = std::fs::remove_file(&bad);
+
+    let (catalog, market) = world(23);
+    let original = Session::builder()
+        .catalog(&catalog)
+        .backend(market)
+        .persist_to(&good)
+        .expect("store opens")
+        .build()
+        .query(FILTER_SQL)
+        .report()
+        .expect("live run succeeds")
+        .relation;
+
+    {
+        let src = DurableStore::open(&good).expect("store reopens");
+        let dst = DurableStore::open(&bad).expect("fresh store opens");
+        let cache = src.cache_snapshot();
+        assert!(!cache.is_empty());
+        for key in cache.keys() {
+            let mut entry = cache.get(key).expect("listed key").clone();
+            for a in &mut entry.assignments {
+                a.answers.push(Answer::Bool(true));
+            }
+            dst.append_cache_entry(key, &entry);
+        }
+    }
+
+    let (_, market) = world(23);
+    let mut session = Session::builder()
+        .catalog(&catalog)
+        .backend(market)
+        .persist_to(&bad)
+        .expect("malformed store opens")
+        .build();
+    let report = session
+        .query(FILTER_SQL)
+        .report()
+        .expect("malformed entries are re-posted live");
+    assert!(report.hits_posted > 0, "no malformed entry was served");
+    assert_eq!(report.relation, original);
+
+    let _ = std::fs::remove_file(&good);
+    let _ = std::fs::remove_file(&bad);
 }
