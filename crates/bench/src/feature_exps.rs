@@ -94,7 +94,7 @@ pub fn filter_effect(trial: &FeatureTrial, applied: &[usize]) -> (usize, usize) 
     let mut saved = 0;
     for i in 0..n {
         for j in 0..n {
-            let passes = candidates.contains(&(i, j));
+            let passes = candidates.binary_search(&(i, j)).is_ok();
             if is_true_match(&trial.ds, i, j) {
                 errors += usize::from(!passes);
             } else {

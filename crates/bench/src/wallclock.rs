@@ -309,6 +309,157 @@ fn candidate_pairs_naive(
     out
 }
 
+/// Votes per pair, as [`join_votes_naive`] gathers them.
+#[cfg(test)]
+type NaivePairVotes = std::collections::HashMap<(usize, usize), Vec<(qurk_crowd::WorkerId, bool)>>;
+
+/// The hash-keyed join round that [`JoinOp::run`] replaced: filter the
+/// cross product through a `HashSet`, group SmartBatch grids through a
+/// `HashMap` of right items per left item, gather votes into a
+/// `HashMap` keyed by pair, and number EM items through a pair-index
+/// `HashMap`. Posts the same HITs in the same order, so on identical
+/// marketplaces it must return the same matches and per-pair votes —
+/// the equivalence oracle for the positional vote path.
+///
+/// [`JoinOp::run`]: qurk::ops::join::JoinOp::run
+#[cfg(test)]
+fn join_votes_naive(
+    op: &qurk::ops::join::JoinOp,
+    backend: &mut impl qurk::CrowdBackend,
+    left: &[qurk_crowd::ItemId],
+    right: &[qurk_crowd::ItemId],
+    candidates: Option<&std::collections::HashSet<(usize, usize)>>,
+) -> (Vec<(usize, usize)>, NaivePairVotes) {
+    use qurk::ops::common::{Round, WorkerInterner};
+    use qurk::ops::join::JoinStrategy;
+    use qurk::task::CombinerKind;
+    use qurk_crowd::question::{HitKind, Question};
+    use qurk_crowd::HitSpec;
+    use std::collections::HashMap;
+
+    let pairs: Vec<(usize, usize)> = (0..left.len())
+        .flat_map(|i| (0..right.len()).map(move |j| (i, j)))
+        .filter(|p| candidates.is_none_or(|c| c.contains(p)))
+        .collect();
+    if pairs.is_empty() {
+        return (Vec::new(), HashMap::new());
+    }
+
+    let q = |&(i, j): &(usize, usize)| Question::JoinPair {
+        left: left[i],
+        right: right[j],
+    };
+    let (specs, layout): (Vec<HitSpec>, Vec<Vec<(usize, usize)>>) = match op.strategy {
+        JoinStrategy::Simple => (
+            pairs
+                .iter()
+                .map(|p| HitSpec::new(vec![q(p)], HitKind::JoinSimple))
+                .collect(),
+            pairs.iter().map(|&p| vec![p]).collect(),
+        ),
+        JoinStrategy::NaiveBatch(b) => (
+            pairs
+                .chunks(b)
+                .map(|c| HitSpec::new(c.iter().map(q).collect(), HitKind::JoinNaive))
+                .collect(),
+            pairs.chunks(b).map(<[_]>::to_vec).collect(),
+        ),
+        JoinStrategy::SmartBatch { rows, cols } => {
+            let mut by_left: HashMap<usize, Vec<usize>> = HashMap::new();
+            for &(i, j) in &pairs {
+                by_left.entry(i).or_default().push(j);
+            }
+            let mut lefts: Vec<usize> = by_left.keys().copied().collect();
+            lefts.sort_unstable();
+            let kind = HitKind::JoinSmart { rows, cols };
+            let mut specs = Vec::new();
+            let mut layout = Vec::new();
+            for lchunk in lefts.chunks(rows) {
+                let mut rights: Vec<usize> = lchunk
+                    .iter()
+                    .flat_map(|l| by_left[l].iter().copied())
+                    .collect();
+                rights.sort_unstable();
+                rights.dedup();
+                for rchunk in rights.chunks(cols) {
+                    let mut questions = Vec::new();
+                    let mut lay = Vec::new();
+                    for &i in lchunk {
+                        for &j in rchunk {
+                            if by_left[&i].contains(&j) {
+                                questions.push(q(&(i, j)));
+                                lay.push((i, j));
+                            }
+                        }
+                    }
+                    if !questions.is_empty() {
+                        specs.push(HitSpec::new(questions, kind));
+                        layout.push(lay);
+                    }
+                }
+            }
+            (specs, layout)
+        }
+    };
+
+    let round = Round::post(backend, specs, op.assignments);
+    let group = round.group();
+    let by_hit = round
+        .complete(backend, op.limit_secs)
+        .expect("join round should complete");
+    let mut pair_votes: NaivePairVotes = HashMap::new();
+    for (spec_idx, hit_id) in backend.group_hits(group).into_iter().enumerate() {
+        let Some(assignments) = by_hit.get(&hit_id) else {
+            continue;
+        };
+        for a in assignments {
+            for (qi, ans) in a.answers.iter().enumerate() {
+                if let Some(b) = ans.as_bool() {
+                    pair_votes
+                        .entry(layout[spec_idx][qi])
+                        .or_default()
+                        .push((a.worker, b));
+                }
+            }
+        }
+    }
+
+    let mut matches: Vec<(usize, usize)> = match op.combiner {
+        CombinerKind::MajorityVote => pair_votes
+            .iter()
+            .filter(|(_, votes)| {
+                let bools: Vec<bool> = votes.iter().map(|&(_, b)| b).collect();
+                qurk_combine::majority_vote_bool(&bools)
+            })
+            .map(|(&p, _)| p)
+            .collect(),
+        CombinerKind::QualityAdjust => {
+            let mut interner = WorkerInterner::new();
+            let mut pair_ids: Vec<(usize, usize)> = pair_votes.keys().copied().collect();
+            pair_ids.sort_unstable();
+            let index: HashMap<(usize, usize), usize> =
+                pair_ids.iter().enumerate().map(|(n, &p)| (p, n)).collect();
+            let mut obs = Vec::new();
+            for (&p, votes) in &pair_votes {
+                for &(w, b) in votes {
+                    obs.push(LabelObservation {
+                        worker: interner.intern(w),
+                        item: index[&p],
+                        label: usize::from(b),
+                    });
+                }
+            }
+            let out = QualityAdjust::new(QualityAdjustConfig::paper_join()).run(&obs);
+            pair_ids
+                .into_iter()
+                .filter(|p| out.decision_bool(index[p]))
+                .collect()
+        }
+    };
+    matches.sort_unstable();
+    (matches, pair_votes)
+}
+
 /// Deterministic score vector with heavy ties (mod 13) — the τ shape
 /// hybrid sorts compare (rating buckets vs comparison wins).
 fn tau_scores(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
@@ -658,7 +809,7 @@ mod tests {
     /// measures layout, not different math.
     #[test]
     fn naive_em_matches_optimized_em() {
-        let obs = em_corpus(60, 5, 12);
+        let obs = em_corpus(4000, 5, 40);
         let cfg = QualityAdjustConfig::paper_join();
         let (naive_post, naive_priors) =
             naive_em(&obs, cfg.num_labels, cfg.iterations, cfg.smoothing);
@@ -666,12 +817,82 @@ mod tests {
         assert_eq!(naive_post.len(), out.posteriors.len());
         for (a, b) in naive_post.iter().zip(&out.posteriors) {
             for (x, y) in a.iter().zip(b) {
-                assert!((x - y).abs() < 1e-12, "posterior drift: {x} vs {y}");
+                assert_eq!(x.to_bits(), y.to_bits(), "posterior drift: {x} vs {y}");
             }
         }
         for (x, y) in naive_priors.iter().zip(&out.priors) {
-            assert!((x - y).abs() < 1e-12, "prior drift: {x} vs {y}");
+            assert_eq!(x.to_bits(), y.to_bits(), "prior drift: {x} vs {y}");
         }
+    }
+
+    /// The positional join vote path against [`join_votes_naive`] on
+    /// random tables, for every interface, both combiners, and with and
+    /// without a candidate list (which holds one out-of-range pair):
+    /// the same matches and the same votes per pair, in the same order.
+    #[test]
+    fn join_votes_match_the_naive_hash_keyed_round() {
+        use qurk::ops::join::{JoinOp, JoinStrategy};
+        use qurk::task::CombinerKind;
+        use qurk_crowd::{CrowdConfig, EntityId, GroundTruth, Marketplace};
+
+        let mut matched = 0;
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (nl, nr) = (rng.random_range(4..12usize), rng.random_range(4..12usize));
+            let world = || {
+                let mut gt = GroundTruth::new();
+                let left = gt.new_items(nl);
+                let right = gt.new_items(nr);
+                for (i, &item) in left.iter().enumerate() {
+                    gt.set_entity(item, EntityId(i as u64 % 5));
+                }
+                for (j, &item) in right.iter().enumerate() {
+                    gt.set_entity(item, EntityId(j as u64 % 7));
+                }
+                gt.set_default_similarity(0.1);
+                let cfg = CrowdConfig::default().with_seed(100 + seed);
+                (Marketplace::new(&cfg, gt), left, right)
+            };
+            let mut candidates: Vec<(usize, usize)> = (0..nl)
+                .flat_map(|i| (0..nr).map(move |j| (i, j)))
+                .filter(|_| rng.random_range(0..100u32) < 40)
+                .collect();
+            candidates.push((nl, 0)); // out of range: ignored by both
+            let candidate_set: HashSet<(usize, usize)> = candidates.iter().copied().collect();
+            for strategy in [
+                JoinStrategy::Simple,
+                JoinStrategy::NaiveBatch(5),
+                JoinStrategy::SmartBatch { rows: 3, cols: 3 },
+                JoinStrategy::SmartBatch { rows: 5, cols: 5 },
+            ] {
+                for combiner in [CombinerKind::MajorityVote, CombinerKind::QualityAdjust] {
+                    let op = JoinOp {
+                        strategy,
+                        combiner,
+                        ..JoinOp::default()
+                    };
+                    for restricted in [false, true] {
+                        let (mut m1, l, r) = world();
+                        let cand = restricted.then_some(candidates.as_slice());
+                        let fast = op.run(&mut m1, &l, &r, cand).unwrap();
+                        let (mut m2, l, r) = world();
+                        let naive_cand = restricted.then_some(&candidate_set);
+                        let (matches, votes) = join_votes_naive(&op, &mut m2, &l, &r, naive_cand);
+                        let mut votes: Vec<_> = votes.into_iter().collect();
+                        votes.sort_unstable_by_key(|&(p, _)| p);
+                        let case = format!("seed={seed} {strategy:?} {combiner:?} {restricted}");
+                        assert_eq!(fast.matches, matches, "{case}");
+                        assert_eq!(fast.pair_votes, votes, "{case}");
+                        assert_eq!(fast.hits_posted, m2.hits_posted(), "{case}");
+                        matched += matches.len();
+                    }
+                }
+            }
+        }
+        assert!(
+            matched > 0,
+            "no case found a match: the comparison is vacuous"
+        );
     }
 
     #[test]

@@ -229,8 +229,13 @@ impl QualityAdjust {
         // `confusion[(w*k + t)*k + l]` = π_w[t][l] (flat k×k per worker).
         let mut confusion = vec![0.0f64; num_workers * k * k];
         let mut priors = vec![1.0 / k as f64; k];
-        // E-step scratch, reused across items and iterations.
+        // E-step scratch, reused across items and iterations. The logs
+        // of `confusion` and `priors` change once per iteration, so the
+        // E-step computes them once up front and its inner loop only
+        // adds (same values, same summation order: bit-identical).
         let mut log_p = vec![0.0f64; k];
+        let mut log_confusion = vec![0.0f64; num_workers * k * k];
+        let mut log_priors = vec![0.0f64; k];
 
         for _ in 0..self.config.iterations {
             // --- M-step: confusion matrices and priors. ---
@@ -256,6 +261,12 @@ impl QualityAdjust {
             normalize_in_place(&mut priors);
 
             // --- E-step: item posteriors (log space for stability). ---
+            for (lc, &c) in log_confusion.iter_mut().zip(&confusion) {
+                *lc = c.max(1e-300).ln();
+            }
+            for (lp, &p) in log_priors.iter_mut().zip(&priors) {
+                *lp = p.max(1e-300).ln();
+            }
             for item in 0..num_items {
                 let vs = item_votes(item);
                 let row = &mut posteriors[item * k..(item + 1) * k];
@@ -264,13 +275,11 @@ impl QualityAdjust {
                     row.copy_from_slice(&priors);
                     continue;
                 }
-                for (t, lp) in log_p.iter_mut().enumerate() {
-                    *lp = priors[t].max(1e-300).ln();
-                }
+                log_p.copy_from_slice(&log_priors);
                 for &(w, l) in vs {
                     let base = w * k * k;
                     for (t, lp) in log_p.iter_mut().enumerate() {
-                        *lp += confusion[base + t * k + l].max(1e-300).ln();
+                        *lp += log_confusion[base + t * k + l];
                     }
                 }
                 let max = log_p.iter().copied().fold(f64::NEG_INFINITY, f64::max);

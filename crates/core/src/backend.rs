@@ -604,26 +604,62 @@ impl<B: CrowdBackend> CachingBackend<B> {
         self.cache.answering(vh.key, vh.question_count)
     }
 
-    /// Fold a completed group's live results into the cache. An entry
-    /// that already answers its spec is kept (first answer wins); one
-    /// that cannot (a malformed recovered entry) is replaced.
-    fn record_group(&mut self, group: HitGroupId) {
+    /// The inner group's assignments, fetched once, each paired with
+    /// its HIT's position in the inner group; completion order.
+    fn live_assignments(&mut self, ig: HitGroupId) -> Vec<(usize, Assignment)> {
+        let inner_pos: HashMap<HitId, usize> = self
+            .inner
+            .group_hits(ig)
+            .into_iter()
+            .enumerate()
+            .map(|(p, h)| (h, p))
+            .collect();
+        self.inner
+            .assignments(ig)
+            .into_iter()
+            .map(|a| (inner_pos[&a.hit], a))
+            .collect()
+    }
+
+    /// `group`'s inner group if its live results are ready to fold into
+    /// the cache: not folded yet and the inner round complete. A group
+    /// with no live part has nothing to fold and is marked recorded.
+    fn ready_to_record(&mut self, group: HitGroupId) -> Option<HitGroupId> {
         let g = &self.groups[group.0];
         if g.recorded {
-            return;
+            return None;
         }
-        let posted_at = g.posted_at;
         let Some(ig) = g.inner else {
             self.groups[group.0].recorded = true;
-            return;
+            return None;
         };
-        if self.inner.group_outstanding(ig) > 0 {
-            return; // not finished yet; try again later
+        (self.inner.group_outstanding(ig) == 0).then_some(ig)
+    }
+
+    /// Fold a completed group's live results into the cache, fetching
+    /// them from the inner backend.
+    fn record_group(&mut self, group: HitGroupId) {
+        if let Some(ig) = self.ready_to_record(group) {
+            let live = self.live_assignments(ig);
+            self.fold_live(group, &live);
         }
-        let inner_hits = self.inner.group_hits(ig);
-        let mut by_hit: HashMap<HitId, Vec<Assignment>> = HashMap::new();
-        for a in self.inner.assignments(ig) {
-            by_hit.entry(a.hit).or_default().push(a);
+    }
+
+    /// Fold `live` (the group's [`Self::live_assignments`]) into the
+    /// cache. An entry that already answers its spec is kept (first
+    /// answer wins); one that cannot (a malformed recovered entry) is
+    /// replaced.
+    fn fold_live(&mut self, group: HitGroupId, live: &[(usize, Assignment)]) {
+        let posted_at = self.groups[group.0].posted_at;
+        let live_hits = live.iter().map(|&(pos, _)| pos + 1).max().unwrap_or(0);
+        let mut by_pos: Vec<Vec<TraceAssignment>> = vec![Vec::new(); live_hits];
+        for (pos, a) in live {
+            by_pos[*pos].push(TraceAssignment {
+                worker: a.worker,
+                answers: a.answers.clone(),
+                accept_delay_secs: a.accepted_at.secs() - posted_at.secs(),
+                submit_delay_secs: a.submitted_at.secs() - posted_at.secs(),
+            });
         }
         for i in 0..self.groups[group.0].hits.len() {
             let h = self.groups[group.0].hits[i];
@@ -640,17 +676,10 @@ impl<B: CrowdBackend> CachingBackend<B> {
             if self.cached(h).is_some() {
                 continue;
             }
-            let assignments = by_hit
-                .remove(&inner_hits[inner_hit_pos])
-                .unwrap_or_default()
-                .into_iter()
-                .map(|a| TraceAssignment {
-                    worker: a.worker,
-                    answers: a.answers,
-                    accept_delay_secs: a.accepted_at.secs() - posted_at.secs(),
-                    submit_delay_secs: a.submitted_at.secs() - posted_at.secs(),
-                })
-                .collect();
+            let assignments = by_pos
+                .get_mut(inner_hit_pos)
+                .map(std::mem::take)
+                .unwrap_or_default();
             let entry = TraceEntry {
                 question_count,
                 assignments,
@@ -774,31 +803,29 @@ impl<B: CrowdBackend> CrowdBackend for CachingBackend<B> {
     }
 
     fn assignments(&mut self, group: HitGroupId) -> Vec<Assignment> {
-        self.record_group(group);
+        // One inner fetch serves both the cache fold and the caller.
+        let ready = self.ready_to_record(group).is_some();
+        let live = match self.groups[group.0].inner {
+            Some(ig) => self.live_assignments(ig),
+            None => Vec::new(),
+        };
+        if ready {
+            self.fold_live(group, &live);
+        }
         self.record_shared_owners(group);
         let hits = self.groups[group.0].hits.clone();
-        let inner_group = self.groups[group.0].inner;
-        let mut out = Vec::new();
         // Live assignments first, translated to virtual ids; their
         // completion order is preserved.
-        if let Some(ig) = inner_group {
-            let inner_hits = self.inner.group_hits(ig);
-            let inner_pos: HashMap<HitId, usize> = inner_hits
-                .iter()
-                .enumerate()
-                .map(|(p, &h)| (h, p))
-                .collect();
-            let live_virt: Vec<HitId> = hits
-                .iter()
-                .copied()
-                .filter(|&h| matches!(self.hits[h.0].source, VirtualSource::Live { .. }))
-                .collect();
-            for mut a in self.inner.assignments(ig) {
-                let pos = inner_pos[&a.hit];
-                a.hit = live_virt[pos];
-                a.group = group;
-                out.push(a);
-            }
+        let live_virt: Vec<HitId> = hits
+            .iter()
+            .copied()
+            .filter(|&h| matches!(self.hits[h.0].source, VirtualSource::Live { .. }))
+            .collect();
+        let mut out = Vec::with_capacity(live.len());
+        for (pos, mut a) in live {
+            a.hit = live_virt[pos];
+            a.group = group;
+            out.push(a);
         }
         for h in hits {
             let owner = match self.hits[h.0].source {
@@ -1468,6 +1495,85 @@ mod tests {
         }
         let _ = op.run(&mut b, "p", &items).unwrap();
         assert_eq!(b.hits_posted(), 3 * posted, "count mismatch re-posts");
+    }
+
+    /// A marketplace that logs every group whose assignments are
+    /// fetched: a work counter for the cache's fetches.
+    struct CountingBackend {
+        inner: Marketplace,
+        fetched: Vec<HitGroupId>,
+    }
+
+    impl CrowdBackend for CountingBackend {
+        fn post_group(&mut self, specs: Vec<HitSpec>) -> HitGroupId {
+            self.inner.post_group(specs)
+        }
+        fn post_group_with_assignments(&mut self, specs: Vec<HitSpec>, n: u32) -> HitGroupId {
+            self.inner.post_group_with_assignments(specs, n)
+        }
+        fn run(&mut self, limit_secs: f64) -> RunOutcome {
+            self.inner.run(limit_secs)
+        }
+        fn assignments(&mut self, group: HitGroupId) -> Vec<Assignment> {
+            self.fetched.push(group);
+            CrowdBackend::assignments(&mut self.inner, group)
+        }
+        fn group_hits(&self, group: HitGroupId) -> Vec<HitId> {
+            self.inner.group_hits(group)
+        }
+        fn group_latencies(&self, group: HitGroupId) -> Vec<f64> {
+            self.inner.group_latencies(group)
+        }
+        fn group_outstanding(&self, group: HitGroupId) -> u32 {
+            self.inner.group_outstanding(group)
+        }
+        fn hit_question_count(&self, hit: HitId) -> usize {
+            CrowdBackend::hit_question_count(&self.inner, hit)
+        }
+        fn ban_workers(&mut self, workers: Vec<WorkerId>) {
+            self.inner.ban_workers(workers)
+        }
+        fn now(&self) -> SimTime {
+            self.inner.now()
+        }
+        fn hits_posted(&self) -> usize {
+            self.inner.hits_posted()
+        }
+        fn spend_dollars(&self) -> f64 {
+            CrowdBackend::spend_dollars(&self.inner)
+        }
+        fn assignments_completed(&self) -> u64 {
+            CrowdBackend::assignments_completed(&self.inner)
+        }
+    }
+
+    /// Reading a completed group costs one inner fetch, shared by the
+    /// cache fold and the caller's copy; a fully cached group costs
+    /// none. Counts only, no timing.
+    #[test]
+    fn one_inner_fetch_per_completed_live_group() {
+        let (m, items) = market(8);
+        let mut b = CachingBackend::new(CountingBackend {
+            inner: m,
+            fetched: Vec::new(),
+        });
+        // All live.
+        let g1 = b.post_group(filter_specs(&items[..4]));
+        b.run_to_completion();
+        assert_eq!(b.assignments(g1).len(), 4 * 5);
+        assert_eq!(b.inner().fetched, vec![HitGroupId(0)]);
+        assert_eq!(b.len(), 4);
+        // 4 cached + 4 live: one fetch, for the live half.
+        let g2 = b.post_group(filter_specs(&items));
+        b.run_to_completion();
+        assert_eq!(b.assignments(g2).len(), 8 * 5);
+        assert_eq!(b.inner().fetched, vec![HitGroupId(0), HitGroupId(1)]);
+        assert_eq!(b.len(), 8);
+        // All cached: nothing to fetch.
+        let g3 = b.post_group(filter_specs(&items));
+        b.run_to_completion();
+        assert_eq!(b.assignments(g3).len(), 8 * 5);
+        assert_eq!(b.inner().fetched.len(), 2);
     }
 
     #[test]

@@ -555,12 +555,10 @@ mod null_sort_tests {
 #[cfg(test)]
 mod ban_tests {
     use crate::ops::join::{identify_spammers, JoinOp};
-    use qurk_crowd::{CrowdConfig, EntityId, GroundTruth, Marketplace};
+    use qurk_crowd::{CrowdConfig, EntityId, GroundTruth, ItemId, Marketplace, WorkerId};
 
-    /// §6: QA spam scores identify bad workers; banning them improves a
-    /// *subsequent* run on the same marketplace.
-    #[test]
-    fn qa_identifies_spammers_and_bans_stick() {
+    /// A 12×12 join market with 25% spammers, seed 99.
+    fn spam_market() -> (Marketplace, Vec<ItemId>, Vec<ItemId>) {
         let mut gt = GroundTruth::new();
         let left = gt.new_items(12);
         let right = gt.new_items(12);
@@ -570,7 +568,14 @@ mod ban_tests {
         }
         let mut cfg = CrowdConfig::default().with_seed(99);
         cfg.workers.spammer_fraction = 0.25;
-        let mut market = Marketplace::new(&cfg, gt);
+        (Marketplace::new(&cfg, gt), left, right)
+    }
+
+    /// §6: QA spam scores identify bad workers; banning them improves a
+    /// *subsequent* run on the same marketplace.
+    #[test]
+    fn qa_identifies_spammers_and_bans_stick() {
+        let (mut market, left, right) = spam_market();
         let op = JoinOp::default();
         let out = op.run(&mut market, &left, &right, None).unwrap();
         let spammers = identify_spammers(&out.pair_votes, 0.9);
@@ -596,10 +601,33 @@ mod ban_tests {
         // Second run: banned workers contribute no votes.
         let out2 = op.run(&mut market, &left, &right, None).unwrap();
         let banned: std::collections::HashSet<_> = spammers.into_iter().collect();
-        for votes in out2.pair_votes.values() {
+        for (_, votes) in &out2.pair_votes {
             for (w, _) in votes {
                 assert!(!banned.contains(w), "banned worker {w:?} still answering");
             }
+        }
+    }
+
+    /// The flagged workers come back sorted by `WorkerId`, the same
+    /// list on every run of the same votes (no hash-order leak).
+    #[test]
+    fn identified_spammers_are_sorted_and_stable() {
+        let runs: Vec<Vec<WorkerId>> = (0..8)
+            .map(|_| {
+                let (mut market, left, right) = spam_market();
+                let out = JoinOp::default()
+                    .run(&mut market, &left, &right, None)
+                    .unwrap();
+                identify_spammers(&out.pair_votes, 0.9)
+            })
+            .collect();
+        assert!(runs[0].len() >= 2, "need two flagged workers to order");
+        for spammers in &runs {
+            assert!(
+                spammers.windows(2).all(|w| w[0] < w[1]),
+                "not sorted: {spammers:?}"
+            );
+            assert_eq!(spammers, &runs[0]);
         }
     }
 }

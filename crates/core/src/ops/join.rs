@@ -13,17 +13,25 @@
 //! crowd-extracted features pre-filter the cross product, with three
 //! automatic tests for dropping bad filters (selectivity, leave-one-out
 //! error contribution, and Fleiss-κ ambiguity).
+//!
+//! ## Layout
+//!
+//! A join round touches every candidate pair several times (compile,
+//! vote gathering, combining), so a pair is carried as its **ordinal**:
+//! its position in one sorted `Vec<(usize, usize)>`. Compiled HITs
+//! record ordinals, votes land in per-ordinal slots, and the EM
+//! combiner numbers its items by position in the voted-pair list —
+//! sorted and contiguous from compile to EM, with no hashing.
+// lint:hot-path
 
-use std::collections::{HashMap, HashSet};
-
-use qurk_combine::em::{LabelObservation, QualityAdjust, QualityAdjustConfig};
+use qurk_combine::em::{LabelObservation, QualityAdjust, QualityAdjustConfig, QualityAdjustOutput};
 use qurk_combine::majority_vote_bool;
 use qurk_crowd::question::{HitKind, Question};
 use qurk_crowd::{HitSpec, ItemId, WorkerId};
 
 use crate::backend::CrowdBackend;
 use crate::error::Result;
-use crate::ops::common::{Round, WorkerInterner, DEFAULT_ROUND_LIMIT_SECS};
+use crate::ops::common::{Round, DEFAULT_ROUND_LIMIT_SECS};
 use crate::task::CombinerKind;
 
 pub use feature_filter::{FeatureFilter, FeatureFilterConfig, FeatureFilterOutcome};
@@ -67,6 +75,10 @@ impl Default for JoinOp {
     }
 }
 
+/// One candidate pair `(left_idx, right_idx)` and the `(worker, vote)`
+/// answers it received, in arrival order.
+pub type PairVotes = ((usize, usize), Vec<(WorkerId, bool)>);
+
 /// Result of a join run.
 #[derive(Debug)]
 pub struct JoinOutcome {
@@ -74,55 +86,84 @@ pub struct JoinOutcome {
     pub matches: Vec<(usize, usize)>,
     /// HITs posted by this run.
     pub hits_posted: usize,
-    /// Raw per-pair votes for quality analysis (§3.3.3's per-worker
-    /// accuracy regression needs worker identities).
-    pub pair_votes: HashMap<(usize, usize), Vec<(WorkerId, bool)>>,
+    /// Raw votes per pair for quality analysis (§3.3.3's per-worker
+    /// accuracy regression needs worker identities): ascending by
+    /// pair, holding only pairs that received at least one vote, each
+    /// pair's votes in arrival order.
+    pub pair_votes: Vec<PairVotes>,
 }
 
 impl JoinOp {
     /// Join `left` × `right`, optionally restricted to `candidates`
-    /// (pairs that passed feature filtering). Returns combined matches.
+    /// (pairs that passed feature filtering, ascending as
+    /// [`FeatureFilterOutcome::candidates`] holds them; other orders
+    /// and duplicates are tolerated). Pairs outside the two tables are
+    /// ignored. Returns combined matches.
     pub fn run<B: CrowdBackend + ?Sized>(
         &self,
         backend: &mut B,
         left: &[ItemId],
         right: &[ItemId],
-        candidates: Option<&HashSet<(usize, usize)>>,
+        candidates: Option<&[(usize, usize)]>,
     ) -> Result<JoinOutcome> {
-        let pairs: Vec<(usize, usize)> = (0..left.len())
-            .flat_map(|i| (0..right.len()).map(move |j| (i, j)))
-            .filter(|p| candidates.is_none_or(|c| c.contains(p)))
-            .collect();
+        // `pairs` is sorted and duplicate-free: a pair's ordinal is its
+        // position here.
+        let pairs: Vec<(usize, usize)> = match candidates {
+            Some(c) => {
+                let mut pairs: Vec<(usize, usize)> = c
+                    .iter()
+                    .copied()
+                    .filter(|&(i, j)| i < left.len() && j < right.len())
+                    .collect();
+                // Linear on the sorted input callers pass.
+                pairs.sort_unstable();
+                pairs.dedup();
+                pairs
+            }
+            None => (0..left.len())
+                .flat_map(|i| (0..right.len()).map(move |j| (i, j)))
+                .collect(),
+        };
         if pairs.is_empty() {
             return Ok(JoinOutcome {
                 matches: Vec::new(),
                 hits_posted: 0,
-                pair_votes: HashMap::new(),
+                pair_votes: Vec::new(),
             });
         }
 
-        // Compile pairs into HITs; record, per HIT, which pair each
-        // question addresses.
+        // Compile pairs into HITs; `layout` holds, per question in
+        // posting order, the ordinal of the pair it asks about.
         let (specs, layout) = self.compile(left, right, &pairs);
         let num_hits = specs.len();
+        let mut starts = Vec::with_capacity(num_hits + 1);
+        starts.push(0);
+        for spec in &specs {
+            starts.push(starts[starts.len() - 1] + spec.questions.len());
+        }
         let round = Round::post(backend, specs, self.assignments);
         let group = round.group();
         let by_hit = round.complete(backend, self.limit_secs)?;
 
-        let mut pair_votes: HashMap<(usize, usize), Vec<(WorkerId, bool)>> = HashMap::new();
+        let mut slots: Vec<Vec<(WorkerId, bool)>> = vec![Vec::new(); pairs.len()];
         for (spec_idx, hit_id) in backend.group_hits(group).into_iter().enumerate() {
             let Some(assignments) = by_hit.get(&hit_id) else {
                 continue;
             };
+            let ordinals = &layout[starts[spec_idx]..starts[spec_idx + 1]];
             for a in assignments {
-                for (qi, ans) in a.answers.iter().enumerate() {
+                for (&ordinal, ans) in ordinals.iter().zip(&a.answers) {
                     if let Some(b) = ans.as_bool() {
-                        let pair = layout[spec_idx][qi];
-                        pair_votes.entry(pair).or_default().push((a.worker, b));
+                        slots[ordinal].push((a.worker, b));
                     }
                 }
             }
         }
+        let pair_votes: Vec<PairVotes> = pairs
+            .into_iter()
+            .zip(slots)
+            .filter(|(_, votes)| !votes.is_empty())
+            .collect();
 
         let matches = self.combine(&pair_votes);
         Ok(JoinOutcome {
@@ -132,15 +173,16 @@ impl JoinOp {
         })
     }
 
-    /// Compile candidate pairs into HIT specs plus a per-HIT layout of
-    /// which pair each question refers to.
+    /// Compile the sorted candidate `pairs` into HIT specs plus, flat
+    /// in posting order, the ordinal (position in `pairs`) of the pair
+    /// each question asks about.
     fn compile(
         &self,
         left: &[ItemId],
         right: &[ItemId],
         pairs: &[(usize, usize)],
-    ) -> (Vec<HitSpec>, Vec<Vec<(usize, usize)>>) {
-        let q = |&(i, j): &(usize, usize)| Question::JoinPair {
+    ) -> (Vec<HitSpec>, Vec<usize>) {
+        let q = |(i, j): (usize, usize)| Question::JoinPair {
             left: left[i],
             right: right[j],
         };
@@ -148,62 +190,61 @@ impl JoinOp {
             JoinStrategy::Simple => {
                 let specs = pairs
                     .iter()
-                    .map(|p| HitSpec::new(vec![q(p)], HitKind::JoinSimple))
+                    .map(|&p| HitSpec::new(vec![q(p)], HitKind::JoinSimple))
                     .collect();
-                let layout = pairs.iter().map(|&p| vec![p]).collect();
-                (specs, layout)
+                (specs, (0..pairs.len()).collect())
             }
             JoinStrategy::NaiveBatch(b) => {
                 assert!(b > 0, "batch size must be positive");
-                let mut specs = Vec::new();
-                let mut layout = Vec::new();
-                for chunk in pairs.chunks(b) {
-                    specs.push(HitSpec::new(
-                        chunk.iter().map(q).collect(),
-                        HitKind::JoinNaive,
-                    ));
-                    layout.push(chunk.to_vec());
-                }
-                (specs, layout)
+                let specs = pairs
+                    .chunks(b)
+                    .map(|chunk| {
+                        HitSpec::new(chunk.iter().map(|&p| q(p)).collect(), HitKind::JoinNaive)
+                    })
+                    .collect();
+                (specs, (0..pairs.len()).collect())
             }
             JoinStrategy::SmartBatch { rows, cols } => {
                 assert!(rows > 0 && cols > 0, "grid dims must be positive");
                 // Group candidate pairs into r×s grids: take left items
                 // (that still have pending pairs) in chunks of `rows`,
                 // then chunk their pending right items by `cols`.
-                let mut by_left: HashMap<usize, Vec<usize>> = HashMap::new();
-                for &(i, j) in pairs {
-                    by_left.entry(i).or_default().push(j);
+                // `pairs` is sorted, so each left item's pairs are one
+                // contiguous run `(i, start, end)`.
+                let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+                let mut start = 0;
+                while start < pairs.len() {
+                    let i = pairs[start].0;
+                    let end = start + pairs[start..].partition_point(|p| p.0 == i);
+                    runs.push((i, start, end));
+                    start = end;
                 }
-                let mut lefts: Vec<usize> = by_left.keys().copied().collect();
-                lefts.sort_unstable();
                 let kind = HitKind::JoinSmart { rows, cols };
                 let mut specs = Vec::new();
-                let mut layout = Vec::new();
-                for lchunk in lefts.chunks(rows) {
+                let mut layout = Vec::with_capacity(pairs.len());
+                let mut rights: Vec<usize> = Vec::new();
+                for lchunk in runs.chunks(rows) {
                     // Right items paired with any left in this chunk.
-                    let mut rights: Vec<usize> = lchunk
-                        .iter()
-                        .flat_map(|l| by_left[l].iter().copied())
-                        .collect();
+                    rights.clear();
+                    for &(_, start, end) in lchunk {
+                        rights.extend(pairs[start..end].iter().map(|p| p.1));
+                    }
                     rights.sort_unstable();
                     rights.dedup();
+                    // Every right item here pairs with some left of the
+                    // chunk, so no grid comes out empty.
                     for rchunk in rights.chunks(cols) {
                         let mut questions = Vec::new();
-                        let mut lay = Vec::new();
-                        for &i in lchunk {
+                        for &(i, start, end) in lchunk {
                             for &j in rchunk {
                                 // Only candidate crossings are scored.
-                                if by_left[&i].contains(&j) {
-                                    questions.push(q(&(i, j)));
-                                    lay.push((i, j));
+                                if let Ok(at) = pairs[start..end].binary_search(&(i, j)) {
+                                    questions.push(q((i, j)));
+                                    layout.push(start + at);
                                 }
                             }
                         }
-                        if !questions.is_empty() {
-                            specs.push(HitSpec::new(questions, kind));
-                            layout.push(lay);
-                        }
+                        specs.push(HitSpec::new(questions, kind));
                     }
                 }
                 (specs, layout)
@@ -211,60 +252,72 @@ impl JoinOp {
         }
     }
 
-    /// Fuse votes into the final match set.
-    fn combine(
-        &self,
-        pair_votes: &HashMap<(usize, usize), Vec<(WorkerId, bool)>>,
-    ) -> Vec<(usize, usize)> {
-        let mut matches: Vec<(usize, usize)> = match self.combiner {
-            CombinerKind::MajorityVote => pair_votes
-                .iter()
-                .filter(|(_, votes)| {
-                    let bools: Vec<bool> = votes.iter().map(|&(_, b)| b).collect();
-                    majority_vote_bool(&bools)
-                })
-                .map(|(&p, _)| p)
-                .collect(),
-            CombinerKind::QualityAdjust => {
-                let mut interner = WorkerInterner::new();
-                let mut pair_ids: Vec<(usize, usize)> = pair_votes.keys().copied().collect();
-                pair_ids.sort_unstable();
-                let index: HashMap<(usize, usize), usize> =
-                    pair_ids.iter().enumerate().map(|(n, &p)| (p, n)).collect();
-                let mut obs = Vec::new();
-                for (&p, votes) in pair_votes {
-                    for &(w, b) in votes {
-                        obs.push(LabelObservation {
-                            worker: interner.intern(w),
-                            item: index[&p],
-                            label: usize::from(b),
-                        });
-                    }
-                }
-                // The paper's configuration: 5 EM iterations, false
-                // negatives penalized twice as heavily (§3.3.2).
-                let qa = QualityAdjust::new(QualityAdjustConfig::paper_join());
-                let out = qa.run(&obs);
-                pair_ids
-                    .into_iter()
-                    .filter(|p| out.decision_bool(index[p]))
+    /// Fuse votes into the final match set (ascending, like
+    /// `pair_votes`).
+    fn combine(&self, pair_votes: &[PairVotes]) -> Vec<(usize, usize)> {
+        match self.combiner {
+            CombinerKind::MajorityVote => {
+                let mut bools: Vec<bool> = Vec::new();
+                pair_votes
+                    .iter()
+                    .filter(|(_, votes)| {
+                        bools.clear();
+                        bools.extend(votes.iter().map(|&(_, b)| b));
+                        majority_vote_bool(&bools)
+                    })
+                    .map(|&(p, _)| p)
                     .collect()
             }
-        };
-        matches.sort_unstable();
-        matches
+            CombinerKind::QualityAdjust => {
+                let (out, _) = quality_adjust(pair_votes);
+                pair_votes
+                    .iter()
+                    .enumerate()
+                    .filter(|&(item, _)| out.decision_bool(item))
+                    .map(|(_, &(p, _))| p)
+                    .collect()
+            }
+        }
     }
+}
+
+/// The paper's QualityAdjust configuration (5 EM iterations, false
+/// negatives penalized twice as heavily, §3.3.2) run over `pair_votes`.
+/// EM item `n` is `pair_votes[n]`; EM worker `w` is the returned
+/// `workers[w]`, the distinct voters in ascending order.
+fn quality_adjust(pair_votes: &[PairVotes]) -> (QualityAdjustOutput, Vec<WorkerId>) {
+    // A sorted Vec, not a hash map: the pool is small (hundreds), so
+    // each lookup is a short binary search over cache-resident ids.
+    let mut workers: Vec<WorkerId> = Vec::new();
+    for (_, votes) in pair_votes {
+        for &(w, _) in votes {
+            if let Err(at) = workers.binary_search(&w) {
+                workers.insert(at, w);
+            }
+        }
+    }
+    let mut obs = Vec::with_capacity(pair_votes.iter().map(|(_, v)| v.len()).sum());
+    for (item, (_, votes)) in pair_votes.iter().enumerate() {
+        for &(w, b) in votes {
+            obs.push(LabelObservation {
+                // Always `Ok`: every voter was inserted above.
+                worker: workers.binary_search(&w).unwrap_or_else(|at| at),
+                item,
+                label: usize::from(b),
+            });
+        }
+    }
+    let qa = QualityAdjust::new(QualityAdjustConfig::paper_join());
+    (qa.run(&obs), workers)
 }
 
 /// Identify spam-scoring workers from raw join votes via the
 /// QualityAdjust EM (§6: the QA output "is able to effectively
 /// eliminate and identify workers who generate spam answers"; in a
 /// non-experimental deployment these workers are banned via
-/// [`CrowdBackend::ban_workers`]).
-pub fn identify_spammers(
-    pair_votes: &HashMap<(usize, usize), Vec<(WorkerId, bool)>>,
-    threshold: f64,
-) -> Vec<WorkerId> {
+/// [`CrowdBackend::ban_workers`]). Returned in ascending `WorkerId`
+/// order.
+pub fn identify_spammers(pair_votes: &[PairVotes], threshold: f64) -> Vec<WorkerId> {
     identify_spammers_with_min_answers(pair_votes, threshold, 8)
 }
 
@@ -272,36 +325,16 @@ pub fn identify_spammers(
 /// fewer than `min_answers` votes are never flagged (their confusion
 /// matrices are too poorly estimated to condemn them).
 pub fn identify_spammers_with_min_answers(
-    pair_votes: &HashMap<(usize, usize), Vec<(WorkerId, bool)>>,
+    pair_votes: &[PairVotes],
     threshold: f64,
     min_answers: usize,
 ) -> Vec<WorkerId> {
-    let mut interner = WorkerInterner::new();
-    let mut reverse: Vec<WorkerId> = Vec::new();
-    let mut pair_ids: Vec<(usize, usize)> = pair_votes.keys().copied().collect();
-    pair_ids.sort_unstable();
-    let index: HashMap<(usize, usize), usize> =
-        pair_ids.iter().enumerate().map(|(n, &p)| (p, n)).collect();
-    let mut obs = Vec::new();
-    for (&pair, votes) in pair_votes {
-        for &(w, b) in votes {
-            let id = interner.intern(w);
-            if id == reverse.len() {
-                reverse.push(w);
-            }
-            obs.push(LabelObservation {
-                worker: id,
-                item: index[&pair],
-                label: usize::from(b),
-            });
-        }
-    }
-    let qa = QualityAdjust::new(QualityAdjustConfig::paper_join());
-    let out = qa.run(&obs);
+    let (out, workers) = quality_adjust(pair_votes);
+    // `spammers` is ascending in EM id, and EM ids follow `WorkerId`.
     out.spammers(threshold)
         .into_iter()
         .filter(|&id| out.worker_answer_counts[id] >= min_answers)
-        .map(|id| reverse[id])
+        .map(|id| workers[id])
         .collect()
 }
 
@@ -379,8 +412,8 @@ pub mod feature_filter {
         /// Why each feature was kept/dropped (diagnostics).
         pub decisions: Vec<String>,
         /// Candidate (left_idx, right_idx) pairs passing the selected
-        /// filters.
-        pub candidates: HashSet<(usize, usize)>,
+        /// filters, ascending (what [`JoinOp::run`] takes).
+        pub candidates: Vec<(usize, usize)>,
         /// κ per feature (left and right tables pooled).
         pub kappas: Vec<f64>,
         /// Estimated selectivity per feature.
@@ -421,6 +454,7 @@ pub mod feature_filter {
                         .iter()
                         .map(|&item| Question::Feature {
                             item,
+                            // lint:allow(hot-clone): each question owns its feature name.
                             feature: f.name.clone(),
                             num_options: f.num_options,
                         })
@@ -504,11 +538,11 @@ pub mod feature_filter {
             left: &Extraction,
             right: &Extraction,
         ) -> f64 {
-            let labels: Vec<Vec<usize>> = left
+            let labels: Vec<&[usize]> = left
                 .votes
                 .iter()
                 .chain(right.votes.iter())
-                .map(|row| row[feature_idx].clone())
+                .map(|row| row[feature_idx].as_slice())
                 .collect();
             let counts = counts_from_labels(&labels, num_options + 1);
             fleiss_kappa(&counts).unwrap_or(0.0)
@@ -549,18 +583,20 @@ pub mod feature_filter {
             (agree + lu + ru - lu * ru).min(1.0)
         }
 
-        /// Candidate pairs under the selected features: pass iff every
-        /// selected feature agrees or either side is UNKNOWN. Runs via
-        /// the hash-partitioned generator in [`crate::ops::partition`],
-        /// which produces the same set as the full |L|×|R| scan.
+        /// Candidate pairs under the selected features, ascending: pass
+        /// iff every selected feature agrees or either side is UNKNOWN.
+        /// Runs via the hash-partitioned generator in
+        /// [`crate::ops::partition`], which produces the same set as the
+        /// full |L|×|R| scan.
         pub fn candidates(
             selected: &[usize],
             left: &Extraction,
             right: &Extraction,
-        ) -> HashSet<(usize, usize)> {
-            crate::ops::partition::candidate_pairs(selected, &left.values, &right.values)
-                .into_iter()
-                .collect()
+        ) -> Vec<(usize, usize)> {
+            let mut pairs =
+                crate::ops::partition::candidate_pairs(selected, &left.values, &right.values);
+            pairs.sort_unstable();
+            pairs
         }
 
         /// Run the full pipeline: sample-extract, test features
@@ -629,7 +665,7 @@ pub mod feature_filter {
                     let cand_minus = Self::candidates(&others, &left_sample, &right_sample);
                     let out = join.run(backend, ls, rs, Some(&cand_minus))?;
                     hits_posted += out.hits_posted;
-                    let j_minus: HashSet<(usize, usize)> = out.matches.iter().copied().collect();
+                    let j_minus = out.matches;
                     if j_minus.is_empty() {
                         kept.push(fi);
                         continue;
@@ -657,8 +693,11 @@ pub mod feature_filter {
             }
 
             // --- Phase 4: full extraction of surviving features. ---
-            let survivors: Vec<FeatureSpec> =
-                selected.iter().map(|&fi| features[fi].clone()).collect();
+            let survivors: Vec<FeatureSpec> = selected
+                .iter()
+                // lint:allow(hot-clone): one spec per surviving feature, once per run.
+                .map(|&fi| features[fi].clone())
+                .collect();
             let (mut left_full, h3) = self.extract(backend, &survivors, left_items)?;
             let (mut right_full, h4) = self.extract(backend, &survivors, right_items)?;
             hits_posted += h3 + h4;
@@ -806,8 +845,9 @@ mod tests {
     #[test]
     fn candidate_mask_restricts_pairs() {
         let (mut m, l, r) = join_market(6, 4);
-        let candidates: HashSet<(usize, usize)> =
+        let mut candidates: Vec<(usize, usize)> =
             (0..6).map(|i| (i, i)).chain([(0, 1), (1, 0)]).collect();
+        candidates.sort_unstable();
         let op = JoinOp::default();
         let out = op.run(&mut m, &l, &r, Some(&candidates)).unwrap();
         // 8 candidates / batch 5 -> 2 HITs.
@@ -822,9 +862,7 @@ mod tests {
     #[test]
     fn empty_candidates_is_noop() {
         let (mut m, l, r) = join_market(3, 5);
-        let out = JoinOp::default()
-            .run(&mut m, &l, &r, Some(&HashSet::new()))
-            .unwrap();
+        let out = JoinOp::default().run(&mut m, &l, &r, Some(&[])).unwrap();
         assert!(out.matches.is_empty());
         assert_eq!(out.hits_posted, 0);
         assert_eq!(m.hits_posted(), 0);

@@ -1141,11 +1141,9 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
             combiner: join_task.combiner,
             ..op.clone()
         };
-        let pairs_asked = candidates
-            .as_ref()
-            .map(|c| c.len())
-            .unwrap_or(left_items.len() * right_items.len());
-        let outcome = op.run(self.backend, &left_items, &right_items, candidates.as_ref())?;
+        let candidates = candidates.as_deref();
+        let pairs_asked = candidates.map_or(left_items.len() * right_items.len(), <[_]>::len);
+        let outcome = op.run(self.backend, &left_items, &right_items, candidates)?;
         self.stats
             .record_join(&clause.on.name, pairs_asked, outcome.matches.len());
 

@@ -261,9 +261,10 @@ pub fn modified_fleiss_kappa_flat(counts: &CountMatrix) -> Result<f64, KappaErro
     Ok(p_bar - p_e)
 }
 
-pub fn counts_from_labels(labels: &[Vec<usize>], num_categories: usize) -> Vec<Vec<u32>> {
+pub fn counts_from_labels<R: AsRef<[usize]>>(labels: &[R], num_categories: usize) -> Vec<Vec<u32>> {
     labels
         .iter()
+        .map(AsRef::as_ref)
         .filter(|row| row.len() >= 2)
         .map(|row| {
             let mut c = vec![0u32; num_categories];

@@ -37,10 +37,10 @@
 //!   (`File::open`, `fs::read*`) is unrestricted.
 //! * **hot-clone** — in modules that declare `// lint:hot-path` (the
 //!   data-layout pass's interning, relation, EM, metrics, and
-//!   candidate-generation modules, and the crowd simulator's
-//!   marketplace and ground truth), no `.clone()` in production code
-//!   unless the call site carries a `// lint:allow(hot-clone): <why>`
-//!   marker. Those modules were flattened specifically to kill
+//!   candidate-generation modules, the join operator, and the crowd
+//!   simulator's marketplace and ground truth), no `.clone()` in
+//!   production code unless the call site carries a
+//!   `// lint:allow(hot-clone): <why>` marker. Those modules were flattened specifically to kill
 //!   steady-state allocation; an unexamined clone is how the layout
 //!   work silently rots.
 //!
