@@ -133,10 +133,12 @@ pub enum Frame {
     Eof,
 }
 
-/// Write one `<len>\n<body>` frame.
+/// Write one `<len>\n<body>` frame as a single `write_all`, without
+/// flushing. A server wraps its socket in a `BufWriter` and flushes
+/// only when it is about to block on a read, so a whole reply — `RUN`'s
+/// result frames and its `OK` — leaves in one syscall.
 pub fn write_frame<W: Write + ?Sized>(w: &mut W, body: &str) -> io::Result<()> {
-    write!(w, "{}\n{}", body.len(), body)?;
-    w.flush()
+    w.write_all(format!("{}\n{body}", body.len()).as_bytes())
 }
 
 /// Read one `<len>\n<body>` frame. Blank lines between frames are
@@ -229,6 +231,38 @@ mod tests {
         assert_eq!(body(read_frame(&mut r).unwrap()), "TENANT alice BUDGET 2.5");
         assert_eq!(body(read_frame(&mut r).unwrap()), "RUN");
         assert_eq!(read_frame(&mut r).unwrap(), Frame::Eof);
+    }
+
+    /// A `Write` double that counts the calls reaching it.
+    #[derive(Default)]
+    struct Counting {
+        bytes: Vec<u8>,
+        writes: usize,
+        flushes: usize,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    /// One frame is one `write` and no `flush`: with Nagle off, each
+    /// small write would be its own packet, and a flush per frame
+    /// would defeat the caller's buffering.
+    #[test]
+    fn write_frame_is_one_write_and_no_flush() {
+        let mut w = Counting::default();
+        write_frame(&mut w, "OK queued #3").unwrap();
+        assert_eq!((w.writes, w.flushes), (1, 0));
+        assert_eq!(w.bytes, b"12\nOK queued #3");
     }
 
     #[test]

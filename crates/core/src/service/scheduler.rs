@@ -850,6 +850,32 @@ mod tests {
         assert_eq!(splits, [(2, 0), (1, 1), (0, 2)], "first to commit pays");
     }
 
+    /// Query meters are batch-scoped: after 50 batches of one to three
+    /// queries, the shared market holds meters for the last batch only.
+    #[test]
+    fn query_meters_do_not_outlive_their_batch() {
+        let mut catalog = Catalog::new();
+        let mut rel = Relation::new(Schema::new(&[("id", ValueType::Int)]));
+        rel.push(vec![Value::Int(0)]).unwrap();
+        catalog.register_table("nums", rel);
+        let market = Marketplace::new(&CrowdConfig::default().with_seed(1), GroundTruth::new());
+        let mut svc = QueryService::new(&catalog, market);
+        svc.register_tenant("t", None);
+        let mut served = 0;
+        for batch in 0..50 {
+            let size = batch % 3 + 1;
+            for _ in 0..size {
+                svc.submit("t", "SELECT n.id FROM nums AS n").unwrap();
+            }
+            let reports = svc.run_pending();
+            assert!(reports.iter().all(Result::is_ok));
+            served += reports.len();
+            assert_eq!(svc.shared.metered_queries(), size, "batch {batch}");
+        }
+        assert_eq!(served, 99);
+        assert_eq!(svc.shared.metered_queries(), 2, "the last batch's two");
+    }
+
     /// The query thread must execute the plan admission prepared, never
     /// a recompile of it: a submission whose compiled plan is altered
     /// after admission runs the altered plan — until the statistics

@@ -87,7 +87,8 @@ impl<B: CrowdBackend> SharedMarket<B> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Register a new query; the returned id keys its meter.
+    /// Register a new query; the returned id keys its meter until the
+    /// next [`Self::begin_batch`].
     pub fn register_query(&self) -> usize {
         let mut m = self.lock();
         m.queries.push(QueryMeter::default());
@@ -254,10 +255,21 @@ impl<B: CrowdBackend> SharedMarket<B> {
         }
     }
 
-    /// Batch boundary for the shared cache's eviction bound (see
-    /// [`CachingBackend::begin_batch`]).
+    /// Batch boundary: the shared cache applies its eviction bound
+    /// (see [`CachingBackend::begin_batch`]) and the previous batch's
+    /// query meters are dropped — nothing reads them after its reports
+    /// are built, so query ids are batch-scoped and a long-lived
+    /// service holds meters for one batch only.
     pub fn begin_batch(&self) {
-        self.lock().backend.begin_batch();
+        let mut m = self.lock();
+        m.backend.begin_batch();
+        m.queries.clear();
+    }
+
+    /// Query meters currently held.
+    #[cfg(test)]
+    pub(crate) fn metered_queries(&self) -> usize {
+        self.lock().queries.len()
     }
 
     /// Bound the shared task cache to `max` recorded specs, LRU-evicted

@@ -15,8 +15,13 @@
 //! reads go through `qurk::service::protocol::read_frame`, which
 //! bounds every body by `MAX_FRAME_BYTES` — a garbage length prefix
 //! from the network is a framing error, not an allocation.
+//!
+//! Every accepted socket has `TCP_NODELAY` set, and the session
+//! writes into a `BufWriter` that it flushes only when it is about to
+//! block on the next read or end the session: one reply, however
+//! many frames, is one `write` syscall and leaves at once.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::TcpListener;
 
 use crate::SessionEnd;
@@ -40,8 +45,11 @@ pub fn listen(
     }
     for (already_served, conn) in listener.incoming().enumerate() {
         let stream = conn?;
+        // Replies are small; with Nagle on, each would wait for the
+        // client's delayed ACK (~40 ms) before leaving.
+        stream.set_nodelay(true)?;
         let mut reader = BufReader::new(stream.try_clone()?);
-        let mut writer = stream;
+        let mut writer = BufWriter::new(stream);
         let end = match session(&mut reader, &mut writer) {
             Ok(end) => end,
             Err(e) => {
@@ -50,7 +58,6 @@ pub fn listen(
                 SessionEnd::Eof
             }
         };
-        let _ = writer.flush();
         if matches!(end, SessionEnd::Shutdown) {
             break;
         }

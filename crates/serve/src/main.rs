@@ -230,6 +230,9 @@ fn serve<R: BufRead + ?Sized, W: Write + ?Sized>(
     let mut end = SessionEnd::Eof;
 
     loop {
+        // The one flush per request: the previous reply leaves in one
+        // write just before we block waiting for the next request.
+        out.flush()?;
         let body = match read_frame(input)? {
             Frame::Body(body) => body,
             Frame::Malformed { reason, resync } => {
@@ -338,6 +341,7 @@ fn serve<R: BufRead + ?Sized, W: Write + ?Sized>(
             }
         }
     }
+    out.flush()?;
     Ok(end)
 }
 
@@ -407,4 +411,60 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::BufWriter;
+
+    /// A `Write` double that keeps each `write` call's bytes apart.
+    #[derive(Default)]
+    struct Counting {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn script(requests: &[&str]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for r in requests {
+            write_frame(&mut bytes, r).unwrap();
+        }
+        bytes
+    }
+
+    /// Served the way the listener serves a socket, each request's
+    /// reply reaches the socket as exactly one write — `RUN`'s three
+    /// `RESULT` frames and its `OK` included — and the bytes are the
+    /// ones an unbuffered writer sees.
+    #[test]
+    fn one_write_per_request_through_a_bufwriter() {
+        let query = "QUERY alice SELECT p.id FROM people AS p WHERE isTall(p.img)";
+        let requests = ["TENANT alice", query, query, query, "RUN", "STATS", "QUIT"];
+        let input = script(&requests);
+
+        let mut buffered = BufWriter::new(Counting::default());
+        let end = serve(7, None, None, &mut &input[..], &mut buffered).unwrap();
+        assert_eq!(end, SessionEnd::Quit);
+        // No `into_inner`: that would flush, and `serve` must have.
+        let writes = &buffered.get_ref().writes;
+        assert_eq!(writes.len(), requests.len(), "one write per request");
+        let run_reply = String::from_utf8_lossy(&writes[4]);
+        assert_eq!(run_reply.matches("RESULT alice").count(), 3, "{run_reply}");
+        assert!(run_reply.ends_with("OK ran 3"), "{run_reply}");
+
+        let mut unbuffered = Counting::default();
+        serve(7, None, None, &mut &input[..], &mut unbuffered).unwrap();
+        assert_eq!(unbuffered.writes.concat(), writes.concat());
+    }
 }

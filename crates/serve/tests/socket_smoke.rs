@@ -2,10 +2,11 @@
 //! socket** instead of stdin/stdout, must produce byte-identical
 //! responses (the CI `serve-socket` job runs this test). Also covers
 //! the listener lifecycle: sequential connections each get a fresh
-//! deterministic world, and `SHUTDOWN` stops the accept loop.
+//! deterministic world, and `SHUTDOWN` stops the accept loop. The
+//! `wire_*` edge-case goldens are replayed over the socket too.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
@@ -69,6 +70,44 @@ fn golden_transcript_over_a_real_socket() {
     let bye = drive(&addr, b"8\nSHUTDOWN");
     assert_eq!(bye, "3\nBYE");
     let status = child.wait().expect("server exits after SHUTDOWN");
+    assert!(status.success(), "server exit: {status:?}");
+}
+
+/// Every `wire_*` golden, sent over TCP, gets its `.expected` reply
+/// byte for byte. The client half-closes after sending, as a script
+/// ends at EOF. In the fatal cases (`wire_oversized`,
+/// `wire_truncated`) the buffered `ERR` must still reach the client
+/// before the server closes the connection without a `BYE`.
+#[test]
+fn wire_goldens_over_a_real_socket() {
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data");
+    let mut stems: Vec<String> = std::fs::read_dir(data)
+        .expect("golden directory exists")
+        .filter_map(|e| {
+            let name = e.ok()?.file_name().into_string().ok()?;
+            let stem = name.strip_suffix(".qsh")?;
+            stem.starts_with("wire_").then(|| stem.to_owned())
+        })
+        .collect();
+    stems.sort();
+    assert_eq!(stems.len(), 4, "{stems:?}");
+    let (mut child, addr) = spawn_server(&["--max-conns", &stems.len().to_string()]);
+    for stem in &stems {
+        let script = std::fs::read(format!("{data}/{stem}.qsh")).expect("script exists");
+        let expected = std::fs::read(format!("{data}/{stem}.expected")).expect("golden exists");
+        let mut conn = connect(&addr);
+        conn.write_all(&script).expect("send script");
+        conn.shutdown(Shutdown::Write).expect("half-close");
+        let mut got = Vec::new();
+        conn.read_to_end(&mut got)
+            .expect("server closes the connection");
+        assert_eq!(
+            String::from_utf8_lossy(&got),
+            String::from_utf8_lossy(&expected),
+            "{stem}: socket reply diverged from the golden file"
+        );
+    }
+    let status = child.wait().expect("server exits at the connection cap");
     assert!(status.success(), "server exit: {status:?}");
 }
 

@@ -27,7 +27,10 @@
 //!   additionally no unbounded reads (`.read_to_end(` /
 //!   `.read_to_string(`): every byte off the wire must go through
 //!   `read_frame`, whose bodies are bounded by `MAX_FRAME_BYTES` — a
-//!   hostile client must cost at most one frame of memory.
+//!   hostile client must cost at most one frame of memory — and a
+//!   file that accepts connections (`.incoming()` / `.accept()`) must
+//!   call `set_nodelay(true)`: with Nagle on, every small reply waits
+//!   ~40 ms for the client's delayed ACK.
 //! * **durable-fs** — no direct filesystem *writes* (`fs::write`,
 //!   `fs::rename`, `File::create`, `OpenOptions::new`, …) in
 //!   production code outside `crates/core/src/store/`. Durability has
@@ -358,6 +361,23 @@ fn check_service_blocking(
     };
     const POISONING_LOCKS: &[&str] = &[".lock().unwrap()", ".read().unwrap()", ".write().unwrap()"];
     const UNBOUNDED_READS: &[&str] = &[".read_to_end(", ".read_to_string("];
+    const ACCEPTS: &[&str] = &[".incoming()", ".accept()"];
+    if serve_bin && !lines.iter().any(|(_, l)| l.contains("set_nodelay(true)")) {
+        if let Some((n, _)) = lines
+            .iter()
+            .find(|(_, l)| ACCEPTS.iter().any(|p| l.contains(p)))
+        {
+            out.push(Violation {
+                rule: "service-blocking",
+                file: file.to_path_buf(),
+                line: *n,
+                message: "accepted sockets in the listener binary without \
+                          `set_nodelay(true)`: Nagle plus the client's delayed ACK \
+                          hold every small reply for ~40 ms"
+                    .to_owned(),
+            });
+        }
+    }
     for (n, line) in lines {
         if line.contains("thread::sleep") {
             out.push(Violation {
@@ -546,14 +566,14 @@ mod tests {
         // Each rule fires a known number of times: the marked
         // unwraps, the cfg(test) Marketplace use, and the
         // commented-out mentions must all be skipped.
-        // service-blocking fires three times: the service fixture's
-        // sleep plus the listener fixture's sleep-poll and
-        // read_to_end.
+        // service-blocking fires four times: the service fixture's
+        // sleep plus the listener fixture's sleep-poll, read_to_end
+        // and accept loop without set_nodelay.
         for (rule, expected) in [
             ("ops-unwrap", 1),
             ("marketplace-isolation", 1),
             ("interior-mutability", 1),
-            ("service-blocking", 3),
+            ("service-blocking", 4),
             ("durable-fs", 1),
             ("hot-clone", 1),
         ] {
