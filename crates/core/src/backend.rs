@@ -53,7 +53,7 @@ pub const RUN_TO_COMPLETION_SECS: f64 = 30.0 * 24.0 * 3600.0;
 /// module. See the module docs for the group contract.
 ///
 /// `Send + Sync` is part of the contract: the multi-tenant service
-/// ([`crate::service`]) runs each query on its own thread against a
+/// ([`crate::service`]) runs each query on a worker thread against a
 /// shared backend, so a backend that cannot cross threads cannot be
 /// served. Keep interiors behind `Mutex`/`RwLock` (never
 /// `Rc`/`RefCell` — `xtask lint` and `tests/send_sync.rs` enforce

@@ -15,8 +15,8 @@
 //!                                             │  submission order) │
 //!                                             └───────┬────────────┘
 //!             machine phase: ALL runnable            │ marketplace
-//!             query threads run in PARALLEL,         ▼ phase: one
-//!             then barrier on their events             shared clock
+//!             queries run in PARALLEL on             ▼ phase: one
+//!             reused workers, then barrier             shared clock
 //!                  ┌──────────────┐  stage   ┌────────────────────┐
 //!                  │ TenantBackend │ ──────► │ SharedMarket       │
 //!                  │ (stages posts,│ ◄────── │ (CachingBackend:   │
@@ -27,11 +27,13 @@
 //! ```
 //!
 //! * [`scheduler`] — [`QueryService`]: admission, tenant budgets, and
-//!   the barrier scheduler: between yield points all runnable query
-//!   threads execute concurrently (machine-side work genuinely
-//!   overlaps on multi-core hosts); shared-state writes happen only at
-//!   barriers, in submission order, so N concurrent queries still
-//!   produce byte-identical results to running them sequentially.
+//!   the barrier scheduler: between yield points all runnable queries
+//!   execute concurrently (machine-side work genuinely overlaps on
+//!   multi-core hosts) on query workers reused across batches, never
+//!   more than the largest batch needed; shared-state writes happen
+//!   only at barriers, in submission order, so N concurrent queries
+//!   still produce byte-identical results to running them
+//!   sequentially.
 //! * [`tenant`] — [`SharedMarket`] (the one
 //!   mutex-guarded backend + per-query meters) and
 //!   [`TenantBackend`] (a query's yielding

@@ -1,21 +1,23 @@
 //! The deterministic scheduler with a parallel machine phase.
 //!
 //! No async runtime is available (dependencies are vendored), so
-//! concurrency is plain threads. Every query runs on its own OS
-//! thread, started when the batch starts; only the **marketplace** is
-//! serialized on the one shared clock. Between yield points all
-//! runnable query threads execute **concurrently** — planning, EM
-//! combining, machine filters and sorts from N tenants genuinely
-//! overlap on a multi-core host — and determinism is preserved by a
-//! barrier. [`QueryService::run_pending`] loops over three steps:
+//! concurrency is plain threads. Queries run on **workers that outlive
+//! the batch**: worker `i` runs each batch's `i`-th query, and a worker
+//! is spawned only when a batch is larger than every batch before it.
+//! Only the **marketplace** is serialized on the one shared clock.
+//! Between yield points all runnable queries execute **concurrently**
+//! — planning, EM combining, machine filters and sorts from N tenants
+//! genuinely overlap on a multi-core host — and determinism is
+//! preserved by a barrier. [`QueryService::run_pending`] loops over
+//! three steps:
 //!
 //! 1. **Parallel machine phase** — resume *every* runnable query at
-//!    once. Each resumed thread runs machine-side until its next yield
+//!    once. Each resumed query runs machine-side until its next yield
 //!    and sends exactly one event: `NeedCrowd` (its next crowd round,
 //!    with the posts it staged locally — see [`TenantBackend`]) or
 //!    `Done`.
 //! 2. **Barrier** — the scheduler collects exactly one event per
-//!    resumed thread, then resolves them in **submission order**:
+//!    resumed query, then resolves them in **submission order**:
 //!    staged posts are committed to the shared market, rounds
 //!    journaled, and completed work folded into the shared cache — all
 //!    on the scheduler thread, so the marketplace, the meters and the
@@ -44,8 +46,9 @@
 //! steers the *next* batch's plans.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, SendError, Sender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use qurk_crowd::market::{HitGroupId, RunOutcome};
 
@@ -139,7 +142,7 @@ const DEADLINE_EPS: f64 = 1e-9;
 /// A multi-tenant query service over one shared marketplace.
 ///
 /// ```text
-/// let mut svc = QueryService::new(&catalog, backend);
+/// let mut svc = QueryService::new(Arc::new(catalog), backend);
 /// svc.register_tenant("alice", Some(5.0));
 /// svc.register_tenant("bob", None);
 /// svc.submit("alice", "SELECT ...")?;
@@ -150,37 +153,40 @@ const DEADLINE_EPS: f64 = 1e-9;
 /// Queries admitted by [`Self::submit`] execute concurrently on the
 /// next [`Self::run_pending`], sharing the marketplace clock, the
 /// task cache (identical specs across tenants are paid for once) and
-/// the statistics store. Machine-side work overlaps on real OS
-/// threads; only marketplace steps are serialized (module docs).
-pub struct QueryService<'c, B: CrowdBackend> {
-    catalog: &'c Catalog,
+/// the statistics store. Machine-side work overlaps on query workers
+/// the service keeps across batches; only marketplace steps are
+/// serialized (module docs).
+pub struct QueryService<B: CrowdBackend + 'static> {
+    catalog: Arc<Catalog>,
     shared: Arc<SharedMarket<B>>,
     stats: SharedStatistics,
-    config: ExecConfig,
+    config: Arc<ExecConfig>,
     tenants: Vec<TenantState>,
     pending: Vec<Submission>,
     /// Durable state (task cache, statistics, checkpoints, tenants) —
     /// attached via [`Self::with_store`], absent otherwise.
     store: Option<Arc<DurableStore>>,
+    workers: Workers,
 }
 
-impl<'c, B: CrowdBackend> QueryService<'c, B> {
+impl<B: CrowdBackend + 'static> QueryService<B> {
     /// A service with default execution configuration.
-    pub fn new(catalog: &'c Catalog, backend: B) -> Self {
+    pub fn new(catalog: Arc<Catalog>, backend: B) -> Self {
         Self::with_config(catalog, backend, ExecConfig::default())
     }
 
     /// A service whose sessions run under `config` (lint policy,
     /// operator defaults, optimizer mode).
-    pub fn with_config(catalog: &'c Catalog, backend: B, config: ExecConfig) -> Self {
+    pub fn with_config(catalog: Arc<Catalog>, backend: B, config: ExecConfig) -> Self {
         QueryService {
             catalog,
             shared: Arc::new(SharedMarket::new(backend)),
             stats: SharedStatistics::default(),
-            config,
+            config: Arc::new(config),
             tenants: Vec::new(),
             pending: Vec::new(),
             store: None,
+            workers: Workers::default(),
         }
     }
 
@@ -190,7 +196,7 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
     /// In-flight queries from a previous process are *not* re-queued
     /// automatically — call [`Self::recover`] to resume them.
     pub fn with_store(
-        catalog: &'c Catalog,
+        catalog: Arc<Catalog>,
         backend: B,
         config: ExecConfig,
         store: Arc<DurableStore>,
@@ -209,10 +215,11 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
             catalog,
             shared: Arc::new(SharedMarket::with_caching(caching)),
             stats: SharedStatistics::new(store.stats_snapshot()),
-            config,
+            config: Arc::new(config),
             tenants,
             pending: Vec::new(),
             store: Some(store),
+            workers: Workers::default(),
         }
     }
 
@@ -319,7 +326,7 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
     /// the exact plan that will execute.
     fn admit(&self, tenant: usize, sql: String, budget: Option<f64>) -> Result<Submission> {
         let (snapshot, stats_epoch) = self.stats.snapshot_with_epoch();
-        let prepared = prepare(parse_query(&sql)?, self.catalog, &self.config, &snapshot)?;
+        let prepared = prepare(parse_query(&sql)?, &self.catalog, &self.config, &snapshot)?;
         let effective = self.effective_budget(tenant, budget);
         prepared.gate(&sql, &self.config, &snapshot, effective)?;
         Ok(Submission {
@@ -412,13 +419,16 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
     /// Execute every pending query **concurrently** against the shared
     /// marketplace and return their reports in submission order.
     ///
-    /// Machine-side work runs in parallel on real OS threads; shared
-    /// state is only written at barriers and marketplace steps, in
-    /// submission order, so results are deterministic (module docs).
-    /// Budgets are fixed at batch start, so two same-tenant queries in
-    /// one batch can jointly overshoot a tenant budget by at most one
-    /// round each — the budget is re-checked before every subsequent
-    /// batch.
+    /// Machine-side work runs in parallel on the service's query
+    /// workers; shared state is only written at barriers and
+    /// marketplace steps, in submission order, so results are
+    /// deterministic (module docs). Budgets are fixed at batch start,
+    /// so two same-tenant queries in one batch can jointly overshoot a
+    /// tenant budget by at most one round each — the budget is
+    /// re-checked before every subsequent batch.
+    ///
+    /// Returns only once every query has dropped its [`TenantBackend`]
+    /// and its event senders, so no tenant backend outlives its batch.
     pub fn run_pending(&mut self) -> Vec<Result<QueryReport>> {
         let jobs = std::mem::take(&mut self.pending);
         if jobs.is_empty() {
@@ -427,63 +437,71 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
         // Batch boundary for the shared cache's eviction bound.
         self.shared.begin_batch();
         let (snapshot, epoch) = self.stats.snapshot_with_epoch();
-        let this = &*self;
-        let tasks = std::thread::scope(|scope| {
-            let (event_tx, event_rx) = channel::<SchedulerEvent>();
-            // The resume senders live inside the scope: if the
-            // scheduler panics or gives up, dropping them unparks every
-            // query thread so the scope's implicit join cannot deadlock.
-            let mut resume_txs: Vec<Sender<Resume>> = Vec::with_capacity(jobs.len());
-            let mut tasks = Vec::with_capacity(jobs.len());
-            for (i, job) in jobs.iter().enumerate() {
-                let market_query = this.shared.register_query();
-                let (resume_tx, resume_rx) = channel();
-                let shared = Arc::clone(&this.shared);
-                let backend =
-                    TenantBackend::new(shared, market_query, i, event_tx.clone(), resume_rx);
-                let budget = this.effective_budget(job.tenant, job.budget);
-                let (catalog, config, seed) = (this.catalog, &this.config, &snapshot);
-                let done_tx = event_tx.clone();
-                scope.spawn(move || {
-                    let msg = run_query(job, backend, catalog, config, seed, epoch, budget);
+        let seed = Arc::new(snapshot);
+        let (event_tx, event_rx) = channel::<SchedulerEvent>();
+        // Should the scheduler panic, unwinding drops the resume
+        // senders and unparks every query, so no worker is left stuck.
+        let mut resume_txs: Vec<Sender<Resume>> = Vec::with_capacity(jobs.len());
+        let mut tasks = Vec::with_capacity(jobs.len());
+        for (i, job) in jobs.into_iter().enumerate() {
+            let market_query = self.shared.register_query();
+            let (resume_tx, resume_rx) = channel();
+            let shared = Arc::clone(&self.shared);
+            let backend = TenantBackend::new(shared, market_query, i, event_tx.clone(), resume_rx);
+            let budget = self.effective_budget(job.tenant, job.budget);
+            tasks.push(Task {
+                tenant: job.tenant,
+                resumed: job.resumed,
+                ..Task::new(market_query, job.persist_id)
+            });
+            let (catalog, config) = (Arc::clone(&self.catalog), Arc::clone(&self.config));
+            let seed = Arc::clone(&seed);
+            let done_tx = event_tx.clone();
+            self.workers.dispatch(
+                i,
+                Box::new(move || {
+                    let msg = run_query(&job, backend, &catalog, &config, &seed, epoch, budget);
                     let _ = done_tx.send(SchedulerEvent::Done {
                         query: i,
                         msg: Box::new(msg),
                     });
-                });
-                resume_txs.push(resume_tx);
-                tasks.push(Task::new(market_query, job.persist_id));
-            }
-            // Only the query threads hold senders now, so `recv` fails
-            // once every thread has exited — even without its event.
-            drop(event_tx);
-            // Every thread starts at spawn: its first event is owed.
-            let mut running = tasks.len();
-            let mut finished = 0;
-            while finished < tasks.len() {
-                for (task, tx) in tasks.iter_mut().zip(&resume_txs) {
-                    if let Some(resume) = task.take_resume() {
-                        // A failed send means the thread is gone; the
-                        // short barrier below notices.
-                        let _ = tx.send(resume);
-                        running += 1;
-                    }
-                }
-                if running > 0 {
-                    let events: Vec<SchedulerEvent> = event_rx.iter().take(running).collect();
-                    let short = events.len() < running;
-                    running = 0;
-                    finished += this.resolve_barrier(&mut tasks, events);
-                    if short {
-                        break; // every thread exited, some without an event
-                    }
-                } else if !this.market_step(&mut tasks) {
-                    break; // defensive: nothing runnable, nothing waiting
+                }),
+            );
+            resume_txs.push(resume_tx);
+        }
+        // Only the jobs hold senders now, so `recv` fails once every
+        // job has ended — even without its event.
+        drop(event_tx);
+        // Every job starts at dispatch: its first event is owed.
+        let mut running = tasks.len();
+        let mut finished = 0;
+        while finished < tasks.len() {
+            for (task, tx) in tasks.iter_mut().zip(&resume_txs) {
+                if let Some(resume) = task.take_resume() {
+                    // A failed send means the job is gone; the short
+                    // barrier below notices.
+                    let _ = tx.send(resume);
+                    running += 1;
                 }
             }
-            tasks
-        });
-        self.finish(&jobs, tasks)
+            if running > 0 {
+                let events: Vec<SchedulerEvent> = event_rx.iter().take(running).collect();
+                let short = events.len() < running;
+                running = 0;
+                finished += self.resolve_barrier(&mut tasks, events);
+                if short {
+                    break; // every job ended, some without an event
+                }
+            } else if !self.market_step(&mut tasks) {
+                break; // defensive: nothing runnable, nothing waiting
+            }
+        }
+        // Closing the resume channels unparks any query the loop gave
+        // up on; the channel disconnects once every job has dropped its
+        // tenant backend and senders. Late events are discarded.
+        drop(resume_txs);
+        event_rx.iter().for_each(drop);
+        self.finish(tasks)
     }
 
     /// The barrier: commit the staged posts of every `NeedCrowd` event
@@ -618,11 +636,11 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
     /// Close a batch, in submission order: attribute each query's
     /// spend to its tenant, commit its statistics delta, attach its
     /// [`ServiceStats`], and retire its checkpoint.
-    fn finish(&mut self, jobs: &[Submission], tasks: Vec<Task>) -> Vec<Result<QueryReport>> {
-        let mut out = Vec::with_capacity(jobs.len());
-        for (job, task) in jobs.iter().zip(tasks) {
+    fn finish(&mut self, tasks: Vec<Task>) -> Vec<Result<QueryReport>> {
+        let mut out = Vec::with_capacity(tasks.len());
+        for task in tasks {
             let mq = task.market_query;
-            self.tenants[job.tenant].spent += self.shared.query_spend(mq);
+            self.tenants[task.tenant].spent += self.shared.query_spend(mq);
             let result = match task.done {
                 Some(msg) => {
                     self.stats.commit(&msg.stats_delta);
@@ -631,13 +649,13 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
                     }
                     msg.result.map(|mut report| {
                         report.service = Some(ServiceStats {
-                            tenant: self.tenants[job.tenant].name.clone(),
+                            tenant: self.tenants[task.tenant].name.clone(),
                             queue_wait_secs: task.queue_wait_secs,
                             rounds: task.rounds,
                             rounds_shared: task.rounds_shared,
                             shared_cache_hits: self.shared.query_cached_hits(mq),
                             saved_dollars: self.shared.query_saved(mq),
-                            resumed: job.resumed,
+                            resumed: task.resumed,
                         });
                         report
                     })
@@ -652,12 +670,12 @@ impl<'c, B: CrowdBackend> QueryService<'c, B> {
                 // instead of piggybacking on work nobody is driving.
                 self.shared.release_query(mq);
             }
-            if let (Some(store), Some(id)) = (&self.store, job.persist_id) {
+            if let (Some(store), Some(id)) = (&self.store, task.persist_id) {
                 // The query resolved (either way) and its result was
                 // delivered: retire the checkpoint so a restart does
                 // not re-run it, and persist the tenant's new spend.
                 store.append_query_done(id);
-                let t = &self.tenants[job.tenant];
+                let t = &self.tenants[task.tenant];
                 store.append_tenant(&t.name, t.budget, t.spent);
             }
             out.push(result);
@@ -683,8 +701,12 @@ enum TaskState {
 struct Task {
     /// Market-side meter id.
     market_query: usize,
+    /// The submitting tenant (index into the service's tenants).
+    tenant: usize,
     /// Durable checkpoint id when the service has a store attached.
     persist_id: Option<u64>,
+    /// Resubmitted by [`QueryService::recover`] after a restart.
+    resumed: bool,
     state: TaskState,
     rounds: u64,
     rounds_shared: u64,
@@ -699,7 +721,9 @@ impl Task {
     fn new(market_query: usize, persist_id: Option<u64>) -> Self {
         Task {
             market_query,
+            tenant: 0,
             persist_id,
+            resumed: false,
             state: TaskState::Running,
             rounds: 0,
             rounds_shared: 0,
@@ -731,7 +755,77 @@ impl Task {
     }
 }
 
-/// One query thread: execute the plan admission analyzed — recompiled
+/// One query of a batch, handed to a worker: it runs the query and
+/// sends its `Done`, dropping its [`TenantBackend`] and event senders
+/// on the way out.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// The service's query workers, kept across batches. Worker `i` runs
+/// each batch's `i`-th query, so the pool grows only when a batch is
+/// larger than every batch before it, and never beyond the largest
+/// batch served. Dropping the pool closes every job channel and joins
+/// the workers.
+#[derive(Default)]
+struct Workers {
+    jobs: Vec<Sender<Job>>,
+    handles: Vec<JoinHandle<()>>,
+    /// Workers spawned over the pool's life, replacements included.
+    #[cfg(test)]
+    pub(crate) spawned: usize,
+}
+
+impl Workers {
+    /// Hand `job` to worker `i`. Jobs are dispatched in batch order,
+    /// so `i` is at most the pool size: a new slot spawns a worker, and
+    /// a worker that is gone (its job channel closed) is replaced.
+    fn dispatch(&mut self, i: usize, job: Job) {
+        let job = match self.jobs.get(i) {
+            Some(tx) => match tx.send(job) {
+                Ok(()) => return,
+                Err(SendError(job)) => job,
+            },
+            None => job,
+        };
+        let (tx, handle) = spawn_worker(i, job);
+        if i == self.jobs.len() {
+            self.jobs.push(tx);
+            self.handles.push(handle);
+        } else {
+            self.jobs[i] = tx;
+            // The old worker has exited (its receiver is gone); a
+            // panic it died of was already reported as its query's.
+            let _ = std::mem::replace(&mut self.handles[i], handle).join();
+        }
+        #[cfg(test)]
+        {
+            self.spawned += 1;
+        }
+    }
+}
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        // Closed channels end each worker's receive loop.
+        self.jobs.clear();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// Start worker `i` with `job` queued; it runs jobs until its channel
+/// closes. The only place the service starts a thread.
+fn spawn_worker(i: usize, job: Job) -> (Sender<Job>, JoinHandle<()>) {
+    let (tx, rx) = channel::<Job>();
+    tx.send(job).expect("the receiver is alive");
+    let handle = std::thread::Builder::new()
+        .name(format!("qurk-query-{i}"))
+        .spawn(move || rx.into_iter().for_each(|job| job()))
+        .expect("failed to spawn a query worker");
+    (tx, handle)
+}
+
+/// One query: execute the plan admission analyzed — recompiled
 /// from its AST only if the statistics moved past `epoch` — through
 /// `backend`, and return the result with what the query learned beyond
 /// `seed`. A panic becomes an `Err` report; a round the backend refused
@@ -801,8 +895,7 @@ mod tests {
                 gt.set_predicate(item, "p", truth);
             }
             let market = Marketplace::new(&CrowdConfig::default().with_seed(1), gt);
-            let catalog = Catalog::new();
-            let svc = QueryService::new(&catalog, market);
+            let svc = QueryService::new(Arc::new(Catalog::new()), market);
             let spec = |i: usize| {
                 let question = Question::Filter {
                     item: items[i],
@@ -859,7 +952,7 @@ mod tests {
         rel.push(vec![Value::Int(0)]).unwrap();
         catalog.register_table("nums", rel);
         let market = Marketplace::new(&CrowdConfig::default().with_seed(1), GroundTruth::new());
-        let mut svc = QueryService::new(&catalog, market);
+        let mut svc = QueryService::new(Arc::new(catalog), market);
         svc.register_tenant("t", None);
         let mut served = 0;
         for batch in 0..50 {
@@ -876,6 +969,99 @@ mod tests {
         assert_eq!(svc.shared.metered_queries(), 2, "the last batch's two");
     }
 
+    /// Workers outlive their batch: 50 batches of one to three queries
+    /// spawn exactly three workers, one per slot of the largest batch.
+    /// A thread per query would have started 99.
+    #[test]
+    fn workers_outlive_batches() {
+        let mut catalog = Catalog::new();
+        let mut rel = Relation::new(Schema::new(&[("id", ValueType::Int)]));
+        rel.push(vec![Value::Int(0)]).unwrap();
+        catalog.register_table("nums", rel);
+        let market = Marketplace::new(&CrowdConfig::default().with_seed(1), GroundTruth::new());
+        let mut svc = QueryService::new(Arc::new(catalog), market);
+        svc.register_tenant("t", None);
+        let mut served = 0;
+        for batch in 0..50 {
+            for _ in 0..batch % 3 + 1 {
+                svc.submit("t", "SELECT n.id FROM nums AS n").unwrap();
+            }
+            let reports = svc.run_pending();
+            assert!(reports.iter().all(Result::is_ok));
+            served += reports.len();
+        }
+        assert_eq!(served, 99);
+        assert_eq!(svc.workers.spawned, 3);
+    }
+
+    /// A failed query leaves its worker serving: after a batch whose
+    /// query fails with `InvalidDeadline`, the next batch runs on the
+    /// same worker, and no tenant backend outlives either batch.
+    #[test]
+    fn a_failed_query_keeps_its_worker() {
+        let mut gt = GroundTruth::new();
+        let items = gt.new_items(3);
+        let truth = PredicateTruth {
+            value: true,
+            error_rate: 0.0,
+        };
+        for &item in &items {
+            gt.set_predicate(item, "isTall", truth);
+        }
+        let mut catalog = Catalog::new();
+        let mut rel = Relation::new(Schema::new(&[
+            ("id", ValueType::Int),
+            ("img", ValueType::Item),
+        ]));
+        for (i, &item) in items.iter().enumerate() {
+            rel.push(vec![Value::Int(i as i64), Value::Item(item)])
+                .unwrap();
+        }
+        catalog.register_table("people", rel);
+        catalog
+            .define_tasks(
+                r#"TASK isTall(field) TYPE Filter:
+                    Prompt: "<img src='%s'> Tall?", tuple[field]
+                "#,
+            )
+            .unwrap();
+        let mut config = ExecConfig::default();
+        config.filter.limit_secs = f64::INFINITY;
+        let market = Marketplace::new(&CrowdConfig::default().with_seed(1), gt);
+        let mut svc = QueryService::with_config(Arc::new(catalog), market, config);
+        svc.register_tenant("t", None);
+
+        svc.submit("t", "SELECT p.id FROM people AS p WHERE isTall(p.img)")
+            .unwrap();
+        let failed = svc.run_pending().pop().unwrap();
+        assert!(
+            matches!(failed, Err(QurkError::InvalidDeadline { .. })),
+            "{failed:?}"
+        );
+        svc.submit("t", "SELECT p.id FROM people AS p").unwrap();
+        let ok = svc.run_pending().pop().unwrap();
+        assert_eq!(ok.expect("the good batch runs").relation.len(), 3);
+        assert_eq!(svc.workers.spawned, 1, "the good batch reused the worker");
+        let market = svc.into_backend();
+        assert_eq!(market.hits_posted(), 0);
+    }
+
+    /// A worker that died (its job channel closed) is replaced by the
+    /// next dispatch to its slot, and the job still runs.
+    #[test]
+    fn a_dead_worker_is_replaced() {
+        let mut workers = Workers::default();
+        workers.dispatch(0, Box::new(|| panic!("worker dies")));
+        while !workers.handles[0].is_finished() {
+            std::thread::yield_now();
+        }
+        let (tx, rx) = channel();
+        workers.dispatch(0, Box::new(move || tx.send(7).unwrap()));
+        assert_eq!(rx.recv(), Ok(7));
+        assert_eq!(workers.spawned, 2);
+        assert_eq!(workers.jobs.len(), 1);
+    }
+
     /// The query thread must execute the plan admission prepared, never
     /// a recompile of it: a submission whose compiled plan is altered
     /// after admission runs the altered plan — until the statistics
@@ -889,9 +1075,9 @@ mod tests {
         }
         catalog.register_table("nums", rel);
         let market = Marketplace::new(&CrowdConfig::default().with_seed(1), GroundTruth::new());
-        let mut svc = QueryService::new(&catalog, market);
+        let mut svc = QueryService::new(Arc::new(catalog), market);
         svc.register_tenant("t", None);
-        let limit_admitted_plan = |svc: &mut QueryService<'_, Marketplace>| {
+        let limit_admitted_plan = |svc: &mut QueryService<Marketplace>| {
             let compiled = &mut svc.pending[0].prepared.compiled;
             compiled.root = PhysicalPlan {
                 node: PhysNode::Limit {

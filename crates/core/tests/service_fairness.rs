@@ -23,7 +23,7 @@ use qurk_crowd::{CrowdConfig, EntityId, GroundTruth, Marketplace};
 
 const FILTER_SQL: &str = "SELECT p.id FROM people AS p WHERE isTall(p.img)";
 
-fn world(seed: u64) -> (Catalog, Marketplace) {
+fn world(seed: u64) -> (Arc<Catalog>, Marketplace) {
     let mut gt = GroundTruth::new();
     gt.define_dimension("height", DimensionParams::crisp(0.02));
     let items = gt.new_items(10);
@@ -61,7 +61,7 @@ fn world(seed: u64) -> (Catalog, Marketplace) {
             "#,
         )
         .unwrap();
-    (catalog, market)
+    (Arc::new(catalog), market)
 }
 
 /// Bound the shared cache, force evictions across batches, and prove
@@ -69,7 +69,7 @@ fn world(seed: u64) -> (Catalog, Marketplace) {
 #[test]
 fn eviction_repays_specs_and_the_books_still_balance() {
     let (catalog, market) = world(7);
-    let mut svc = QueryService::new(&catalog, market);
+    let mut svc = QueryService::new(Arc::clone(&catalog), market);
     // The filter batches 5 tuples per HIT, so 10 people make two
     // shared-cache specs; a 1-entry bound forces an eviction.
     svc.set_cache_max_entries(Some(1));
@@ -119,7 +119,7 @@ fn non_finite_round_deadlines_fail_the_query_not_the_service() {
         let (catalog, market) = world(7);
         let mut config = ExecConfig::default();
         config.filter.limit_secs = bad;
-        let mut svc = QueryService::with_config(&catalog, market, config);
+        let mut svc = QueryService::with_config(Arc::clone(&catalog), market, config);
         svc.register_tenant("alice", None);
         svc.register_tenant("bob", None);
         svc.submit("alice", FILTER_SQL).unwrap();
@@ -180,8 +180,12 @@ fn recover_readmits_through_the_admission_gate() {
     let (catalog, market) = world(7);
     let store = Arc::new(DurableStore::open(&path).unwrap());
     assert_eq!(store.live_checkpoints().len(), 4);
-    let mut svc =
-        QueryService::with_store(&catalog, market, ExecConfig::default(), Arc::clone(&store));
+    let mut svc = QueryService::with_store(
+        Arc::clone(&catalog),
+        market,
+        ExecConfig::default(),
+        Arc::clone(&store),
+    );
     let resumed = svc.recover();
     assert_eq!(resumed, 1, "only the admissible checkpoint is re-queued");
     assert_eq!(svc.pending_len(), 1);

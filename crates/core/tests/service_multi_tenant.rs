@@ -20,7 +20,7 @@ use qurk_crowd::{CrowdConfig, EntityId, GroundTruth, Marketplace};
 
 /// Ten people, five tall, heights 0..10 — same world the session
 /// tests use, with a Filter task and a Rank task.
-fn world(seed: u64) -> (Catalog, Marketplace) {
+fn world(seed: u64) -> (Arc<Catalog>, Marketplace) {
     let mut gt = GroundTruth::new();
     gt.define_dimension("height", DimensionParams::crisp(0.02));
     let items = gt.new_items(10);
@@ -58,7 +58,7 @@ fn world(seed: u64) -> (Catalog, Marketplace) {
             "#,
         )
         .unwrap();
-    (catalog, market)
+    (Arc::new(catalog), market)
 }
 
 const FILTER_SQL: &str = "SELECT p.id FROM people AS p WHERE isTall(p.img)";
@@ -67,7 +67,7 @@ const SORT_SQL: &str = "SELECT p.id FROM people AS p ORDER BY byHeight(p.img)";
 #[test]
 fn identical_specs_across_tenants_are_paid_once() {
     let (catalog, market) = world(7);
-    let mut svc = QueryService::new(&catalog, market);
+    let mut svc = QueryService::new(Arc::clone(&catalog), market);
     svc.register_tenant("alice", None);
     svc.register_tenant("bob", None);
     svc.submit("alice", FILTER_SQL).unwrap();
@@ -123,9 +123,9 @@ fn identical_specs_across_tenants_are_paid_once() {
 }
 
 /// Record every spec the 8-query batch needs, then replay.
-fn record_trace(catalog: &Catalog, queries: &[(&str, &str)]) -> ReplayTrace {
+fn record_trace(catalog: &Arc<Catalog>, queries: &[(&str, &str)]) -> ReplayTrace {
     let (_, market) = world(7);
-    let mut svc = QueryService::new(catalog, market);
+    let mut svc = QueryService::new(Arc::clone(catalog), market);
     for &(tenant, _) in queries {
         svc.register_tenant(tenant, None);
     }
@@ -157,7 +157,10 @@ fn eight_concurrent_queries_match_sequential_byte_for_byte() {
     let trace = record_trace(&catalog, &queries);
 
     // Concurrent: all 8 in one batch on one shared replayed market.
-    let mut conc = QueryService::new(&catalog, ReplayBackend::from_trace(trace.clone()));
+    let mut conc = QueryService::new(
+        Arc::clone(&catalog),
+        ReplayBackend::from_trace(trace.clone()),
+    );
     for &(tenant, _) in &queries {
         conc.register_tenant(tenant, None);
     }
@@ -174,7 +177,10 @@ fn eight_concurrent_queries_match_sequential_byte_for_byte() {
     // Sequential baseline: each query alone on its own replayed
     // market, planned from the same (empty) statistics snapshot.
     for (i, &(tenant, sql)) in queries.iter().enumerate() {
-        let mut seq = QueryService::new(&catalog, ReplayBackend::from_trace(trace.clone()));
+        let mut seq = QueryService::new(
+            Arc::clone(&catalog),
+            ReplayBackend::from_trace(trace.clone()),
+        );
         seq.register_tenant(tenant, None);
         seq.submit(tenant, sql).unwrap();
         let report = seq.run_pending().pop().unwrap().expect("sequential replay");
@@ -202,7 +208,7 @@ fn eight_concurrent_queries_match_sequential_byte_for_byte() {
 #[test]
 fn tenant_budgets_gate_queries_and_accumulate() {
     let (catalog, market) = world(7);
-    let mut svc = QueryService::new(&catalog, market);
+    let mut svc = QueryService::new(Arc::clone(&catalog), market);
     // Enough for the filter but not the sort behind it: the budget
     // gate refuses the second crowd operator mid-query.
     svc.register_tenant("cheap", Some(0.1));
@@ -236,7 +242,7 @@ fn tenant_budgets_gate_queries_and_accumulate() {
 #[test]
 fn unknown_tenants_and_bad_queries_are_rejected_at_submit() {
     let (catalog, market) = world(7);
-    let mut svc = QueryService::new(&catalog, market);
+    let mut svc = QueryService::new(Arc::clone(&catalog), market);
     svc.register_tenant("alice", None);
     assert!(svc.submit("mallory", FILTER_SQL).is_err());
     assert!(svc
@@ -248,7 +254,7 @@ fn unknown_tenants_and_bad_queries_are_rejected_at_submit() {
 #[test]
 fn a_service_survives_multiple_batches_and_reuses_the_cache() {
     let (catalog, market) = world(7);
-    let mut svc = QueryService::new(&catalog, market);
+    let mut svc = QueryService::new(Arc::clone(&catalog), market);
     svc.register_tenant("alice", None);
     svc.submit("alice", FILTER_SQL).unwrap();
     let first = svc.run_pending().pop().unwrap().unwrap();
@@ -285,7 +291,8 @@ fn admission_prices_the_tenants_remaining_budget() {
         ..Default::default()
     };
     let store = Arc::new(DurableStore::open(&path).unwrap());
-    let mut svc = QueryService::with_store(&catalog, market, config, Arc::clone(&store));
+    let mut svc =
+        QueryService::with_store(Arc::clone(&catalog), market, config, Arc::clone(&store));
     svc.register_tenant("broke", Some(0.0));
     match svc.submit("broke", FILTER_SQL) {
         Err(QurkError::Rejected { diagnostics }) => {
@@ -313,7 +320,7 @@ fn admission_prices_the_tenants_remaining_budget() {
 #[test]
 fn statistics_learned_after_admission_recompile_the_plan() {
     let (mut catalog, market) = world(7);
-    catalog
+    Arc::make_mut(&mut catalog)
         .define_tasks(
             r#"TASK isBlond(field) TYPE Filter:
                 Prompt: "<img src='%s'> Blond?", tuple[field]
@@ -321,7 +328,7 @@ fn statistics_learned_after_admission_recompile_the_plan() {
         )
         .unwrap();
     let sql = "SELECT p.id FROM people AS p WHERE isTall(p.img) AND isBlond(p.img)";
-    let mut svc = QueryService::new(&catalog, market);
+    let mut svc = QueryService::new(Arc::clone(&catalog), market);
     svc.register_tenant("alice", None);
     svc.submit("alice", sql).unwrap();
     svc.statistics().record_filter("isTall", 100, 90);

@@ -5,6 +5,8 @@
 //! only the byte-identity half; the wall-clock half is opt-in
 //! (`--ignored`) and runs in the bench-wallclock CI job.
 
+use std::sync::Arc;
+
 use std::time::Instant;
 
 use qurk::service::QueryService;
@@ -14,7 +16,7 @@ use qurk_crowd::{CrowdConfig, GroundTruth, Marketplace};
 /// Machine-only world: a wide table big enough that scanning and
 /// projecting it costs real CPU, and no crowd tasks at all — the
 /// whole query is machine phase.
-fn machine_world(rows: i64) -> Catalog {
+fn machine_world(rows: i64) -> Arc<Catalog> {
     let mut catalog = Catalog::new();
     let mut rel = Relation::new(Schema::new(&[
         ("id", ValueType::Int),
@@ -32,7 +34,7 @@ fn machine_world(rows: i64) -> Catalog {
         .unwrap();
     }
     catalog.register_table("big", rel);
-    catalog
+    Arc::new(catalog)
 }
 
 fn market() -> Marketplace {
@@ -46,16 +48,16 @@ const ROWS: i64 = 300_000;
 
 /// Warm up (page in the table, stabilize allocator state) and capture
 /// the reference relation.
-fn reference(catalog: &Catalog) -> Relation {
-    let mut svc = QueryService::new(catalog, market());
+fn reference(catalog: &Arc<Catalog>) -> Relation {
+    let mut svc = QueryService::new(Arc::clone(catalog), market());
     svc.register_tenant("warm", None);
     svc.submit("warm", SQL).unwrap();
     svc.run_pending().pop().unwrap().unwrap().relation
 }
 
 /// Sequential: N single-query batches, one after another.
-fn run_sequential(catalog: &Catalog, reference: &Relation) {
-    let mut svc = QueryService::new(catalog, market());
+fn run_sequential(catalog: &Arc<Catalog>, reference: &Relation) {
+    let mut svc = QueryService::new(Arc::clone(catalog), market());
     svc.register_tenant("t", None);
     for _ in 0..N {
         svc.submit("t", SQL).unwrap();
@@ -65,9 +67,9 @@ fn run_sequential(catalog: &Catalog, reference: &Relation) {
 }
 
 /// Concurrent: the same N queries in ONE batch — the machine phase
-/// runs them all on their own OS threads between barriers.
-fn run_batch(catalog: &Catalog) -> Vec<Relation> {
-    let mut svc = QueryService::new(catalog, market());
+/// runs them all on their own worker threads between barriers.
+fn run_batch(catalog: &Arc<Catalog>) -> Vec<Relation> {
+    let mut svc = QueryService::new(Arc::clone(catalog), market());
     svc.register_tenant("t", None);
     for _ in 0..N {
         svc.submit("t", SQL).unwrap();

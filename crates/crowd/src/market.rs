@@ -28,7 +28,7 @@ use rand::{RngExt, SeedableRng};
 use crate::config::CrowdConfig;
 use crate::pricing::{Ledger, Price};
 use crate::question::{Answer, HitContext, HitKind, Question};
-use crate::rng::{exponential, normal};
+use crate::rng::{exponential, normal, ZipfSampler};
 use crate::sim::{EventQueue, SimConfig, SimTime};
 use crate::truth::GroundTruth;
 use crate::worker::{WorkerId, WorkerPool};
@@ -119,6 +119,9 @@ struct GroupState {
     /// Per worker (dense id): how many of `open` that worker touched.
     /// A worker can take `open.len() - touched_open[w]` HITs here.
     touched_open: Vec<u32>,
+    /// Positions in the marketplace's completed assignments of this
+    /// group's, in completion order.
+    done: Vec<usize>,
 }
 
 #[derive(Debug)]
@@ -153,11 +156,16 @@ pub enum RunOutcome {
 /// HITs and how many of them each worker has touched, so an arrival
 /// costs O(groups) and finding a worker's next HIT skips only HITs that
 /// worker already touched. `Self::update_hit` is the only writer of a
-/// HIT's counters, so the index cannot drift.
+/// HIT's counters, so the index cannot drift. Each group also lists
+/// its completed assignments, so reading one group's answers does not
+/// scan every assignment the marketplace has completed.
 pub struct Marketplace {
     truth: GroundTruth,
     pool: WorkerPool,
     sim: SimConfig,
+    /// Session lengths, `P(k) ∝ k^(−session_zipf_s)` over
+    /// `1..=session_zipf_n`, built once from `sim`.
+    session_len: ZipfSampler,
     price: Price,
     pub ledger: Ledger,
     default_assignments: u32,
@@ -182,6 +190,7 @@ impl Marketplace {
             pool: WorkerPool::generate(&config.workers, config.seed),
             // lint:allow(hot-clone): once per marketplace, not per event
             sim: config.sim.clone(),
+            session_len: ZipfSampler::new(config.sim.session_zipf_n, config.sim.session_zipf_s),
             price: config.price,
             ledger: Ledger::new(),
             default_assignments: config.assignments_per_hit,
@@ -270,6 +279,7 @@ impl Marketplace {
             hits: hit_ids,
             posted_at: self.now,
             touched_open: vec![0; self.pool.len()],
+            done: Vec::new(),
         });
         group
     }
@@ -325,9 +335,11 @@ impl Marketplace {
     }
 
     /// Completed assignments for a group (all of them, in completion
-    /// order).
+    /// order). Reads the group's own index, so the cost does not grow
+    /// with the marketplace's other work.
     pub fn assignments(&self, group: HitGroupId) -> impl Iterator<Item = &Assignment> {
-        self.completed.iter().filter(move |a| a.group == group)
+        let done = self.groups.get(group.0).map_or(&[][..], |g| &g.done);
+        done.iter().map(|&i| &self.completed[i])
     }
 
     /// Drain all assignments completed since the last drain.
@@ -508,11 +520,7 @@ impl Marketplace {
             }
 
             // Session length (Zipf-ish heavy tail).
-            let session = crate::rng::zipf(
-                &mut self.rng,
-                self.sim.session_zipf_n,
-                self.sim.session_zipf_s,
-            ) as u32;
+            let session = self.session_len.sample(&mut self.rng) as u32;
             self.start_assignment(worker_id, first_hit, session.saturating_sub(1));
             return;
         }
@@ -572,6 +580,7 @@ impl Marketplace {
         self.pool.get_mut(worker).completed += 1;
         self.ledger.charge(self.price);
         let id = AssignmentId(self.completed.len());
+        self.groups[group.0].done.push(id.0);
         self.completed.push(Assignment {
             id,
             hit,
@@ -610,6 +619,10 @@ impl Marketplace {
                     .count();
                 assert_eq!(count as usize, touched, "touched_open[{w}] of group {gi}");
             }
+            let done: Vec<usize> = (0..self.completed.len())
+                .filter(|&i| self.completed[i].group == HitGroupId(gi))
+                .collect();
+            assert_eq!(g.done, done, "completed assignments of group {gi}");
         }
         for h in &self.hits {
             assert!(h.completed + h.in_flight <= h.assignments_requested);

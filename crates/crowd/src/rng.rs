@@ -58,13 +58,8 @@ pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
     }
 }
 
-/// Zipf draw over `1..=n` with exponent `s` by inversion over the
-/// precomputed CDF. For repeated sampling prefer [`ZipfSampler`].
-pub fn zipf<R: Rng + ?Sized>(rng: &mut R, n: u64, s: f64) -> u64 {
-    ZipfSampler::new(n, s).sample(rng)
-}
-
-/// Precomputed Zipf sampler: `P(k) ∝ k^(−s)` for `k ∈ 1..=n`.
+/// Precomputed Zipf sampler: `P(k) ∝ k^(−s)` for `k ∈ 1..=n`, drawn by
+/// inversion over the CDF built once in [`Self::new`].
 ///
 /// Used for per-worker session lengths: the paper observes "the number
 /// of tasks completed by each worker is roughly Zipfian, with a small

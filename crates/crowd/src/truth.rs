@@ -24,7 +24,10 @@
 //! Lookups sit on the simulator's hot path (every answer perceives one
 //! or more items), so every table is keyed by name first and probed
 //! with a borrowed `&str`, and each dimension keeps its score range
-//! current instead of scanning for it.
+//! current instead of scanning for it. Item ids are dense (allocated
+//! from a counter), so entities and the per-name item tables are
+//! vectors indexed by `ItemId.0`: a join question's entity lookups
+//! hash nothing.
 
 // lint:hot-path
 
@@ -38,21 +41,37 @@ pub struct ItemId(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EntityId(pub u64);
 
-/// Per-name tables: name → item → value, so a lookup borrows the name.
-type ByName<T> = HashMap<String, HashMap<ItemId, T>>;
+/// Per-name tables: name → values indexed by item id, so a lookup
+/// borrows the name and indexes the item.
+type ByName<T> = HashMap<String, Vec<Option<T>>>;
+
+/// The value at `item` of a table indexed by item id; `None` for an
+/// unset or out-of-range id.
+fn slot<T>(items: &[Option<T>], item: ItemId) -> Option<&T> {
+    items.get(usize::try_from(item.0).ok()?)?.as_ref()
+}
+
+/// Set `item`'s value, growing the table to reach it.
+fn set_slot<T>(items: &mut Vec<Option<T>>, item: ItemId, value: T) {
+    let i = item.0 as usize;
+    if items.len() <= i {
+        items.resize_with(i + 1, || None);
+    }
+    items[i] = Some(value);
+}
 
 fn lookup<'a, T>(table: &'a ByName<T>, name: &str, item: ItemId) -> Option<&'a T> {
-    table.get(name)?.get(&item)
+    slot(table.get(name)?, item)
 }
 
 /// Insert into a [`ByName`] table, allocating the name only when new.
 fn insert<T>(table: &mut ByName<T>, name: &str, item: ItemId, value: T) {
     match table.get_mut(name) {
-        Some(items) => {
-            items.insert(item, value);
-        }
+        Some(items) => set_slot(items, item, value),
         None => {
-            table.insert(name.to_owned(), HashMap::from([(item, value)]));
+            let mut items = Vec::new();
+            set_slot(&mut items, item, value);
+            table.insert(name.to_owned(), items);
         }
     }
 }
@@ -173,7 +192,8 @@ pub struct TextTruth {
 pub struct GroundTruth {
     scores: HashMap<String, DimensionScores>,
     dimensions: HashMap<String, DimensionParams>,
-    entities: HashMap<ItemId, EntityId>,
+    /// Entity per item, indexed by item id.
+    entities: Vec<Option<EntityId>>,
     /// Similarity between *different* entities, keyed with the smaller
     /// entity id first. Missing = `default_similarity`.
     similarities: HashMap<(EntityId, EntityId), f64>,
@@ -208,6 +228,18 @@ impl GroundTruth {
     /// Allocate `n` fresh item ids.
     pub fn new_items(&mut self, n: usize) -> Vec<ItemId> {
         (0..n).map(|_| self.new_item()).collect()
+    }
+
+    /// # Panics
+    /// Panics if this truth did not allocate `item`: the item tables
+    /// are indexed by id, so a foreign id is a caller bug.
+    fn check_allocated(&self, item: ItemId) {
+        assert!(
+            item.0 < self.next_item,
+            "item {} was not allocated by this ground truth ({} items)",
+            item.0,
+            self.next_item
+        );
     }
 
     // ---- sort dimensions ----
@@ -261,12 +293,16 @@ impl GroundTruth {
     // ---- entities / joins ----
 
     /// Mark an item as depicting an entity.
+    ///
+    /// # Panics
+    /// Panics if this truth did not allocate `item`.
     pub fn set_entity(&mut self, item: ItemId, entity: EntityId) {
-        self.entities.insert(item, entity);
+        self.check_allocated(item);
+        set_slot(&mut self.entities, item, entity);
     }
 
     pub fn entity(&self, item: ItemId) -> Option<EntityId> {
-        self.entities.get(&item).copied()
+        slot(&self.entities, item).copied()
     }
 
     /// Do two items depict the same entity? Items without entity
@@ -324,9 +360,10 @@ impl GroundTruth {
     /// trailing entry beyond the option count for `UNKNOWN`.
     ///
     /// # Panics
-    /// Panics if the feature is undefined or the probability vector has
-    /// the wrong arity.
+    /// Panics if the feature is undefined, the probability vector has
+    /// the wrong arity, or this truth did not allocate `item`.
     pub fn set_feature(&mut self, item: ItemId, feature: &str, truth: FeatureTruth) {
+        self.check_allocated(item);
         let opts = self
             .feature_options
             .get(feature)
@@ -375,6 +412,7 @@ impl GroundTruth {
     /// Set the distribution used when the feature is asked in the
     /// combined interface (same validation as [`Self::set_feature`]).
     pub fn set_feature_for_combined(&mut self, item: ItemId, feature: &str, truth: FeatureTruth) {
+        self.check_allocated(item);
         let opts = self
             .feature_options
             .get(feature)
@@ -395,7 +433,10 @@ impl GroundTruth {
 
     // ---- predicates ----
 
+    /// # Panics
+    /// Panics if this truth did not allocate `item`.
     pub fn set_predicate(&mut self, item: ItemId, predicate: &str, truth: PredicateTruth) {
+        self.check_allocated(item);
         insert(&mut self.predicates, predicate, item, truth);
     }
 
@@ -405,7 +446,10 @@ impl GroundTruth {
 
     // ---- generative text ----
 
+    /// # Panics
+    /// Panics if this truth did not allocate `item`.
     pub fn set_text(&mut self, item: ItemId, field: &str, truth: TextTruth) {
+        self.check_allocated(item);
         insert(&mut self.texts, field, item, truth);
     }
 
@@ -587,6 +631,54 @@ mod tests {
             },
         );
         assert_eq!(gt.text(a, "common").unwrap().variants.len(), 2);
+    }
+
+    #[test]
+    fn unknown_items_read_as_unset() {
+        let mut gt = GroundTruth::new();
+        let a = gt.new_item();
+        gt.set_entity(a, EntityId(1));
+        gt.set_predicate(
+            a,
+            "p",
+            PredicateTruth {
+                value: true,
+                error_rate: 0.0,
+            },
+        );
+        let far = ItemId(u64::MAX);
+        assert_eq!(gt.entity(far), None);
+        assert_eq!(gt.predicate(far, "p"), None);
+        assert!(gt.feature(far, "p").is_none());
+        assert!(gt.text(far, "p").is_none());
+        assert!(!gt.same_entity(a, far));
+        assert_eq!(gt.similarity(a, far), 0.1);
+        // Allocated but never set reads as unset too.
+        let b = gt.new_item();
+        assert_eq!(gt.entity(b), None);
+        assert_eq!(gt.predicate(b, "p"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "was not allocated by this ground truth")]
+    fn setting_a_foreign_item_panics() {
+        let mut gt = GroundTruth::new();
+        gt.new_items(2);
+        gt.set_entity(ItemId(2), EntityId(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "was not allocated by this ground truth")]
+    fn setting_a_foreign_item_predicate_panics() {
+        let mut other = GroundTruth::new();
+        let foreign = other.new_items(5)[4];
+        let mut gt = GroundTruth::new();
+        gt.new_item();
+        let truth = PredicateTruth {
+            value: true,
+            error_rate: 0.0,
+        };
+        gt.set_predicate(foreign, "p", truth);
     }
 
     #[test]

@@ -220,9 +220,10 @@ fn serve<R: BufRead + ?Sized, W: Write + ?Sized>(
     out: &mut W,
 ) -> io::Result<SessionEnd> {
     let (catalog, market) = world(seed);
+    let catalog = Arc::new(catalog);
     let mut svc = match store {
-        Some(store) => QueryService::with_store(&catalog, market, ExecConfig::default(), store),
-        None => QueryService::new(&catalog, market),
+        Some(store) => QueryService::with_store(catalog, market, ExecConfig::default(), store),
+        None => QueryService::new(catalog, market),
     };
     svc.set_cache_max_entries(cache_max);
     // Tenant names of queued queries, in submission order.

@@ -30,7 +30,10 @@
 //!   hostile client must cost at most one frame of memory — and a
 //!   file that accepts connections (`.incoming()` / `.accept()`) must
 //!   call `set_nodelay(true)`: with Nagle on, every small reply waits
-//!   ~40 ms for the client's delayed ACK.
+//!   ~40 ms for the client's delayed ACK. In `crates/core/src/service/`
+//!   a thread may start (`thread::spawn`, `thread::scope`, `.spawn(`)
+//!   only inside `fn spawn_worker`, the query-worker pool's one spawn
+//!   function: a thread per query costs more than a cache-hit query.
 //! * **durable-fs** — no direct filesystem *writes* (`fs::write`,
 //!   `fs::rename`, `File::create`, `OpenOptions::new`, …) in
 //!   production code outside `crates/core/src/store/`. Durability has
@@ -88,6 +91,10 @@ const UNWRAP_MARKER: &str = "lint:allow(unwrap)";
 
 /// Marker that justifies a poisoning lock acquisition in service code.
 const LOCK_MARKER: &str = "lint:allow(lock-poison)";
+
+/// The one function in `crates/core/src/service/` that may start a
+/// thread: the query-worker pool's spawn.
+const WORKER_SPAWN_FN: &str = "fn spawn_worker(";
 
 /// Files carrying this marker opt in to the hot-clone rule.
 const HOT_PATH_MARKER: &str = "lint:hot-path";
@@ -362,6 +369,9 @@ fn check_service_blocking(
     const POISONING_LOCKS: &[&str] = &[".lock().unwrap()", ".read().unwrap()", ".write().unwrap()"];
     const UNBOUNDED_READS: &[&str] = &[".read_to_end(", ".read_to_string("];
     const ACCEPTS: &[&str] = &[".incoming()", ".accept()"];
+    if service_core {
+        check_thread_starts(file, lines, out);
+    }
     if serve_bin && !lines.iter().any(|(_, l)| l.contains("set_nodelay(true)")) {
         if let Some((n, _)) = lines
             .iter()
@@ -419,6 +429,43 @@ fn check_service_blocking(
                          exhaust memory"
                     ),
                 });
+            }
+        }
+    }
+}
+
+/// Thread starts outside the body of [`WORKER_SPAWN_FN`]. The body is
+/// found by brace depth: it opens after the declaration line and ends
+/// when the depth falls back to the declaration's.
+fn check_thread_starts(file: &Path, lines: &[(usize, String)], out: &mut Vec<Violation>) {
+    const THREAD_STARTS: &[&str] = &["thread::spawn", "thread::scope", ".spawn("];
+    let mut depth = 0i64;
+    // (depth at the declaration, whether the body has opened)
+    let mut spawn_fn: Option<(i64, bool)> = None;
+    for (n, line) in lines {
+        if line.contains(WORKER_SPAWN_FN) {
+            spawn_fn = Some((depth, false));
+        }
+        if spawn_fn.is_none() {
+            if let Some(pat) = THREAD_STARTS.iter().find(|p| line.contains(*p)) {
+                out.push(Violation {
+                    rule: "service-blocking",
+                    file: file.to_path_buf(),
+                    line: *n,
+                    message: format!(
+                        "`{pat}` in service code outside `{WORKER_SPAWN_FN}..)`: \
+                         queries run on the pool's workers, which outlive the \
+                         batch; starting a thread per query costs more than a \
+                         cache-hit query"
+                    ),
+                });
+            }
+        }
+        depth += brace_delta(line);
+        if let Some((decl, opened)) = &mut spawn_fn {
+            *opened |= depth > *decl;
+            if *opened && depth <= *decl {
+                spawn_fn = None;
             }
         }
     }
@@ -566,14 +613,14 @@ mod tests {
         // Each rule fires a known number of times: the marked
         // unwraps, the cfg(test) Marketplace use, and the
         // commented-out mentions must all be skipped.
-        // service-blocking fires four times: the service fixture's
-        // sleep plus the listener fixture's sleep-poll, read_to_end
-        // and accept loop without set_nodelay.
+        // service-blocking fires five times: the service fixture's
+        // sleep and per-query spawn plus the listener fixture's
+        // sleep-poll, read_to_end and accept loop without set_nodelay.
         for (rule, expected) in [
             ("ops-unwrap", 1),
             ("marketplace-isolation", 1),
             ("interior-mutability", 1),
-            ("service-blocking", 4),
+            ("service-blocking", 5),
             ("durable-fs", 1),
             ("hot-clone", 1),
         ] {

@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run --example multi_tenant`
 
+use std::sync::Arc;
+
 use qurk::service::QueryService;
 use qurk::{Catalog, Relation, Schema, Value, ValueType};
 use qurk_crowd::truth::{DimensionParams, PredicateTruth};
@@ -54,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. The service: one shared marketplace, two tenants. Alice gets
     //    a $5 budget; Bob is uncapped.
-    let mut svc = QueryService::new(&catalog, market);
+    let mut svc = QueryService::new(Arc::new(catalog), market);
     svc.register_tenant("alice", Some(5.0));
     svc.register_tenant("bob", None);
 

@@ -71,7 +71,7 @@ fn sweep_config() -> ExecConfig {
     }
 }
 
-fn world(seed: u64) -> (Catalog, Marketplace) {
+fn world(seed: u64) -> (Arc<Catalog>, Marketplace) {
     let mut gt = GroundTruth::new();
     gt.define_dimension("height", DimensionParams::crisp(0.02));
     let items = gt.new_items(10);
@@ -110,7 +110,7 @@ fn world(seed: u64) -> (Catalog, Marketplace) {
             "#,
         )
         .expect("task definitions parse");
-    (catalog, market)
+    (Arc::new(catalog), market)
 }
 
 fn store_path(tag: &str) -> PathBuf {
@@ -120,7 +120,7 @@ fn store_path(tag: &str) -> PathBuf {
     ))
 }
 
-fn register_and_submit(svc: &mut QueryService<'_, impl qurk::CrowdBackend>) {
+fn register_and_submit(svc: &mut QueryService<impl qurk::CrowdBackend>) {
     for (tenant, budget, _) in workload() {
         svc.register_tenant(tenant, budget);
     }
@@ -131,8 +131,8 @@ fn register_and_submit(svc: &mut QueryService<'_, impl qurk::CrowdBackend>) {
 }
 
 /// Record the ground-truth trace for one seed on a live marketplace.
-fn record_trace(catalog: &Catalog, market: Marketplace) -> ReplayTrace {
-    let mut svc = QueryService::with_config(catalog, market, sweep_config());
+fn record_trace(catalog: &Arc<Catalog>, market: Marketplace) -> ReplayTrace {
+    let mut svc = QueryService::with_config(Arc::clone(catalog), market, sweep_config());
     register_and_submit(&mut svc);
     for report in svc.run_pending() {
         report.expect("live recording run succeeds");
@@ -143,7 +143,7 @@ fn record_trace(catalog: &Catalog, market: Marketplace) -> ReplayTrace {
 /// The uninterrupted run every recovery must be byte-identical to:
 /// relations per (tenant, sql), plus the reference books invariant.
 fn reference_run(
-    catalog: &Catalog,
+    catalog: &Arc<Catalog>,
     trace: &ReplayTrace,
     tag: &str,
 ) -> HashMap<(String, String), Relation> {
@@ -155,7 +155,7 @@ fn reference_run(
             .with_compact_threshold(COMPACT_THRESHOLD),
     );
     let backend = ReplayBackend::from_trace(trace.clone());
-    let mut svc = QueryService::with_store(catalog, backend, sweep_config(), store);
+    let mut svc = QueryService::with_store(Arc::clone(catalog), backend, sweep_config(), store);
     register_and_submit(&mut svc);
     let reports = svc.run_pending();
 
@@ -181,7 +181,7 @@ fn reference_run(
 /// One sweep cell: crash at `point` (occurrence `occ`) on a fresh
 /// store, recover, assert every invariant.
 fn crash_and_recover(
-    catalog: &Catalog,
+    catalog: &Arc<Catalog>,
     trace: &ReplayTrace,
     reference: &HashMap<(String, String), Relation>,
     point: CrashPoint,
@@ -200,8 +200,12 @@ fn crash_and_recover(
                 .with_compact_threshold(COMPACT_THRESHOLD),
         );
         let backend = ReplayBackend::from_trace(trace.clone());
-        let mut svc =
-            QueryService::with_store(catalog, backend, sweep_config(), Arc::clone(&store));
+        let mut svc = QueryService::with_store(
+            Arc::clone(catalog),
+            backend,
+            sweep_config(),
+            Arc::clone(&store),
+        );
         register_and_submit(&mut svc);
         let _ = svc.run_pending(); // results die with the process
         if occ == 1 {
@@ -223,7 +227,7 @@ fn crash_and_recover(
 /// and assert the no-double-pay / no-loss / byte-identical / books
 /// invariants against the reference run.
 fn recover_and_check(
-    catalog: &Catalog,
+    catalog: &Arc<Catalog>,
     trace: &ReplayTrace,
     reference: &HashMap<(String, String), Relation>,
     path: &std::path::Path,
@@ -257,7 +261,12 @@ fn recover_and_check(
     }
 
     let backend = ReplayBackend::from_trace(trace.clone());
-    let mut svc = QueryService::with_store(catalog, backend, sweep_config(), Arc::clone(&store));
+    let mut svc = QueryService::with_store(
+        Arc::clone(catalog),
+        backend,
+        sweep_config(),
+        Arc::clone(&store),
+    );
     for (tenant, budget, _) in workload() {
         svc.register_tenant(tenant, budget);
     }
@@ -359,7 +368,7 @@ fn double_crash_then_recover_converges() {
             .with_compact_threshold(COMPACT_THRESHOLD),
         );
         let mut svc = QueryService::with_store(
-            &catalog,
+            Arc::clone(&catalog),
             ReplayBackend::from_trace(trace.clone()),
             sweep_config(),
             store,
@@ -378,7 +387,7 @@ fn double_crash_then_recover_converges() {
             .with_compact_threshold(COMPACT_THRESHOLD),
         );
         let mut svc = QueryService::with_store(
-            &catalog,
+            Arc::clone(&catalog),
             ReplayBackend::from_trace(trace.clone()),
             sweep_config(),
             Arc::clone(&store),

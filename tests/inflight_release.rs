@@ -7,6 +7,8 @@
 //! nobody was driving to completion, and the retry starved instead of
 //! re-posting.
 
+use std::sync::Arc;
+
 use qurk::backend::ReplayBackend;
 use qurk::service::QueryService;
 use qurk::{Catalog, Relation, ReplayTrace, Schema, Value, ValueType};
@@ -16,7 +18,7 @@ use qurk_crowd::{CrowdConfig, EntityId, GroundTruth, Marketplace};
 const FILTER_SQL: &str = "SELECT p.id FROM people AS p WHERE isTall(p.img)";
 const SORT_SQL: &str = "SELECT p.id FROM people AS p ORDER BY byHeight(p.img)";
 
-fn world() -> (Catalog, Marketplace) {
+fn world() -> (Arc<Catalog>, Marketplace) {
     let mut gt = GroundTruth::new();
     gt.define_dimension("height", DimensionParams::crisp(0.02));
     let items = gt.new_items(8);
@@ -55,7 +57,7 @@ fn world() -> (Catalog, Marketplace) {
             "#,
         )
         .expect("task definitions parse");
-    (catalog, market)
+    (Arc::new(catalog), market)
 }
 
 /// A failed query's dedup slots are released, and the retry re-posts
@@ -66,7 +68,7 @@ fn failed_query_releases_in_flight_slots() {
     // An empty replay trace answers nothing: every posted round times
     // out and the query fails with CrowdIncomplete.
     let backend = ReplayBackend::from_trace(ReplayTrace::default());
-    let mut svc = QueryService::new(&catalog, backend);
+    let mut svc = QueryService::new(Arc::clone(&catalog), backend);
     svc.register_tenant("alice", None);
 
     svc.submit("alice", FILTER_SQL)
@@ -104,7 +106,7 @@ fn release_is_scoped_to_the_failed_query() {
     // Record answers for the filter workload only.
     let (catalog, market) = world();
     let trace = {
-        let mut svc = QueryService::new(&catalog, market);
+        let mut svc = QueryService::new(Arc::clone(&catalog), market);
         svc.register_tenant("alice", None);
         svc.submit("alice", FILTER_SQL).expect("admissible");
         let reports = svc.run_pending();
@@ -114,7 +116,7 @@ fn release_is_scoped_to_the_failed_query() {
 
     // bob's sort is NOT in the trace (fails); alice's filter is.
     let backend = ReplayBackend::from_trace(trace);
-    let mut svc = QueryService::new(&catalog, backend);
+    let mut svc = QueryService::new(Arc::clone(&catalog), backend);
     svc.register_tenant("alice", None);
     svc.register_tenant("bob", None);
     svc.submit("alice", FILTER_SQL).expect("admissible");
