@@ -6,26 +6,8 @@
 //! cargo run --release --bin repro -- --table1 --fig3
 //! ```
 //!
-//! Flags (any subset; `--all` runs everything):
-//!   --table1              baseline join comparison
-//!   --fig3                batching vs accuracy
-//!   --fig4                latency percentiles
-//!   --sec333              worker volume vs accuracy regression
-//!   --table2              feature filtering effectiveness
-//!   --table3              leave-one-out features
-//!   --table4              feature kappas
-//!   --squares-compare     compare batching microbenchmark
-//!   --squares-rate        rate batching microbenchmark
-//!   --squares-granularity rating granularity microbenchmark
-//!   --fig6                tau/kappa vs ambiguity
-//!   --fig7                hybrid convergence (40 squares)
-//!   --fig7-animals        hybrid on animals Q2
-//!   --table5              end-to-end query
-//!   --costs               cost narrative arithmetic
-//!   --optimizer           cost-based optimizer vs as-written plans
-//!   --ablations           DESIGN.md Sec.5 design-choice ablations
-
-use qurk_bench::{ablations, end_to_end, feature_exps, join_exps, opt_exps, sort_exps};
+//! The flags are listed in [`qurk_bench::repro`]; the report goes to
+//! stdout, the elapsed time to stderr.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,74 +15,7 @@ fn main() {
         eprintln!("usage: repro [--all | --table1 --fig3 ...] (see --help in source)");
         std::process::exit(2);
     }
-    let all = args.iter().any(|a| a == "--all");
-    let has = |flag: &str| all || args.iter().any(|a| a == flag);
-
     let t0 = std::time::Instant::now();
-
-    if has("--table1") {
-        join_exps::table1().print();
-    }
-    if has("--fig3") {
-        let (t, _) = join_exps::fig3();
-        t.print();
-    }
-    if has("--fig4") {
-        join_exps::fig4().print();
-    }
-    if has("--sec333") {
-        let (t, _) = join_exps::assignments_vs_accuracy();
-        t.print();
-    }
-    if has("--table2") || has("--table3") || has("--table4") {
-        let (t2, trials) = feature_exps::table2();
-        if has("--table2") {
-            t2.print();
-        }
-        if has("--table3") {
-            feature_exps::table3(&trials[0]).print();
-        }
-        if has("--table4") {
-            feature_exps::table4(&trials).print();
-        }
-    }
-    if has("--squares-compare") {
-        sort_exps::squares_compare().print();
-    }
-    if has("--squares-rate") {
-        sort_exps::squares_rate_batching().print();
-    }
-    if has("--squares-granularity") {
-        sort_exps::rating_granularity().print();
-    }
-    if has("--fig6") {
-        let (t, _) = sort_exps::fig6();
-        t.print();
-    }
-    if has("--fig7") {
-        let (t, _, _, _) = sort_exps::fig7(40);
-        t.print();
-    }
-    if has("--fig7-animals") {
-        sort_exps::fig7_animals().print();
-    }
-    if has("--table5") {
-        end_to_end::table5().print();
-    }
-    if has("--costs") {
-        end_to_end::costs().print();
-    }
-    if has("--optimizer") {
-        opt_exps::comparison_table(&opt_exps::compare_workloads()).print();
-    }
-    if has("--ablations") {
-        ablations::spam_sweep().print();
-        ablations::aggregation_ablation().print();
-        ablations::window_step_sweep().print();
-        ablations::feature_selection_ablation().print();
-        ablations::adaptive_votes_ablation().print();
-        ablations::cache_ablation().print();
-    }
-
+    print!("{}", qurk_bench::repro::report(&args));
     eprintln!("[repro] done in {:.1}s", t0.elapsed().as_secs_f64());
 }

@@ -5,7 +5,7 @@
 //!
 //! Each module regenerates one experiment family against the simulated
 //! marketplace and prints the same rows/series the paper reports; the
-//! `repro` binary drives them (`cargo run --release --bin repro -- --all`).
+//! `repro` binary prints [`repro::report`] (`cargo run --release --bin repro -- --all`).
 //! See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
 //! paper-vs-measured numbers.
 //!
@@ -18,6 +18,7 @@
 //! | [`opt_exps`] | cost-based optimizer vs as-written plans (ISSUE 2) |
 //! | [`wallclock`] | data-layout pass wall-clock gate (ISSUE 9) |
 //! | [`ablations`] | DESIGN.md §5 design-choice ablations |
+//! | [`repro`] | the `repro` report: flag dispatch and rendering |
 //! | [`world`] | shared dataset/marketplace builders |
 //! | [`report`] | table/series formatting |
 
@@ -27,6 +28,7 @@ pub mod feature_exps;
 pub mod join_exps;
 pub mod opt_exps;
 pub mod report;
+pub mod repro;
 pub mod sort_exps;
 pub mod wallclock;
 pub mod world;

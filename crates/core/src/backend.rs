@@ -958,8 +958,10 @@ struct MeterSnapshot {
 }
 
 /// A backend decorator that meters resource consumption in epochs.
-/// [`crate::session::Session`] opens one epoch per query and builds
-/// [`crate::session::QueryReport`]s from the usage deltas.
+/// Every query — on a [`crate::session::Session`] or in the
+/// [`crate::service`] — runs as one epoch, opened and closed by the
+/// engine's one plan-execution function, which builds the
+/// [`crate::session::QueryReport`] from the usage delta.
 pub struct MeteringBackend<B> {
     inner: B,
     epoch_start: Option<MeterSnapshot>,

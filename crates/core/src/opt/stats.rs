@@ -25,10 +25,10 @@
 //!
 //! For the multi-tenant service ([`crate::service`]) the store comes in
 //! a thread-safe flavor, [`SharedStatistics`], with **merge-on-commit**
-//! semantics: each query takes a [`SharedStatistics::snapshot`] at
-//! admission, learns into its private copy while running, and commits
-//! only the [`StatisticsStore::diff`] against its snapshot when it
-//! completes. Concurrent queries therefore never observe each other's
+//! semantics: each query plans against a [`SharedStatistics::snapshot`],
+//! records what it observes into a fresh, empty store while running,
+//! and [`SharedStatistics::commit`]s that store when it completes.
+//! Concurrent queries therefore never observe each other's
 //! half-finished evidence (snapshot isolation), and no update is lost
 //! (deltas of monotone counters merge associatively).
 
@@ -285,84 +285,16 @@ impl StatisticsStore {
         self.rounds.sum_hh += other.rounds.sum_hh;
         self.rounds.sum_ht += other.rounds.sum_ht;
     }
-
-    /// The evidence present in `self` but not in `base` — the inverse
-    /// of [`Self::merge`] for the monotone counters:
-    /// `base.merge(&grown.diff(&base))` reconstructs `grown` whenever
-    /// `grown` was produced by recording into a clone of `base`.
-    ///
-    /// Latest-wins entries (features) are included whenever `self`'s
-    /// value differs from `base`'s, so a re-sampled feature propagates
-    /// on commit.
-    pub fn diff(&self, base: &StatisticsStore) -> StatisticsStore {
-        let mut out = StatisticsStore::default();
-        for (k, t) in &self.filters {
-            let b = base.filters.get(k).copied().unwrap_or_default();
-            let d = Tally {
-                seen: t.seen.saturating_sub(b.seen),
-                passed: t.passed.saturating_sub(b.passed),
-            };
-            if d != Tally::default() {
-                out.filters.insert(k.clone(), d);
-            }
-        }
-        for (k, t) in &self.joins {
-            let b = base.joins.get(k).copied().unwrap_or_default();
-            let d = Tally {
-                seen: t.seen.saturating_sub(b.seen),
-                passed: t.passed.saturating_sub(b.passed),
-            };
-            if d != Tally::default() {
-                out.joins.insert(k.clone(), d);
-            }
-        }
-        for (k, f) in &self.features {
-            if base.features.get(k) != Some(f) {
-                out.features.insert(k.clone(), *f);
-            }
-        }
-        for (k, a) in &self.sorts {
-            let b = base.sorts.get(k).copied().unwrap_or_default();
-            if a.n > b.n {
-                out.sorts.insert(
-                    k.clone(),
-                    Avg {
-                        n: a.n - b.n,
-                        sum: (a.sum - b.sum).max(0.0),
-                    },
-                );
-            }
-        }
-        if self.epoch_hits > base.epoch_hits {
-            out.epoch_hits = self.epoch_hits - base.epoch_hits;
-            out.epoch_secs = (self.epoch_secs - base.epoch_secs).max(0.0);
-        }
-        if self.rounds.n > base.rounds.n {
-            out.rounds = RoundSums {
-                n: self.rounds.n - base.rounds.n,
-                sum_h: (self.rounds.sum_h - base.rounds.sum_h).max(0.0),
-                sum_t: (self.rounds.sum_t - base.rounds.sum_t).max(0.0),
-                sum_hh: (self.rounds.sum_hh - base.rounds.sum_hh).max(0.0),
-                sum_ht: (self.rounds.sum_ht - base.rounds.sum_ht).max(0.0),
-            };
-        }
-        out
-    }
 }
 
 /// Thread-safe [`StatisticsStore`] for the multi-tenant service.
 ///
-/// Two usage patterns, both safe under concurrency:
-///
-/// * **Merge-on-commit** (the service scheduler's pattern): call
-///   [`snapshot`](Self::snapshot) when a query is admitted, let the
-///   query learn into its private copy, then
-///   [`commit`](Self::commit) the [`StatisticsStore::diff`] against
-///   the snapshot when it finishes. Concurrent queries never see each
-///   other's in-flight evidence, and committed deltas merge without
-///   loss.
-/// * **One-shot writers**: the `record_*` methods take the write lock
-///   for a single observation.
+/// **Merge-on-commit** is the one way to write it: a query plans
+/// against a [`snapshot`](Self::snapshot), records what it observes
+/// into its own empty [`StatisticsStore`], and [`commit`](Self::commit)s
+/// that store when it finishes. Concurrent queries never see each
+/// other's in-flight evidence, and committed deltas merge without
+/// loss.
 ///
 /// Lock poisoning (a panicking writer) is recovered from rather than
 /// propagated: every recorded quantity is a monotone tally, so the
@@ -395,13 +327,6 @@ impl SharedStatistics {
         self.inner.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Apply one write under the lock, moving the epoch.
-    fn update(&self, f: impl FnOnce(&mut StatisticsStore)) {
-        let mut guard = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        guard.epoch += 1;
-        f(&mut guard.store);
-    }
-
     /// A consistent copy of the current evidence.
     pub fn snapshot(&self) -> StatisticsStore {
         self.read().store.clone()
@@ -413,10 +338,13 @@ impl SharedStatistics {
         (guard.store.clone(), guard.epoch)
     }
 
-    /// Merge a completed query's learning delta (see
-    /// [`StatisticsStore::diff`]) into the shared evidence.
+    /// Merge a completed query's learning delta — what it recorded
+    /// into an empty store — into the shared evidence, moving the
+    /// epoch. The only write.
     pub fn commit(&self, delta: &StatisticsStore) {
-        self.update(|s| s.merge(delta));
+        let mut guard = self.inner.write().unwrap_or_else(PoisonError::into_inner);
+        guard.epoch += 1;
+        guard.store.merge(delta);
     }
 
     /// Unwrap the store, recovering from poisoning.
@@ -425,36 +353,6 @@ impl SharedStatistics {
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
             .store
-    }
-
-    /// Thread-safe [`StatisticsStore::record_filter`].
-    pub fn record_filter(&self, task: &str, seen: usize, passed: usize) {
-        self.update(|s| s.record_filter(task, seen, passed));
-    }
-
-    /// Thread-safe [`StatisticsStore::record_join`].
-    pub fn record_join(&self, task: &str, pairs: usize, matches: usize) {
-        self.update(|s| s.record_join(task, pairs, matches));
-    }
-
-    /// Thread-safe [`StatisticsStore::record_feature`].
-    pub fn record_feature(&self, task: &str, kappa: f64, selectivity: f64) {
-        self.update(|s| s.record_feature(task, kappa, selectivity));
-    }
-
-    /// Thread-safe [`StatisticsStore::record_sort`].
-    pub fn record_sort(&self, dimension: &str, ambiguity: f64) {
-        self.update(|s| s.record_sort(dimension, ambiguity));
-    }
-
-    /// Thread-safe [`StatisticsStore::record_epoch`].
-    pub fn record_epoch(&self, hits: u64, secs: f64) {
-        self.update(|s| s.record_epoch(hits, secs));
-    }
-
-    /// Thread-safe [`StatisticsStore::record_round`].
-    pub fn record_round(&self, work_units: f64, secs: f64) {
-        self.update(|s| s.record_round(work_units, secs));
     }
 }
 
@@ -560,67 +458,22 @@ mod tests {
     }
 
     #[test]
-    fn diff_then_merge_round_trips() {
-        let mut base = StatisticsStore::new();
-        base.record_filter("f", 10, 5);
-        base.record_join("j", 100, 10);
-        base.record_feature("g", 0.8, 0.5);
-        base.record_sort("d", 0.4);
-        base.record_epoch(5, 50.0);
-        base.record_round(4.0, 200.0);
-
-        let mut grown = base.clone();
-        grown.record_filter("f", 10, 1);
-        grown.record_filter("f2", 6, 6);
-        grown.record_feature("g", 0.2, 0.3); // re-sampled
-        grown.record_sort("d", 0.8);
-        grown.record_epoch(10, 100.0);
-        grown.record_round(8.0, 300.0);
-
-        let delta = grown.diff(&base);
-        // The delta carries only the new evidence…
-        assert_eq!(delta.filter_selectivity("f"), Some(0.1));
-        assert_eq!(delta.filter_selectivity("f2"), Some(1.0));
-        assert_eq!(delta.join_selectivity("j"), None);
-        assert_eq!(delta.feature("g").unwrap().kappa, 0.2);
-        // …and replaying it over the base reconstructs the grown store.
-        let mut replayed = base.clone();
-        replayed.merge(&delta);
-        assert_eq!(
-            replayed.filter_selectivity("f"),
-            grown.filter_selectivity("f")
-        );
-        assert_eq!(replayed.sort_ambiguity("d"), grown.sort_ambiguity("d"));
-        assert_eq!(replayed.secs_per_hit(), grown.secs_per_hit());
-        assert_eq!(replayed.latency_params(), grown.latency_params());
-    }
-
-    #[test]
-    fn diff_of_unchanged_store_is_empty() {
-        let mut base = StatisticsStore::new();
-        base.record_filter("f", 10, 5);
-        base.record_feature("g", 0.8, 0.5);
-        let delta = base.clone().diff(&base);
-        assert!(delta.is_empty());
-    }
-
-    #[test]
     fn shared_statistics_snapshot_commit_isolation() {
         let shared = SharedStatistics::new(StatisticsStore::new());
-        shared.record_filter("f", 10, 5);
+        let mut seed = StatisticsStore::new();
+        seed.record_filter("f", 10, 5);
+        shared.commit(&seed);
 
-        // Two "queries" snapshot the same base and learn privately.
-        let base_a = shared.snapshot();
-        let base_b = shared.snapshot();
-        let mut a = base_a.clone();
+        // Two "queries" plan on the same snapshot and learn privately.
+        let mut a = StatisticsStore::new();
         a.record_filter("f", 10, 1);
-        let mut b = base_b.clone();
+        let mut b = StatisticsStore::new();
         b.record_filter("f", 20, 8);
 
         // Neither sees the other before commit.
         assert_eq!(shared.snapshot().filter_selectivity("f"), Some(0.5));
-        shared.commit(&a.diff(&base_a));
-        shared.commit(&b.diff(&base_b));
+        shared.commit(&a);
+        shared.commit(&b);
         // 10+10+20 seen, 5+1+8 passed — both deltas landed.
         assert_eq!(shared.snapshot().filter_selectivity("f"), Some(0.35));
     }
@@ -634,16 +487,19 @@ mod tests {
                 let shared = Arc::clone(&shared);
                 scope.spawn(move || {
                     for _ in 0..100 {
-                        shared.record_filter("f", 1, 1);
-                        shared.record_epoch(1, 2.0);
+                        let mut delta = StatisticsStore::new();
+                        delta.record_filter("f", 1, 1);
+                        delta.record_epoch(1, 2.0);
+                        shared.commit(&delta);
                     }
                 });
             }
         });
+        let (_, epoch) = shared.snapshot_with_epoch();
+        assert_eq!(epoch, 800, "every commit moved the epoch");
         let store = Arc::try_unwrap(shared).unwrap().into_inner();
         assert_eq!(store.filter_selectivity("f"), Some(1.0));
         assert_eq!(store.secs_per_hit(), Some(2.0));
-        let delta = store.diff(&StatisticsStore::new());
-        assert_eq!(delta.filter_selectivity("f"), Some(1.0));
+        assert_eq!(store.filters["f"].seen, 800);
     }
 }

@@ -1,4 +1,4 @@
-//! Multi-tenant query service: concurrent sessions over one shared
+//! Multi-tenant query service: concurrent queries over one shared
 //! marketplace clock.
 //!
 //! Standalone [`Session`](crate::session::Session)s each own a

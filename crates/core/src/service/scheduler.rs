@@ -38,12 +38,17 @@
 //! running them sequentially on a replayed crowd (tested in
 //! `tests/service_multi_tenant.rs` and `tests/service_parallel.rs`).
 //!
+//! Each query runs on the same execution path as a
+//! [`Session`](crate::session::Session): its plan executes through a
+//! `MeteringBackend` over its [`TenantBackend`], so a post crosses one
+//! meter and then the shared market's one Task Cache.
+//!
 //! Statistics follow **snapshot isolation** (see
-//! [`SharedStatistics`]): each query learns into a private copy seeded
-//! from the batch-start snapshot, and deltas are committed in
-//! submission order after the batch — concurrent queries never see
-//! each other's half-finished evidence, and what a batch learns only
-//! steers the *next* batch's plans.
+//! [`SharedStatistics`]): each query plans against the batch-start
+//! snapshot and records what it learns into an empty store, and those
+//! deltas are committed in submission order after the batch —
+//! concurrent queries never see each other's half-finished evidence,
+//! and what a batch learns only steers the *next* batch's plans.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, SendError, Sender};
@@ -53,14 +58,14 @@ use std::thread::JoinHandle;
 use qurk_crowd::market::{HitGroupId, RunOutcome};
 
 use crate::analyze::{prepare, Prepared};
-use crate::backend::{CachingBackend, CrowdBackend};
+use crate::backend::{CachingBackend, CrowdBackend, MeteringBackend};
 use crate::catalog::Catalog;
 use crate::error::{QurkError, Result};
 use crate::lang::parser::parse_query;
 use crate::opt::stats::{SharedStatistics, StatisticsStore};
 use crate::service::report::ServiceStats;
 use crate::service::tenant::{SharedMarket, StagedPost, TenantBackend};
-use crate::session::{ExecConfig, QueryReport, Session};
+use crate::session::{execute_plan, ExecConfig, QueryReport};
 use crate::store::DurableStore;
 
 /// Wake-up message from the scheduler to a query thread parked in
@@ -103,7 +108,7 @@ impl SchedulerEvent {
 #[derive(Debug)]
 pub(crate) struct DoneMsg {
     pub result: Result<QueryReport>,
-    /// What the query learned beyond the batch-start snapshot.
+    /// What the query learned, recorded into an empty store.
     pub stats_delta: StatisticsStore,
 }
 
@@ -175,7 +180,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
         Self::with_config(catalog, backend, ExecConfig::default())
     }
 
-    /// A service whose sessions run under `config` (lint policy,
+    /// A service whose queries run under `config` (lint policy,
     /// operator defaults, optimizer mode).
     pub fn with_config(catalog: Arc<Catalog>, backend: B, config: ExecConfig) -> Self {
         QueryService {
@@ -827,9 +832,9 @@ fn spawn_worker(i: usize, job: Job) -> (Sender<Job>, JoinHandle<()>) {
 
 /// One query: execute the plan admission analyzed — recompiled
 /// from its AST only if the statistics moved past `epoch` — through
-/// `backend`, and return the result with what the query learned beyond
-/// `seed`. A panic becomes an `Err` report; a round the backend refused
-/// for its deadline fails the query with [`QurkError::InvalidDeadline`].
+/// `backend`, and return the result with what the query learned. A
+/// panic becomes an `Err` report; a round the backend refused for its
+/// deadline fails the query with [`QurkError::InvalidDeadline`].
 fn run_query<B: CrowdBackend>(
     job: &Submission,
     backend: TenantBackend<B>,
@@ -840,25 +845,24 @@ fn run_query<B: CrowdBackend>(
     budget: Option<f64>,
 ) -> DoneMsg {
     catch_unwind(AssertUnwindSafe(|| {
-        let refreshed = (job.stats_epoch != epoch)
+        let mut backend = MeteringBackend::new(backend);
+        let mut learned = StatisticsStore::new();
+        let mut result = (job.stats_epoch != epoch)
             .then(|| prepare(job.prepared.ast.clone(), catalog, config, seed))
-            .transpose();
-        let mut session = Session::builder()
-            .catalog(catalog)
-            .backend(backend)
-            .config(config.clone())
-            .statistics(seed.clone())
-            .build();
-        let mut result = refreshed.and_then(|refreshed| {
-            let prepared = refreshed.as_ref().unwrap_or(&job.prepared);
-            session.execute_prepared(&job.sql, prepared, config, budget)
-        });
-        if let Some(limit_secs) = session.backend().inner().inner().refused_deadline() {
+            .transpose()
+            .and_then(|refreshed| {
+                let prepared = refreshed.as_ref().unwrap_or(&job.prepared);
+                let diagnostics = prepared.gate(&job.sql, config, seed, budget)?;
+                let (outcome, usage) =
+                    execute_plan(catalog, &mut backend, &mut learned, prepared, budget);
+                Ok(QueryReport::new(outcome?, usage, prepared, diagnostics))
+            });
+        if let Some(limit_secs) = backend.inner().refused_deadline() {
             result = Err(QurkError::InvalidDeadline { limit_secs });
         }
         DoneMsg {
             result,
-            stats_delta: session.statistics().diff(seed),
+            stats_delta: learned,
         }
     }))
     .unwrap_or_else(|_| DoneMsg {
@@ -1109,7 +1113,7 @@ mod tests {
         // The recompile starts from the admitted AST, never the text:
         // re-parsing this would fail to plan with UnknownTable.
         svc.pending[0].sql = "SELECT x.id FROM nosuch AS x".to_owned();
-        svc.statistics().record_epoch(0, 0.0);
+        svc.statistics().commit(&StatisticsStore::new());
         let report = svc
             .run_pending()
             .pop()

@@ -1,7 +1,7 @@
 //! The shared marketplace and the per-query backends that feed it.
 //!
-//! One [`SharedMarket`] wraps the real backend (behind the session
-//! cache layer, a [`CachingBackend`]) in a mutex and is shared by
+//! One [`SharedMarket`] wraps the real backend (behind the Task
+//! Cache layer, a [`CachingBackend`]) in a mutex and is shared by
 //! every tenant's query. Each running query talks to it through its
 //! own [`TenantBackend`], which
 //!
@@ -514,7 +514,7 @@ impl<B: CrowdBackend> CrowdBackend for TenantBackend<B> {
     }
 
     // The usage counters report this query's attributed share, so the
-    // session's metering epochs and budget guard measure the tenant,
+    // query's metering epoch and budget guard measure the tenant,
     // not the whole market.
 
     fn hits_posted(&self) -> usize {

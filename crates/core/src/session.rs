@@ -110,8 +110,8 @@ pub struct ExecConfig {
     pub lint: LintConfig,
 }
 
-/// Per-query execution report, with resource numbers produced by the
-/// session's [`MeteringBackend`] and the optimizer's plan report.
+/// Per-query execution report, with resource numbers from the query's
+/// [`MeteringBackend`] epoch and the optimizer's plan report.
 #[derive(Debug, Clone)]
 pub struct QueryReport {
     pub relation: Relation,
@@ -139,6 +139,27 @@ pub struct QueryReport {
 }
 
 impl QueryReport {
+    /// The report of a query that executed `prepared` and used `usage`
+    /// (no service accounting yet).
+    pub(crate) fn new(
+        relation: Relation,
+        usage: BackendUsage,
+        prepared: &Prepared,
+        diagnostics: Vec<Diagnostic>,
+    ) -> Self {
+        QueryReport {
+            relation,
+            hits_posted: usage.hits_posted,
+            cost_dollars: usage.dollars,
+            assignments: usage.assignments,
+            elapsed_secs: usage.elapsed_secs,
+            explain: prepared.logical.to_string(),
+            plan: PlanReport::from(&prepared.compiled),
+            diagnostics,
+            service: None,
+        }
+    }
+
     /// This query's measured resource usage in [`BackendUsage`] form.
     pub fn actual_usage(&self) -> BackendUsage {
         BackendUsage {
@@ -373,7 +394,7 @@ impl<'c, B: CrowdBackend> Session<'c, B> {
         self.query(sql).run()
     }
 
-    /// Parse, prepare and execute with an explicit config
+    /// Parse, prepare, gate and execute with an explicit config
     /// ([`QueryBuilder::report`] funnels through here).
     pub(crate) fn execute(
         &mut self,
@@ -382,45 +403,20 @@ impl<'c, B: CrowdBackend> Session<'c, B> {
         budget_dollars: Option<f64>,
     ) -> Result<QueryReport> {
         let prepared = prepare(parse_query(sql)?, self.catalog, config, &self.stats)?;
-        self.execute_prepared(sql, &prepared, config, budget_dollars)
-    }
-
-    /// Execute a prepared query: the lint-policy gate, then its
-    /// compiled plan. The service scheduler prepares at admission and
-    /// hands the result to the query thread, so what executes is
-    /// exactly what the admission gate analyzed — `sql` is only used
-    /// for diagnostics rendering.
-    pub(crate) fn execute_prepared(
-        &mut self,
-        sql: &str,
-        prepared: &Prepared,
-        config: &ExecConfig,
-        budget_dollars: Option<f64>,
-    ) -> Result<QueryReport> {
         let diagnostics = prepared.gate(sql, config, &self.stats, budget_dollars)?;
-        let stats_before = self.store.is_some().then(|| self.stats.clone());
         // Batch boundary for the cache's eviction bound: entries the
         // previous query touched become evictable, entries this query
         // touches are pinned until it finishes.
         self.backend.inner_mut().begin_batch();
-        self.backend.begin_epoch();
-        let budget = budget_dollars.map(|limit| BudgetGuard {
-            limit,
-            start_spend: self.backend.spend_dollars(),
-        });
-        let outcome = PlanRunner {
-            catalog: self.catalog,
-            backend: &mut self.backend,
-            stats: &mut self.stats,
-            budget,
-        }
-        .run_plan(&prepared.compiled.root);
-        let usage = self.backend.end_epoch();
-        self.stats
-            .record_epoch(usage.hits_posted as u64, usage.elapsed_secs);
-        for round in self.backend.last_epoch_groups() {
-            self.stats.record_round(round.work_units, round.secs);
-        }
+        let mut learned = StatisticsStore::new();
+        let (outcome, usage) = execute_plan(
+            self.catalog,
+            &mut self.backend,
+            &mut learned,
+            &prepared,
+            budget_dollars,
+        );
+        self.stats.merge(&learned);
         if outcome.is_err() {
             // A failed query's live postings are abandoned; release
             // their in-flight dedup slots so a retry re-posts instead
@@ -428,8 +424,7 @@ impl<'c, B: CrowdBackend> Session<'c, B> {
             self.backend.inner_mut().release_all_in_flight();
         }
         if let Some(store) = &self.store {
-            let before = stats_before.expect("snapshot taken when store attached");
-            store.append_stats_delta(&self.stats.diff(&before));
+            store.append_stats_delta(&learned);
             // The store is this session's durability contract: once it
             // cannot write, "acknowledged" rounds are no longer safe,
             // so fail the query loudly (injected test faults excepted).
@@ -437,17 +432,7 @@ impl<'c, B: CrowdBackend> Session<'c, B> {
                 return Err(QurkError::Store(msg));
             }
         }
-        Ok(QueryReport {
-            relation: outcome?,
-            hits_posted: usage.hits_posted,
-            cost_dollars: usage.dollars,
-            assignments: usage.assignments,
-            elapsed_secs: usage.elapsed_secs,
-            explain: prepared.logical.to_string(),
-            plan: PlanReport::from(&prepared.compiled),
-            diagnostics,
-            service: None,
-        })
+        Ok(QueryReport::new(outcome?, usage, &prepared, diagnostics))
     }
 }
 
@@ -604,8 +589,41 @@ enum FilterOperand {
     Const(Value),
 }
 
-/// Executes one physical plan against a backend, feeding the session's
-/// statistics store with every operator outcome.
+/// Run a prepared plan as one metered epoch of `backend`, under an
+/// optional dollar budget, recording what the query learned into
+/// `learned`: every operator outcome plus the epoch's latency and
+/// per-round observations. The one execution path of both [`Session`]
+/// and the query service ([`crate::service`]); the caller gates the
+/// plan before and owns what happens to `learned` after.
+pub(crate) fn execute_plan<B: CrowdBackend>(
+    catalog: &Catalog,
+    backend: &mut MeteringBackend<B>,
+    learned: &mut StatisticsStore,
+    prepared: &Prepared,
+    budget_dollars: Option<f64>,
+) -> (Result<Relation>, BackendUsage) {
+    backend.begin_epoch();
+    let budget = budget_dollars.map(|limit| BudgetGuard {
+        limit,
+        start_spend: backend.spend_dollars(),
+    });
+    let outcome = PlanRunner {
+        catalog,
+        backend: &mut *backend,
+        stats: &mut *learned,
+        budget,
+    }
+    .run_plan(&prepared.compiled.root);
+    let usage = backend.end_epoch();
+    learned.record_epoch(usage.hits_posted as u64, usage.elapsed_secs);
+    for round in backend.last_epoch_groups() {
+        learned.record_round(round.work_units, round.secs);
+    }
+    (outcome, usage)
+}
+
+/// Executes one physical plan against a backend, feeding a statistics
+/// store with every operator outcome.
 struct PlanRunner<'r, B: CrowdBackend> {
     catalog: &'r Catalog,
     backend: &'r mut B,

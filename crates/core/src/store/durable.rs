@@ -227,7 +227,8 @@ impl DurableStore {
         Self::append_and_maybe_compact(&mut inner, e.into_bytes());
     }
 
-    /// Journal a learning delta (see [`StatisticsStore::diff`]).
+    /// Journal a learning delta: what one query recorded into an empty
+    /// [`StatisticsStore`], merged on recovery in journal order.
     pub fn append_stats_delta(&self, delta: &StatisticsStore) {
         if delta.is_empty() {
             return;

@@ -12,8 +12,8 @@ use qurk::lang::parse_query;
 use qurk::plan::plan_query;
 use qurk::service::QueryService;
 use qurk::{
-    Catalog, Code, DurableStore, ExecConfig, LintPolicy, QurkError, Relation, Schema, Value,
-    ValueType,
+    Catalog, Code, DurableStore, ExecConfig, LintPolicy, QurkError, Relation, Schema, Session,
+    StatisticsStore, Value, ValueType,
 };
 use qurk_crowd::truth::{DimensionParams, PredicateTruth};
 use qurk_crowd::{CrowdConfig, EntityId, GroundTruth, Marketplace};
@@ -331,8 +331,10 @@ fn statistics_learned_after_admission_recompile_the_plan() {
     let mut svc = QueryService::new(Arc::clone(&catalog), market);
     svc.register_tenant("alice", None);
     svc.submit("alice", sql).unwrap();
-    svc.statistics().record_filter("isTall", 100, 90);
-    svc.statistics().record_filter("isBlond", 100, 10);
+    let mut learned = StatisticsStore::new();
+    learned.record_filter("isTall", 100, 90);
+    learned.record_filter("isBlond", 100, 10);
+    svc.statistics().commit(&learned);
 
     let logical = plan_query(&parse_query(sql).unwrap(), &catalog).unwrap();
     let fresh = qurk::opt::compile(
@@ -354,4 +356,30 @@ fn statistics_learned_after_admission_recompile_the_plan() {
     let report = svc.run_pending().pop().unwrap().unwrap();
     assert_eq!(report.plan.decisions, fresh.decisions);
     assert_eq!(report.plan.physical, fresh.root.to_string());
+}
+
+/// A service post crosses one Task Cache, the shared one: a query that
+/// re-asks its own specs is answered the second time by that cache, so
+/// the service counts the hits and the savings a `Session` counts.
+#[test]
+fn a_self_repeating_query_hits_the_one_shared_cache() {
+    let sql = "SELECT p.id FROM people AS p WHERE isTall(p.img) OR isTall(p.img)";
+    let (catalog, market) = world(7);
+    let mut svc = QueryService::new(Arc::clone(&catalog), market);
+    svc.register_tenant("alice", None);
+    svc.submit("alice", sql).unwrap();
+    let served = svc.run_pending().pop().unwrap().unwrap();
+
+    let (_, market) = world(7);
+    let mut session = Session::new(&catalog, market);
+    let direct = session.query(sql).report().unwrap();
+
+    assert_eq!(served.relation, direct.relation);
+    assert_eq!(served.hits_posted, direct.hits_posted);
+    assert_eq!(served.cost_dollars, direct.cost_dollars);
+    let stats = served.service.as_ref().unwrap();
+    assert!(served.hits_posted > 0);
+    assert_eq!(stats.shared_cache_hits, served.hits_posted as u64);
+    assert_eq!(stats.saved_dollars, served.cost_dollars);
+    assert_eq!(svc.market().cache_stats(), session.cache_stats());
 }

@@ -2,8 +2,10 @@
 //! durable store replays its paid work for free after a restart.
 
 use qurk::backend::ReplayBackend;
+use qurk::ops::sort::HybridSort;
+use qurk::session::SortMode;
 use qurk::{Catalog, DurableStore, Relation, ReplayTrace, Schema, Session, Value, ValueType};
-use qurk_crowd::truth::PredicateTruth;
+use qurk_crowd::truth::{DimensionParams, PredicateTruth};
 use qurk_crowd::{Answer, CrowdConfig, EntityId, GroundTruth, Marketplace};
 
 const FILTER_SQL: &str = "SELECT p.id FROM people AS p WHERE isTall(p.img)";
@@ -190,4 +192,94 @@ fn malformed_store_entries_repost_instead_of_panicking() {
 
     let _ = std::fs::remove_file(&good);
     let _ = std::fs::remove_file(&bad);
+}
+
+/// 23 people with two noisy filters and a noisy height dimension: enough
+/// crowd disagreement for every statistic to pick up fractional sums.
+fn noisy_world(seed: u64) -> (Catalog, Marketplace) {
+    let mut gt = GroundTruth::new();
+    gt.define_dimension("height", DimensionParams::crisp(0.2));
+    let items = gt.new_items(23);
+    for (i, &it) in items.iter().enumerate() {
+        let tall = PredicateTruth {
+            value: i % 3 != 0,
+            error_rate: 0.1,
+        };
+        let blond = PredicateTruth {
+            value: i % 2 == 0,
+            error_rate: 0.2,
+        };
+        gt.set_predicate(it, "isTall", tall);
+        gt.set_predicate(it, "isBlond", blond);
+        gt.set_score(it, "height", i as f64);
+    }
+    let market = Marketplace::new(&CrowdConfig::default().with_seed(seed), gt);
+
+    let mut catalog = Catalog::new();
+    let mut people = Relation::new(Schema::new(&[
+        ("id", ValueType::Int),
+        ("img", ValueType::Item),
+    ]));
+    for (i, &it) in items.iter().enumerate() {
+        people
+            .push(vec![Value::Int(i as i64), Value::Item(it)])
+            .expect("people row matches schema");
+    }
+    catalog.register_table("people", people);
+    catalog
+        .define_tasks(
+            r#"TASK isTall(field) TYPE Filter:
+                Prompt: "<img src='%s'> Tall?", tuple[field]
+               TASK isBlond(field) TYPE Filter:
+                Prompt: "<img src='%s'> Blond?", tuple[field]
+               TASK byHeight(field) TYPE Rank:
+                OrderDimensionName: "height"
+                Html: "<img src='%s'>", tuple[field]
+            "#,
+        )
+        .expect("task definitions parse");
+    (catalog, market)
+}
+
+/// What a persisted session learned is what a reopened store recovers,
+/// bit for bit: the session journals exactly the evidence it merged,
+/// so replaying the journal repeats the live float sums in order.
+#[test]
+fn recovered_statistics_equal_the_live_ones_bit_for_bit() {
+    for seed in 1..=20 {
+        let path = store_path(&format!("stats-{seed}"));
+        let _ = std::fs::remove_file(&path);
+        let (catalog, market) = noisy_world(seed);
+        let live = {
+            let mut session = Session::builder()
+                .catalog(&catalog)
+                .backend(market)
+                .persist_to(&path)
+                .expect("store opens")
+                .build();
+            let sort_sql = "SELECT p.id FROM people AS p ORDER BY byHeight(p.img)";
+            for sql in [
+                FILTER_SQL,
+                "SELECT p.id FROM people AS p WHERE isBlond(p.img)",
+                "SELECT p.id FROM people AS p WHERE isTall(p.img) AND isBlond(p.img)",
+                sort_sql,
+            ] {
+                session.run(sql).expect("live run succeeds");
+            }
+            // Hybrid runs several rounds in one query, so the sums it
+            // learns must be journaled as learned, not recovered as the
+            // difference of two running totals.
+            session
+                .query(sort_sql)
+                .sort(SortMode::Hybrid(HybridSort::default(), 6))
+                .run()
+                .expect("live run succeeds");
+            session.statistics().clone()
+        }; // session dropped — "process exit"
+        let recovered = DurableStore::open(&path)
+            .expect("store reopens")
+            .stats_snapshot();
+        assert_eq!(recovered, live, "seed {seed}");
+        let _ = std::fs::remove_file(&path);
+    }
 }
