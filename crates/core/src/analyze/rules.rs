@@ -496,20 +496,19 @@ fn qa006_pin_contradictions(cx: &RuleCx<'_>, out: &mut Vec<Diagnostic>) {
         }
     }
     if pins.combine && cx.config.combine_conjunct_filters {
-        let mut has_conjunctive_filter = false;
+        let mut any_combined = false;
         walk(&cx.chosen.root, &mut |p| {
-            if let PhysNode::CrowdFilter { conjuncts, .. } = &p.node {
-                if conjuncts.len() > 1 {
-                    has_conjunctive_filter = true;
-                }
+            if let PhysNode::CrowdFilter { combined: true, .. } = p.node {
+                any_combined = true;
             }
         });
-        if !has_conjunctive_filter {
+        if !any_combined {
             out.push(Diagnostic::new(
                 Code::QA006,
                 Severity::Info,
                 "filter combining (§2.6) is pinned on, but the query has no \
-                 conjunctive crowd filter to combine; the pin has no effect"
+                 conjunctive crowd filter over one item to combine; the pin \
+                 has no effect"
                     .to_owned(),
             ));
         }

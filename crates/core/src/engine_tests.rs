@@ -1,10 +1,11 @@
-//! Engine tests: every physical operator end to end through
-//! [`Session`](crate::session::Session) on a seeded simulated crowd —
-//! filters, joins, sorts, MAX/MIN extraction, combining, edge cases,
-//! and worker bans.
+// Engine tests: every physical operator end to end through `Session`
+// on a seeded simulated crowd — filters, joins, sorts, MAX/MIN
+// extraction, combining, edge cases, and worker bans. Included into
+// `exec.rs`, so each module below is a child of `exec`.
 
 #[cfg(test)]
 mod tests {
+    use crate::backend::CrowdBackend;
     use crate::catalog::Catalog;
     use crate::error::QurkError;
     use crate::relation::Relation;
@@ -192,14 +193,27 @@ mod tests {
         assert_eq!(rel.len(), 1);
     }
 
+    /// An unknown column fails the query whatever the data: a machine
+    /// predicate no row reaches (after `people.id < 0`) fails as surely
+    /// as one every row reaches, and an OR group's bad column fails
+    /// before the other group pays the crowd.
     #[test]
     fn unknown_column_errors() {
         let (catalog, mut market) = setup();
         let mut session = Session::new(&catalog, &mut market);
-        assert!(matches!(
-            session.run("SELECT nope FROM people"),
-            Err(QurkError::UnknownColumn(_))
-        ));
+        for sql in [
+            "SELECT nope FROM people",
+            "SELECT id FROM people WHERE people.id < 0 AND people.nope > 3",
+            "SELECT id FROM people WHERE people.id < 0 AND people.nope > 3 OR people.id > 100",
+            "SELECT id FROM people WHERE isTall(people.img) OR people.nope > 3",
+        ] {
+            let out = session.run(sql);
+            assert!(
+                matches!(out, Err(QurkError::UnknownColumn(_))),
+                "{sql}: {out:?}"
+            );
+        }
+        assert_eq!(session.backend().hits_posted(), 0);
     }
 
     #[test]
@@ -232,6 +246,7 @@ mod tests {
 #[cfg(test)]
 mod edge_tests {
     use crate::catalog::Catalog;
+    use crate::error::QurkError;
     use crate::relation::Relation;
     use crate::schema::{Schema, ValueType};
     use crate::session::Session;
@@ -279,6 +294,11 @@ mod edge_tests {
             let rel = session.run(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
             assert_eq!(rel.len(), 0, "{sql}");
         }
+        let out = session.run("SELECT id FROM t WHERE t.nope > 3");
+        assert!(
+            matches!(out, Err(QurkError::UnknownColumn(_))),
+            "an unknown column fails even on no rows: {out:?}"
+        );
         drop(session);
         assert_eq!(market.hits_posted(), 0, "empty inputs must not post HITs");
     }
@@ -718,6 +738,77 @@ mod combining_tests {
         assert!(
             s.len().abs_diff(c.len()) <= 1,
             "serial {s:?} combined {c:?}"
+        );
+    }
+
+    /// Table `t(id, a, b)`: `a` items are tall from row 5 on, `b`
+    /// items are red on even rows; no crowd error.
+    fn two_item_world() -> (Catalog, Marketplace) {
+        let mut gt = GroundTruth::new();
+        let mut rel = Relation::new(Schema::new(&[
+            ("id", ValueType::Int),
+            ("a", ValueType::Item),
+            ("b", ValueType::Item),
+        ]));
+        for i in 0..10 {
+            let (a, b) = (gt.new_item(), gt.new_item());
+            let truth = |value| PredicateTruth {
+                value,
+                error_rate: 0.0,
+            };
+            gt.set_predicate(a, "isTall", truth(i >= 5));
+            gt.set_predicate(b, "isRed", truth(i % 2 == 0));
+            rel.push(vec![Value::Int(i), Value::Item(a), Value::Item(b)])
+                .unwrap();
+        }
+        let mut catalog = Catalog::new();
+        catalog.register_table("t", rel);
+        catalog
+            .define_tasks(
+                "TASK isTall(field) TYPE Filter:\n Prompt: \"%s?\", tuple[field]\n\
+                 TASK isRed(field) TYPE Filter:\n Prompt: \"%s?\", tuple[field]",
+            )
+            .unwrap();
+        (catalog, Marketplace::new(&CrowdConfig::default(), gt))
+    }
+
+    /// Regression: §2.6 combining asks every predicate about one item
+    /// per tuple, and conjuncts over different item columns were
+    /// combined anyway — asking `isRed` about the `a` items and
+    /// returning no rows — whether combining was pinned on or chosen
+    /// by the cost-based optimizer from learned selectivities.
+    #[test]
+    fn conjuncts_over_different_items_stay_serial() {
+        let sql = "SELECT id FROM t WHERE isTall(t.a) AND isRed(t.b)";
+        let ids = |r: &Relation| -> Vec<i64> { r.rows().map(|t| t[0].as_int().unwrap()).collect() };
+
+        let (catalog, mut market) = two_item_world();
+        let mut session = Session::new(&catalog, &mut market);
+        assert_eq!(ids(&session.run(sql).unwrap()), [6, 8], "serial");
+
+        let (catalog, mut market) = two_item_world();
+        let mut session = Session::new(&catalog, &mut market);
+        let pinned = session.query(sql).combine_filters(true).report().unwrap();
+        assert_eq!(ids(&pinned.relation), [6, 8], "combining pinned on");
+        assert!(
+            pinned.plan.physical.contains("serial"),
+            "{}",
+            pinned.plan.physical
+        );
+
+        let (catalog, mut market) = two_item_world();
+        let mut session = Session::new(&catalog, &mut market);
+        session.run(sql).unwrap();
+        let learned = session.query(sql).report().unwrap();
+        assert_eq!(ids(&learned.relation), [6, 8], "cost-based second run");
+        assert!(
+            learned
+                .plan
+                .decisions
+                .iter()
+                .all(|d| !d.starts_with("combine")),
+            "{:?}",
+            learned.plan.decisions
         );
     }
 }

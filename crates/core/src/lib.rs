@@ -29,6 +29,10 @@
 //!                                               ▼
 //!                             session::Session / QueryBuilder
 //!                                               │
+//!                  exec::execute_plan           PLAN RUNNER: one bottom-up
+//!                                               pass per PhysNode, shared
+//!                                               by Session and the service
+//!                                               │
 //!                 ops::{filter, generative, join, sort}   [generic over B]
 //!                                               │        └──▶ opt::stats
 //!                 hit::{batch, compiler}        │         (learned σ/κ/latency)
@@ -53,6 +57,7 @@
 //! |---|---|
 //! | §2.1 query language + task templates | [`lang`], [`task`], [`catalog`] |
 //! | §2.5 HIT generation / plan rules | [`plan`], [`hit`] |
+//! | §2.5 bottom-up plan-tree evaluation | `exec` (crate-private plan runner) |
 //! | §2.6 Task Cache / MTurk boundary | [`backend`] |
 //! | §3.1 SimpleJoin / NaiveBatch / SmartBatch | [`ops::join`] |
 //! | §3.2 POSSIBLY feature filtering + κ/selectivity/leave-one-out | [`ops::join::feature_filter`] |
@@ -125,6 +130,7 @@ pub mod analyze;
 pub mod backend;
 pub mod catalog;
 pub mod error;
+mod exec;
 pub mod hit;
 pub mod intern;
 pub mod lang;
@@ -166,9 +172,3 @@ pub use service::{QueryService, ServiceStats, SharedMarket, TenantBackend};
 pub use session::{ExecConfig, QueryBuilder, QueryReport, Session, SessionBuilder, SortMode};
 pub use store::{CrashPoint, DurableStore, FaultPlan, QueryCheckpoint, StoreError, StoreHealth};
 pub use value::Value;
-
-/// Engine tests: every physical operator end to end through
-/// [`session::Session`].
-#[cfg(test)]
-#[path = "engine_tests.rs"]
-mod exec;

@@ -9,8 +9,6 @@
 //! in a [`crate::backend::CachingBackend`] and identical filter HITs
 //! are answered from the cache across queries.
 
-use std::collections::HashMap;
-
 use qurk_combine::em::{LabelObservation, QualityAdjust, QualityAdjustConfig};
 use qurk_combine::majority_vote_bool;
 use qurk_crowd::question::{HitKind, Question};
@@ -99,18 +97,13 @@ impl FilterOp {
         let group = round.group();
         let by_hit = round.complete(backend, self.limit_secs)?;
 
-        // Gather votes per (item_idx, predicate_idx). The group's HITs
-        // in spec order carry the flattened question stream.
-        let mut votes: HashMap<(usize, usize), Vec<(usize, bool)>> = HashMap::new();
+        // Gather votes per cell, one slot per (item_idx, predicate_idx)
+        // at `item_idx * predicates + predicate_idx`: the question
+        // stream's flattened order. The group's HITs in spec order
+        // carry that stream.
+        let np = predicates.len();
+        let mut votes: Vec<Vec<(usize, bool)>> = vec![Vec::new(); items.len() * np];
         let mut interner = WorkerInterner::new();
-        // Map flattened question order -> (item_idx, predicate_idx).
-        let flat: Vec<(usize, usize)> = if predicates.len() == 1 {
-            (0..items.len()).map(|ii| (ii, 0usize)).collect()
-        } else {
-            (0..items.len())
-                .flat_map(|ii| (0..predicates.len()).map(move |pi| (ii, pi)))
-                .collect()
-        };
         let mut qcursor = 0usize;
         for hit_id in backend.group_hits(group) {
             let nq = backend.hit_question_count(hit_id);
@@ -118,9 +111,8 @@ impl FilterOp {
                 for a in assignments {
                     let w = interner.intern(a.worker);
                     for (qi, ans) in a.answers.iter().enumerate() {
-                        let (ii, pi) = flat[qcursor + qi];
                         if let Some(b) = ans.as_bool() {
-                            votes.entry((ii, pi)).or_default().push((w, b));
+                            votes[qcursor + qi].push((w, b));
                         }
                     }
                 }
@@ -128,21 +120,22 @@ impl FilterOp {
             qcursor += nq;
         }
 
+        // A cell nobody voted on stays `false`.
+        let voted = || votes.iter().enumerate().filter(|(_, vs)| !vs.is_empty());
         match self.combiner {
             CombinerKind::MajorityVote => {
-                for (&(ii, pi), vs) in &votes {
+                for (cell, vs) in voted() {
                     let bools: Vec<bool> = vs.iter().map(|&(_, b)| b).collect();
-                    out[ii][pi] = majority_vote_bool(&bools);
+                    out[cell / np][cell % np] = majority_vote_bool(&bools);
                 }
             }
             CombinerKind::QualityAdjust => {
-                // One EM run over all cells: cells are "items".
-                let mut cell_ids: HashMap<(usize, usize), usize> = HashMap::new();
+                // One EM run over all voted cells: cells are "items",
+                // numbered in slot order.
                 let mut obs = Vec::new();
-                for (&cell, vs) in &votes {
-                    let next = cell_ids.len();
-                    let id = *cell_ids.entry(cell).or_insert(next);
-                    for &(w, b) in vs {
+                let cells: Vec<usize> = voted().map(|(cell, _)| cell).collect();
+                for (id, &cell) in cells.iter().enumerate() {
+                    for &(w, b) in &votes[cell] {
                         obs.push(LabelObservation {
                             worker: w,
                             item: id,
@@ -152,8 +145,8 @@ impl FilterOp {
                 }
                 let qa = QualityAdjust::new(QualityAdjustConfig::categorical(2));
                 let result = qa.run(&obs);
-                for ((ii, pi), id) in cell_ids {
-                    out[ii][pi] = result.decision_bool(id);
+                for (id, &cell) in cells.iter().enumerate() {
+                    out[cell / np][cell % np] = result.decision_bool(id);
                 }
             }
         }
@@ -164,9 +157,14 @@ impl FilterOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
     use crate::backend::CachingBackend;
+    use qurk_crowd::market::{Assignment, HitGroupId, HitId, RunOutcome};
+    use qurk_crowd::question::Answer;
+    use qurk_crowd::sim::SimTime;
     use qurk_crowd::truth::PredicateTruth;
-    use qurk_crowd::{CrowdConfig, GroundTruth, Marketplace};
+    use qurk_crowd::{CrowdConfig, GroundTruth, HitSpec, Marketplace, WorkerId};
 
     type PredSpec<'a> = &'a [(&'a str, fn(usize) -> bool)];
 
@@ -267,5 +265,103 @@ mod tests {
         let out = op.run(&mut m, "p", &[]).unwrap();
         assert!(out.is_empty());
         assert_eq!(m.hits_posted(), 0);
+    }
+
+    /// A marketplace whose answers are scripted: assignment `k` of
+    /// every HIT comes from worker `k` and answers the flattened
+    /// question `q` with `script(k, q)`.
+    struct ScriptedBackend {
+        inner: Marketplace,
+        script: fn(usize, usize) -> bool,
+    }
+
+    impl CrowdBackend for ScriptedBackend {
+        fn post_group(&mut self, specs: Vec<HitSpec>) -> HitGroupId {
+            self.inner.post_group(specs)
+        }
+        fn post_group_with_assignments(&mut self, specs: Vec<HitSpec>, n: u32) -> HitGroupId {
+            self.inner.post_group_with_assignments(specs, n)
+        }
+        fn run(&mut self, limit_secs: f64) -> RunOutcome {
+            self.inner.run(limit_secs)
+        }
+        fn assignments(&mut self, group: HitGroupId) -> Vec<Assignment> {
+            let mut first_q = HashMap::new();
+            let mut q = 0;
+            for hit in self.inner.group_hits(group) {
+                first_q.insert(hit, q);
+                q += CrowdBackend::hit_question_count(&self.inner, hit);
+            }
+            let mut seen: HashMap<HitId, usize> = HashMap::new();
+            let mut out = CrowdBackend::assignments(&mut self.inner, group);
+            for a in &mut out {
+                let k = seen.entry(a.hit).or_default();
+                a.worker = WorkerId(*k);
+                for (qi, ans) in a.answers.iter_mut().enumerate() {
+                    *ans = Answer::Bool((self.script)(*k, first_q[&a.hit] + qi));
+                }
+                *k += 1;
+            }
+            out
+        }
+        fn group_hits(&self, group: HitGroupId) -> Vec<HitId> {
+            self.inner.group_hits(group)
+        }
+        fn group_latencies(&self, group: HitGroupId) -> Vec<f64> {
+            self.inner.group_latencies(group)
+        }
+        fn group_outstanding(&self, group: HitGroupId) -> u32 {
+            self.inner.group_outstanding(group)
+        }
+        fn hit_question_count(&self, hit: HitId) -> usize {
+            CrowdBackend::hit_question_count(&self.inner, hit)
+        }
+        fn ban_workers(&mut self, workers: Vec<WorkerId>) {
+            self.inner.ban_workers(workers)
+        }
+        fn now(&self) -> SimTime {
+            self.inner.now()
+        }
+        fn hits_posted(&self) -> usize {
+            self.inner.hits_posted()
+        }
+        fn spend_dollars(&self) -> f64 {
+            CrowdBackend::spend_dollars(&self.inner)
+        }
+        fn assignments_completed(&self) -> u64 {
+            CrowdBackend::assignments_completed(&self.inner)
+        }
+    }
+
+    /// Regression: QualityAdjust numbered its EM cells in `HashMap`
+    /// iteration order, so the M-step summed in a different order on
+    /// every run. Two mirrored workers — each says yes where the other
+    /// says no on half the cells, and they agree on the rest — are
+    /// equally reliable up to rounding, so their disagreements sit on
+    /// a knife edge that the summation order decided.
+    #[test]
+    fn quality_adjust_decisions_repeat_across_runs() {
+        let run = || {
+            let (m, items) = market_with(40, &[("a", |_| true), ("b", |_| true)]);
+            let mut backend = ScriptedBackend {
+                inner: m,
+                script: |worker, q| match q % 4 {
+                    0 => worker == 0,
+                    1 => worker == 1,
+                    2 => true,
+                    _ => false,
+                },
+            };
+            let op = FilterOp {
+                combiner: CombinerKind::QualityAdjust,
+                assignments: Some(2),
+                ..Default::default()
+            };
+            op.run_combined(&mut backend, &["a", "b"], &items).unwrap()
+        };
+        let first = run();
+        for _ in 0..30 {
+            assert_eq!(run(), first);
+        }
     }
 }

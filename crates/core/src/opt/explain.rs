@@ -36,11 +36,7 @@ fn fmt_node(plan: &PhysicalPlan, f: &mut fmt::Formatter<'_>, depth: usize) -> fm
             ..
         } => {
             let names: Vec<&str> = conjuncts.iter().map(|c| c.name.as_str()).collect();
-            let style = if *combined && conjuncts.len() > 1 {
-                "combined"
-            } else {
-                "serial"
-            };
+            let style = if *combined { "combined" } else { "serial" };
             format!(
                 "CrowdFilter {} [{style}, batch {}]",
                 names.join(" AND "),

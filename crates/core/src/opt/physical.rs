@@ -434,11 +434,17 @@ impl Cx<'_> {
         let combined_est = self.model.combined_filter(rows, ordered.len(), &op);
 
         // Decision 2: §2.6 combining when evidence says it is strictly
-        // cheaper. Without evidence the configured style stands.
-        let mut combined = self.config.combine_conjunct_filters && ordered.len() > 1;
+        // cheaper. Without evidence the configured style stands. A
+        // combined HIT asks every predicate about one item per tuple,
+        // so conjuncts over different item arguments stay serial.
+        let combinable = ordered.len() > 1
+            && ordered
+                .windows(2)
+                .all(|w| w[0].args.first() == w[1].args.first());
+        let mut combined = self.config.combine_conjunct_filters && combinable;
         if self.cost_based()
             && !pins.combine
-            && ordered.len() > 1
+            && combinable
             && any_known
             && !combined
             && combined_est.hits < serial.hits
@@ -452,11 +458,7 @@ impl Cx<'_> {
             ));
         }
 
-        let cost = if combined && ordered.len() > 1 {
-            combined_est
-        } else {
-            serial
-        };
+        let cost = if combined { combined_est } else { serial };
         let out_rows = rows * sels.iter().product::<f64>();
         Ok(PhysicalPlan {
             node: PhysNode::CrowdFilter {

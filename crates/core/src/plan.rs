@@ -220,6 +220,11 @@ pub fn plan_query(query: &Query, catalog: &Catalog) -> Result<LogicalPlan> {
             check_task(c, &[TaskType::Rank])?;
         }
     }
+    for item in &query.select {
+        if let SelectItem::Udf { call, .. } = item {
+            check_task(call, &[TaskType::Generative])?;
+        }
+    }
 
     // Partition WHERE predicates. Single-group (pure conjunction)
     // predicates are split per binding and pushed; multi-group (OR)
@@ -442,12 +447,17 @@ mod tests {
             plan_query(&q, &catalog()),
             Err(QurkError::TaskTypeMismatch { .. })
         ));
-        // A Filter task in ORDER BY.
-        let q = parse_query("SELECT name FROM celeb ORDER BY isFemale(img)").unwrap();
-        assert!(matches!(
-            plan_query(&q, &catalog()),
-            Err(QurkError::TaskTypeMismatch { .. })
-        ));
+        // A Filter task in ORDER BY, and in SELECT.
+        for sql in [
+            "SELECT name FROM celeb ORDER BY isFemale(img)",
+            "SELECT isFemale(img) FROM celeb",
+        ] {
+            let q = parse_query(sql).unwrap();
+            assert!(matches!(
+                plan_query(&q, &catalog()),
+                Err(QurkError::TaskTypeMismatch { .. })
+            ));
+        }
     }
 
     #[test]

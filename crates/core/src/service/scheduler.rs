@@ -61,11 +61,12 @@ use crate::analyze::{prepare, Prepared};
 use crate::backend::{CachingBackend, CrowdBackend, MeteringBackend};
 use crate::catalog::Catalog;
 use crate::error::{QurkError, Result};
+use crate::exec::execute_plan;
 use crate::lang::parser::parse_query;
 use crate::opt::stats::{SharedStatistics, StatisticsStore};
 use crate::service::report::ServiceStats;
 use crate::service::tenant::{SharedMarket, StagedPost, TenantBackend};
-use crate::session::{execute_plan, ExecConfig, QueryReport};
+use crate::session::{ExecConfig, QueryReport};
 use crate::store::DurableStore;
 
 /// Wake-up message from the scheduler to a query thread parked in
