@@ -2,7 +2,7 @@
 //!
 //! Times the retained naive baselines against the optimized hot paths
 //! (EM combine, τ/κ metrics, machine-side join candidate generation,
-//! compare-sort group planning), medians the three standard end-to-end
+//! compare-sort group planning, the join vote path), medians the three standard end-to-end
 //! workloads, and writes `BENCH_wallclock.json` for the CI artifact and
 //! the tier-1 gate.
 //!

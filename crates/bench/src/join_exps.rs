@@ -98,9 +98,9 @@ pub fn run_scheme(scheme: Scheme, n: usize, base_seed: u64) -> SchemeRun {
             .run(&mut market, &ds.celeb_items, &ds.photo_items, None)
             .expect("join should complete");
         hits_per_trial = out.hits_posted;
-        for (pair, vs) in out.pair_votes {
+        for (pair, vs) in out.pair_votes.iter() {
             let entry = votes.entry(pair).or_default();
-            for (w, b) in vs {
+            for &(w, b) in vs {
                 // Offset trial-2 workers so EM sees distinct raters.
                 entry.push((WorkerId(w.0 + t * 100_000), b));
             }

@@ -310,16 +310,26 @@ fn candidate_pairs_naive(
 }
 
 /// Votes per pair, as [`join_votes_naive`] gathers them.
-#[cfg(test)]
 type NaivePairVotes = std::collections::HashMap<(usize, usize), Vec<(qurk_crowd::WorkerId, bool)>>;
+
+/// A completed join round as the hash-keyed path lays it out: per
+/// spec, the pairs its questions ask about, and per spec the HIT's
+/// assignments ([`Round::complete`]).
+///
+/// [`Round::complete`]: qurk::ops::common::Round::complete
+struct NaiveJoinRound {
+    layout: Vec<Vec<(usize, usize)>>,
+    answers: Vec<Vec<qurk_crowd::market::Assignment>>,
+}
 
 /// The hash-keyed join round that [`JoinOp::run`] replaced: filter the
 /// cross product through a `HashSet`, group SmartBatch grids through a
 /// `HashMap` of right items per left item, gather votes into a
-/// `HashMap` keyed by pair, and number EM items through a pair-index
-/// `HashMap`. Posts the same HITs in the same order, so on identical
-/// marketplaces it must return the same matches and per-pair votes —
-/// the equivalence oracle for the positional vote path.
+/// `HashMap` keyed by pair, and number EM workers and items through
+/// `HashMap`s for a [`LabelObservation`] EM run. Posts the same HITs
+/// in the same order, so on identical marketplaces it must return the
+/// same matches and per-pair votes — the equivalence oracle for the
+/// positional vote path.
 ///
 /// [`JoinOp::run`]: qurk::ops::join::JoinOp::run
 #[cfg(test)]
@@ -330,9 +340,23 @@ fn join_votes_naive(
     right: &[qurk_crowd::ItemId],
     candidates: Option<&std::collections::HashSet<(usize, usize)>>,
 ) -> (Vec<(usize, usize)>, NaivePairVotes) {
-    use qurk::ops::common::{Round, WorkerInterner};
+    match join_round_naive(op, backend, left, right, candidates) {
+        Some(round) => fuse_join_round_naive(op.combiner, &round),
+        None => (Vec::new(), NaivePairVotes::new()),
+    }
+}
+
+/// [`join_votes_naive`]'s first half: compile, post and complete the
+/// round (`None` when no pair is a candidate).
+fn join_round_naive(
+    op: &qurk::ops::join::JoinOp,
+    backend: &mut impl qurk::CrowdBackend,
+    left: &[qurk_crowd::ItemId],
+    right: &[qurk_crowd::ItemId],
+    candidates: Option<&std::collections::HashSet<(usize, usize)>>,
+) -> Option<NaiveJoinRound> {
+    use qurk::ops::common::Round;
     use qurk::ops::join::JoinStrategy;
-    use qurk::task::CombinerKind;
     use qurk_crowd::question::{HitKind, Question};
     use qurk_crowd::HitSpec;
     use std::collections::HashMap;
@@ -342,7 +366,7 @@ fn join_votes_naive(
         .filter(|p| candidates.is_none_or(|c| c.contains(p)))
         .collect();
     if pairs.is_empty() {
-        return (Vec::new(), HashMap::new());
+        return None;
     }
 
     let q = |&(i, j): &(usize, usize)| Question::JoinPair {
@@ -402,29 +426,36 @@ fn join_votes_naive(
         }
     };
 
-    let round = Round::post(backend, specs, op.assignments);
-    let group = round.group();
-    let by_hit = round
+    let answers = Round::post(backend, specs, op.assignments)
         .complete(backend, op.limit_secs)
         .expect("join round should complete");
+    Some(NaiveJoinRound { layout, answers })
+}
+
+/// [`join_votes_naive`]'s second half: gather the round's votes into a
+/// `HashMap` keyed by pair, then fuse them — majority vote per pair, or
+/// one QualityAdjust run over [`LabelObservation`]s whose workers are
+/// numbered first-seen through a `HashMap` and whose items are the
+/// sorted pairs, numbered through a pair-index `HashMap`.
+fn fuse_join_round_naive(
+    combiner: qurk::task::CombinerKind,
+    round: &NaiveJoinRound,
+) -> (Vec<(usize, usize)>, NaivePairVotes) {
+    use qurk::task::CombinerKind;
+    use std::collections::HashMap;
+
     let mut pair_votes: NaivePairVotes = HashMap::new();
-    for (spec_idx, hit_id) in backend.group_hits(group).into_iter().enumerate() {
-        let Some(assignments) = by_hit.get(&hit_id) else {
-            continue;
-        };
+    for (lay, assignments) in round.layout.iter().zip(&round.answers) {
         for a in assignments {
             for (qi, ans) in a.answers.iter().enumerate() {
                 if let Some(b) = ans.as_bool() {
-                    pair_votes
-                        .entry(layout[spec_idx][qi])
-                        .or_default()
-                        .push((a.worker, b));
+                    pair_votes.entry(lay[qi]).or_default().push((a.worker, b));
                 }
             }
         }
     }
 
-    let mut matches: Vec<(usize, usize)> = match op.combiner {
+    let mut matches: Vec<(usize, usize)> = match combiner {
         CombinerKind::MajorityVote => pair_votes
             .iter()
             .filter(|(_, votes)| {
@@ -434,7 +465,7 @@ fn join_votes_naive(
             .map(|(&p, _)| p)
             .collect(),
         CombinerKind::QualityAdjust => {
-            let mut interner = WorkerInterner::new();
+            let mut workers: HashMap<qurk_crowd::WorkerId, usize> = HashMap::new();
             let mut pair_ids: Vec<(usize, usize)> = pair_votes.keys().copied().collect();
             pair_ids.sort_unstable();
             let index: HashMap<(usize, usize), usize> =
@@ -442,8 +473,9 @@ fn join_votes_naive(
             let mut obs = Vec::new();
             for (&p, votes) in &pair_votes {
                 for &(w, b) in votes {
+                    let next = workers.len();
                     obs.push(LabelObservation {
-                        worker: interner.intern(w),
+                        worker: *workers.entry(w).or_insert(next),
                         item: index[&p],
                         label: usize::from(b),
                     });
@@ -458,6 +490,68 @@ fn join_votes_naive(
     };
     matches.sort_unstable();
     (matches, pair_votes)
+}
+
+/// The `join-votes` bench's input: one completed join round, laid out
+/// for both paths. `pairs`, `layout` and `starts` are the positional
+/// path's view of `round`: the sorted pairs, each question's pair
+/// ordinal, and each spec's first question.
+struct JoinVotesInput {
+    round: NaiveJoinRound,
+    pairs: Vec<(usize, usize)>,
+    layout: Vec<usize>,
+    starts: Vec<usize>,
+}
+
+/// A fixed completed join round for the `join-votes` bench: a
+/// `side × side` celebrity-style cross product (left item `i` and right
+/// item `j` depict the same person when `i % 20 == j % 25`),
+/// NaiveBatch(5) HITs, 5 assignments each, answered once by a seeded
+/// marketplace.
+fn join_votes_round(side: usize) -> JoinVotesInput {
+    use qurk::ops::join::{JoinOp, JoinStrategy};
+    use qurk_crowd::{CrowdConfig, EntityId, GroundTruth, Marketplace};
+
+    let mut gt = GroundTruth::new();
+    let left = gt.new_items(side);
+    let right = gt.new_items(side);
+    for (i, &item) in left.iter().enumerate() {
+        gt.set_entity(item, EntityId(i as u64 % 20));
+    }
+    for (j, &item) in right.iter().enumerate() {
+        gt.set_entity(item, EntityId(j as u64 % 25));
+    }
+    gt.set_default_similarity(0.1);
+    let mut market = Marketplace::new(&CrowdConfig::default().with_seed(0x701), gt);
+    let op = JoinOp {
+        strategy: JoinStrategy::NaiveBatch(5),
+        ..JoinOp::default()
+    };
+    let round = join_round_naive(&op, &mut market, &left, &right, None)
+        .expect("a non-empty cross product posts a round");
+    let mut pairs: Vec<(usize, usize)> = round.layout.iter().flatten().copied().collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    let layout: Vec<usize> = round
+        .layout
+        .iter()
+        .flatten()
+        .map(|p| {
+            pairs
+                .binary_search(p)
+                .expect("every asked pair is a candidate")
+        })
+        .collect();
+    let mut starts = vec![0];
+    for lay in &round.layout {
+        starts.push(starts[starts.len() - 1] + lay.len());
+    }
+    JoinVotesInput {
+        round,
+        pairs,
+        layout,
+        starts,
+    }
 }
 
 /// Deterministic score vector with heavy ties (mod 13) — the τ shape
@@ -569,7 +663,7 @@ fn summarize(
         .expect("sample_size >= 1 always yields samples")
 }
 
-/// Run the five baseline-vs-optimized microbenchmarks with
+/// Run the six baseline-vs-optimized microbenchmarks with
 /// `samples` timed iterations each.
 pub fn run_microbenches(samples: usize) -> Vec<MicroBench> {
     let mut c = Criterion::default();
@@ -681,6 +775,39 @@ pub fn run_microbenches(samples: usize) -> Vec<MicroBench> {
             criterion::black_box(CompareSort::plan_groups(n, s, seed));
         });
         push("plan-groups", true, elements, base, opt);
+    }
+
+    // Join vote path, from a completed round to its matches: votes
+    // keyed by pair in a `HashMap` plus LabelObservation EM, vs the
+    // CSR tally fed straight into grouped EM.
+    {
+        use qurk::ops::join::{JoinOp, PairVotes};
+        use qurk::task::CombinerKind;
+        let JoinVotesInput {
+            round,
+            pairs,
+            layout,
+            starts,
+        } = join_votes_round(60);
+        let op = JoinOp {
+            combiner: CombinerKind::QualityAdjust,
+            ..JoinOp::default()
+        };
+        let elements = round
+            .answers
+            .iter()
+            .flatten()
+            .map(|a| a.answers.len())
+            .sum::<usize>() as u64;
+        g.throughput(Throughput::Elements(elements));
+        let base = summarize(&mut g, "join-votes/hash-keyed", || {
+            criterion::black_box(fuse_join_round_naive(op.combiner, &round));
+        });
+        let opt = summarize(&mut g, "join-votes/flat", || {
+            let votes = PairVotes::tally(&pairs, &layout, &starts, &round.answers);
+            criterion::black_box(op.combine(&votes));
+        });
+        push("join-votes", true, elements, base, opt);
     }
 
     g.finish();
@@ -895,6 +1022,37 @@ mod tests {
         );
     }
 
+    /// The `join-votes` bench's two sides fuse its fixed round into the
+    /// same matches and the same votes per pair, so the bench times
+    /// layout, not different answers.
+    #[test]
+    fn join_votes_bench_paths_agree() {
+        use qurk::ops::join::{JoinOp, PairVotes};
+        use qurk::task::CombinerKind;
+        let JoinVotesInput {
+            round,
+            pairs,
+            layout,
+            starts,
+        } = join_votes_round(12);
+        for combiner in [CombinerKind::MajorityVote, CombinerKind::QualityAdjust] {
+            let op = JoinOp {
+                combiner,
+                ..JoinOp::default()
+            };
+            let (matches, naive) = fuse_join_round_naive(combiner, &round);
+            let votes = PairVotes::tally(&pairs, &layout, &starts, &round.answers);
+            let mut naive: Vec<_> = naive.into_iter().collect();
+            naive.sort_unstable_by_key(|&(p, _)| p);
+            assert_eq!(votes, naive, "{combiner:?}");
+            assert_eq!(op.combine(&votes), matches, "{combiner:?}");
+            assert!(
+                !matches.is_empty(),
+                "{combiner:?}: no match, the check is vacuous"
+            );
+        }
+    }
+
     #[test]
     fn plan_groups_matches_the_naive_generator() {
         for n in 2..=32 {
@@ -1009,7 +1167,7 @@ mod tests {
     #[ignore = "wall-clock timing; run with --ignored"]
     fn layout_pass_speedups_hold_when_remeasured() {
         let micro = run_microbenches(5);
-        assert_eq!(micro.len(), 5);
+        assert_eq!(micro.len(), 6);
         for m in &micro {
             println!(
                 "{}: {:.2}x ({} ns -> {} ns)",

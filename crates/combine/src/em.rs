@@ -27,15 +27,21 @@
 //! ## Layout
 //!
 //! EM is the machine-side hot loop (it runs once per HIT round), so
-//! internally everything is flat: posteriors are one `num_items × k`
-//! buffer, confusion matrices one `num_workers × k × k` buffer, votes
-//! a CSR-style `(offsets, flat votes)` pair, and the per-item E-step
-//! scratch is reused across items and iterations — no allocation
-//! inside the EM loop. The arithmetic is performed in exactly the
-//! same order as the reference nested-`Vec` formulation (kept as
-//! `qurk-bench`'s baseline), so results are bit-identical; only the
-//! memory layout changed. The public [`QualityAdjustOutput`] keeps
-//! the nested shape, converted once at the end.
+//! everything is flat, input and output alike. The input is the votes
+//! grouped by item, CSR-style: an `offsets` array and one flat
+//! `(worker, label)` buffer ([`QualityAdjust::run_grouped`]). A caller
+//! that gathers its votes per item (the join, the filter and the
+//! generative operator do) hands them over as they are;
+//! [`QualityAdjust::run`] is a thin adapter that groups a
+//! [`LabelObservation`] list first. Inside, posteriors are one
+//! `num_items × k` buffer, confusion matrices one `num_workers × k × k`
+//! buffer, and the per-item E-step scratch is reused across items and
+//! iterations: a run allocates the same handful of buffers however many
+//! items it has. The output keeps those buffers ([`FlatRows`]), read
+//! through per-item and per-worker accessors. The arithmetic is
+//! performed in exactly the same order as the reference nested-`Vec`
+//! formulation (kept as `qurk-bench`'s baseline), so results are
+//! bit-identical; only the memory layout changed.
 // lint:hot-path
 
 /// One worker response: `worker` assigned `label` to `item`.
@@ -126,15 +132,61 @@ impl QualityAdjustConfig {
     }
 }
 
+/// Rows of `width` probabilities in one flat row-major buffer (EM's
+/// posteriors, a row per item). [`Self::row`] and iteration yield
+/// `&[f64]` rows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlatRows {
+    width: usize,
+    data: Vec<f64>,
+}
+
+impl FlatRows {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.data.len() / self.width
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// Row `i`.
+    pub fn row(&self, i: usize) -> &[f64] {
+        &self.data[i * self.width..(i + 1) * self.width]
+    }
+
+    /// The rows in order.
+    pub fn iter(&self) -> std::slice::Chunks<'_, f64> {
+        self.data.chunks(self.width)
+    }
+
+    /// The whole buffer, row after row.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+}
+
+impl<'a> IntoIterator for &'a FlatRows {
+    type Item = &'a [f64];
+    type IntoIter = std::slice::Chunks<'a, f64>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// Result of running the EM combiner.
 #[derive(Debug, Clone)]
 pub struct QualityAdjustOutput {
-    /// `posteriors[item][k]` = P(true label of `item` is `k`).
-    pub posteriors: Vec<Vec<f64>>,
+    /// Row `item` (`posteriors.row(item)`) holds P(true label of
+    /// `item` is `t`) for each `t`.
+    pub posteriors: FlatRows,
     /// Cost-minimizing decision per item.
     pub decisions: Vec<usize>,
-    /// `confusion[worker][k][l]` = P(worker answers l | truth k).
-    pub confusion: Vec<Vec<Vec<f64>>>,
+    /// Worker `w`'s `k × k` confusion matrix at `w * k * k`; read it
+    /// through [`Self::confusion`].
+    confusion: Vec<f64>,
     /// Estimated class priors.
     pub priors: Vec<f64>,
     /// Per-worker spam score: ≈0 perfect, ≥1 spam-equivalent.
@@ -144,6 +196,18 @@ pub struct QualityAdjustOutput {
 }
 
 impl QualityAdjustOutput {
+    /// Worker `worker`'s confusion matrix, row-major `k × k`: entry
+    /// `t * k + l` is P(worker answers `l` | truth `t`).
+    pub fn confusion(&self, worker: usize) -> &[f64] {
+        let kk = self.priors.len() * self.priors.len();
+        &self.confusion[worker * kk..(worker + 1) * kk]
+    }
+
+    /// Number of EM workers (one past the largest worker id voted).
+    pub fn num_workers(&self) -> usize {
+        self.spammer_score.len()
+    }
+
     /// Convenience: decision for `item` as a bool (label 1 = true).
     pub fn decision_bool(&self, item: usize) -> bool {
         self.decisions[item] == 1
@@ -179,22 +243,13 @@ impl QualityAdjust {
         QualityAdjust { config }
     }
 
-    /// Run EM over the observations.
+    /// Run EM over the observations: groups them by item (in input
+    /// order) and calls [`Self::run_grouped`].
     ///
-    /// Item/worker indices may be sparse; missing items get uniform
-    /// posteriors and the prior-based decision. Panics if any label is
-    /// out of range.
+    /// Item/worker indices may be sparse; missing items get the
+    /// prior-based decision. Panics if any label is out of range.
     pub fn run(&self, observations: &[LabelObservation]) -> QualityAdjustOutput {
-        let k = self.config.num_labels;
         let num_items = observations.iter().map(|o| o.item + 1).max().unwrap_or(0);
-        let num_workers = observations.iter().map(|o| o.worker + 1).max().unwrap_or(0);
-        for o in observations {
-            assert!(o.label < k, "label {} out of range {k}", o.label);
-        }
-
-        // Group observations by item, CSR-style: `votes[offsets[i]..
-        // offsets[i+1]]` are item i's (worker, label) pairs, in input
-        // order — one flat buffer instead of a Vec per item.
         let mut offsets = vec![0usize; num_items + 1];
         for o in observations {
             offsets[o.item + 1] += 1;
@@ -208,11 +263,38 @@ impl QualityAdjust {
             votes[cursor[o.item]] = (o.worker, o.label);
             cursor[o.item] += 1;
         }
+        self.run_grouped(&offsets, &votes)
+    }
+
+    /// Run EM over votes grouped by item, CSR-style: item `i`'s
+    /// `(worker, label)` votes are `votes[offsets[i]..offsets[i + 1]]`,
+    /// so there are `offsets.len() - 1` items (an item whose range is
+    /// empty gets the prior-based decision). Workers are dense indices;
+    /// EM has one past the largest of them.
+    ///
+    /// Panics if `offsets` does not describe `votes` (it must start at
+    /// 0, never decrease and end at `votes.len()`) or if any label is
+    /// out of range.
+    pub fn run_grouped(&self, offsets: &[usize], votes: &[(usize, usize)]) -> QualityAdjustOutput {
+        let k = self.config.num_labels;
+        let num_items = offsets.len().saturating_sub(1);
+        assert!(
+            offsets.first().is_none_or(|&o| o == 0)
+                && offsets.windows(2).all(|w| w[0] <= w[1])
+                && offsets.last().copied().unwrap_or(0) == votes.len(),
+            "offsets must group all {} votes by item",
+            votes.len()
+        );
+        let mut num_workers = 0;
+        for &(w, l) in votes {
+            assert!(l < k, "label {l} out of range {k}");
+            num_workers = num_workers.max(w + 1);
+        }
         let item_votes = |item: usize| &votes[offsets[item]..offsets[item + 1]];
 
         let mut worker_answer_counts = vec![0usize; num_workers];
-        for o in observations {
-            worker_answer_counts[o.worker] += 1;
+        for &(w, _) in votes {
+            worker_answer_counts[w] += 1;
         }
 
         // --- Initialization: posteriors from raw vote proportions. ---
@@ -301,15 +383,12 @@ impl QualityAdjust {
             self.spam_scores(&confusion, &priors, num_workers, &worker_answer_counts);
 
         QualityAdjustOutput {
-            posteriors: posteriors.chunks(k).map(<[f64]>::to_vec).collect(),
+            posteriors: FlatRows {
+                width: k,
+                data: posteriors,
+            },
             decisions,
-            confusion: (0..num_workers)
-                .map(|w| {
-                    (0..k)
-                        .map(|t| confusion[(w * k + t) * k..(w * k + t + 1) * k].to_vec())
-                        .collect()
-                })
-                .collect(),
+            confusion,
             priors,
             spammer_score,
             worker_answer_counts,
@@ -468,8 +547,8 @@ mod tests {
             out.spammer_score[2]
         );
         // Confusion matrix rows should be near-deterministic inversions.
-        assert!(out.confusion[2][0][1] > 0.9);
-        assert!(out.confusion[2][1][0] > 0.9);
+        assert!(out.confusion(2)[1] > 0.9);
+        assert!(out.confusion(2)[2] > 0.9);
     }
 
     #[test]
@@ -670,8 +749,8 @@ mod proptests {
             for &d in &out.decisions {
                 prop_assert!(d < 3);
             }
-            for w in &out.confusion {
-                for row in w {
+            for w in 0..out.num_workers() {
+                for row in out.confusion(w).chunks(3) {
                     let s: f64 = row.iter().sum();
                     prop_assert!((s - 1.0).abs() < 1e-6);
                 }
@@ -698,6 +777,44 @@ mod proptests {
             cfg.iterations = iters;
             let out = QualityAdjust::new(cfg).run(&obs);
             prop_assert_eq!(out.decisions, truths);
+        }
+
+        /// The grouped entry and the `LabelObservation` adapter agree
+        /// bit for bit. Worker ids are sparse (a few of 0..1000), some
+        /// items in range have no votes, and the grouping here is built
+        /// independently of the adapter's (a stable sort by item).
+        #[test]
+        fn grouped_entry_matches_the_observation_adapter(
+            k in prop::sample::select(vec![2usize, 4]),
+            workers in prop::collection::vec(0usize..1000, 1..6),
+            votes in prop::collection::vec((0usize..6, 0usize..40, 0usize..4), 0..150),
+        ) {
+            let obs: Vec<LabelObservation> = votes
+                .iter()
+                .map(|&(w, item, label)| LabelObservation {
+                    worker: workers[w % workers.len()],
+                    item,
+                    label: label % k,
+                })
+                .collect();
+            let num_items = obs.iter().map(|o| o.item + 1).max().unwrap_or(0);
+            let mut sorted = obs.clone();
+            sorted.sort_by_key(|o| o.item);
+            let grouped: Vec<(usize, usize)> = sorted.iter().map(|o| (o.worker, o.label)).collect();
+            let offsets: Vec<usize> = (0..=num_items)
+                .map(|i| sorted.partition_point(|o| o.item < i))
+                .collect();
+
+            let qa = QualityAdjust::new(QualityAdjustConfig::categorical(k));
+            let a = qa.run(&obs);
+            let b = qa.run_grouped(&offsets, &grouped);
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(a.posteriors.len(), num_items);
+            prop_assert_eq!(bits(a.posteriors.as_slice()), bits(b.posteriors.as_slice()));
+            prop_assert_eq!(&a.decisions, &b.decisions);
+            prop_assert_eq!(bits(&a.spammer_score), bits(&b.spammer_score));
+            prop_assert_eq!(bits(&a.priors), bits(&b.priors));
+            prop_assert_eq!(&a.worker_answer_counts, &b.worker_answer_counts);
         }
     }
 }

@@ -87,13 +87,8 @@ impl AdaptiveVotes {
                 .collect();
             hits_posted += specs.len();
             let round = Round::post(backend, specs, Some(round_votes));
-            let group = round.group();
-            let by_hit = round.complete(backend, DEFAULT_ROUND_LIMIT_SECS)?;
-            for (k, hit_id) in backend.group_hits(group).into_iter().enumerate() {
-                let i = open[k];
-                let Some(assignments) = by_hit.get(&hit_id) else {
-                    continue;
-                };
+            let answers = round.complete(backend, DEFAULT_ROUND_LIMIT_SECS)?;
+            for (&i, assignments) in open.iter().zip(&answers) {
                 for a in assignments {
                     if let Some(b) = a.answers[0].as_bool() {
                         if b {
@@ -203,7 +198,7 @@ impl BatchSizeSearch {
         // Run out the probe window; judge THIS round only — earlier
         // stalled probes (or unrelated groups) may legitimately remain
         // outstanding on the same marketplace.
-        let (completed, _) = round.try_complete(backend, target_secs);
+        let completed = round.try_complete(backend, target_secs).is_some();
         ProbeResult {
             completed,
             accuracy: None,

@@ -127,6 +127,60 @@ pub trait CrowdBackend: Send + Sync {
     }
 }
 
+/// A HIT's position in its group: `hits` are the group's HIT ids in
+/// spec order. Every backend here allocates a group's ids
+/// consecutively, so the position is the offset from the first id;
+/// a group whose ids are not consecutive falls back to a map.
+pub(crate) struct HitPositions {
+    first: usize,
+    len: usize,
+    fallback: Option<HashMap<HitId, usize>>,
+}
+
+impl HitPositions {
+    pub(crate) fn new(hits: &[HitId]) -> Self {
+        let first = hits.first().map_or(0, |h| h.0);
+        let consecutive = hits
+            .iter()
+            .enumerate()
+            .all(|(p, h)| h.0.wrapping_sub(first) == p);
+        HitPositions {
+            first,
+            len: hits.len(),
+            fallback: (!consecutive)
+                .then(|| hits.iter().enumerate().map(|(p, &h)| (h, p)).collect()),
+        }
+    }
+
+    /// `hit`'s position, or `None` for a HIT outside the group.
+    pub(crate) fn get(&self, hit: HitId) -> Option<usize> {
+        match &self.fallback {
+            None => Some(hit.0.wrapping_sub(self.first)).filter(|&p| p < self.len),
+            Some(map) => map.get(&hit).copied(),
+        }
+    }
+}
+
+/// A group's `assignments` by HIT position: `out[p]` holds those of
+/// `hits[p]`, in the order given (assignments of other HITs are
+/// dropped). Each HIT's list is sized exactly, from a counting pass.
+pub(crate) fn by_position(hits: &[HitId], assignments: Vec<Assignment>) -> Vec<Vec<Assignment>> {
+    let positions = HitPositions::new(hits);
+    let mut counts = vec![0usize; hits.len()];
+    for a in &assignments {
+        if let Some(p) = positions.get(a.hit) {
+            counts[p] += 1;
+        }
+    }
+    let mut out: Vec<Vec<Assignment>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for a in assignments {
+        if let Some(p) = positions.get(a.hit) {
+            out[p].push(a);
+        }
+    }
+    out
+}
+
 impl CrowdBackend for Marketplace {
     fn post_group(&mut self, specs: Vec<HitSpec>) -> HitGroupId {
         Marketplace::post_group(self, specs)
@@ -607,17 +661,11 @@ impl<B: CrowdBackend> CachingBackend<B> {
     /// The inner group's assignments, fetched once, each paired with
     /// its HIT's position in the inner group; completion order.
     fn live_assignments(&mut self, ig: HitGroupId) -> Vec<(usize, Assignment)> {
-        let inner_pos: HashMap<HitId, usize> = self
-            .inner
-            .group_hits(ig)
-            .into_iter()
-            .enumerate()
-            .map(|(p, h)| (h, p))
-            .collect();
+        let positions = HitPositions::new(&self.inner.group_hits(ig));
         self.inner
             .assignments(ig)
             .into_iter()
-            .map(|a| (inner_pos[&a.hit], a))
+            .filter_map(|a| Some((positions.get(a.hit)?, a)))
             .collect()
     }
 

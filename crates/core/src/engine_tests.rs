@@ -333,6 +333,113 @@ mod edge_tests {
         assert!(!ids.contains(&1), "NULL-item row must not pass: {ids:?}");
     }
 
+    /// `t(id, img)` with one item per id in `ids` (same entity, so
+    /// every crossing matches) and then one NULL-item row, id 99.
+    fn items_then_null(ids: &[i64]) -> (Catalog, Marketplace) {
+        let mut gt = GroundTruth::new();
+        gt.define_feature("g", &["a", "b"]);
+        let mut rel = Relation::new(Schema::new(&[
+            ("id", ValueType::Int),
+            ("img", ValueType::Item),
+        ]));
+        for &id in ids {
+            let item = gt.new_item();
+            gt.set_entity(item, qurk_crowd::EntityId(1));
+            gt.set_feature_simple(item, "g", 0, 0.02);
+            rel.push(vec![Value::Int(id), Value::Item(item)]).unwrap();
+        }
+        rel.push(vec![Value::Int(99), Value::Null]).unwrap();
+        let mut catalog = Catalog::new();
+        catalog.register_table("t", rel);
+        catalog
+            .define_tasks(
+                r#"TASK j(a, b) TYPE EquiJoin:
+                    Combiner: MajorityVote
+                   TASK p(field) TYPE Filter:
+                    Prompt: "%s?", tuple[field]
+                   TASK g(field) TYPE Generative:
+                    Prompt: "%s?", tuple[field]
+                    Response: Radio("G", ["a", "b", UNKNOWN])
+                "#,
+            )
+            .unwrap();
+        let market = Marketplace::new(&CrowdConfig::default().honest(), gt);
+        (catalog, market)
+    }
+
+    /// A NULL item joins nothing and is never asked about: a 4-row
+    /// self-join with a fifth, NULL-item row posts the 4×4 crossings
+    /// (4 HITs of 5 pairs, $0.300), not 5×5.
+    #[test]
+    fn null_items_are_not_joined_or_asked_about() {
+        let (catalog, mut market) = items_then_null(&[0, 1, 2, 3]);
+        let mut session = Session::new(&catalog, &mut market);
+        let report = session
+            .query("SELECT x.id, y.id FROM t AS x JOIN t AS y ON j(x.img, y.img)")
+            .report()
+            .unwrap();
+        assert_eq!(report.hits_posted, 4);
+        assert!(
+            (report.cost_dollars - 0.300).abs() < 1e-9,
+            "{}",
+            report.cost_dollars
+        );
+        assert!(
+            report.relation.len() >= 12,
+            "matches: {}",
+            report.relation.len()
+        );
+        for row in report.relation.rows() {
+            assert!(row.values().all(|v| v.as_int() != Some(99)), "{row:?}");
+        }
+    }
+
+    /// A generative SELECT asks nothing about a NULL item and yields
+    /// NULL for its row: five items fit one HIT, the NULL does not add
+    /// a sixth question (and a second HIT).
+    #[test]
+    fn generative_select_skips_null_items() {
+        let (catalog, mut market) = items_then_null(&[0, 1, 2, 3, 4]);
+        let mut session = Session::new(&catalog, &mut market);
+        let report = session
+            .query("SELECT id, g(t.img) FROM t")
+            .report()
+            .unwrap();
+        assert_eq!(report.hits_posted, 1);
+        let rows: Vec<(i64, Value)> = report
+            .relation
+            .rows()
+            .map(|r| (r[0].as_int().unwrap(), r[1]))
+            .collect();
+        assert_eq!(rows.len(), 6);
+        for (id, v) in rows {
+            if id == 99 {
+                assert_eq!(v, Value::Null);
+            } else {
+                assert_eq!(v.as_text(), Some("a"), "row {id}");
+            }
+        }
+    }
+
+    /// A call with the wrong number of arguments fails at planning:
+    /// `check()` and `run()` give the same typed error, and the join
+    /// before the malformed filter posts nothing.
+    #[test]
+    fn wrong_arity_fails_before_any_hit() {
+        let (catalog, mut market) = items_then_null(&[0, 1]);
+        let mut session = Session::new(&catalog, &mut market);
+        let sql = "SELECT x.id FROM t AS x JOIN t AS y ON j(x.img, y.img) WHERE p()";
+        let want = QurkError::TaskArity {
+            task: "p".into(),
+            expected: 1,
+            found: 0,
+        };
+        assert_eq!(session.query(sql).check().err(), Some(want.clone()));
+        assert_eq!(session.run(sql).err(), Some(want));
+        drop(session);
+        assert_eq!(market.hits_posted(), 0);
+    }
+
     #[test]
     fn limit_zero_and_oversized_limit() {
         let (catalog, mut market) = empty_world();
@@ -621,7 +728,7 @@ mod ban_tests {
         // Second run: banned workers contribute no votes.
         let out2 = op.run(&mut market, &left, &right, None).unwrap();
         let banned: std::collections::HashSet<_> = spammers.into_iter().collect();
-        for (_, votes) in &out2.pair_votes {
+        for (_, votes) in out2.pair_votes.iter() {
             for (w, _) in votes {
                 assert!(!banned.contains(w), "banned worker {w:?} still answering");
             }

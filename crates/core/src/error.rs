@@ -29,6 +29,13 @@ pub enum QurkError {
         expected: &'static str,
         found: &'static str,
     },
+    /// A task was called with a different number of arguments than
+    /// its definition declares parameters.
+    TaskArity {
+        task: String,
+        expected: usize,
+        found: usize,
+    },
     /// Schema violation when constructing relations.
     Schema(String),
     /// The crowd did not complete the work (e.g. batch too large).
@@ -82,6 +89,15 @@ impl fmt::Display for QurkError {
             } => {
                 write!(f, "task {task} has type {found}, expected {expected}")
             }
+            QurkError::TaskArity {
+                task,
+                expected,
+                found,
+            } => write!(
+                f,
+                "task {task} takes {expected} argument{}, called with {found}",
+                if *expected == 1 { "" } else { "s" }
+            ),
             QurkError::Schema(m) => write!(f, "schema error: {m}"),
             QurkError::CrowdIncomplete { outstanding } => {
                 write!(

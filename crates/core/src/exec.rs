@@ -304,13 +304,9 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
         feature_filter: &FeatureFilterConfig,
     ) -> Result<Relation> {
         self.charge_gate()?;
+        // Planning checked the call's arity against the task's two
+        // parameters.
         let join_task = self.catalog.task(&clause.on.name)?;
-        if clause.on.args.len() != 2 {
-            return Err(QurkError::Other(format!(
-                "join predicate {} needs two arguments",
-                clause.on.name
-            )));
-        }
         // Which argument refers to which side?
         let (lcol, rcol) = match (
             resolve_item_col(&left, &clause.on.args[0]),
@@ -368,14 +364,9 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
             }
         }
 
-        let collect_items = |rel: &Relation, col: usize| -> Vec<ItemId> {
-            rel.column(col)
-                .iter()
-                .map(|v| v.as_item().unwrap_or(ItemId(u64::MAX)))
-                .collect()
-        };
-        let left_items = collect_items(&left_rel, lcol);
-        let right_items = collect_items(&right_rel, rcol);
+        // Rows with a NULL item cannot be asked about (or match).
+        let (left_items, left_rows) = non_null_items(&left_rel, lcol);
+        let (right_items, right_rows) = non_null_items(&right_rel, rcol);
 
         let candidates = if eq_specs.is_empty() {
             None
@@ -404,7 +395,11 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
         self.stats
             .record_join(&clause.on.name, pairs_asked, outcome.matches.len());
 
-        let (li, ri): (Vec<usize>, Vec<usize>) = outcome.matches.iter().copied().unzip();
+        let (li, ri): (Vec<usize>, Vec<usize>) = outcome
+            .matches
+            .iter()
+            .map(|&(i, j)| (left_rows[i], right_rows[j]))
+            .unzip();
         Ok(left_rel.gather(&li).zip(right_rel.gather(&ri)))
     }
 
@@ -648,8 +643,10 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
         let mut cols: Vec<Col> = Vec::new();
         // Cache generative runs per (task, arg) to avoid re-asking for
         // each selected field (the Fields mechanism answers them all at
-        // once, §2.2).
-        let mut gen_cache: HashMap<String, Vec<crate::ops::generative::GenRow>> = HashMap::new();
+        // once, §2.2): the answered rows, one per non-NULL item, and the
+        // relation rows they belong to.
+        type GenRun = (Vec<crate::ops::generative::GenRow>, Vec<usize>);
+        let mut gen_cache: HashMap<String, GenRun> = HashMap::new();
 
         for item in items {
             match item {
@@ -679,40 +676,33 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
                     if !gen_cache.contains_key(&key) {
                         self.charge_gate()?;
                         let col = item_col(&rel, call)?;
-                        let items_vec: Vec<ItemId> = rel
-                            .column(col)
-                            .iter()
-                            .map(|v| v.as_item().unwrap_or(ItemId(u64::MAX)))
-                            .collect();
+                        let (items_vec, item_rows) = non_null_items(&rel, col);
                         let gen = GenerativeOp::default();
                         let out = gen.run(self.backend, task, &items_vec)?;
-                        gen_cache.insert(key.clone(), out.rows);
+                        gen_cache.insert(key.clone(), (out.rows, item_rows));
                     }
-                    let rows = &gen_cache[&key];
+                    let (rows, item_rows) = &gen_cache[&key];
                     let fname = field.clone().unwrap_or_else(|| "value".to_owned());
                     let out_name = match field {
                         Some(f) => format!("{}.{f}", call.name),
                         None => call.name.clone(),
                     };
-                    let values: Vec<Value> = rows
-                        .iter()
-                        .map(|r| r.get(&fname).cloned().unwrap_or(Value::Null))
-                        .collect();
+                    // A NULL item's row stays NULL.
+                    let mut values = vec![Value::Null; rel.len()];
+                    for (&ri, r) in item_rows.iter().zip(rows) {
+                        values[ri] = r.get(&fname).cloned().unwrap_or(Value::Null);
+                    }
                     schema.push_field(&out_name, ValueType::Text);
                     cols.push(Col::Gen { values });
                 }
             }
         }
 
-        let n = rel.len();
         let columns = cols
             .into_iter()
             .map(|c| match c {
                 Col::Copy(i) => rel.column(i).to_vec(),
-                Col::Gen { mut values } => {
-                    values.resize(n, Value::Null);
-                    values
-                }
+                Col::Gen { values } => values,
             })
             .collect();
         Relation::from_columns(schema, columns)

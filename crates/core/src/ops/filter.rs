@@ -9,15 +9,15 @@
 //! in a [`crate::backend::CachingBackend`] and identical filter HITs
 //! are answered from the cache across queries.
 
-use qurk_combine::em::{LabelObservation, QualityAdjust, QualityAdjustConfig};
+use qurk_combine::em::{QualityAdjust, QualityAdjustConfig};
 use qurk_combine::majority_vote_bool;
 use qurk_crowd::question::{HitKind, Question};
-use qurk_crowd::ItemId;
+use qurk_crowd::{ItemId, WorkerId};
 
 use crate::backend::CrowdBackend;
 use crate::error::Result;
 use crate::hit::batch::{combine_questions, merge_into_hits};
-use crate::ops::common::{Round, WorkerInterner, DEFAULT_ROUND_LIMIT_SECS};
+use crate::ops::common::{question_starts, Round, WorkerRanks, DEFAULT_ROUND_LIMIT_SECS};
 use crate::task::CombinerKind;
 
 /// Configuration for one filter execution.
@@ -93,31 +93,23 @@ impl FilterOp {
         } else {
             combine_questions(streams, self.batch_size, HitKind::Filter)
         };
+        let starts = question_starts(&specs);
         let round = Round::post(backend, specs, self.assignments);
-        let group = round.group();
-        let by_hit = round.complete(backend, self.limit_secs)?;
+        let answers = round.complete(backend, self.limit_secs)?;
 
         // Gather votes per cell, one slot per (item_idx, predicate_idx)
         // at `item_idx * predicates + predicate_idx`: the question
-        // stream's flattened order. The group's HITs in spec order
-        // carry that stream.
+        // stream's flattened order, which the specs carry in order.
         let np = predicates.len();
-        let mut votes: Vec<Vec<(usize, bool)>> = vec![Vec::new(); items.len() * np];
-        let mut interner = WorkerInterner::new();
-        let mut qcursor = 0usize;
-        for hit_id in backend.group_hits(group) {
-            let nq = backend.hit_question_count(hit_id);
-            if let Some(assignments) = by_hit.get(&hit_id) {
-                for a in assignments {
-                    let w = interner.intern(a.worker);
-                    for (qi, ans) in a.answers.iter().enumerate() {
-                        if let Some(b) = ans.as_bool() {
-                            votes[qcursor + qi].push((w, b));
-                        }
+        let mut votes: Vec<Vec<(WorkerId, bool)>> = vec![Vec::new(); items.len() * np];
+        for (assignments, &first_q) in answers.iter().zip(&starts) {
+            for a in assignments {
+                for (qi, ans) in a.answers.iter().enumerate() {
+                    if let Some(b) = ans.as_bool() {
+                        votes[first_q + qi].push((a.worker, b));
                     }
                 }
             }
-            qcursor += nq;
         }
 
         // A cell nobody voted on stays `false`.
@@ -131,21 +123,17 @@ impl FilterOp {
             }
             CombinerKind::QualityAdjust => {
                 // One EM run over all voted cells: cells are "items",
-                // numbered in slot order.
-                let mut obs = Vec::new();
-                let cells: Vec<usize> = voted().map(|(cell, _)| cell).collect();
-                for (id, &cell) in cells.iter().enumerate() {
-                    for &(w, b) in &votes[cell] {
-                        obs.push(LabelObservation {
-                            worker: w,
-                            item: id,
-                            label: usize::from(b),
-                        });
-                    }
+                // numbered in slot order, each with its votes in order.
+                let ranks = WorkerRanks::new(votes.iter().flatten().map(|&(w, _)| w));
+                let mut offsets = vec![0];
+                let mut em_votes = Vec::new();
+                for (_, vs) in voted() {
+                    em_votes.extend(vs.iter().map(|&(w, b)| (ranks.rank(w), usize::from(b))));
+                    offsets.push(em_votes.len());
                 }
                 let qa = QualityAdjust::new(QualityAdjustConfig::categorical(2));
-                let result = qa.run(&obs);
-                for (id, &cell) in cells.iter().enumerate() {
+                let result = qa.run_grouped(&offsets, &em_votes);
+                for (id, (cell, _)) in voted().enumerate() {
                     out[cell / np][cell % np] = result.decision_bool(id);
                 }
             }
@@ -164,7 +152,7 @@ mod tests {
     use qurk_crowd::question::Answer;
     use qurk_crowd::sim::SimTime;
     use qurk_crowd::truth::PredicateTruth;
-    use qurk_crowd::{CrowdConfig, GroundTruth, HitSpec, Marketplace, WorkerId};
+    use qurk_crowd::{CrowdConfig, GroundTruth, HitSpec, Marketplace};
 
     type PredSpec<'a> = &'a [(&'a str, fn(usize) -> bool)];
 

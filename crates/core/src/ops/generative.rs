@@ -7,16 +7,16 @@
 
 use std::collections::HashMap;
 
-use qurk_combine::em::{LabelObservation, QualityAdjust, QualityAdjustConfig};
+use qurk_combine::em::{QualityAdjust, QualityAdjustConfig};
 use qurk_combine::majority_vote;
 use qurk_crowd::question::{HitKind, Question, UNKNOWN};
-use qurk_crowd::ItemId;
+use qurk_crowd::{ItemId, WorkerId};
 
 use crate::backend::CrowdBackend;
 use crate::error::{QurkError, Result};
 use crate::hit::batch::combine_questions;
 use crate::lang::ast::{ResponseOption, ResponseSpec};
-use crate::ops::common::{Round, WorkerInterner, DEFAULT_ROUND_LIMIT_SECS};
+use crate::ops::common::{question_starts, Round, WorkerRanks, DEFAULT_ROUND_LIMIT_SECS};
 use crate::task::{CombinerKind, TaskDef, TaskType};
 use crate::value::Value;
 
@@ -129,9 +129,9 @@ impl GenerativeOp {
             all
         };
         let num_specs = specs.len();
+        let starts = question_starts(&specs);
         let round = Round::post(backend, specs, self.assignments);
-        let group = round.group();
-        let by_hit = round.complete(backend, self.limit_secs)?;
+        let answers = round.complete(backend, self.limit_secs)?;
 
         // Flattened question order -> (item_idx, field_idx).
         let nf = task.fields.len();
@@ -147,29 +147,22 @@ impl GenerativeOp {
 
         // Gather per-cell votes.
         let mut text_votes: HashMap<(usize, usize), Vec<String>> = HashMap::new();
-        let mut cat_votes: HashMap<(usize, usize), Vec<(usize, usize)>> = HashMap::new();
-        let mut interner = WorkerInterner::new();
-        let mut qcursor = 0usize;
-        for hit_id in backend.group_hits(group) {
-            let nq = backend.hit_question_count(hit_id);
-            if let Some(assignments) = by_hit.get(&hit_id) {
-                for a in assignments {
-                    let w = interner.intern(a.worker);
-                    for (qi, ans) in a.answers.iter().enumerate() {
-                        let cell = flat[qcursor + qi];
-                        match ans {
-                            qurk_crowd::Answer::Text(t) => {
-                                text_votes.entry(cell).or_default().push(t.clone())
-                            }
-                            qurk_crowd::Answer::Category(c) => {
-                                cat_votes.entry(cell).or_default().push((w, *c))
-                            }
-                            _ => {}
+        let mut cat_votes: HashMap<(usize, usize), Vec<(WorkerId, usize)>> = HashMap::new();
+        for (assignments, &first_q) in answers.iter().zip(&starts) {
+            for a in assignments {
+                for (qi, ans) in a.answers.iter().enumerate() {
+                    let cell = flat[first_q + qi];
+                    match ans {
+                        qurk_crowd::Answer::Text(t) => {
+                            text_votes.entry(cell).or_default().push(t.clone())
                         }
+                        qurk_crowd::Answer::Category(c) => {
+                            cat_votes.entry(cell).or_default().push((a.worker, *c))
+                        }
+                        _ => {}
                     }
                 }
             }
-            qcursor += nq;
         }
 
         // Combine.
@@ -226,22 +219,32 @@ impl GenerativeOp {
                             // UNKNOWN answers are excluded from EM (they
                             // carry no label) and win only if they are
                             // the outright majority.
-                            let mut obs = Vec::new();
-                            for ii in 0..items.len() {
-                                if let Some(vs) = cat_votes.get(&(ii, fi)) {
-                                    for &(w, c) in vs {
-                                        if c != UNKNOWN {
-                                            obs.push(LabelObservation {
-                                                worker: w,
-                                                item: ii,
-                                                label: c,
-                                            });
-                                        }
-                                    }
-                                }
+                            // EM items are item indices up to the last
+                            // one with a labelled vote; items in that
+                            // range without one still count in the
+                            // priors.
+                            let labelled = |ii: usize| {
+                                cat_votes
+                                    .get(&(ii, fi))
+                                    .into_iter()
+                                    .flatten()
+                                    .filter(|&&(_, c)| c != UNKNOWN)
+                            };
+                            let ranks = WorkerRanks::new(
+                                (0..items.len()).flat_map(|ii| labelled(ii).map(|&(w, _)| w)),
+                            );
+                            let num_em_items = (0..items.len())
+                                .rev()
+                                .find(|&ii| labelled(ii).next().is_some())
+                                .map_or(0, |ii| ii + 1);
+                            let mut offsets = vec![0];
+                            let mut em_votes = Vec::new();
+                            for ii in 0..num_em_items {
+                                em_votes.extend(labelled(ii).map(|&(w, c)| (ranks.rank(w), c)));
+                                offsets.push(em_votes.len());
                             }
                             let qa = QualityAdjust::new(QualityAdjustConfig::categorical(k));
-                            let em = qa.run(&obs);
+                            let em = qa.run_grouped(&offsets, &em_votes);
                             for ii in 0..items.len() {
                                 if let Some(vs) = cat_votes.get(&(ii, fi)) {
                                     let unknowns =

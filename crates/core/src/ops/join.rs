@@ -19,19 +19,25 @@
 //! A join round touches every candidate pair several times (compile,
 //! vote gathering, combining), so a pair is carried as its **ordinal**:
 //! its position in one sorted `Vec<(usize, usize)>`. Compiled HITs
-//! record ordinals, votes land in per-ordinal slots, and the EM
-//! combiner numbers its items by position in the voted-pair list —
-//! sorted and contiguous from compile to EM, with no hashing.
+//! record ordinals, and [`Round::complete`] hands back each HIT's
+//! assignments by spec position, so a question's pair is found by
+//! index. [`PairVotes::tally`] counts each pair's votes and then places
+//! them into one CSR buffer (voted pairs, offsets, `(worker, vote)`
+//! answers); that buffer's offsets are the item grouping QualityAdjust
+//! takes ([`QualityAdjust::run_grouped`]), with workers numbered
+//! through a dense `WorkerId`-indexed rank table. Sorted and
+//! contiguous from compile to EM, with no hashing.
 // lint:hot-path
 
-use qurk_combine::em::{LabelObservation, QualityAdjust, QualityAdjustConfig, QualityAdjustOutput};
+use qurk_combine::em::{QualityAdjust, QualityAdjustConfig, QualityAdjustOutput};
 use qurk_combine::majority_vote_bool;
+use qurk_crowd::market::Assignment;
 use qurk_crowd::question::{HitKind, Question};
 use qurk_crowd::{HitSpec, ItemId, WorkerId};
 
 use crate::backend::CrowdBackend;
 use crate::error::Result;
-use crate::ops::common::{Round, DEFAULT_ROUND_LIMIT_SECS};
+use crate::ops::common::{question_starts, Round, WorkerRanks, DEFAULT_ROUND_LIMIT_SECS};
 use crate::task::CombinerKind;
 
 pub use feature_filter::{FeatureFilter, FeatureFilterConfig, FeatureFilterOutcome};
@@ -75,9 +81,118 @@ impl Default for JoinOp {
     }
 }
 
-/// One candidate pair `(left_idx, right_idx)` and the `(worker, vote)`
-/// answers it received, in arrival order.
-pub type PairVotes = ((usize, usize), Vec<(WorkerId, bool)>);
+/// The `(worker, vote)` answers each candidate pair received, in one
+/// CSR buffer: the voted pairs `(left_idx, right_idx)` ascending, and
+/// per pair a range of the flat vote buffer holding its answers in
+/// arrival order. Pairs nobody answered are absent.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PairVotes {
+    pairs: Vec<(usize, usize)>,
+    /// Pair `n`'s votes are `votes[offsets[n]..offsets[n + 1]]`.
+    offsets: Vec<usize>,
+    votes: Vec<(WorkerId, bool)>,
+}
+
+impl PairVotes {
+    /// Tally a completed join round. `pairs` are the sorted candidate
+    /// pairs; `layout[q]` is the ordinal (position in `pairs`) of the
+    /// pair question `q` asks about, in posting order; spec `p` asks
+    /// questions `starts[p]..starts[p + 1]`, and `round[p]` holds its
+    /// HIT's assignments ([`Round::complete`]). One pass counts each
+    /// pair's votes, a second places them, in arrival order (HITs in
+    /// spec order, each HIT's assignments in completion order).
+    pub fn tally(
+        pairs: &[(usize, usize)],
+        layout: &[usize],
+        starts: &[usize],
+        round: &[Vec<Assignment>],
+    ) -> PairVotes {
+        // `cursor[n]` starts as ordinal n's first slot in `votes`.
+        let mut cursor = vec![0usize; pairs.len() + 1];
+        each_vote(layout, starts, round, |ordinal, _, _| {
+            cursor[ordinal + 1] += 1
+        });
+        for n in 0..pairs.len() {
+            cursor[n + 1] += cursor[n];
+        }
+        let mut voted = Vec::new();
+        let mut offsets = vec![0];
+        for (n, &pair) in pairs.iter().enumerate() {
+            if cursor[n + 1] > cursor[n] {
+                voted.push(pair);
+                offsets.push(cursor[n + 1]);
+            }
+        }
+        let mut votes = vec![(WorkerId(0), false); cursor[pairs.len()]];
+        each_vote(layout, starts, round, |ordinal, worker, vote| {
+            votes[cursor[ordinal]] = (worker, vote);
+            cursor[ordinal] += 1;
+        });
+        PairVotes {
+            pairs: voted,
+            offsets,
+            votes,
+        }
+    }
+
+    /// Number of voted pairs.
+    pub fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.pairs.is_empty()
+    }
+
+    /// The voted pairs, ascending.
+    pub fn pairs(&self) -> &[(usize, usize)] {
+        &self.pairs
+    }
+
+    /// Voted pair `n`'s answers, in arrival order.
+    pub fn votes(&self, n: usize) -> &[(WorkerId, bool)] {
+        &self.votes[self.offsets[n]..self.offsets[n + 1]]
+    }
+
+    /// Each voted pair with its answers, ascending by pair.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = ((usize, usize), &[(WorkerId, bool)])> {
+        self.pairs
+            .iter()
+            .enumerate()
+            .map(|(n, &pair)| (pair, self.votes(n)))
+    }
+}
+
+/// Call `f(ordinal, worker, vote)` for each yes/no answer of a
+/// completed join round, in arrival order (see [`PairVotes::tally`]).
+fn each_vote(
+    layout: &[usize],
+    starts: &[usize],
+    round: &[Vec<Assignment>],
+    mut f: impl FnMut(usize, WorkerId, bool),
+) {
+    for (p, assignments) in round.iter().enumerate() {
+        let ordinals = &layout[starts[p]..starts[p + 1]];
+        for a in assignments {
+            for (&ordinal, ans) in ordinals.iter().zip(&a.answers) {
+                if let Some(vote) = ans.as_bool() {
+                    f(ordinal, a.worker, vote);
+                }
+            }
+        }
+    }
+}
+
+/// Compare with the nested shape `[(pair, votes)]`, ascending by pair.
+impl PartialEq<Vec<((usize, usize), Vec<(WorkerId, bool)>)>> for PairVotes {
+    fn eq(&self, other: &Vec<((usize, usize), Vec<(WorkerId, bool)>)>) -> bool {
+        self.len() == other.len()
+            && self
+                .iter()
+                .zip(other)
+                .all(|((p, v), (q, w))| p == *q && v == w.as_slice())
+    }
+}
 
 /// Result of a join run.
 #[derive(Debug)]
@@ -87,10 +202,8 @@ pub struct JoinOutcome {
     /// HITs posted by this run.
     pub hits_posted: usize,
     /// Raw votes per pair for quality analysis (§3.3.3's per-worker
-    /// accuracy regression needs worker identities): ascending by
-    /// pair, holding only pairs that received at least one vote, each
-    /// pair's votes in arrival order.
-    pub pair_votes: Vec<PairVotes>,
+    /// accuracy regression needs worker identities).
+    pub pair_votes: PairVotes,
 }
 
 impl JoinOp {
@@ -128,47 +241,22 @@ impl JoinOp {
             return Ok(JoinOutcome {
                 matches: Vec::new(),
                 hits_posted: 0,
-                pair_votes: Vec::new(),
+                pair_votes: PairVotes::default(),
             });
         }
 
         // Compile pairs into HITs; `layout` holds, per question in
         // posting order, the ordinal of the pair it asks about.
         let (specs, layout) = self.compile(left, right, &pairs);
-        let num_hits = specs.len();
-        let mut starts = Vec::with_capacity(num_hits + 1);
-        starts.push(0);
-        for spec in &specs {
-            starts.push(starts[starts.len() - 1] + spec.questions.len());
-        }
+        let hits_posted = specs.len();
+        let starts = question_starts(&specs);
         let round = Round::post(backend, specs, self.assignments);
-        let group = round.group();
-        let by_hit = round.complete(backend, self.limit_secs)?;
-
-        let mut slots: Vec<Vec<(WorkerId, bool)>> = vec![Vec::new(); pairs.len()];
-        for (spec_idx, hit_id) in backend.group_hits(group).into_iter().enumerate() {
-            let Some(assignments) = by_hit.get(&hit_id) else {
-                continue;
-            };
-            let ordinals = &layout[starts[spec_idx]..starts[spec_idx + 1]];
-            for a in assignments {
-                for (&ordinal, ans) in ordinals.iter().zip(&a.answers) {
-                    if let Some(b) = ans.as_bool() {
-                        slots[ordinal].push((a.worker, b));
-                    }
-                }
-            }
-        }
-        let pair_votes: Vec<PairVotes> = pairs
-            .into_iter()
-            .zip(slots)
-            .filter(|(_, votes)| !votes.is_empty())
-            .collect();
-
+        let answers = round.complete(backend, self.limit_secs)?;
+        let pair_votes = PairVotes::tally(&pairs, &layout, &starts, &answers);
         let matches = self.combine(&pair_votes);
         Ok(JoinOutcome {
             matches,
-            hits_posted: num_hits,
+            hits_posted,
             pair_votes,
         })
     }
@@ -254,7 +342,7 @@ impl JoinOp {
 
     /// Fuse votes into the final match set (ascending, like
     /// `pair_votes`).
-    fn combine(&self, pair_votes: &[PairVotes]) -> Vec<(usize, usize)> {
+    pub fn combine(&self, pair_votes: &PairVotes) -> Vec<(usize, usize)> {
         match self.combiner {
             CombinerKind::MajorityVote => {
                 let mut bools: Vec<bool> = Vec::new();
@@ -265,16 +353,17 @@ impl JoinOp {
                         bools.extend(votes.iter().map(|&(_, b)| b));
                         majority_vote_bool(&bools)
                     })
-                    .map(|&(p, _)| p)
+                    .map(|(p, _)| p)
                     .collect()
             }
             CombinerKind::QualityAdjust => {
                 let (out, _) = quality_adjust(pair_votes);
                 pair_votes
+                    .pairs()
                     .iter()
-                    .enumerate()
-                    .filter(|&(item, _)| out.decision_bool(item))
-                    .map(|(_, &(p, _))| p)
+                    .zip(&out.decisions)
+                    .filter(|&(_, &d)| d == 1)
+                    .map(|(&p, _)| p)
                     .collect()
             }
         }
@@ -283,32 +372,18 @@ impl JoinOp {
 
 /// The paper's QualityAdjust configuration (5 EM iterations, false
 /// negatives penalized twice as heavily, §3.3.2) run over `pair_votes`.
-/// EM item `n` is `pair_votes[n]`; EM worker `w` is the returned
-/// `workers[w]`, the distinct voters in ascending order.
-fn quality_adjust(pair_votes: &[PairVotes]) -> (QualityAdjustOutput, Vec<WorkerId>) {
-    // A sorted Vec, not a hash map: the pool is small (hundreds), so
-    // each lookup is a short binary search over cache-resident ids.
-    let mut workers: Vec<WorkerId> = Vec::new();
-    for (_, votes) in pair_votes {
-        for &(w, _) in votes {
-            if let Err(at) = workers.binary_search(&w) {
-                workers.insert(at, w);
-            }
-        }
-    }
-    let mut obs = Vec::with_capacity(pair_votes.iter().map(|(_, v)| v.len()).sum());
-    for (item, (_, votes)) in pair_votes.iter().enumerate() {
-        for &(w, b) in votes {
-            obs.push(LabelObservation {
-                // Always `Ok`: every voter was inserted above.
-                worker: workers.binary_search(&w).unwrap_or_else(|at| at),
-                item,
-                label: usize::from(b),
-            });
-        }
-    }
+/// EM item `n` is voted pair `n`, its votes the pair's CSR range; EM
+/// worker `r` is the returned ranks' `worker(r)`, ascending by
+/// `WorkerId`.
+fn quality_adjust(pair_votes: &PairVotes) -> (QualityAdjustOutput, WorkerRanks) {
+    let ranks = WorkerRanks::new(pair_votes.votes.iter().map(|&(w, _)| w));
+    let votes: Vec<(usize, usize)> = pair_votes
+        .votes
+        .iter()
+        .map(|&(w, b)| (ranks.rank(w), usize::from(b)))
+        .collect();
     let qa = QualityAdjust::new(QualityAdjustConfig::paper_join());
-    (qa.run(&obs), workers)
+    (qa.run_grouped(&pair_votes.offsets, &votes), ranks)
 }
 
 /// Identify spam-scoring workers from raw join votes via the
@@ -317,7 +392,7 @@ fn quality_adjust(pair_votes: &[PairVotes]) -> (QualityAdjustOutput, Vec<WorkerI
 /// non-experimental deployment these workers are banned via
 /// [`CrowdBackend::ban_workers`]). Returned in ascending `WorkerId`
 /// order.
-pub fn identify_spammers(pair_votes: &[PairVotes], threshold: f64) -> Vec<WorkerId> {
+pub fn identify_spammers(pair_votes: &PairVotes, threshold: f64) -> Vec<WorkerId> {
     identify_spammers_with_min_answers(pair_votes, threshold, 8)
 }
 
@@ -325,16 +400,16 @@ pub fn identify_spammers(pair_votes: &[PairVotes], threshold: f64) -> Vec<Worker
 /// fewer than `min_answers` votes are never flagged (their confusion
 /// matrices are too poorly estimated to condemn them).
 pub fn identify_spammers_with_min_answers(
-    pair_votes: &[PairVotes],
+    pair_votes: &PairVotes,
     threshold: f64,
     min_answers: usize,
 ) -> Vec<WorkerId> {
-    let (out, workers) = quality_adjust(pair_votes);
+    let (out, ranks) = quality_adjust(pair_votes);
     // `spammers` is ascending in EM id, and EM ids follow `WorkerId`.
     out.spammers(threshold)
         .into_iter()
         .filter(|&id| out.worker_answer_counts[id] >= min_answers)
-        .map(|id| workers[id])
+        .map(|id| ranks.worker(id))
         .collect()
 }
 
@@ -475,9 +550,9 @@ pub mod feature_filter {
                 all
             };
             let hits_posted = specs.len();
+            let starts = question_starts(&specs);
             let round = Round::post(backend, specs, self.config.assignments);
-            let group = round.group();
-            let by_hit = round.complete(backend, self.config.limit_secs)?;
+            let answers = round.complete(backend, self.config.limit_secs)?;
 
             // Flattened question order -> (item_idx, feature_idx).
             let nf = features.len();
@@ -492,21 +567,16 @@ pub mod feature_filter {
             };
 
             let mut votes: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); nf]; items.len()];
-            let mut qcursor = 0usize;
-            for hit_id in backend.group_hits(group) {
-                let nq = backend.hit_question_count(hit_id);
-                if let Some(assignments) = by_hit.get(&hit_id) {
-                    for a in assignments {
-                        for (qi, ans) in a.answers.iter().enumerate() {
-                            if let Some(c) = ans.as_category() {
-                                let (ii, fi) = flat[qcursor + qi];
-                                let k = features[fi].num_options;
-                                votes[ii][fi].push(if c == UNKNOWN { k } else { c });
-                            }
+            for (assignments, &first_q) in answers.iter().zip(&starts) {
+                for a in assignments {
+                    for (qi, ans) in a.answers.iter().enumerate() {
+                        if let Some(c) = ans.as_category() {
+                            let (ii, fi) = flat[first_q + qi];
+                            let k = features[fi].num_options;
+                            votes[ii][fi].push(if c == UNKNOWN { k } else { c });
                         }
                     }
                 }
-                qcursor += nq;
             }
 
             // Majority-combine each cell; UNKNOWN majority -> None.

@@ -27,7 +27,7 @@ use qurk_crowd::{HitSpec, ItemId};
 
 use crate::backend::CrowdBackend;
 use crate::error::Result;
-use crate::ops::common::{Round, DEFAULT_ROUND_LIMIT_SECS};
+use crate::ops::common::{question_starts, Round, DEFAULT_ROUND_LIMIT_SECS};
 
 /// Result of a sort run.
 #[derive(Debug, Clone)]
@@ -184,13 +184,13 @@ impl CompareSort {
         );
         let hits_posted = specs.len();
         let round = Round::post(backend, specs, self.assignments);
-        let by_hit = round.complete(backend, self.limit_secs)?;
+        let answers = round.complete(backend, self.limit_secs)?;
 
         // Accumulate pairwise wins from every ordering answer.
         let index: HashMap<ItemId, usize> =
             items.iter().enumerate().map(|(i, &it)| (it, i)).collect();
         let mut tally = PairTally::new(items.len());
-        for assignments in by_hit.values() {
+        for assignments in &answers {
             for a in assignments {
                 for ans in &a.answers {
                     if let Some(ordering) = ans.as_ordering() {
@@ -407,25 +407,20 @@ impl RateSort {
         let specs =
             crate::hit::batch::merge_into_hits(questions, self.batch_size, HitKind::SortRate);
         let hits_posted = specs.len();
+        let starts = question_starts(&specs);
         let round = Round::post(backend, specs, self.assignments);
-        let group = round.group();
-        let by_hit = round.complete(backend, self.limit_secs)?;
+        let answers = round.complete(backend, self.limit_secs)?;
 
         // Per-item rating samples. Question order is items order.
         let mut ratings: Vec<Vec<f64>> = vec![Vec::new(); items.len()];
-        let mut qcursor = 0usize;
-        for hit_id in backend.group_hits(group) {
-            let nq = backend.hit_question_count(hit_id);
-            if let Some(assignments) = by_hit.get(&hit_id) {
-                for a in assignments {
-                    for (qi, ans) in a.answers.iter().enumerate() {
-                        if let Some(r) = ans.as_rating() {
-                            ratings[qcursor + qi].push(r as f64);
-                        }
+        for (assignments, &first_q) in answers.iter().zip(&starts) {
+            for a in assignments {
+                for (qi, ans) in a.answers.iter().enumerate() {
+                    if let Some(r) = ans.as_rating() {
+                        ratings[first_q + qi].push(r as f64);
                     }
                 }
             }
-            qcursor += nq;
         }
 
         let scores: Vec<f64> = ratings
@@ -583,9 +578,9 @@ impl HybridSort {
                 HitKind::SortCompare,
             );
             let round = Round::post(backend, vec![spec], self.assignments);
-            let by_hit = round.complete(backend, self.limit_secs)?;
+            let answers = round.complete(backend, self.limit_secs)?;
             hits_posted += 1;
-            for assignments in by_hit.values() {
+            for assignments in &answers {
                 for a in assignments {
                     for ans in &a.answers {
                         if let Some(o) = ans.as_ordering() {
@@ -675,13 +670,9 @@ pub fn extract_best<B: CrowdBackend + ?Sized>(
             .collect();
         hits += specs.len();
         let round = Round::post(backend, specs, assignments);
-        let group = round.group();
-        let by_hit = round.complete(backend, DEFAULT_ROUND_LIMIT_SECS)?;
+        let answers = round.complete(backend, DEFAULT_ROUND_LIMIT_SECS)?;
         let mut winners: Vec<ItemId> = Vec::new();
-        for hit_id in backend.group_hits(group) {
-            let Some(assignments) = by_hit.get(&hit_id) else {
-                continue;
-            };
+        for assignments in &answers {
             // Majority vote over the assignment picks.
             let picks: Vec<ItemId> = assignments
                 .iter()

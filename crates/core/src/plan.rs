@@ -182,7 +182,8 @@ pub fn plan_query(query: &Query, catalog: &Catalog) -> Result<LogicalPlan> {
         catalog.table(&j.right.table)?;
     }
 
-    // Validate UDF references and types.
+    // Validate UDF references, types and arities, so a malformed call
+    // fails before any operator pays the crowd.
     let check_task = |call: &UdfCall, expected: &[TaskType]| -> Result<()> {
         let t = catalog.task(&call.name)?;
         if !expected.contains(&t.ty) {
@@ -190,6 +191,13 @@ pub fn plan_query(query: &Query, catalog: &Catalog) -> Result<LogicalPlan> {
                 task: call.name.clone(),
                 expected: expected[0].name(),
                 found: t.ty.name(),
+            });
+        }
+        if call.args.len() != t.params.len() {
+            return Err(QurkError::TaskArity {
+                task: call.name.clone(),
+                expected: t.params.len(),
+                found: call.args.len(),
             });
         }
         Ok(())
@@ -457,6 +465,44 @@ mod tests {
                 plan_query(&q, &catalog()),
                 Err(QurkError::TaskTypeMismatch { .. })
             ));
+        }
+    }
+
+    #[test]
+    fn task_arity_mismatch_rejected() {
+        for (sql, task, expected, found) in [
+            ("SELECT name FROM celeb WHERE isFemale()", "isFemale", 1, 0),
+            (
+                "SELECT c.name FROM celeb c JOIN photos p ON samePerson(c.img)",
+                "samePerson",
+                2,
+                1,
+            ),
+            (
+                "SELECT c.name FROM celeb c JOIN photos p ON samePerson(c.img, p.img) \
+                 AND POSSIBLY gender(c.img, p.img) = gender(p.img)",
+                "gender",
+                1,
+                2,
+            ),
+            (
+                "SELECT name FROM celeb ORDER BY sorter(img, name)",
+                "sorter",
+                1,
+                2,
+            ),
+            ("SELECT gender() FROM celeb", "gender", 1, 0),
+        ] {
+            let q = parse_query(sql).unwrap();
+            assert_eq!(
+                plan_query(&q, &catalog()).err(),
+                Some(QurkError::TaskArity {
+                    task: task.into(),
+                    expected,
+                    found
+                }),
+                "{sql}"
+            );
         }
     }
 
