@@ -145,7 +145,13 @@ impl GenerativeOp {
                 .collect()
         };
 
-        // Gather per-cell votes.
+        // Gather per-cell votes. A category past its field's options
+        // (only a stored answer can hold one) is no vote.
+        let options: Vec<usize> = task
+            .fields
+            .iter()
+            .map(|f| f.radio_options().map_or(0, |(opts, _)| opts.len()))
+            .collect();
         let mut text_votes: HashMap<(usize, usize), Vec<String>> = HashMap::new();
         let mut cat_votes: HashMap<(usize, usize), Vec<(WorkerId, usize)>> = HashMap::new();
         for (assignments, &first_q) in answers.iter().zip(&starts) {
@@ -156,8 +162,8 @@ impl GenerativeOp {
                         qurk_crowd::Answer::Text(t) => {
                             text_votes.entry(cell).or_default().push(t.clone())
                         }
-                        qurk_crowd::Answer::Category(c) => {
-                            cat_votes.entry(cell).or_default().push((a.worker, *c))
+                        &qurk_crowd::Answer::Category(c) if c == UNKNOWN || c < options[cell.1] => {
+                            cat_votes.entry(cell).or_default().push((a.worker, c))
                         }
                         _ => {}
                     }
@@ -276,6 +282,7 @@ impl GenerativeOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{CachingBackend, ReplayBackend};
     use crate::lang::parser::parse_tasks;
     use qurk_crowd::truth::TextTruth;
     use qurk_crowd::{CrowdConfig, GroundTruth, Marketplace};
@@ -377,6 +384,42 @@ mod tests {
             })
             .count();
         assert!(correct >= 10, "correct={correct}/12");
+    }
+
+    /// A CRC-valid store can hold a category past a radio field's
+    /// options. Replayed, that answer is no vote: QualityAdjust still
+    /// runs, and the cell it answered has every other vote.
+    #[test]
+    fn an_out_of_range_stored_category_is_no_vote() {
+        let mut gt = GroundTruth::new();
+        gt.define_feature("hair", &["black", "brown", "blond", "white"]);
+        let items = gt.new_items(4);
+        for (i, &item) in items.iter().enumerate() {
+            gt.set_feature_simple(item, "hair", i, 0.1);
+        }
+        let mut m = CachingBackend::new(Marketplace::new(&CrowdConfig::default(), gt));
+        let t = task(
+            r#"TASK hair(field) TYPE Generative:
+                Prompt: "%s hair?", tuple[field]
+                Response: Radio("Hair", ["black", "brown", "blond", "white", UNKNOWN])
+                Combiner: QualityAdjust
+            "#,
+        );
+        let op = GenerativeOp::default();
+        let before = op.run(&mut m, &t, &items).unwrap();
+        let mut hostile = m.trace().clone();
+        let [key] = hostile.keys()[..] else {
+            panic!("four items fit one HIT");
+        };
+        let entry = hostile.entries.get_mut(&key).unwrap();
+        entry.assignments[0].answers[0] = qurk_crowd::Answer::Category(4 + 1);
+
+        let after = op
+            .run(&mut ReplayBackend::from_trace(hostile), &t, &items)
+            .unwrap();
+        assert_eq!(after.votes[0][0], before.votes[0][0][1..]);
+        assert_eq!(after.votes[1..], before.votes[1..]);
+        assert_eq!(after.rows.len(), 4);
     }
 
     #[test]

@@ -573,7 +573,11 @@ pub mod feature_filter {
                         if let Some(c) = ans.as_category() {
                             let (ii, fi) = flat[first_q + qi];
                             let k = features[fi].num_options;
-                            votes[ii][fi].push(if c == UNKNOWN { k } else { c });
+                            match c {
+                                UNKNOWN => votes[ii][fi].push(k),
+                                c if c < k => votes[ii][fi].push(c),
+                                _ => {} // a stored category past the options: no vote
+                            }
                         }
                     }
                 }
@@ -807,6 +811,7 @@ pub mod feature_filter {
 mod tests {
     use super::feature_filter::*;
     use super::*;
+    use crate::backend::{CachingBackend, ReplayBackend};
     use qurk_crowd::{CrowdConfig, EntityId, GroundTruth, Marketplace};
 
     /// Two tables of n items each, where left[i] matches right[i].
@@ -1041,6 +1046,40 @@ mod tests {
             "candidates={}",
             out.candidates.len()
         );
+    }
+
+    /// A CRC-valid store can hold a category past a feature's options.
+    /// Replayed, that answer is no vote: the pipeline still runs, and
+    /// the cell it answered has every other vote.
+    #[test]
+    fn an_out_of_range_stored_category_is_no_vote() {
+        let (m, l, r) = feature_market(4);
+        let ff = FeatureFilter::new(FeatureFilterConfig {
+            sample_fraction: 1.0,
+            ..Default::default()
+        });
+        let color = [FeatureSpec {
+            name: "color".into(),
+            num_options: 3,
+        }];
+        let mut caching = CachingBackend::new(m);
+        ff.run(&mut caching, &color, &l, &r).unwrap();
+        let trace = caching.trace().clone();
+        let mut replay = ReplayBackend::from_trace(trace.clone());
+        let (before, _) = ff.extract(&mut replay, &color, &l).unwrap();
+        let [key] = replay.posted_keys()[..] else {
+            panic!("the left table fits one HIT");
+        };
+        let mut hostile = trace;
+        let entry = hostile.entries.get_mut(&key).unwrap();
+        entry.assignments[0].answers[0] = qurk_crowd::Answer::Category(3 + 1);
+
+        let replay = || ReplayBackend::from_trace(hostile.clone());
+        let out = ff.run(&mut replay(), &color, &l, &r).unwrap();
+        assert!(out.kappas[0].is_finite());
+        let (after, _) = ff.extract(&mut replay(), &color, &l).unwrap();
+        assert_eq!(after.votes[0][0], before.votes[0][0][1..]);
+        assert_eq!(after.votes[1..], before.votes[1..]);
     }
 
     #[test]

@@ -27,4 +27,4 @@ pub mod stats;
 pub use cost::{CostEstimate, CostModel};
 pub use explain::PlanReport;
 pub use physical::{compile, CompiledPlan, OptimizeMode, PhysNode, PhysicalPlan, PinSet};
-pub use stats::{SharedStatistics, StatisticsStore};
+pub use stats::StatisticsStore;

@@ -23,17 +23,15 @@
 //! `None` means "no evidence", which the planner treats as "keep the
 //! as-written plan".
 //!
-//! For the multi-tenant service ([`crate::service`]) the store comes in
-//! a thread-safe flavor, [`SharedStatistics`], with **merge-on-commit**
-//! semantics: each query plans against a [`SharedStatistics::snapshot`],
-//! records what it observes into a fresh, empty store while running,
-//! and [`SharedStatistics::commit`]s that store when it completes.
-//! Concurrent queries therefore never observe each other's
-//! half-finished evidence (snapshot isolation), and no update is lost
-//! (deltas of monotone counters merge associatively).
+//! The multi-tenant service ([`crate::service`]) keeps one plain
+//! store: each query records what it observes into a fresh, empty
+//! store while running, and the service [`StatisticsStore::merge`]s
+//! those deltas in submission order once the batch ends. Concurrent
+//! queries therefore never observe each other's half-finished
+//! evidence, and no update is lost (deltas of monotone counters merge
+//! associatively).
 
 use std::collections::HashMap;
-use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 /// A pass/fail tally (filter tuples, join pairs).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -254,7 +252,7 @@ impl StatisticsStore {
     /// quantity** (filters, joins, sorts, epochs, rounds are sums).
     /// The one documented tiebreak: `features` is latest-wins, so when
     /// both stores carry the same feature key, the store merged
-    /// **later** (submission order in the service's commit loop)
+    /// **later** (submission order in the service's `finish`)
     /// provides the surviving κ/σ sample. Up to that tiebreak, merge
     /// is order-insensitive (property-tested in
     /// `tests/statistics_persistence.rs`).
@@ -284,75 +282,6 @@ impl StatisticsStore {
         self.rounds.sum_t += other.rounds.sum_t;
         self.rounds.sum_hh += other.rounds.sum_hh;
         self.rounds.sum_ht += other.rounds.sum_ht;
-    }
-}
-
-/// Thread-safe [`StatisticsStore`] for the multi-tenant service.
-///
-/// **Merge-on-commit** is the one way to write it: a query plans
-/// against a [`snapshot`](Self::snapshot), records what it observes
-/// into its own empty [`StatisticsStore`], and [`commit`](Self::commit)s
-/// that store when it finishes. Concurrent queries never see each
-/// other's in-flight evidence, and committed deltas merge without
-/// loss.
-///
-/// Lock poisoning (a panicking writer) is recovered from rather than
-/// propagated: every recorded quantity is a monotone tally, so the
-/// store is never left in a torn state worth discarding.
-#[derive(Debug, Default)]
-pub struct SharedStatistics {
-    inner: RwLock<Epoched>,
-}
-
-/// The shared evidence plus a counter bumped by every write, so a plan
-/// compiled against one snapshot can tell whether it is still current.
-#[derive(Debug, Default)]
-struct Epoched {
-    store: StatisticsStore,
-    epoch: u64,
-}
-
-impl SharedStatistics {
-    /// Wrap an existing store (empty via `SharedStatistics::default()`).
-    pub fn new(initial: StatisticsStore) -> Self {
-        SharedStatistics {
-            inner: RwLock::new(Epoched {
-                store: initial,
-                epoch: 0,
-            }),
-        }
-    }
-
-    fn read(&self) -> RwLockReadGuard<'_, Epoched> {
-        self.inner.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// A consistent copy of the current evidence.
-    pub fn snapshot(&self) -> StatisticsStore {
-        self.read().store.clone()
-    }
-
-    /// [`Self::snapshot`] plus the epoch it was taken at.
-    pub(crate) fn snapshot_with_epoch(&self) -> (StatisticsStore, u64) {
-        let guard = self.read();
-        (guard.store.clone(), guard.epoch)
-    }
-
-    /// Merge a completed query's learning delta — what it recorded
-    /// into an empty store — into the shared evidence, moving the
-    /// epoch. The only write.
-    pub fn commit(&self, delta: &StatisticsStore) {
-        let mut guard = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        guard.epoch += 1;
-        guard.store.merge(delta);
-    }
-
-    /// Unwrap the store, recovering from poisoning.
-    pub fn into_inner(self) -> StatisticsStore {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .store
     }
 }
 
@@ -455,51 +384,5 @@ mod tests {
         assert_eq!(a.join_selectivity("j"), Some(0.1));
         assert!(a.feature("g").is_some());
         assert_eq!(a.secs_per_hit(), Some(10.0));
-    }
-
-    #[test]
-    fn shared_statistics_snapshot_commit_isolation() {
-        let shared = SharedStatistics::new(StatisticsStore::new());
-        let mut seed = StatisticsStore::new();
-        seed.record_filter("f", 10, 5);
-        shared.commit(&seed);
-
-        // Two "queries" plan on the same snapshot and learn privately.
-        let mut a = StatisticsStore::new();
-        a.record_filter("f", 10, 1);
-        let mut b = StatisticsStore::new();
-        b.record_filter("f", 20, 8);
-
-        // Neither sees the other before commit.
-        assert_eq!(shared.snapshot().filter_selectivity("f"), Some(0.5));
-        shared.commit(&a);
-        shared.commit(&b);
-        // 10+10+20 seen, 5+1+8 passed — both deltas landed.
-        assert_eq!(shared.snapshot().filter_selectivity("f"), Some(0.35));
-    }
-
-    #[test]
-    fn shared_statistics_concurrent_writers_lose_nothing() {
-        use std::sync::Arc;
-        let shared = Arc::new(SharedStatistics::default());
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let shared = Arc::clone(&shared);
-                scope.spawn(move || {
-                    for _ in 0..100 {
-                        let mut delta = StatisticsStore::new();
-                        delta.record_filter("f", 1, 1);
-                        delta.record_epoch(1, 2.0);
-                        shared.commit(&delta);
-                    }
-                });
-            }
-        });
-        let (_, epoch) = shared.snapshot_with_epoch();
-        assert_eq!(epoch, 800, "every commit moved the epoch");
-        let store = Arc::try_unwrap(shared).unwrap().into_inner();
-        assert_eq!(store.filter_selectivity("f"), Some(1.0));
-        assert_eq!(store.secs_per_hit(), Some(2.0));
-        assert_eq!(store.filters["f"].seen, 800);
     }
 }

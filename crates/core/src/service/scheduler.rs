@@ -18,12 +18,12 @@
 //!    `Done`.
 //! 2. **Barrier** — the scheduler collects exactly one event per
 //!    resumed query, then resolves them in **submission order**:
-//!    staged posts are committed to the shared market, rounds
-//!    journaled, and completed work folded into the shared cache — all
-//!    on the scheduler thread, so the marketplace, the meters and the
-//!    durable journal never observe thread-timing nondeterminism. A
-//!    query whose round is already complete (fully cached) becomes
-//!    runnable again immediately.
+//!    staged posts are committed to the shared market and completed
+//!    work is folded into the shared cache — all on the scheduler
+//!    thread, so the marketplace, the meters and the durable journal
+//!    never observe thread-timing nondeterminism. A query whose round
+//!    is already complete (fully cached) becomes runnable again
+//!    immediately.
 //! 3. **Marketplace step** — when nothing is runnable, every running
 //!    query is parked on a posted round. Run the one shared backend in
 //!    stages toward the waiting queries' deadlines (nearest first) and
@@ -43,12 +43,17 @@
 //! `MeteringBackend` over its [`TenantBackend`], so a post crosses one
 //! meter and then the shared market's one Task Cache.
 //!
-//! Statistics follow **snapshot isolation** (see
-//! [`SharedStatistics`]): each query plans against the batch-start
-//! snapshot and records what it learns into an empty store, and those
-//! deltas are committed in submission order after the batch —
-//! concurrent queries never see each other's half-finished evidence,
-//! and what a batch learns only steers the *next* batch's plans.
+//! Each query is **planned once, at admission**: `submit` (or
+//! `recover`) prepares it against the service's [`StatisticsStore`]
+//! and gates it at the tenant's effective budget, and the worker runs
+//! that plan with those diagnostics. Nothing the plan or the verdict
+//! depends on can move in between: the statistics and the tenants'
+//! spend change only when a batch finishes, and `run_pending` runs
+//! every admitted query. A query records what it learns into an empty
+//! store, and the batch's deltas are merged in submission order after
+//! the batch — concurrent queries never see each other's half-finished
+//! evidence, and what a batch learns steers the plans admitted after
+//! it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, SendError, Sender};
@@ -57,13 +62,13 @@ use std::thread::JoinHandle;
 
 use qurk_crowd::market::{HitGroupId, RunOutcome};
 
-use crate::analyze::{prepare, Prepared};
+use crate::analyze::{prepare, Diagnostic, Prepared};
 use crate::backend::{CachingBackend, CrowdBackend, MeteringBackend};
 use crate::catalog::Catalog;
 use crate::error::{QurkError, Result};
 use crate::exec::execute_plan;
 use crate::lang::parser::parse_query;
-use crate::opt::stats::{SharedStatistics, StatisticsStore};
+use crate::opt::stats::StatisticsStore;
 use crate::service::report::ServiceStats;
 use crate::service::tenant::{SharedMarket, StagedPost, TenantBackend};
 use crate::session::{ExecConfig, QueryReport};
@@ -126,13 +131,11 @@ struct TenantState {
 /// One admitted, not-yet-executed query.
 struct Submission {
     tenant: usize,
-    sql: String,
-    /// The plan the admission gate analyzed — the query thread executes
-    /// exactly this, never a re-parse of `sql`, and recompiles it (from
-    /// its AST) only if the statistics moved since admission.
+    /// The plan the admission gate analyzed — the query's worker
+    /// executes exactly this, never a re-parse or a recompile.
     prepared: Prepared,
-    /// The [`SharedStatistics`] epoch `prepared` was compiled at.
-    stats_epoch: u64,
+    /// The admission gate's verdict, reported with the result.
+    diagnostics: Vec<Diagnostic>,
     budget: Option<f64>,
     /// Durable checkpoint id when the service has a store attached.
     persist_id: Option<u64>,
@@ -165,8 +168,9 @@ const DEADLINE_EPS: f64 = 1e-9;
 pub struct QueryService<B: CrowdBackend + 'static> {
     catalog: Arc<Catalog>,
     shared: Arc<SharedMarket<B>>,
-    stats: SharedStatistics,
-    config: Arc<ExecConfig>,
+    /// Learned statistics: read by admission, merged only in `finish`.
+    stats: StatisticsStore,
+    config: ExecConfig,
     tenants: Vec<TenantState>,
     pending: Vec<Submission>,
     /// Durable state (task cache, statistics, checkpoints, tenants) —
@@ -187,8 +191,8 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
         QueryService {
             catalog,
             shared: Arc::new(SharedMarket::new(backend)),
-            stats: SharedStatistics::default(),
-            config: Arc::new(config),
+            stats: StatisticsStore::new(),
+            config,
             tenants: Vec::new(),
             pending: Vec::new(),
             store: None,
@@ -220,8 +224,8 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
         QueryService {
             catalog,
             shared: Arc::new(SharedMarket::with_caching(caching)),
-            stats: SharedStatistics::new(store.stats_snapshot()),
-            config: Arc::new(config),
+            stats: store.stats_snapshot(),
+            config,
             tenants,
             pending: Vec::new(),
             store: Some(store),
@@ -270,7 +274,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
                 store.append_query_done(cp.id);
                 continue;
             };
-            match self.admit(tenant, cp.sql, cp.budget) {
+            match self.admit(tenant, &cp.sql, cp.budget) {
                 Ok(job) => {
                     self.pending.push(Submission {
                         persist_id: Some(cp.id),
@@ -326,20 +330,18 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
     }
 
     /// The admission gate shared by [`Self::submit`] and
-    /// [`Self::recover`]: parse and prepare against the current shared
+    /// [`Self::recover`]: parse and prepare against the service's
     /// statistics, then run the lint-policy gate priced at the budget
     /// the query would run under now. Returns the submission, carrying
-    /// the exact plan that will execute.
-    fn admit(&self, tenant: usize, sql: String, budget: Option<f64>) -> Result<Submission> {
-        let (snapshot, stats_epoch) = self.stats.snapshot_with_epoch();
-        let prepared = prepare(parse_query(&sql)?, &self.catalog, &self.config, &snapshot)?;
+    /// the exact plan that will execute and the gate's diagnostics.
+    fn admit(&self, tenant: usize, sql: &str, budget: Option<f64>) -> Result<Submission> {
+        let prepared = prepare(parse_query(sql)?, &self.catalog, &self.config, &self.stats)?;
         let effective = self.effective_budget(tenant, budget);
-        prepared.gate(&sql, &self.config, &snapshot, effective)?;
+        let diagnostics = prepared.gate(sql, &self.config, &self.stats, effective)?;
         Ok(Submission {
             tenant,
-            sql,
             prepared,
-            stats_epoch,
+            diagnostics,
             budget,
             persist_id: None,
             resumed: false,
@@ -367,7 +369,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
         budget: Option<f64>,
     ) -> Result<usize> {
         let tenant = self.tenant_index(tenant)?;
-        let mut job = self.admit(tenant, sql.to_owned(), budget)?;
+        let mut job = self.admit(tenant, sql, budget)?;
         // Checkpoint write-ahead of the queue push: once admission is
         // acknowledged, a crash before the query finishes leaves a
         // live checkpoint for `recover()` to resume.
@@ -389,8 +391,9 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
         &self.shared
     }
 
-    /// The shared statistics store.
-    pub fn statistics(&self) -> &SharedStatistics {
+    /// The learned statistics admission plans against. They move only
+    /// when a batch finishes, by each query's delta in submission order.
+    pub fn statistics(&self) -> &StatisticsStore {
         &self.stats
     }
 
@@ -428,10 +431,12 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
     /// Machine-side work runs in parallel on the service's query
     /// workers; shared state is only written at barriers and
     /// marketplace steps, in submission order, so results are
-    /// deterministic (module docs). Budgets are fixed at batch start,
-    /// so two same-tenant queries in one batch can jointly overshoot a
-    /// tenant budget by at most one round each — the budget is
-    /// re-checked before every subsequent batch.
+    /// deterministic (module docs). Each query runs the plan and
+    /// diagnostics admission gave it. Its budget guard holds the
+    /// effective budget at batch start, so two same-tenant queries in
+    /// one batch can jointly overshoot a tenant budget by at most one
+    /// round each; the queries admitted after the batch are priced at
+    /// what the tenant has left.
     ///
     /// Returns only once every query has dropped its [`TenantBackend`]
     /// and its event senders, so no tenant backend outlives its batch.
@@ -442,8 +447,6 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
         }
         // Batch boundary for the shared cache's eviction bound.
         self.shared.begin_batch();
-        let (snapshot, epoch) = self.stats.snapshot_with_epoch();
-        let seed = Arc::new(snapshot);
         let (event_tx, event_rx) = channel::<SchedulerEvent>();
         // Should the scheduler panic, unwinding drops the resume
         // senders and unparks every query, so no worker is left stuck.
@@ -460,13 +463,12 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
                 resumed: job.resumed,
                 ..Task::new(market_query, job.persist_id)
             });
-            let (catalog, config) = (Arc::clone(&self.catalog), Arc::clone(&self.config));
-            let seed = Arc::clone(&seed);
+            let catalog = Arc::clone(&self.catalog);
             let done_tx = event_tx.clone();
             self.workers.dispatch(
                 i,
                 Box::new(move || {
-                    let msg = run_query(&job, backend, &catalog, &config, &seed, epoch, budget);
+                    let msg = run_query(job, backend, &catalog, budget);
                     let _ = done_tx.send(SchedulerEvent::Done {
                         query: i,
                         msg: Box::new(msg),
@@ -511,7 +513,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
     }
 
     /// The barrier: commit the staged posts of every `NeedCrowd` event
-    /// to the shared market and journal its round, then classify each
+    /// to the shared market and count its round, then classify each
     /// task — runnable again (its round is already complete), waiting
     /// on the marketplace, or finished. Everything happens in
     /// submission order, so every shared-state write is deterministic
@@ -533,12 +535,6 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
                 task.pending_groups.push(group);
             }
             task.rounds += 1;
-            // Journal consumed rounds as they happen so a crash
-            // mid-query leaves an accurate checkpoint (its paid work is
-            // already in the cache records).
-            if let (Some(store), Some(id)) = (&self.store, task.persist_id) {
-                store.append_rounds(id, task.rounds);
-            }
         }
         // Pass 2: classify, in the same order.
         let mut finished = 0;
@@ -640,7 +636,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
     }
 
     /// Close a batch, in submission order: attribute each query's
-    /// spend to its tenant, commit its statistics delta, attach its
+    /// spend to its tenant, merge its statistics delta, attach its
     /// [`ServiceStats`], and retire its checkpoint.
     fn finish(&mut self, tasks: Vec<Task>) -> Vec<Result<QueryReport>> {
         let mut out = Vec::with_capacity(tasks.len());
@@ -649,7 +645,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
             self.tenants[task.tenant].spent += self.shared.query_spend(mq);
             let result = match task.done {
                 Some(msg) => {
-                    self.stats.commit(&msg.stats_delta);
+                    self.stats.merge(&msg.stats_delta);
                     if let Some(store) = &self.store {
                         store.append_stats_delta(&msg.stats_delta);
                     }
@@ -831,33 +827,24 @@ fn spawn_worker(i: usize, job: Job) -> (Sender<Job>, JoinHandle<()>) {
     (tx, handle)
 }
 
-/// One query: execute the plan admission analyzed — recompiled
-/// from its AST only if the statistics moved past `epoch` — through
-/// `backend`, and return the result with what the query learned. A
-/// panic becomes an `Err` report; a round the backend refused for its
+/// One query: execute the plan admission analyzed through `backend`
+/// under the batch-start `budget`, and return the result, carrying
+/// admission's diagnostics, with what the query learned. A panic
+/// becomes an `Err` report; a round the backend refused for its
 /// deadline fails the query with [`QurkError::InvalidDeadline`].
 fn run_query<B: CrowdBackend>(
-    job: &Submission,
+    job: Submission,
     backend: TenantBackend<B>,
     catalog: &Catalog,
-    config: &ExecConfig,
-    seed: &StatisticsStore,
-    epoch: u64,
     budget: Option<f64>,
 ) -> DoneMsg {
     catch_unwind(AssertUnwindSafe(|| {
         let mut backend = MeteringBackend::new(backend);
         let mut learned = StatisticsStore::new();
-        let mut result = (job.stats_epoch != epoch)
-            .then(|| prepare(job.prepared.ast.clone(), catalog, config, seed))
-            .transpose()
-            .and_then(|refreshed| {
-                let prepared = refreshed.as_ref().unwrap_or(&job.prepared);
-                let diagnostics = prepared.gate(&job.sql, config, seed, budget)?;
-                let (outcome, usage) =
-                    execute_plan(catalog, &mut backend, &mut learned, prepared, budget);
-                Ok(QueryReport::new(outcome?, usage, prepared, diagnostics))
-            });
+        let (outcome, usage) =
+            execute_plan(catalog, &mut backend, &mut learned, &job.prepared, budget);
+        let mut result = outcome
+            .map(|relation| QueryReport::new(relation, usage, &job.prepared, job.diagnostics));
         if let Some(limit_secs) = backend.inner().refused_deadline() {
             result = Err(QurkError::InvalidDeadline { limit_secs });
         }
@@ -1067,12 +1054,11 @@ mod tests {
         assert_eq!(workers.jobs.len(), 1);
     }
 
-    /// The query thread must execute the plan admission prepared, never
+    /// The query's worker executes the plan admission prepared, never
     /// a recompile of it: a submission whose compiled plan is altered
-    /// after admission runs the altered plan — until the statistics
-    /// epoch moves, which recompiles from the admitted AST.
+    /// after admission runs the altered plan.
     #[test]
-    fn execution_runs_the_admitted_plan_until_statistics_move() {
+    fn execution_runs_the_admitted_plan() {
         let mut catalog = Catalog::new();
         let mut rel = Relation::new(Schema::new(&[("id", ValueType::Int)]));
         for i in 0..4 {
@@ -1082,20 +1068,16 @@ mod tests {
         let market = Marketplace::new(&CrowdConfig::default().with_seed(1), GroundTruth::new());
         let mut svc = QueryService::new(Arc::new(catalog), market);
         svc.register_tenant("t", None);
-        let limit_admitted_plan = |svc: &mut QueryService<Marketplace>| {
-            let compiled = &mut svc.pending[0].prepared.compiled;
-            compiled.root = PhysicalPlan {
-                node: PhysNode::Limit {
-                    input: Box::new(compiled.root.clone()),
-                    n: 2,
-                },
-                rows_out: 2.0,
-                cost: CostEstimate::ZERO,
-            };
-        };
-
         svc.submit("t", "SELECT n.id FROM nums AS n").unwrap();
-        limit_admitted_plan(&mut svc);
+        let compiled = &mut svc.pending[0].prepared.compiled;
+        compiled.root = PhysicalPlan {
+            node: PhysNode::Limit {
+                input: Box::new(compiled.root.clone()),
+                n: 2,
+            },
+            rows_out: 2.0,
+            cost: CostEstimate::ZERO,
+        };
         let report = svc
             .run_pending()
             .pop()
@@ -1108,18 +1090,5 @@ mod tests {
             report.plan.physical
         );
         assert_eq!(report.hits_posted, 0);
-
-        svc.submit("t", "SELECT n.id FROM nums AS n").unwrap();
-        limit_admitted_plan(&mut svc);
-        // The recompile starts from the admitted AST, never the text:
-        // re-parsing this would fail to plan with UnknownTable.
-        svc.pending[0].sql = "SELECT x.id FROM nosuch AS x".to_owned();
-        svc.statistics().commit(&StatisticsStore::new());
-        let report = svc
-            .run_pending()
-            .pop()
-            .unwrap()
-            .expect("the recompiled plan executes");
-        assert_eq!(report.relation.len(), 4, "moved statistics recompile");
     }
 }

@@ -523,7 +523,8 @@ mod proptests {
     use super::crc32;
     use crate::backend::{TraceAssignment, TraceEntry};
     use crate::opt::stats::StatisticsStore;
-    use crate::store::log::HEADER_LEN;
+    use crate::store::durable::legacy_rounds_payload;
+    use crate::store::log::{Segment, HEADER_LEN};
     use crate::store::testutil::tmp_store_path;
     use crate::store::DurableStore;
 
@@ -555,10 +556,13 @@ mod proptests {
             delta.record_filter("isTall", 10, 4);
             store.append_stats_delta(&delta);
             let q = store.append_checkpoint("alice", "SELECT 1", Some(2.0));
-            store.append_rounds(q, 3);
             store.append_query_done(q);
             store.append_tenant("alice", Some(5.0), 1.25);
             drop(store);
+            // Older stores also wrote kind 4, which a store still decodes.
+            let (mut segment, _) = Segment::open(&path, None).unwrap();
+            segment.append(&legacy_rounds_payload(q, 3));
+            drop(segment);
             let log = std::fs::read(&path).unwrap();
             let _ = std::fs::remove_file(&path);
             let mut payloads = Vec::new();

@@ -6,17 +6,18 @@
 //! |---|---|---|
 //! | 1 | CacheEntry | spec key + [`TraceEntry`] (a paid round's answers) |
 //! | 2 | StatsDelta | a [`StatisticsStore`] learning delta |
-//! | 3 | Checkpoint | query id, tenant, SQL, budget, rounds consumed |
-//! | 4 | Rounds | query id + cumulative HIT rounds consumed |
+//! | 3 | Checkpoint | query id, tenant, SQL, budget, a legacy `u64` slot (written 0, ignored) |
+//! | 4 | Rounds (legacy) | query id + rounds; no longer written, ignored on replay |
 //! | 5 | QueryDone | query id (checkpoint retired) |
 //! | 6 | Tenant | tenant name, budget, attributed spend |
 //!
-//! Recovery folds the records front to back: cache entries accumulate
-//! (first write wins, matching the cache's `or_insert`), stats deltas
-//! merge, checkpoints stay live until their `QueryDone`, and tenant
-//! records are latest-wins. Compaction rewrites exactly that folded
-//! state as one snapshot, in sorted order so equal state produces
-//! equal bytes.
+//! Recovery folds the records front to back: cache entries are
+//! latest-wins per key (the cache journals a key again only when it
+//! replaced an entry that could not answer its spec, or re-paid an
+//! evicted one), stats deltas merge, checkpoints stay live until their
+//! `QueryDone`, and tenant records are latest-wins. Compaction
+//! rewrites exactly that folded state as one snapshot, in sorted order
+//! so equal state produces equal bytes.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -31,7 +32,9 @@ use crate::store::{StoreError, StoreHealth};
 const KIND_CACHE_ENTRY: u8 = 1;
 const KIND_STATS_DELTA: u8 = 2;
 const KIND_CHECKPOINT: u8 = 3;
-const KIND_ROUNDS: u8 = 4;
+/// Written by older stores as a per-round progress heartbeat that
+/// nothing read; decoded and ignored so those logs still open.
+const KIND_LEGACY_ROUNDS: u8 = 4;
 const KIND_QUERY_DONE: u8 = 5;
 const KIND_TENANT: u8 = 6;
 
@@ -43,9 +46,6 @@ pub struct QueryCheckpoint {
     pub tenant: String,
     pub sql: String,
     pub budget: Option<f64>,
-    /// Cumulative HIT rounds the query had consumed when last heard
-    /// from (its paid work up to there is in the cache records).
-    pub rounds_consumed: u64,
 }
 
 /// A persisted tenant registration (latest record wins).
@@ -210,20 +210,16 @@ impl DurableStore {
 
     // -------------------------------------------------------- appends
 
-    /// Journal one paid round's answers for `key`. Write-ahead: on a
-    /// healthy store the entry is durable when this returns.
+    /// Journal one paid round's answers for `key`, replacing any
+    /// earlier entry for it. Write-ahead: on a healthy store the entry
+    /// is durable when this returns.
     pub fn append_cache_entry(&self, key: u64, entry: &TraceEntry) {
         let mut e = Enc::new();
         e.u8(KIND_CACHE_ENTRY);
         e.u64(key);
         enc_trace_entry(&mut e, entry);
         let mut inner = self.lock();
-        inner
-            .state
-            .cache
-            .entries
-            .entry(key)
-            .or_insert_with(|| entry.clone());
+        inner.state.cache.entries.insert(key, entry.clone());
         Self::append_and_maybe_compact(&mut inner, e.into_bytes());
     }
 
@@ -251,26 +247,11 @@ impl DurableStore {
             tenant: tenant.to_owned(),
             sql: sql.to_owned(),
             budget,
-            rounds_consumed: 0,
         };
         let bytes = enc_checkpoint(&cp);
         inner.state.checkpoints.push(cp);
         Self::append_and_maybe_compact(&mut inner, bytes);
         id
-    }
-
-    /// Journal a query's cumulative consumed HIT rounds (monotone;
-    /// recovery keeps the max seen).
-    pub fn append_rounds(&self, id: u64, rounds_consumed: u64) {
-        let mut e = Enc::new();
-        e.u8(KIND_ROUNDS);
-        e.u64(id);
-        e.u64(rounds_consumed);
-        let mut inner = self.lock();
-        if let Some(cp) = inner.state.checkpoints.iter_mut().find(|c| c.id == id) {
-            cp.rounds_consumed = cp.rounds_consumed.max(rounds_consumed);
-        }
-        Self::append_and_maybe_compact(&mut inner, e.into_bytes());
     }
 
     /// Retire a checkpoint: the query finished (either way) and must
@@ -352,7 +333,7 @@ fn enc_checkpoint(cp: &QueryCheckpoint) -> Vec<u8> {
     e.str(&cp.tenant);
     e.str(&cp.sql);
     e.opt_f64(cp.budget);
-    e.u64(cp.rounds_consumed);
+    e.u64(0); // the legacy rounds slot
     e.into_bytes()
 }
 
@@ -376,7 +357,7 @@ fn apply_record(
         KIND_CACHE_ENTRY => {
             let key = d.u64()?;
             let entry = dec_trace_entry(&mut d)?;
-            state.cache.entries.entry(key).or_insert(entry);
+            state.cache.entries.insert(key, entry);
         }
         KIND_STATS_DELTA => {
             let delta = dec_stats(&mut d)?;
@@ -388,17 +369,14 @@ fn apply_record(
                 tenant: d.str()?,
                 sql: d.str()?,
                 budget: d.opt_f64()?,
-                rounds_consumed: d.u64()?,
             };
+            d.u64()?; // the legacy rounds slot
             *max_id = (*max_id).max(cp.id);
             state.checkpoints.push(cp);
         }
-        KIND_ROUNDS => {
-            let id = d.u64()?;
-            let rounds = d.u64()?;
-            if let Some(cp) = state.checkpoints.iter_mut().find(|c| c.id == id) {
-                cp.rounds_consumed = cp.rounds_consumed.max(rounds);
-            }
+        KIND_LEGACY_ROUNDS => {
+            d.u64()?; // query id
+            d.u64()?; // rounds
         }
         KIND_QUERY_DONE => {
             let id = d.u64()?;
@@ -423,6 +401,16 @@ fn apply_record(
 
 /// Convenience alias used by the wiring layers.
 pub type SharedStore = Arc<DurableStore>;
+
+/// A kind-4 record as older stores wrote it, for format tests.
+#[cfg(test)]
+pub(crate) fn legacy_rounds_payload(id: u64, rounds: u64) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.u8(KIND_LEGACY_ROUNDS);
+    e.u64(id);
+    e.u64(rounds);
+    e.into_bytes()
+}
 
 #[cfg(test)]
 mod tests {
@@ -455,7 +443,6 @@ mod tests {
         store.append_stats_delta(&delta);
         let q1 = store.append_checkpoint("alice", "SELECT 1", Some(2.0));
         let q2 = store.append_checkpoint("bob", "SELECT 2", None);
-        store.append_rounds(q1, 3);
         store.append_query_done(q2);
         store.append_tenant("alice", Some(5.0), 1.25);
         store.append_tenant("alice", Some(5.0), 1.75); // latest wins
@@ -472,12 +459,45 @@ mod tests {
         assert_eq!(live.len(), 1);
         assert_eq!(live[0].id, q1);
         assert_eq!(live[0].tenant, "alice");
-        assert_eq!(live[0].rounds_consumed, 3);
         assert_eq!(live[0].budget, Some(2.0));
         let tenants = store.tenants_snapshot();
         assert_eq!(tenants.len(), 1);
         assert_eq!(tenants[0].spent, 1.75);
         assert!(store.next_query_id() > q2);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A log written before the rounds heartbeat was dropped still
+    /// opens: its kind-4 record is ignored, and its checkpoint, whose
+    /// legacy slot holds a round count, stays live.
+    #[test]
+    fn a_log_with_legacy_rounds_records_opens_with_its_checkpoint_live() {
+        let path = tmp_store_path("durable-legacy-rounds");
+        let (mut segment, _) = Segment::open(&path, None).unwrap();
+        let mut e = Enc::new();
+        e.u8(KIND_CHECKPOINT);
+        e.u64(1);
+        e.str("alice");
+        e.str("SELECT 1");
+        e.opt_f64(Some(2.0));
+        e.u64(3);
+        segment.append(&e.into_bytes());
+        segment.append(&legacy_rounds_payload(1, 3));
+        drop(segment);
+
+        let store = DurableStore::open(&path).unwrap();
+        let want = QueryCheckpoint {
+            id: 1,
+            tenant: "alice".to_owned(),
+            sql: "SELECT 1".to_owned(),
+            budget: Some(2.0),
+        };
+        assert_eq!(store.live_checkpoints(), vec![want.clone()]);
+        assert_eq!(store.next_query_id(), 2);
+        store.compact_now();
+        drop(store);
+        let store = DurableStore::open(&path).unwrap();
+        assert_eq!(store.live_checkpoints(), vec![want]);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -489,14 +509,14 @@ mod tests {
         store.append_query_done(q); // threshold 1: every append compacts
         for k in 0..20 {
             store.append_cache_entry(k, &entry(k));
-            store.append_cache_entry(k, &entry(k + 100)); // duplicate: first wins
+            store.append_cache_entry(k, &entry(k + 100)); // duplicate: last wins
         }
         let compacted_len = store.len_bytes();
         drop(store);
         let store = DurableStore::open(&path).unwrap();
         assert_eq!(store.len_bytes(), compacted_len);
         assert_eq!(store.cache_snapshot().len(), 20);
-        assert_eq!(store.cache_snapshot().get(3), Some(&entry(3))); // not entry(103)
+        assert_eq!(store.cache_snapshot().get(3), Some(&entry(103)));
         assert!(store.live_checkpoints().is_empty());
         std::fs::remove_file(&path).unwrap();
     }

@@ -8,10 +8,10 @@
 //!    at the HIT boundary),
 //! 2. the learned [`StatisticsStore`](crate::opt::stats::StatisticsStore)
 //!    evidence, and
-//! 3. per-query **checkpoints** (tenant, SQL, budget, rounds consumed)
-//!    so a restarted [`QueryService`](crate::service::QueryService)
-//!    resumes in-flight queries by replaying their paid rounds from
-//!    the cache instead of re-posting them.
+//! 3. per-query **checkpoints** (tenant, SQL, budget) so a restarted
+//!    [`QueryService`](crate::service::QueryService) resumes in-flight
+//!    queries by replaying their paid rounds from the cache instead of
+//!    re-posting them.
 //!
 //! The format is a single append-only, checksummed segment file with
 //! periodic compaction (`log`); every mutation is one framed record

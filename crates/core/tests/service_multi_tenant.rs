@@ -13,14 +13,22 @@ use qurk::plan::plan_query;
 use qurk::service::QueryService;
 use qurk::{
     Catalog, Code, DurableStore, ExecConfig, LintPolicy, QurkError, Relation, Schema, Session,
-    StatisticsStore, Value, ValueType,
+    Value, ValueType,
 };
 use qurk_crowd::truth::{DimensionParams, PredicateTruth};
-use qurk_crowd::{CrowdConfig, EntityId, GroundTruth, Marketplace};
+use qurk_crowd::{CrowdConfig, EntityId, GroundTruth, ItemId, Marketplace};
 
 /// Ten people, five tall, heights 0..10 — same world the session
 /// tests use, with a Filter task and a Rank task.
 fn world(seed: u64) -> (Arc<Catalog>, Marketplace) {
+    world_with(seed, |_, _| {})
+}
+
+/// [`world`], with `extend` adding ground truth for the ten people.
+fn world_with(
+    seed: u64,
+    extend: impl FnOnce(&mut GroundTruth, &[ItemId]),
+) -> (Arc<Catalog>, Marketplace) {
     let mut gt = GroundTruth::new();
     gt.define_dimension("height", DimensionParams::crisp(0.02));
     let items = gt.new_items(10);
@@ -36,6 +44,7 @@ fn world(seed: u64) -> (Arc<Catalog>, Marketplace) {
         gt.set_score(it, "height", i as f64);
         gt.set_entity(it, EntityId(i as u64));
     }
+    extend(&mut gt, &items);
     let market = Marketplace::new(&CrowdConfig::default().with_seed(seed), gt);
 
     let mut catalog = Catalog::new();
@@ -313,13 +322,22 @@ fn admission_prices_the_tenants_remaining_budget() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Statistics learned between `submit` and `run_pending` move the
-/// epoch, so the query runs what a fresh compile against the batch
-/// snapshot gives — here a learned selectivity that reorders the two
-/// conjuncts — not the plan admission compiled from empty statistics.
+/// What one batch learns reaches the next batch's admission. Batch 1
+/// plans two conjuncts from empty statistics, as written; it learns
+/// that `isBlond` passes far fewer people than `isTall`, so batch 2 is
+/// admitted with the conjuncts reordered and runs exactly what a fresh
+/// compile against `svc.statistics()` gives.
 #[test]
-fn statistics_learned_after_admission_recompile_the_plan() {
-    let (mut catalog, market) = world(7);
+fn statistics_learned_by_one_batch_steer_the_next_admission() {
+    let (mut catalog, market) = world_with(7, |gt, items| {
+        for (i, &it) in items.iter().enumerate() {
+            let truth = PredicateTruth {
+                value: i < 2,
+                error_rate: 0.03,
+            };
+            gt.set_predicate(it, "isBlond", truth);
+        }
+    });
     Arc::make_mut(&mut catalog)
         .define_tasks(
             r#"TASK isBlond(field) TYPE Filter:
@@ -331,19 +349,17 @@ fn statistics_learned_after_admission_recompile_the_plan() {
     let mut svc = QueryService::new(Arc::clone(&catalog), market);
     svc.register_tenant("alice", None);
     svc.submit("alice", sql).unwrap();
-    let mut learned = StatisticsStore::new();
-    learned.record_filter("isTall", 100, 90);
-    learned.record_filter("isBlond", 100, 10);
-    svc.statistics().commit(&learned);
+    let first = svc.run_pending().pop().unwrap().unwrap();
+    assert!(
+        first.plan.decisions.is_empty(),
+        "{:?}",
+        first.plan.decisions
+    );
 
+    svc.submit("alice", sql).unwrap();
     let logical = plan_query(&parse_query(sql).unwrap(), &catalog).unwrap();
-    let fresh = qurk::opt::compile(
-        &logical,
-        &catalog,
-        &ExecConfig::default(),
-        &svc.statistics().snapshot(),
-    )
-    .unwrap();
+    let fresh =
+        qurk::opt::compile(&logical, &catalog, &ExecConfig::default(), svc.statistics()).unwrap();
     assert!(
         fresh
             .decisions
@@ -352,10 +368,43 @@ fn statistics_learned_after_admission_recompile_the_plan() {
         "{:?}",
         fresh.decisions
     );
+    let second = svc.run_pending().pop().unwrap().unwrap();
+    assert_eq!(second.plan.decisions, fresh.decisions);
+    assert_eq!(second.plan.physical, fresh.root.to_string());
+    assert_ne!(second.plan.physical, first.plan.physical);
+    assert_eq!(second.relation, first.relation);
+}
 
-    let report = svc.run_pending().pop().unwrap().unwrap();
-    assert_eq!(report.plan.decisions, fresh.decisions);
-    assert_eq!(report.plan.physical, fresh.root.to_string());
+/// Admission's verdict is what runs: a tenant re-budgeted to $0 after
+/// `submit` gets no fresh QA005 verdict. Its query runs under the
+/// batch-start budget, whose guard refuses the first crowd operator,
+/// so it fails with `BudgetExceeded` before any HIT is posted.
+#[test]
+fn a_tenant_cut_to_zero_after_submit_fails_at_the_budget_guard() {
+    let (catalog, market) = world(7);
+    let config = ExecConfig {
+        lint: qurk::LintConfig {
+            policy: LintPolicy::Deny,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let mut svc = QueryService::with_config(Arc::clone(&catalog), market, config);
+    svc.register_tenant("alice", Some(5.0));
+    svc.submit("alice", FILTER_SQL).unwrap();
+    svc.register_tenant("alice", Some(0.0));
+    match svc.run_pending().pop().unwrap() {
+        Err(QurkError::BudgetExceeded {
+            budget_dollars,
+            spent_dollars,
+        }) => {
+            assert_eq!(budget_dollars, 0.0);
+            assert_eq!(spent_dollars, 0.0);
+        }
+        other => panic!("expected BudgetExceeded, got {other:?}"),
+    }
+    assert_eq!(svc.market().total_hits_posted(), 0);
+    assert_eq!(svc.tenant_spent("alice").unwrap(), 0.0);
 }
 
 /// A service post crosses one Task Cache, the shared one: a query that

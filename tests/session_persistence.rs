@@ -142,7 +142,9 @@ fn persist_to_rejects_a_corrupt_header() {
 /// A CRC-valid store entry whose answers do not fit its spec (here one
 /// extra answer per assignment) must read as a cache miss and re-post
 /// live, not reach an operator and panic. With the same crowd seed the
-/// re-posted round answers exactly as the original did.
+/// re-posted round answers exactly as the original did. The live
+/// answers replace the malformed entries for good: a fresh process
+/// pays nothing for the query, before and after a compaction.
 #[test]
 fn malformed_store_entries_repost_instead_of_panicking() {
     let good = store_path("malformed-src");
@@ -189,6 +191,27 @@ fn malformed_store_entries_repost_instead_of_panicking() {
         .expect("malformed entries are re-posted live");
     assert!(report.hits_posted > 0, "no malformed entry was served");
     assert_eq!(report.relation, original);
+    drop(session);
+
+    for compacted in [false, true] {
+        if compacted {
+            DurableStore::open(&bad)
+                .expect("store reopens")
+                .compact_now();
+        }
+        let (_, market) = world(23);
+        let report = Session::builder()
+            .catalog(&catalog)
+            .backend(market)
+            .persist_to(&bad)
+            .expect("repaired store opens")
+            .build()
+            .query(FILTER_SQL)
+            .report()
+            .expect("repaired entries are served");
+        assert_eq!(report.hits_posted, 0, "compacted: {compacted}");
+        assert_eq!(report.relation, original);
+    }
 
     let _ = std::fs::remove_file(&good);
     let _ = std::fs::remove_file(&bad);
