@@ -14,7 +14,7 @@ use qurk_crowd::question::{HitKind, Question};
 use qurk_crowd::{HitSpec, ItemId};
 
 use crate::backend::CrowdBackend;
-use crate::error::Result;
+use crate::error::{QurkError, Result};
 use crate::ops::common::{Round, DEFAULT_ROUND_LIMIT_SECS};
 
 /// Early-stopping vote collection for binary questions.
@@ -89,14 +89,20 @@ impl AdaptiveVotes {
             let round = Round::post(backend, specs, Some(round_votes));
             let answers = round.complete(backend, DEFAULT_ROUND_LIMIT_SECS)?;
             for (&i, assignments) in open.iter().zip(&answers) {
+                let votes = yes[i] + no[i];
                 for a in assignments {
-                    if let Some(b) = a.answers[0].as_bool() {
-                        if b {
-                            yes[i] += 1;
-                        } else {
-                            no[i] += 1;
-                        }
+                    match a.answers.first().and_then(|x| x.as_bool()) {
+                        Some(true) => yes[i] += 1,
+                        Some(false) => no[i] += 1,
+                        None => {}
                     }
+                }
+                if yes[i] + no[i] == votes {
+                    // A replayed spec answers the same way next round
+                    // too: without a vote the item would never close.
+                    return Err(QurkError::NoValidAnswer {
+                        task: predicate.to_owned(),
+                    });
                 }
             }
             open.retain(|&i| {
@@ -209,6 +215,7 @@ impl BatchSizeSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{CachingBackend, ReplayBackend, TraceAssignment};
     use qurk_crowd::truth::{DimensionParams, PredicateTruth};
     use qurk_crowd::{CrowdConfig, GroundTruth, Marketplace};
 
@@ -271,6 +278,50 @@ mod tests {
         let out = adaptive.run_filter(&mut m, "p", &items).unwrap();
         let avg: f64 = out.votes_used.iter().sum::<u32>() as f64 / out.votes_used.len() as f64;
         assert!(avg > 5.0, "avg votes={avg}");
+    }
+
+    /// Record one unanimous three-vote filter HIT through the Task
+    /// Cache, then rewrite its stored assignments with `hostile` and
+    /// replay the trace.
+    fn replay_filter_with(
+        hostile: impl Fn(usize, &mut TraceAssignment),
+    ) -> Result<AdaptiveOutcome> {
+        let (m, items) = market(1, 0.0);
+        let mut caching = CachingBackend::new(m);
+        let out = AdaptiveVotes::default()
+            .run_filter(&mut caching, "p", &items)
+            .unwrap();
+        assert_eq!((out.decisions, out.votes_used), (vec![true], vec![3]));
+        let mut trace = caching.trace().clone();
+        let [key] = trace.keys()[..] else {
+            panic!("one item is one HIT");
+        };
+        let entry = trace.entries.get_mut(&key).unwrap();
+        for (i, a) in entry.assignments.iter_mut().enumerate() {
+            hostile(i, a);
+        }
+        AdaptiveVotes::default().run_filter(&mut ReplayBackend::from_trace(trace), "p", &items)
+    }
+
+    #[test]
+    fn a_stored_assignment_without_answers_is_no_vote() {
+        let out = replay_filter_with(|i, a| {
+            if i == 0 {
+                a.answers.clear();
+            }
+        })
+        .unwrap();
+        // The two remaining votes agree: lead 2 meets the margin.
+        assert_eq!((out.decisions, out.votes_used), (vec![true], vec![2]));
+    }
+
+    #[test]
+    fn a_hit_without_a_valid_vote_fails_the_query() {
+        let out = replay_filter_with(|_, a| a.answers.clear());
+        assert!(
+            matches!(out, Err(QurkError::NoValidAnswer { ref task }) if task == "p"),
+            "{out:?}"
+        );
     }
 
     #[test]

@@ -331,7 +331,7 @@ pub struct TraceEntry {
 /// The spec-keyed answer store: the Task Cache's contents
 /// ([`CachingBackend::trace`], [`DurableStore::cache_snapshot`]) and
 /// what a [`ReplayBackend`] serves.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReplayTrace {
     pub(crate) entries: HashMap<u64, TraceEntry>,
 }
@@ -478,12 +478,13 @@ impl<B: CrowdBackend> CachingBackend<B> {
         }
     }
 
-    /// A caching backend journaling to (and preloaded from) a durable
-    /// store: the store's recovered cache entries replay without
+    /// A caching backend journaling to a durable store and preloaded
+    /// with `recovered`, the store's Task Cache
+    /// ([`DurableStore::recovered`]): those entries replay without
     /// re-posting, and every newly paid round is appended write-ahead.
-    pub fn with_journal(inner: B, journal: Arc<DurableStore>) -> Self {
+    pub fn with_journal(inner: B, journal: Arc<DurableStore>, recovered: ReplayTrace) -> Self {
         let mut backend = CachingBackend::new(inner);
-        backend.cache = journal.cache_snapshot();
+        backend.cache = recovered;
         // Seed recency in sorted-key order so a later eviction pass
         // over recovered entries is deterministic.
         for key in backend.cache.keys() {
@@ -1013,12 +1014,9 @@ struct MeterSnapshot {
 pub struct MeteringBackend<B> {
     inner: B,
     epoch_start: Option<MeterSnapshot>,
-    history: Vec<BackendUsage>,
     /// Groups posted during the open epoch (with their total
     /// assignment work-units), for per-round latency observation.
     epoch_groups: Vec<(HitGroupId, f64)>,
-    /// Observed rounds of the last closed epoch.
-    last_epoch_groups: Vec<RoundObservation>,
 }
 
 impl<B: CrowdBackend> MeteringBackend<B> {
@@ -1026,9 +1024,7 @@ impl<B: CrowdBackend> MeteringBackend<B> {
         MeteringBackend {
             inner,
             epoch_start: None,
-            history: Vec::new(),
             epoch_groups: Vec::new(),
-            last_epoch_groups: Vec::new(),
         }
     }
 
@@ -1091,14 +1087,15 @@ impl<B: CrowdBackend> MeteringBackend<B> {
         }
     }
 
-    /// Close the epoch, append its usage to the history and return it.
-    pub fn end_epoch(&mut self) -> BackendUsage {
+    /// Close the epoch and return its usage with its observed rounds,
+    /// in posting order. Groups with no completed assignments report
+    /// 0 seconds.
+    pub fn end_epoch(&mut self) -> (BackendUsage, Vec<RoundObservation>) {
         let usage = self.epoch_usage();
         self.epoch_start = None;
-        self.history.push(usage);
         // Per-round observations: the raw material of the optimizer's
         // latency model (round time ≈ α + β · work-units).
-        self.last_epoch_groups = self
+        let rounds = self
             .epoch_groups
             .drain(..)
             .map(|(g, work_units)| {
@@ -1115,18 +1112,7 @@ impl<B: CrowdBackend> MeteringBackend<B> {
                 }
             })
             .collect();
-        usage
-    }
-
-    /// Observed rounds of the most recently closed epoch, in posting
-    /// order. Groups with no completed assignments report 0 seconds.
-    pub fn last_epoch_groups(&self) -> &[RoundObservation] {
-        &self.last_epoch_groups
-    }
-
-    /// Usage of every closed epoch, in order.
-    pub fn history(&self) -> &[BackendUsage] {
-        &self.history
+        (usage, rounds)
     }
 }
 
@@ -1726,16 +1712,19 @@ mod tests {
         let g = b.post_group(filter_specs(&items));
         b.run_to_completion();
         let _ = b.assignments(g);
-        let usage = b.end_epoch();
+        let (usage, rounds) = b.end_epoch();
         assert_eq!(usage.hits_posted, 4);
         assert_eq!(usage.assignments, 20);
         assert!((usage.dollars - 20.0 * 0.015).abs() < 1e-9);
         assert!(usage.elapsed_secs > 0.0);
+        assert_eq!(rounds.len(), 1);
+        assert_eq!(rounds[0].hits, 4);
+        assert!(rounds[0].secs > 0.0);
 
         b.begin_epoch();
-        let idle = b.end_epoch();
+        let (idle, rounds) = b.end_epoch();
         assert_eq!(idle, BackendUsage::default());
-        assert_eq!(b.history().len(), 2);
+        assert!(rounds.is_empty());
     }
 
     /// Regression: an epoch that posts no HITs must report zero
@@ -1759,14 +1748,14 @@ mod tests {
         b.begin_epoch();
         let _stuck = b.post_group(filter_specs(&items[1..]));
         assert_eq!(b.run(500.0), RunOutcome::TimedOut);
-        let first = b.end_epoch();
+        let (first, _) = b.end_epoch();
         assert_eq!(first.hits_posted, 1);
 
         // Epoch 2: no new work, but running (as any crowd operator
         // would) advances the clock chasing epoch 1's stuck HIT.
         b.begin_epoch();
         assert_eq!(b.run(500.0), RunOutcome::TimedOut);
-        let idle = b.end_epoch();
+        let (idle, _) = b.end_epoch();
         assert_eq!(idle.hits_posted, 0);
         assert_eq!(idle.assignments, 0);
         assert_eq!(

@@ -56,6 +56,11 @@ pub enum QurkError {
     /// lint policy is [`LintPolicy::Deny`](crate::analyze::LintPolicy):
     /// the query was rejected before any HIT was posted.
     Rejected { diagnostics: Vec<Diagnostic> },
+    /// A completed HIT carried no answer its operator can count (every
+    /// stored answer was of the wrong kind or named an item outside
+    /// the HIT). A cached spec replays the same answers on every
+    /// retry, so the query fails instead of guessing.
+    NoValidAnswer { task: String },
     /// The durable store failed (I/O error or corruption) while a
     /// query required durability (see [`crate::store`]).
     Store(String),
@@ -132,6 +137,9 @@ impl fmt::Display for QurkError {
                     write!(f, "\n  {d}")?;
                 }
                 Ok(())
+            }
+            QurkError::NoValidAnswer { task } => {
+                write!(f, "a completed {task} HIT has no valid crowd answer")
             }
             QurkError::Store(m) => write!(f, "durable store error: {m}"),
             QurkError::Other(m) => write!(f, "{m}"),

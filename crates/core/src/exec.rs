@@ -75,9 +75,9 @@ pub(crate) fn execute_plan<B: CrowdBackend>(
         budget,
     }
     .run_plan(&prepared.compiled.root);
-    let usage = backend.end_epoch();
+    let (usage, rounds) = backend.end_epoch();
     learned.record_epoch(usage.hits_posted as u64, usage.elapsed_secs);
-    for round in backend.last_epoch_groups() {
+    for round in rounds {
         learned.record_round(round.work_units, round.secs);
     }
     (outcome, usage)

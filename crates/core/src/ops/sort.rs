@@ -26,7 +26,7 @@ use qurk_crowd::question::{HitKind, Question};
 use qurk_crowd::{HitSpec, ItemId};
 
 use crate::backend::CrowdBackend;
-use crate::error::Result;
+use crate::error::{QurkError, Result};
 use crate::ops::common::{question_starts, Round, DEFAULT_ROUND_LIMIT_SECS};
 
 /// Result of a sort run.
@@ -672,15 +672,18 @@ pub fn extract_best<B: CrowdBackend + ?Sized>(
         let round = Round::post(backend, specs, assignments);
         let answers = round.complete(backend, DEFAULT_ROUND_LIMIT_SECS)?;
         let mut winners: Vec<ItemId> = Vec::new();
-        for assignments in &answers {
-            // Majority vote over the assignment picks.
+        for (chunk, assignments) in pool.chunks(batch_size).zip(&answers) {
+            // Majority vote over the assignment picks; a pick of an
+            // item outside this HIT is no vote.
             let picks: Vec<ItemId> = assignments
                 .iter()
                 .flat_map(|a| a.answers.iter().filter_map(|x| x.as_pick()))
+                .filter(|p| chunk.contains(p))
                 .collect();
-            if let Some(winner) = qurk_combine::majority_vote(&picks).winner {
-                winners.push(winner);
-            }
+            let winner = qurk_combine::majority_vote(&picks).winner;
+            winners.push(winner.ok_or_else(|| QurkError::NoValidAnswer {
+                task: dimension.to_owned(),
+            })?);
         }
         winners.sort_unstable();
         winners.dedup();
@@ -692,8 +695,9 @@ pub fn extract_best<B: CrowdBackend + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{CachingBackend, ReplayBackend};
     use qurk_crowd::truth::DimensionParams;
-    use qurk_crowd::{CrowdConfig, GroundTruth, Marketplace};
+    use qurk_crowd::{Answer, CrowdConfig, GroundTruth, Marketplace};
     use qurk_metrics::tau_between_orders;
 
     fn sort_market(n: usize, ambiguity: f64, seed: u64) -> (Marketplace, Vec<ItemId>) {
@@ -884,6 +888,50 @@ mod tests {
         assert!(hits >= 4); // 3 first-round + final
         let (min, _) = extract_best(&mut m, &items, "dim", 4, false, None).unwrap();
         assert_eq!(min, items[0]);
+    }
+
+    /// Record one five-item MAX HIT through the Task Cache, then
+    /// rewrite every stored answer with `hostile` and replay the trace.
+    fn replay_max_with(hostile: impl Fn(usize, &mut Vec<Answer>)) -> (Vec<ItemId>, Result<ItemId>) {
+        let (m, items) = sort_market(6, 0.012, 18);
+        let mut caching = CachingBackend::new(m);
+        let (max, _) = extract_best(&mut caching, &items[..5], "dim", 5, true, None).unwrap();
+        assert_eq!(max, items[4]);
+        let mut trace = caching.trace().clone();
+        let [key] = trace.keys()[..] else {
+            panic!("five items fit one HIT");
+        };
+        let entry = trace.entries.get_mut(&key).unwrap();
+        for (i, a) in entry.assignments.iter_mut().enumerate() {
+            hostile(i, &mut a.answers);
+        }
+        let mut replay = ReplayBackend::from_trace(trace);
+        let out = extract_best(&mut replay, &items[..5], "dim", 5, true, None);
+        (items, out.map(|(best, _)| best))
+    }
+
+    #[test]
+    fn a_stored_pick_outside_its_hit_is_no_vote() {
+        // Three of five assignments pick the sixth item, which the HIT
+        // never showed: a majority, but of no votes.
+        let outsider = sort_market(6, 0.012, 18).1[5];
+        let (items, best) = replay_max_with(|i, answers| {
+            if i < 3 {
+                *answers = vec![Answer::Pick(outsider)];
+            }
+        });
+        let best = best.unwrap();
+        assert_ne!(best, outsider);
+        assert!(items[..5].contains(&best));
+    }
+
+    #[test]
+    fn a_hit_without_a_valid_pick_fails_the_query() {
+        let (_, best) = replay_max_with(|_, answers| *answers = vec![Answer::Bool(true)]);
+        assert!(
+            matches!(best, Err(QurkError::NoValidAnswer { ref task }) if task == "dim"),
+            "{best:?}"
+        );
     }
 
     #[test]

@@ -72,7 +72,7 @@ use crate::opt::stats::StatisticsStore;
 use crate::service::report::ServiceStats;
 use crate::service::tenant::{SharedMarket, StagedPost, TenantBackend};
 use crate::session::{ExecConfig, QueryReport};
-use crate::store::DurableStore;
+use crate::store::{DurableStore, QueryCheckpoint, RecoveredState, StoreHealth, TenantRecord};
 
 /// Wake-up message from the scheduler to a query thread parked in
 /// [`TenantBackend`]'s `run`: the marketplace step for its posted
@@ -118,16 +118,6 @@ pub(crate) struct DoneMsg {
     pub stats_delta: StatisticsStore,
 }
 
-/// One registered tenant.
-#[derive(Debug, Clone)]
-struct TenantState {
-    name: String,
-    /// Cumulative dollar cap across all the tenant's queries.
-    budget: Option<f64>,
-    /// Dollars attributed so far.
-    spent: f64,
-}
-
 /// One admitted, not-yet-executed query.
 struct Submission {
     tenant: usize,
@@ -171,7 +161,9 @@ pub struct QueryService<B: CrowdBackend + 'static> {
     /// Learned statistics: read by admission, merged only in `finish`.
     stats: StatisticsStore,
     config: ExecConfig,
-    tenants: Vec<TenantState>,
+    /// Registered tenants: `budget` caps a tenant's cumulative spend
+    /// across all its queries, `spent` is what was attributed so far.
+    tenants: Vec<TenantRecord>,
     pending: Vec<Submission>,
     /// Durable state (task cache, statistics, checkpoints, tenants) —
     /// attached via [`Self::with_store`], absent otherwise.
@@ -211,20 +203,17 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
         config: ExecConfig,
         store: Arc<DurableStore>,
     ) -> Self {
-        let caching = CachingBackend::with_journal(backend, Arc::clone(&store));
-        let tenants = store
-            .tenants_snapshot()
-            .into_iter()
-            .map(|t| TenantState {
-                name: t.name,
-                budget: t.budget,
-                spent: t.spent,
-            })
-            .collect();
+        let RecoveredState {
+            cache,
+            stats,
+            tenants,
+            ..
+        } = store.recovered();
+        let caching = CachingBackend::with_journal(backend, Arc::clone(&store), cache);
         QueryService {
             catalog,
             shared: Arc::new(SharedMarket::with_caching(caching)),
-            stats: store.stats_snapshot(),
+            stats,
             config,
             tenants,
             pending: Vec::new(),
@@ -250,22 +239,30 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
     /// Re-queue every live checkpoint (a query admitted but not
     /// finished when the previous process died) for the next
     /// [`Self::run_pending`], keeping its original checkpoint id and
-    /// budget. Each checkpoint is **re-admitted through the same gate
-    /// as [`Self::submit`]** against the recovered statistics: under
+    /// budget. A checkpoint this process admitted and still has
+    /// queued is skipped, so recovering twice, or after a `submit`,
+    /// runs each query once. A dead store re-queues nothing: its log
+    /// no longer records this process's completions, so it cannot
+    /// tell a finished query from an unfinished one. Each checkpoint
+    /// is **re-admitted through the same gate as [`Self::submit`]**
+    /// against the recovered statistics: under
     /// [`LintPolicy::Deny`](crate::analyze::LintPolicy::Deny) a
     /// checkpoint that would be rejected today is retired (its
     /// checkpoint is marked done) instead of executed —
     /// a crash must not smuggle a query past the admission analyzer.
     /// The resumed queries replay their already-paid rounds from the
     /// recovered cache instead of re-posting them, and their reports
-    /// are flagged [`ServiceStats::resumed`]. Returns how many queries
-    /// were re-queued. No-op without a store.
-    pub fn recover(&mut self) -> usize {
-        let Some(store) = self.store.clone() else {
-            return 0;
+    /// are flagged [`ServiceStats::resumed`]. Returns the re-queued
+    /// checkpoints, in queue order. No-op without a store.
+    pub fn recover(&mut self) -> Vec<QueryCheckpoint> {
+        let Some(store) = self.store.clone().filter(|s| !s.is_dead()) else {
+            return Vec::new();
         };
-        let mut resumed = 0;
+        let mut resumed = Vec::new();
         for cp in store.live_checkpoints() {
+            if self.pending.iter().any(|s| s.persist_id == Some(cp.id)) {
+                continue;
+            }
             let Ok(tenant) = self.tenant_index(&cp.tenant) else {
                 // The checkpoint's tenant is gone from the log
                 // (registrations are journaled, so this means a
@@ -281,7 +278,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
                         resumed: true,
                         ..job
                     });
-                    resumed += 1;
+                    resumed.push(cp);
                 }
                 Err(_) => {
                     // Admission says no under today's statistics and
@@ -298,22 +295,18 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
     /// cumulative attributed spend across all its queries; `None`
     /// means uncapped.
     pub fn register_tenant(&mut self, name: &str, budget: Option<f64>) {
-        if let Some(t) = self.tenants.iter_mut().find(|t| t.name == name) {
-            t.budget = budget;
-        } else {
-            self.tenants.push(TenantState {
+        let position = self.tenants.iter().position(|t| t.name == name);
+        let i = position.unwrap_or_else(|| {
+            self.tenants.push(TenantRecord {
                 name: name.to_owned(),
                 budget,
                 spent: 0.0,
             });
-        }
+            self.tenants.len() - 1
+        });
+        self.tenants[i].budget = budget;
         if let Some(store) = &self.store {
-            let t = self
-                .tenants
-                .iter()
-                .find(|t| t.name == name)
-                .expect("tenant was just inserted above");
-            store.append_tenant(&t.name, t.budget, t.spent);
+            store.append_tenant(&self.tenants[i]);
         }
     }
 
@@ -666,6 +659,13 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
                     "query thread terminated without a result".to_owned(),
                 )),
             };
+            // The same durability contract as a `Session`: once the
+            // store cannot write or read, acknowledged rounds are no
+            // longer safe, so the query fails loudly.
+            let result = match self.store.as_ref().map(|s| s.health()) {
+                Some(StoreHealth::Failed(msg)) => Err(QurkError::Store(msg)),
+                _ => result,
+            };
             if result.is_err() {
                 // A failed query abandons its in-flight rounds: drop
                 // its dedup slots so later identical specs re-post
@@ -677,8 +677,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
                 // delivered: retire the checkpoint so a restart does
                 // not re-run it, and persist the tenant's new spend.
                 store.append_query_done(id);
-                let t = &self.tenants[task.tenant];
-                store.append_tenant(&t.name, t.budget, t.spent);
+                store.append_tenant(&self.tenants[task.tenant]);
             }
             out.push(result);
         }

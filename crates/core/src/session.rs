@@ -58,7 +58,7 @@ use crate::opt::physical::{OptimizeMode, PinSet};
 use crate::opt::stats::StatisticsStore;
 use crate::relation::Relation;
 use crate::service::report::ServiceStats;
-use crate::store::{DurableStore, StoreHealth};
+use crate::store::{DurableStore, RecoveredState, StoreHealth};
 
 /// Which sort implementation ORDER BY uses (§4.1).
 #[derive(Debug, Clone)]
@@ -292,9 +292,11 @@ impl<'c, B: CrowdBackend> SessionBuilder<'c, B> {
                 // Recovered statistics are evidence from *earlier*
                 // processes; merge the builder's (possibly seeded)
                 // store over them so fresher κ/σ features win.
-                let mut stats = store.stats_snapshot();
+                let RecoveredState {
+                    cache, mut stats, ..
+                } = store.recovered();
                 stats.merge(&self.stats);
-                (CachingBackend::with_journal(backend, store), stats)
+                (CachingBackend::with_journal(backend, store, cache), stats)
             }
             None => (CachingBackend::new(backend), self.stats),
         };
@@ -351,12 +353,6 @@ impl<'c, B: CrowdBackend> Session<'c, B> {
 
     pub fn backend_mut(&mut self) -> &mut MeteringBackend<CachingBackend<B>> {
         &mut self.backend
-    }
-
-    /// Per-query resource usage, oldest first (one entry per completed
-    /// `run()`/`report()` call, including failed queries).
-    pub fn usage_history(&self) -> &[BackendUsage] {
-        self.backend.history()
     }
 
     /// (cache hits, cache misses) across all queries of this session.
@@ -629,7 +625,6 @@ mod tests {
         assert!((report.cost_dollars - 10.0 * 0.015).abs() < 1e-9);
         assert!(report.elapsed_secs > 0.0);
         assert!(report.explain.contains("CrowdFilter"));
-        assert_eq!(session.usage_history().len(), 1);
     }
 
     #[test]

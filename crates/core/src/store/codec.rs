@@ -526,7 +526,7 @@ mod proptests {
     use crate::store::durable::legacy_rounds_payload;
     use crate::store::log::{Segment, HEADER_LEN};
     use crate::store::testutil::tmp_store_path;
-    use crate::store::DurableStore;
+    use crate::store::{DurableStore, TenantRecord};
 
     /// Log bytes, and each record's payload as `(offset, len)` into them.
     type Log = (Vec<u8>, Vec<(usize, usize)>);
@@ -557,7 +557,11 @@ mod proptests {
             store.append_stats_delta(&delta);
             let q = store.append_checkpoint("alice", "SELECT 1", Some(2.0));
             store.append_query_done(q);
-            store.append_tenant("alice", Some(5.0), 1.25);
+            store.append_tenant(&TenantRecord {
+                name: "alice".to_owned(),
+                budget: Some(5.0),
+                spent: 1.25,
+            });
             drop(store);
             // Older stores also wrote kind 4, which a store still decodes.
             let (mut segment, _) = Segment::open(&path, None).unwrap();

@@ -11,16 +11,22 @@
 //! | 5 | QueryDone | query id (checkpoint retired) |
 //! | 6 | Tenant | tenant name, budget, attributed spend |
 //!
-//! Recovery folds the records front to back: cache entries are
+//! The log is the only copy: the store keeps no folded state in
+//! memory, and an append only encodes its record and appends it. One
+//! `fold` replays records front to back: cache entries are
 //! latest-wins per key (the cache journals a key again only when it
 //! replaced an entry that could not answer its spec, or re-paid an
 //! evicted one), stats deltas merge, checkpoints stay live until their
-//! `QueryDone`, and tenant records are latest-wins. Compaction
-//! rewrites exactly that folded state as one snapshot, in sorted order
-//! so equal state produces equal bytes.
+//! `QueryDone`, and tenant records are latest-wins. It serves three
+//! callers: `open` (to validate the log and find the next query id),
+//! the snapshot getters (what a restart would recover right now), and
+//! compaction, which re-reads the durable prefix through the handle and
+//! rewrites its fold as one snapshot, in sorted order so equal state
+//! produces equal bytes.
 
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::collections::HashSet;
+use std::path::Path;
+use std::sync::{Mutex, PoisonError};
 
 use crate::backend::{ReplayTrace, TraceEntry};
 use crate::opt::stats::StatisticsStore;
@@ -58,7 +64,7 @@ pub struct TenantRecord {
 }
 
 /// Everything a fresh process can know after replaying the log.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveredState {
     /// Spec key → paid assignments (the durable Task Cache).
     pub cache: ReplayTrace,
@@ -66,13 +72,13 @@ pub struct RecoveredState {
     pub stats: StatisticsStore,
     /// Checkpoints without a matching `QueryDone`, in id order.
     pub checkpoints: Vec<QueryCheckpoint>,
-    /// Registered tenants with their persisted budgets and spend.
+    /// Registered tenants with their persisted budgets and spend,
+    /// sorted by name.
     pub tenants: Vec<TenantRecord>,
 }
 
 struct Inner {
     segment: Segment,
-    state: RecoveredState,
     /// Record payloads appended since the last compaction (compaction
     /// triggers on log growth, not logical size).
     bytes_since_compact: u64,
@@ -88,10 +94,13 @@ struct Inner {
 /// Shareable (`Arc<DurableStore>`) and thread-safe: all methods take
 /// `&self`. Appends are write-ahead — when an `append_*` call returns
 /// on a healthy store, the record is framed, checksummed and flushed.
-/// A store that has **died** (injected [`FaultPlan`] crash or a real
-/// I/O failure, see [`Self::health`]) turns every write into a no-op,
-/// exactly as if the process were gone; readers of the same path see
-/// only what was durable at death.
+/// The store holds no copy of what it journals: its getters fold the
+/// log's durable prefix on every call, so they return exactly what a
+/// restart would recover at that moment. A store that has **died**
+/// (injected [`FaultPlan`] crash, or a real I/O failure on a write or
+/// a read, see [`Self::health`]) turns every write into a no-op,
+/// exactly as if the process were gone; its getters, like any reader
+/// of the same path, see only what was durable at death.
 pub struct DurableStore {
     inner: Mutex<Inner>,
 }
@@ -106,8 +115,8 @@ const DEFAULT_COMPACT_THRESHOLD: u64 = 1 << 20;
 const MAX_QUERY_ID: u64 = 1 << 63;
 
 impl DurableStore {
-    /// Open (creating if absent) the store at `path`, replaying the
-    /// log into a [`RecoveredState`].
+    /// Open (creating if absent) the store at `path`, validating the
+    /// log by folding it once.
     pub fn open(path: impl AsRef<Path>) -> Result<DurableStore, StoreError> {
         Self::open_impl(path.as_ref(), None)
     }
@@ -123,24 +132,10 @@ impl DurableStore {
 
     fn open_impl(path: &Path, plan: Option<FaultPlan>) -> Result<DurableStore, StoreError> {
         let (segment, payloads) = Segment::open(path, plan)?;
-        let mut state = RecoveredState::default();
-        let mut done: Vec<u64> = Vec::new();
-        let mut max_id = 0u64;
-        for payload in &payloads {
-            apply_record(payload, &mut state, &mut done, &mut max_id)?;
-        }
-        if max_id >= MAX_QUERY_ID {
-            return Err(StoreError::corrupt(format!(
-                "query id {max_id} out of range"
-            )));
-        }
-        state.checkpoints.retain(|c| !done.contains(&c.id));
-        state.checkpoints.sort_by_key(|c| c.id);
-        state.tenants.sort_by(|a, b| a.name.cmp(&b.name));
+        let (_, max_id) = fold(&payloads)?;
         Ok(DurableStore {
             inner: Mutex::new(Inner {
                 segment,
-                state,
                 bytes_since_compact: 0,
                 compact_threshold: DEFAULT_COMPACT_THRESHOLD,
                 next_query_id: max_id + 1,
@@ -162,11 +157,8 @@ impl DurableStore {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    pub fn path(&self) -> PathBuf {
-        self.lock().segment.path().to_path_buf()
-    }
-
-    /// Liveness: `Alive`, dead by injected fault, or dead by I/O error.
+    /// Liveness: `Alive`, dead by injected fault, or dead by a failed
+    /// write or read.
     pub fn health(&self) -> StoreHealth {
         self.lock().segment.health()
     }
@@ -182,30 +174,51 @@ impl DurableStore {
 
     // ------------------------------------------------------- recovery
 
-    /// The durable Task Cache as of the last replay/append.
-    pub fn cache_snapshot(&self) -> ReplayTrace {
-        self.lock().state.cache.clone()
+    /// What a restart would recover right now: the log's durable
+    /// prefix, folded. A read that fails kills the store
+    /// ([`StoreHealth::Failed`]) and returns the empty state.
+    pub fn recovered(&self) -> RecoveredState {
+        Self::fold_segment(&mut self.lock()).unwrap_or_default()
     }
 
-    /// The merged learned statistics.
+    /// The durable Task Cache ([`Self::recovered`]).
+    pub fn cache_snapshot(&self) -> ReplayTrace {
+        self.recovered().cache
+    }
+
+    /// The merged learned statistics ([`Self::recovered`]).
     pub fn stats_snapshot(&self) -> StatisticsStore {
-        self.lock().state.stats.clone()
+        self.recovered().stats
     }
 
     /// Checkpoints not yet retired by a `QueryDone`, in id order —
-    /// the queries a restarted service should resume.
+    /// the queries a restarted service should resume
+    /// ([`Self::recovered`]).
     pub fn live_checkpoints(&self) -> Vec<QueryCheckpoint> {
-        self.lock().state.checkpoints.clone()
+        self.recovered().checkpoints
     }
 
-    /// Persisted tenant registrations, sorted by name.
+    /// Persisted tenant registrations, sorted by name
+    /// ([`Self::recovered`]).
     pub fn tenants_snapshot(&self) -> Vec<TenantRecord> {
-        self.lock().state.tenants.clone()
+        self.recovered().tenants
     }
 
     /// The next unused checkpoint id.
     pub fn next_query_id(&self) -> u64 {
         self.lock().next_query_id
+    }
+
+    /// Fold the segment's durable prefix; on a failed read or an
+    /// undecodable record, kill the store and return `None`.
+    fn fold_segment(inner: &mut Inner) -> Option<RecoveredState> {
+        match inner.segment.read().and_then(|payloads| fold(&payloads)) {
+            Ok((state, _)) => Some(state),
+            Err(e) => {
+                inner.segment.fail(e);
+                None
+            }
+        }
     }
 
     // -------------------------------------------------------- appends
@@ -214,27 +227,15 @@ impl DurableStore {
     /// earlier entry for it. Write-ahead: on a healthy store the entry
     /// is durable when this returns.
     pub fn append_cache_entry(&self, key: u64, entry: &TraceEntry) {
-        let mut e = Enc::new();
-        e.u8(KIND_CACHE_ENTRY);
-        e.u64(key);
-        enc_trace_entry(&mut e, entry);
-        let mut inner = self.lock();
-        inner.state.cache.entries.insert(key, entry.clone());
-        Self::append_and_maybe_compact(&mut inner, e.into_bytes());
+        Self::append_and_maybe_compact(&mut self.lock(), enc_cache_entry(key, entry));
     }
 
     /// Journal a learning delta: what one query recorded into an empty
     /// [`StatisticsStore`], merged on recovery in journal order.
     pub fn append_stats_delta(&self, delta: &StatisticsStore) {
-        if delta.is_empty() {
-            return;
+        if !delta.is_empty() {
+            Self::append_and_maybe_compact(&mut self.lock(), enc_stats_delta(delta));
         }
-        let mut e = Enc::new();
-        e.u8(KIND_STATS_DELTA);
-        enc_stats(&mut e, delta);
-        let mut inner = self.lock();
-        inner.state.stats.merge(delta);
-        Self::append_and_maybe_compact(&mut inner, e.into_bytes());
     }
 
     /// Journal a newly admitted query; returns its checkpoint id.
@@ -248,9 +249,7 @@ impl DurableStore {
             sql: sql.to_owned(),
             budget,
         };
-        let bytes = enc_checkpoint(&cp);
-        inner.state.checkpoints.push(cp);
-        Self::append_and_maybe_compact(&mut inner, bytes);
+        Self::append_and_maybe_compact(&mut inner, enc_checkpoint(&cp));
         id
     }
 
@@ -260,34 +259,17 @@ impl DurableStore {
         let mut e = Enc::new();
         e.u8(KIND_QUERY_DONE);
         e.u64(id);
-        let mut inner = self.lock();
-        inner.state.checkpoints.retain(|c| c.id != id);
-        Self::append_and_maybe_compact(&mut inner, e.into_bytes());
+        Self::append_and_maybe_compact(&mut self.lock(), e.into_bytes());
     }
 
     /// Journal a tenant registration / spend update (latest wins).
-    pub fn append_tenant(&self, name: &str, budget: Option<f64>, spent: f64) {
-        let rec = TenantRecord {
-            name: name.to_owned(),
-            budget,
-            spent,
-        };
-        let bytes = enc_tenant(&rec);
-        let mut inner = self.lock();
-        match inner.state.tenants.iter_mut().find(|t| t.name == rec.name) {
-            Some(t) => *t = rec,
-            None => {
-                inner.state.tenants.push(rec);
-                inner.state.tenants.sort_by(|a, b| a.name.cmp(&b.name));
-            }
-        }
-        Self::append_and_maybe_compact(&mut inner, bytes);
+    pub fn append_tenant(&self, tenant: &TenantRecord) {
+        Self::append_and_maybe_compact(&mut self.lock(), enc_tenant(tenant));
     }
 
     /// Force a compaction now (normally automatic past the threshold).
     pub fn compact_now(&self) {
-        let mut inner = self.lock();
-        Self::compact(&mut inner);
+        Self::compact(&mut self.lock());
     }
 
     fn append_and_maybe_compact(inner: &mut Inner, payload: Vec<u8>) {
@@ -298,32 +280,45 @@ impl DurableStore {
         }
     }
 
-    /// Rewrite the log as one snapshot of the folded state, in sorted
-    /// order (equal state ⇒ equal bytes).
+    /// Rewrite the log as one snapshot of its own fold, in sorted
+    /// order (equal state ⇒ equal bytes). A dead store skips the read:
+    /// its rewrite would write nothing.
     fn compact(inner: &mut Inner) {
-        let mut payloads: Vec<Vec<u8>> = Vec::new();
-        for key in inner.state.cache.keys() {
-            let mut e = Enc::new();
-            e.u8(KIND_CACHE_ENTRY);
-            e.u64(key);
-            enc_trace_entry(&mut e, &inner.state.cache.entries[&key]);
-            payloads.push(e.into_bytes());
-        }
-        if !inner.state.stats.is_empty() {
-            let mut e = Enc::new();
-            e.u8(KIND_STATS_DELTA);
-            enc_stats(&mut e, &inner.state.stats);
-            payloads.push(e.into_bytes());
-        }
-        for cp in &inner.state.checkpoints {
-            payloads.push(enc_checkpoint(cp));
-        }
-        for t in &inner.state.tenants {
-            payloads.push(enc_tenant(t));
-        }
-        inner.segment.rewrite(&payloads);
         inner.bytes_since_compact = 0;
+        if inner.segment.is_dead() {
+            return;
+        }
+        let Some(state) = Self::fold_segment(inner) else {
+            return;
+        };
+        let cache = &state.cache;
+        let mut payloads: Vec<Vec<u8>> = cache
+            .keys()
+            .into_iter()
+            .map(|key| enc_cache_entry(key, &cache.entries[&key]))
+            .collect();
+        if !state.stats.is_empty() {
+            payloads.push(enc_stats_delta(&state.stats));
+        }
+        payloads.extend(state.checkpoints.iter().map(enc_checkpoint));
+        payloads.extend(state.tenants.iter().map(enc_tenant));
+        inner.segment.rewrite(&payloads);
     }
+}
+
+fn enc_cache_entry(key: u64, entry: &TraceEntry) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.u8(KIND_CACHE_ENTRY);
+    e.u64(key);
+    enc_trace_entry(&mut e, entry);
+    e.into_bytes()
+}
+
+fn enc_stats_delta(delta: &StatisticsStore) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.u8(KIND_STATS_DELTA);
+    enc_stats(&mut e, delta);
+    e.into_bytes()
 }
 
 fn enc_checkpoint(cp: &QueryCheckpoint) -> Vec<u8> {
@@ -346,10 +341,31 @@ fn enc_tenant(t: &TenantRecord) -> Vec<u8> {
     e.into_bytes()
 }
 
+/// The one fold of the log: replay `payloads` front to back into the
+/// state a restart recovers, and return it with the largest query id
+/// the log mentions.
+fn fold(payloads: &[Vec<u8>]) -> Result<(RecoveredState, u64), StoreError> {
+    let mut state = RecoveredState::default();
+    let mut done: HashSet<u64> = HashSet::new();
+    let mut max_id = 0u64;
+    for payload in payloads {
+        apply_record(payload, &mut state, &mut done, &mut max_id)?;
+    }
+    if max_id >= MAX_QUERY_ID {
+        return Err(StoreError::corrupt(format!(
+            "query id {max_id} out of range"
+        )));
+    }
+    state.checkpoints.retain(|c| !done.contains(&c.id));
+    state.checkpoints.sort_by_key(|c| c.id);
+    state.tenants.sort_by(|a, b| a.name.cmp(&b.name));
+    Ok((state, max_id))
+}
+
 fn apply_record(
     payload: &[u8],
     state: &mut RecoveredState,
-    done: &mut Vec<u64>,
+    done: &mut HashSet<u64>,
     max_id: &mut u64,
 ) -> Result<(), StoreError> {
     let mut d = Dec::new(payload);
@@ -380,7 +396,7 @@ fn apply_record(
         }
         KIND_QUERY_DONE => {
             let id = d.u64()?;
-            done.push(id);
+            done.insert(id);
             *max_id = (*max_id).max(id);
         }
         KIND_TENANT => {
@@ -399,9 +415,6 @@ fn apply_record(
     d.finish()
 }
 
-/// Convenience alias used by the wiring layers.
-pub type SharedStore = Arc<DurableStore>;
-
 /// A kind-4 record as older stores wrote it, for format tests.
 #[cfg(test)]
 pub(crate) fn legacy_rounds_payload(id: u64, rounds: u64) -> Vec<u8> {
@@ -419,6 +432,14 @@ mod tests {
     use crate::store::fault::CrashPoint;
     use crate::store::testutil::tmp_store_path;
     use qurk_crowd::{Answer, WorkerId};
+
+    fn tenant(name: &str, budget: Option<f64>, spent: f64) -> TenantRecord {
+        TenantRecord {
+            name: name.to_owned(),
+            budget,
+            spent,
+        }
+    }
 
     fn entry(tag: u64) -> TraceEntry {
         TraceEntry {
@@ -444,8 +465,8 @@ mod tests {
         let q1 = store.append_checkpoint("alice", "SELECT 1", Some(2.0));
         let q2 = store.append_checkpoint("bob", "SELECT 2", None);
         store.append_query_done(q2);
-        store.append_tenant("alice", Some(5.0), 1.25);
-        store.append_tenant("alice", Some(5.0), 1.75); // latest wins
+        store.append_tenant(&tenant("alice", Some(5.0), 1.25));
+        store.append_tenant(&tenant("alice", Some(5.0), 1.75)); // latest wins
         drop(store);
 
         let store = DurableStore::open(&path).unwrap();
@@ -536,13 +557,78 @@ mod tests {
             for k in keys {
                 store.append_cache_entry(k, &entry(k));
             }
-            store.append_tenant("bob", None, 0.5);
-            store.append_tenant("alice", Some(1.0), 0.25);
+            store.append_tenant(&tenant("bob", None, 0.5));
+            store.append_tenant(&tenant("alice", Some(1.0), 0.25));
             store.compact_now();
         }
         assert_eq!(std::fs::read(&p1).unwrap(), std::fs::read(&p2).unwrap());
         std::fs::remove_file(&p1).unwrap();
         std::fs::remove_file(&p2).unwrap();
+    }
+
+    /// A handle that died mid-sequence — whichever crash point fired —
+    /// reports what a fresh open of its path recovers: the durable
+    /// prefix, not what the dead process went on to append.
+    #[test]
+    fn a_dead_handle_reads_what_a_reopen_recovers() {
+        for point in [
+            CrashPoint::AppendTorn,
+            CrashPoint::AppendDone,
+            CrashPoint::CompactTorn,
+            CrashPoint::CompactWritten,
+            CrashPoint::CompactSwapped,
+        ] {
+            let path = tmp_store_path("durable-dead-read");
+            let plan = FaultPlan::at(point).on_occurrence(2);
+            let store = DurableStore::open_with_faults(&path, plan)
+                .unwrap()
+                .with_compact_threshold(200);
+            let mut delta = StatisticsStore::new();
+            delta.record_filter("isTall", 10, 4);
+            for k in 0..8 {
+                store.append_cache_entry(k % 3, &entry(k));
+                store.append_stats_delta(&delta);
+                let q = store.append_checkpoint("alice", "SELECT 1", None);
+                if k % 2 == 0 {
+                    store.append_query_done(q);
+                }
+                store.append_tenant(&tenant("alice", None, k as f64));
+            }
+            assert!(store.is_dead(), "{point} never fired");
+            let reopened = DurableStore::open(&path).unwrap();
+            assert_eq!(store.cache_snapshot(), reopened.cache_snapshot(), "{point}");
+            assert_eq!(store.stats_snapshot(), reopened.stats_snapshot(), "{point}");
+            assert_eq!(
+                store.live_checkpoints(),
+                reopened.live_checkpoints(),
+                "{point}"
+            );
+            assert_eq!(
+                store.tenants_snapshot(),
+                reopened.tenants_snapshot(),
+                "{point}"
+            );
+            let last = tenant("alice", None, 7.0);
+            assert!(!store.tenants_snapshot().contains(&last), "{point}");
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    /// A log that changed under its handle cannot be folded: the read
+    /// kills the store like a failed write, and nothing is rewritten.
+    #[test]
+    fn a_failed_read_kills_the_store() {
+        let path = tmp_store_path("durable-bad-read");
+        let store = DurableStore::open(&path).unwrap();
+        store.append_cache_entry(1, &entry(1));
+        let damaged = vec![0u8; store.len_bytes() as usize];
+        std::fs::write(&path, &damaged).unwrap();
+        assert!(store.cache_snapshot().is_empty());
+        assert!(matches!(store.health(), StoreHealth::Failed(_)));
+        store.append_cache_entry(2, &entry(2));
+        store.compact_now();
+        assert_eq!(std::fs::read(&path).unwrap(), damaged);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

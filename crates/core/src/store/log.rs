@@ -13,6 +13,10 @@
 //! crash mid-append loses at most the record being written, never an
 //! acknowledged one).
 //!
+//! [`Segment::read`] re-scans the durable prefix `[0, len)` through
+//! the open handle, so a caller can fold the log without keeping a
+//! copy of it; there, any frame that fails to scan is an error.
+//!
 //! Compaction writes a full snapshot to `<path>.compact.tmp` and
 //! atomically renames it over the live log; a leftover temp file at
 //! open is discarded (the crash happened before the swap, so the live
@@ -85,51 +89,7 @@ impl Segment {
 
         let mut bytes = Vec::with_capacity(file_len as usize);
         file.read_to_end(&mut bytes).map_err(StoreError::Io)?;
-        if bytes.len() < HEADER_LEN as usize || &bytes[0..4] != MAGIC {
-            return Err(StoreError::corrupt(format!(
-                "{} is not a qurk store (bad magic)",
-                path.display()
-            )));
-        }
-        let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-        if version != VERSION {
-            return Err(StoreError::corrupt(format!(
-                "unsupported store version {version} (expected {VERSION})"
-            )));
-        }
-
-        let mut records = Vec::new();
-        let mut pos = HEADER_LEN as usize;
-        loop {
-            if pos == bytes.len() {
-                break; // clean end
-            }
-            if pos + 8 > bytes.len() {
-                break; // torn frame header
-            }
-            let len =
-                u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]]);
-            let crc = u32::from_le_bytes([
-                bytes[pos + 4],
-                bytes[pos + 5],
-                bytes[pos + 6],
-                bytes[pos + 7],
-            ]);
-            if len == 0 || len > MAX_PAYLOAD {
-                break; // garbage length: torn tail
-            }
-            let start = pos + 8;
-            let end = start + len as usize;
-            if end > bytes.len() {
-                break; // torn payload
-            }
-            let payload = &bytes[start..end];
-            if crc32(payload) != crc {
-                break; // checksum failure: torn tail
-            }
-            records.push(payload.to_vec());
-            pos = end;
-        }
+        let (records, pos) = scan(path, &bytes)?;
         if pos as u64 != file_len {
             // Drop the torn tail so the next append starts on a valid
             // frame boundary.
@@ -144,10 +104,6 @@ impl Segment {
             plan,
         };
         Ok((seg, records))
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Bytes of valid log on disk (as far as this handle knows).
@@ -173,9 +129,31 @@ impl Segment {
         self.is_dead()
     }
 
-    fn fail(&mut self, e: std::io::Error) {
+    /// Kill the segment for a real failure (first reason wins).
+    pub fn fail(&mut self, reason: impl std::fmt::Display) {
         if matches!(self.health, StoreHealth::Alive) {
-            self.health = StoreHealth::Failed(e.to_string());
+            self.health = StoreHealth::Failed(reason.to_string());
+        }
+    }
+
+    /// Re-read the durable prefix `[0, len)` through this handle and
+    /// return its record payloads — what [`Self::open`] of the path
+    /// would recover right now. Works on a dead segment too. Bytes
+    /// that no longer scan as whole, checksummed frames up to `len`
+    /// are an error: the file changed under the handle.
+    pub fn read(&mut self) -> Result<Vec<Vec<u8>>, StoreError> {
+        let mut bytes = vec![0u8; self.len as usize];
+        self.file
+            .seek(SeekFrom::Start(0))
+            .and_then(|_| self.file.read_exact(&mut bytes))
+            .and_then(|()| self.file.seek(SeekFrom::Start(self.len)))
+            .map_err(StoreError::Io)?;
+        match scan(&self.path, &bytes)? {
+            (records, end) if end as u64 == self.len => Ok(records),
+            (_, end) => Err(StoreError::corrupt(format!(
+                "{} changed under its handle at byte {end}",
+                self.path.display()
+            ))),
         }
     }
 
@@ -287,6 +265,58 @@ fn header_bytes() -> [u8; 8] {
     h[0..4].copy_from_slice(MAGIC);
     h[4..8].copy_from_slice(&VERSION.to_le_bytes());
     h
+}
+
+/// Check the header of a whole log image and collect the payloads of
+/// its intact frames. Returns them with the end of the last intact
+/// frame: the first short, oversized or checksum-failing frame marks
+/// the torn tail.
+fn scan(path: &Path, bytes: &[u8]) -> Result<(Vec<Vec<u8>>, usize), StoreError> {
+    if bytes.len() < HEADER_LEN as usize || &bytes[0..4] != MAGIC {
+        return Err(StoreError::corrupt(format!(
+            "{} is not a qurk store (bad magic)",
+            path.display()
+        )));
+    }
+    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
+    if version != VERSION {
+        return Err(StoreError::corrupt(format!(
+            "unsupported store version {version} (expected {VERSION})"
+        )));
+    }
+
+    let mut records = Vec::new();
+    let mut pos = HEADER_LEN as usize;
+    loop {
+        if pos == bytes.len() {
+            break; // clean end
+        }
+        if pos + 8 > bytes.len() {
+            break; // torn frame header
+        }
+        let len = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]]);
+        let crc = u32::from_le_bytes([
+            bytes[pos + 4],
+            bytes[pos + 5],
+            bytes[pos + 6],
+            bytes[pos + 7],
+        ]);
+        if len == 0 || len > MAX_PAYLOAD {
+            break; // garbage length: torn tail
+        }
+        let start = pos + 8;
+        let end = start + len as usize;
+        if end > bytes.len() {
+            break; // torn payload
+        }
+        let payload = &bytes[start..end];
+        if crc32(payload) != crc {
+            break; // checksum failure: torn tail
+        }
+        records.push(payload.to_vec());
+        pos = end;
+    }
+    Ok((records, pos))
 }
 
 fn frame_bytes(payload: &[u8]) -> Vec<u8> {

@@ -15,7 +15,11 @@
 //!
 //! The format is a single append-only, checksummed segment file with
 //! periodic compaction (`log`); every mutation is one framed record
-//! (`durable`) written **ahead** of the in-memory acknowledgement.
+//! (`durable`) written **ahead** of its acknowledgement. The log is
+//! the only copy: live state belongs to its owners (the
+//! [`CachingBackend`](crate::backend::CachingBackend), a service's
+//! statistics and tenants), and the store's getters and compaction
+//! fold the log's durable prefix when they are called.
 //! Crash behavior is specified by a numbered [`CrashPoint`] catalogue
 //! and verified by a deterministic fault-injection harness
 //! ([`FaultPlan`], `tests/crash_matrix.rs`): at every crash point ×
@@ -33,7 +37,7 @@ mod durable;
 mod fault;
 mod log;
 
-pub use durable::{DurableStore, QueryCheckpoint, RecoveredState, SharedStore, TenantRecord};
+pub use durable::{DurableStore, QueryCheckpoint, RecoveredState, TenantRecord};
 pub use fault::{CrashPoint, FaultPlan};
 
 use std::fmt;
@@ -74,17 +78,20 @@ impl From<StoreError> for crate::error::QurkError {
 /// Liveness of an open [`DurableStore`].
 ///
 /// A store **dies** instead of erroring: after an injected crash
-/// ([`FaultPlan`]) or a real I/O failure, every subsequent write is a
-/// silent no-op — exactly the observable behavior of a killed process
-/// — and the reason is available here. Callers that must fail loudly
-/// on degraded durability (e.g. single-tenant
-/// [`Session`](crate::session::Session) runs) check this after work.
+/// ([`FaultPlan`]), a real I/O failure, or a read of a log that no
+/// longer folds, every subsequent write is a silent no-op — exactly
+/// the observable behavior of a killed process — and the reason is
+/// available here. Callers that must fail loudly on degraded
+/// durability ([`Session`](crate::session::Session) runs and the
+/// [`QueryService`](crate::service::QueryService)'s queries) check
+/// this after work.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StoreHealth {
     Alive,
     /// Dead by deterministic fault injection at this crash point.
     FaultInjected(CrashPoint),
-    /// Dead by a real filesystem error (fail-stop, first error wins).
+    /// Dead by a real filesystem error or an unreadable log
+    /// (fail-stop, first error wins).
     Failed(String),
 }
 

@@ -10,13 +10,16 @@
 //! * **Recovery re-admission**: [`QueryService::recover`] pushes every
 //!   live checkpoint back through the same admission gate as
 //!   `submit()`; checkpoints that no longer pass are retired, not
-//!   executed.
+//!   executed, checkpoints this process still has queued are not
+//!   queued twice, and a dead store re-queues nothing.
+//! * **Failed reads**: a store that cannot read its own log back fails
+//!   the queries that finish on it with [`QurkError::Store`].
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use qurk::service::QueryService;
-use qurk::store::DurableStore;
+use qurk::store::{CrashPoint, DurableStore, FaultPlan, TenantRecord};
 use qurk::{Catalog, ExecConfig, QurkError, Relation, Schema, Value, ValueType};
 use qurk_crowd::truth::{DimensionParams, PredicateTruth};
 use qurk_crowd::{CrowdConfig, EntityId, GroundTruth, Marketplace};
@@ -166,7 +169,11 @@ fn recover_readmits_through_the_admission_gate() {
     // (unknown table), one for a tenant missing from the log.
     {
         let store = DurableStore::open(&path).unwrap();
-        store.append_tenant("alice", None, 0.0);
+        store.append_tenant(&TenantRecord {
+            name: "alice".to_owned(),
+            budget: None,
+            spent: 0.0,
+        });
         store.append_checkpoint("alice", FILTER_SQL, None);
         store.append_checkpoint("alice", "SELECT FROM WHERE", None);
         store.append_checkpoint(
@@ -187,7 +194,11 @@ fn recover_readmits_through_the_admission_gate() {
         Arc::clone(&store),
     );
     let resumed = svc.recover();
-    assert_eq!(resumed, 1, "only the admissible checkpoint is re-queued");
+    assert_eq!(
+        resumed.len(),
+        1,
+        "only the admissible checkpoint is re-queued"
+    );
     assert_eq!(svc.pending_len(), 1);
 
     let report = svc.run_pending().pop().unwrap().unwrap();
@@ -200,5 +211,75 @@ fn recover_readmits_through_the_admission_gate() {
     drop(svc);
     let reopened = DurableStore::open(&path).unwrap();
     assert!(reopened.live_checkpoints().is_empty());
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A checkpoint this process admitted and still has queued is not
+/// "in flight from a previous process": recovering after `submit`,
+/// twice, must not queue the query again — it runs once.
+#[test]
+fn recover_skips_checkpoints_this_process_already_queued() {
+    let path = store_path("requeue");
+    let _ = std::fs::remove_file(&path);
+    let (catalog, market) = world(8);
+    let store = Arc::new(DurableStore::open(&path).unwrap());
+    let mut svc = QueryService::with_store(catalog, market, ExecConfig::default(), store);
+    svc.register_tenant("alice", None);
+    svc.submit("alice", FILTER_SQL).unwrap();
+    svc.recover();
+    svc.recover();
+    assert_eq!(svc.pending_len(), 1, "recover() re-queued a queued query");
+    let reports = svc.run_pending();
+    assert_eq!(reports.len(), 1);
+    assert!(reports[0].is_ok());
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A store that fails a read (here: the log was overwritten under the
+/// open handle, found by the next compaction) fails the queries that
+/// finish on it, as a failed write does, instead of reporting them as
+/// durably done.
+#[test]
+fn a_store_that_fails_a_read_fails_the_query() {
+    let path = store_path("bad-read");
+    let _ = std::fs::remove_file(&path);
+    let (catalog, market) = world(9);
+    // Threshold 1: every append compacts, and compaction reads the log.
+    let store = Arc::new(DurableStore::open(&path).unwrap().with_compact_threshold(1));
+    let mut svc =
+        QueryService::with_store(catalog, market, ExecConfig::default(), Arc::clone(&store));
+    svc.register_tenant("alice", None);
+    std::fs::write(&path, vec![0u8; store.len_bytes() as usize]).unwrap();
+    svc.submit("alice", FILTER_SQL).unwrap();
+    let report = svc.run_pending().pop().unwrap();
+    assert!(
+        matches!(report, Err(QurkError::Store(_))),
+        "a failed read was reported as durable: {report:?}"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A dead store's log no longer records this process's completions:
+/// a query that finished after the store died still has a live
+/// checkpoint on disk, so `recover()` in the same process must not
+/// take it for unfinished work and run it again.
+#[test]
+fn recover_on_a_dead_store_requeues_nothing() {
+    let path = store_path("dead-recover");
+    let _ = std::fs::remove_file(&path);
+    let (catalog, market) = world(10);
+    // Appends: the tenant, the checkpoint, then the first paid round,
+    // whose append never starts.
+    let plan = FaultPlan::at(CrashPoint::AppendStart).on_occurrence(3);
+    let store = Arc::new(DurableStore::open_with_faults(&path, plan).unwrap());
+    let mut svc =
+        QueryService::with_store(catalog, market, ExecConfig::default(), Arc::clone(&store));
+    svc.register_tenant("alice", None);
+    svc.submit("alice", FILTER_SQL).unwrap();
+    assert!(svc.run_pending().pop().unwrap().is_ok());
+    assert!(store.is_dead());
+    assert_eq!(store.live_checkpoints().len(), 1, "the QueryDone was lost");
+    assert!(svc.recover().is_empty());
+    assert_eq!(svc.pending_len(), 0);
     let _ = std::fs::remove_file(&path);
 }

@@ -314,19 +314,12 @@ fn serve<R: BufRead + ?Sized, W: Write + ?Sized>(
                 if svc.store().is_none() {
                     write_frame(out, "ERR RECOVER requires --store")?;
                 } else {
-                    // Recovered queries join the pending queue. The
-                    // gate may retire checkpoints that no longer pass
-                    // admission, so list the live ones *after*
-                    // recovery — exactly the re-queued set, in
-                    // submission order — so RUN's RESULT frames line
-                    // up.
-                    let n = svc.recover();
-                    let resumed_tenants: Vec<String> = svc
-                        .store()
-                        .map(|s| s.live_checkpoints().into_iter().map(|c| c.tenant).collect())
-                        .unwrap_or_default();
-                    debug_assert_eq!(resumed_tenants.len(), n);
-                    queued.extend(resumed_tenants);
+                    // Recovered queries join the pending queue in the
+                    // order `recover` re-queued them, so RUN's RESULT
+                    // frames line up.
+                    let resumed = svc.recover();
+                    let n = resumed.len();
+                    queued.extend(resumed.into_iter().map(|c| c.tenant));
                     write_frame(out, &format!("OK recovered {n}"))?;
                 }
             }

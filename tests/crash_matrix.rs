@@ -271,7 +271,7 @@ fn recover_and_check(
         svc.register_tenant(tenant, budget);
     }
     let resumed = svc.recover();
-    assert_eq!(resumed, live.len(), "{label}: recover() count");
+    assert_eq!(resumed.len(), live.len(), "{label}: recover() count");
 
     // A client re-issues whatever was never durably admitted (or was
     // already acknowledged — re-running those must be free and equal).

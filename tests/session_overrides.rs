@@ -202,13 +202,15 @@ fn budget_override_applies_to_one_query_only() {
         .budget_dollars(0.0)
         .run();
     assert!(matches!(err, Err(QurkError::BudgetExceeded { .. })));
+    // The failed query spent nothing.
+    assert_eq!(session.backend().hits_posted(), 0);
     // The next query has no budget and runs normally.
-    let ok = session.run("SELECT id FROM t WHERE a(t.img)").unwrap();
-    assert!(ok.len() >= 3);
-    // Both queries were metered (the failed one spent nothing).
-    assert_eq!(session.usage_history().len(), 2);
-    assert_eq!(session.usage_history()[0].hits_posted, 0);
-    assert!(session.usage_history()[1].hits_posted > 0);
+    let ok = session
+        .query("SELECT id FROM t WHERE a(t.img)")
+        .report()
+        .unwrap();
+    assert!(ok.relation.len() >= 3);
+    assert!(ok.hits_posted > 0);
 }
 
 #[test]

@@ -106,6 +106,41 @@ fn persisted_session_replays_paid_work_after_restart() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The store holds no copy of its own: a second `Session` built on
+/// the same live handle, while the handle stays open, recovers the
+/// first one's paid rounds by folding the log and pays nothing.
+#[test]
+fn a_second_session_on_a_live_store_replays_the_first_ones_rounds() {
+    let path = store_path("live-handle");
+    let _ = std::fs::remove_file(&path);
+    let store = std::sync::Arc::new(DurableStore::open(&path).expect("store opens"));
+    let (catalog, market) = world(24);
+    let first = Session::builder()
+        .catalog(&catalog)
+        .backend(market)
+        .store(std::sync::Arc::clone(&store))
+        .build()
+        .query(FILTER_SQL)
+        .report()
+        .expect("live run succeeds");
+    assert!(first.hits_posted > 0);
+
+    let second = Session::builder()
+        .catalog(&catalog)
+        .backend(ReplayBackend::from_trace(ReplayTrace::default()))
+        .store(std::sync::Arc::clone(&store))
+        .build()
+        .query(FILTER_SQL)
+        .report()
+        .expect("cache-served run");
+    assert_eq!(
+        second.hits_posted, 0,
+        "the first session's rounds re-posted"
+    );
+    assert_eq!(second.relation, first.relation);
+    let _ = std::fs::remove_file(&path);
+}
+
 /// A failed query in a plain session releases its in-flight dedup
 /// slots (the single-owner variant of the service-level fix).
 #[test]
