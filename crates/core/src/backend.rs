@@ -11,7 +11,9 @@
 //!
 //! * [`CachingBackend`] — the Task Cache of Figure 1, lifted to the
 //!   backend boundary: identical HIT specs are posted to the crowd
-//!   once and replayed from the cache afterwards, across queries.
+//!   once and replayed from the cache afterwards, across queries. Its
+//!   groups are the one record of a round: every answer it returns,
+//!   live or cached, is replayed from its cache entry.
 //! * [`MeteringBackend`] — per-epoch (per-query) HIT / assignment /
 //!   dollar / virtual-latency accounting, which
 //!   [`crate::session::QueryReport`] reads instead of re-deriving from
@@ -30,6 +32,13 @@
 //!    every HIT of every posted group has exactly its requested number
 //!    of assignments, each from a distinct worker.
 //! 3. [`CrowdBackend::now`] is monotone non-decreasing.
+//!
+//! [`CachingBackend::assignments`] returns a group's answers grouped
+//! by HIT in spec order, and each HIT's in completion order. A group's
+//! live answers can be read once the group completes: they enter the
+//! cache then, and every read replays them from there.
+
+// lint:hot-path
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -75,9 +84,11 @@ pub trait CrowdBackend: Send + Sync {
         self.run(RUN_TO_COMPLETION_SECS)
     }
 
-    /// Completed assignments of a group, in completion order. Takes
-    /// `&mut self` because the caching backend folds freshly
-    /// completed work into its store here.
+    /// Completed assignments of a group: in completion order on a
+    /// marketplace, grouped by HIT in spec order on a
+    /// [`CachingBackend`] or [`ReplayBackend`] (each HIT's in
+    /// completion order). Takes `&mut self` because the caching
+    /// backend folds freshly completed work into its store here.
     fn assignments(&mut self, group: HitGroupId) -> Vec<Assignment>;
 
     /// A group's HITs in spec order.
@@ -328,6 +339,36 @@ pub struct TraceEntry {
     pub assignments: Vec<TraceAssignment>,
 }
 
+impl TraceEntry {
+    /// The recorded answers as assignments of `hit` in `group`, in
+    /// recorded order, numbered from `*next_id` on. `at` turns a delay
+    /// after the group's post time into the moment the answer arrived.
+    /// Every answer a [`CachingBackend`] or [`ReplayBackend`] returns
+    /// is built here.
+    fn replay<'a>(
+        &'a self,
+        hit: HitId,
+        group: HitGroupId,
+        next_id: &'a mut usize,
+        at: impl Fn(f64) -> SimTime + 'a,
+    ) -> impl Iterator<Item = Assignment> + 'a {
+        self.assignments.iter().map(move |t| {
+            let id = AssignmentId(*next_id);
+            *next_id += 1;
+            Assignment {
+                id,
+                hit,
+                group,
+                worker: t.worker,
+                // lint:allow(hot-clone): the caller's copy of the answers; the entry stays cached.
+                answers: t.answers.clone(),
+                accepted_at: at(t.accept_delay_secs),
+                submitted_at: at(t.submit_delay_secs),
+            }
+        })
+    }
+}
+
 /// The spec-keyed answer store: the Task Cache's contents
 /// ([`CachingBackend::trace`], [`DurableStore::cache_snapshot`]) and
 /// what a [`ReplayBackend`] serves.
@@ -377,7 +418,8 @@ impl ReplayTrace {
 enum VirtualSource {
     /// Served from cache; assignments replayed from the store.
     Cached,
-    /// Forwarded to the inner backend.
+    /// Forwarded to the inner backend; its answers enter the cache
+    /// when the group completes and are replayed from there.
     Live { inner_hit_pos: usize },
     /// Identical to a live spec still in flight in another group
     /// (`owner` is that group's index): posted once by the owner,
@@ -392,6 +434,20 @@ struct VirtualHit {
     key: u64,
 }
 
+/// What a group was when it was posted: how its HITs split between
+/// the crowd and the cache, and what each HIT requested. The service
+/// meters a query from its groups' counts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GroupCounts {
+    /// HITs posted live: the group pays for them.
+    pub live_hits: u64,
+    /// HITs served from the cache or shared with another group's
+    /// in-flight HIT.
+    pub cached_hits: u64,
+    /// Assignments requested per HIT.
+    pub per_hit: u64,
+}
+
 #[derive(Debug)]
 struct CacheGroup {
     /// Inner group holding the forwarded (uncached) specs, if any.
@@ -399,6 +455,7 @@ struct CacheGroup {
     /// Virtual HIT ids of this group, spec order.
     hits: Vec<HitId>,
     posted_at: SimTime,
+    counts: GroupCounts,
     /// Live results folded into the cache yet?
     recorded: bool,
 }
@@ -415,8 +472,8 @@ struct CacheGroup {
 /// differently (e.g. after a machine filter drops a row and shifts
 /// the chunking) produce different specs and re-ask the crowd.
 ///
-/// Virtual HIT/group ids are allocated by this decorator; callers must
-/// not mix them with the inner backend's ids.
+/// Virtual HIT, group and assignment ids are allocated by this
+/// decorator; callers must not mix them with the inner backend's ids.
 ///
 /// The recorded answers are a [`ReplayTrace`] ([`Self::trace`]): with
 /// no eviction bound, it holds every spec this cache posted live, so
@@ -533,6 +590,16 @@ impl<B: CrowdBackend> CachingBackend<B> {
             .map_or(0, |ig| self.inner.group_outstanding(ig))
     }
 
+    /// `group`'s counts, as they were when it was posted.
+    pub(crate) fn group_counts(&self, group: HitGroupId) -> GroupCounts {
+        self.groups[group.0].counts
+    }
+
+    /// The virtual time `group` was posted at.
+    pub(crate) fn group_posted_at(&self, group: HitGroupId) -> SimTime {
+        self.groups[group.0].posted_at
+    }
+
     /// Number of distinct specs with recorded answers.
     pub fn len(&self) -> usize {
         self.cache.len()
@@ -609,6 +676,7 @@ impl<B: CrowdBackend> CachingBackend<B> {
     fn post_impl(&mut self, specs: Vec<HitSpec>, assignments: Option<u32>) -> HitGroupId {
         let group_id = HitGroupId(self.groups.len());
         let posted_at = self.inner.now();
+        let per_hit = assignments.unwrap_or_else(|| self.inner.default_assignments());
         let mut group_hits = Vec::with_capacity(specs.len());
         let mut live_specs = Vec::new();
         for spec in specs {
@@ -639,6 +707,12 @@ impl<B: CrowdBackend> CachingBackend<B> {
                 key,
             });
         }
+        let live_hits = live_specs.len() as u64;
+        let counts = GroupCounts {
+            live_hits,
+            cached_hits: group_hits.len() as u64 - live_hits,
+            per_hit: u64::from(per_hit),
+        };
         let inner = if live_specs.is_empty() {
             None
         } else {
@@ -648,6 +722,7 @@ impl<B: CrowdBackend> CachingBackend<B> {
             inner,
             hits: group_hits,
             posted_at,
+            counts,
             recorded: false,
         });
         group_id
@@ -659,53 +734,54 @@ impl<B: CrowdBackend> CachingBackend<B> {
         self.cache.answering(vh.key, vh.question_count)
     }
 
-    /// The inner group's assignments, fetched once, each paired with
-    /// its HIT's position in the inner group; completion order.
-    fn live_assignments(&mut self, ig: HitGroupId) -> Vec<(usize, Assignment)> {
-        let positions = HitPositions::new(&self.inner.group_hits(ig));
-        self.inner
-            .assignments(ig)
-            .into_iter()
-            .filter_map(|a| Some((positions.get(a.hit)?, a)))
-            .collect()
-    }
-
-    /// `group`'s inner group if its live results are ready to fold into
-    /// the cache: not folded yet and the inner round complete. A group
-    /// with no live part has nothing to fold and is marked recorded.
-    fn ready_to_record(&mut self, group: HitGroupId) -> Option<HitGroupId> {
-        let g = &self.groups[group.0];
-        if g.recorded {
-            return None;
-        }
-        let Some(ig) = g.inner else {
-            self.groups[group.0].recorded = true;
-            return None;
-        };
-        (self.inner.group_outstanding(ig) == 0).then_some(ig)
+    /// Fold `group` into the cache once its round is complete: its own
+    /// live answers, and those of the groups that own its shared
+    /// specs. Afterwards every answer the group can give is in the
+    /// cache. Folding a group twice, or before it completes, does
+    /// nothing.
+    pub(crate) fn fold(&mut self, group: HitGroupId) {
+        self.record_group(group);
+        self.record_shared_owners(group);
     }
 
     /// Fold a completed group's live results into the cache, fetching
-    /// them from the inner backend.
+    /// them from the inner backend once. A group with no live part has
+    /// nothing to fold and is marked recorded.
     fn record_group(&mut self, group: HitGroupId) {
-        if let Some(ig) = self.ready_to_record(group) {
-            let live = self.live_assignments(ig);
-            self.fold_live(group, &live);
+        let g = &self.groups[group.0];
+        if g.recorded {
+            return;
+        }
+        let Some(ig) = g.inner else {
+            self.groups[group.0].recorded = true;
+            return;
+        };
+        if self.inner.group_outstanding(ig) == 0 {
+            let live = self.inner.assignments(ig);
+            self.fold_live(group, ig, live);
         }
     }
 
-    /// Fold `live` (the group's [`Self::live_assignments`]) into the
-    /// cache. An entry that already answers its spec is kept (first
-    /// answer wins); one that cannot (a malformed recovered entry) is
-    /// replaced.
-    fn fold_live(&mut self, group: HitGroupId, live: &[(usize, Assignment)]) {
+    /// Fold `live`, the assignments of `group`'s inner group `ig`, into
+    /// the cache, moving each answer into its HIT's entry. An entry
+    /// that already answers its spec is kept (first answer wins); one
+    /// that cannot (a malformed recovered entry) is replaced.
+    fn fold_live(&mut self, group: HitGroupId, ig: HitGroupId, live: Vec<Assignment>) {
+        let positions = HitPositions::new(&self.inner.group_hits(ig));
+        let GroupCounts {
+            live_hits, per_hit, ..
+        } = self.groups[group.0].counts;
         let posted_at = self.groups[group.0].posted_at;
-        let live_hits = live.iter().map(|&(pos, _)| pos + 1).max().unwrap_or(0);
-        let mut by_pos: Vec<Vec<TraceAssignment>> = vec![Vec::new(); live_hits];
-        for (pos, a) in live {
-            by_pos[*pos].push(TraceAssignment {
+        let mut by_pos: Vec<Vec<TraceAssignment>> = (0..live_hits)
+            .map(|_| Vec::with_capacity(per_hit as usize))
+            .collect();
+        for a in live {
+            let Some(list) = positions.get(a.hit).and_then(|p| by_pos.get_mut(p)) else {
+                continue;
+            };
+            list.push(TraceAssignment {
                 worker: a.worker,
-                answers: a.answers.clone(),
+                answers: a.answers,
                 accept_delay_secs: a.accepted_at.secs() - posted_at.secs(),
                 submit_delay_secs: a.submitted_at.secs() - posted_at.secs(),
             });
@@ -725,13 +801,9 @@ impl<B: CrowdBackend> CachingBackend<B> {
             if self.cached(h).is_some() {
                 continue;
             }
-            let assignments = by_pos
-                .get_mut(inner_hit_pos)
-                .map(std::mem::take)
-                .unwrap_or_default();
             let entry = TraceEntry {
                 question_count,
-                assignments,
+                assignments: std::mem::take(&mut by_pos[inner_hit_pos]),
             };
             // Write-ahead: the paid round becomes durable before its
             // assignments are returned to (acknowledged by) the caller.
@@ -791,46 +863,47 @@ impl<B: CrowdBackend> CachingBackend<B> {
         }
     }
 
-    /// Serve virtual HIT `hit` of `group` from the cache. A cached spec
-    /// (`owner` is `None`) replays instantly: the answer already
-    /// exists, nobody re-does the work. A spec shared with the live
-    /// group `owner` keeps the owner's real completion times, because
-    /// the sharer genuinely waited for the in-flight crowd work; they
-    /// are clamped to the sharer's post time for answers that had
-    /// already arrived when it posted.
-    fn replay(&mut self, hit: HitId, group: HitGroupId, owner: Option<usize>) -> Vec<Assignment> {
-        let own_posted = self.groups[group.0].posted_at;
+    /// Append virtual HIT `hit`'s answers to `out`, replayed from its
+    /// cache entry. A cached spec replays instantly: the answer
+    /// already exists, nobody re-does the work. A live or shared spec
+    /// keeps the real completion times of the group that posted it
+    /// (a live spec's owner is its own group), because the reader
+    /// genuinely waited for that crowd work; they are clamped to the
+    /// reader's post time for answers that had already arrived when it
+    /// posted.
+    fn replay(&mut self, hit: HitId, group: HitGroupId, out: &mut Vec<Assignment>) {
+        let VirtualHit {
+            question_count,
+            source,
+            key,
+        } = self.hits[hit.0];
+        let own = &self.groups[group.0];
+        let owner = match source {
+            VirtualSource::Cached => None,
+            VirtualSource::Shared { owner } => Some(owner),
+            // Not folded yet: the round's answers are not in.
+            VirtualSource::Live { .. } if !own.recorded => return,
+            VirtualSource::Live { .. } => Some(group.0),
+        };
+        let own_posted = own.posted_at;
         let owner_posted = owner.map(|o| self.groups[o].posted_at);
-        let at = |delay: f64| match owner_posted.map(|p| p.plus_secs(delay)) {
+        let at = move |delay: f64| match owner_posted.map(|p| p.plus_secs(delay)) {
             Some(t) if t.secs() >= own_posted.secs() => t,
             _ => own_posted,
         };
         // Cached sources are pinned against eviction from post time
-        // (`touch` in `post_impl`) until the next batch boundary, so
-        // the entry is present for any group still being read; a group
-        // read across batches degrades to no answers rather than a
-        // panic.
-        let Some(entry) = self.cached(hit) else {
-            return Vec::new();
+        // (`touch` in `post_impl`) and live ones from their fold, until
+        // the next batch boundary, so the entry is present for any
+        // group still being read; a group read across batches degrades
+        // to no answers rather than a panic.
+        let Some(entry) = self.cache.answering(key, question_count) else {
+            return;
         };
-        let cached = entry.assignments.clone();
-        self.touch(self.hits[hit.0].key);
-        cached
-            .into_iter()
-            .map(|t| {
-                let id = AssignmentId(usize::MAX - self.next_assignment_id);
-                self.next_assignment_id += 1;
-                Assignment {
-                    id,
-                    hit,
-                    group,
-                    worker: t.worker,
-                    answers: t.answers,
-                    accepted_at: at(t.accept_delay_secs),
-                    submitted_at: at(t.submit_delay_secs),
-                }
-            })
-            .collect()
+        out.extend(entry.replay(hit, group, &mut self.next_assignment_id, at));
+        // A live spec's fold already refreshed its entry.
+        if !matches!(source, VirtualSource::Live { .. }) {
+            self.touch(key);
+        }
     }
 }
 
@@ -851,43 +924,28 @@ impl<B: CrowdBackend> CrowdBackend for CachingBackend<B> {
         self.inner.run(limit_secs)
     }
 
+    /// Fold the group into the cache (its live answers and those of
+    /// the groups it shares specs with), then replay every HIT's
+    /// answers from its cache entry, in spec order, whether the HIT was
+    /// live, cached or shared.
     fn assignments(&mut self, group: HitGroupId) -> Vec<Assignment> {
-        // One inner fetch serves both the cache fold and the caller.
-        let ready = self.ready_to_record(group).is_some();
-        let live = match self.groups[group.0].inner {
-            Some(ig) => self.live_assignments(ig),
-            None => Vec::new(),
-        };
-        if ready {
-            self.fold_live(group, &live);
-        }
-        self.record_shared_owners(group);
-        let hits = self.groups[group.0].hits.clone();
-        // Live assignments first, translated to virtual ids; their
-        // completion order is preserved.
-        let live_virt: Vec<HitId> = hits
-            .iter()
-            .copied()
-            .filter(|&h| matches!(self.hits[h.0].source, VirtualSource::Live { .. }))
-            .collect();
-        let mut out = Vec::with_capacity(live.len());
-        for (pos, mut a) in live {
-            a.hit = live_virt[pos];
-            a.group = group;
-            out.push(a);
-        }
-        for h in hits {
-            let owner = match self.hits[h.0].source {
-                VirtualSource::Cached => None,
-                VirtualSource::Shared { owner } => Some(owner),
-                VirtualSource::Live { .. } => continue,
-            };
-            out.extend(self.replay(h, group, owner));
+        // Reserve the output, sized from the counts stored at post
+        // time, before the fold fetches and frees the live answers'
+        // buffer: on glibc, reserving it afterwards measured ~3 ms
+        // slower per 5000-HIT round.
+        let hits = self.groups[group.0].hits.len();
+        let per_hit = self.groups[group.0].counts.per_hit as usize;
+        let mut out = Vec::with_capacity(hits * per_hit);
+        self.fold(group);
+        for i in 0..hits {
+            let hit = self.groups[group.0].hits[i];
+            self.replay(hit, group, &mut out);
         }
         out
     }
 
     fn group_hits(&self, group: HitGroupId) -> Vec<HitId> {
+        // lint:allow(hot-clone): the trait returns an owned list.
         self.groups[group.0].hits.clone()
     }
 
@@ -1323,25 +1381,17 @@ impl CrowdBackend for ReplayBackend {
             if !h.completed {
                 continue;
             }
-            let Some(entry) = self.entry(h) else { continue };
-            for t in entry.assignments.clone() {
-                let id = AssignmentId(self.next_assignment_id);
-                self.next_assignment_id += 1;
-                out.push(Assignment {
-                    id,
-                    hit,
-                    group,
-                    worker: t.worker,
-                    answers: t.answers,
-                    accepted_at: posted_at.plus_secs(t.accept_delay_secs),
-                    submitted_at: posted_at.plus_secs(t.submit_delay_secs),
-                });
-            }
+            let Some(entry) = self.trace.answering(h.key, h.question_count) else {
+                continue;
+            };
+            let at = |delay: f64| posted_at.plus_secs(delay);
+            out.extend(entry.replay(hit, group, &mut self.next_assignment_id, at));
         }
         out
     }
 
     fn group_hits(&self, group: HitGroupId) -> Vec<HitId> {
+        // lint:allow(hot-clone): the trait returns an owned list.
         self.groups[group.0].hits.clone()
     }
 
@@ -1404,7 +1454,7 @@ impl CrowdBackend for ReplayBackend {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use qurk_crowd::question::{HitKind, Question};
     use qurk_crowd::truth::PredicateTruth;
@@ -1533,19 +1583,35 @@ mod tests {
         assert_eq!(b.hits_posted(), 3 * posted, "count mismatch re-posts");
     }
 
-    /// A marketplace that logs every group whose assignments are
-    /// fetched: a work counter for the cache's fetches.
-    struct CountingBackend {
-        inner: Marketplace,
-        fetched: Vec<HitGroupId>,
+    /// A marketplace that logs every group posted to it and every
+    /// group whose assignments are fetched: a work counter for the
+    /// cache's fetches.
+    pub(crate) struct CountingBackend {
+        pub(crate) inner: Marketplace,
+        pub(crate) posted: Vec<HitGroupId>,
+        pub(crate) fetched: Vec<HitGroupId>,
+    }
+
+    impl CountingBackend {
+        pub(crate) fn new(inner: Marketplace) -> Self {
+            CountingBackend {
+                inner,
+                posted: Vec::new(),
+                fetched: Vec::new(),
+            }
+        }
     }
 
     impl CrowdBackend for CountingBackend {
         fn post_group(&mut self, specs: Vec<HitSpec>) -> HitGroupId {
-            self.inner.post_group(specs)
+            let g = self.inner.post_group(specs);
+            self.posted.push(g);
+            g
         }
         fn post_group_with_assignments(&mut self, specs: Vec<HitSpec>, n: u32) -> HitGroupId {
-            self.inner.post_group_with_assignments(specs, n)
+            let g = self.inner.post_group_with_assignments(specs, n);
+            self.posted.push(g);
+            g
         }
         fn run(&mut self, limit_secs: f64) -> RunOutcome {
             self.inner.run(limit_secs)
@@ -1589,10 +1655,7 @@ mod tests {
     #[test]
     fn one_inner_fetch_per_completed_live_group() {
         let (m, items) = market(8);
-        let mut b = CachingBackend::new(CountingBackend {
-            inner: m,
-            fetched: Vec::new(),
-        });
+        let mut b = CachingBackend::new(CountingBackend::new(m));
         // All live.
         let g1 = b.post_group(filter_specs(&items[..4]));
         b.run_to_completion();
@@ -1610,6 +1673,46 @@ mod tests {
         b.run_to_completion();
         assert_eq!(b.assignments(g3).len(), 8 * 5);
         assert_eq!(b.inner().fetched.len(), 2);
+    }
+
+    /// A mixed group replays its live HITs from the cache like the
+    /// rest: each live HIT's `(worker, answers)` list is the
+    /// marketplace's for the HIT it was posted as, in the same order.
+    #[test]
+    fn live_hits_replay_the_marketplace_answers_in_order() {
+        let (m, items) = market(8);
+        let mut b = CachingBackend::new(m);
+        let warm = b.post_group(filter_specs(&items[..2]));
+        b.run_to_completion();
+        let _ = b.assignments(warm);
+        // Items 0–1 cached, 2–3 shared with `owner` in flight, 4–7 live.
+        let owner = b.post_group(filter_specs(&items[2..4]));
+        let g = b.post_group(filter_specs(&items));
+        assert_eq!(b.stats(), (4, 8));
+        assert_eq!(b.run_to_completion(), RunOutcome::Completed);
+        let got = b.assignments(g);
+        assert_eq!(got.len(), 8 * 5);
+        let virt = b.group_hits(g);
+        let inner = b.groups[g.0].inner.expect("the group posted live HITs");
+        let market_hits = b.inner().group_hits(inner);
+        assert_eq!(market_hits.len(), 4);
+        type Seen = Vec<(WorkerId, Vec<Answer>)>;
+        for (pos, &mh) in market_hits.iter().enumerate() {
+            let want: Seen = b
+                .inner()
+                .assignments(inner)
+                .filter(|a| a.hit == mh)
+                .map(|a| (a.worker, a.answers.clone()))
+                .collect();
+            let seen: Seen = got
+                .iter()
+                .filter(|a| a.hit == virt[4 + pos])
+                .map(|a| (a.worker, a.answers.clone()))
+                .collect();
+            assert_eq!(want.len(), 5);
+            assert_eq!(seen, want, "live HIT {pos}");
+        }
+        assert_eq!(b.assignments(owner).len(), 2 * 5);
     }
 
     #[test]

@@ -241,6 +241,69 @@ mod tests {
         assert!(ids.contains(&0) && ids.contains(&1), "ids={ids:?}");
         assert!(ids.iter().filter(|&&i| i >= 5).count() >= 4);
     }
+
+    /// Run `sql`, a shape the plan runner cannot execute over a crowd
+    /// filter, and check that it fails with `msg` before the filter
+    /// posts a HIT.
+    fn fails_before_any_hit(sql: &str, msg: &str) {
+        let (mut catalog, mut market) = setup();
+        catalog
+            .define_tasks(
+                r#"TASK gender(field) TYPE Generative:
+                    Prompt: "<img src='%s'> Gender?", tuple[field]
+                    Response: Radio("Gender", ["Male", "Female", UNKNOWN])
+                   TASK hair(field) TYPE Generative:
+                    Prompt: "<img src='%s'> Hair?", tuple[field]
+                    Response: Radio("Hair", ["Dark", "Light", UNKNOWN])
+                   TASK caption(field) TYPE Generative:
+                    Prompt: "<img src='%s'> Caption?", tuple[field]
+                    Response: Text("Caption")
+                "#,
+            )
+            .unwrap();
+        let mut session = Session::new(&catalog, &mut market);
+        assert_eq!(
+            session.run(sql).err(),
+            Some(QurkError::Other(msg.into())),
+            "{sql}"
+        );
+        drop(session);
+        assert_eq!(market.hits_posted(), 0, "{sql}");
+    }
+
+    #[test]
+    fn order_by_shape_fails_before_any_hit() {
+        fails_before_any_hit(
+            "SELECT p.id FROM people p WHERE isTall(p.img) ORDER BY byHeight(p.img), p.id",
+            "only one crowd sort key is supported, and it must be last",
+        );
+        fails_before_any_hit(
+            "SELECT p.id FROM people p WHERE isTall(p.img) ORDER BY p.id, 3",
+            "cannot order by a literal",
+        );
+    }
+
+    #[test]
+    fn possibly_equality_shape_fails_before_any_hit() {
+        let join = "SELECT p.id FROM people p JOIN photos q ON samePerson(p.img, q.img)";
+        fails_before_any_hit(
+            &format!("{join} AND POSSIBLY gender(p.img) = hair(q.img) WHERE isTall(p.img)"),
+            "POSSIBLY compares different features: gender vs hair",
+        );
+        fails_before_any_hit(
+            &format!("{join} AND POSSIBLY caption(p.img) = caption(q.img) WHERE isTall(p.img)"),
+            "feature task caption must have a Radio response",
+        );
+    }
+
+    #[test]
+    fn literal_possibly_on_a_free_text_task_fails_before_any_hit() {
+        fails_before_any_hit(
+            "SELECT p.id FROM people p JOIN photos q ON samePerson(p.img, q.img) \
+             AND POSSIBLY caption(p.img) = \"x\" WHERE isTall(p.img)",
+            "feature task caption must be categorical",
+        );
+    }
 }
 
 #[cfg(test)]

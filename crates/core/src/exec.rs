@@ -339,26 +339,13 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
                     };
                     *side = self.prefilter_literal(side, col, call, *op, value, feature_filter)?;
                 }
-                PossiblyClause::FeatureEq {
-                    left: lc,
-                    right: rc,
-                } => {
+                PossiblyClause::FeatureEq { left: lc, .. } => {
+                    // Planning checked that both sides name this one
+                    // task and that it is categorical.
                     let task = self.catalog.task(&lc.name)?;
-                    if rc.name != lc.name {
-                        return Err(QurkError::Other(format!(
-                            "POSSIBLY compares different features: {} vs {}",
-                            lc.name, rc.name
-                        )));
-                    }
-                    let (opts, _) = task.feature_options().ok_or_else(|| {
-                        QurkError::Other(format!(
-                            "feature task {} must have a Radio response",
-                            lc.name
-                        ))
-                    })?;
                     eq_specs.push(FeatureSpec {
                         name: task.oracle_key().to_owned(),
-                        num_options: opts.len(),
+                        num_options: task.feature_options().map_or(0, |(opts, _)| opts.len()),
                     });
                 }
             }
@@ -415,9 +402,11 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
     ) -> Result<Relation> {
         self.charge_gate()?;
         let task = self.catalog.task(&call.name)?;
-        let (opts, _) = task.feature_options().ok_or_else(|| {
-            QurkError::Other(format!("feature task {} must be categorical", call.name))
-        })?;
+        // Planning checked that the task is categorical.
+        let opts = task
+            .feature_options()
+            .map(|(opts, _)| opts)
+            .unwrap_or_default();
         let (items, item_rows) = non_null_items(rel, col);
         let gen = GenerativeOp {
             batch_size: feature_filter.batch_size,
@@ -486,34 +475,21 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
     }
 
     fn order_by(&mut self, rel: Relation, keys: &[OrderExpr], mode: &SortMode) -> Result<Relation> {
-        // Split keys: machine columns first, then at most one Rank UDF.
+        // Split keys: machine columns first, then at most one Rank UDF
+        // (planning checked the shape).
         let mut machine: Vec<(usize, bool)> = Vec::new();
         let mut crowd: Option<(&UdfCall, bool)> = None;
-        for (ki, k) in keys.iter().enumerate() {
+        for k in keys {
             match &k.expr {
                 Expr::Column(name) => {
-                    if crowd.is_some() {
-                        return Err(QurkError::Other(
-                            "machine sort keys must precede the crowd key".into(),
-                        ));
-                    }
                     let idx = rel
                         .schema()
                         .resolve(name)
                         .ok_or_else(|| QurkError::UnknownColumn(name.clone()))?;
                     machine.push((idx, k.desc));
                 }
-                Expr::Udf(call) => {
-                    if crowd.is_some() || ki != keys.len() - 1 {
-                        return Err(QurkError::Other(
-                            "only one crowd sort key is supported, and it must be last".into(),
-                        ));
-                    }
-                    crowd = Some((call, k.desc));
-                }
-                Expr::Literal(_) => {
-                    return Err(QurkError::Other("cannot order by a literal".into()))
-                }
+                Expr::Udf(call) => crowd = Some((call, k.desc)),
+                Expr::Literal(_) => {}
             }
         }
 

@@ -1,15 +1,15 @@
 //! HIT generation machinery (§2.5–§2.6).
 //!
-//! * [`compiler`] — renders task templates plus tuples into the HTML
-//!   forms Qurk posted to MTurk (Figure 2 / Figure 5 interfaces).
 //! * [`batch`] — the two batching transformations: *merging* (one HIT,
 //!   many tuples) and *combining* (one HIT, many tasks per tuple).
+//!
+//! Operators post [`qurk_crowd::HitSpec`]s — questions plus an
+//! interface kind — and the simulated crowd answers those; no HTML is
+//! rendered.
 //!
 //! The Task Cache of Figure 1 now lives at the backend boundary: see
 //! [`crate::backend::CachingBackend`].
 
 pub mod batch;
-pub mod compiler;
 
 pub use batch::{combine_questions, merge_into_hits};
-pub use compiler::HitCompiler;

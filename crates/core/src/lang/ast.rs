@@ -156,30 +156,6 @@ pub struct Template {
     pub substitutions: Vec<(TupleVar, String)>,
 }
 
-impl Template {
-    /// Render with the given per-variable field lookup.
-    pub fn render(&self, mut lookup: impl FnMut(TupleVar, &str) -> String) -> String {
-        let mut out = String::with_capacity(self.format.len());
-        let mut subs = self.substitutions.iter();
-        let mut rest = self.format.as_str();
-        while let Some(idx) = rest.find("%s") {
-            out.push_str(&rest[..idx]);
-            match subs.next() {
-                Some((var, field)) => out.push_str(&lookup(*var, field)),
-                None => out.push_str("%s"),
-            }
-            rest = &rest[idx + 2..];
-        }
-        out.push_str(rest);
-        out
-    }
-
-    /// Number of `%s` markers in the format.
-    pub fn placeholder_count(&self) -> usize {
-        self.format.matches("%s").count()
-    }
-}
-
 /// Options in a constrained `Radio(...)` response.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ResponseOption {
@@ -234,30 +210,6 @@ impl TaskDefAst {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn template_rendering() {
-        let t = Template {
-            format: "<img src='%s'> vs <img src='%s'>".into(),
-            substitutions: vec![
-                (TupleVar::Tuple1, "img".into()),
-                (TupleVar::Tuple2, "img".into()),
-            ],
-        };
-        let s = t.render(|var, field| format!("{:?}:{field}", var));
-        assert_eq!(s, "<img src='Tuple1:img'> vs <img src='Tuple2:img'>");
-        assert_eq!(t.placeholder_count(), 2);
-    }
-
-    #[test]
-    fn template_with_missing_substitution_keeps_marker() {
-        let t = Template {
-            format: "a %s b %s".into(),
-            substitutions: vec![(TupleVar::Tuple, "x".into())],
-        };
-        let s = t.render(|_, _| "V".into());
-        assert_eq!(s, "a V b %s");
-    }
 
     #[test]
     fn cmp_op_eval() {

@@ -35,7 +35,7 @@
 //!                                               │
 //!                 ops::{filter, generative, join, sort}   [generic over B]
 //!                                               │        └──▶ opt::stats
-//!                 hit::{batch, compiler}        │         (learned σ/κ/latency)
+//!                 hit::batch                    │         (learned σ/κ/latency)
 //!                                               ▼
 //!                  backend::MeteringBackend     per-query accounting
 //!                    └─ backend::CachingBackend Task Cache (Figure 1)

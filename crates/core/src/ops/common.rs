@@ -279,13 +279,12 @@ mod tests {
         // market that already caches spec 1.
         let (m, items) = market();
         let shared = Arc::new(SharedMarket::new(m));
-        let query = shared.register_query();
-        let _ = shared.post(query, vec![spec(&items, 1)], None);
+        let warm = shared.post(vec![spec(&items, 1)], None);
         shared.run(LIMIT);
-        shared.fold_completed(query);
+        shared.fold_completed(&[warm]);
         let (event_tx, event_rx) = mpsc::channel();
         let (resume_tx, resume_rx) = mpsc::channel();
-        let mut tenant = TenantBackend::new(Arc::clone(&shared), query, 0, event_tx, resume_rx);
+        let mut tenant = TenantBackend::new(Arc::clone(&shared), 0, event_tx, resume_rx);
         let specs: Vec<HitSpec> = [5, 1, 0].iter().map(|&s| spec(&items, s)).collect();
         let thread = std::thread::spawn(move || {
             let round = Round::post(&mut tenant, specs, None);
@@ -296,7 +295,7 @@ mod tests {
         };
         let groups = posts
             .into_iter()
-            .map(|post| shared.post(query, post.specs, post.assignments))
+            .map(|post| shared.post(post.specs, post.assignments))
             .collect();
         let outcome = shared.run(LIMIT);
         resume_tx.send(Resume { outcome, groups }).unwrap();

@@ -50,17 +50,6 @@ pub enum JoinStrategy {
     SmartBatch { rows: usize, cols: usize },
 }
 
-impl JoinStrategy {
-    /// The marketplace interface kind for this strategy.
-    pub fn hit_kind(&self) -> HitKind {
-        match *self {
-            JoinStrategy::Simple => HitKind::JoinSimple,
-            JoinStrategy::NaiveBatch(_) => HitKind::JoinNaive,
-            JoinStrategy::SmartBatch { rows, cols } => HitKind::JoinSmart { rows, cols },
-        }
-    }
-}
-
 /// One crowd join execution.
 #[derive(Debug, Clone)]
 pub struct JoinOp {

@@ -16,9 +16,9 @@
 //! | Hybrid sort | rate + one HIT per iteration | §4.1.3 |
 //! | MAX/MIN tournament | `Σ ⌈pool/b⌉` until one remains | §2.3 |
 //!
-//! Dollars follow §3.3.2's fixed price (assignments × $0.015 by
-//! default); latency extrapolates the observed seconds-per-HIT from
-//! the session's metering epochs.
+//! Dollars follow §3.3.2's fixed price (assignments × $0.015,
+//! `Price::PAPER`); latency extrapolates the observed seconds-per-HIT
+//! from the session's metering epochs.
 
 use qurk_crowd::pricing::Price;
 use qurk_crowd::question::{hit_work_units, HitKind, Question};
@@ -149,20 +149,11 @@ impl std::ops::AddAssign for CostEstimate {
 /// per-operator formulas above.
 pub struct CostModel<'a> {
     stats: &'a StatisticsStore,
-    price: Price,
 }
 
 impl<'a> CostModel<'a> {
     pub fn new(stats: &'a StatisticsStore) -> Self {
-        CostModel {
-            stats,
-            price: Price::PAPER,
-        }
-    }
-
-    pub fn with_price(mut self, price: Price) -> Self {
-        self.price = price;
-        self
+        CostModel { stats }
     }
 
     /// Price `hits` HITs carrying `units` of per-assignment worker
@@ -191,7 +182,7 @@ impl<'a> CostModel<'a> {
             hits,
             rounds,
             assignments,
-            dollars: assignments * self.price.per_assignment(),
+            dollars: assignments * Price::PAPER.per_assignment(),
             latency_secs,
         }
     }
@@ -336,12 +327,6 @@ impl<'a> CostModel<'a> {
             let bound = (n * (n - 1)) as f64 / (s * (s - 1)) as f64;
             (bound * 1.2).ceil()
         }
-    }
-
-    /// HIT count of a full comparison sort (groups merged
-    /// `groups_per_hit` at a time).
-    pub fn compare_sort_hits(&self, n: usize, op: &CompareSort) -> f64 {
-        ceil_div(self.compare_sort_groups(n, op), op.groups_per_hit.max(1))
     }
 
     /// A crowd sort of `n` items under the given mode.

@@ -21,7 +21,9 @@
 
 use crate::catalog::Catalog;
 use crate::error::{QurkError, Result};
-use crate::lang::ast::{Expr, JoinClause, OrderExpr, Predicate, Query, SelectItem, UdfCall};
+use crate::lang::ast::{
+    Expr, JoinClause, OrderExpr, PossiblyClause, Predicate, Query, SelectItem, UdfCall,
+};
 use crate::task::TaskType;
 
 /// A logical plan node.
@@ -174,6 +176,58 @@ fn predicate_binding(p: &Predicate) -> Option<String> {
     }
 }
 
+/// Reject the query shapes the plan runner cannot execute, so they
+/// fail before any input plan pays the crowd: a POSSIBLY equality
+/// compares one feature task with a Radio response on both sides, a
+/// literal POSSIBLY names a categorical task, and ORDER BY takes no
+/// literal and at most one crowd key, last (so machine keys come
+/// first). Task types and arities are already checked.
+fn check_shapes(query: &Query, catalog: &Catalog) -> Result<()> {
+    let categorical = |call: &UdfCall| {
+        let task = catalog.task(&call.name);
+        task.map(|t| t.feature_options().is_some())
+    };
+    for p in query.joins.iter().flat_map(|j| &j.possibly) {
+        match p {
+            PossiblyClause::FeatureEq { left, right } => {
+                if right.name != left.name {
+                    return Err(QurkError::Other(format!(
+                        "POSSIBLY compares different features: {} vs {}",
+                        left.name, right.name
+                    )));
+                }
+                if !categorical(left)? {
+                    return Err(QurkError::Other(format!(
+                        "feature task {} must have a Radio response",
+                        left.name
+                    )));
+                }
+            }
+            PossiblyClause::FeatureLit { call, .. } => {
+                if !categorical(call)? {
+                    return Err(QurkError::Other(format!(
+                        "feature task {} must be categorical",
+                        call.name
+                    )));
+                }
+            }
+        }
+    }
+    let last = query.order_by.len().saturating_sub(1);
+    for (ki, o) in query.order_by.iter().enumerate() {
+        match o.expr {
+            Expr::Udf(_) if ki != last => {
+                return Err(QurkError::Other(
+                    "only one crowd sort key is supported, and it must be last".into(),
+                ))
+            }
+            Expr::Literal(_) => return Err(QurkError::Other("cannot order by a literal".into())),
+            Expr::Udf(_) | Expr::Column(_) => {}
+        }
+    }
+    Ok(())
+}
+
 /// Compile a parsed query into a logical plan.
 pub fn plan_query(query: &Query, catalog: &Catalog) -> Result<LogicalPlan> {
     // Validate tables and collect bindings.
@@ -213,11 +267,11 @@ pub fn plan_query(query: &Query, catalog: &Catalog) -> Result<LogicalPlan> {
         check_task(&j.on, &[TaskType::EquiJoin])?;
         for p in &j.possibly {
             match p {
-                crate::lang::ast::PossiblyClause::FeatureEq { left, right } => {
+                PossiblyClause::FeatureEq { left, right } => {
                     check_task(left, &[TaskType::Generative])?;
                     check_task(right, &[TaskType::Generative])?;
                 }
-                crate::lang::ast::PossiblyClause::FeatureLit { call, .. } => {
+                PossiblyClause::FeatureLit { call, .. } => {
                     check_task(call, &[TaskType::Generative])?;
                 }
             }
@@ -233,6 +287,7 @@ pub fn plan_query(query: &Query, catalog: &Catalog) -> Result<LogicalPlan> {
             check_task(call, &[TaskType::Generative])?;
         }
     }
+    check_shapes(query, catalog)?;
 
     // Partition WHERE predicates. Single-group (pure conjunction)
     // predicates are split per binding and pushed; multi-group (OR)

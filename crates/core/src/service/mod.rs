@@ -35,9 +35,9 @@
 //!   still produce byte-identical results to running them
 //!   sequentially.
 //! * [`tenant`] — [`SharedMarket`] (the one
-//!   mutex-guarded backend + per-query meters) and
-//!   [`TenantBackend`] (a query's yielding
-//!   handle on it).
+//!   mutex-guarded Task Cache and backend; a query is the list of
+//!   cache groups committed for it) and [`TenantBackend`] (a query's
+//!   yielding handle on it).
 //! * [`report`] — [`ServiceStats`], the
 //!   multi-tenancy accounting attached to each
 //!   [`QueryReport`](crate::session::QueryReport).

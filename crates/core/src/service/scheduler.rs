@@ -20,10 +20,10 @@
 //!    resumed query, then resolves them in **submission order**:
 //!    staged posts are committed to the shared market and completed
 //!    work is folded into the shared cache — all on the scheduler
-//!    thread, so the marketplace, the meters and the durable journal
-//!    never observe thread-timing nondeterminism. A query whose round
-//!    is already complete (fully cached) becomes runnable again
-//!    immediately.
+//!    thread, so the marketplace, the cache's group records and the
+//!    durable journal never observe thread-timing nondeterminism. A
+//!    query whose round is already complete (fully cached) becomes
+//!    runnable again immediately.
 //! 3. **Marketplace step** — when nothing is runnable, every running
 //!    query is parked on a posted round. Run the one shared backend in
 //!    stages toward the waiting queries' deadlines (nearest first) and
@@ -446,15 +446,14 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
         let mut resume_txs: Vec<Sender<Resume>> = Vec::with_capacity(jobs.len());
         let mut tasks = Vec::with_capacity(jobs.len());
         for (i, job) in jobs.into_iter().enumerate() {
-            let market_query = self.shared.register_query();
             let (resume_tx, resume_rx) = channel();
             let shared = Arc::clone(&self.shared);
-            let backend = TenantBackend::new(shared, market_query, i, event_tx.clone(), resume_rx);
+            let backend = TenantBackend::new(shared, i, event_tx.clone(), resume_rx);
             let budget = self.effective_budget(job.tenant, job.budget);
             tasks.push(Task {
                 tenant: job.tenant,
                 resumed: job.resumed,
-                ..Task::new(market_query, job.persist_id)
+                ..Task::new(job.persist_id)
             });
             let catalog = Arc::clone(&self.catalog);
             let done_tx = event_tx.clone();
@@ -522,10 +521,8 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
             };
             let task = &mut tasks[*query];
             for post in posts.drain(..) {
-                let group = self
-                    .shared
-                    .post(task.market_query, post.specs, post.assignments);
-                task.pending_groups.push(group);
+                let group = self.shared.post(post.specs, post.assignments);
+                task.groups.push(group);
             }
             task.rounds += 1;
         }
@@ -537,13 +534,12 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
                     query, limit_secs, ..
                 } => {
                     let task = &mut tasks[query];
-                    let mq = task.market_query;
-                    task.state = if self.shared.query_outstanding(mq) == 0 {
+                    task.state = if self.shared.query_outstanding(&task.groups) == 0 {
                         // Fully cached/complete round: runnable again
                         // without a marketplace step. Fold on the
                         // scheduler thread so the journal never sees
                         // thread-timing order.
-                        self.shared.fold_completed(mq);
+                        self.shared.fold_completed(&task.groups);
                         task.resolve(RunOutcome::Completed)
                     } else {
                         TaskState::Waiting {
@@ -596,8 +592,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
                 if !matches!(task.state, TaskState::Waiting { .. }) {
                     continue;
                 }
-                let mq = task.market_query;
-                let outcome = if self.shared.query_outstanding(mq) == 0 {
+                let outcome = if self.shared.query_outstanding(&task.groups) == 0 {
                     RunOutcome::Completed
                 } else if now + DEADLINE_EPS >= deadline {
                     RunOutcome::TimedOut
@@ -610,10 +605,10 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
                 // (journal appends included) must not race other
                 // threads in the next machine phase.
                 if outcome == RunOutcome::Completed {
-                    let completion = self.shared.completion_time(mq);
+                    let completion = self.shared.completion_time(&task.groups);
                     task.queue_wait_secs += (now - completion).max(0.0);
                 } else {
-                    self.shared.fold_completed(mq);
+                    self.shared.fold_completed(&task.groups);
                 }
                 if shared_round {
                     task.rounds_shared += 1;
@@ -634,8 +629,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
     fn finish(&mut self, tasks: Vec<Task>) -> Vec<Result<QueryReport>> {
         let mut out = Vec::with_capacity(tasks.len());
         for task in tasks {
-            let mq = task.market_query;
-            self.tenants[task.tenant].spent += self.shared.query_spend(mq);
+            self.tenants[task.tenant].spent += self.shared.query_spend(&task.groups);
             let result = match task.done {
                 Some(msg) => {
                     self.stats.merge(&msg.stats_delta);
@@ -648,8 +642,8 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
                             queue_wait_secs: task.queue_wait_secs,
                             rounds: task.rounds,
                             rounds_shared: task.rounds_shared,
-                            shared_cache_hits: self.shared.query_cached_hits(mq),
-                            saved_dollars: self.shared.query_saved(mq),
+                            shared_cache_hits: self.shared.query_cached_hits(&task.groups),
+                            saved_dollars: self.shared.query_saved(&task.groups),
                             resumed: task.resumed,
                         });
                         report
@@ -670,7 +664,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
                 // A failed query abandons its in-flight rounds: drop
                 // its dedup slots so later identical specs re-post
                 // instead of piggybacking on work nobody is driving.
-                self.shared.release_query(mq);
+                self.shared.release_query(&task.groups);
             }
             if let (Some(store), Some(id)) = (&self.store, task.persist_id) {
                 // The query resolved (either way) and its result was
@@ -700,8 +694,6 @@ enum TaskState {
 
 /// The scheduler's bookkeeping for one query of the batch.
 struct Task {
-    /// Market-side meter id.
-    market_query: usize,
     /// The submitting tenant (index into the service's tenants).
     tenant: usize,
     /// Durable checkpoint id when the service has a store attached.
@@ -712,16 +704,19 @@ struct Task {
     rounds: u64,
     rounds_shared: u64,
     queue_wait_secs: f64,
-    /// Shared-market ids committed for the query's staged posts,
-    /// delivered with its next resume.
-    pending_groups: Vec<HitGroupId>,
+    /// The shared-market groups committed for the query, in commit
+    /// order: its record in the market, from which its split, spend
+    /// and savings are read.
+    groups: Vec<HitGroupId>,
+    /// How many of `groups` the query has been resumed with; the rest
+    /// go with its next resume.
+    delivered: usize,
     done: Option<Box<DoneMsg>>,
 }
 
 impl Task {
-    fn new(market_query: usize, persist_id: Option<u64>) -> Self {
+    fn new(persist_id: Option<u64>) -> Self {
         Task {
-            market_query,
             tenant: 0,
             persist_id,
             resumed: false,
@@ -729,7 +724,8 @@ impl Task {
             rounds: 0,
             rounds_shared: 0,
             queue_wait_secs: 0.0,
-            pending_groups: Vec::new(),
+            groups: Vec::new(),
+            delivered: 0,
             done: None,
         }
     }
@@ -737,10 +733,9 @@ impl Task {
     /// The runnable state that resumes the query's round with
     /// `outcome` and the groups committed for it.
     fn resolve(&mut self, outcome: RunOutcome) -> TaskState {
-        TaskState::Runnable(Resume {
-            outcome,
-            groups: std::mem::take(&mut self.pending_groups),
-        })
+        let groups = self.groups[self.delivered..].to_vec();
+        self.delivered = self.groups.len();
+        TaskState::Runnable(Resume { outcome, groups })
     }
 
     /// Take a runnable task's resume, marking it running; `None` (and
@@ -861,6 +856,7 @@ fn run_query<B: CrowdBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::tests::CountingBackend;
     use crate::opt::physical::{PhysNode, PhysicalPlan};
     use crate::opt::CostEstimate;
     use crate::{Relation, Schema, Value, ValueType};
@@ -871,8 +867,9 @@ mod tests {
     /// The barrier commits in submission order whatever order the
     /// events arrived in: the same `NeedCrowd` events delivered
     /// reversed and in order commit identical shared-market group ids,
-    /// round counts and live/cached splits. Query 2 re-posts query 0's
-    /// spec, so which of them pays depends on commit order.
+    /// round counts and live/cached splits, the splits read from each
+    /// task's group list. Query 2 re-posts query 0's spec, so which of
+    /// them pays depends on commit order.
     #[test]
     fn resolve_barrier_commits_in_submission_order() {
         let commit = |reverse: bool| {
@@ -894,9 +891,7 @@ mod tests {
                 };
                 HitSpec::new(vec![question], HitKind::Filter)
             };
-            let mut tasks: Vec<Task> = (0..3)
-                .map(|_| Task::new(svc.shared.register_query(), None))
-                .collect();
+            let mut tasks: Vec<Task> = (0..3).map(|_| Task::new(None)).collect();
             let mut events: Vec<SchedulerEvent> = [0, 1, 0]
                 .into_iter()
                 .enumerate()
@@ -916,12 +911,11 @@ mod tests {
             tasks
                 .iter()
                 .map(|t| {
-                    let mq = t.market_query;
                     let split = (
-                        svc.shared.query_live_hits(mq),
-                        svc.shared.query_cached_hits(mq),
+                        svc.shared.query_live_hits(&t.groups),
+                        svc.shared.query_cached_hits(&t.groups),
                     );
-                    (t.pending_groups.clone(), t.rounds, split)
+                    (t.groups.clone(), t.rounds, split)
                 })
                 .collect::<Vec<_>>()
         };
@@ -934,8 +928,12 @@ mod tests {
         assert_eq!(splits, [(2, 0), (1, 1), (0, 2)], "first to commit pays");
     }
 
-    /// Query meters are batch-scoped: after 50 batches of one to three
-    /// queries, the shared market holds meters for the last batch only.
+    /// Query meters are batch-scoped: a query's meter is the list of
+    /// groups committed for it, held by its task and its tenant
+    /// backend, and the shared market keeps nothing per query. After
+    /// each of 50 batches of one to three queries, the service holds
+    /// the only handle on the market: every tenant backend, and its
+    /// ledger, is gone.
     #[test]
     fn query_meters_do_not_outlive_their_batch() {
         let mut catalog = Catalog::new();
@@ -953,11 +951,70 @@ mod tests {
             }
             let reports = svc.run_pending();
             assert!(reports.iter().all(Result::is_ok));
+            assert_eq!(reports.len(), size);
             served += reports.len();
-            assert_eq!(svc.shared.metered_queries(), size, "batch {batch}");
+            assert_eq!(Arc::strong_count(&svc.shared), 1, "batch {batch}");
         }
         assert_eq!(served, 99);
-        assert_eq!(svc.shared.metered_queries(), 2, "the last batch's two");
+    }
+
+    /// Under the service, each completed live group is fetched from the
+    /// inner backend exactly once, however many barriers follow its
+    /// completion: a batch of two queries over serial crowd filters
+    /// (two rounds, then one that shares the first round's specs in
+    /// flight). Counts only, no timing.
+    #[test]
+    fn each_live_group_is_fetched_once_per_batch() {
+        let mut gt = GroundTruth::new();
+        let items = gt.new_items(6);
+        let mut catalog = Catalog::new();
+        let mut rel = Relation::new(Schema::new(&[
+            ("id", ValueType::Int),
+            ("img", ValueType::Item),
+        ]));
+        for (i, &item) in items.iter().enumerate() {
+            for p in ["isTall", "isOld"] {
+                let truth = PredicateTruth {
+                    value: i % 2 == 0,
+                    error_rate: 0.0,
+                };
+                gt.set_predicate(item, p, truth);
+            }
+            rel.push(vec![Value::Int(i as i64), Value::Item(item)])
+                .unwrap();
+        }
+        catalog.register_table("people", rel);
+        catalog
+            .define_tasks(
+                r#"TASK isTall(field) TYPE Filter:
+                    Prompt: "<img src='%s'> Tall?", tuple[field]
+                   TASK isOld(field) TYPE Filter:
+                    Prompt: "<img src='%s'> Old?", tuple[field]
+                "#,
+            )
+            .unwrap();
+        let market =
+            CountingBackend::new(Marketplace::new(&CrowdConfig::default().with_seed(1), gt));
+        let mut svc = QueryService::new(Arc::new(catalog), market);
+        svc.register_tenant("t", None);
+        for sql in [
+            "SELECT p.id FROM people AS p WHERE isTall(p.img) AND isOld(p.img)",
+            "SELECT p.id FROM people AS p WHERE isTall(p.img)",
+        ] {
+            svc.submit("t", sql).unwrap();
+        }
+        let reports = svc.run_pending();
+        let rounds: Vec<u64> = reports
+            .iter()
+            .map(|r| r.as_ref().unwrap().service.as_ref().unwrap().rounds)
+            .collect();
+        assert_eq!(rounds, [2, 1]);
+        assert!(svc.market().shared_hits() > 0, "query 2 shares round 1");
+        let counting = svc.into_backend();
+        assert_eq!(counting.posted.len(), 2, "one live group per round");
+        let mut fetched = counting.fetched;
+        fetched.sort_unstable();
+        assert_eq!(fetched, counting.posted, "each fetched exactly once");
     }
 
     /// Workers outlive their batch: 50 batches of one to three queries

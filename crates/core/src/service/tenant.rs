@@ -9,9 +9,10 @@
 //!   between yields, query threads run concurrently, so posts buffer
 //!   under local group ids and travel with the query's `NeedCrowd`
 //!   yield; the scheduler commits them to the shared market in
-//!   submission order at the barrier, metering which of the query's
-//!   specs were served live vs. from the shared cache (including
-//!   piggybacking on another tenant's identical in-flight spec), and
+//!   submission order at the barrier. Each commit is a Task Cache
+//!   group, which records how many of its specs were served live vs.
+//!   from the shared cache (including piggybacking on another
+//!   tenant's identical in-flight spec), and
 //! * turns [`CrowdBackend::run`] into the cooperative **yield point**:
 //!   instead of driving the clock itself, the query flushes its staged
 //!   posts, parks on a channel, and the scheduler advances the one
@@ -20,9 +21,10 @@
 //!   without yielding, and fails the query with
 //!   [`QurkError::InvalidDeadline`](crate::error::QurkError::InvalidDeadline).
 //!
-//! Per-query dollar attribution is exact: every completed live
-//! assignment belongs to exactly one query's group, and both the
-//! simulator and the replay backend price assignments uniformly, so
+//! A query is the list of groups committed for it. Per-query dollar
+//! attribution is exact: every completed live assignment belongs to
+//! exactly one query's group, and both the simulator and the replay
+//! backend price assignments uniformly, so
 //! `Σ query_spend(q) == shared backend total spend` (tested in
 //! `tests/service_multi_tenant.rs`).
 
@@ -36,30 +38,17 @@ use qurk_crowd::{HitSpec, WorkerId};
 use crate::backend::{CachingBackend, CrowdBackend, ReplayTrace};
 use crate::service::scheduler::{Resume, SchedulerEvent};
 
-/// Per-query usage meter inside the shared market.
-#[derive(Debug, Clone, Default)]
-struct QueryMeter {
-    /// (group, live assignments requested, posted at) per round.
-    groups: Vec<(HitGroupId, u64, SimTime)>,
-    /// HIT specs this query posted live (it owns their cost).
-    live_hits: u64,
-    /// HIT specs served from the cache or shared in flight.
-    cached_hits: u64,
-    /// Assignments the cache saved this query (cached specs × the
-    /// assignment count they would have requested).
-    saved_assignments: u64,
-}
-
-struct MarketInner<B> {
-    backend: CachingBackend<B>,
-    queries: Vec<QueryMeter>,
-}
-
 /// One marketplace, one task cache, many tenants. All access is
 /// serialized through a mutex; queries hold it only for individual
 /// backend calls, never across a yield.
+///
+/// The market keeps nothing per query. A query is the list of cache
+/// groups committed for it, held by its scheduler task and its
+/// [`TenantBackend`]; its split, spend, savings, outstanding work and
+/// completion time are read from those groups' counts
+/// ([`CachingBackend`] stores them at post time) and their state.
 pub struct SharedMarket<B> {
-    inner: Mutex<MarketInner<B>>,
+    inner: Mutex<CachingBackend<B>>,
 }
 
 impl<B: CrowdBackend> SharedMarket<B> {
@@ -73,225 +62,189 @@ impl<B: CrowdBackend> SharedMarket<B> {
     /// [`CachingBackend::with_journal`].
     pub fn with_caching(backend: CachingBackend<B>) -> Self {
         SharedMarket {
-            inner: Mutex::new(MarketInner {
-                backend,
-                queries: Vec::new(),
-            }),
+            inner: Mutex::new(backend),
         }
     }
 
-    /// Every metered quantity is consistent on its own, so a panicked
+    /// Every group's record is consistent on its own, so a panicked
     /// holder (a dying query thread) leaves nothing torn worth
     /// poisoning the whole service for.
-    fn lock(&self) -> MutexGuard<'_, MarketInner<B>> {
+    fn lock(&self) -> MutexGuard<'_, CachingBackend<B>> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Register a new query; the returned id keys its meter until the
-    /// next [`Self::begin_batch`].
-    pub fn register_query(&self) -> usize {
-        let mut m = self.lock();
-        m.queries.push(QueryMeter::default());
-        m.queries.len() - 1
-    }
-
-    /// Post a group on behalf of `query`, metering the live/cached
-    /// split.
-    pub fn post(&self, query: usize, specs: Vec<HitSpec>, assignments: Option<u32>) -> HitGroupId {
-        let mut m = self.lock();
-        let n_eff = u64::from(assignments.unwrap_or_else(|| m.backend.default_assignments()));
-        let (h0, mi0) = m.backend.stats();
-        let posted_at = m.backend.now();
-        let group = m.backend.post(specs, assignments);
-        let (h1, mi1) = m.backend.stats();
-        let q = &mut m.queries[query];
-        q.cached_hits += h1 - h0;
-        q.live_hits += mi1 - mi0;
-        q.saved_assignments += (h1 - h0) * n_eff;
-        q.groups.push((group, (mi1 - mi0) * n_eff, posted_at));
-        group
+    /// Post a group to the shared cache and marketplace.
+    pub fn post(&self, specs: Vec<HitSpec>, assignments: Option<u32>) -> HitGroupId {
+        self.lock().post(specs, assignments)
     }
 
     /// Advance the shared clock (the scheduler's marketplace step).
     pub fn run(&self, limit_secs: f64) -> RunOutcome {
-        self.lock().backend.run(limit_secs)
+        self.lock().run(limit_secs)
     }
 
     pub fn now(&self) -> SimTime {
-        self.lock().backend.now()
+        self.lock().now()
     }
 
     /// Dollars per completed assignment (uniform in both the simulator
     /// and the replay backend); 0 until anything completes.
-    fn unit_price(m: &MarketInner<B>) -> f64 {
-        let done = m.backend.assignments_completed();
+    fn unit_price(m: &CachingBackend<B>) -> f64 {
+        let done = m.assignments_completed();
         if done == 0 {
             0.0
         } else {
-            m.backend.spend_dollars() / done as f64
+            m.spend_dollars() / done as f64
         }
     }
 
-    fn completed_live(m: &MarketInner<B>, query: usize) -> u64 {
-        m.queries[query]
-            .groups
+    fn completed_live(m: &CachingBackend<B>, groups: &[HitGroupId]) -> u64 {
+        groups
             .iter()
-            .map(|&(g, requested, _)| {
-                requested.saturating_sub(u64::from(m.backend.live_outstanding(g)))
+            .map(|&g| {
+                let c = m.group_counts(g);
+                (c.live_hits * c.per_hit).saturating_sub(u64::from(m.live_outstanding(g)))
             })
             .sum()
     }
 
-    /// Live assignments completed so far on this query's behalf.
-    pub fn query_assignments(&self, query: usize) -> u64 {
+    /// Live assignments completed so far in `groups` (a query's).
+    pub(crate) fn query_assignments(&self, groups: &[HitGroupId]) -> u64 {
+        Self::completed_live(&self.lock(), groups)
+    }
+
+    /// Dollars attributable to `groups`: their completed live
+    /// assignments at the uniform rate.
+    pub(crate) fn query_spend(&self, groups: &[HitGroupId]) -> f64 {
         let m = self.lock();
-        Self::completed_live(&m, query)
+        Self::completed_live(&m, groups) as f64 * Self::unit_price(&m)
     }
 
-    /// Dollars attributable to this query (its completed live
-    /// assignments at the uniform rate).
-    pub fn query_spend(&self, query: usize) -> f64 {
+    /// Dollars the shared cache saved `groups`: their cache-served
+    /// HITs times the assignments each requested.
+    pub(crate) fn query_saved(&self, groups: &[HitGroupId]) -> f64 {
         let m = self.lock();
-        Self::completed_live(&m, query) as f64 * Self::unit_price(&m)
-    }
-
-    /// Dollars the shared cache saved this query.
-    pub fn query_saved(&self, query: usize) -> f64 {
-        let m = self.lock();
-        m.queries[query].saved_assignments as f64 * Self::unit_price(&m)
-    }
-
-    /// HIT specs this query posted live.
-    pub fn query_live_hits(&self, query: usize) -> u64 {
-        self.lock().queries[query].live_hits
-    }
-
-    /// HIT specs served to this query without posting.
-    pub fn query_cached_hits(&self, query: usize) -> u64 {
-        self.lock().queries[query].cached_hits
-    }
-
-    /// Assignments still outstanding across the query's groups
-    /// (counting in-flight work it shares with other queries' groups).
-    pub fn query_outstanding(&self, query: usize) -> u32 {
-        let m = self.lock();
-        m.queries[query]
-            .groups
+        let saved: u64 = groups
             .iter()
-            .map(|&(g, _, _)| m.backend.group_outstanding(g))
-            .sum()
+            .map(|&g| {
+                let c = m.group_counts(g);
+                c.cached_hits * c.per_hit
+            })
+            .sum();
+        saved as f64 * Self::unit_price(&m)
     }
 
-    /// Virtual time at which the query's crowd work was done: the max
-    /// over its groups of post time + last assignment latency. The gap
-    /// between this and the moment the scheduler resumes the query is
-    /// its queue wait.
-    pub fn completion_time(&self, query: usize) -> f64 {
+    /// HIT specs `groups` posted live.
+    pub(crate) fn query_live_hits(&self, groups: &[HitGroupId]) -> u64 {
+        let m = self.lock();
+        groups.iter().map(|&g| m.group_counts(g).live_hits).sum()
+    }
+
+    /// HIT specs served to `groups` without posting.
+    pub(crate) fn query_cached_hits(&self, groups: &[HitGroupId]) -> u64 {
+        let m = self.lock();
+        groups.iter().map(|&g| m.group_counts(g).cached_hits).sum()
+    }
+
+    /// Assignments still outstanding across `groups` (counting
+    /// in-flight work they share with other queries' groups).
+    pub(crate) fn query_outstanding(&self, groups: &[HitGroupId]) -> u32 {
+        let m = self.lock();
+        groups.iter().map(|&g| m.group_outstanding(g)).sum()
+    }
+
+    /// Virtual time at which the crowd work of `groups` was done: the
+    /// max over the completed ones of post time + last assignment
+    /// latency, after folding each. The gap between this and the
+    /// moment the scheduler resumes the query is its queue wait.
+    pub(crate) fn completion_time(&self, groups: &[HitGroupId]) -> f64 {
         let mut m = self.lock();
-        let groups = m.queries[query].groups.clone();
         let mut t = 0.0f64;
-        for (g, _, posted_at) in groups {
-            if m.backend.group_outstanding(g) > 0 {
+        for &g in groups {
+            if m.group_outstanding(g) > 0 {
                 continue;
             }
             // Folds freshly completed (and shared) work into the
             // cache so the latencies below are visible.
-            let _ = m.backend.assignments(g);
-            let last = m
-                .backend
-                .group_latencies(g)
-                .into_iter()
-                .fold(0.0f64, f64::max);
-            t = t.max(posted_at.secs() + last);
+            m.fold(g);
+            let last = m.group_latencies(g).into_iter().fold(0.0f64, f64::max);
+            t = t.max(m.group_posted_at(g).secs() + last);
         }
         t
     }
 
     /// Total dollars spent by the shared backend (all tenants).
     pub fn total_spend(&self) -> f64 {
-        self.lock().backend.spend_dollars()
+        self.lock().spend_dollars()
     }
 
     /// Total HITs posted live to the shared backend (all tenants).
     pub fn total_hits_posted(&self) -> usize {
-        self.lock().backend.hits_posted()
+        self.lock().hits_posted()
     }
 
     /// A copy of the shared task cache's recorded answers (see
     /// [`CachingBackend::trace`]), taken under the lock.
     pub fn trace(&self) -> ReplayTrace {
-        self.lock().backend.trace().clone()
+        self.lock().trace().clone()
     }
 
     /// (cache hits, cache misses) across all tenants' specs.
     pub fn cache_stats(&self) -> (u64, u64) {
-        self.lock().backend.stats()
+        self.lock().stats()
     }
 
     /// Cache hits that were in-flight shares (see
     /// [`CachingBackend::shared_hits`]).
     pub fn shared_hits(&self) -> u64 {
-        self.lock().backend.shared_hits()
+        self.lock().shared_hits()
     }
 
     /// Spec keys posted live but not yet folded into the cache (the
     /// in-flight dedup slots).
     pub fn pending_specs(&self) -> usize {
-        self.lock().backend.pending_len()
+        self.lock().pending_len()
     }
 
-    /// Fold every completed group of `query` into the shared cache
+    /// Fold every completed group of `groups` into the shared cache
     /// (and its journal). The scheduler calls this at deterministic
     /// points — barrier resolutions, in submission order — **before**
     /// resuming threads, so journal append order never depends on how
     /// the parallel machine phase's threads interleave.
-    pub fn fold_completed(&self, query: usize) {
+    pub(crate) fn fold_completed(&self, groups: &[HitGroupId]) {
         let mut m = self.lock();
-        let groups: Vec<HitGroupId> = m.queries[query].groups.iter().map(|&(g, _, _)| g).collect();
-        for g in groups {
-            if m.backend.group_outstanding(g) == 0 {
-                let _ = m.backend.assignments(g);
+        for &g in groups {
+            if m.group_outstanding(g) == 0 {
+                m.fold(g);
             }
         }
     }
 
     /// Batch boundary: the shared cache applies its eviction bound
-    /// (see [`CachingBackend::begin_batch`]) and the previous batch's
-    /// query meters are dropped — nothing reads them after its reports
-    /// are built, so query ids are batch-scoped and a long-lived
-    /// service holds meters for one batch only.
+    /// (see [`CachingBackend::begin_batch`]).
     pub fn begin_batch(&self) {
-        let mut m = self.lock();
-        m.backend.begin_batch();
-        m.queries.clear();
-    }
-
-    /// Query meters currently held.
-    #[cfg(test)]
-    pub(crate) fn metered_queries(&self) -> usize {
-        self.lock().queries.len()
+        self.lock().begin_batch();
     }
 
     /// Bound the shared task cache to `max` recorded specs, LRU-evicted
     /// at batch boundaries (see [`CachingBackend::set_max_entries`]).
     pub fn set_cache_max_entries(&self, max: Option<usize>) {
-        self.lock().backend.set_max_entries(max);
+        self.lock().set_max_entries(max);
     }
 
     /// Entries evicted by the shared cache's bound so far.
     pub fn cache_evictions(&self) -> u64 {
-        self.lock().backend.evictions()
+        self.lock().evictions()
     }
 
     /// Release the in-flight dedup slots of every group a **failed**
     /// query posted (see [`CachingBackend::release_in_flight`]):
     /// nobody will drive those rounds to completion, so later
     /// identical specs must re-post instead of piggybacking forever.
-    pub fn release_query(&self, query: usize) {
+    pub(crate) fn release_query(&self, groups: &[HitGroupId]) {
         let mut m = self.lock();
-        let groups: Vec<HitGroupId> = m.queries[query].groups.iter().map(|&(g, _, _)| g).collect();
-        for g in groups {
-            m.backend.release_in_flight(g);
+        for &g in groups {
+            m.release_in_flight(g);
         }
     }
 
@@ -303,7 +256,6 @@ impl<B: CrowdBackend> SharedMarket<B> {
         self.inner
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
-            .backend
             .into_inner()
     }
 }
@@ -320,29 +272,30 @@ pub(crate) struct StagedPost {
 /// Local-group bookkeeping for one [`TenantBackend`]: the backend
 /// hands out its own dense group ids immediately (operators need an
 /// id at post time), and learns the committed shared-market ids from
-/// the scheduler's [`Resume`] after the next yield.
+/// the scheduler's [`Resume`] after the next yield. Every staged post
+/// is committed at that yield, so the committed groups are the first
+/// local ids.
 #[derive(Debug, Default)]
 struct Ledger {
-    /// Committed shared-market group id per local id; `None` while the
-    /// post is still staged.
-    real: Vec<Option<HitGroupId>>,
-    /// Live assignments a staged group will request — reported as its
+    /// The shared-market groups committed for this query, by local id:
+    /// the query's record in the market.
+    groups: Vec<HitGroupId>,
+    /// Live assignments each local group requests — reported as its
     /// outstanding count until the post is committed.
     requested: Vec<u32>,
-    /// Posts buffered since the last yield, parallel to the trailing
-    /// `None`s of `real`.
+    /// Posts buffered since the last yield: the local ids from
+    /// `groups.len()` on.
     staged: Vec<StagedPost>,
 }
 
 /// A query's private handle on the [`SharedMarket`]: a full
 /// [`CrowdBackend`] whose posts stage locally until `run`, whose `run`
 /// yields to the scheduler instead of driving the clock, and whose
-/// usage counters report the *query's attributed share* of the market
-/// (so per-query metering, budgets and reports work unchanged).
+/// usage counters report the *query's attributed share* of the market,
+/// read from its committed groups (so per-query metering, budgets and
+/// reports work unchanged).
 pub struct TenantBackend<B> {
     shared: Arc<SharedMarket<B>>,
-    /// Market-side id (keys the meter; unique across batches).
-    query: usize,
     /// Scheduler-side index within the current batch.
     task: usize,
     /// Channels to and from the scheduler. Mutex-wrapped only to keep
@@ -361,14 +314,12 @@ impl<B: CrowdBackend> TenantBackend<B> {
     /// channels (the scheduler keeps the other ends).
     pub(crate) fn new(
         shared: Arc<SharedMarket<B>>,
-        query: usize,
         task: usize,
         yield_tx: Sender<SchedulerEvent>,
         resume_rx: Receiver<Resume>,
     ) -> Self {
         TenantBackend {
             shared,
-            query,
             task,
             yield_tx: Mutex::new(yield_tx),
             resume_rx: Mutex::new(resume_rx),
@@ -394,12 +345,11 @@ impl<B: CrowdBackend> TenantBackend<B> {
     /// not the thread scheduler's.
     fn stage_post(&self, specs: Vec<HitSpec>, assignments: Option<u32>) -> HitGroupId {
         let per_spec = assignments
-            .unwrap_or_else(|| self.shared.lock().backend.default_assignments())
+            .unwrap_or_else(|| self.shared.lock().default_assignments())
             .max(1);
         let requested = (specs.len() as u32).saturating_mul(per_spec);
         let mut l = self.ledger();
-        let local = HitGroupId(l.real.len());
-        l.real.push(None);
+        let local = HitGroupId(l.requested.len());
         l.requested.push(requested);
         l.staged.push(StagedPost { specs, assignments });
         local
@@ -408,7 +358,7 @@ impl<B: CrowdBackend> TenantBackend<B> {
     /// The committed shared-market id behind a local group id, if the
     /// post has been flushed.
     fn translate(&self, group: HitGroupId) -> Option<HitGroupId> {
-        self.ledger().real.get(group.0).copied().flatten()
+        self.ledger().groups.get(group.0).copied()
     }
 }
 
@@ -459,12 +409,7 @@ impl<B: CrowdBackend> CrowdBackend for TenantBackend<B> {
         };
         match received {
             Ok(Resume { outcome, groups }) => {
-                let mut l = self.ledger();
-                let mut committed = groups.into_iter();
-                for slot in l.real.iter_mut().filter(|s| s.is_none()) {
-                    let Some(g) = committed.next() else { break };
-                    *slot = Some(g);
-                }
+                self.ledger().groups.extend(groups);
                 outcome
             }
             Err(_) => RunOutcome::TimedOut,
@@ -473,28 +418,28 @@ impl<B: CrowdBackend> CrowdBackend for TenantBackend<B> {
 
     fn assignments(&mut self, group: HitGroupId) -> Vec<Assignment> {
         match self.translate(group) {
-            Some(g) => self.shared.lock().backend.assignments(g),
+            Some(g) => self.shared.lock().assignments(g),
             None => Vec::new(),
         }
     }
 
     fn group_hits(&self, group: HitGroupId) -> Vec<HitId> {
         match self.translate(group) {
-            Some(g) => self.shared.lock().backend.group_hits(g),
+            Some(g) => self.shared.lock().group_hits(g),
             None => Vec::new(),
         }
     }
 
     fn group_latencies(&self, group: HitGroupId) -> Vec<f64> {
         match self.translate(group) {
-            Some(g) => self.shared.lock().backend.group_latencies(g),
+            Some(g) => self.shared.lock().group_latencies(g),
             None => Vec::new(),
         }
     }
 
     fn group_outstanding(&self, group: HitGroupId) -> u32 {
         match self.translate(group) {
-            Some(g) => self.shared.lock().backend.group_outstanding(g),
+            Some(g) => self.shared.lock().group_outstanding(g),
             // Staged, uncommitted work is by definition all
             // outstanding — everything the post would request.
             None => self.ledger().requested.get(group.0).copied().unwrap_or(0),
@@ -502,11 +447,11 @@ impl<B: CrowdBackend> CrowdBackend for TenantBackend<B> {
     }
 
     fn hit_question_count(&self, hit: HitId) -> usize {
-        self.shared.lock().backend.hit_question_count(hit)
+        self.shared.lock().hit_question_count(hit)
     }
 
     fn ban_workers(&mut self, workers: Vec<WorkerId>) {
-        self.shared.lock().backend.ban_workers(workers)
+        self.shared.lock().ban_workers(workers)
     }
 
     fn now(&self) -> SimTime {
@@ -518,18 +463,18 @@ impl<B: CrowdBackend> CrowdBackend for TenantBackend<B> {
     // not the whole market.
 
     fn hits_posted(&self) -> usize {
-        self.shared.query_live_hits(self.query) as usize
+        self.shared.query_live_hits(&self.ledger().groups) as usize
     }
 
     fn spend_dollars(&self) -> f64 {
-        self.shared.query_spend(self.query)
+        self.shared.query_spend(&self.ledger().groups)
     }
 
     fn assignments_completed(&self) -> u64 {
-        self.shared.query_assignments(self.query)
+        self.shared.query_assignments(&self.ledger().groups)
     }
 
     fn default_assignments(&self) -> u32 {
-        self.shared.lock().backend.default_assignments()
+        self.shared.lock().default_assignments()
     }
 }

@@ -212,11 +212,6 @@ impl Marketplace {
         &self.truth
     }
 
-    /// Mutable truth access for dataset construction before posting.
-    pub fn truth_mut(&mut self) -> &mut GroundTruth {
-        &mut self.truth
-    }
-
     pub fn pool(&self) -> &WorkerPool {
         &self.pool
     }
