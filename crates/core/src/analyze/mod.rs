@@ -33,6 +33,7 @@ pub use diag::{Code, Diagnostic, Severity, Span};
 
 use crate::catalog::Catalog;
 use crate::error::{QurkError, Result};
+use crate::exec::bind;
 use crate::lang::ast::Query;
 use crate::lang::token::{Lexer, TokenKind};
 use crate::opt::physical::{compile, CompiledPlan, OptimizeMode};
@@ -143,7 +144,9 @@ pub(crate) struct Prepared {
     pub(crate) floor_dollars: f64,
 }
 
-/// Plan and compile `ast` once against `stats`.
+/// Plan and compile `ast` once against `stats`, and bind the compiled
+/// plan's column references (`exec::bind`), so a query naming an
+/// unknown column fails here, before it posts any crowd work.
 ///
 /// QA005's floor is the cheaper of the chosen plan and the
 /// [`OptimizeMode::AsWritten`] plan. Every cost-based deviation logs a
@@ -157,6 +160,7 @@ pub(crate) fn prepare(
 ) -> Result<Prepared> {
     let logical = plan_query(&ast, catalog)?;
     let compiled = compile(&logical, catalog, config, stats)?;
+    bind(&compiled.root, catalog)?;
     let floor_dollars = if compiled.decisions.is_empty() {
         compiled.estimate.dollars
     } else {

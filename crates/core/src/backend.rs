@@ -438,14 +438,14 @@ struct VirtualHit {
 /// the crowd and the cache, and what each HIT requested. The service
 /// meters a query from its groups' counts.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct GroupCounts {
+struct GroupCounts {
     /// HITs posted live: the group pays for them.
-    pub live_hits: u64,
+    live_hits: u64,
     /// HITs served from the cache or shared with another group's
     /// in-flight HIT.
-    pub cached_hits: u64,
+    cached_hits: u64,
     /// Assignments requested per HIT.
-    pub per_hit: u64,
+    per_hit: u64,
 }
 
 #[derive(Debug)]
@@ -584,19 +584,19 @@ impl<B: CrowdBackend> CachingBackend<B> {
     /// posting, excluding in-flight work shared from other groups.
     /// This is what the group's owner will be charged for; see
     /// [`CrowdBackend::group_outstanding`] for the completion view.
-    pub fn live_outstanding(&self, group: HitGroupId) -> u32 {
+    fn live_outstanding(&self, group: HitGroupId) -> u32 {
         self.groups[group.0]
             .inner
             .map_or(0, |ig| self.inner.group_outstanding(ig))
     }
 
     /// `group`'s counts, as they were when it was posted.
-    pub(crate) fn group_counts(&self, group: HitGroupId) -> GroupCounts {
+    fn group_counts(&self, group: HitGroupId) -> GroupCounts {
         self.groups[group.0].counts
     }
 
     /// The virtual time `group` was posted at.
-    pub(crate) fn group_posted_at(&self, group: HitGroupId) -> SimTime {
+    fn group_posted_at(&self, group: HitGroupId) -> SimTime {
         self.groups[group.0].posted_at
     }
 
@@ -847,6 +847,113 @@ impl<B: CrowdBackend> CachingBackend<B> {
         self.pending.clear();
     }
 
+    // A service query is the list of groups committed for it (see
+    // `crate::service`); these read its share of the market from
+    // those groups' counts and state. The cache keeps nothing per
+    // query.
+
+    /// Dollars per completed assignment (uniform in both the simulator
+    /// and the replay backend); 0 until anything completes.
+    fn unit_price(&self) -> f64 {
+        let done = self.assignments_completed();
+        if done == 0 {
+            0.0
+        } else {
+            self.spend_dollars() / done as f64
+        }
+    }
+
+    /// Live assignments completed so far in `groups` (a query's).
+    pub(crate) fn query_assignments(&self, groups: &[HitGroupId]) -> u64 {
+        groups
+            .iter()
+            .map(|&g| {
+                let c = self.group_counts(g);
+                (c.live_hits * c.per_hit).saturating_sub(u64::from(self.live_outstanding(g)))
+            })
+            .sum()
+    }
+
+    /// Dollars attributable to `groups`: their completed live
+    /// assignments at the uniform rate.
+    pub(crate) fn query_spend(&self, groups: &[HitGroupId]) -> f64 {
+        self.query_assignments(groups) as f64 * self.unit_price()
+    }
+
+    /// Dollars the cache saved `groups`: their cache-served HITs times
+    /// the assignments each requested.
+    pub(crate) fn query_saved(&self, groups: &[HitGroupId]) -> f64 {
+        let saved: u64 = groups
+            .iter()
+            .map(|&g| {
+                let c = self.group_counts(g);
+                c.cached_hits * c.per_hit
+            })
+            .sum();
+        saved as f64 * self.unit_price()
+    }
+
+    /// HIT specs `groups` posted live.
+    pub(crate) fn query_live_hits(&self, groups: &[HitGroupId]) -> u64 {
+        groups.iter().map(|&g| self.group_counts(g).live_hits).sum()
+    }
+
+    /// HIT specs served to `groups` without posting.
+    pub(crate) fn query_cached_hits(&self, groups: &[HitGroupId]) -> u64 {
+        groups
+            .iter()
+            .map(|&g| self.group_counts(g).cached_hits)
+            .sum()
+    }
+
+    /// Assignments still outstanding across `groups` (counting
+    /// in-flight work they share with other queries' groups).
+    pub(crate) fn query_outstanding(&self, groups: &[HitGroupId]) -> u32 {
+        groups.iter().map(|&g| self.group_outstanding(g)).sum()
+    }
+
+    /// Virtual time at which the crowd work of `groups` was done: the
+    /// max over the completed ones of post time + last assignment
+    /// latency, after folding each. The gap between this and the
+    /// moment the scheduler resumes the query is its queue wait.
+    pub(crate) fn completion_time(&mut self, groups: &[HitGroupId]) -> f64 {
+        let mut t = 0.0f64;
+        for &g in groups {
+            if self.group_outstanding(g) > 0 {
+                continue;
+            }
+            // Folds freshly completed (and shared) work into the
+            // cache so the latencies below are visible.
+            self.fold(g);
+            let last = self.group_latencies(g).into_iter().fold(0.0f64, f64::max);
+            t = t.max(self.group_posted_at(g).secs() + last);
+        }
+        t
+    }
+
+    /// Fold every completed group of `groups` into the cache (and its
+    /// journal). The scheduler calls this at deterministic points —
+    /// barrier resolutions, in submission order — **before** resuming
+    /// threads, so journal append order never depends on how the
+    /// parallel machine phase's threads interleave.
+    pub(crate) fn fold_completed(&mut self, groups: &[HitGroupId]) {
+        for &g in groups {
+            if self.group_outstanding(g) == 0 {
+                self.fold(g);
+            }
+        }
+    }
+
+    /// Release the in-flight dedup slots of every group a **failed**
+    /// query posted (see [`Self::release_in_flight`]): nobody will
+    /// drive those rounds to completion, so later identical specs must
+    /// re-post instead of piggybacking forever.
+    pub(crate) fn release_query(&mut self, groups: &[HitGroupId]) {
+        for &g in groups {
+            self.release_in_flight(g);
+        }
+    }
+
     /// Fold the owner groups of this group's unresolved shared specs,
     /// so [`Self::replay`] finds their answers in the cache.
     fn record_shared_owners(&mut self, group: HitGroupId) {
@@ -1031,12 +1138,10 @@ impl<B: CrowdBackend> CrowdBackend for CachingBackend<B> {
 
 // ------------------------------------------------------------ metering
 
-/// One HIT group's observed round: size, effort, and completion time.
+/// One HIT group's observed round: its effort and completion time.
 /// The raw material of the optimizer's latency model.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RoundObservation {
-    /// HITs in the group.
-    pub hits: usize,
     /// Total worker effort: Σ spec work-units × assignments per HIT.
     pub work_units: f64,
     /// Seconds from posting to the last completed assignment.
@@ -1157,17 +1262,12 @@ impl<B: CrowdBackend> MeteringBackend<B> {
             .epoch_groups
             .drain(..)
             .map(|(g, work_units)| {
-                let hits = self.inner.group_hits(g).len();
                 let secs = self
                     .inner
                     .group_latencies(g)
                     .into_iter()
                     .fold(0.0f64, f64::max);
-                RoundObservation {
-                    hits,
-                    work_units,
-                    secs,
-                }
+                RoundObservation { work_units, secs }
             })
             .collect();
         (usage, rounds)
@@ -1821,7 +1921,10 @@ pub(crate) mod tests {
         assert!((usage.dollars - 20.0 * 0.015).abs() < 1e-9);
         assert!(usage.elapsed_secs > 0.0);
         assert_eq!(rounds.len(), 1);
-        assert_eq!(rounds[0].hits, 4);
+        assert_eq!(
+            rounds[0].work_units,
+            specs_work_units(&filter_specs(&items), 5)
+        );
         assert!(rounds[0].secs > 0.0);
 
         b.begin_epoch();

@@ -216,6 +216,75 @@ mod tests {
         assert_eq!(session.backend().hits_posted(), 0);
     }
 
+    /// Run `sql`, which names an unknown column above crowd work, and
+    /// check that it fails with `UnknownColumn` before posting a HIT.
+    fn unknown_column_posts_nothing(sql: &str) {
+        let (catalog, mut market) = setup();
+        let mut session = Session::new(&catalog, &mut market);
+        let out = session.run(sql);
+        assert!(
+            matches!(out, Err(QurkError::UnknownColumn(_))),
+            "{sql}: {out:?}"
+        );
+        assert_eq!(session.backend().hits_posted(), 0, "{sql}");
+    }
+
+    #[test]
+    fn unknown_projected_column_fails_before_a_crowd_filter() {
+        unknown_column_posts_nothing("SELECT p.nope FROM people p WHERE isTall(p.img)");
+    }
+
+    #[test]
+    fn unknown_sort_column_fails_before_a_crowd_filter() {
+        unknown_column_posts_nothing(
+            "SELECT p.id FROM people p WHERE isTall(p.img) ORDER BY p.nope",
+        );
+    }
+
+    #[test]
+    fn unknown_rank_argument_fails_before_a_crowd_filter_under_a_sort() {
+        unknown_column_posts_nothing(
+            "SELECT p.id FROM people p WHERE isTall(p.img) ORDER BY byHeight(p.nope)",
+        );
+    }
+
+    #[test]
+    fn unknown_rank_argument_fails_before_a_crowd_filter_under_an_extreme() {
+        unknown_column_posts_nothing(
+            "SELECT p.id FROM people p WHERE isTall(p.img) ORDER BY byHeight(p.nope) LIMIT 1",
+        );
+    }
+
+    #[test]
+    fn unknown_second_conjunct_column_fails_before_the_first() {
+        unknown_column_posts_nothing(
+            "SELECT p.id FROM people p WHERE isTall(p.img) AND isTall(p.nope)",
+        );
+    }
+
+    #[test]
+    fn unknown_join_argument_fails_before_a_crowd_filter() {
+        unknown_column_posts_nothing(
+            "SELECT p.id FROM people p JOIN photos q ON samePerson(p.img, q.nope) \
+             WHERE isTall(p.img)",
+        );
+    }
+
+    /// A binding joined in three times repeats a column name even
+    /// once qualified: the query fails with a schema error before any
+    /// HIT is posted, where the runner would have panicked after
+    /// paying for the first join.
+    #[test]
+    fn a_thrice_joined_binding_fails_before_posting() {
+        let (catalog, mut market) = setup();
+        let mut session = Session::new(&catalog, &mut market);
+        let sql = "SELECT p.id FROM people p JOIN people p ON samePerson(p.img, p.img) \
+                   JOIN people p ON samePerson(p.img, p.img)";
+        let out = session.run(sql);
+        assert!(matches!(out, Err(QurkError::Schema(_))), "{out:?}");
+        assert_eq!(session.backend().hits_posted(), 0);
+    }
+
     #[test]
     fn report_accounts_costs() {
         let (catalog, mut market) = setup();

@@ -6,11 +6,13 @@
 //! [`Session`](crate::session::Session) query and a service query
 //! (`service::scheduler::run_query`) both reach it with a plan that
 //! `analyze::prepare` built through `plan::plan_query` and
-//! `opt::physical::compile` over an immutable catalog, so the runner
-//! trusts what planning proved: every task has the type its position
-//! needs, and combined conjuncts ask about one item argument. What
-//! only the data can show, such as a column name the relation lacks,
-//! is checked here, before the operator posts any crowd work.
+//! `opt::physical::compile` over an immutable catalog, and bound with
+//! [`bind`], so the runner trusts what planning proved: every task has
+//! the type its position needs, combined conjuncts ask about one item
+//! argument, and every column the plan names exists. Name resolution
+//! lives in this module alone: [`bind`] and the runner call the same
+//! resolvers, so a query with an unknown column fails before it posts
+//! any crowd work.
 
 use std::collections::HashMap;
 
@@ -31,7 +33,7 @@ use crate::ops::sort::{PairTally, SortOutcome};
 use crate::opt::physical::{PhysNode, PhysicalPlan};
 use crate::opt::stats::StatisticsStore;
 use crate::relation::Relation;
-use crate::schema::ValueType;
+use crate::schema::{Schema, ValueType};
 use crate::session::SortMode;
 use crate::value::Value;
 
@@ -116,7 +118,7 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
                 let rel = self.run_plan(input)?;
                 let comparisons = predicates
                     .iter()
-                    .map(|p| compile_comparison(&rel, p))
+                    .map(|p| compile_comparison(rel.schema(), p))
                     .collect::<Result<Vec<_>>>()?;
                 let mut mask = vec![true; rel.len()];
                 sweep(&rel, &comparisons, &mut mask);
@@ -191,7 +193,7 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
     ) -> Result<()> {
         self.charge_gate()?;
         let task = self.catalog.task(&call.name)?;
-        let col = item_col(rel, call)?;
+        let col = item_col(rel.schema(), call)?;
         let mut items = Vec::new();
         let mut rows = Vec::new();
         for (ri, v) in rel.column(col).iter().enumerate() {
@@ -235,7 +237,7 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
             .iter()
             .map(|call| Ok(self.catalog.task(&call.name)?.oracle_key()))
             .collect::<Result<Vec<&str>>>()?;
-        let col = item_col(&rel, &conjuncts[0])?;
+        let col = item_col(rel.schema(), &conjuncts[0])?;
         let (items, item_rows) = non_null_items(&rel, col);
         // Unlike the serial path, combining keeps the configured
         // combiner for every conjunct (per-task combiners cannot be
@@ -275,7 +277,9 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
                 for p in group {
                     match p {
                         Predicate::Udf(call) => calls.push(call),
-                        Predicate::Compare { .. } => comparisons.push(compile_comparison(&rel, p)?),
+                        Predicate::Compare { .. } => {
+                            comparisons.push(compile_comparison(rel.schema(), p)?)
+                        }
                     }
                 }
                 Ok((comparisons, calls))
@@ -304,22 +308,8 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
         feature_filter: &FeatureFilterConfig,
     ) -> Result<Relation> {
         self.charge_gate()?;
-        // Planning checked the call's arity against the task's two
-        // parameters.
         let join_task = self.catalog.task(&clause.on.name)?;
-        // Which argument refers to which side?
-        let (lcol, rcol) = match (
-            resolve_item_col(&left, &clause.on.args[0]),
-            resolve_item_col(&right, &clause.on.args[1]),
-        ) {
-            (Ok(l), Ok(r)) => (l, r),
-            _ => {
-                // Swapped argument order.
-                let l = resolve_item_col(&left, &clause.on.args[1])?;
-                let r = resolve_item_col(&right, &clause.on.args[0])?;
-                (l, r)
-            }
-        };
+        let (lcol, rcol) = join_cols(left.schema(), right.schema(), &clause.on)?;
 
         // Literal POSSIBLY clauses prefilter one side (the §5 movie
         // query's numInScene); equality clauses drive pairwise feature
@@ -330,13 +320,11 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
         for p in &clause.possibly {
             match p {
                 PossiblyClause::FeatureLit { call, op, value } => {
-                    let (side, col) = match item_col(&left_rel, call) {
-                        Ok(col) => (&mut left_rel, col),
-                        Err(_) => {
-                            let col = item_col(&right_rel, call)?;
-                            (&mut right_rel, col)
-                        }
-                    };
+                    let (side, col) =
+                        match literal_side(left_rel.schema(), right_rel.schema(), call)? {
+                            (Side::Left, col) => (&mut left_rel, col),
+                            (Side::Right, col) => (&mut right_rel, col),
+                        };
                     *side = self.prefilter_literal(side, col, call, *op, value, feature_filter)?;
                 }
                 PossiblyClause::FeatureEq { left: lc, .. } => {
@@ -458,7 +446,7 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
             return Ok(rel);
         }
         self.charge_gate()?;
-        let col = item_col(&rel, call)?;
+        let col = item_col(rel.schema(), call)?;
         let (items, _) = non_null_items(&rel, col);
         if items.is_empty() {
             return Ok(rel.gather(&[]));
@@ -481,13 +469,7 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
         let mut crowd: Option<(&UdfCall, bool)> = None;
         for k in keys {
             match &k.expr {
-                Expr::Column(name) => {
-                    let idx = rel
-                        .schema()
-                        .resolve(name)
-                        .ok_or_else(|| QurkError::UnknownColumn(name.clone()))?;
-                    machine.push((idx, k.desc));
-                }
+                Expr::Column(name) => machine.push((column(rel.schema(), name)?, k.desc)),
                 Expr::Udf(call) => crowd = Some((call, k.desc)),
                 Expr::Literal(_) => {}
             }
@@ -516,7 +498,7 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
 
         if let Some((call, desc)) = crowd {
             let task = self.catalog.task(&call.name)?;
-            let col = item_col(&rel, call)?;
+            let col = item_col(rel.schema(), call)?;
             let dimension = task.oracle_key().to_owned();
 
             // Group rows sharing the machine-key prefix, sort each
@@ -633,10 +615,7 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
                     }
                 }
                 SelectItem::Column(name) => {
-                    let idx = rel
-                        .schema()
-                        .resolve(name)
-                        .ok_or_else(|| QurkError::UnknownColumn(name.clone()))?;
+                    let idx = column(rel.schema(), name)?;
                     let f = &rel.schema().fields()[idx];
                     let out_name = if schema.index_of(name).is_none() {
                         name.clone()
@@ -651,7 +630,7 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
                     let key = format!("{call:?}");
                     if !gen_cache.contains_key(&key) {
                         self.charge_gate()?;
-                        let col = item_col(&rel, call)?;
+                        let col = item_col(rel.schema(), call)?;
                         let (items_vec, item_rows) = non_null_items(&rel, col);
                         let gen = GenerativeOp::default();
                         let out = gen.run(self.backend, task, &items_vec)?;
@@ -685,17 +664,133 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
     }
 }
 
-/// Compile a machine predicate against `rel`'s schema for [`sweep`].
-/// Fails, whatever the data, on a column the schema cannot resolve, a
-/// UDF operand, or a crowd predicate.
-fn compile_comparison(rel: &Relation, p: &Predicate) -> Result<Comparison> {
+/// Bind every column reference of `plan` against the catalog's
+/// schemas, before anything runs, and return the schema of the
+/// relation the plan produces. Each node's schema is computed as the
+/// runner builds it — [`Schema::qualified`] at a scan,
+/// [`Schema::join`] at a join, its input's elsewhere — and each
+/// reference is resolved by the resolver the runner calls, in the
+/// runner's order, so a name the runner would fail on fails here
+/// first, with the same error. A schema the runner would panic on (a
+/// repeated column name) is a [`QurkError::Schema`] here. A
+/// projection is the root of every plan (`plan::plan_query` adds it
+/// last), so nothing resolves against its output: it passes its
+/// input's schema on.
+pub(crate) fn bind(plan: &PhysicalPlan, catalog: &Catalog) -> Result<Schema> {
+    let repeated = |name| QurkError::Schema(format!("duplicate column name: {name}"));
+    match &plan.node {
+        PhysNode::Scan { table, alias } => catalog
+            .table(table)?
+            .schema()
+            .try_qualified(alias)
+            .map_err(repeated),
+        PhysNode::MachineFilter { input, predicates } => {
+            let schema = bind(input, catalog)?;
+            for p in predicates {
+                compile_comparison(&schema, p)?;
+            }
+            Ok(schema)
+        }
+        PhysNode::CrowdFilter {
+            input,
+            conjuncts,
+            combined,
+            ..
+        } => {
+            let schema = bind(input, catalog)?;
+            // Combined conjuncts share their first one's item column.
+            let asked = if *combined { 1 } else { conjuncts.len() };
+            for call in conjuncts.iter().take(asked) {
+                item_col(&schema, call)?;
+            }
+            Ok(schema)
+        }
+        PhysNode::CrowdFilterOr { input, groups, .. } => {
+            let schema = bind(input, catalog)?;
+            // Every group's comparisons compile before any crowd call.
+            let predicates = || groups.iter().flatten();
+            for p in predicates() {
+                if let Predicate::Compare { .. } = p {
+                    compile_comparison(&schema, p)?;
+                }
+            }
+            for p in predicates() {
+                if let Predicate::Udf(call) = p {
+                    item_col(&schema, call)?;
+                }
+            }
+            Ok(schema)
+        }
+        PhysNode::Join {
+            left,
+            right,
+            clause,
+            ..
+        } => {
+            let (left, right) = (bind(left, catalog)?, bind(right, catalog)?);
+            join_cols(&left, &right, &clause.on)?;
+            for p in &clause.possibly {
+                if let PossiblyClause::FeatureLit { call, .. } = p {
+                    literal_side(&left, &right, call)?;
+                }
+            }
+            left.try_join(&right).map_err(repeated)
+        }
+        PhysNode::OrderBy { input, keys, .. } => {
+            let schema = bind(input, catalog)?;
+            let mut crowd = None;
+            for k in keys {
+                match &k.expr {
+                    Expr::Column(name) => {
+                        column(&schema, name)?;
+                    }
+                    Expr::Udf(call) => crowd = Some(call),
+                    Expr::Literal(_) => {}
+                }
+            }
+            if let Some(call) = crowd {
+                item_col(&schema, call)?;
+            }
+            Ok(schema)
+        }
+        PhysNode::ExtractExtreme { input, call, .. } => {
+            let schema = bind(input, catalog)?;
+            item_col(&schema, call)?;
+            Ok(schema)
+        }
+        PhysNode::Limit { input, .. } => bind(input, catalog),
+        PhysNode::Project { input, items } => {
+            let schema = bind(input, catalog)?;
+            for item in items {
+                match item {
+                    SelectItem::Star => {}
+                    SelectItem::Column(name) => {
+                        column(&schema, name)?;
+                    }
+                    SelectItem::Udf { call, .. } => {
+                        item_col(&schema, call)?;
+                    }
+                }
+            }
+            Ok(schema)
+        }
+    }
+}
+
+/// The index of the column `name` resolves to in `schema`.
+fn column(schema: &Schema, name: &str) -> Result<usize> {
+    schema
+        .resolve(name)
+        .ok_or_else(|| QurkError::UnknownColumn(name.to_owned()))
+}
+
+/// Compile a machine predicate against `schema` for [`sweep`]. Fails,
+/// whatever the data, on a column the schema cannot resolve, a UDF
+/// operand, or a crowd predicate.
+fn compile_comparison(schema: &Schema, p: &Predicate) -> Result<Comparison> {
     let operand = |e: &Expr| -> Result<FilterOperand> {
         match e {
-            Expr::Column(name) => rel
-                .schema()
-                .resolve(name)
-                .map(FilterOperand::Col)
-                .ok_or_else(|| QurkError::UnknownColumn(name.clone())),
+            Expr::Column(name) => column(schema, name).map(FilterOperand::Col),
             Expr::Literal(Literal::Number(n)) => Ok(FilterOperand::Const(if n.fract() == 0.0 {
                 Value::Int(*n as i64)
             } else {
@@ -759,31 +854,30 @@ fn gather_mask(rel: &Relation, mask: &[bool]) -> Relation {
 }
 
 /// The Item column a crowd UDF call asks about: its first argument.
-fn item_col(rel: &Relation, call: &UdfCall) -> Result<usize> {
+fn item_col(schema: &Schema, call: &UdfCall) -> Result<usize> {
     let arg = call
         .args
         .first()
         .ok_or_else(|| QurkError::Other(format!("task {} needs an argument", call.name)))?;
-    resolve_item_col(rel, arg)
+    resolve_item_col(schema, arg)
 }
 
 /// Resolve a UDF argument to an Item-typed column index.
-fn resolve_item_col(rel: &Relation, e: &Expr) -> Result<usize> {
+fn resolve_item_col(schema: &Schema, e: &Expr) -> Result<usize> {
     let Expr::Column(name) = e else {
         return Err(QurkError::Other(format!(
             "crowd UDF argument must be a column, got {e:?}"
         )));
     };
-    if let Some(i) = rel.schema().resolve(name) {
-        if rel.schema().fields()[i].ty == ValueType::Item {
+    if let Some(i) = schema.resolve(name) {
+        if schema.fields()[i].ty == ValueType::Item {
             return Ok(i);
         }
     }
     // Whole-tuple reference (`isFemale(c)`): the single Item column
     // under that alias.
     let prefix = format!("{name}.");
-    let candidates: Vec<usize> = rel
-        .schema()
+    let candidates: Vec<usize> = schema
         .fields()
         .iter()
         .enumerate()
@@ -794,6 +888,41 @@ fn resolve_item_col(rel: &Relation, e: &Expr) -> Result<usize> {
         Ok(candidates[0])
     } else {
         Err(QurkError::UnknownColumn(name.clone()))
+    }
+}
+
+/// The Item columns a join's ON call compares: its first argument on
+/// the left input and its second on the right, or, when that does not
+/// resolve, the other way round.
+fn join_cols(left: &Schema, right: &Schema, on: &UdfCall) -> Result<(usize, usize)> {
+    // Planning checked the call's arity against the task's two
+    // parameters.
+    match (
+        resolve_item_col(left, &on.args[0]),
+        resolve_item_col(right, &on.args[1]),
+    ) {
+        (Ok(l), Ok(r)) => Ok((l, r)),
+        _ => {
+            // Swapped argument order.
+            let l = resolve_item_col(left, &on.args[1])?;
+            let r = resolve_item_col(right, &on.args[0])?;
+            Ok((l, r))
+        }
+    }
+}
+
+/// A join input.
+enum Side {
+    Left,
+    Right,
+}
+
+/// The join input a literal POSSIBLY clause prefilters, with its item
+/// column: the left input when `call` resolves there, else the right.
+fn literal_side(left: &Schema, right: &Schema, call: &UdfCall) -> Result<(Side, usize)> {
+    match item_col(left, call) {
+        Ok(col) => Ok((Side::Left, col)),
+        Err(_) => Ok((Side::Right, item_col(right, call)?)),
     }
 }
 

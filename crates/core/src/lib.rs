@@ -46,9 +46,9 @@
 //!                    └─ service::scheduler      PARALLEL machine phase,
 //!                         │                     barrier per HIT round in
 //!                         │                     submission order, 1 clock
-//!                         └─ service::TenantBackend ──▶ service::SharedMarket
-//!                              (stages posts,           (LRU-bounded cross-
-//!                               yields on `run`)         tenant Task Cache)
+//!                         └─ service::TenantBackend ──▶ backend::CachingBackend
+//!                              (stages posts,           (the one LRU-bounded
+//!                               yields on `run`)         cross-tenant Task Cache)
 //! ```
 //!
 //! ## The paper's contributions, mapped
@@ -168,7 +168,7 @@ pub use intern::{IStr, SymbolTable, ValueId};
 pub use opt::{CostEstimate, CostModel, OptimizeMode, PlanReport, StatisticsStore};
 pub use relation::{Relation, RelationWindow, Row, PROCESSING_WINDOW_SIZE};
 pub use schema::{Schema, ValueType};
-pub use service::{QueryService, ServiceStats, SharedMarket, TenantBackend};
+pub use service::{QueryService, ServiceStats, TenantBackend};
 pub use session::{ExecConfig, QueryBuilder, QueryReport, Session, SessionBuilder, SortMode};
 pub use store::{CrashPoint, DurableStore, FaultPlan, QueryCheckpoint, StoreError, StoreHealth};
 pub use value::Value;

@@ -166,15 +166,16 @@ impl WorkerRanks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{mpsc, Arc};
+    use std::sync::{mpsc, Arc, Mutex};
 
     use qurk_crowd::question::{Answer, HitKind, Question};
     use qurk_crowd::truth::PredicateTruth;
     use qurk_crowd::{CrowdConfig, GroundTruth, ItemId, Marketplace};
 
     use crate::backend::{CachingBackend, ReplayBackend};
-    use crate::service::scheduler::{Resume, SchedulerEvent};
-    use crate::service::{SharedMarket, TenantBackend};
+    use crate::service::scheduler::SchedulerEvent;
+    use crate::service::tenant::{lock, Groups};
+    use crate::service::TenantBackend;
 
     const LIMIT: f64 = DEFAULT_ROUND_LIMIT_SECS;
 
@@ -275,16 +276,26 @@ mod tests {
         );
 
         // TenantBackend: the round runs on a query thread while this
-        // thread plays the scheduler, committing its posts to a shared
-        // market that already caches spec 1.
+        // thread plays the scheduler, committing its posts to a market
+        // that already caches spec 1.
         let (m, items) = market();
-        let shared = Arc::new(SharedMarket::new(m));
-        let warm = shared.post(vec![spec(&items, 1)], None);
-        shared.run(LIMIT);
-        shared.fold_completed(&[warm]);
+        let shared = Arc::new(Mutex::new(CachingBackend::new(m)));
+        {
+            let mut market = lock(&shared);
+            let warm = market.post(vec![spec(&items, 1)], None);
+            market.run(LIMIT);
+            market.fold_completed(&[warm]);
+        }
         let (event_tx, event_rx) = mpsc::channel();
         let (resume_tx, resume_rx) = mpsc::channel();
-        let mut tenant = TenantBackend::new(Arc::clone(&shared), 0, event_tx, resume_rx);
+        let groups = Groups::default();
+        let mut tenant = TenantBackend::new(
+            Arc::clone(&shared),
+            Arc::clone(&groups),
+            0,
+            event_tx,
+            resume_rx,
+        );
         let specs: Vec<HitSpec> = [5, 1, 0].iter().map(|&s| spec(&items, s)).collect();
         let thread = std::thread::spawn(move || {
             let round = Round::post(&mut tenant, specs, None);
@@ -293,15 +304,15 @@ mod tests {
         let Ok(SchedulerEvent::NeedCrowd { posts, .. }) = event_rx.recv() else {
             panic!("the query yields for its round");
         };
-        let groups = posts
-            .into_iter()
-            .map(|post| shared.post(post.specs, post.assignments))
-            .collect();
-        let outcome = shared.run(LIMIT);
-        resume_tx.send(Resume { outcome, groups }).unwrap();
+        for post in posts {
+            let group = lock(&shared).post(post.specs, post.assignments);
+            lock(&groups).push(group);
+        }
+        let outcome = lock(&shared).run(LIMIT);
+        resume_tx.send(outcome).unwrap();
         let seen = thread.join().unwrap();
         assert_eq!(seen.len(), 3);
-        assert_eq!(shared.cache_stats(), (1, 3), "spec 1 came from the cache");
+        assert_eq!(lock(&shared).stats(), (1, 3), "spec 1 came from the cache");
     }
 
     #[test]

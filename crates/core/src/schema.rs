@@ -60,14 +60,17 @@ impl Schema {
     /// # Panics
     /// Panics on duplicate column names.
     pub fn push_field(&mut self, name: &str, ty: ValueType) {
-        assert!(
-            self.index_of(name).is_none(),
-            "duplicate column name: {name}"
-        );
-        self.fields.push(Field {
-            name: name.to_owned(),
-            ty,
-        });
+        self.try_push(name.to_owned(), ty)
+            .unwrap_or_else(|name| panic!("duplicate column name: {name}"));
+    }
+
+    /// Append a field, or return its name if the schema has it.
+    fn try_push(&mut self, name: String, ty: ValueType) -> Result<(), String> {
+        if self.index_of(&name).is_some() {
+            return Err(name);
+        }
+        self.fields.push(Field { name, ty });
+        Ok(())
     }
 
     pub fn fields(&self) -> &[Field] {
@@ -118,30 +121,47 @@ impl Schema {
 
     /// Concatenate two schemas, qualifying collisions with the given
     /// aliases (used by joins).
+    ///
+    /// # Panics
+    /// Panics on a name that collides even once qualified.
     pub fn join(&self, other: &Schema) -> Schema {
-        let mut out = Schema::default();
-        for f in &self.fields {
-            out.push_field(&f.name, f.ty);
-        }
+        self.try_join(other)
+            .unwrap_or_else(|name| panic!("duplicate column name: {name}"))
+    }
+
+    /// [`Self::join`], or the first name that collides even once
+    /// qualified (a binding joined in three times).
+    pub(crate) fn try_join(&self, other: &Schema) -> Result<Schema, String> {
+        let mut out = self.clone();
         for f in &other.fields {
-            if out.index_of(&f.name).is_some() {
-                out.push_field(&format!("right.{}", f.name), f.ty);
+            let name = if out.index_of(&f.name).is_some() {
+                format!("right.{}", f.name)
             } else {
-                out.push_field(&f.name, f.ty);
-            }
+                f.name.clone()
+            };
+            out.try_push(name, f.ty)?;
         }
-        out
+        Ok(out)
     }
 
     /// Prefix every column with `alias.` (used when a table is scanned
     /// under an alias).
+    ///
+    /// # Panics
+    /// Panics on two columns with one base name.
     pub fn qualified(&self, alias: &str) -> Schema {
+        self.try_qualified(alias)
+            .unwrap_or_else(|name| panic!("duplicate column name: {name}"))
+    }
+
+    /// [`Self::qualified`], or the first name it would repeat.
+    pub(crate) fn try_qualified(&self, alias: &str) -> Result<Schema, String> {
         let mut out = Schema::default();
         for f in &self.fields {
             let base = f.name.rsplit('.').next().unwrap_or(&f.name);
-            out.push_field(&format!("{alias}.{base}"), f.ty);
+            out.try_push(format!("{alias}.{base}"), f.ty)?;
         }
-        out
+        Ok(out)
     }
 }
 

@@ -18,9 +18,9 @@
 //!             queries run in PARALLEL on             ▼ phase: one
 //!             reused workers, then barrier             shared clock
 //!                  ┌──────────────┐  stage   ┌────────────────────┐
-//!                  │ TenantBackend │ ──────► │ SharedMarket       │
-//!                  │ (stages posts,│ ◄────── │ (CachingBackend:   │
-//!                  │  yields on    │ results │  cross-tenant      │
+//!                  │ TenantBackend │ ──────► │ the market: one    │
+//!                  │ (stages posts,│ ◄────── │ CachingBackend     │
+//!                  │  yields on    │ results │ (cross-tenant      │
 //!                  │  `run`)       │         │  dedup, LRU bound, │
 //!                  └──────────────┘          │  one clock)        │
 //!                                            └────────────────────┘
@@ -34,10 +34,10 @@
 //!   only at barriers, in submission order, so N concurrent queries
 //!   still produce byte-identical results to running them
 //!   sequentially.
-//! * [`tenant`] — [`SharedMarket`] (the one
-//!   mutex-guarded Task Cache and backend; a query is the list of
-//!   cache groups committed for it) and [`TenantBackend`] (a query's
-//!   yielding handle on it).
+//! * [`tenant`] — the market (the one mutex-guarded Task Cache,
+//!   a [`CachingBackend`](crate::backend::CachingBackend), over the
+//!   one backend; a query is the one list of cache groups committed
+//!   for it) and [`TenantBackend`] (a query's yielding handle on it).
 //! * [`report`] — [`ServiceStats`], the
 //!   multi-tenancy accounting attached to each
 //!   [`QueryReport`](crate::session::QueryReport).
@@ -54,4 +54,4 @@ pub mod tenant;
 pub use protocol::Request;
 pub use report::ServiceStats;
 pub use scheduler::QueryService;
-pub use tenant::{SharedMarket, TenantBackend};
+pub use tenant::TenantBackend;

@@ -57,10 +57,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, SendError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-use qurk_crowd::market::{HitGroupId, RunOutcome};
+use qurk_crowd::market::RunOutcome;
 
 use crate::analyze::{prepare, Diagnostic, Prepared};
 use crate::backend::{CachingBackend, CrowdBackend, MeteringBackend};
@@ -70,20 +70,9 @@ use crate::exec::execute_plan;
 use crate::lang::parser::parse_query;
 use crate::opt::stats::StatisticsStore;
 use crate::service::report::ServiceStats;
-use crate::service::tenant::{SharedMarket, StagedPost, TenantBackend};
+use crate::service::tenant::{lock, Groups, Market, StagedPost, TenantBackend};
 use crate::session::{ExecConfig, QueryReport};
 use crate::store::{DurableStore, QueryCheckpoint, RecoveredState, StoreHealth, TenantRecord};
-
-/// Wake-up message from the scheduler to a query thread parked in
-/// [`TenantBackend`]'s `run`: the marketplace step for its posted
-/// round finished with `outcome`. `groups` are the shared-market ids
-/// the barrier assigned to the posts the query staged before
-/// yielding, in staging order.
-#[derive(Debug)]
-pub(crate) struct Resume {
-    pub outcome: RunOutcome,
-    pub groups: Vec<HitGroupId>,
-}
 
 /// What a query thread sends the scheduler. Exactly one event is sent
 /// per resume — that's what makes the barrier sound.
@@ -157,7 +146,7 @@ const DEADLINE_EPS: f64 = 1e-9;
 /// serialized (module docs).
 pub struct QueryService<B: CrowdBackend + 'static> {
     catalog: Arc<Catalog>,
-    shared: Arc<SharedMarket<B>>,
+    market: Market<B>,
     /// Learned statistics: read by admission, merged only in `finish`.
     stats: StatisticsStore,
     config: ExecConfig,
@@ -182,7 +171,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
     pub fn with_config(catalog: Arc<Catalog>, backend: B, config: ExecConfig) -> Self {
         QueryService {
             catalog,
-            shared: Arc::new(SharedMarket::new(backend)),
+            market: Arc::new(Mutex::new(CachingBackend::new(backend))),
             stats: StatisticsStore::new(),
             config,
             tenants: Vec::new(),
@@ -212,7 +201,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
         let caching = CachingBackend::with_journal(backend, Arc::clone(&store), cache);
         QueryService {
             catalog,
-            shared: Arc::new(SharedMarket::with_caching(caching)),
+            market: Arc::new(Mutex::new(caching)),
             stats,
             config,
             tenants,
@@ -225,15 +214,6 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
     /// The attached durable store, if any.
     pub fn store(&self) -> Option<&Arc<DurableStore>> {
         self.store.as_ref()
-    }
-
-    /// Bound the shared task cache to `max` recorded specs, evicting
-    /// least-recently-used entries at batch boundaries. Journal-aware:
-    /// eviction is memory-only, so durable recovery still replays
-    /// every paid round; an evicted spec that is posted again is paid
-    /// for again. `None` removes the bound.
-    pub fn set_cache_max_entries(&mut self, max: Option<usize>) {
-        self.shared.set_cache_max_entries(max);
     }
 
     /// Re-queue every live checkpoint (a query admitted but not
@@ -379,9 +359,13 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
         self.pending.len()
     }
 
-    /// The shared market (totals, cache stats) — for reporting.
-    pub fn market(&self) -> &SharedMarket<B> {
-        &self.shared
+    /// The service's market, locked: the one Task Cache every query
+    /// posts through, for its totals, cache statistics, trace and
+    /// eviction bound ([`CachingBackend::set_max_entries`]). The lock
+    /// is not reentrant: take one guard per statement, and drop it
+    /// before the next [`Self::run_pending`], which needs it.
+    pub fn market(&self) -> MutexGuard<'_, CachingBackend<B>> {
+        lock(&self.market)
     }
 
     /// The learned statistics admission plans against. They move only
@@ -392,18 +376,20 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
 
     /// Tear down the service, returning the inner backend (e.g. to
     /// read a [`ReplayBackend::posted_keys`](crate::backend::ReplayBackend::posted_keys)
-    /// after a serving run; the answers it cached are
-    /// [`SharedMarket::trace`]).
+    /// after a serving run; the answers it cached are the market's
+    /// [`CachingBackend::trace`]).
     ///
     /// # Panics
     /// Panics if called while queries are still running (they hold the
-    /// shared market). Between [`Self::run_pending`] calls every
-    /// tenant backend has been dropped, so this always succeeds.
+    /// market). Between [`Self::run_pending`] calls every tenant
+    /// backend has been dropped, so this always succeeds.
     pub fn into_backend(self) -> B {
-        Arc::try_unwrap(self.shared)
+        Arc::try_unwrap(self.market)
             .ok()
-            .expect("tenant backends still hold the shared market")
-            .into_backend()
+            .expect("tenant backends still hold the market")
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .into_inner()
     }
 
     /// The dollar budget a query may spend right now: the tighter of
@@ -438,23 +424,29 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
         if jobs.is_empty() {
             return Vec::new();
         }
-        // Batch boundary for the shared cache's eviction bound.
-        self.shared.begin_batch();
+        // Batch boundary for the cache's eviction bound.
+        self.market().begin_batch();
         let (event_tx, event_rx) = channel::<SchedulerEvent>();
         // Should the scheduler panic, unwinding drops the resume
         // senders and unparks every query, so no worker is left stuck.
-        let mut resume_txs: Vec<Sender<Resume>> = Vec::with_capacity(jobs.len());
+        let mut resume_txs: Vec<Sender<RunOutcome>> = Vec::with_capacity(jobs.len());
         let mut tasks = Vec::with_capacity(jobs.len());
         for (i, job) in jobs.into_iter().enumerate() {
             let (resume_tx, resume_rx) = channel();
-            let shared = Arc::clone(&self.shared);
-            let backend = TenantBackend::new(shared, i, event_tx.clone(), resume_rx);
-            let budget = self.effective_budget(job.tenant, job.budget);
-            tasks.push(Task {
+            let task = Task {
                 tenant: job.tenant,
                 resumed: job.resumed,
                 ..Task::new(job.persist_id)
-            });
+            };
+            let backend = TenantBackend::new(
+                Arc::clone(&self.market),
+                Arc::clone(&task.groups),
+                i,
+                event_tx.clone(),
+                resume_rx,
+            );
+            tasks.push(task);
+            let budget = self.effective_budget(job.tenant, job.budget);
             let catalog = Arc::clone(&self.catalog);
             let done_tx = event_tx.clone();
             self.workers.dispatch(
@@ -477,10 +469,10 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
         let mut finished = 0;
         while finished < tasks.len() {
             for (task, tx) in tasks.iter_mut().zip(&resume_txs) {
-                if let Some(resume) = task.take_resume() {
+                if let Some(outcome) = task.take_resume() {
                     // A failed send means the job is gone; the short
                     // barrier below notices.
-                    let _ = tx.send(resume);
+                    let _ = tx.send(outcome);
                     running += 1;
                 }
             }
@@ -505,12 +497,12 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
     }
 
     /// The barrier: commit the staged posts of every `NeedCrowd` event
-    /// to the shared market and count its round, then classify each
-    /// task — runnable again (its round is already complete), waiting
-    /// on the marketplace, or finished. Everything happens in
-    /// submission order, so every shared-state write is deterministic
-    /// no matter how the query threads interleaved. Returns how many
-    /// queries finished.
+    /// to the market, into the query's group list, and count its
+    /// round, then classify each task — runnable again (its round is
+    /// already complete), waiting on the marketplace, or finished.
+    /// Everything happens in submission order, so every shared-state
+    /// write is deterministic no matter how the query threads
+    /// interleaved. Returns how many queries finished.
     fn resolve_barrier(&self, tasks: &mut [Task], mut events: Vec<SchedulerEvent>) -> usize {
         events.sort_by_key(SchedulerEvent::query);
         // Pass 1: all posts land before any completion check, so
@@ -519,10 +511,11 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
             let SchedulerEvent::NeedCrowd { query, posts, .. } = event else {
                 continue;
             };
+            // The query is parked: its list is the scheduler's to fill.
             let task = &mut tasks[*query];
+            let mut groups = lock(&task.groups);
             for post in posts.drain(..) {
-                let group = self.shared.post(post.specs, post.assignments);
-                task.groups.push(group);
+                groups.push(self.market().post(post.specs, post.assignments));
             }
             task.rounds += 1;
         }
@@ -534,16 +527,18 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
                     query, limit_secs, ..
                 } => {
                     let task = &mut tasks[query];
-                    task.state = if self.shared.query_outstanding(&task.groups) == 0 {
+                    let groups = lock(&task.groups);
+                    let mut market = self.market();
+                    task.state = if market.query_outstanding(&groups) == 0 {
                         // Fully cached/complete round: runnable again
                         // without a marketplace step. Fold on the
                         // scheduler thread so the journal never sees
                         // thread-timing order.
-                        self.shared.fold_completed(&task.groups);
-                        task.resolve(RunOutcome::Completed)
+                        market.fold_completed(&groups);
+                        TaskState::Runnable(RunOutcome::Completed)
                     } else {
                         TaskState::Waiting {
-                            deadline: self.shared.now().secs() + limit_secs,
+                            deadline: market.now().secs() + limit_secs,
                         }
                     };
                 }
@@ -581,18 +576,23 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
         let mut stages: Vec<f64> = waiting.iter().map(|&(d, _)| d).collect();
         stages.dedup();
         for stage in stages {
-            let dt = stage - self.shared.now().secs();
-            if dt > 0.0 {
-                let _ = self.shared.run(dt);
-            }
-            let now = self.shared.now().secs();
+            let now = {
+                let mut market = self.market();
+                let dt = stage - market.now().secs();
+                if dt > 0.0 {
+                    let _ = market.run(dt);
+                }
+                market.now().secs()
+            };
             let mut resolved_any = false;
             for &(deadline, i) in &waiting {
                 let task = &mut tasks[i];
                 if !matches!(task.state, TaskState::Waiting { .. }) {
                     continue;
                 }
-                let outcome = if self.shared.query_outstanding(&task.groups) == 0 {
+                let groups = lock(&task.groups);
+                let mut market = self.market();
+                let outcome = if market.query_outstanding(&groups) == 0 {
                     RunOutcome::Completed
                 } else if now + DEADLINE_EPS >= deadline {
                     RunOutcome::TimedOut
@@ -605,15 +605,15 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
                 // (journal appends included) must not race other
                 // threads in the next machine phase.
                 if outcome == RunOutcome::Completed {
-                    let completion = self.shared.completion_time(&task.groups);
+                    let completion = market.completion_time(&groups);
                     task.queue_wait_secs += (now - completion).max(0.0);
                 } else {
-                    self.shared.fold_completed(&task.groups);
+                    market.fold_completed(&groups);
                 }
                 if shared_round {
                     task.rounds_shared += 1;
                 }
-                task.state = task.resolve(outcome);
+                task.state = TaskState::Runnable(outcome);
                 resolved_any = true;
             }
             if resolved_any {
@@ -629,7 +629,17 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
     fn finish(&mut self, tasks: Vec<Task>) -> Vec<Result<QueryReport>> {
         let mut out = Vec::with_capacity(tasks.len());
         for task in tasks {
-            self.tenants[task.tenant].spent += self.shared.query_spend(&task.groups);
+            // Every tenant backend is gone: the list is the task's alone.
+            let groups = lock(&task.groups);
+            let (spent, cached_hits, saved) = {
+                let market = self.market();
+                (
+                    market.query_spend(&groups),
+                    market.query_cached_hits(&groups),
+                    market.query_saved(&groups),
+                )
+            };
+            self.tenants[task.tenant].spent += spent;
             let result = match task.done {
                 Some(msg) => {
                     self.stats.merge(&msg.stats_delta);
@@ -642,8 +652,8 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
                             queue_wait_secs: task.queue_wait_secs,
                             rounds: task.rounds,
                             rounds_shared: task.rounds_shared,
-                            shared_cache_hits: self.shared.query_cached_hits(&task.groups),
-                            saved_dollars: self.shared.query_saved(&task.groups),
+                            shared_cache_hits: cached_hits,
+                            saved_dollars: saved,
                             resumed: task.resumed,
                         });
                         report
@@ -664,7 +674,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
                 // A failed query abandons its in-flight rounds: drop
                 // its dedup slots so later identical specs re-post
                 // instead of piggybacking on work nobody is driving.
-                self.shared.release_query(&task.groups);
+                self.market().release_query(&groups);
             }
             if let (Some(store), Some(id)) = (&self.store, task.persist_id) {
                 // The query resolved (either way) and its result was
@@ -683,8 +693,8 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
 enum TaskState {
     /// Executing machine-side; its barrier event is still owed.
     Running,
-    /// Parked; resumed with this at the next machine phase.
-    Runnable(Resume),
+    /// Parked; resumed with this outcome at the next machine phase.
+    Runnable(RunOutcome),
     /// Parked on a posted round with a marketplace deadline.
     Waiting {
         deadline: f64,
@@ -704,13 +714,10 @@ struct Task {
     rounds: u64,
     rounds_shared: u64,
     queue_wait_secs: f64,
-    /// The shared-market groups committed for the query, in commit
-    /// order: its record in the market, from which its split, spend
-    /// and savings are read.
-    groups: Vec<HitGroupId>,
-    /// How many of `groups` the query has been resumed with; the rest
-    /// go with its next resume.
-    delivered: usize,
+    /// The market groups committed for the query, shared with its
+    /// [`TenantBackend`]: its record in the market, from which its
+    /// split, spend and savings are read.
+    groups: Groups,
     done: Option<Box<DoneMsg>>,
 }
 
@@ -724,25 +731,16 @@ impl Task {
             rounds: 0,
             rounds_shared: 0,
             queue_wait_secs: 0.0,
-            groups: Vec::new(),
-            delivered: 0,
+            groups: Groups::default(),
             done: None,
         }
     }
 
-    /// The runnable state that resumes the query's round with
-    /// `outcome` and the groups committed for it.
-    fn resolve(&mut self, outcome: RunOutcome) -> TaskState {
-        let groups = self.groups[self.delivered..].to_vec();
-        self.delivered = self.groups.len();
-        TaskState::Runnable(Resume { outcome, groups })
-    }
-
-    /// Take a runnable task's resume, marking it running; `None` (and
+    /// Take a runnable task's outcome, marking it running; `None` (and
     /// no change) for any other state.
-    fn take_resume(&mut self) -> Option<Resume> {
+    fn take_resume(&mut self) -> Option<RunOutcome> {
         match std::mem::replace(&mut self.state, TaskState::Running) {
-            TaskState::Runnable(resume) => Some(resume),
+            TaskState::Runnable(outcome) => Some(outcome),
             other => {
                 self.state = other;
                 None
@@ -860,6 +858,7 @@ mod tests {
     use crate::opt::physical::{PhysNode, PhysicalPlan};
     use crate::opt::CostEstimate;
     use crate::{Relation, Schema, Value, ValueType};
+    use qurk_crowd::market::HitGroupId;
     use qurk_crowd::question::HitKind;
     use qurk_crowd::truth::PredicateTruth;
     use qurk_crowd::{CrowdConfig, GroundTruth, HitSpec, Marketplace, Question};
@@ -911,11 +910,13 @@ mod tests {
             tasks
                 .iter()
                 .map(|t| {
+                    let groups = lock(&t.groups).clone();
+                    let market = svc.market();
                     let split = (
-                        svc.shared.query_live_hits(&t.groups),
-                        svc.shared.query_cached_hits(&t.groups),
+                        market.query_live_hits(&groups),
+                        market.query_cached_hits(&groups),
                     );
-                    (t.groups.clone(), t.rounds, split)
+                    (groups, t.rounds, split)
                 })
                 .collect::<Vec<_>>()
         };
@@ -928,12 +929,12 @@ mod tests {
         assert_eq!(splits, [(2, 0), (1, 1), (0, 2)], "first to commit pays");
     }
 
-    /// Query meters are batch-scoped: a query's meter is the list of
-    /// groups committed for it, held by its task and its tenant
-    /// backend, and the shared market keeps nothing per query. After
-    /// each of 50 batches of one to three queries, the service holds
-    /// the only handle on the market: every tenant backend, and its
-    /// ledger, is gone.
+    /// Query meters are batch-scoped: a query's meter is the one list
+    /// of groups committed for it, shared by its task and its tenant
+    /// backend, and the market keeps nothing per query. After each of
+    /// 50 batches of one to three queries, the service holds the only
+    /// handle on the market: every tenant backend, and its group list,
+    /// is gone.
     #[test]
     fn query_meters_do_not_outlive_their_batch() {
         let mut catalog = Catalog::new();
@@ -953,7 +954,7 @@ mod tests {
             assert!(reports.iter().all(Result::is_ok));
             assert_eq!(reports.len(), size);
             served += reports.len();
-            assert_eq!(Arc::strong_count(&svc.shared), 1, "batch {batch}");
+            assert_eq!(Arc::strong_count(&svc.market), 1, "batch {batch}");
         }
         assert_eq!(served, 99);
     }

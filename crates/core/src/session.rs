@@ -339,20 +339,9 @@ impl<'c, B: CrowdBackend> Session<'c, B> {
         &self.stats
     }
 
-    /// Mutable access to the statistics store (e.g. to
-    /// [`StatisticsStore::merge`] another session's evidence or
-    /// [`StatisticsStore::clear`] it).
-    pub fn statistics_mut(&mut self) -> &mut StatisticsStore {
-        &mut self.stats
-    }
-
     /// The session's backend stack (metering over caching over yours).
     pub fn backend(&self) -> &MeteringBackend<CachingBackend<B>> {
         &self.backend
-    }
-
-    pub fn backend_mut(&mut self) -> &mut MeteringBackend<CachingBackend<B>> {
-        &mut self.backend
     }
 
     /// (cache hits, cache misses) across all queries of this session.

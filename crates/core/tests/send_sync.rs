@@ -6,7 +6,9 @@
 //! scan.
 
 use qurk::backend::{CachingBackend, MeteringBackend, ReplayBackend};
-use qurk::service::{SharedMarket, TenantBackend};
+use std::sync::Mutex;
+
+use qurk::service::TenantBackend;
 use qurk_crowd::Marketplace;
 
 fn assert_send_sync<T: Send + Sync>() {}
@@ -19,8 +21,9 @@ fn every_backend_impl_is_send_sync() {
     assert_send_sync::<ReplayBackend>();
     // Decorators preserve the bounds for any conforming inner backend.
     assert_send_sync::<MeteringBackend<CachingBackend<ReplayBackend>>>();
-    // The service layer shares one market across query threads.
-    assert_send_sync::<SharedMarket<Marketplace>>();
+    // The service layer shares one market, its Task Cache, across
+    // query threads.
+    assert_send_sync::<Mutex<CachingBackend<Marketplace>>>();
     assert_send_sync::<TenantBackend<Marketplace>>();
     assert_send_sync::<TenantBackend<ReplayBackend>>();
 }

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use qurk::service::QueryService;
 use qurk::store::{CrashPoint, DurableStore, FaultPlan, TenantRecord};
-use qurk::{Catalog, ExecConfig, QurkError, Relation, Schema, Value, ValueType};
+use qurk::{Catalog, CrowdBackend, ExecConfig, QurkError, Relation, Schema, Value, ValueType};
 use qurk_crowd::truth::{DimensionParams, PredicateTruth};
 use qurk_crowd::{CrowdConfig, EntityId, GroundTruth, Marketplace};
 
@@ -75,7 +75,7 @@ fn eviction_repays_specs_and_the_books_still_balance() {
     let mut svc = QueryService::new(Arc::clone(&catalog), market);
     // The filter batches 5 tuples per HIT, so 10 people make two
     // shared-cache specs; a 1-entry bound forces an eviction.
-    svc.set_cache_max_entries(Some(1));
+    svc.market().set_max_entries(Some(1));
     svc.register_tenant("alice", None);
     svc.register_tenant("bob", None);
 
@@ -91,7 +91,7 @@ fn eviction_repays_specs_and_the_books_still_balance() {
     svc.submit("bob", FILTER_SQL).unwrap();
     let second = svc.run_pending().pop().unwrap().unwrap();
     assert!(
-        svc.market().cache_evictions() > 0,
+        svc.market().evictions() > 0,
         "a 1-entry bound over a two-spec query must evict"
     );
     let bob_spent = svc.tenant_spent("bob").unwrap();
@@ -106,7 +106,7 @@ fn eviction_repays_specs_and_the_books_still_balance() {
     );
     assert_eq!(first.relation.schema(), second.relation.schema());
 
-    let total = svc.market().total_spend();
+    let total = svc.market().spend_dollars();
     assert!(
         (alice_spent + bob_spent - total).abs() < 1e-9,
         "tenant meters ({alice_spent} + {bob_spent}) must sum to the market total ({total})"
@@ -138,7 +138,7 @@ fn non_finite_round_deadlines_fail_the_query_not_the_service() {
         // that posts no round (machine-only) under the same broken
         // config still completes.
         assert_eq!(svc.tenant_spent("alice").unwrap(), 0.0);
-        assert_eq!(svc.market().total_spend(), 0.0);
+        assert_eq!(svc.market().spend_dollars(), 0.0);
         svc.submit("bob", "SELECT p.id FROM people AS p").unwrap();
         let ok = svc.run_pending().pop().unwrap();
         assert!(

@@ -12,8 +12,8 @@ use qurk::lang::parse_query;
 use qurk::plan::plan_query;
 use qurk::service::QueryService;
 use qurk::{
-    Catalog, Code, DurableStore, ExecConfig, LintPolicy, QurkError, Relation, Schema, Session,
-    Value, ValueType,
+    Catalog, Code, CrowdBackend, DurableStore, ExecConfig, LintPolicy, QurkError, Relation, Schema,
+    Session, Value, ValueType,
 };
 use qurk_crowd::truth::{DimensionParams, PredicateTruth};
 use qurk_crowd::{CrowdConfig, EntityId, GroundTruth, ItemId, Marketplace};
@@ -91,17 +91,17 @@ fn identical_specs_across_tenants_are_paid_once() {
 
     // The shared market posted one query's worth of HITs; the second
     // tenant's specs all rode the first tenant's in-flight rounds.
-    let (cache_hits, cache_misses) = svc.market().cache_stats();
+    let (cache_hits, cache_misses) = svc.market().stats();
     assert!(cache_misses > 0);
     assert_eq!(cache_hits, cache_misses, "bob mirrors alice spec-for-spec");
     assert_eq!(svc.market().shared_hits(), cache_hits);
-    assert_eq!(svc.market().total_hits_posted() as u64, cache_misses);
+    assert_eq!(svc.market().hits_posted() as u64, cache_misses);
 
     // Attribution: alice paid for everything, bob for nothing, and the
     // per-tenant meters sum exactly to the shared backend's spend.
     let spent_a = svc.tenant_spent("alice").unwrap();
     let spent_b = svc.tenant_spent("bob").unwrap();
-    let total = svc.market().total_spend();
+    let total = svc.market().spend_dollars();
     assert!(spent_a > 0.0);
     assert_eq!(spent_b, 0.0);
     assert!(
@@ -144,7 +144,8 @@ fn record_trace(catalog: &Arc<Catalog>, queries: &[(&str, &str)]) -> ReplayTrace
     for r in svc.run_pending() {
         r.expect("recording run must succeed");
     }
-    svc.market().trace()
+    let trace = svc.market().trace().clone();
+    trace
 }
 
 #[test]
@@ -206,7 +207,7 @@ fn eight_concurrent_queries_match_sequential_byte_for_byte() {
         .iter()
         .map(|t| conc.tenant_spent(t).unwrap())
         .sum();
-    let total = conc.market().total_spend();
+    let total = conc.market().spend_dollars();
     assert!(
         (per_tenant - total).abs() < 1e-9,
         "tenant meters ({per_tenant}) must sum to the market total ({total})"
@@ -267,14 +268,14 @@ fn a_service_survives_multiple_batches_and_reuses_the_cache() {
     svc.register_tenant("alice", None);
     svc.submit("alice", FILTER_SQL).unwrap();
     let first = svc.run_pending().pop().unwrap().unwrap();
-    let posted_after_first = svc.market().total_hits_posted();
+    let posted_after_first = svc.market().hits_posted();
     assert!(posted_after_first > 0);
 
     // Same query next batch: answered entirely from the shared cache.
     svc.register_tenant("bob", None);
     svc.submit("bob", FILTER_SQL).unwrap();
     let second = svc.run_pending().pop().unwrap().unwrap();
-    assert_eq!(svc.market().total_hits_posted(), posted_after_first);
+    assert_eq!(svc.market().hits_posted(), posted_after_first);
     assert_eq!(first.relation, second.relation);
     assert_eq!(svc.tenant_spent("bob").unwrap(), 0.0);
     let stats = second.service.unwrap();
@@ -403,7 +404,7 @@ fn a_tenant_cut_to_zero_after_submit_fails_at_the_budget_guard() {
         }
         other => panic!("expected BudgetExceeded, got {other:?}"),
     }
-    assert_eq!(svc.market().total_hits_posted(), 0);
+    assert_eq!(svc.market().hits_posted(), 0);
     assert_eq!(svc.tenant_spent("alice").unwrap(), 0.0);
 }
 
@@ -430,5 +431,5 @@ fn a_self_repeating_query_hits_the_one_shared_cache() {
     assert!(served.hits_posted > 0);
     assert_eq!(stats.shared_cache_hits, served.hits_posted as u64);
     assert_eq!(stats.saved_dollars, served.cost_dollars);
-    assert_eq!(svc.market().cache_stats(), session.cache_stats());
+    assert_eq!(svc.market().stats(), session.cache_stats());
 }

@@ -47,7 +47,7 @@ use std::sync::Arc;
 use qurk::service::protocol::{fmt_dollars, read_frame, write_frame, Frame, Request};
 use qurk::service::QueryService;
 use qurk::store::{CrashPoint, DurableStore, FaultPlan};
-use qurk::{Catalog, ExecConfig, Relation, Schema, Value, ValueType};
+use qurk::{Catalog, CrowdBackend, ExecConfig, Relation, Schema, Value, ValueType};
 use qurk_crowd::truth::{DimensionParams, PredicateTruth};
 use qurk_crowd::{CrowdConfig, EntityId, GroundTruth, Marketplace};
 use qurk_data::squares::{squares_dataset, AREA};
@@ -225,7 +225,7 @@ fn serve<R: BufRead + ?Sized, W: Write + ?Sized>(
         Some(store) => QueryService::with_store(catalog, market, ExecConfig::default(), store),
         None => QueryService::new(catalog, market),
     };
-    svc.set_cache_max_entries(cache_max);
+    svc.market().set_max_entries(cache_max);
     // Tenant names of queued queries, in submission order.
     let mut queued: Vec<String> = Vec::new();
     let mut end = SessionEnd::Eof;
@@ -300,15 +300,16 @@ fn serve<R: BufRead + ?Sized, W: Write + ?Sized>(
                 write_frame(out, &format!("OK ran {n}"))?;
             }
             Request::Stats => {
-                let (hits, misses) = svc.market().cache_stats();
-                write_frame(
-                    out,
-                    &format!(
+                let stats = {
+                    let market = svc.market();
+                    let (hits, misses) = market.stats();
+                    format!(
                         "STATS {} posted {hits}/{misses} cache {}",
-                        svc.market().total_hits_posted(),
-                        fmt_dollars(svc.market().total_spend()),
-                    ),
-                )?;
+                        market.hits_posted(),
+                        fmt_dollars(market.spend_dollars()),
+                    )
+                };
+                write_frame(out, &stats)?;
             }
             Request::Recover => {
                 if svc.store().is_none() {

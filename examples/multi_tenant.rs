@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use qurk::service::QueryService;
-use qurk::{Catalog, Relation, Schema, Value, ValueType};
+use qurk::{Catalog, CrowdBackend, Relation, Schema, Value, ValueType};
 use qurk_crowd::truth::{DimensionParams, PredicateTruth};
 use qurk_crowd::{CrowdConfig, EntityId, GroundTruth, Marketplace};
 
@@ -88,22 +88,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. The books balance: per-tenant meters sum to the market total,
     //    and Bob's identical specs were never re-posted.
-    let (cache_hits, _cache_misses) = svc.market().cache_stats();
+    let (posted, (cache_hits, _cache_misses), total) = {
+        let market = svc.market();
+        (market.hits_posted(), market.stats(), market.spend_dollars())
+    };
     println!(
-        "\nmarket: {} HITs posted, {} specs served from cache, total ${:.3}",
-        svc.market().total_hits_posted(),
-        cache_hits,
-        svc.market().total_spend(),
+        "\nmarket: {posted} HITs posted, {cache_hits} specs served from cache, total ${total:.3}",
     );
     println!(
-        "tenants: alice ${:.3} + bob ${:.3} == market ${:.3}",
+        "tenants: alice ${:.3} + bob ${:.3} == market ${total:.3}",
         svc.tenant_spent("alice")?,
         svc.tenant_spent("bob")?,
-        svc.market().total_spend(),
     );
-    assert!(
-        (svc.tenant_spent("alice")? + svc.tenant_spent("bob")? - svc.market().total_spend()).abs()
-            < 1e-9
-    );
+    assert!((svc.tenant_spent("alice")? + svc.tenant_spent("bob")? - total).abs() < 1e-9);
     Ok(())
 }

@@ -7,7 +7,8 @@
 //!
 //! 1. records one ground-truth trace of a three-tenant workload on a
 //!    live marketplace (once per seed): the service's task cache
-//!    afterwards, [`SharedMarket::trace`](qurk::SharedMarket::trace);
+//!    afterwards, the market's
+//!    [`CachingBackend::trace`](qurk::CachingBackend::trace);
 //! 2. runs the same workload on a durable [`QueryService`] whose store
 //!    is armed to **die** at the crash point (a process crash, modeled
 //!    byte-exactly: every later write is a no-op, torn points leave a
@@ -39,7 +40,10 @@ use std::sync::Arc;
 use qurk::backend::ReplayBackend;
 use qurk::service::QueryService;
 use qurk::store::{CrashPoint, DurableStore, FaultPlan};
-use qurk::{Catalog, ExecConfig, OptimizeMode, Relation, ReplayTrace, Schema, Value, ValueType};
+use qurk::{
+    Catalog, CrowdBackend, ExecConfig, OptimizeMode, Relation, ReplayTrace, Schema, Value,
+    ValueType,
+};
 use qurk_crowd::truth::{DimensionParams, PredicateTruth};
 use qurk_crowd::{CrowdConfig, EntityId, GroundTruth, Marketplace};
 
@@ -137,7 +141,8 @@ fn record_trace(catalog: &Arc<Catalog>, market: Marketplace) -> ReplayTrace {
     for report in svc.run_pending() {
         report.expect("live recording run succeeds");
     }
-    svc.market().trace()
+    let trace = svc.market().trace().clone();
+    trace
 }
 
 /// The uninterrupted run every recovery must be byte-identical to:
@@ -163,7 +168,7 @@ fn reference_run(
     for (tenant, _, _) in workload() {
         spent_sum += svc.tenant_spent(tenant).expect("tenant registered");
     }
-    let total = svc.market().total_spend();
+    let total = svc.market().spend_dollars();
     assert!(
         (spent_sum - total).abs() < 1e-6,
         "reference books: tenants sum to {spent_sum}, market total {total}"
@@ -306,7 +311,7 @@ fn recover_and_check(
         let before = recovered_spent.get(tenant).copied().unwrap_or(0.0);
         new_spend += svc.tenant_spent(tenant).expect("tenant registered") - before;
     }
-    let market_total = svc.market().total_spend();
+    let market_total = svc.market().spend_dollars();
     assert!(
         (new_spend - market_total).abs() < 1e-6,
         "{label}: tenants' new spend {new_spend} != market total {market_total}"

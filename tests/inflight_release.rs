@@ -77,7 +77,7 @@ fn failed_query_releases_in_flight_slots() {
     assert_eq!(reports.len(), 1);
     assert!(reports[0].is_err(), "unanswerable query must fail");
     assert_eq!(
-        svc.market().pending_specs(),
+        svc.market().pending_len(),
         0,
         "failed query leaked its in-flight dedup slots"
     );
@@ -85,18 +85,18 @@ fn failed_query_releases_in_flight_slots() {
     // The retry must post live again — before the fix it piggybacked
     // (shared_hits > 0) on the dead group and starved the same way
     // without ever re-posting.
-    let (_, misses_before) = svc.market().cache_stats();
+    let (_, misses_before) = svc.market().stats();
     svc.submit("alice", FILTER_SQL)
         .expect("retry is admissible");
     let reports = svc.run_pending();
     assert!(reports[0].is_err(), "still unanswerable — but live");
-    let (_, misses_after) = svc.market().cache_stats();
+    let (_, misses_after) = svc.market().stats();
     assert_eq!(svc.market().shared_hits(), 0, "retry must not piggyback");
     assert!(
         misses_after > misses_before,
         "retry must re-post live specs"
     );
-    assert_eq!(svc.market().pending_specs(), 0, "retry released too");
+    assert_eq!(svc.market().pending_len(), 0, "retry released too");
 }
 
 /// The release only touches the failed query's own slots: a successful
@@ -111,7 +111,8 @@ fn release_is_scoped_to_the_failed_query() {
         svc.submit("alice", FILTER_SQL).expect("admissible");
         let reports = svc.run_pending();
         assert!(reports[0].is_ok(), "live recording run succeeds");
-        svc.market().trace()
+        let trace = svc.market().trace().clone();
+        trace
     };
 
     // bob's sort is NOT in the trace (fails); alice's filter is.
@@ -124,7 +125,7 @@ fn release_is_scoped_to_the_failed_query() {
     let reports = svc.run_pending();
     assert!(reports[0].is_ok(), "alice's replayed filter succeeds");
     assert!(reports[1].is_err(), "bob's untraced sort fails");
-    assert_eq!(svc.market().pending_specs(), 0);
+    assert_eq!(svc.market().pending_len(), 0);
 
     // Alice can re-run for free off the cache.
     svc.submit("alice", FILTER_SQL).expect("admissible");
