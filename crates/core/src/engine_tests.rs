@@ -553,6 +553,40 @@ mod edge_tests {
         }
     }
 
+    /// A SELECT item whose name an earlier column took is named
+    /// `name#i` (`i` its position), whatever kind of item either is;
+    /// two identical generative calls still post their HITs once.
+    #[test]
+    fn repeated_select_names_get_their_position() {
+        let names = |rel: &Relation| -> Vec<String> {
+            rel.schema()
+                .fields()
+                .iter()
+                .map(|f| f.name.clone())
+                .collect()
+        };
+        let (catalog, mut market) = items_then_null(&[0, 1, 2, 3, 4]);
+        let mut session = Session::new(&catalog, &mut market);
+
+        let same = session
+            .query("SELECT g(t.img), g(t.img) FROM t")
+            .report()
+            .unwrap();
+        assert_eq!(names(&same.relation), ["g", "g#1"]);
+        assert_eq!(same.hits_posted, 1);
+        assert_eq!(same.relation.column(0), same.relation.column(1));
+
+        let join = session
+            .query("SELECT g(x.img), g(y.img) FROM t AS x JOIN t AS y ON j(x.img, y.img)")
+            .report()
+            .unwrap();
+        assert_eq!(names(&join.relation), ["g", "g#1"]);
+        assert!(!join.relation.is_empty());
+
+        let star = session.run("SELECT t.id, * FROM t").unwrap();
+        assert_eq!(names(&star), ["t.id", "t.id#1", "t.img"]);
+    }
+
     /// A call with the wrong number of arguments fails at planning:
     /// `check()` and `run()` give the same typed error, and the join
     /// before the malformed filter posts nothing.

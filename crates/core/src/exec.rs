@@ -591,77 +591,100 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
         if items.len() == 1 && matches!(items[0], SelectItem::Star) {
             return Ok(rel);
         }
-        let mut schema = crate::schema::Schema::default();
-        // Each output column: either a copy of an input column or a
-        // generative field.
-        enum Col {
-            Copy(usize),
-            Gen { values: Vec<Value> },
-        }
-        let mut cols: Vec<Col> = Vec::new();
+        let (schema, cols) = project_columns(rel.schema(), items)?;
         // Cache generative runs per (task, arg) to avoid re-asking for
         // each selected field (the Fields mechanism answers them all at
         // once, §2.2): the answered rows, one per non-NULL item, and the
         // relation rows they belong to.
         type GenRun = (Vec<crate::ops::generative::GenRow>, Vec<usize>);
         let mut gen_cache: HashMap<String, GenRun> = HashMap::new();
-
-        for item in items {
-            match item {
-                SelectItem::Star => {
-                    for (i, f) in rel.schema().fields().iter().enumerate() {
-                        schema.push_field(&f.name, f.ty);
-                        cols.push(Col::Copy(i));
-                    }
-                }
-                SelectItem::Column(name) => {
-                    let idx = column(rel.schema(), name)?;
-                    let f = &rel.schema().fields()[idx];
-                    let out_name = if schema.index_of(name).is_none() {
-                        name.clone()
-                    } else {
-                        format!("{name}#{}", cols.len())
-                    };
-                    schema.push_field(&out_name, f.ty);
-                    cols.push(Col::Copy(idx));
-                }
-                SelectItem::Udf { call, field } => {
+        let mut columns = Vec::with_capacity(cols.len());
+        for col in cols {
+            let values = match col {
+                ProjCol::Copy(i) => rel.column(i).to_vec(),
+                ProjCol::Gen { call, field, item } => {
                     let task = self.catalog.task(&call.name)?;
                     let key = format!("{call:?}");
                     if !gen_cache.contains_key(&key) {
                         self.charge_gate()?;
-                        let col = item_col(rel.schema(), call)?;
-                        let (items_vec, item_rows) = non_null_items(&rel, col);
-                        let gen = GenerativeOp::default();
-                        let out = gen.run(self.backend, task, &items_vec)?;
+                        let (items_vec, item_rows) = non_null_items(&rel, item);
+                        let out = GenerativeOp::default().run(self.backend, task, &items_vec)?;
                         gen_cache.insert(key.clone(), (out.rows, item_rows));
                     }
                     let (rows, item_rows) = &gen_cache[&key];
-                    let fname = field.clone().unwrap_or_else(|| "value".to_owned());
-                    let out_name = match field {
-                        Some(f) => format!("{}.{f}", call.name),
-                        None => call.name.clone(),
-                    };
+                    let fname = field.unwrap_or("value");
                     // A NULL item's row stays NULL.
                     let mut values = vec![Value::Null; rel.len()];
                     for (&ri, r) in item_rows.iter().zip(rows) {
-                        values[ri] = r.get(&fname).cloned().unwrap_or(Value::Null);
+                        values[ri] = r.get(fname).cloned().unwrap_or(Value::Null);
                     }
-                    schema.push_field(&out_name, ValueType::Text);
-                    cols.push(Col::Gen { values });
+                    values
                 }
-            }
+            };
+            columns.push(values);
         }
-
-        let columns = cols
-            .into_iter()
-            .map(|c| match c {
-                Col::Copy(i) => rel.column(i).to_vec(),
-                Col::Gen { values } => values,
-            })
-            .collect();
         Relation::from_columns(schema, columns)
     }
+}
+
+/// Where a projected column's values come from.
+enum ProjCol<'a> {
+    /// A copy of the input column at this index.
+    Copy(usize),
+    /// `field` of a generative task's answers about the items in the
+    /// input column at `item`.
+    Gen {
+        call: &'a UdfCall,
+        field: Option<&'a str>,
+        item: usize,
+    },
+}
+
+/// The schema of projecting `items` out of a relation of schema
+/// `input`, and the source of each output column. A name an earlier
+/// column took gets its position appended (`name#i`), so a repeated
+/// item — `c.name, c.name`, or `gender(c.img), gender(p.img)` — is a
+/// column of its own. The runner and [`bind`] both name columns here.
+fn project_columns<'a>(
+    input: &Schema,
+    items: &'a [SelectItem],
+) -> Result<(Schema, Vec<ProjCol<'a>>)> {
+    let mut schema = Schema::default();
+    let mut cols = Vec::new();
+    let mut push = |name: &str, ty, col| {
+        if schema.index_of(name).is_none() {
+            schema.push_field(name, ty);
+        } else {
+            schema.push_field(&format!("{name}#{}", cols.len()), ty);
+        }
+        cols.push(col);
+    };
+    for item in items {
+        match item {
+            SelectItem::Star => {
+                for (i, f) in input.fields().iter().enumerate() {
+                    push(&f.name, f.ty, ProjCol::Copy(i));
+                }
+            }
+            SelectItem::Column(name) => {
+                let idx = column(input, name)?;
+                push(name, input.fields()[idx].ty, ProjCol::Copy(idx));
+            }
+            SelectItem::Udf { call, field } => {
+                let name = match field {
+                    Some(f) => format!("{}.{f}", call.name),
+                    None => call.name.clone(),
+                };
+                let col = ProjCol::Gen {
+                    call,
+                    field: field.as_deref(),
+                    item: item_col(input, call)?,
+                };
+                push(&name, ValueType::Text, col);
+            }
+        }
+    }
+    Ok((schema, cols))
 }
 
 /// Bind every column reference of `plan` against the catalog's
@@ -673,9 +696,8 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
 /// runner's order, so a name the runner would fail on fails here
 /// first, with the same error. A schema the runner would panic on (a
 /// repeated column name) is a [`QurkError::Schema`] here. A
-/// projection is the root of every plan (`plan::plan_query` adds it
-/// last), so nothing resolves against its output: it passes its
-/// input's schema on.
+/// projection's schema is the runner's, from the one function that
+/// names its columns.
 pub(crate) fn bind(plan: &PhysicalPlan, catalog: &Catalog) -> Result<Schema> {
     let repeated = |name| QurkError::Schema(format!("duplicate column name: {name}"));
     match &plan.node {
@@ -760,19 +782,7 @@ pub(crate) fn bind(plan: &PhysicalPlan, catalog: &Catalog) -> Result<Schema> {
         }
         PhysNode::Limit { input, .. } => bind(input, catalog),
         PhysNode::Project { input, items } => {
-            let schema = bind(input, catalog)?;
-            for item in items {
-                match item {
-                    SelectItem::Star => {}
-                    SelectItem::Column(name) => {
-                        column(&schema, name)?;
-                    }
-                    SelectItem::Udf { call, .. } => {
-                        item_col(&schema, call)?;
-                    }
-                }
-            }
-            Ok(schema)
+            project_columns(&bind(input, catalog)?, items).map(|(schema, _)| schema)
         }
     }
 }

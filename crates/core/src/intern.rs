@@ -76,6 +76,7 @@ impl SymbolTable {
 }
 
 fn global() -> &'static RwLock<SymbolTable> {
+    // lint:allow(global-state): unbounded; see ROADMAP bounded-memory item
     static TABLE: OnceLock<RwLock<SymbolTable>> = OnceLock::new();
     TABLE.get_or_init(|| RwLock::new(SymbolTable::new()))
 }

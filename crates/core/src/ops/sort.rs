@@ -18,6 +18,7 @@
 //! Plus the MAX/MIN extraction interface of §2.3 ([`extract_best`]).
 
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -28,6 +29,7 @@ use qurk_crowd::{HitSpec, ItemId};
 use crate::backend::CrowdBackend;
 use crate::error::{QurkError, Result};
 use crate::ops::common::{question_starts, Round, DEFAULT_ROUND_LIMIT_SECS};
+use crate::opt::cost::EXACT_COMPARE_PLAN_MAX_N;
 
 /// Result of a sort run.
 #[derive(Debug, Clone)]
@@ -153,6 +155,31 @@ impl CompareSort {
         groups
     }
 
+    /// [`Self::plan_groups`], built once per `(n, s, seed)`: the last
+    /// plan built for at most [`EXACT_COMPARE_PLAN_MAX_N`] items stays
+    /// in a process-wide slot, so the cost model's estimate and the
+    /// operator's run of one query, and every repeat of that query,
+    /// share one plan. Larger inputs are planned on every call.
+    pub fn group_plan(n: usize, s: usize, seed: u64) -> Arc<Vec<Vec<usize>>> {
+        type Slot = Option<((usize, usize, u64), Arc<Vec<Vec<usize>>>)>;
+        // lint:allow(global-state): one plan of at most EXACT_COMPARE_PLAN_MAX_N items
+        static LAST: Mutex<Slot> = Mutex::new(None);
+        assert!(s >= 2, "group size must be at least 2");
+        if n > EXACT_COMPARE_PLAN_MAX_N {
+            return Arc::new(Self::plan_groups(n, s, seed));
+        }
+        // `plan_groups` clamps `s` to `n`, so both spellings share a plan.
+        let key = (n, s.min(n), seed);
+        if let Some((k, plan)) = &*LAST.lock().unwrap_or_else(PoisonError::into_inner) {
+            if *k == key {
+                return Arc::clone(plan);
+            }
+        }
+        let plan = Arc::new(Self::plan_groups(n, s, seed));
+        *LAST.lock().unwrap_or_else(PoisonError::into_inner) = Some((key, Arc::clone(&plan)));
+        plan
+    }
+
     /// Sort `items` along `dimension`.
     pub fn run<B: CrowdBackend + ?Sized>(
         &self,
@@ -169,7 +196,7 @@ impl CompareSort {
                 hits_posted: 0,
             });
         }
-        let groups = Self::plan_groups(items.len(), self.group_size, self.seed);
+        let groups = Self::group_plan(items.len(), self.group_size, self.seed);
         let questions: Vec<Question> = groups
             .iter()
             .map(|g| Question::CompareGroup {
@@ -218,6 +245,8 @@ pub struct PairTally {
     n: usize,
     /// wins[i][j] = number of votes ranking i above j.
     wins: Vec<Vec<u32>>,
+    /// Scratch for [`Self::record_ordering`]: one ordering's indices.
+    ranked: Vec<usize>,
 }
 
 impl PairTally {
@@ -225,16 +254,20 @@ impl PairTally {
         PairTally {
             n,
             wins: vec![vec![0; n]; n],
+            ranked: Vec::new(),
         }
     }
 
-    /// Record one worker's best-to-worst ordering.
+    /// Record one worker's best-to-worst ordering: a vote for every
+    /// item over each item ranked below it. Items missing from `index`
+    /// cast and receive no votes.
     pub fn record_ordering(&mut self, ordering: &[ItemId], index: &HashMap<ItemId, usize>) {
-        for a in 0..ordering.len() {
-            for b in (a + 1)..ordering.len() {
-                if let (Some(&i), Some(&j)) = (index.get(&ordering[a]), index.get(&ordering[b])) {
-                    self.wins[i][j] += 1;
-                }
+        self.ranked.clear();
+        self.ranked
+            .extend(ordering.iter().filter_map(|it| index.get(it).copied()));
+        for (a, &i) in self.ranked.iter().enumerate() {
+            for &j in &self.ranked[a + 1..] {
+                self.wins[i][j] += 1;
             }
         }
     }
@@ -878,6 +911,40 @@ mod tests {
         tally.record_pair(0, 1);
         tally.record_pair(1, 0);
         assert_eq!(tally.head_to_head_scores(), vec![0.5, 0.5]);
+    }
+
+    #[test]
+    fn record_ordering_votes_every_ranked_pair() {
+        let items: Vec<ItemId> = (0..6).map(ItemId).collect();
+        let index: HashMap<ItemId, usize> = items[..5]
+            .iter()
+            .enumerate()
+            .map(|(i, &it)| (it, i))
+            .collect();
+        // items[5] is missing from the index, at the top, the middle
+        // and the bottom of an ordering.
+        let orderings = [
+            vec![items[4], items[0], items[2]],
+            vec![items[5], items[1], items[3], items[0]],
+            vec![items[2], items[5], items[4], items[1], items[3]],
+            vec![items[3], items[0], items[5]],
+            vec![items[5]],
+            vec![],
+        ];
+        let mut tally = PairTally::new(5);
+        let mut want = vec![vec![0u32; 5]; 5];
+        for o in &orderings {
+            tally.record_ordering(o, &index);
+            for a in 0..o.len() {
+                for b in (a + 1)..o.len() {
+                    if let (Some(&i), Some(&j)) = (index.get(&o[a]), index.get(&o[b])) {
+                        want[i][j] += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(tally.wins, want);
+        assert_eq!(tally.votes(1, 3), (2, 0));
     }
 
     #[test]

@@ -101,7 +101,9 @@ fn smart_hit_unit(rows: usize, cols: usize) -> f64 {
 /// exact covering-design count to the `N(N−1)/(S(S−1))` bound. The
 /// exact count runs the real generator, O(N³/S) (about 2 ms at N = 128,
 /// S = 5 in release); the threshold also decides where QA004 starts
-/// warning, so moving it changes estimates and diagnostics.
+/// warning, so moving it changes estimates and diagnostics. It also
+/// bounds what [`CompareSort::group_plan`] retains: the one plan it
+/// keeps is of at most this many items.
 pub const EXACT_COMPARE_PLAN_MAX_N: usize = 256;
 
 /// Estimated resource usage of a (sub)plan. Additive across operators.
@@ -322,7 +324,7 @@ impl<'a> CostModel<'a> {
         }
         let s = op.group_size.max(2).min(n);
         if n <= EXACT_COMPARE_PLAN_MAX_N {
-            CompareSort::plan_groups(n, s, op.seed).len() as f64
+            CompareSort::group_plan(n, s, op.seed).len() as f64
         } else {
             let bound = (n * (n - 1)) as f64 / (s * (s - 1)) as f64;
             (bound * 1.2).ceil()

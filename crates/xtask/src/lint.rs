@@ -1,6 +1,6 @@
 //! Source-level invariant checks over the workspace tree.
 //!
-//! Six rules, all motivated by the multi-tenant service:
+//! Seven rules, all motivated by the multi-tenant service:
 //!
 //! * **marketplace-isolation** — production code must speak
 //!   `CrowdBackend`, never the concrete `Marketplace`. Allowed:
@@ -50,6 +50,12 @@
 //!   `// lint:allow(hot-clone): <why>` marker. Those modules were flattened specifically to kill
 //!   steady-state allocation; an unexamined clone is how the layout
 //!   work silently rots.
+//! * **global-state** — in `crates/core`/`crates/crowd` production
+//!   code, a `static` of a lock, `OnceLock`/`LazyLock` or atomic type
+//!   must carry a `// lint:allow(global-state): <what bounds it>`
+//!   marker. Process-wide state outlives every query and session, so a
+//!   long-lived `qurk-serve` holds whatever it accumulates; the marker
+//!   says why that stays small.
 //!
 //! The scanner is line-based and deliberately simple: comment lines
 //! are skipped, and `#[cfg(test)]`-annotated blocks are excluded by
@@ -103,6 +109,9 @@ const HOT_PATH_MARKER: &str = "lint:hot-path";
 /// Marker that justifies a `.clone()` inside a hot-path module.
 const HOT_CLONE_MARKER: &str = "lint:allow(hot-clone)";
 
+/// Marker that bounds a process-wide `static` lock, cell or atomic.
+const GLOBAL_STATE_MARKER: &str = "lint:allow(global-state)";
+
 /// Run every rule over the workspace at `root`.
 pub fn lint_workspace(root: &Path) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -122,6 +131,7 @@ pub fn lint_workspace(root: &Path) -> Vec<Violation> {
         check_service_blocking(&rel, &rel_str, &text, &lines, &mut out);
         check_durable_fs(&rel, &rel_str, &lines, &mut out);
         check_hot_clone(&rel, &text, &lines, &mut out);
+        check_global_state(&rel, &rel_str, &text, &lines, &mut out);
     }
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     out
@@ -251,6 +261,14 @@ fn strip_line_comment(line: &str) -> &str {
     line
 }
 
+/// Does 1-based line `n` of `raw_lines`, or the line above it, carry
+/// `marker`? Markers live in comments, which `production_lines`
+/// strips, so rules consult the raw text.
+fn marked(raw_lines: &[&str], n: usize, marker: &str) -> bool {
+    let has = |n: usize| n >= 1 && raw_lines.get(n - 1).is_some_and(|l| l.contains(marker));
+    has(n) || has(n.saturating_sub(1))
+}
+
 fn check_marketplace(file: &Path, rel: &str, lines: &[(usize, String)], out: &mut Vec<Violation>) {
     if rel.starts_with("crates/crowd/") || MARKETPLACE_ALLOWLIST.contains(&rel) {
         return;
@@ -280,19 +298,11 @@ fn check_ops_unwrap(
         return;
     }
     let raw_lines: Vec<&str> = raw_text.lines().collect();
-    // Markers live in comments, which production_lines strips —
-    // consult the raw line and its predecessor.
-    let has_marker = |n: usize| {
-        n >= 1
-            && raw_lines
-                .get(n - 1)
-                .is_some_and(|l| l.contains(UNWRAP_MARKER))
-    };
     for (n, line) in lines {
         if !(line.contains(".unwrap()") || line.contains(".expect(")) {
             continue;
         }
-        if has_marker(*n) || has_marker(n.saturating_sub(1)) {
+        if marked(&raw_lines, *n, UNWRAP_MARKER) {
             continue;
         }
         out.push(Violation {
@@ -361,12 +371,6 @@ fn check_service_blocking(
         return;
     }
     let raw_lines: Vec<&str> = raw_text.lines().collect();
-    let has_marker = |n: usize| {
-        n >= 1
-            && raw_lines
-                .get(n - 1)
-                .is_some_and(|l| l.contains(LOCK_MARKER))
-    };
     const POISONING_LOCKS: &[&str] = &[".lock().unwrap()", ".read().unwrap()", ".write().unwrap()"];
     const UNBOUNDED_READS: &[&str] = &[".read_to_end(", ".read_to_string("];
     const ACCEPTS: &[&str] = &[".incoming()", ".accept()"];
@@ -401,9 +405,7 @@ fn check_service_blocking(
                     .to_owned(),
             });
         }
-        if POISONING_LOCKS.iter().any(|p| line.contains(p))
-            && !has_marker(*n)
-            && !has_marker(n.saturating_sub(1))
+        if POISONING_LOCKS.iter().any(|p| line.contains(p)) && !marked(&raw_lines, *n, LOCK_MARKER)
         {
             out.push(Violation {
                 rule: "service-blocking",
@@ -519,19 +521,8 @@ fn check_hot_clone(
         return;
     }
     let raw_lines: Vec<&str> = raw_text.lines().collect();
-    // Markers live in comments, which production_lines strips —
-    // consult the raw line and its predecessor.
-    let has_marker = |n: usize| {
-        n >= 1
-            && raw_lines
-                .get(n - 1)
-                .is_some_and(|l| l.contains(HOT_CLONE_MARKER))
-    };
     for (n, line) in lines {
-        if !line.contains(".clone()") {
-            continue;
-        }
-        if has_marker(*n) || has_marker(n.saturating_sub(1)) {
+        if !line.contains(".clone()") || marked(&raw_lines, *n, HOT_CLONE_MARKER) {
             continue;
         }
         out.push(Violation {
@@ -542,6 +533,49 @@ fn check_hot_clone(
                 ".clone() in a `// {HOT_PATH_MARKER}` module without a \
                  `// {HOT_CLONE_MARKER}: <why>` justification; hot paths \
                  reuse flat scratch buffers instead of allocating"
+            ),
+        });
+    }
+}
+
+/// A `static` item whose type is a lock, a once-initialised cell or an
+/// atomic, in `crates/core`/`crates/crowd` production code, without a
+/// marker saying what bounds it.
+fn check_global_state(
+    file: &Path,
+    rel: &str,
+    raw_text: &str,
+    lines: &[(usize, String)],
+    out: &mut Vec<Violation>,
+) {
+    if !(rel.starts_with("crates/core/src/") || rel.starts_with("crates/crowd/src/")) {
+        return;
+    }
+    const GLOBAL_TYPES: &[&str] = &["Mutex<", "RwLock<", "OnceLock<", "LazyLock<", "Atomic"];
+    let raw_lines: Vec<&str> = raw_text.lines().collect();
+    for (n, line) in lines {
+        // `static` as a word, so `&'static str` does not count.
+        let mut item = line.split_whitespace().skip_while(|w| *w != "static");
+        if item.next().is_none() {
+            continue;
+        }
+        let Some(pat) = GLOBAL_TYPES
+            .iter()
+            .find(|p| item.clone().any(|w| w.contains(*p)))
+        else {
+            continue;
+        };
+        if marked(&raw_lines, *n, GLOBAL_STATE_MARKER) {
+            continue;
+        }
+        out.push(Violation {
+            rule: "global-state",
+            file: file.to_path_buf(),
+            line: *n,
+            message: format!(
+                "process-wide `static` of a `{pat}..` type without a \
+                 `// {GLOBAL_STATE_MARKER}: <what bounds it>` justification; \
+                 it lives as long as a long-running server"
             ),
         });
     }
@@ -606,6 +640,10 @@ mod tests {
             rules.contains(&"hot-clone"),
             "expected hot-clone violation, got {violations:?}"
         );
+        assert!(
+            rules.contains(&"global-state"),
+            "expected global-state violation, got {violations:?}"
+        );
     }
 
     #[test]
@@ -625,6 +663,7 @@ mod tests {
             ("service-blocking", 5),
             ("durable-fs", 1),
             ("hot-clone", 1),
+            ("global-state", 1),
         ] {
             let count = violations.iter().filter(|v| v.rule == rule).count();
             assert_eq!(count, expected, "rule {rule}: {violations:?}");
