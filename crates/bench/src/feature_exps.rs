@@ -185,10 +185,10 @@ pub fn kappa_on_sample(
 ) -> f64 {
     let mut labels: Vec<Vec<usize>> = Vec::new();
     for &c in celeb_subset {
-        labels.push(trial.left.votes[c][feature_idx].clone());
+        labels.push(trial.left.labels(c, feature_idx).collect());
         // photo_items are shuffled; find the photo of celebrity c.
         let photo_idx = trial.ds.photo_owner.iter().position(|&o| o == c).unwrap();
-        labels.push(trial.right.votes[photo_idx][feature_idx].clone());
+        labels.push(trial.right.labels(photo_idx, feature_idx).collect());
     }
     let counts = counts_from_labels(&labels, num_options + 1);
     fleiss_kappa(&counts).unwrap_or(0.0)

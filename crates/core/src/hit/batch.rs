@@ -5,6 +5,13 @@
 //! task (operator) to multiple tuples, and **combining**, where we
 //! generate a single HIT that applies several tasks (generally only
 //! filters and generative tasks) to the same tuple."
+//!
+//! Operators reach these through `ops::common::batch_streams`, which
+//! also numbers each question's cell. Filters merge one predicate and
+//! combine several; ratings merge; feature extraction and generative
+//! tasks combine their fields or merge each field on its own, as their
+//! `combined_interface` says. The one per-cell vote tally is
+//! [`CellVotes`](crate::ops::common::CellVotes).
 
 use qurk_crowd::question::{HitKind, Question};
 use qurk_crowd::HitSpec;

@@ -2,22 +2,23 @@
 //!
 //! Asks the crowd a Yes/No question per tuple; batches multiple tuples
 //! per HIT (*merging*) and, via [`FilterOp::run_combined`], multiple
-//! predicates per tuple (*combining*). Answers are fused by
+//! predicates per tuple (*combining*). The votes arrive through the
+//! one batched vote path ([`crate::ops::common`]) and are fused by
 //! MajorityVote or QualityAdjust.
 //!
 //! Re-ask avoidance is no longer this operator's job: wrap the backend
 //! in a [`crate::backend::CachingBackend`] and identical filter HITs
 //! are answered from the cache across queries.
+// lint:hot-path
 
-use qurk_combine::em::{QualityAdjust, QualityAdjustConfig};
+use qurk_combine::em::QualityAdjustConfig;
 use qurk_combine::majority_vote_bool;
 use qurk_crowd::question::{HitKind, Question};
-use qurk_crowd::{ItemId, WorkerId};
+use qurk_crowd::ItemId;
 
 use crate::backend::CrowdBackend;
 use crate::error::Result;
-use crate::hit::batch::{combine_questions, merge_into_hits};
-use crate::ops::common::{question_starts, Round, WorkerRanks, DEFAULT_ROUND_LIMIT_SECS};
+use crate::ops::common::{batch_streams, CellVotes, DEFAULT_ROUND_LIMIT_SECS};
 use crate::task::CombinerKind;
 
 /// Configuration for one filter execution.
@@ -51,9 +52,7 @@ impl FilterOp {
         predicate: &str,
         items: &[ItemId],
     ) -> Result<Vec<bool>> {
-        let results = self.run_combined(backend, &[predicate], items)?;
-        // lint:allow(unwrap): run_combined returns one verdict per predicate and we passed exactly one
-        Ok(results.into_iter().map(|mut v| v.pop().unwrap()).collect())
+        self.verdicts(backend, &[predicate], items)
     }
 
     /// Evaluate several predicates on each item with *combining*: all
@@ -65,12 +64,25 @@ impl FilterOp {
         predicates: &[&str],
         items: &[ItemId],
     ) -> Result<Vec<Vec<bool>>> {
-        assert!(!predicates.is_empty(), "need at least one predicate");
-        let mut out = vec![vec![false; predicates.len()]; items.len()];
-        if items.is_empty() {
-            return Ok(out);
-        }
+        let verdicts = self.verdicts(backend, predicates, items)?;
+        Ok(verdicts
+            .chunks(predicates.len())
+            .map(<[bool]>::to_vec)
+            .collect())
+    }
 
+    /// One verdict per cell, tuple-major: cell `item_idx * predicates +
+    /// predicate_idx`. A cell nobody voted on is `false`.
+    fn verdicts<B: CrowdBackend + ?Sized>(
+        &self,
+        backend: &mut B,
+        predicates: &[&str],
+        items: &[ItemId],
+    ) -> Result<Vec<bool>> {
+        assert!(!predicates.is_empty(), "need at least one predicate");
+        if items.is_empty() {
+            return Ok(Vec::new());
+        }
         let streams: Vec<Vec<Question>> = predicates
             .iter()
             .map(|&p| {
@@ -83,62 +95,40 @@ impl FilterOp {
                     .collect()
             })
             .collect();
-        let specs = if predicates.len() == 1 {
-            merge_into_hits(
-                // lint:allow(unwrap): one stream per predicate, and this branch has exactly one
-                streams.into_iter().next().unwrap(),
-                self.batch_size,
-                HitKind::Filter,
-            )
-        } else {
-            combine_questions(streams, self.batch_size, HitKind::Filter)
-        };
-        let starts = question_starts(&specs);
-        let round = Round::post(backend, specs, self.assignments);
-        let answers = round.complete(backend, self.limit_secs)?;
+        let (specs, layout) = batch_streams(streams, self.batch_size, true, HitKind::Filter);
+        let votes = CellVotes::ask(
+            backend,
+            specs,
+            &layout,
+            self.assignments,
+            self.limit_secs,
+            |_, answer| answer.as_bool(),
+        )?;
 
-        // Gather votes per cell, one slot per (item_idx, predicate_idx)
-        // at `item_idx * predicates + predicate_idx`: the question
-        // stream's flattened order, which the specs carry in order.
-        let np = predicates.len();
-        let mut votes: Vec<Vec<(WorkerId, bool)>> = vec![Vec::new(); items.len() * np];
-        for (assignments, &first_q) in answers.iter().zip(&starts) {
-            for a in assignments {
-                for (qi, ans) in a.answers.iter().enumerate() {
-                    if let Some(b) = ans.as_bool() {
-                        votes[first_q + qi].push((a.worker, b));
-                    }
-                }
-            }
-        }
-
-        // A cell nobody voted on stays `false`.
-        let voted = || votes.iter().enumerate().filter(|(_, vs)| !vs.is_empty());
         match self.combiner {
             CombinerKind::MajorityVote => {
-                for (cell, vs) in voted() {
-                    let bools: Vec<bool> = vs.iter().map(|&(_, b)| b).collect();
-                    out[cell / np][cell % np] = majority_vote_bool(&bools);
-                }
+                let mut bools = Vec::new();
+                Ok(votes
+                    .iter()
+                    .map(|vs| {
+                        bools.clear();
+                        bools.extend(vs.iter().map(|&(_, b)| b));
+                        majority_vote_bool(&bools)
+                    })
+                    .collect())
             }
             CombinerKind::QualityAdjust => {
-                // One EM run over all voted cells: cells are "items",
-                // numbered in slot order, each with its votes in order.
-                let ranks = WorkerRanks::new(votes.iter().flatten().map(|&(w, _)| w));
-                let mut offsets = vec![0];
-                let mut em_votes = Vec::new();
-                for (_, vs) in voted() {
-                    em_votes.extend(vs.iter().map(|&(w, b)| (ranks.rank(w), usize::from(b))));
-                    offsets.push(em_votes.len());
+                // One EM run over the voted cells, in cell order.
+                let (voted, votes) = votes.voted();
+                let config = QualityAdjustConfig::categorical(2);
+                let (em, _) = votes.quality_adjust(config, |&b| usize::from(b));
+                let mut out = vec![false; items.len() * predicates.len()];
+                for (id, cell) in voted.into_iter().enumerate() {
+                    out[cell] = em.decision_bool(id);
                 }
-                let qa = QualityAdjust::new(QualityAdjustConfig::categorical(2));
-                let result = qa.run_grouped(&offsets, &em_votes);
-                for (id, (cell, _)) in voted().enumerate() {
-                    out[cell / np][cell % np] = result.decision_bool(id);
-                }
+                Ok(out)
             }
         }
-        Ok(out)
     }
 }
 
@@ -152,7 +142,7 @@ mod tests {
     use qurk_crowd::question::Answer;
     use qurk_crowd::sim::SimTime;
     use qurk_crowd::truth::PredicateTruth;
-    use qurk_crowd::{CrowdConfig, GroundTruth, HitSpec, Marketplace};
+    use qurk_crowd::{CrowdConfig, GroundTruth, HitSpec, Marketplace, WorkerId};
 
     type PredSpec<'a> = &'a [(&'a str, fn(usize) -> bool)];
 

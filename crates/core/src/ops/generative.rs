@@ -3,20 +3,22 @@
 //! Generative tasks collect unconstrained input (free text, normalized
 //! before combination) or constrained input (Radio responses, used by
 //! join feature filtering). Multi-field tasks ask every field of a
-//! tuple in one HIT; merging batches multiple tuples per HIT.
+//! tuple in one HIT; merging batches multiple tuples per HIT. Each
+//! field is a question stream of the one batched vote path
+//! ([`crate::ops::common`]), and a Radio cell is decided by the same
+//! majority as §3.2's feature extraction.
+// lint:hot-path
 
 use std::collections::HashMap;
 
 use qurk_combine::em::{QualityAdjust, QualityAdjustConfig};
 use qurk_combine::majority_vote;
 use qurk_crowd::question::{HitKind, Question, UNKNOWN};
-use qurk_crowd::{ItemId, WorkerId};
+use qurk_crowd::{Answer, ItemId};
 
 use crate::backend::CrowdBackend;
-use crate::error::{QurkError, Result};
-use crate::hit::batch::combine_questions;
-use crate::lang::ast::{ResponseOption, ResponseSpec};
-use crate::ops::common::{question_starts, Round, WorkerRanks, DEFAULT_ROUND_LIMIT_SECS};
+use crate::error::Result;
+use crate::ops::common::{batch_streams, CellVotes, WorkerRanks, DEFAULT_ROUND_LIMIT_SECS};
 use crate::task::{CombinerKind, TaskDef, TaskType};
 use crate::value::Value;
 
@@ -25,10 +27,23 @@ use crate::value::Value;
 /// the normalized majority string.
 pub type GenRow = HashMap<String, Value>;
 
-/// Raw categorical votes per item, for κ computations:
-/// `votes[item_idx][field_idx]` = per-worker option indices (UNKNOWN
-/// mapped to the extra index `num_options`).
-pub type CategoricalVotes = Vec<Vec<Vec<usize>>>;
+/// A Radio answer as a vote over `k` options: its category, UNKNOWN
+/// as `k`. A category past the options (only a stored answer can hold
+/// one) or an answer of another kind is no vote.
+pub(crate) fn radio_label(answer: &Answer, k: usize) -> Option<usize> {
+    match answer.as_category()? {
+        UNKNOWN => Some(k),
+        c => (c < k).then_some(c),
+    }
+}
+
+/// The majority of one Radio cell's votes ([`radio_label`]s over `k`
+/// options): the winning option, `None` if UNKNOWN wins or nobody
+/// voted.
+pub(crate) fn radio_majority(labels: impl Iterator<Item = usize>, k: usize) -> Option<usize> {
+    let labels: Vec<usize> = labels.collect();
+    majority_vote(&labels).winner.filter(|&c| c < k)
+}
 
 /// Configuration for one generative execution.
 #[derive(Debug, Clone)]
@@ -57,15 +72,18 @@ impl Default for GenerativeOp {
 #[derive(Debug)]
 pub struct GenOutcome {
     pub rows: Vec<GenRow>,
-    /// Categorical votes for agreement analysis (empty vecs for text
-    /// fields).
-    pub votes: CategoricalVotes,
     pub hits_posted: usize,
+}
+
+/// One vote of a generative cell: a text field's normalized answer, or
+/// a Radio field's [`radio_label`].
+enum Vote {
+    Text(String),
+    Label(usize),
 }
 
 impl GenerativeOp {
     /// Run `task` (type Generative) over `items`.
-    #[allow(clippy::needless_range_loop)] // ii indexes parallel rows/votes/items arrays
     pub fn run<B: CrowdBackend + ?Sized>(
         &self,
         backend: &mut B,
@@ -76,168 +94,115 @@ impl GenerativeOp {
         if items.is_empty() {
             return Ok(GenOutcome {
                 rows: Vec::new(),
-                votes: Vec::new(),
                 hits_posted: 0,
             });
         }
-        let kind = if self.combined_interface && task.fields.len() > 1 {
+        let nf = task.fields.len();
+        let kind = if self.combined_interface && nf > 1 {
             HitKind::FeatureCombined
         } else {
             HitKind::FeatureSingle
         };
 
-        // Build one question stream per field.
+        // One question stream per field: a Radio field (its options
+        // listed here, UNKNOWN excluded) asks for a category, a text field
+        // for free text. Single-field tasks key the oracle by task name;
+        // multi-field by field name.
+        let radios: Vec<Option<Vec<&str>>> = task
+            .fields
+            .iter()
+            .map(|f| f.radio_options().map(|(opts, _)| opts))
+            .collect();
         let streams: Vec<Vec<Question>> = task
             .fields
             .iter()
-            .map(|f| {
+            .zip(&radios)
+            .map(|(f, radio)| {
+                let name = if nf == 1 { &task.name } else { &f.name };
                 items
                     .iter()
-                    .map(|&item| match &f.response {
-                        ResponseSpec::Radio { options, .. } => Question::Feature {
+                    .map(|&item| match radio {
+                        Some(opts) => Question::Feature {
                             item,
-                            // Single-field tasks key the oracle by
-                            // task name; multi-field by field name.
-                            feature: if task.fields.len() == 1 {
-                                task.name.clone()
-                            } else {
-                                f.name.clone()
-                            },
-                            num_options: options
-                                .iter()
-                                .filter(|o| matches!(o, ResponseOption::Value(_)))
-                                .count(),
+                            feature: name.to_owned(),
+                            num_options: opts.len(),
                         },
-                        ResponseSpec::Text { .. } => Question::Generative {
+                        None => Question::Generative {
                             item,
-                            field: f.name.clone(),
+                            field: f.name.to_owned(),
                         },
                     })
                     .collect()
             })
             .collect();
+        // Separate interfaces post one group of HITs per field,
+        // concatenated (posted together, §2.5 runs them in parallel).
+        let (specs, layout) =
+            batch_streams(streams, self.batch_size, self.combined_interface, kind);
+        let hits_posted = specs.len();
 
-        let specs = if self.combined_interface || streams.len() == 1 {
-            combine_questions(streams, self.batch_size, kind)
-        } else {
-            // Separate interfaces: one group of HITs per field,
-            // concatenated (posted together, §2.5 runs them in parallel).
-            let mut all = Vec::new();
-            for s in streams {
-                all.extend(combine_questions(vec![s], self.batch_size, kind));
-            }
-            all
-        };
-        let num_specs = specs.len();
-        let starts = question_starts(&specs);
-        let round = Round::post(backend, specs, self.assignments);
-        let answers = round.complete(backend, self.limit_secs)?;
-
-        // Flattened question order -> (item_idx, field_idx).
-        let nf = task.fields.len();
-        let flat: Vec<(usize, usize)> = if self.combined_interface || nf == 1 {
-            (0..items.len())
-                .flat_map(|ii| (0..nf).map(move |fi| (ii, fi)))
-                .collect()
-        } else {
-            (0..nf)
-                .flat_map(|fi| (0..items.len()).map(move |ii| (ii, fi)))
-                .collect()
-        };
-
-        // Gather per-cell votes. A category past its field's options
-        // (only a stored answer can hold one) is no vote.
-        let options: Vec<usize> = task
-            .fields
-            .iter()
-            .map(|f| f.radio_options().map_or(0, |(opts, _)| opts.len()))
-            .collect();
-        let mut text_votes: HashMap<(usize, usize), Vec<String>> = HashMap::new();
-        let mut cat_votes: HashMap<(usize, usize), Vec<(WorkerId, usize)>> = HashMap::new();
-        for (assignments, &first_q) in answers.iter().zip(&starts) {
-            for a in assignments {
-                for (qi, ans) in a.answers.iter().enumerate() {
-                    let cell = flat[first_q + qi];
-                    match ans {
-                        qurk_crowd::Answer::Text(t) => {
-                            text_votes.entry(cell).or_default().push(t.clone())
-                        }
-                        &qurk_crowd::Answer::Category(c) if c == UNKNOWN || c < options[cell.1] => {
-                            cat_votes.entry(cell).or_default().push((a.worker, c))
-                        }
-                        _ => {}
-                    }
+        // A text field's vote is its normalized answer; a Radio field's
+        // is its label over the field's options.
+        let votes = CellVotes::ask(
+            backend,
+            specs,
+            &layout,
+            self.assignments,
+            self.limit_secs,
+            |cell, answer| match &radios[cell % nf] {
+                Some(opts) => radio_label(answer, opts.len()).map(Vote::Label),
+                None => {
+                    let text = answer.as_text()?;
+                    Some(Vote::Text(task.fields[cell % nf].normalizer.apply(text)))
                 }
-            }
-        }
+            },
+        )?;
 
-        // Combine.
+        // Combine. A cell with no vote leaves its field unset.
         let mut rows: Vec<GenRow> = vec![GenRow::new(); items.len()];
-        let mut votes: CategoricalVotes = vec![vec![Vec::new(); nf]; items.len()];
         for (fi, f) in task.fields.iter().enumerate() {
-            match &f.response {
-                ResponseSpec::Text { .. } => {
-                    for ii in 0..items.len() {
-                        if let Some(vs) = text_votes.get(&(ii, fi)) {
-                            let normalized: Vec<String> =
-                                vs.iter().map(|s| f.normalizer.apply(s)).collect();
-                            let outcome = majority_vote(&normalized);
-                            rows[ii].insert(
-                                f.name.clone(),
-                                outcome.winner.map(Value::text).unwrap_or(Value::Null),
-                            );
-                        }
-                    }
-                }
-                ResponseSpec::Radio { .. } => {
-                    let (opts, _) = f.radio_options().ok_or_else(|| {
-                        QurkError::Schema(format!("field {} has no radio options", f.name))
-                    })?;
+            let cell = |ii: usize| votes.cell(ii * nf + fi);
+            let decided: Vec<Option<Value>> = match &radios[fi] {
+                None => (0..items.len())
+                    .map(|ii| {
+                        let texts: Vec<&str> = cell(ii)
+                            .iter()
+                            .filter_map(|(_, v)| match v {
+                                Vote::Text(t) => Some(t.as_str()),
+                                Vote::Label(_) => None,
+                            })
+                            .collect();
+                        let winner = majority_vote(&texts).winner;
+                        (!texts.is_empty()).then(|| winner.map_or(Value::Null, Value::text))
+                    })
+                    .collect(),
+                Some(opts) => {
+                    let labels = |ii: usize| {
+                        cell(ii).iter().filter_map(|(w, v)| match v {
+                            Vote::Label(c) => Some((*w, *c)),
+                            Vote::Text(_) => None,
+                        })
+                    };
+                    let option = |c: Option<usize>| c.map_or(Value::Null, |c| Value::text(opts[c]));
                     let k = opts.len();
-                    // Record raw votes (UNKNOWN -> index k).
-                    for ii in 0..items.len() {
-                        if let Some(vs) = cat_votes.get(&(ii, fi)) {
-                            votes[ii][fi] = vs
-                                .iter()
-                                .map(|&(_, c)| if c == UNKNOWN { k } else { c })
-                                .collect();
-                        }
-                    }
                     match f.combiner {
-                        CombinerKind::MajorityVote => {
-                            for ii in 0..items.len() {
-                                if let Some(vs) = cat_votes.get(&(ii, fi)) {
-                                    let labels: Vec<usize> = vs
-                                        .iter()
-                                        .map(|&(_, c)| if c == UNKNOWN { k } else { c })
-                                        .collect();
-                                    let outcome = majority_vote(&labels);
-                                    let v = match outcome.winner {
-                                        Some(c) if c < k => Value::text(opts[c]),
-                                        _ => Value::Null, // UNKNOWN won
-                                    };
-                                    rows[ii].insert(f.name.clone(), v);
-                                }
-                            }
-                        }
+                        CombinerKind::MajorityVote => (0..items.len())
+                            .map(|ii| {
+                                let winner = radio_majority(labels(ii).map(|(_, c)| c), k);
+                                (labels(ii).next().is_some()).then(|| option(winner))
+                            })
+                            .collect(),
                         CombinerKind::QualityAdjust => {
                             // EM over this field's votes across items;
                             // UNKNOWN answers are excluded from EM (they
                             // carry no label) and win only if they are
-                            // the outright majority.
-                            // EM items are item indices up to the last
-                            // one with a labelled vote; items in that
-                            // range without one still count in the
-                            // priors.
-                            let labelled = |ii: usize| {
-                                cat_votes
-                                    .get(&(ii, fi))
-                                    .into_iter()
-                                    .flatten()
-                                    .filter(|&&(_, c)| c != UNKNOWN)
-                            };
+                            // the outright majority. EM items are item
+                            // indices up to the last one with a labelled
+                            // vote; items in that range without one still
+                            // count in the priors.
+                            let labelled = |ii: usize| labels(ii).filter(|&(_, c)| c < k);
                             let ranks = WorkerRanks::new(
-                                (0..items.len()).flat_map(|ii| labelled(ii).map(|&(w, _)| w)),
+                                (0..items.len()).flat_map(|ii| labelled(ii).map(|(w, _)| w)),
                             );
                             let num_em_items = (0..items.len())
                                 .rev()
@@ -246,36 +211,33 @@ impl GenerativeOp {
                             let mut offsets = vec![0];
                             let mut em_votes = Vec::new();
                             for ii in 0..num_em_items {
-                                em_votes.extend(labelled(ii).map(|&(w, c)| (ranks.rank(w), c)));
+                                em_votes.extend(labelled(ii).map(|(w, c)| (ranks.rank(w), c)));
                                 offsets.push(em_votes.len());
                             }
                             let qa = QualityAdjust::new(QualityAdjustConfig::categorical(k));
                             let em = qa.run_grouped(&offsets, &em_votes);
-                            for ii in 0..items.len() {
-                                if let Some(vs) = cat_votes.get(&(ii, fi)) {
-                                    let unknowns =
-                                        vs.iter().filter(|&&(_, c)| c == UNKNOWN).count();
-                                    let v = if unknowns * 2 > vs.len() {
-                                        Value::Null
-                                    } else if ii < em.decisions.len() {
-                                        Value::text(opts[em.decisions[ii]])
-                                    } else {
-                                        Value::Null
-                                    };
-                                    rows[ii].insert(f.name.clone(), v);
-                                }
-                            }
+                            (0..items.len())
+                                .map(|ii| {
+                                    let total = labels(ii).count();
+                                    let unknowns = total - labelled(ii).count();
+                                    let decision = em.decisions.get(ii).copied();
+                                    (total > 0)
+                                        .then(|| option(decision.filter(|_| unknowns * 2 <= total)))
+                                })
+                                .collect()
                         }
                     }
+                }
+            };
+            for (row, v) in rows.iter_mut().zip(decided) {
+                if let Some(v) = v {
+                    // lint:allow(hot-clone): each row owns its field names.
+                    row.insert(f.name.clone(), v);
                 }
             }
         }
 
-        Ok(GenOutcome {
-            rows,
-            votes,
-            hits_posted: num_specs,
-        })
+        Ok(GenOutcome { rows, hits_posted })
     }
 }
 
@@ -352,9 +314,7 @@ mod tests {
             })
             .count();
         assert!(correct >= 9, "correct={correct}/10");
-        // Votes recorded for kappa analysis.
-        assert_eq!(out.votes.len(), 10);
-        assert!(out.votes[0][0].len() >= 5);
+        assert!(out.rows.iter().all(|r| r.contains_key("value")));
     }
 
     #[test]
@@ -388,7 +348,7 @@ mod tests {
 
     /// A CRC-valid store can hold a category past a radio field's
     /// options. Replayed, that answer is no vote: QualityAdjust still
-    /// runs, and the cell it answered has every other vote.
+    /// runs, and decides as if the answer had never been given.
     #[test]
     fn an_out_of_range_stored_category_is_no_vote() {
         let mut gt = GroundTruth::new();
@@ -411,15 +371,23 @@ mod tests {
         let [key] = hostile.keys()[..] else {
             panic!("four items fit one HIT");
         };
+        // The last answer of the first assignment (item 3's), so that
+        // dropping it shifts no other answer.
+        let mut removed = hostile.clone();
         let entry = hostile.entries.get_mut(&key).unwrap();
-        entry.assignments[0].answers[0] = qurk_crowd::Answer::Category(4 + 1);
+        entry.assignments[0].answers[3] = qurk_crowd::Answer::Category(4 + 1);
+        removed.entries.get_mut(&key).unwrap().assignments[0]
+            .answers
+            .pop();
 
         let after = op
             .run(&mut ReplayBackend::from_trace(hostile), &t, &items)
             .unwrap();
-        assert_eq!(after.votes[0][0], before.votes[0][0][1..]);
-        assert_eq!(after.votes[1..], before.votes[1..]);
-        assert_eq!(after.rows.len(), 4);
+        let want = op
+            .run(&mut ReplayBackend::from_trace(removed), &t, &items)
+            .unwrap();
+        assert_eq!(after.rows, want.rows);
+        assert_eq!(after.rows.len(), before.rows.len());
     }
 
     #[test]

@@ -19,17 +19,15 @@
 //! A join round touches every candidate pair several times (compile,
 //! vote gathering, combining), so a pair is carried as its **ordinal**:
 //! its position in one sorted `Vec<(usize, usize)>`. Compiled HITs
-//! record ordinals, and [`Round::complete`] hands back each HIT's
-//! assignments by spec position, so a question's pair is found by
-//! index. [`PairVotes::tally`] counts each pair's votes and then places
-//! them into one CSR buffer (voted pairs, offsets, `(worker, vote)`
-//! answers); that buffer's offsets are the item grouping QualityAdjust
-//! takes ([`QualityAdjust::run_grouped`]), with workers numbered
-//! through a dense `WorkerId`-indexed rank table. Sorted and
-//! contiguous from compile to EM, with no hashing.
+//! record ordinals, and the batched vote path (`CellVotes::ask`)
+//! tallies each ordinal's votes into one CSR buffer ([`PairVotes`]
+//! keeps the voted ones); that buffer's offsets are the item grouping
+//! QualityAdjust takes ([`qurk_combine::em::QualityAdjust::run_grouped`]),
+//! with workers numbered through a dense `WorkerId`-indexed rank table.
+//! Sorted and contiguous from compile to EM, with no hashing.
 // lint:hot-path
 
-use qurk_combine::em::{QualityAdjust, QualityAdjustConfig, QualityAdjustOutput};
+use qurk_combine::em::{QualityAdjustConfig, QualityAdjustOutput};
 use qurk_combine::majority_vote_bool;
 use qurk_crowd::market::Assignment;
 use qurk_crowd::question::{HitKind, Question};
@@ -37,7 +35,7 @@ use qurk_crowd::{HitSpec, ItemId, WorkerId};
 
 use crate::backend::CrowdBackend;
 use crate::error::Result;
-use crate::ops::common::{question_starts, Round, WorkerRanks, DEFAULT_ROUND_LIMIT_SECS};
+use crate::ops::common::{batch_streams, CellVotes, WorkerRanks, DEFAULT_ROUND_LIMIT_SECS};
 use crate::task::CombinerKind;
 
 pub use feature_filter::{FeatureFilter, FeatureFilterConfig, FeatureFilterOutcome};
@@ -70,16 +68,16 @@ impl Default for JoinOp {
     }
 }
 
-/// The `(worker, vote)` answers each candidate pair received, in one
-/// CSR buffer: the voted pairs `(left_idx, right_idx)` ascending, and
-/// per pair a range of the flat vote buffer holding its answers in
-/// arrival order. Pairs nobody answered are absent.
+/// The `(worker, vote)` answers each candidate pair received: the
+/// voted pairs `(left_idx, right_idx)` ascending, and per pair its
+/// answers in arrival order, in the one CSR tally of the batched vote
+/// path ([`CellVotes`], over pair ordinals). Pairs nobody answered are
+/// absent.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PairVotes {
     pairs: Vec<(usize, usize)>,
-    /// Pair `n`'s votes are `votes[offsets[n]..offsets[n + 1]]`.
-    offsets: Vec<usize>,
-    votes: Vec<(WorkerId, bool)>,
+    /// Voted pair `n`'s votes are cell `n`.
+    votes: CellVotes<bool>,
 }
 
 impl PairVotes {
@@ -87,39 +85,25 @@ impl PairVotes {
     /// pairs; `layout[q]` is the ordinal (position in `pairs`) of the
     /// pair question `q` asks about, in posting order; spec `p` asks
     /// questions `starts[p]..starts[p + 1]`, and `round[p]` holds its
-    /// HIT's assignments ([`Round::complete`]). One pass counts each
-    /// pair's votes, a second places them, in arrival order (HITs in
-    /// spec order, each HIT's assignments in completion order).
+    /// HIT's assignments
+    /// ([`Round::complete`](crate::ops::common::Round::complete)). Votes
+    /// keep arrival order (HITs in spec order, each HIT's assignments in
+    /// completion order).
     pub fn tally(
         pairs: &[(usize, usize)],
         layout: &[usize],
         starts: &[usize],
         round: &[Vec<Assignment>],
     ) -> PairVotes {
-        // `cursor[n]` starts as ordinal n's first slot in `votes`.
-        let mut cursor = vec![0usize; pairs.len() + 1];
-        each_vote(layout, starts, round, |ordinal, _, _| {
-            cursor[ordinal + 1] += 1
-        });
-        for n in 0..pairs.len() {
-            cursor[n + 1] += cursor[n];
-        }
-        let mut voted = Vec::new();
-        let mut offsets = vec![0];
-        for (n, &pair) in pairs.iter().enumerate() {
-            if cursor[n + 1] > cursor[n] {
-                voted.push(pair);
-                offsets.push(cursor[n + 1]);
-            }
-        }
-        let mut votes = vec![(WorkerId(0), false); cursor[pairs.len()]];
-        each_vote(layout, starts, round, |ordinal, worker, vote| {
-            votes[cursor[ordinal]] = (worker, vote);
-            cursor[ordinal] += 1;
-        });
+        let votes = CellVotes::tally(pairs.len(), layout, starts, round, |_, a| a.as_bool());
+        PairVotes::from_ordinals(pairs, votes)
+    }
+
+    /// Keep the voted ordinals of `votes` (cell `n` is `pairs[n]`).
+    fn from_ordinals(pairs: &[(usize, usize)], votes: CellVotes<bool>) -> PairVotes {
+        let (voted, votes) = votes.voted();
         PairVotes {
-            pairs: voted,
-            offsets,
+            pairs: voted.into_iter().map(|n| pairs[n]).collect(),
             votes,
         }
     }
@@ -140,35 +124,12 @@ impl PairVotes {
 
     /// Voted pair `n`'s answers, in arrival order.
     pub fn votes(&self, n: usize) -> &[(WorkerId, bool)] {
-        &self.votes[self.offsets[n]..self.offsets[n + 1]]
+        self.votes.cell(n)
     }
 
     /// Each voted pair with its answers, ascending by pair.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = ((usize, usize), &[(WorkerId, bool)])> {
-        self.pairs
-            .iter()
-            .enumerate()
-            .map(|(n, &pair)| (pair, self.votes(n)))
-    }
-}
-
-/// Call `f(ordinal, worker, vote)` for each yes/no answer of a
-/// completed join round, in arrival order (see [`PairVotes::tally`]).
-fn each_vote(
-    layout: &[usize],
-    starts: &[usize],
-    round: &[Vec<Assignment>],
-    mut f: impl FnMut(usize, WorkerId, bool),
-) {
-    for (p, assignments) in round.iter().enumerate() {
-        let ordinals = &layout[starts[p]..starts[p + 1]];
-        for a in assignments {
-            for (&ordinal, ans) in ordinals.iter().zip(&a.answers) {
-                if let Some(vote) = ans.as_bool() {
-                    f(ordinal, a.worker, vote);
-                }
-            }
-        }
+        self.pairs.iter().copied().zip(self.votes.iter())
     }
 }
 
@@ -238,10 +199,15 @@ impl JoinOp {
         // posting order, the ordinal of the pair it asks about.
         let (specs, layout) = self.compile(left, right, &pairs);
         let hits_posted = specs.len();
-        let starts = question_starts(&specs);
-        let round = Round::post(backend, specs, self.assignments);
-        let answers = round.complete(backend, self.limit_secs)?;
-        let pair_votes = PairVotes::tally(&pairs, &layout, &starts, &answers);
+        let votes = CellVotes::ask(
+            backend,
+            specs,
+            &layout,
+            self.assignments,
+            self.limit_secs,
+            |_, answer| answer.as_bool(),
+        )?;
+        let pair_votes = PairVotes::from_ordinals(&pairs, votes);
         let matches = self.combine(&pair_votes);
         Ok(JoinOutcome {
             matches,
@@ -361,18 +327,11 @@ impl JoinOp {
 
 /// The paper's QualityAdjust configuration (5 EM iterations, false
 /// negatives penalized twice as heavily, §3.3.2) run over `pair_votes`.
-/// EM item `n` is voted pair `n`, its votes the pair's CSR range; EM
-/// worker `r` is the returned ranks' `worker(r)`, ascending by
-/// `WorkerId`.
+/// EM item `n` is voted pair `n`; EM worker `r` is the returned ranks'
+/// `worker(r)`, ascending by `WorkerId`.
 fn quality_adjust(pair_votes: &PairVotes) -> (QualityAdjustOutput, WorkerRanks) {
-    let ranks = WorkerRanks::new(pair_votes.votes.iter().map(|&(w, _)| w));
-    let votes: Vec<(usize, usize)> = pair_votes
-        .votes
-        .iter()
-        .map(|&(w, b)| (ranks.rank(w), usize::from(b)))
-        .collect();
-    let qa = QualityAdjust::new(QualityAdjustConfig::paper_join());
-    (qa.run_grouped(&pair_votes.offsets, &votes), ranks)
+    let config = QualityAdjustConfig::paper_join();
+    pair_votes.votes.quality_adjust(config, |&b| usize::from(b))
 }
 
 /// Identify spam-scoring workers from raw join votes via the
@@ -406,7 +365,7 @@ pub mod feature_filter {
     //! §3.2: POSSIBLY-clause feature filtering.
 
     use super::*;
-    use qurk_crowd::question::UNKNOWN;
+    use crate::ops::generative::{radio_label, radio_majority};
     use qurk_metrics::kappa::{counts_from_labels, fleiss_kappa};
 
     /// A feature to extract: oracle name + option count (UNKNOWN
@@ -464,8 +423,18 @@ pub mod feature_filter {
         /// `values[item_idx][feature_idx]`: combined value; `None` is
         /// UNKNOWN (matches everything, §2.4).
         pub values: Vec<Vec<Option<usize>>>,
-        /// Raw votes (UNKNOWN mapped to `num_options`) for κ.
-        pub votes: Vec<Vec<Vec<usize>>>,
+        /// Raw votes for κ, one cell per (item, feature), tuple-major:
+        /// cell `item_idx * features + feature_idx`. A vote is the
+        /// category, UNKNOWN mapped to `num_options`.
+        pub votes: CellVotes<usize>,
+    }
+
+    impl Extraction {
+        /// Item `i`'s raw votes on feature `f`, in arrival order.
+        pub fn labels(&self, i: usize, f: usize) -> impl Iterator<Item = usize> + '_ {
+            let features = self.values[i].len();
+            self.votes.cell(i * features + f).iter().map(|&(_, l)| l)
+        }
     }
 
     /// Outcome of the full pipeline.
@@ -525,71 +494,32 @@ pub mod feature_filter {
                         .collect()
                 })
                 .collect();
-            let specs = if self.config.combined_interface {
-                crate::hit::batch::combine_questions(streams, self.config.batch_size, kind)
-            } else {
-                let mut all = Vec::new();
-                for s in streams {
-                    all.extend(crate::hit::batch::merge_into_hits(
-                        s,
-                        self.config.batch_size,
-                        kind,
-                    ));
-                }
-                all
-            };
+            let (specs, layout) = batch_streams(
+                streams,
+                self.config.batch_size,
+                self.config.combined_interface,
+                kind,
+            );
             let hits_posted = specs.len();
-            let starts = question_starts(&specs);
-            let round = Round::post(backend, specs, self.config.assignments);
-            let answers = round.complete(backend, self.config.limit_secs)?;
-
-            // Flattened question order -> (item_idx, feature_idx).
             let nf = features.len();
-            let flat: Vec<(usize, usize)> = if self.config.combined_interface {
-                (0..items.len())
-                    .flat_map(|ii| (0..nf).map(move |fi| (ii, fi)))
-                    .collect()
-            } else {
-                (0..nf)
-                    .flat_map(|fi| (0..items.len()).map(move |ii| (ii, fi)))
-                    .collect()
-            };
-
-            let mut votes: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); nf]; items.len()];
-            for (assignments, &first_q) in answers.iter().zip(&starts) {
-                for a in assignments {
-                    for (qi, ans) in a.answers.iter().enumerate() {
-                        if let Some(c) = ans.as_category() {
-                            let (ii, fi) = flat[first_q + qi];
-                            let k = features[fi].num_options;
-                            match c {
-                                UNKNOWN => votes[ii][fi].push(k),
-                                c if c < k => votes[ii][fi].push(c),
-                                _ => {} // a stored category past the options: no vote
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Majority-combine each cell; UNKNOWN majority -> None.
-            let values: Vec<Vec<Option<usize>>> = votes
-                .iter()
-                .map(|row| {
-                    row.iter()
-                        .enumerate()
-                        .map(|(fi, vs)| {
-                            let k = features[fi].num_options;
-                            let outcome = qurk_combine::majority_vote(vs);
-                            match outcome.winner {
-                                Some(c) if c < k => Some(c),
-                                _ => None,
-                            }
-                        })
+            let votes = CellVotes::ask(
+                backend,
+                specs,
+                &layout,
+                self.config.assignments,
+                self.config.limit_secs,
+                |cell, answer| radio_label(answer, features[cell % nf].num_options),
+            )?;
+            let values = (0..items.len())
+                .map(|i| {
+                    let cells = votes.iter().skip(i * nf);
+                    features
+                        .iter()
+                        .zip(cells)
+                        .map(|(f, vs)| radio_majority(vs.iter().map(|&(_, l)| l), f.num_options))
                         .collect()
                 })
                 .collect();
-
             Ok((Extraction { values, votes }, hits_posted))
         }
 
@@ -601,11 +531,9 @@ pub mod feature_filter {
             left: &Extraction,
             right: &Extraction,
         ) -> f64 {
-            let labels: Vec<&[usize]> = left
-                .votes
-                .iter()
-                .chain(right.votes.iter())
-                .map(|row| row[feature_idx].as_slice())
+            let labels: Vec<Vec<usize>> = [left, right]
+                .into_iter()
+                .flat_map(|e| (0..e.values.len()).map(move |i| e.labels(i, feature_idx).collect()))
                 .collect();
             let counts = counts_from_labels(&labels, num_options + 1);
             fleiss_kappa(&counts).unwrap_or(0.0)
@@ -761,29 +689,14 @@ pub mod feature_filter {
                 // lint:allow(hot-clone): one spec per surviving feature, once per run.
                 .map(|&fi| features[fi].clone())
                 .collect();
-            let (mut left_full, h3) = self.extract(backend, &survivors, left_items)?;
-            let (mut right_full, h4) = self.extract(backend, &survivors, right_items)?;
+            let (left_full, h3) = self.extract(backend, &survivors, left_items)?;
+            let (right_full, h4) = self.extract(backend, &survivors, right_items)?;
             hits_posted += h3 + h4;
 
-            // Re-map survivor columns back to original feature indices
-            // so `candidates` and reporting use consistent numbering.
-            let remap = |e: &mut Extraction| {
-                let n = e.values.len();
-                let mut values = vec![vec![None; features.len()]; n];
-                let mut votes = vec![vec![Vec::new(); features.len()]; n];
-                for (col, &fi) in selected.iter().enumerate() {
-                    for i in 0..n {
-                        values[i][fi] = e.values[i][col];
-                        votes[i][fi] = std::mem::take(&mut e.votes[i][col]);
-                    }
-                }
-                e.values = values;
-                e.votes = votes;
-            };
-            remap(&mut left_full);
-            remap(&mut right_full);
-
-            let candidates = Self::candidates(&selected, &left_full, &right_full);
+            // The full extractions hold the survivors only: column `n`
+            // is feature `selected[n]`.
+            let columns: Vec<usize> = (0..selected.len()).collect();
+            let candidates = Self::candidates(&columns, &left_full, &right_full);
             Ok(FeatureFilterOutcome {
                 selected,
                 decisions,
@@ -1067,19 +980,20 @@ mod tests {
         let out = ff.run(&mut replay(), &color, &l, &r).unwrap();
         assert!(out.kappas[0].is_finite());
         let (after, _) = ff.extract(&mut replay(), &color, &l).unwrap();
-        assert_eq!(after.votes[0][0], before.votes[0][0][1..]);
-        assert_eq!(after.votes[1..], before.votes[1..]);
+        assert!(after.labels(0, 0).eq(before.labels(0, 0).skip(1)));
+        assert_eq!(after.votes.cell(0), &before.votes.cell(0)[1..]);
+        assert!((1..before.values.len()).all(|c| after.votes.cell(c) == before.votes.cell(c)));
     }
 
     #[test]
     fn unknowns_act_as_wildcards() {
         let left = Extraction {
             values: vec![vec![None], vec![Some(1)]],
-            votes: vec![],
+            votes: CellVotes::default(),
         };
         let right = Extraction {
             values: vec![vec![Some(0)], vec![Some(2)]],
-            votes: vec![],
+            votes: CellVotes::default(),
         };
         let c = FeatureFilter::candidates(&[0], &left, &right);
         assert!(c.contains(&(0, 0)));

@@ -28,7 +28,7 @@ use qurk_crowd::{HitSpec, ItemId};
 
 use crate::backend::CrowdBackend;
 use crate::error::{QurkError, Result};
-use crate::ops::common::{question_starts, Round, DEFAULT_ROUND_LIMIT_SECS};
+use crate::ops::common::{batch_streams, CellVotes, Round, DEFAULT_ROUND_LIMIT_SECS};
 use crate::opt::cost::EXACT_COMPARE_PLAN_MAX_N;
 
 /// Result of a sort run.
@@ -437,33 +437,28 @@ impl RateSort {
                 }
             })
             .collect();
-        let specs =
-            crate::hit::batch::merge_into_hits(questions, self.batch_size, HitKind::SortRate);
+        let (specs, layout) =
+            batch_streams(vec![questions], self.batch_size, false, HitKind::SortRate);
         let hits_posted = specs.len();
-        let starts = question_starts(&specs);
-        let round = Round::post(backend, specs, self.assignments);
-        let answers = round.complete(backend, self.limit_secs)?;
+        let votes = CellVotes::ask(
+            backend,
+            specs,
+            &layout,
+            self.assignments,
+            self.limit_secs,
+            |_, answer| answer.as_rating().map(f64::from),
+        )?;
 
-        // Per-item rating samples. Question order is items order.
-        let mut ratings: Vec<Vec<f64>> = vec![Vec::new(); items.len()];
-        for (assignments, &first_q) in answers.iter().zip(&starts) {
-            for a in assignments {
-                for (qi, ans) in a.answers.iter().enumerate() {
-                    if let Some(r) = ans.as_rating() {
-                        ratings[first_q + qi].push(r as f64);
-                    }
-                }
-            }
+        // Per-item rating samples; cell `i` is item `i`.
+        let mut scores = Vec::with_capacity(items.len());
+        let mut stds = Vec::with_capacity(items.len());
+        let mut ratings = Vec::new();
+        for vs in votes.iter() {
+            ratings.clear();
+            ratings.extend(vs.iter().map(|&(_, r)| r));
+            scores.push(qurk_metrics::mean(&ratings).unwrap_or(0.0));
+            stds.push(qurk_metrics::sample_std(&ratings).unwrap_or(0.0));
         }
-
-        let scores: Vec<f64> = ratings
-            .iter()
-            .map(|rs| qurk_metrics::mean(rs).unwrap_or(0.0))
-            .collect();
-        let stds: Vec<f64> = ratings
-            .iter()
-            .map(|rs| qurk_metrics::sample_std(rs).unwrap_or(0.0))
-            .collect();
         let order = order_by_scores(items, &scores);
         Ok(SortOutcome {
             order,
@@ -627,6 +622,7 @@ impl HybridSort {
             // accumulated votes for those pairs; stable fallback to
             // current position.
             let members: Vec<usize> = positions.iter().map(|&p| order[p]).collect();
+            // lint:allow(hot-clone): one window's members, once per comparison HIT
             let mut local: Vec<usize> = members.clone();
             // lint:allow(unwrap): `local` is a permutation of `members`, so every member is found
             let pos_of = |m: usize, cur: &[usize]| cur.iter().position(|&x| x == m).unwrap();

@@ -57,7 +57,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, SendError, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use qurk_crowd::market::RunOutcome;
@@ -359,13 +359,46 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
         self.pending.len()
     }
 
-    /// The service's market, locked: the one Task Cache every query
-    /// posts through, for its totals, cache statistics, trace and
-    /// eviction bound ([`CachingBackend::set_max_entries`]). The lock
-    /// is not reentrant: take one guard per statement, and drop it
-    /// before the next [`Self::run_pending`], which needs it.
-    pub fn market(&self) -> MutexGuard<'_, CachingBackend<B>> {
-        lock(&self.market)
+    /// The service's market: the one Task Cache every query posts
+    /// through, for its totals, cache statistics, trace and eviction
+    /// bound ([`CachingBackend::set_max_entries`]). Between batches the
+    /// service holds the only handle on it, so this borrows it without
+    /// a lock. Reads in one statement need no care:
+    ///
+    /// ```
+    /// # use std::sync::Arc;
+    /// # use qurk::{Catalog, QueryService, ReplayBackend, ReplayTrace};
+    /// let mut svc = QueryService::new(
+    ///     Arc::new(Catalog::new()),
+    ///     ReplayBackend::from_trace(ReplayTrace::default()),
+    /// );
+    /// let totals = (svc.market().stats(), svc.market().evictions());
+    /// assert_eq!(totals, ((0, 0), 0));
+    /// ```
+    ///
+    /// and two borrows held at once are a compile error, not a
+    /// deadlock:
+    ///
+    /// ```compile_fail,E0499
+    /// # use std::sync::Arc;
+    /// # use qurk::{Catalog, QueryService, ReplayBackend, ReplayTrace};
+    /// let mut svc = QueryService::new(
+    ///     Arc::new(Catalog::new()),
+    ///     ReplayBackend::from_trace(ReplayTrace::default()),
+    /// );
+    /// let (a, b) = (svc.market(), svc.market());
+    /// assert_eq!(a.stats(), b.stats());
+    /// ```
+    ///
+    /// # Panics
+    /// Panics if a query still holds the market, which cannot happen
+    /// between [`Self::run_pending`] calls (it returns only once every
+    /// tenant backend is dropped).
+    pub fn market(&mut self) -> &mut CachingBackend<B> {
+        Arc::get_mut(&mut self.market)
+            .expect("tenant backends still hold the market")
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The learned statistics admission plans against. They move only
@@ -425,7 +458,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
             return Vec::new();
         }
         // Batch boundary for the cache's eviction bound.
-        self.market().begin_batch();
+        lock(&self.market).begin_batch();
         let (event_tx, event_rx) = channel::<SchedulerEvent>();
         // Should the scheduler panic, unwinding drops the resume
         // senders and unparks every query, so no worker is left stuck.
@@ -515,7 +548,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
             let task = &mut tasks[*query];
             let mut groups = lock(&task.groups);
             for post in posts.drain(..) {
-                groups.push(self.market().post(post.specs, post.assignments));
+                groups.push(lock(&self.market).post(post.specs, post.assignments));
             }
             task.rounds += 1;
         }
@@ -528,7 +561,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
                 } => {
                     let task = &mut tasks[query];
                     let groups = lock(&task.groups);
-                    let mut market = self.market();
+                    let mut market = lock(&self.market);
                     task.state = if market.query_outstanding(&groups) == 0 {
                         // Fully cached/complete round: runnable again
                         // without a marketplace step. Fold on the
@@ -577,7 +610,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
         stages.dedup();
         for stage in stages {
             let now = {
-                let mut market = self.market();
+                let mut market = lock(&self.market);
                 let dt = stage - market.now().secs();
                 if dt > 0.0 {
                     let _ = market.run(dt);
@@ -591,7 +624,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
                     continue;
                 }
                 let groups = lock(&task.groups);
-                let mut market = self.market();
+                let mut market = lock(&self.market);
                 let outcome = if market.query_outstanding(&groups) == 0 {
                     RunOutcome::Completed
                 } else if now + DEADLINE_EPS >= deadline {
@@ -632,7 +665,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
             // Every tenant backend is gone: the list is the task's alone.
             let groups = lock(&task.groups);
             let (spent, cached_hits, saved) = {
-                let market = self.market();
+                let market = lock(&self.market);
                 (
                     market.query_spend(&groups),
                     market.query_cached_hits(&groups),
@@ -674,7 +707,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
                 // A failed query abandons its in-flight rounds: drop
                 // its dedup slots so later identical specs re-post
                 // instead of piggybacking on work nobody is driving.
-                self.market().release_query(&groups);
+                lock(&self.market).release_query(&groups);
             }
             if let (Some(store), Some(id)) = (&self.store, task.persist_id) {
                 // The query resolved (either way) and its result was
@@ -911,7 +944,7 @@ mod tests {
                 .iter()
                 .map(|t| {
                     let groups = lock(&t.groups).clone();
-                    let market = svc.market();
+                    let market = lock(&svc.market);
                     let split = (
                         market.query_live_hits(&groups),
                         market.query_cached_hits(&groups),

@@ -300,15 +300,13 @@ fn serve<R: BufRead + ?Sized, W: Write + ?Sized>(
                 write_frame(out, &format!("OK ran {n}"))?;
             }
             Request::Stats => {
-                let stats = {
-                    let market = svc.market();
-                    let (hits, misses) = market.stats();
-                    format!(
-                        "STATS {} posted {hits}/{misses} cache {}",
-                        market.hits_posted(),
-                        fmt_dollars(market.spend_dollars()),
-                    )
-                };
+                let market = svc.market();
+                let (hits, misses) = market.stats();
+                let stats = format!(
+                    "STATS {} posted {hits}/{misses} cache {}",
+                    market.hits_posted(),
+                    fmt_dollars(market.spend_dollars()),
+                );
                 write_frame(out, &stats)?;
             }
             Request::Recover => {

@@ -44,7 +44,8 @@
 //!   (`File::open`, `fs::read*`) is unrestricted.
 //! * **hot-clone** — in modules that declare `// lint:hot-path` (the
 //!   data-layout pass's interning, relation, EM, metrics, and
-//!   candidate-generation modules, the join operator, and the crowd
+//!   candidate-generation modules, the batched operators' vote path
+//!   (`ops/common.rs`, filter, generative, join and sort), and the crowd
 //!   simulator's marketplace and ground truth), no `.clone()` in
 //!   production code unless the call site carries a
 //!   `// lint:allow(hot-clone): <why>` marker. Those modules were flattened specifically to kill

@@ -88,10 +88,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. The books balance: per-tenant meters sum to the market total,
     //    and Bob's identical specs were never re-posted.
-    let (posted, (cache_hits, _cache_misses), total) = {
-        let market = svc.market();
-        (market.hits_posted(), market.stats(), market.spend_dollars())
-    };
+    let market = svc.market();
+    let (posted, (cache_hits, _), total) =
+        (market.hits_posted(), market.stats(), market.spend_dollars());
     println!(
         "\nmarket: {posted} HITs posted, {cache_hits} specs served from cache, total ${total:.3}",
     );
