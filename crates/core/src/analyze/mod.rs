@@ -145,8 +145,10 @@ pub(crate) struct Prepared {
 }
 
 /// Plan and compile `ast` once against `stats`, and bind the compiled
-/// plan's column references (`exec::bind`), so a query naming an
-/// unknown column fails here, before it posts any crowd work.
+/// plan (`exec::bind`: the plan runner over zero-row tables, which
+/// posts no crowd work), so a query naming an unknown column or
+/// repeating a column name fails here, with the error the run would
+/// give, before it posts any HIT.
 ///
 /// QA005's floor is the cheaper of the chosen plan and the
 /// [`OptimizeMode::AsWritten`] plan. Every cost-based deviation logs a

@@ -379,9 +379,10 @@ mod tests {
 mod edge_tests {
     use crate::catalog::Catalog;
     use crate::error::QurkError;
+    use crate::ops::{HybridSort, RateSort};
     use crate::relation::Relation;
     use crate::schema::{Schema, ValueType};
-    use crate::session::Session;
+    use crate::session::{QueryReport, Session, SortMode};
     use crate::value::Value;
     use qurk_crowd::truth::PredicateTruth;
     use qurk_crowd::{CrowdConfig, GroundTruth, Marketplace};
@@ -403,28 +404,74 @@ mod edge_tests {
                     Prompt: "%s?", tuple[field]
                    TASK j(a, b) TYPE EquiJoin:
                     Combiner: MajorityVote
+                   TASK q(field) TYPE Filter:
+                    Prompt: "%s?", tuple[field]
                    TASK r(field) TYPE Rank:
                     OrderDimensionName: "d"
+                   TASK g(field) TYPE Generative:
+                    Prompt: "%s?", tuple[field]
+                    Response: Radio("G", ["a", "b", UNKNOWN])
                 "#,
             )
             .unwrap();
         (catalog, market)
     }
 
+    /// Every shape the plan runner executes runs over an empty table
+    /// and posts no HIT: binding a plan (`exec::bind`) is the runner
+    /// over zero-row tables, so it rests on this.
     #[test]
     fn empty_table_flows_through_every_operator() {
         let (catalog, mut market) = empty_world();
         let mut session = Session::new(&catalog, &mut market);
-        for sql in [
-            "SELECT id FROM t",
-            "SELECT id FROM t WHERE p(t.img)",
-            "SELECT id FROM t WHERE id < 5 AND p(t.img)",
-            "SELECT t.id FROM t JOIN t AS u ON j(t.img, u.img)",
-            "SELECT id FROM t ORDER BY r(t.img) LIMIT 3",
-            "SELECT * FROM t LIMIT 0",
+        // An empty result, from a plan that shows the shape.
+        let check = |sql: &str, shape: &str, report: Result<QueryReport, QurkError>| {
+            let report = report.unwrap_or_else(|e| panic!("{sql}: {e}"));
+            assert!(report.relation.is_empty(), "{sql}");
+            let plan = &report.plan.physical;
+            assert!(plan.contains(shape), "{sql}: no {shape} in\n{plan}");
+        };
+        let join = "SELECT t.id FROM t JOIN t AS u ON j(t.img, u.img)";
+        let rank = "SELECT id FROM t ORDER BY r(t.img)";
+        for (sql, shape) in [
+            ("SELECT id FROM t".to_owned(), "Scan t"),
+            (
+                "SELECT id FROM t WHERE p(t.img)".into(),
+                "CrowdFilter p [serial",
+            ),
+            (
+                "SELECT id FROM t WHERE id < 5 AND p(t.img)".into(),
+                "MachineFilter",
+            ),
+            (
+                "SELECT id FROM t WHERE id < 5 AND p(t.img) OR q(t.img)".into(),
+                "CrowdFilterOr",
+            ),
+            (join.into(), "CrowdJoin ON j"),
+            (
+                format!("{join} AND POSSIBLY g(t.img) = \"a\""),
+                "1 POSSIBLY",
+            ),
+            (
+                format!("{join} AND POSSIBLY g(t.img) = g(u.img)"),
+                "1 POSSIBLY",
+            ),
+            ("SELECT id, g(t.img) FROM t".into(), "Project [2 columns]"),
+            (format!("{rank} LIMIT 3"), "Compare(S="),
+            (format!("{rank} LIMIT 1"), "ExtractMin r"),
+            (format!("{rank} DESC LIMIT 1"), "ExtractMax r"),
+            ("SELECT * FROM t LIMIT 0".into(), "Limit 0"),
         ] {
-            let rel = session.run(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
-            assert_eq!(rel.len(), 0, "{sql}");
+            check(&sql, shape, session.query(&sql).report());
+        }
+        let conjuncts = "SELECT id FROM t WHERE p(t.img) AND q(t.img)";
+        let report = session.query(conjuncts).combine_filters(true).report();
+        check(conjuncts, "CrowdFilter p AND q [combined", report);
+        for (mode, shape) in [
+            (SortMode::Rate(RateSort::default()), "Rate("),
+            (SortMode::Hybrid(HybridSort::default(), 3), "Hybrid("),
+        ] {
+            check(rank, shape, session.query(rank).sort(mode).report());
         }
         let out = session.run("SELECT id FROM t WHERE t.nope > 3");
         assert!(
@@ -524,6 +571,51 @@ mod edge_tests {
         for row in report.relation.rows() {
             assert!(row.values().all(|v| v.as_int() != Some(99)), "{row:?}");
         }
+    }
+
+    /// When the κ test drops every POSSIBLY feature, no filter is left
+    /// and the join asks about every pair: over one pure-noise feature
+    /// and 6×6 items of one entity, all 36 pairs are asked and nearly
+    /// all match.
+    #[test]
+    fn a_join_whose_features_all_drop_asks_every_pair() {
+        let mut gt = GroundTruth::new();
+        gt.define_feature("g", &["a", "b"]);
+        let mut rel = Relation::new(Schema::new(&[
+            ("id", ValueType::Int),
+            ("img", ValueType::Item),
+        ]));
+        for id in 0..6 {
+            let item = gt.new_item();
+            gt.set_entity(item, qurk_crowd::EntityId(1));
+            // Either option with probability 0.5: pure noise.
+            gt.set_feature_simple(item, "g", 0, 0.5);
+            rel.push(vec![Value::Int(id), Value::Item(item)]).unwrap();
+        }
+        let mut catalog = Catalog::new();
+        catalog.register_table("t", rel);
+        catalog
+            .define_tasks(
+                r#"TASK j(a, b) TYPE EquiJoin:
+                    Combiner: MajorityVote
+                   TASK g(field) TYPE Generative:
+                    Prompt: "%s?", tuple[field]
+                    Response: Radio("G", ["a", "b", UNKNOWN])
+                "#,
+            )
+            .unwrap();
+        let mut market = Marketplace::new(&CrowdConfig::default().honest(), gt);
+        let mut session = Session::new(&catalog, &mut market);
+        let report = session
+            .query(
+                "SELECT x.id, y.id FROM t AS x JOIN t AS y ON j(x.img, y.img) \
+                 AND POSSIBLY g(x.img) = g(y.img)",
+            )
+            .report()
+            .unwrap();
+        assert_eq!(session.statistics().joins["j"].seen, 36);
+        let matches = report.relation.len();
+        assert!((30..=36).contains(&matches), "{matches} matches");
     }
 
     /// A generative SELECT asks nothing about a NULL item and yields

@@ -9,17 +9,17 @@
 //! `opt::physical::compile` over an immutable catalog, and bound with
 //! [`bind`], so the runner trusts what planning proved: every task has
 //! the type its position needs, combined conjuncts ask about one item
-//! argument, and every column the plan names exists. Name resolution
-//! lives in this module alone: [`bind`] and the runner call the same
-//! resolvers, so a query with an unknown column fails before it posts
-//! any crowd work.
+//! argument, and every column the plan names exists. Binding is this
+//! runner over zero-row tables: empty inputs post no crowd work, so a
+//! query with an unknown column or a repeated column name fails there,
+//! with the error the real run would give, before it posts any HIT.
 
 use std::collections::HashMap;
 
 use qurk_crowd::ItemId;
 
 use crate::analyze::Prepared;
-use crate::backend::{BackendUsage, CrowdBackend, MeteringBackend};
+use crate::backend::{BackendUsage, CrowdBackend, MeteringBackend, ReplayBackend, ReplayTrace};
 use crate::catalog::Catalog;
 use crate::error::{QurkError, Result};
 use crate::lang::ast::{
@@ -75,6 +75,7 @@ pub(crate) fn execute_plan<B: CrowdBackend>(
         backend: &mut *backend,
         stats: &mut *learned,
         budget,
+        binding: false,
     }
     .run_plan(&prepared.compiled.root);
     let (usage, rounds) = backend.end_epoch();
@@ -87,14 +88,16 @@ pub(crate) fn execute_plan<B: CrowdBackend>(
 
 /// Executes one physical plan against a backend, feeding a statistics
 /// store with every operator outcome.
-struct PlanRunner<'r, B: CrowdBackend> {
+struct PlanRunner<'r> {
     catalog: &'r Catalog,
-    backend: &'r mut B,
+    backend: &'r mut dyn CrowdBackend,
     stats: &'r mut StatisticsStore,
     budget: Option<BudgetGuard>,
+    /// Scan no rows: the walk only binds the plan ([`bind`]).
+    binding: bool,
 }
 
-impl<B: CrowdBackend> PlanRunner<'_, B> {
+impl PlanRunner<'_> {
     /// Refuse to start new crowd work once the budget is spent.
     fn charge_gate(&mut self) -> Result<()> {
         if let Some(b) = &self.budget {
@@ -112,7 +115,12 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
     fn run_plan(&mut self, plan: &PhysicalPlan) -> Result<Relation> {
         match &plan.node {
             PhysNode::Scan { table, alias } => {
-                Ok(self.catalog.table(table)?.clone().qualified(alias))
+                let table = self.catalog.table(table)?;
+                if self.binding {
+                    Ok(Relation::new(table.schema().qualified(alias)?))
+                } else {
+                    table.clone().qualified(alias)
+                }
             }
             PhysNode::MachineFilter { input, predicates } => {
                 let rel = self.run_plan(input)?;
@@ -320,11 +328,14 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
         for p in &clause.possibly {
             match p {
                 PossiblyClause::FeatureLit { call, op, value } => {
-                    let (side, col) =
-                        match literal_side(left_rel.schema(), right_rel.schema(), call)? {
-                            (Side::Left, col) => (&mut left_rel, col),
-                            (Side::Right, col) => (&mut right_rel, col),
-                        };
+                    // The left input when `call` resolves there.
+                    let (side, col) = match item_col(left_rel.schema(), call) {
+                        Ok(col) => (&mut left_rel, col),
+                        Err(_) => {
+                            let col = item_col(right_rel.schema(), call)?;
+                            (&mut right_rel, col)
+                        }
+                    };
                     *side = self.prefilter_literal(side, col, call, *op, value, feature_filter)?;
                 }
                 PossiblyClause::FeatureEq { left: lc, .. } => {
@@ -375,7 +386,7 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
             .iter()
             .map(|&(i, j)| (left_rows[i], right_rows[j]))
             .unzip();
-        Ok(left_rel.gather(&li).zip(right_rel.gather(&ri)))
+        left_rel.gather(&li).zip(right_rel.gather(&ri))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -442,11 +453,11 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
     /// (DESC) or worst (ASC) row by a Rank task (§2.3).
     fn extract_extreme(&mut self, rel: Relation, call: &UdfCall, desc: bool) -> Result<Relation> {
         let task = self.catalog.task(&call.name)?;
+        let col = item_col(rel.schema(), call)?;
         if rel.is_empty() {
             return Ok(rel);
         }
         self.charge_gate()?;
-        let col = item_col(rel.schema(), call)?;
         let (items, _) = non_null_items(&rel, col);
         if items.is_empty() {
             return Ok(rel.gather(&[]));
@@ -586,205 +597,90 @@ impl<B: CrowdBackend> PlanRunner<'_, B> {
         }
     }
 
+    /// The projection of `items` out of `rel`. A name an earlier column
+    /// took gets its position appended (`name#i`), so a repeated item —
+    /// `c.name, c.name`, or `gender(c.img), gender(p.img)` — is a
+    /// column of its own.
     fn project(&mut self, rel: Relation, items: &[SelectItem]) -> Result<Relation> {
         // Fast path: SELECT *.
         if items.len() == 1 && matches!(items[0], SelectItem::Star) {
             return Ok(rel);
         }
-        let (schema, cols) = project_columns(rel.schema(), items)?;
+        let input = rel.schema();
+        let mut schema = Schema::default();
+        let mut columns = Vec::new();
+        let mut push = |name: &str, ty, values| {
+            if schema.index_of(name).is_none() {
+                schema.push_field(name, ty);
+            } else {
+                schema.push_field(&format!("{name}#{}", columns.len()), ty);
+            }
+            columns.push(values);
+        };
         // Cache generative runs per (task, arg) to avoid re-asking for
         // each selected field (the Fields mechanism answers them all at
         // once, §2.2): the answered rows, one per non-NULL item, and the
         // relation rows they belong to.
         type GenRun = (Vec<crate::ops::generative::GenRow>, Vec<usize>);
         let mut gen_cache: HashMap<String, GenRun> = HashMap::new();
-        let mut columns = Vec::with_capacity(cols.len());
-        for col in cols {
-            let values = match col {
-                ProjCol::Copy(i) => rel.column(i).to_vec(),
-                ProjCol::Gen { call, field, item } => {
+        for item in items {
+            match item {
+                SelectItem::Star => {
+                    for (i, f) in input.fields().iter().enumerate() {
+                        push(&f.name, f.ty, rel.column(i).to_vec());
+                    }
+                }
+                SelectItem::Column(name) => {
+                    let i = column(input, name)?;
+                    push(name, input.fields()[i].ty, rel.column(i).to_vec());
+                }
+                SelectItem::Udf { call, field } => {
+                    let col = item_col(input, call)?;
                     let task = self.catalog.task(&call.name)?;
                     let key = format!("{call:?}");
                     if !gen_cache.contains_key(&key) {
                         self.charge_gate()?;
-                        let (items_vec, item_rows) = non_null_items(&rel, item);
+                        let (items_vec, item_rows) = non_null_items(&rel, col);
                         let out = GenerativeOp::default().run(self.backend, task, &items_vec)?;
                         gen_cache.insert(key.clone(), (out.rows, item_rows));
                     }
                     let (rows, item_rows) = &gen_cache[&key];
-                    let fname = field.unwrap_or("value");
+                    let fname = field.as_deref().unwrap_or("value");
                     // A NULL item's row stays NULL.
                     let mut values = vec![Value::Null; rel.len()];
                     for (&ri, r) in item_rows.iter().zip(rows) {
                         values[ri] = r.get(fname).cloned().unwrap_or(Value::Null);
                     }
-                    values
+                    let name = match field {
+                        Some(f) => format!("{}.{f}", call.name),
+                        None => call.name.clone(),
+                    };
+                    push(&name, ValueType::Text, values);
                 }
-            };
-            columns.push(values);
+            }
         }
         Relation::from_columns(schema, columns)
     }
 }
 
-/// Where a projected column's values come from.
-enum ProjCol<'a> {
-    /// A copy of the input column at this index.
-    Copy(usize),
-    /// `field` of a generative task's answers about the items in the
-    /// input column at `item`.
-    Gen {
-        call: &'a UdfCall,
-        field: Option<&'a str>,
-        item: usize,
-    },
-}
-
-/// The schema of projecting `items` out of a relation of schema
-/// `input`, and the source of each output column. A name an earlier
-/// column took gets its position appended (`name#i`), so a repeated
-/// item — `c.name, c.name`, or `gender(c.img), gender(p.img)` — is a
-/// column of its own. The runner and [`bind`] both name columns here.
-fn project_columns<'a>(
-    input: &Schema,
-    items: &'a [SelectItem],
-) -> Result<(Schema, Vec<ProjCol<'a>>)> {
-    let mut schema = Schema::default();
-    let mut cols = Vec::new();
-    let mut push = |name: &str, ty, col| {
-        if schema.index_of(name).is_none() {
-            schema.push_field(name, ty);
-        } else {
-            schema.push_field(&format!("{name}#{}", cols.len()), ty);
-        }
-        cols.push(col);
-    };
-    for item in items {
-        match item {
-            SelectItem::Star => {
-                for (i, f) in input.fields().iter().enumerate() {
-                    push(&f.name, f.ty, ProjCol::Copy(i));
-                }
-            }
-            SelectItem::Column(name) => {
-                let idx = column(input, name)?;
-                push(name, input.fields()[idx].ty, ProjCol::Copy(idx));
-            }
-            SelectItem::Udf { call, field } => {
-                let name = match field {
-                    Some(f) => format!("{}.{f}", call.name),
-                    None => call.name.clone(),
-                };
-                let col = ProjCol::Gen {
-                    call,
-                    field: field.as_deref(),
-                    item: item_col(input, call)?,
-                };
-                push(&name, ValueType::Text, col);
-            }
-        }
-    }
-    Ok((schema, cols))
-}
-
-/// Bind every column reference of `plan` against the catalog's
-/// schemas, before anything runs, and return the schema of the
-/// relation the plan produces. Each node's schema is computed as the
-/// runner builds it — [`Schema::qualified`] at a scan,
-/// [`Schema::join`] at a join, its input's elsewhere — and each
-/// reference is resolved by the resolver the runner calls, in the
-/// runner's order, so a name the runner would fail on fails here
-/// first, with the same error. A schema the runner would panic on (a
-/// repeated column name) is a [`QurkError::Schema`] here. A
-/// projection's schema is the runner's, from the one function that
-/// names its columns.
+/// Bind `plan` against the catalog before anything runs, and return
+/// the schema of the relation it produces: the plan runner itself over
+/// the catalog's schemas with no rows, a throwaway statistics store, no
+/// budget and an empty-trace replay backend. Empty inputs post no crowd
+/// work, so the walk resolves every name and builds every schema where
+/// the real run would, and fails with the error it would give: an
+/// unknown column ([`QurkError::UnknownColumn`]) or a repeated column
+/// name ([`QurkError::Schema`]) fails here, before any HIT is posted.
 pub(crate) fn bind(plan: &PhysicalPlan, catalog: &Catalog) -> Result<Schema> {
-    let repeated = |name| QurkError::Schema(format!("duplicate column name: {name}"));
-    match &plan.node {
-        PhysNode::Scan { table, alias } => catalog
-            .table(table)?
-            .schema()
-            .try_qualified(alias)
-            .map_err(repeated),
-        PhysNode::MachineFilter { input, predicates } => {
-            let schema = bind(input, catalog)?;
-            for p in predicates {
-                compile_comparison(&schema, p)?;
-            }
-            Ok(schema)
-        }
-        PhysNode::CrowdFilter {
-            input,
-            conjuncts,
-            combined,
-            ..
-        } => {
-            let schema = bind(input, catalog)?;
-            // Combined conjuncts share their first one's item column.
-            let asked = if *combined { 1 } else { conjuncts.len() };
-            for call in conjuncts.iter().take(asked) {
-                item_col(&schema, call)?;
-            }
-            Ok(schema)
-        }
-        PhysNode::CrowdFilterOr { input, groups, .. } => {
-            let schema = bind(input, catalog)?;
-            // Every group's comparisons compile before any crowd call.
-            let predicates = || groups.iter().flatten();
-            for p in predicates() {
-                if let Predicate::Compare { .. } = p {
-                    compile_comparison(&schema, p)?;
-                }
-            }
-            for p in predicates() {
-                if let Predicate::Udf(call) = p {
-                    item_col(&schema, call)?;
-                }
-            }
-            Ok(schema)
-        }
-        PhysNode::Join {
-            left,
-            right,
-            clause,
-            ..
-        } => {
-            let (left, right) = (bind(left, catalog)?, bind(right, catalog)?);
-            join_cols(&left, &right, &clause.on)?;
-            for p in &clause.possibly {
-                if let PossiblyClause::FeatureLit { call, .. } = p {
-                    literal_side(&left, &right, call)?;
-                }
-            }
-            left.try_join(&right).map_err(repeated)
-        }
-        PhysNode::OrderBy { input, keys, .. } => {
-            let schema = bind(input, catalog)?;
-            let mut crowd = None;
-            for k in keys {
-                match &k.expr {
-                    Expr::Column(name) => {
-                        column(&schema, name)?;
-                    }
-                    Expr::Udf(call) => crowd = Some(call),
-                    Expr::Literal(_) => {}
-                }
-            }
-            if let Some(call) = crowd {
-                item_col(&schema, call)?;
-            }
-            Ok(schema)
-        }
-        PhysNode::ExtractExtreme { input, call, .. } => {
-            let schema = bind(input, catalog)?;
-            item_col(&schema, call)?;
-            Ok(schema)
-        }
-        PhysNode::Limit { input, .. } => bind(input, catalog),
-        PhysNode::Project { input, items } => {
-            project_columns(&bind(input, catalog)?, items).map(|(schema, _)| schema)
-        }
+    let rel = PlanRunner {
+        catalog,
+        backend: &mut ReplayBackend::from_trace(ReplayTrace::default()),
+        stats: &mut StatisticsStore::default(),
+        budget: None,
+        binding: true,
     }
+    .run_plan(plan)?;
+    Ok(rel.schema().clone())
 }
 
 /// The index of the column `name` resolves to in `schema`.
@@ -918,21 +814,6 @@ fn join_cols(left: &Schema, right: &Schema, on: &UdfCall) -> Result<(usize, usiz
             let r = resolve_item_col(right, &on.args[0])?;
             Ok((l, r))
         }
-    }
-}
-
-/// A join input.
-enum Side {
-    Left,
-    Right,
-}
-
-/// The join input a literal POSSIBLY clause prefilters, with its item
-/// column: the left input when `call` resolves there, else the right.
-fn literal_side(left: &Schema, right: &Schema, call: &UdfCall) -> Result<(Side, usize)> {
-    match item_col(left, call) {
-        Ok(col) => Ok((Side::Left, col)),
-        Err(_) => Ok((Side::Right, item_col(right, call)?)),
     }
 }
 

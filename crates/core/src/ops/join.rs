@@ -465,7 +465,9 @@ pub mod feature_filter {
             FeatureFilter { config }
         }
 
-        /// Extract `features` for every item of one table.
+        /// Extract `features` for every item of one table: one row per
+        /// item, feature-less when there are no features (then every
+        /// pair is a [`Self::candidates`] pair).
         pub fn extract<B: CrowdBackend + ?Sized>(
             &self,
             backend: &mut B,
@@ -473,7 +475,9 @@ pub mod feature_filter {
             items: &[ItemId],
         ) -> Result<(Extraction, usize)> {
             if items.is_empty() || features.is_empty() {
-                return Ok((Extraction::default(), 0));
+                let values = vec![Vec::new(); items.len()];
+                let votes = CellVotes::default();
+                return Ok((Extraction { values, votes }, 0));
             }
             let kind = if self.config.combined_interface {
                 HitKind::FeatureCombined

@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use qurk_crowd::question::{HitKind, Question};
-use qurk_crowd::{HitSpec, ItemId};
+use qurk_crowd::{Answer, HitSpec, ItemId};
 
 use crate::backend::CrowdBackend;
 use crate::error::{QurkError, Result};
@@ -204,24 +204,24 @@ impl CompareSort {
                 dimension: dimension.to_owned(),
             })
             .collect();
-        let specs = crate::hit::batch::merge_into_hits(
-            questions,
-            self.groups_per_hit.max(1),
-            HitKind::SortCompare,
-        );
+        let per_hit = self.groups_per_hit.max(1);
+        let specs = crate::hit::batch::merge_into_hits(questions, per_hit, HitKind::SortCompare);
         let hits_posted = specs.len();
         let round = Round::post(backend, specs, self.assignments);
         let answers = round.complete(backend, self.limit_secs)?;
 
-        // Accumulate pairwise wins from every ordering answer.
-        let index: HashMap<ItemId, usize> =
-            items.iter().enumerate().map(|(i, &it)| (it, i)).collect();
+        // Accumulate pairwise wins from every ordering answer; HIT `h`
+        // asks groups `h * per_hit..`, and answer `q` of an assignment
+        // ranks its `q`th group.
         let mut tally = PairTally::new(items.len());
-        for assignments in &answers {
-            for a in assignments {
-                for ans in &a.answers {
-                    if let Some(ordering) = ans.as_ordering() {
-                        tally.record_ordering(ordering, &index);
+        let mut shown = Vec::with_capacity(self.group_size);
+        for (hit_groups, assignments) in groups.chunks(per_hit).zip(&answers) {
+            for (q, group) in hit_groups.iter().enumerate() {
+                shown.clear();
+                shown.extend(group.iter().map(|&i| items[i]));
+                for a in assignments {
+                    if let Some(ordering) = a.answers.get(q).and_then(Answer::as_ordering) {
+                        tally.record_ordering(ordering, &shown, group);
                     }
                 }
             }
@@ -258,13 +258,22 @@ impl PairTally {
         }
     }
 
-    /// Record one worker's best-to-worst ordering: a vote for every
-    /// item over each item ranked below it. Items missing from `index`
-    /// cast and receive no votes.
-    pub fn record_ordering(&mut self, ordering: &[ItemId], index: &HashMap<ItemId, usize>) {
+    /// Record one worker's best-to-worst ordering of a question that
+    /// showed the items `shown`, at the distinct input indices `at` (one
+    /// per shown item): a vote for every item over each item ranked
+    /// below it. An ordering that names an item the question did not
+    /// show, or names one more often than shown, is no vote, as a pick
+    /// outside its HIT is for [`extract_best`].
+    pub fn record_ordering(&mut self, ordering: &[ItemId], shown: &[ItemId], at: &[usize]) {
         self.ranked.clear();
-        self.ranked
-            .extend(ordering.iter().filter_map(|it| index.get(it).copied()));
+        for it in ordering {
+            // The first position showing `it` that no earlier item took.
+            let taken = |p: usize| self.ranked.contains(&at[p]);
+            match (0..shown.len()).find(|&p| shown[p] == *it && !taken(p)) {
+                Some(p) => self.ranked.push(at[p]),
+                None => return,
+            }
+        }
         for (a, &i) in self.ranked.iter().enumerate() {
             for &j in &self.ranked[a + 1..] {
                 self.wins[i][j] += 1;
@@ -597,10 +606,12 @@ impl HybridSort {
             positions.sort_unstable();
             positions.dedup();
 
-            let group_items: Vec<ItemId> = positions.iter().map(|&p| items[order[p]]).collect();
+            let members: Vec<usize> = positions.iter().map(|&p| order[p]).collect();
+            let shown: Vec<ItemId> = members.iter().map(|&m| items[m]).collect();
             let spec = HitSpec::new(
                 vec![Question::CompareGroup {
-                    items: group_items,
+                    // lint:allow(hot-clone): one window's items, once per comparison HIT
+                    items: shown.clone(),
                     dimension: dimension.to_owned(),
                 }],
                 HitKind::SortCompare,
@@ -610,10 +621,8 @@ impl HybridSort {
             hits_posted += 1;
             for assignments in &answers {
                 for a in assignments {
-                    for ans in &a.answers {
-                        if let Some(o) = ans.as_ordering() {
-                            tally.record_ordering(o, &index);
-                        }
+                    if let Some(o) = a.answers.first().and_then(Answer::as_ordering) {
+                        tally.record_ordering(o, &shown, &members);
                     }
                 }
             }
@@ -621,7 +630,6 @@ impl HybridSort {
             // Re-order the window's items by head-to-head among all
             // accumulated votes for those pairs; stable fallback to
             // current position.
-            let members: Vec<usize> = positions.iter().map(|&p| order[p]).collect();
             // lint:allow(hot-clone): one window's members, once per comparison HIT
             let mut local: Vec<usize> = members.clone();
             // lint:allow(unwrap): `local` is a permutation of `members`, so every member is found
@@ -912,35 +920,51 @@ mod tests {
     #[test]
     fn record_ordering_votes_every_ranked_pair() {
         let items: Vec<ItemId> = (0..6).map(ItemId).collect();
-        let index: HashMap<ItemId, usize> = items[..5]
-            .iter()
-            .enumerate()
-            .map(|(i, &it)| (it, i))
-            .collect();
-        // items[5] is missing from the index, at the top, the middle
-        // and the bottom of an ordering.
-        let orderings = [
+        // The question showed items[..5], at input indices 4, 3, 2, 1,
+        // 0; it did not show items[5].
+        let (shown, at) = (&items[..5], [4, 3, 2, 1, 0]);
+        let valid = [
             vec![items[4], items[0], items[2]],
+            vec![items[1], items[3], items[0]],
+            vec![items[2], items[4], items[1], items[3], items[0]],
+            vec![items[3], items[0]],
+            vec![],
+        ];
+        // No vote: items[5] at the top, the middle and the bottom of an
+        // ordering, alone, and an item named twice.
+        let hostile = [
             vec![items[5], items[1], items[3], items[0]],
             vec![items[2], items[5], items[4], items[1], items[3]],
             vec![items[3], items[0], items[5]],
             vec![items[5]],
-            vec![],
+            vec![items[1], items[3], items[1]],
         ];
         let mut tally = PairTally::new(5);
         let mut want = vec![vec![0u32; 5]; 5];
-        for o in &orderings {
-            tally.record_ordering(o, &index);
+        let index = |it: &ItemId| at[shown.iter().position(|s| s == it).unwrap()];
+        for o in &valid {
+            tally.record_ordering(o, shown, &at);
             for a in 0..o.len() {
                 for b in (a + 1)..o.len() {
-                    if let (Some(&i), Some(&j)) = (index.get(&o[a]), index.get(&o[b])) {
-                        want[i][j] += 1;
-                    }
+                    want[index(&o[a])][index(&o[b])] += 1;
                 }
             }
         }
+        for o in &hostile {
+            tally.record_ordering(o, shown, &at);
+        }
         assert_eq!(tally.wins, want);
-        assert_eq!(tally.votes(1, 3), (2, 0));
+        // items[1] (index 3) over items[3] (index 1) in two orderings.
+        assert_eq!(tally.votes(3, 1), (2, 0));
+
+        // An item shown twice may be named twice: each naming takes
+        // the next position that shows it.
+        let mut tally = PairTally::new(3);
+        let (a, b) = (items[0], items[1]);
+        tally.record_ordering(&[a, b, a], &[a, a, b], &[0, 1, 2]);
+        assert_eq!(tally.votes(0, 2), (1, 0));
+        assert_eq!(tally.votes(2, 1), (1, 0));
+        assert_eq!(tally.votes(0, 1), (1, 0));
     }
 
     #[test]
@@ -986,6 +1010,82 @@ mod tests {
         let best = best.unwrap();
         assert_ne!(best, outsider);
         assert!(items[..5].contains(&best));
+    }
+
+    /// Sort eight items with `sort` through the Task Cache, then replay
+    /// the trace twice: with the last ordering of every other
+    /// assignment rewritten by `hostile(ordering, items)`, and with that
+    /// answer removed. Returns both replayed outputs.
+    fn replay_orderings<T>(
+        hostile: impl Fn(&[ItemId], &[ItemId]) -> Vec<ItemId>,
+        mut sort: impl FnMut(&mut dyn CrowdBackend, &[ItemId]) -> T,
+    ) -> (T, T) {
+        let (m, items) = sort_market(8, 0.3, 19);
+        let mut caching = CachingBackend::new(m);
+        sort(&mut caching, &items);
+        let mut bad = caching.trace().clone();
+        let mut cut = bad.clone();
+        let mut changed = 0;
+        for key in bad.keys() {
+            let bad = &mut bad.entries.get_mut(&key).unwrap().assignments;
+            let cut = &mut cut.entries.get_mut(&key).unwrap().assignments;
+            for (k, (a, b)) in bad.iter_mut().zip(cut).enumerate() {
+                if let (0, Some(Answer::Ordering(o))) = (k % 2, a.answers.last_mut()) {
+                    *o = hostile(o, &items);
+                    b.answers.pop();
+                    changed += 1;
+                }
+            }
+        }
+        assert!(
+            changed > 0,
+            "no ordering was rewritten: the check is vacuous"
+        );
+        let mut replay = |trace| sort(&mut ReplayBackend::from_trace(trace), &items);
+        (replay(bad), replay(cut))
+    }
+
+    /// Compare (two groups per HIT) and hybrid sorts replayed with
+    /// `hostile` orderings decide as if those answers were missing. The
+    /// hybrid sort asks one window: a later window depends on the
+    /// orderings before it, so it would not be in the trace.
+    fn hostile_orderings_are_no_vote(hostile: impl Fn(&[ItemId], &[ItemId]) -> Vec<ItemId>) {
+        let compare = CompareSort {
+            groups_per_hit: 2,
+            ..CompareSort::default()
+        };
+        let (bad, cut) = replay_orderings(&hostile, |b, items| {
+            let out = compare.run(b, items, "dim").unwrap();
+            (out.order, out.scores, out.tally.wins)
+        });
+        assert_eq!(bad, cut);
+        let (bad, cut) = replay_orderings(&hostile, |b, items| {
+            HybridSort::default()
+                .run(b, items, "dim", 1)
+                .unwrap()
+                .trajectory
+        });
+        assert_eq!(bad, cut);
+    }
+
+    #[test]
+    fn a_stored_ordering_naming_an_unshown_item_is_no_vote() {
+        // The first place goes to an item of the sort that this
+        // question did not show.
+        hostile_orderings_are_no_vote(|o, items| {
+            let mut o = o.to_vec();
+            o[0] = *items.iter().find(|it| !o.contains(it)).unwrap();
+            o
+        });
+    }
+
+    #[test]
+    fn a_stored_ordering_naming_an_item_twice_is_no_vote() {
+        hostile_orderings_are_no_vote(|o, _| {
+            let mut o = o.to_vec();
+            o[1] = o[0];
+            o
+        });
     }
 
     #[test]

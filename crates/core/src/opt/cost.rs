@@ -305,7 +305,12 @@ impl<'a> CostModel<'a> {
         if k == 0 {
             return CostEstimate::ZERO;
         }
-        let sample = |rows: f64| (rows * cfg.sample_fraction).ceil().clamp(1.0, rows);
+        // As the operator samples: at least one row of a non-empty table.
+        let sample = |rows: f64| {
+            (rows * cfg.sample_fraction)
+                .ceil()
+                .clamp(rows.min(1.0), rows)
+        };
         let mut total =
             self.feature_extraction(sample(n), k, cfg) + self.feature_extraction(sample(m), k, cfg);
         total += self.feature_extraction(n, k_kept, cfg) + self.feature_extraction(m, k_kept, cfg);

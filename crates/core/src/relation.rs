@@ -174,18 +174,19 @@ impl Relation {
 
     /// Side-by-side concatenation of two equal-length relations (join
     /// output): `self`'s columns, then `other`'s, under
-    /// [`Schema::join`].
-    pub(crate) fn zip(mut self, other: Relation) -> Relation {
+    /// [`Schema::join`], which fails on a name it would repeat.
+    pub(crate) fn zip(mut self, other: Relation) -> Result<Relation> {
         debug_assert_eq!(self.len, other.len);
-        self.schema = self.schema.join(&other.schema);
+        self.schema = self.schema.join(&other.schema)?;
         self.cols.extend(other.cols);
-        self
+        Ok(self)
     }
 
-    /// Rename columns to `alias.<base>` (scan under an alias).
-    pub fn qualified(mut self, alias: &str) -> Relation {
-        self.schema = self.schema.qualified(alias);
-        self
+    /// Rename columns to `alias.<base>` (scan under an alias), under
+    /// [`Schema::qualified`], which fails on a name it would repeat.
+    pub fn qualified(mut self, alias: &str) -> Result<Relation> {
+        self.schema = self.schema.qualified(alias)?;
+        Ok(self)
     }
 
     /// Parse a tab-delimited document: `NULL` is null, `item://N` is an
@@ -556,13 +557,13 @@ mod tests {
 
     #[test]
     fn zip_concatenates_columns() {
-        let a = numbered(2).qualified("a");
+        let a = numbered(2).qualified("a").unwrap();
         let b = Relation::from_columns(
             Schema::new(&[("y", ValueType::Int)]),
             vec![vec![Value::Int(7), Value::Int(8)]],
         )
         .unwrap();
-        let z = a.zip(b);
+        let z = a.zip(b).unwrap();
         assert_eq!(z.len(), 2);
         assert_eq!(z.schema().len(), 3);
         assert_eq!(z.row(1)[2], Value::Int(8));
@@ -572,7 +573,7 @@ mod tests {
 
     #[test]
     fn qualification() {
-        let r = Relation::new(schema()).qualified("c");
+        let r = Relation::new(schema()).qualified("c").unwrap();
         assert_eq!(r.schema().fields()[0].name, "c.id");
     }
 

@@ -1,5 +1,11 @@
-//! Relation schemas.
+//! Relation schemas. A scan qualifies its table's schema
+//! ([`Schema::qualified`]) and a join concatenates its inputs'
+//! ([`Schema::join`]); both fail with [`QurkError::Schema`] on a name
+//! they would repeat. The plan runner builds every schema this way,
+//! and binding a plan is the same runner over zero-row tables, so a
+//! repeated name fails a query before it posts any crowd work.
 
+use crate::error::{QurkError, Result};
 use crate::value::Value;
 
 /// Declared type of a column.
@@ -61,13 +67,13 @@ impl Schema {
     /// Panics on duplicate column names.
     pub fn push_field(&mut self, name: &str, ty: ValueType) {
         self.try_push(name.to_owned(), ty)
-            .unwrap_or_else(|name| panic!("duplicate column name: {name}"));
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// Append a field, or return its name if the schema has it.
-    fn try_push(&mut self, name: String, ty: ValueType) -> Result<(), String> {
+    /// Append a field, or fail if the schema has its name.
+    fn try_push(&mut self, name: String, ty: ValueType) -> Result<()> {
         if self.index_of(&name).is_some() {
-            return Err(name);
+            return Err(QurkError::Schema(format!("duplicate column name: {name}")));
         }
         self.fields.push(Field { name, ty });
         Ok(())
@@ -119,19 +125,11 @@ impl Schema {
         }
     }
 
-    /// Concatenate two schemas, qualifying collisions with the given
-    /// aliases (used by joins).
-    ///
-    /// # Panics
-    /// Panics on a name that collides even once qualified.
-    pub fn join(&self, other: &Schema) -> Schema {
-        self.try_join(other)
-            .unwrap_or_else(|name| panic!("duplicate column name: {name}"))
-    }
-
-    /// [`Self::join`], or the first name that collides even once
-    /// qualified (a binding joined in three times).
-    pub(crate) fn try_join(&self, other: &Schema) -> Result<Schema, String> {
+    /// Concatenate two schemas (a join's output), renaming a right
+    /// column whose name the left already has to `right.<name>`. Fails
+    /// with [`QurkError::Schema`] on a name that collides even so (one
+    /// binding joined in three times).
+    pub fn join(&self, other: &Schema) -> Result<Schema> {
         let mut out = self.clone();
         for f in &other.fields {
             let name = if out.index_of(&f.name).is_some() {
@@ -144,18 +142,10 @@ impl Schema {
         Ok(out)
     }
 
-    /// Prefix every column with `alias.` (used when a table is scanned
-    /// under an alias).
-    ///
-    /// # Panics
-    /// Panics on two columns with one base name.
-    pub fn qualified(&self, alias: &str) -> Schema {
-        self.try_qualified(alias)
-            .unwrap_or_else(|name| panic!("duplicate column name: {name}"))
-    }
-
-    /// [`Self::qualified`], or the first name it would repeat.
-    pub(crate) fn try_qualified(&self, alias: &str) -> Result<Schema, String> {
+    /// Prefix every column's base name with `alias.` (a scan under an
+    /// alias). Fails with [`QurkError::Schema`] on two columns with one
+    /// base name.
+    pub fn qualified(&self, alias: &str) -> Result<Schema> {
         let mut out = Schema::default();
         for f in &self.fields {
             let base = f.name.rsplit('.').next().unwrap_or(&f.name);
@@ -210,7 +200,7 @@ mod tests {
     fn join_renames_collisions() {
         let a = Schema::new(&[("img", ValueType::Item)]);
         let b = Schema::new(&[("img", ValueType::Item), ("id", ValueType::Int)]);
-        let j = a.join(&b);
+        let j = a.join(&b).unwrap();
         assert_eq!(j.len(), 3);
         assert_eq!(j.fields()[1].name, "right.img");
         assert_eq!(j.index_of("id"), Some(2));
@@ -218,9 +208,11 @@ mod tests {
 
     #[test]
     fn qualify_replaces_prefix() {
-        let s = Schema::new(&[("name", ValueType::Text)]).qualified("c");
+        let s = Schema::new(&[("name", ValueType::Text)])
+            .qualified("c")
+            .unwrap();
         assert_eq!(s.fields()[0].name, "c.name");
-        let re = s.qualified("d");
+        let re = s.qualified("d").unwrap();
         assert_eq!(re.fields()[0].name, "d.name");
     }
 }
