@@ -461,12 +461,19 @@ mod edge_tests {
             (format!("{rank} LIMIT 1"), "ExtractMin r"),
             (format!("{rank} DESC LIMIT 1"), "ExtractMax r"),
             ("SELECT * FROM t LIMIT 0".into(), "Limit 0"),
+            ("SELECT * FROM t".into(), "Project [*]  (~0 rows)"),
         ] {
             check(&sql, shape, session.query(&sql).report());
         }
         let conjuncts = "SELECT id FROM t WHERE p(t.img) AND q(t.img)";
         let report = session.query(conjuncts).combine_filters(true).report();
         check(conjuncts, "CrowdFilter p AND q [combined", report);
+        // Nothing to extract from: the extreme is estimated at no rows.
+        for sql in [format!("{rank} LIMIT 1"), format!("{rank} DESC LIMIT 1")] {
+            let plan = session.query(&sql).report().unwrap().plan.physical;
+            let extract = plan.lines().find(|l| l.contains("Extract")).unwrap();
+            assert!(extract.ends_with("[tournament]  (~0 rows)"), "{plan}");
+        }
         for (mode, shape) in [
             (SortMode::Rate(RateSort::default()), "Rate("),
             (SortMode::Hybrid(HybridSort::default(), 3), "Hybrid("),

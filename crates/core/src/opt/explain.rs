@@ -73,7 +73,7 @@ fn fmt_node(plan: &PhysicalPlan, f: &mut fmt::Formatter<'_>, depth: usize) -> fm
             )
         }
         PhysNode::Limit { n, .. } => format!("Limit {n}"),
-        PhysNode::Project { items, .. } => format!("Project [{} columns]", items.len()),
+        PhysNode::Project { items, .. } => crate::plan::project_label(items),
     };
     if plan.cost.hits > 0.0 {
         writeln!(

@@ -322,6 +322,7 @@ impl Cx<'_> {
                         }] = keys.as_slice()
                         {
                             let inner = self.node(sort_input)?;
+                            let rows_out = inner.rows_out.min(1.0);
                             let cost =
                                 self.model
                                     .extract_best(inner.rows_out.ceil() as usize, 5, None);
@@ -331,7 +332,7 @@ impl Cx<'_> {
                                     call: call.clone(),
                                     desc: *desc,
                                 },
-                                rows_out: 1.0,
+                                rows_out,
                                 cost,
                             });
                         }

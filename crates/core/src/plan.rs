@@ -26,6 +26,21 @@ use crate::lang::ast::{
 };
 use crate::task::TaskType;
 
+/// EXPLAIN's label for a projection: its item count, with `*` shown as
+/// the star rather than counted as one column (`SELECT *` is
+/// `Project [*]`).
+pub(crate) fn project_label(items: &[SelectItem]) -> String {
+    let columns = items
+        .iter()
+        .filter(|i| !matches!(i, SelectItem::Star))
+        .count();
+    match (columns < items.len(), columns) {
+        (false, n) => format!("Project [{n} columns]"),
+        (true, 0) => "Project [*]".to_owned(),
+        (true, n) => format!("Project [*, {n} columns]"),
+    }
+}
+
 /// A logical plan node.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogicalPlan {
@@ -128,7 +143,7 @@ impl LogicalPlan {
                 input.explain_into(out, depth + 1);
             }
             LogicalPlan::Project { input, items } => {
-                out.push_str(&format!("{pad}Project [{} columns]\n", items.len()));
+                out.push_str(&format!("{pad}{}\n", project_label(items)));
                 input.explain_into(out, depth + 1);
             }
         }
@@ -591,6 +606,19 @@ mod tests {
                 .unwrap()
         };
         assert!(depth("Scan") > depth("CrowdJoin"));
+    }
+
+    /// `SELECT *` shows its star, not a count of one column; a star
+    /// beside other items shows both.
+    #[test]
+    fn display_shows_a_star_projection() {
+        let star = plan("SELECT * FROM celeb c");
+        assert_eq!(star.to_string().lines().next(), Some("Project [*]"));
+        let mixed = plan("SELECT *, c.name FROM celeb c");
+        assert_eq!(
+            mixed.to_string().lines().next(),
+            Some("Project [*, 1 columns]")
+        );
     }
 
     /// Golden rendering of a 2-join + OR-filter query: `Display` is

@@ -20,7 +20,7 @@
 
 // lint:hot-path
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -71,6 +71,8 @@ pub struct Hit {
     pub kind: HitKind,
     pub assignments_requested: u32,
     pub posted_at: SimTime,
+    /// [`crate::question::hit_work_units`], computed once at post.
+    work_units: f64,
     completed: u32,
     in_flight: u32,
     /// Workers holding or having submitted an assignment (at most
@@ -80,7 +82,7 @@ pub struct Hit {
 
 impl Hit {
     pub fn work_units(&self) -> f64 {
-        crate::question::hit_work_units(self.kind, &self.questions)
+        self.work_units
     }
 
     /// Still accepting workers: not every requested assignment is
@@ -112,12 +114,22 @@ pub struct Assignment {
 
 #[derive(Debug)]
 struct GroupState {
+    /// The group's HITs in posting order. Their ids are contiguous, so
+    /// a HIT's position in the group is `id - hits[0]`.
     hits: Vec<HitId>,
     posted_at: SimTime,
-    /// Open HITs ([`Hit::is_open`]) in posting order.
-    open: BTreeSet<HitId>,
-    /// Per worker (dense id): how many of `open` that worker touched.
-    /// A worker can take `open.len() - touched_open[w]` HITs here.
+    /// Open HITs ([`Hit::is_open`]): a bitset over positions.
+    open: Vec<u64>,
+    /// Set bits in `open`.
+    open_count: u32,
+    /// The first word of `open` with a set bit (`open.len()` if none).
+    first_open_word: usize,
+    /// Per worker (dense id): the open HITs that worker touched, a
+    /// bitset over positions like `open`. Empty until the worker first
+    /// touches a HIT of this group.
+    touched: Vec<Vec<u64>>,
+    /// Per worker: set bits in `touched[w]`. A worker can take
+    /// `open_count - touched_open[w]` HITs here.
     touched_open: Vec<u32>,
     /// Positions in the marketplace's completed assignments of this
     /// group's, in completion order.
@@ -152,13 +164,17 @@ pub enum RunOutcome {
 /// The simulated marketplace.
 ///
 /// No event's cost grows with the number of posted HITs: the loop
-/// keeps a count of incomplete HITs, and each group indexes its open
-/// HITs and how many of them each worker has touched, so an arrival
-/// costs O(groups) and finding a worker's next HIT skips only HITs that
-/// worker already touched. `Self::update_hit` is the only writer of a
-/// HIT's counters, so the index cannot drift. Each group also lists
-/// its completed assignments, so reading one group's answers does not
-/// scan every assignment the marketplace has completed.
+/// keeps a count of incomplete HITs, and each group keeps its open HITs
+/// and, per worker, the open HITs that worker touched as bitsets over
+/// the group's posting positions, with their counts. An arrival costs
+/// O(groups), and a worker's next HIT is the first set bit of
+/// `open & !touched` from the group's first open word: a scan of
+/// 64-HIT words, not of the HITs that worker already touched.
+/// `Self::update_hit` is the only writer of a HIT's counters and flips
+/// O(assignments requested) bits, so the index cannot drift. Each
+/// group also lists its completed assignments, so reading one group's
+/// answers does not scan every assignment the marketplace has
+/// completed.
 pub struct Marketplace {
     truth: GroundTruth,
     pool: WorkerPool,
@@ -257,6 +273,7 @@ impl Marketplace {
             self.hits.push(Hit {
                 id,
                 group,
+                work_units: spec.work_units(),
                 questions: spec.questions,
                 kind: spec.kind,
                 assignments_requested: assignments,
@@ -268,11 +285,19 @@ impl Marketplace {
             hit_ids.push(id);
         }
         // Fresh HITs are open, incomplete and untouched.
-        self.incomplete += hit_ids.len();
+        let n = hit_ids.len();
+        self.incomplete += n;
+        let mut open = vec![u64::MAX; n.div_ceil(64)];
+        if let Some(last) = open.last_mut() {
+            *last >>= (64 - n % 64) % 64;
+        }
         self.groups.push(GroupState {
-            open: hit_ids.iter().copied().collect(),
+            open,
+            open_count: n as u32,
+            first_open_word: 0,
             hits: hit_ids,
             posted_at: self.now,
+            touched: vec![Vec::new(); self.pool.len()],
             touched_open: vec![0; self.pool.len()],
             done: Vec::new(),
         });
@@ -376,15 +401,25 @@ impl Marketplace {
 
     /// The only way to change a HIT's `in_flight`, `completed` or
     /// `touched_by`: take the HIT out of its group's index, apply
-    /// `mutate`, and index it again. Costs O(assignments requested).
+    /// `mutate`, index it again, and move the group's first open word
+    /// past any word that emptied. Costs O(assignments requested) bit
+    /// flips, plus the words the first open word moves past.
     fn update_hit(&mut self, id: HitId, mutate: impl FnOnce(&mut Hit)) {
         self.index_hit(id, false);
-        mutate(&mut self.hits[id.0]);
+        let h = &mut self.hits[id.0];
+        mutate(h);
+        let group = h.group.0;
         self.index_hit(id, true);
+        let g = &mut self.groups[group];
+        while g.open.get(g.first_open_word) == Some(&0) {
+            g.first_open_word += 1;
+        }
     }
 
     /// Add (`add`) or remove one HIT's contribution to the incomplete
-    /// counter and to its group's open set and `touched_open` counts.
+    /// counter and to its group's open and touched bitsets and counts.
+    /// Adding a HIT sets bits that are clear and removing it clears
+    /// bits that are set, so both toggle.
     fn index_hit(&mut self, id: HitId, add: bool) {
         let h = &self.hits[id.0];
         if !h.is_complete() {
@@ -398,34 +433,49 @@ impl Marketplace {
             return;
         }
         let g = &mut self.groups[h.group.0];
+        let pos = id.0 - g.hits[0].0;
+        let (word, bit) = (pos / 64, 1u64 << (pos % 64));
         for w in &h.touched_by {
+            let touched = &mut g.touched[w.0];
+            if touched.is_empty() {
+                touched.resize(g.open.len(), 0);
+            }
+            touched[word] ^= bit;
             if add {
                 g.touched_open[w.0] += 1;
             } else {
                 g.touched_open[w.0] -= 1;
             }
         }
+        g.open[word] ^= bit;
         if add {
-            g.open.insert(id);
+            g.open_count += 1;
+            // A lock that expired may reopen a HIT below the first
+            // open word.
+            g.first_open_word = g.first_open_word.min(word);
         } else {
-            g.open.remove(&id);
+            g.open_count -= 1;
         }
     }
 
     /// HITs of a group that `worker` could start.
     fn available(&self, group: usize, worker: WorkerId) -> u32 {
         let g = &self.groups[group];
-        g.open.len() as u32 - g.touched_open[worker.0]
+        g.open_count - g.touched_open[worker.0]
     }
 
     /// The first HIT (in posting order) of a group that `worker` could
-    /// start: the first open one it has not touched.
+    /// start: the first set bit of `open & !touched[worker]`.
     fn first_available(&self, group: usize, worker: WorkerId) -> Option<HitId> {
-        self.groups[group]
-            .open
-            .iter()
-            .copied()
-            .find(|h| !self.hits[h.0].touched_by.contains(&worker))
+        if self.available(group, worker) == 0 {
+            return None;
+        }
+        let g = &self.groups[group];
+        let touched = &g.touched[worker.0];
+        (g.first_open_word..g.open.len()).find_map(|i| {
+            let free = g.open[i] & !touched.get(i).copied().unwrap_or(0);
+            (free != 0).then(|| HitId(g.hits[0].0 + i * 64 + free.trailing_zeros() as usize))
+        })
     }
 
     // ---- event handlers ----
@@ -599,20 +649,33 @@ impl Marketplace {
     fn check_index(&self) {
         let incomplete = self.hits.iter().filter(|h| !h.is_complete()).count();
         assert_eq!(self.incomplete, incomplete, "incomplete counter");
+        // The bitset over a group's positions of the HITs that `keep`.
+        let bitset = |g: &GroupState, keep: &dyn Fn(&Hit) -> bool| {
+            let mut words = vec![0u64; g.hits.len().div_ceil(64)];
+            for (pos, h) in g.hits.iter().enumerate() {
+                assert_eq!(h.0, g.hits[0].0 + pos, "group HIT ids are contiguous");
+                if keep(&self.hits[h.0]) {
+                    words[pos / 64] |= 1 << (pos % 64);
+                }
+            }
+            words
+        };
+        let ones = |words: &[u64]| words.iter().map(|w| w.count_ones()).sum::<u32>();
         for (gi, g) in self.groups.iter().enumerate() {
-            let open: BTreeSet<HitId> = g
-                .hits
-                .iter()
-                .copied()
-                .filter(|h| self.hits[h.0].is_open())
-                .collect();
+            let open = bitset(g, &|h| h.is_open());
             assert_eq!(g.open, open, "open set of group {gi}");
+            assert_eq!(g.open_count, ones(&open), "open count of group {gi}");
+            let first = open.iter().position(|&w| w != 0).unwrap_or(open.len());
+            assert_eq!(g.first_open_word, first, "first open word of group {gi}");
+            assert_eq!(g.touched.len(), self.pool.len());
             for (w, &count) in g.touched_open.iter().enumerate() {
-                let touched = open
-                    .iter()
-                    .filter(|h| self.hits[h.0].touched_by.contains(&WorkerId(w)))
-                    .count();
-                assert_eq!(count as usize, touched, "touched_open[{w}] of group {gi}");
+                let touched = bitset(g, &|h| h.is_open() && h.touched_by.contains(&WorkerId(w)));
+                if g.touched[w].is_empty() {
+                    assert_eq!(ones(&touched), 0, "touched[{w}] of group {gi}");
+                } else {
+                    assert_eq!(g.touched[w], touched, "touched[{w}] of group {gi}");
+                }
+                assert_eq!(count, ones(&touched), "touched_open[{w}] of group {gi}");
             }
             let done: Vec<usize> = (0..self.completed.len())
                 .filter(|&i| self.completed[i].group == HitGroupId(gi))
@@ -907,6 +970,126 @@ mod tests {
         assert_eq!(timeline_hash(&timeline), 0xa55b_6b56_cf86_3aa8);
     }
 
+    /// The answer models the timeline above does not reach are pinned
+    /// too: Likert ratings, best-of-batch picks (max and min), feature
+    /// extraction through the single and the combined interface, and
+    /// generative text, over a crisp dimension, a pure-noise one, an
+    /// undefined one and an item with no score.
+    #[test]
+    fn pinned_answer_models_are_unchanged() {
+        use crate::truth::{DimensionParams, FeatureTruth, TextTruth};
+        let mut truth = GroundTruth::new();
+        let items = truth.new_items(16);
+        truth.define_dimension("size", DimensionParams::crisp(0.05));
+        truth.define_dimension("noise", DimensionParams::pure_noise());
+        truth.define_feature("gender", &["male", "female"]);
+        truth.define_feature("hair", &["black", "brown", "blond", "white"]);
+        // The last item is left unscored on "size".
+        for (i, &it) in items[..15].iter().enumerate() {
+            truth.set_score(it, "size", (i * i) as f64);
+            truth.set_score(it, "noise", i as f64);
+        }
+        for (i, &it) in items.iter().enumerate() {
+            truth.set_feature_simple(it, "gender", i % 2, 0.05);
+            truth.set_feature(
+                it,
+                "hair",
+                FeatureTruth {
+                    value: i % 4,
+                    report_probs: vec![0.4, 0.3, 0.15, 0.1, 0.05],
+                },
+            );
+            if i % 3 == 0 {
+                truth.set_feature_for_combined(
+                    it,
+                    "hair",
+                    FeatureTruth {
+                        value: i % 4,
+                        report_probs: vec![0.1, 0.1, 0.7, 0.1],
+                    },
+                );
+            }
+            if i % 5 != 4 {
+                truth.set_text(
+                    it,
+                    "name",
+                    TextTruth {
+                        variants: vec![(format!("Item {i}"), 0.7), (format!("item  {i}"), 0.3)],
+                    },
+                );
+            }
+        }
+        let cfg = CrowdConfig::default().with_seed(0xA5_5E75);
+        let mut m = Marketplace::new(&cfg, truth);
+        let one_per_hit = |kind: HitKind, q: &dyn Fn(crate::truth::ItemId) -> Question| {
+            items
+                .chunks(2)
+                .map(|c| HitSpec::new(c.iter().map(|&it| q(it)).collect(), kind))
+                .collect::<Vec<_>>()
+        };
+        let rate = |dimension: &str| {
+            let dimension = dimension.to_owned();
+            move |item| Question::Rate {
+                item,
+                dimension: dimension.clone(),
+                scale: 7,
+                context: vec![],
+            }
+        };
+        m.post_group(one_per_hit(HitKind::SortRate, &rate("size")));
+        m.post_group(one_per_hit(HitKind::SortRate, &rate("noise")));
+        m.post_group(one_per_hit(HitKind::SortRate, &rate("undefined")));
+        m.post_group(
+            items
+                .chunks(4)
+                .enumerate()
+                .map(|(k, c)| {
+                    let dimension = ["size", "noise", "undefined"][k % 3];
+                    HitSpec::new(
+                        vec![Question::PickBest {
+                            items: c.to_vec(),
+                            dimension: dimension.into(),
+                            want_max: k % 2 == 0,
+                        }],
+                        HitKind::PickBest,
+                    )
+                })
+                .collect(),
+        );
+        let feature = |name: &str, num_options: usize| {
+            let feature = name.to_owned();
+            move |item| Question::Feature {
+                item,
+                feature: feature.clone(),
+                num_options,
+            }
+        };
+        m.post_group(one_per_hit(HitKind::FeatureSingle, &feature("gender", 2)));
+        m.post_group(one_per_hit(HitKind::FeatureSingle, &feature("hair", 4)));
+        m.post_group(
+            items
+                .iter()
+                .map(|&it| {
+                    HitSpec::new(
+                        vec![feature("gender", 2)(it), feature("hair", 4)(it)],
+                        HitKind::FeatureCombined,
+                    )
+                })
+                .collect(),
+        );
+        m.post_group(one_per_hit(HitKind::Generative, &|item| {
+            Question::Generative {
+                item,
+                field: "name".into(),
+            }
+        }));
+
+        assert_eq!(m.run(24.0 * 3600.0), RunOutcome::Completed);
+        let timeline = m.drain_new_assignments();
+        assert_eq!(timeline.len(), (8 * 3 + 4 + 8 * 2 + 16 + 8) * 5);
+        assert_eq!(timeline_hash(&timeline), 0x51b2_2000_5945_d577);
+    }
+
     #[test]
     fn drain_returns_only_new() {
         let (mut m, items) = small_market(4);
@@ -989,13 +1172,17 @@ mod proptests {
         /// distinct workers per HIT, ledger consistency, monotone
         /// virtual time, non-negative latencies — and after every
         /// `run()` slice the incremental index matches a brute-force
-        /// recount.
+        /// recount, and every worker's next HIT in every group is the
+        /// first open one, in posting order, that worker has not
+        /// touched. The last group spans several 64-HIT words, and
+        /// expired locks reopen HITs below its first open word.
         #[test]
         fn marketplace_invariants(
             num_items in 1usize..12,
             batch in 1usize..4,
             assignments in 1u32..7,
             num_groups in 1usize..4,
+            big_group in 129usize..200,
             abandon in 0.0f64..0.3,
             seed in 0u64..1000,
         ) {
@@ -1028,11 +1215,32 @@ mod proptests {
                 groups.push(m.post_group_with_assignments(specs, assignments));
                 m.check_index();
             }
+            let big: Vec<HitSpec> = (0..big_group)
+                .map(|i| HitSpec::new(
+                    vec![Question::Filter {
+                        item: items[i % num_items],
+                        predicate: "p".into(),
+                    }],
+                    HitKind::Filter,
+                ))
+                .collect();
+            hits_per_group.push(big.len());
+            groups.push(m.post_group_with_assignments(big, assignments));
+            m.check_index();
             let mut slices = 0;
             loop {
                 let before = m.now().secs();
                 let outcome = m.run(1800.0);
                 m.check_index();
+                for (gi, g) in m.groups.iter().enumerate() {
+                    for w in 0..m.pool.len() {
+                        let brute = g.hits.iter().copied().find(|h| {
+                            let h = m.hit(*h);
+                            h.is_open() && !h.touched_by.contains(&WorkerId(w))
+                        });
+                        prop_assert_eq!(m.first_available(gi, WorkerId(w)), brute);
+                    }
+                }
                 prop_assert!(m.now().secs() >= before);
                 if outcome == RunOutcome::Completed {
                     break;

@@ -25,13 +25,19 @@
 //! or more items), so every table is keyed by name first and probed
 //! with a borrowed `&str`, and each dimension keeps its score range
 //! current instead of scanning for it. Item ids are dense (allocated
-//! from a counter), so entities and the per-name item tables are
-//! vectors indexed by `ItemId.0`: a join question's entity lookups
-//! hash nothing.
+//! from a counter), so entities and every per-name item table (scores,
+//! features, predicates, texts) are vectors indexed by `ItemId.0`: a
+//! join question's entity lookups hash nothing. A sort question names
+//! one dimension for all its items, so [`GroundTruth::dimension`]
+//! resolves the name once into a [`Dimension`] view (parameters,
+//! scores and range) and each item is then read by index. Entity-pair
+//! similarities, probed on every non-matching join pair, are keyed
+//! with a fixed multiply-rotate hash instead of SipHash.
 
 // lint:hot-path
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Opaque item identifier (an image/tuple in the paper's datasets).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -76,10 +82,33 @@ fn insert<T>(table: &mut ByName<T>, name: &str, item: ItemId, value: T) {
     }
 }
 
-/// Latent scores of one sort dimension and their current range.
+/// FxHash-style hasher for the similarity table's integer keys. The
+/// keys come from the dataset, not from an adversary, so SipHash's
+/// flooding resistance buys nothing on a lookup made per join pair.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Latent scores of one sort dimension, indexed by item id, and their
+/// current range.
 #[derive(Debug, Clone)]
 struct DimensionScores {
-    by_item: HashMap<ItemId, f64>,
+    by_item: Vec<Option<f64>>,
     lo: f64,
     hi: f64,
 }
@@ -87,7 +116,7 @@ struct DimensionScores {
 impl Default for DimensionScores {
     fn default() -> Self {
         DimensionScores {
-            by_item: HashMap::new(),
+            by_item: Vec::new(),
             lo: f64::INFINITY,
             hi: f64::NEG_INFINITY,
         }
@@ -96,20 +125,40 @@ impl Default for DimensionScores {
 
 impl DimensionScores {
     fn set(&mut self, item: ItemId, score: f64) {
-        if self.by_item.insert(item, score).is_some() {
+        let replaced = slot(&self.by_item, item).is_some();
+        set_slot(&mut self.by_item, item, score);
+        if replaced {
             // The replaced score may have been an extreme: rescan.
-            self.lo = self
-                .by_item
-                .values()
-                .fold(f64::INFINITY, |lo, &s| lo.min(s));
-            self.hi = self
-                .by_item
-                .values()
-                .fold(f64::NEG_INFINITY, |hi, &s| hi.max(s));
+            let scores = || self.by_item.iter().flatten();
+            self.lo = scores().fold(f64::INFINITY, |lo, &s| lo.min(s));
+            self.hi = scores().fold(f64::NEG_INFINITY, |hi, &s| hi.max(s));
         } else {
             self.lo = self.lo.min(score);
             self.hi = self.hi.max(score);
         }
+    }
+}
+
+/// One sort dimension resolved by name: its perception parameters, its
+/// scores indexed by item id and their range. A question over several
+/// items resolves the name once ([`GroundTruth::dimension`]) and reads
+/// every item from the view.
+#[derive(Debug, Clone, Copy)]
+pub struct Dimension<'a> {
+    pub params: DimensionParams,
+    scores: &'a [Option<f64>],
+    range: Option<(f64, f64)>,
+}
+
+impl Dimension<'_> {
+    /// Latent score, if registered ([`GroundTruth::score`]).
+    pub fn score(&self, item: ItemId) -> Option<f64> {
+        slot(self.scores, item).copied()
+    }
+
+    /// Min/max score ([`GroundTruth::score_range`]).
+    pub fn range(&self) -> Option<(f64, f64)> {
+        self.range
     }
 }
 
@@ -196,7 +245,7 @@ pub struct GroundTruth {
     entities: Vec<Option<EntityId>>,
     /// Similarity between *different* entities, keyed with the smaller
     /// entity id first. Missing = `default_similarity`.
-    similarities: HashMap<(EntityId, EntityId), f64>,
+    similarities: HashMap<(EntityId, EntityId), f64, BuildHasherDefault<PairHasher>>,
     default_similarity: f64,
     features: ByName<FeatureTruth>,
     /// Override distributions used when the feature is asked in the
@@ -256,7 +305,11 @@ impl GroundTruth {
     /// Set an item's latent score on a dimension, keeping the
     /// dimension's range current (recomputed when a score is
     /// overwritten, since the old value may have been an extreme).
+    ///
+    /// # Panics
+    /// Panics if this truth did not allocate `item`.
     pub fn set_score(&mut self, item: ItemId, dimension: &str, score: f64) {
+        self.check_allocated(item);
         match self.scores.get_mut(dimension) {
             Some(d) => d.set(item, score),
             None => {
@@ -269,13 +322,25 @@ impl GroundTruth {
 
     /// Latent score, if registered.
     pub fn score(&self, item: ItemId, dimension: &str) -> Option<f64> {
-        self.scores.get(dimension)?.by_item.get(&item).copied()
+        slot(&self.scores.get(dimension)?.by_item, item).copied()
     }
 
     /// Min/max score over all items registered on a dimension; used to
     /// normalize perception noise and to calibrate Likert mapping.
     pub fn score_range(&self, dimension: &str) -> Option<(f64, f64)> {
         self.scores.get(dimension).map(|d| (d.lo, d.hi))
+    }
+
+    /// A dimension's parameters, scores and range, resolved by name
+    /// once. An undefined name reads as default parameters with no
+    /// scores and no range.
+    pub fn dimension(&self, name: &str) -> Dimension<'_> {
+        let scores = self.scores.get(name);
+        Dimension {
+            params: self.dimension_params(name),
+            scores: scores.map_or(&[], |d| &d.by_item),
+            range: scores.map(|d| (d.lo, d.hi)),
+        }
     }
 
     /// Ground-truth best-to-worst ordering of `items` on `dimension`
@@ -505,6 +570,41 @@ mod tests {
         gt.set_score(items[1], "area", 900.0);
         assert_eq!(gt.score_range("area"), Some((450.0, 900.0)));
         assert_eq!(gt.score(items[1], "area"), Some(900.0));
+    }
+
+    #[test]
+    fn dimension_view_agrees_with_score_and_range() {
+        let mut gt = GroundTruth::new();
+        let items = gt.new_items(4);
+        gt.define_dimension("noise", DimensionParams::pure_noise());
+        for (i, &it) in items[..3].iter().enumerate() {
+            gt.set_score(it, "area", 100.0 * i as f64);
+            gt.set_score(it, "noise", i as f64);
+        }
+        // Overwrite the top extreme: the range is rescanned.
+        gt.set_score(items[2], "area", 50.0);
+        let far = ItemId(u64::MAX);
+        for name in ["area", "noise", "undefined"] {
+            let dim = gt.dimension(name);
+            for &it in items.iter().chain([&far]) {
+                assert_eq!(dim.score(it), gt.score(it, name), "{name} {it:?}");
+            }
+            assert_eq!(dim.range(), gt.score_range(name), "{name}");
+            let params = gt.dimension_params(name);
+            assert_eq!(
+                (dim.params.ambiguity, dim.params.pure_noise),
+                (params.ambiguity, params.pure_noise)
+            );
+        }
+        let area = gt.dimension("area");
+        assert_eq!(area.range(), Some((0.0, 100.0)));
+        assert_eq!(area.score(items[2]), Some(50.0));
+        // Unscored: perception falls back to the middle of the range.
+        assert_eq!(area.score(items[3]), None);
+        assert!(gt.dimension("noise").params.pure_noise);
+        let undefined = gt.dimension("undefined");
+        assert_eq!((undefined.score(items[0]), undefined.range()), (None, None));
+        assert!(!undefined.params.pure_noise);
     }
 
     #[test]

@@ -20,12 +20,14 @@
 //! All randomness flows through the caller's RNG so runs are
 //! reproducible.
 
+// lint:hot-path
+
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::question::{Answer, HitContext, HitKind, Question, UNKNOWN};
 use crate::rng::{normal, shuffle, ZipfSampler};
-use crate::truth::{GroundTruth, ItemId};
+use crate::truth::{Dimension, GroundTruth, ItemId};
 
 /// Worker identifier (dense index into the pool).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -228,11 +230,13 @@ impl Worker {
         for (s, p) in &tt.variants {
             acc += p;
             if draw < acc {
+                // lint:allow(hot-clone): the answer owns the typed text
                 return s.clone();
             }
         }
         tt.variants
             .first()
+            // lint:allow(hot-clone): the answer owns the typed text
             .map(|(s, _)| s.clone())
             .unwrap_or_default()
     }
@@ -305,9 +309,10 @@ impl Worker {
             shuffle(rng, &mut v);
             return v;
         }
+        let dim = truth.dimension(dimension);
         let mut scored: Vec<(ItemId, f64)> = items
             .iter()
-            .map(|&i| (i, self.perceive(i, dimension, truth, rng)))
+            .map(|&i| (i, self.perceive_with(i, &dim, 1.0, rng)))
             .collect();
         scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         scored.into_iter().map(|(i, _)| i).collect()
@@ -328,8 +333,8 @@ impl Worker {
                 SpamStrategy::Random => rng.random_range(1..=scale),
             };
         }
-        let mult = truth.dimension_params(dimension).rating_noise_mult;
-        let perceived = self.perceive_with(item, dimension, mult, truth, rng);
+        let dim = truth.dimension(dimension);
+        let perceived = self.perceive_with(item, &dim, dim.params.rating_noise_mult, rng);
         // Map [0,1] perception onto the Likert scale with the worker's
         // personal bias; quantization is the Rate operator's fundamental
         // granularity limit (§4.2.2).
@@ -348,9 +353,10 @@ impl Worker {
         if let WorkerArchetype::Spammer(_) = self.archetype {
             return items[rng.random_range(0..items.len())];
         }
+        let dim = truth.dimension(dimension);
         let scored = items
             .iter()
-            .map(|&i| (i, self.perceive(i, dimension, truth, rng)));
+            .map(|&i| (i, self.perceive_with(i, &dim, 1.0, rng)));
         let pick = if want_max {
             scored.max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
         } else {
@@ -360,34 +366,23 @@ impl Worker {
     }
 
     /// Thurstonian perception: the item's range-normalized latent score
-    /// plus Gaussian noise scaled by dimension ambiguity and worker
-    /// skill. Pure-noise dimensions (Q5) carry no signal at all.
-    fn perceive(
-        &self,
-        item: ItemId,
-        dimension: &str,
-        truth: &GroundTruth,
-        rng: &mut StdRng,
-    ) -> f64 {
-        self.perceive_with(item, dimension, 1.0, truth, rng)
-    }
-
-    /// [`Self::perceive`] with an extra noise multiplier (used for
-    /// absolute judgments, which are noisier than comparisons).
+    /// plus Gaussian noise scaled by dimension ambiguity, worker skill
+    /// and `noise_mult` (above 1 for absolute judgments, which are
+    /// noisier than comparisons). Pure-noise dimensions (Q5) carry no
+    /// signal at all.
     fn perceive_with(
         &self,
         item: ItemId,
-        dimension: &str,
+        dim: &Dimension<'_>,
         noise_mult: f64,
-        truth: &GroundTruth,
         rng: &mut StdRng,
     ) -> f64 {
-        let params = truth.dimension_params(dimension);
+        let params = dim.params;
         if params.pure_noise {
             return rng.random::<f64>();
         }
-        let score = truth.score(item, dimension).unwrap_or(0.5);
-        let (lo, hi) = truth.score_range(dimension).unwrap_or((0.0, 1.0));
+        let score = dim.score(item).unwrap_or(0.5);
+        let (lo, hi) = dim.range().unwrap_or((0.0, 1.0));
         let norm = if hi > lo {
             (score - lo) / (hi - lo)
         } else {

@@ -46,7 +46,7 @@
 //!   data-layout pass's interning, relation, EM, metrics, and
 //!   candidate-generation modules, the batched operators' vote path
 //!   (`ops/common.rs`, filter, generative, join and sort), and the crowd
-//!   simulator's marketplace and ground truth), no `.clone()` in
+//!   simulator's marketplace, ground truth and answer models), no `.clone()` in
 //!   production code unless the call site carries a
 //!   `// lint:allow(hot-clone): <why>` marker. Those modules were flattened specifically to kill
 //!   steady-state allocation; an unexamined clone is how the layout
