@@ -14,10 +14,13 @@
 //!   once and replayed from the cache afterwards, across queries. Its
 //!   groups are the one record of a round: every answer it returns,
 //!   live or cached, is replayed from its cache entry.
-//! * [`MeteringBackend`] — per-epoch (per-query) HIT / assignment /
-//!   dollar / virtual-latency accounting, which
-//!   [`crate::session::QueryReport`] reads instead of re-deriving from
-//!   marketplace internals.
+//!   A query's groups are also the one record of what it cost: its
+//!   HITs, assignments, dollars, virtual latency and rounds are read
+//!   from them, in a [`crate::session::Session`] and in the
+//!   [`crate::service`] alike.
+//! * [`MeteringBackend`] — a `Session`'s per-query view of its cache:
+//!   it records the groups the current query posts and reports that
+//!   query's totals, which [`crate::session::QueryReport`] carries.
 //! * [`ReplayBackend`] — serve a [`ReplayTrace`] (the `HitSpec` →
 //!   assignment answers a cache recorded, [`CachingBackend::trace`])
 //!   with no marketplace at all (a deterministic test double).
@@ -435,8 +438,8 @@ struct VirtualHit {
 }
 
 /// What a group was when it was posted: how its HITs split between
-/// the crowd and the cache, and what each HIT requested. The service
-/// meters a query from its groups' counts.
+/// the crowd and the cache, and what each HIT requested. A query is
+/// metered from its groups' counts.
 #[derive(Debug, Clone, Copy)]
 struct GroupCounts {
     /// HITs posted live: the group pays for them.
@@ -456,6 +459,9 @@ struct CacheGroup {
     hits: Vec<HitId>,
     posted_at: SimTime,
     counts: GroupCounts,
+    /// Total worker effort the group asks for: Σ spec work-units ×
+    /// assignments per HIT, cached specs included.
+    work_units: f64,
     /// Live results folded into the cache yet?
     recorded: bool,
 }
@@ -584,7 +590,7 @@ impl<B: CrowdBackend> CachingBackend<B> {
     /// posting, excluding in-flight work shared from other groups.
     /// This is what the group's owner will be charged for; see
     /// [`CrowdBackend::group_outstanding`] for the completion view.
-    fn live_outstanding(&self, group: HitGroupId) -> u32 {
+    pub(crate) fn live_outstanding(&self, group: HitGroupId) -> u32 {
         self.groups[group.0]
             .inner
             .map_or(0, |ig| self.inner.group_outstanding(ig))
@@ -677,6 +683,7 @@ impl<B: CrowdBackend> CachingBackend<B> {
         let group_id = HitGroupId(self.groups.len());
         let posted_at = self.inner.now();
         let per_hit = assignments.unwrap_or_else(|| self.inner.default_assignments());
+        let work_units = specs.iter().map(HitSpec::work_units).sum::<f64>() * f64::from(per_hit);
         let mut group_hits = Vec::with_capacity(specs.len());
         let mut live_specs = Vec::new();
         for spec in specs {
@@ -723,6 +730,7 @@ impl<B: CrowdBackend> CachingBackend<B> {
             hits: group_hits,
             posted_at,
             counts,
+            work_units,
             recorded: false,
         });
         group_id
@@ -839,17 +847,10 @@ impl<B: CrowdBackend> CachingBackend<B> {
         self.pending.len()
     }
 
-    /// Release **every** in-flight dedup slot. Single-owner variant of
-    /// [`Self::release_in_flight`] for contexts (like [`crate::session::Session`])
-    /// where all pending groups belong to the one query that just
-    /// failed.
-    pub fn release_all_in_flight(&mut self) {
-        self.pending.clear();
-    }
-
-    // A service query is the list of groups committed for it (see
-    // `crate::service`); these read its share of the market from
-    // those groups' counts and state. The cache keeps nothing per
+    // A query is the list of groups posted for it, in posting order
+    // (a `Session`'s [`MeteringBackend`] records them, the service
+    // commits them for each query); these read its share of the market
+    // from those groups' counts and state. The cache keeps nothing per
     // query.
 
     /// Dollars per completed assignment (uniform in both the simulator
@@ -877,7 +878,52 @@ impl<B: CrowdBackend> CachingBackend<B> {
     /// Dollars attributable to `groups`: their completed live
     /// assignments at the uniform rate.
     pub(crate) fn query_spend(&self, groups: &[HitGroupId]) -> f64 {
-        self.query_assignments(groups) as f64 * self.unit_price()
+        self.assignment_dollars(self.query_assignments(groups))
+    }
+
+    /// What `assignments` completed assignments cost at the uniform
+    /// rate.
+    pub(crate) fn assignment_dollars(&self, assignments: u64) -> f64 {
+        assignments as f64 * self.unit_price()
+    }
+
+    /// What the query that posted `groups`, in posting order, has used
+    /// so far, and its observed rounds. HITs, assignments and dollars
+    /// are its live work ([`Self::query_live_hits`],
+    /// [`Self::query_assignments`], [`Self::query_spend`]); its elapsed
+    /// time runs from its first group's post to now. A query whose
+    /// groups posted no live HIT and completed no assignment took no
+    /// crowd time, even if the clock moved on behalf of other work
+    /// (say, an earlier query's timed-out HITs). Each round is a
+    /// group's work units and its last assignment's latency (0 while
+    /// none completed): the raw material of the optimizer's latency
+    /// model (round time ≈ α + β · work-units).
+    pub(crate) fn query_usage(
+        &self,
+        groups: &[HitGroupId],
+    ) -> (BackendUsage, Vec<RoundObservation>) {
+        let hits_posted = self.query_live_hits(groups) as usize;
+        let assignments = self.query_assignments(groups);
+        let elapsed_secs = match groups.first() {
+            Some(&g) if hits_posted > 0 || assignments > 0 => {
+                self.now().secs() - self.group_posted_at(g).secs()
+            }
+            _ => 0.0,
+        };
+        let usage = BackendUsage {
+            hits_posted,
+            assignments,
+            dollars: self.assignment_dollars(assignments),
+            elapsed_secs,
+        };
+        let rounds = groups
+            .iter()
+            .map(|&g| RoundObservation {
+                work_units: self.groups[g.0].work_units,
+                secs: self.group_latencies(g).into_iter().fold(0.0f64, f64::max),
+            })
+            .collect();
+        (usage, rounds)
     }
 
     /// Dollars the cache saved `groups`: their cache-served HITs times
@@ -1148,7 +1194,8 @@ pub struct RoundObservation {
     pub secs: f64,
 }
 
-/// Resource usage over one metering epoch (typically one query).
+/// Resource usage of one query, read from the Task Cache groups it
+/// posted.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BackendUsage {
     /// HITs posted to the real crowd.
@@ -1161,33 +1208,35 @@ pub struct BackendUsage {
     pub elapsed_secs: f64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct MeterSnapshot {
-    hits: usize,
-    assignments: u64,
-    dollars: f64,
-    at: f64,
+/// A backend one query runs through, which reads what that query used
+/// from its own Task Cache groups: [`MeteringBackend`] in a
+/// [`crate::session::Session`], [`crate::service::TenantBackend`] in
+/// the service.
+pub(crate) trait QueryBackend: CrowdBackend {
+    /// The query's usage so far and its rounds, in posting order.
+    fn query_usage(&self) -> (BackendUsage, Vec<RoundObservation>);
 }
 
-/// A backend decorator that meters resource consumption in epochs.
-/// Every query — on a [`crate::session::Session`] or in the
-/// [`crate::service`] — runs as one epoch, opened and closed by the
-/// engine's one plan-execution function, which builds the
-/// [`crate::session::QueryReport`] from the usage delta.
+/// A [`crate::session::Session`]'s per-query view of its Task Cache.
+/// It records the groups the current query posts, and its usage
+/// counters ([`CrowdBackend::hits_posted`],
+/// [`CrowdBackend::spend_dollars`],
+/// [`CrowdBackend::assignments_completed`]) report that query's own
+/// live work, read from those groups — what a service query's
+/// [`crate::service::TenantBackend`] reports. The session starts a
+/// new query on it each time; the totals of every query together are
+/// those of [`Self::inner`].
 pub struct MeteringBackend<B> {
     inner: B,
-    epoch_start: Option<MeterSnapshot>,
-    /// Groups posted during the open epoch (with their total
-    /// assignment work-units), for per-round latency observation.
-    epoch_groups: Vec<(HitGroupId, f64)>,
+    /// The groups the current query posted, in posting order.
+    groups: Vec<HitGroupId>,
 }
 
 impl<B: CrowdBackend> MeteringBackend<B> {
     pub fn new(inner: B) -> Self {
         MeteringBackend {
             inner,
-            epoch_start: None,
-            epoch_groups: Vec::new(),
+            groups: Vec::new(),
         }
     }
 
@@ -1202,94 +1251,42 @@ impl<B: CrowdBackend> MeteringBackend<B> {
     pub fn into_inner(self) -> B {
         self.inner
     }
+}
 
-    fn snapshot(&self) -> MeterSnapshot {
-        MeterSnapshot {
-            hits: self.inner.hits_posted(),
-            assignments: self.inner.assignments_completed(),
-            dollars: self.inner.spend_dollars(),
-            at: self.inner.now().secs(),
-        }
+impl<B: CrowdBackend> MeteringBackend<CachingBackend<B>> {
+    /// Start the next query: forget the last one's groups, and mark a
+    /// batch boundary for the cache's eviction bound (entries the last
+    /// query touched become evictable, those this one touches stay
+    /// pinned until it finishes).
+    pub(crate) fn next_query(&mut self) {
+        self.groups.clear();
+        self.inner.begin_batch();
     }
 
-    /// Open a new epoch (discarding any currently open one).
-    pub fn begin_epoch(&mut self) {
-        self.epoch_start = Some(self.snapshot());
-        self.epoch_groups.clear();
-    }
-
-    /// Usage since [`Self::begin_epoch`] (or since construction if no
-    /// epoch is open).
-    ///
-    /// An epoch that posted no HITs and completed no assignments is a
-    /// **zero-cost epoch**: its elapsed time is reported as 0 even if
-    /// the backend's clock moved. The clock can tick inside such an
-    /// epoch only on behalf of *other* work (stale outstanding HITs
-    /// from an earlier timed-out query, queued arrival events), and
-    /// charging those ticks to a machine-only or fully-cached query
-    /// would double-count them across epochs.
-    pub fn epoch_usage(&self) -> BackendUsage {
-        let start = self.epoch_start.unwrap_or(MeterSnapshot {
-            hits: 0,
-            assignments: 0,
-            dollars: 0.0,
-            at: 0.0,
-        });
-        let end = self.snapshot();
-        let hits_posted = end.hits - start.hits;
-        let assignments = end.assignments - start.assignments;
-        BackendUsage {
-            hits_posted,
-            assignments,
-            dollars: end.dollars - start.dollars,
-            elapsed_secs: if hits_posted == 0 && assignments == 0 {
-                0.0
-            } else {
-                end.at - start.at
-            },
-        }
-    }
-
-    /// Close the epoch and return its usage with its observed rounds,
-    /// in posting order. Groups with no completed assignments report
-    /// 0 seconds.
-    pub fn end_epoch(&mut self) -> (BackendUsage, Vec<RoundObservation>) {
-        let usage = self.epoch_usage();
-        self.epoch_start = None;
-        // Per-round observations: the raw material of the optimizer's
-        // latency model (round time ≈ α + β · work-units).
-        let rounds = self
-            .epoch_groups
-            .drain(..)
-            .map(|(g, work_units)| {
-                let secs = self
-                    .inner
-                    .group_latencies(g)
-                    .into_iter()
-                    .fold(0.0f64, f64::max);
-                RoundObservation { work_units, secs }
-            })
-            .collect();
-        (usage, rounds)
+    /// Release the in-flight dedup slots of the current query's groups
+    /// ([`CachingBackend::release_in_flight`]): the query failed, so
+    /// nobody will drive its rounds to completion.
+    pub(crate) fn release_query(&mut self) {
+        self.inner.release_query(&self.groups);
     }
 }
 
-fn specs_work_units(specs: &[HitSpec], assignments: u32) -> f64 {
-    specs.iter().map(HitSpec::work_units).sum::<f64>() * f64::from(assignments)
+impl<B: CrowdBackend> QueryBackend for MeteringBackend<CachingBackend<B>> {
+    fn query_usage(&self) -> (BackendUsage, Vec<RoundObservation>) {
+        self.inner.query_usage(&self.groups)
+    }
 }
 
-impl<B: CrowdBackend> CrowdBackend for MeteringBackend<B> {
+impl<B: CrowdBackend> CrowdBackend for MeteringBackend<CachingBackend<B>> {
     fn post_group(&mut self, specs: Vec<HitSpec>) -> HitGroupId {
-        let units = specs_work_units(&specs, self.inner.default_assignments());
         let g = self.inner.post_group(specs);
-        self.epoch_groups.push((g, units));
+        self.groups.push(g);
         g
     }
 
     fn post_group_with_assignments(&mut self, specs: Vec<HitSpec>, assignments: u32) -> HitGroupId {
-        let units = specs_work_units(&specs, assignments);
         let g = self.inner.post_group_with_assignments(specs, assignments);
-        self.epoch_groups.push((g, units));
+        self.groups.push(g);
         g
     }
 
@@ -1329,16 +1326,18 @@ impl<B: CrowdBackend> CrowdBackend for MeteringBackend<B> {
         self.inner.now()
     }
 
+    // The usage counters are the current query's.
+
     fn hits_posted(&self) -> usize {
-        self.inner.hits_posted()
+        self.inner.query_live_hits(&self.groups) as usize
     }
 
     fn spend_dollars(&self) -> f64 {
-        self.inner.spend_dollars()
+        self.inner.query_spend(&self.groups)
     }
 
     fn assignments_completed(&self) -> u64 {
-        self.inner.assignments_completed()
+        self.inner.query_assignments(&self.groups)
     }
 }
 
@@ -1907,67 +1906,81 @@ pub(crate) mod tests {
         assert_eq!(b.assignments(g2).len(), 10);
     }
 
+    /// A query's usage is read from its own groups: their live HITs,
+    /// completed assignments and dollars, the time since its first
+    /// post, and one round per group. An earlier query's groups are
+    /// not its own, and a query with no groups used nothing.
     #[test]
-    fn metering_epochs_track_deltas() {
-        let (m, items) = market(4);
-        let mut b = MeteringBackend::new(m);
-        b.begin_epoch();
-        let g = b.post_group(filter_specs(&items));
+    fn query_usage_reads_the_query_groups() {
+        let (m, items) = market(8);
+        let mut b = CachingBackend::new(m);
+        let earlier = b.post_group(filter_specs(&items[4..]));
+        b.run_to_completion();
+        let _ = b.assignments(earlier);
+
+        let posted_at = b.now().secs();
+        let g = b.post_group(filter_specs(&items[..4]));
         b.run_to_completion();
         let _ = b.assignments(g);
-        let (usage, rounds) = b.end_epoch();
+        let (usage, rounds) = b.query_usage(&[g]);
         assert_eq!(usage.hits_posted, 4);
         assert_eq!(usage.assignments, 20);
         assert!((usage.dollars - 20.0 * 0.015).abs() < 1e-9);
+        assert_eq!(usage.elapsed_secs, b.now().secs() - posted_at);
         assert!(usage.elapsed_secs > 0.0);
         assert_eq!(rounds.len(), 1);
-        assert_eq!(
-            rounds[0].work_units,
-            specs_work_units(&filter_specs(&items), 5)
-        );
+        let units = filter_specs(&items[..4])
+            .iter()
+            .map(HitSpec::work_units)
+            .sum::<f64>()
+            * 5.0;
+        assert_eq!(rounds[0].work_units, units);
         assert!(rounds[0].secs > 0.0);
 
-        b.begin_epoch();
-        let (idle, rounds) = b.end_epoch();
+        let (idle, rounds) = b.query_usage(&[]);
         assert_eq!(idle, BackendUsage::default());
         assert!(rounds.is_empty());
     }
 
-    /// Regression: an epoch that posts no HITs must report zero
+    /// Regression: a query that posts no live HIT must report zero
     /// elapsed time even when the backend's clock advances on behalf
-    /// of stale work from an earlier epoch (previously the same ticks
-    /// were charged to every subsequent zero-HIT query).
+    /// of an earlier query's stale work (the same ticks used to be
+    /// charged to every later zero-HIT query).
     #[test]
-    fn zero_hit_epoch_reports_zero_elapsed() {
-        // A replay backend with an empty trace: any posted spec stays
-        // outstanding forever and every `run` call advances the clock
-        // to its deadline.
+    fn zero_cost_query_reports_zero_elapsed() {
+        // A replay backend whose trace answers one spec: any other
+        // posted spec stays outstanding forever and every `run` call
+        // advances the clock to its deadline.
         let (m, items) = market(2);
         let mut rec = CachingBackend::new(m);
         let g = rec.post_group(filter_specs(&items[..1]));
         rec.run_to_completion();
         let _ = rec.assignments(g);
-        let mut replay = ReplayBackend::from_trace(rec.trace().clone());
+        let mut b = CachingBackend::new(ReplayBackend::from_trace(rec.trace().clone()));
 
-        // Epoch 1: post a spec the trace cannot answer; it times out.
-        let mut b = MeteringBackend::new(&mut replay);
-        b.begin_epoch();
-        let _stuck = b.post_group(filter_specs(&items[1..]));
-        assert_eq!(b.run(500.0), RunOutcome::TimedOut);
-        let (first, _) = b.end_epoch();
-        assert_eq!(first.hits_posted, 1);
+        // Query 1 posts a spec the trace answers and one it cannot; it
+        // times out.
+        let answered = b.post_group(filter_specs(&items[..1]));
+        let stuck = b.post_group(filter_specs(&items[1..]));
+        assert_eq!(b.run_to_completion(), RunOutcome::TimedOut);
+        assert_eq!(b.assignments(answered).len(), 5);
+        assert_eq!(b.query_usage(&[answered, stuck]).0.hits_posted, 2);
 
-        // Epoch 2: no new work, but running (as any crowd operator
-        // would) advances the clock chasing epoch 1's stuck HIT.
-        b.begin_epoch();
+        // Query 2 posts a spec the cache answers, and running (as any
+        // crowd operator would) advances the clock chasing query 1's
+        // stuck HIT.
+        let cached = b.post_group(filter_specs(&items[..1]));
+        let before = b.now().secs();
         assert_eq!(b.run(500.0), RunOutcome::TimedOut);
-        let (idle, _) = b.end_epoch();
+        assert!(b.now().secs() > before);
+        let (idle, rounds) = b.query_usage(&[cached]);
         assert_eq!(idle.hits_posted, 0);
         assert_eq!(idle.assignments, 0);
         assert_eq!(
             idle.elapsed_secs, 0.0,
-            "stale clock ticks must not be charged to a zero-HIT epoch"
+            "stale clock ticks must not be charged to a zero-HIT query"
         );
+        assert_eq!(rounds.len(), 1);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use qurk_crowd::ItemId;
 
 use crate::analyze::Prepared;
-use crate::backend::{BackendUsage, CrowdBackend, MeteringBackend, ReplayBackend, ReplayTrace};
+use crate::backend::{BackendUsage, CrowdBackend, QueryBackend, ReplayBackend, ReplayTrace};
 use crate::catalog::Catalog;
 use crate::error::{QurkError, Result};
 use crate::lang::ast::{
@@ -37,11 +37,6 @@ use crate::schema::{Schema, ValueType};
 use crate::session::SortMode;
 use crate::value::Value;
 
-struct BudgetGuard {
-    limit: f64,
-    start_spend: f64,
-}
-
 /// One side of a compiled machine comparison: a resolved column index
 /// (read from the relation's column slices) or a pre-evaluated
 /// literal.
@@ -53,23 +48,19 @@ enum FilterOperand {
 /// A machine comparison compiled against one relation's schema.
 type Comparison = (FilterOperand, CmpOp, FilterOperand);
 
-/// Run a prepared plan as one metered epoch of `backend`, under an
-/// optional dollar budget, recording what the query learned into
-/// `learned`: every operator outcome plus the epoch's latency and
-/// per-round observations. The caller gates the plan before and owns
-/// what happens to `learned` after.
-pub(crate) fn execute_plan<B: CrowdBackend>(
+/// Run a prepared plan as one query on `backend`, under an optional
+/// dollar budget, recording what the query learned into `learned`:
+/// every operator outcome plus its latency and per-round observations,
+/// read with its usage from the Task Cache groups it posted. The
+/// caller gates the plan before and owns what happens to `learned`
+/// after.
+pub(crate) fn execute_plan(
     catalog: &Catalog,
-    backend: &mut MeteringBackend<B>,
+    backend: &mut impl QueryBackend,
     learned: &mut StatisticsStore,
     prepared: &Prepared,
-    budget_dollars: Option<f64>,
+    budget: Option<f64>,
 ) -> (Result<Relation>, BackendUsage) {
-    backend.begin_epoch();
-    let budget = budget_dollars.map(|limit| BudgetGuard {
-        limit,
-        start_spend: backend.spend_dollars(),
-    });
     let outcome = PlanRunner {
         catalog,
         backend: &mut *backend,
@@ -78,7 +69,7 @@ pub(crate) fn execute_plan<B: CrowdBackend>(
         binding: false,
     }
     .run_plan(&prepared.compiled.root);
-    let (usage, rounds) = backend.end_epoch();
+    let (usage, rounds) = backend.query_usage();
     learned.record_epoch(usage.hits_posted as u64, usage.elapsed_secs);
     for round in rounds {
         learned.record_round(round.work_units, round.secs);
@@ -92,7 +83,8 @@ struct PlanRunner<'r> {
     catalog: &'r Catalog,
     backend: &'r mut dyn CrowdBackend,
     stats: &'r mut StatisticsStore,
-    budget: Option<BudgetGuard>,
+    /// The query's dollar budget; the backend's spend is the query's.
+    budget: Option<f64>,
     /// Scan no rows: the walk only binds the plan ([`bind`]).
     binding: bool,
 }
@@ -100,11 +92,11 @@ struct PlanRunner<'r> {
 impl PlanRunner<'_> {
     /// Refuse to start new crowd work once the budget is spent.
     fn charge_gate(&mut self) -> Result<()> {
-        if let Some(b) = &self.budget {
-            let spent = self.backend.spend_dollars() - b.start_spend;
-            if spent >= b.limit {
+        if let Some(limit) = self.budget {
+            let spent = self.backend.spend_dollars();
+            if spent >= limit {
                 return Err(QurkError::BudgetExceeded {
-                    budget_dollars: b.limit,
+                    budget_dollars: limit,
                     spent_dollars: spent,
                 });
             }

@@ -8,7 +8,8 @@
 //! operators are executed by crowd workers. Operators are generic over
 //! a [`backend::CrowdBackend`] — *what* is asked is decoupled from
 //! *where* the HITs run — and every [`session::Session`] stacks
-//! metering and caching decorators over the backend you give it:
+//! metering and caching decorators over the backend you give it; a
+//! query's cost is read from the Task Cache groups it posted:
 //!
 //! ```text
 //!  query text ──lang::parser──▶ AST
@@ -37,8 +38,9 @@
 //!                                               │        └──▶ opt::stats
 //!                 hit::batch                    │         (learned σ/κ/latency)
 //!                                               ▼
-//!                  backend::MeteringBackend     per-query accounting
-//!                    └─ backend::CachingBackend Task Cache (Figure 1)
+//!                  backend::MeteringBackend     the query's groups
+//!                    └─ backend::CachingBackend Task Cache (Figure 1),
+//!                         │                     per-query accounting
 //!                         └─ B: CrowdBackend    Marketplace | Replay | …
 //!
 //!   MULTI-TENANT (qurk-serve):

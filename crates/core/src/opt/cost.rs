@@ -18,7 +18,7 @@
 //!
 //! Dollars follow §3.3.2's fixed price (assignments × $0.015,
 //! `Price::PAPER`); latency extrapolates the observed seconds-per-HIT
-//! from the session's metering epochs.
+//! of the session's completed queries.
 
 use qurk_crowd::pricing::Price;
 use qurk_crowd::question::{hit_work_units, HitKind, Question};
@@ -35,7 +35,7 @@ use crate::session::SortMode;
 /// backend overrides it (the paper's 5).
 pub const DEFAULT_ASSIGNMENTS: u32 = 5;
 
-/// Latency guess per HIT before any epoch has been observed (roughly
+/// Latency guess per HIT before any query has been observed (roughly
 /// one worker round-trip at the simulator's default arrival rates).
 pub const FALLBACK_SECS_PER_HIT: f64 = 60.0;
 
@@ -163,7 +163,7 @@ impl<'a> CostModel<'a> {
     /// at `assignments` assignments each. Latency follows the learned
     /// round model `rounds·α + total_work·β` where total_work is the
     /// effort replicated across assignments (falling back to the
-    /// per-epoch seconds-per-HIT average, then to a constant).
+    /// per-query seconds-per-HIT average, then to a constant).
     pub fn charge(
         &self,
         hits: f64,

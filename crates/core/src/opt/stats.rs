@@ -15,8 +15,9 @@
 //!   known-bad feature is never sampled again — the §5.4 threshold),
 //! * per-dimension **sort ambiguity** (worker disagreement, Figure 6's
 //!   κ signal, deciding Compare vs Rate vs Hybrid per §4.3),
-//! * observed **seconds-per-HIT** from metering epochs (the latency
-//!   leg of the cost model).
+//! * observed **seconds-per-HIT** from executed queries, each read
+//!   from the Task Cache groups it posted (the latency leg of the
+//!   cost model).
 //!
 //! Observations are running tallies: the store starts empty, every
 //! executed operator feeds it, and estimates are exposed as `Option` —
@@ -76,7 +77,8 @@ impl Avg {
 
 /// Cross-query operator statistics, owned by a
 /// [`Session`](crate::session::Session) and fed by every executed
-/// crowd operator plus the per-query metering epochs.
+/// crowd operator plus each query's latency and rounds, read from the
+/// Task Cache groups it posted.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatisticsStore {
     /// Filter-task pass tallies, keyed by the task's oracle key.
@@ -87,8 +89,8 @@ pub struct StatisticsStore {
     pub(crate) features: HashMap<String, FeatureStat>,
     /// Sort-dimension ambiguity in [0, 1], keyed by dimension name.
     pub(crate) sorts: HashMap<String, Avg>,
-    /// Observed crowd latency: total HITs and elapsed seconds across
-    /// completed metering epochs.
+    /// Observed crowd latency: total live HITs and elapsed seconds
+    /// across completed queries.
     pub(crate) epoch_hits: u64,
     pub(crate) epoch_secs: f64,
     /// Per-round observations for the latency regression
@@ -160,8 +162,8 @@ impl StatisticsStore {
             .push(ambiguity.clamp(0.0, 1.0));
     }
 
-    /// One completed metering epoch: `hits` HITs took `secs` of
-    /// virtual time. Epochs with no HITs teach nothing about latency.
+    /// One completed query: its `hits` live HITs took `secs` of
+    /// virtual time. Queries with no HITs teach nothing about latency.
     pub fn record_epoch(&mut self, hits: u64, secs: f64) {
         if hits > 0 && secs.is_finite() && secs >= 0.0 {
             self.epoch_hits += hits;
@@ -249,7 +251,7 @@ impl StatisticsStore {
     /// previous session's statistics).
     ///
     /// Merge is **associative**, and **commutative for every tallied
-    /// quantity** (filters, joins, sorts, epochs, rounds are sums).
+    /// quantity** (filters, joins, sorts, query latencies, rounds are sums).
     /// The one documented tiebreak: `features` is latest-wins, so when
     /// both stores carry the same feature key, the store merged
     /// **later** (submission order in the service's `finish`)

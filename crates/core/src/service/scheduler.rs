@@ -39,9 +39,10 @@
 //! `tests/service_multi_tenant.rs` and `tests/service_parallel.rs`).
 //!
 //! Each query runs on the same execution path as a
-//! [`Session`](crate::session::Session): its plan executes through a
-//! `MeteringBackend` over its [`TenantBackend`], so a post crosses one
-//! meter and then the shared market's one Task Cache.
+//! [`Session`](crate::session::Session): its plan executes through its
+//! [`TenantBackend`], so a post crosses the shared market's one Task
+//! Cache, and the query's report and rounds are read from the groups
+//! committed for it, as a `Session` query's are from its own.
 //!
 //! Each query is **planned once, at admission**: `submit` (or
 //! `recover`) prepares it against the service's [`StatisticsStore`]
@@ -60,10 +61,10 @@ use std::sync::mpsc::{channel, SendError, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-use qurk_crowd::market::RunOutcome;
+use qurk_crowd::market::{HitGroupId, RunOutcome};
 
 use crate::analyze::{prepare, Diagnostic, Prepared};
-use crate::backend::{CachingBackend, CrowdBackend, MeteringBackend};
+use crate::backend::{CachingBackend, CrowdBackend};
 use crate::catalog::Catalog;
 use crate::error::{QurkError, Result};
 use crate::exec::execute_plan;
@@ -153,6 +154,10 @@ pub struct QueryService<B: CrowdBackend + 'static> {
     /// Registered tenants: `budget` caps a tenant's cumulative spend
     /// across all its queries, `spent` is what was attributed so far.
     tenants: Vec<TenantRecord>,
+    /// Live groups still outstanding when their query's batch
+    /// finished. The market pays for them as they complete in later
+    /// marketplace steps, and each later batch charges their tenants.
+    trailing: Vec<Trailing>,
     pending: Vec<Submission>,
     /// Durable state (task cache, statistics, checkpoints, tenants) —
     /// attached via [`Self::with_store`], absent otherwise.
@@ -175,6 +180,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
             stats: StatisticsStore::new(),
             config,
             tenants: Vec::new(),
+            trailing: Vec::new(),
             pending: Vec::new(),
             store: None,
             workers: Workers::default(),
@@ -205,6 +211,7 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
             stats,
             config,
             tenants,
+            trailing: Vec::new(),
             pending: Vec::new(),
             store: Some(store),
             workers: Workers::default(),
@@ -656,16 +663,27 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
         true
     }
 
-    /// Close a batch, in submission order: attribute each query's
-    /// spend to its tenant, merge its statistics delta, attach its
-    /// [`ServiceStats`], and retire its checkpoint.
+    /// Close a batch: charge the trailing groups' late work, then, in
+    /// submission order, attribute each query's spend to its tenant,
+    /// merge its statistics delta, attach its [`ServiceStats`], and
+    /// retire its checkpoint.
     fn finish(&mut self, tasks: Vec<Task>) -> Vec<Result<QueryReport>> {
+        self.charge_trailing();
         let mut out = Vec::with_capacity(tasks.len());
         for task in tasks {
             // Every tenant backend is gone: the list is the task's alone.
             let groups = lock(&task.groups);
             let (spent, cached_hits, saved) = {
                 let market = lock(&self.market);
+                for &group in groups.iter() {
+                    if market.live_outstanding(group) > 0 {
+                        self.trailing.push(Trailing {
+                            tenant: task.tenant,
+                            group,
+                            charged: market.query_assignments(&[group]),
+                        });
+                    }
+                }
                 (
                     market.query_spend(&groups),
                     market.query_cached_hits(&groups),
@@ -720,6 +738,35 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
         }
         out
     }
+
+    /// Charge each trailing group's tenant for the assignments it
+    /// completed since its last charge (the market paid for them in
+    /// this batch's steps), journaling the tenant record, and drop the
+    /// groups with nothing left outstanding.
+    fn charge_trailing(&mut self) {
+        let market = lock(&self.market);
+        self.trailing.retain_mut(|t| {
+            let done = market.query_assignments(&[t.group]);
+            if done > t.charged {
+                let tenant = &mut self.tenants[t.tenant];
+                tenant.spent += market.assignment_dollars(done - t.charged);
+                t.charged = done;
+                if let Some(store) = &self.store {
+                    store.append_tenant(tenant);
+                }
+            }
+            market.live_outstanding(t.group) > 0
+        });
+    }
+}
+
+/// A finished query's live group with assignments still outstanding.
+struct Trailing {
+    /// The query's tenant (index into the service's tenants).
+    tenant: usize,
+    group: HitGroupId,
+    /// The group's completed assignments its tenant was charged for.
+    charged: u64,
 }
 
 /// Where one query stands in the barrier loop.
@@ -859,18 +906,17 @@ fn spawn_worker(i: usize, job: Job) -> (Sender<Job>, JoinHandle<()>) {
 /// deadline fails the query with [`QurkError::InvalidDeadline`].
 fn run_query<B: CrowdBackend>(
     job: Submission,
-    backend: TenantBackend<B>,
+    mut backend: TenantBackend<B>,
     catalog: &Catalog,
     budget: Option<f64>,
 ) -> DoneMsg {
     catch_unwind(AssertUnwindSafe(|| {
-        let mut backend = MeteringBackend::new(backend);
         let mut learned = StatisticsStore::new();
         let (outcome, usage) =
             execute_plan(catalog, &mut backend, &mut learned, &job.prepared, budget);
         let mut result = outcome
             .map(|relation| QueryReport::new(relation, usage, &job.prepared, job.diagnostics));
-        if let Some(limit_secs) = backend.inner().refused_deadline() {
+        if let Some(limit_secs) = backend.refused_deadline() {
             result = Err(QurkError::InvalidDeadline { limit_secs });
         }
         DoneMsg {
@@ -891,7 +937,6 @@ mod tests {
     use crate::opt::physical::{PhysNode, PhysicalPlan};
     use crate::opt::CostEstimate;
     use crate::{Relation, Schema, Value, ValueType};
-    use qurk_crowd::market::HitGroupId;
     use qurk_crowd::question::HitKind;
     use qurk_crowd::truth::PredicateTruth;
     use qurk_crowd::{CrowdConfig, GroundTruth, HitSpec, Marketplace, Question};

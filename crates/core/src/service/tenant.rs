@@ -24,13 +24,16 @@
 //! A query is the list of groups committed for it (`Groups`): one
 //! list, shared by its scheduler task and its tenant backend. The
 //! barrier pushes each commit into it while the query is parked, and
-//! the query's split, spend, savings and outstanding work are read
-//! from those groups by the cache's own accounting. A query thread
-//! locks its list before the market, never the other way round.
+//! the query's split, spend, savings, outstanding work, report and
+//! rounds are read from those groups by the cache's own accounting —
+//! the accounting a `Session` query gets from its `MeteringBackend`.
+//! A query thread locks its list before the market, never the other
+//! way round.
 //! Per-query dollar attribution is exact: every completed live
 //! assignment belongs to exactly one query's group, and both the
 //! simulator and the replay backend price assignments uniformly, so
-//! `Σ query_spend(q) == shared backend total spend` (tested in
+//! the tenants' spends sum to the shared backend's total spend, a
+//! query's groups that finish late included (tested in
 //! `tests/service_multi_tenant.rs`).
 
 use std::sync::mpsc::{Receiver, Sender};
@@ -40,7 +43,7 @@ use qurk_crowd::market::{Assignment, HitGroupId, HitId, RunOutcome};
 use qurk_crowd::sim::SimTime;
 use qurk_crowd::{HitSpec, WorkerId};
 
-use crate::backend::{CachingBackend, CrowdBackend};
+use crate::backend::{BackendUsage, CachingBackend, CrowdBackend, QueryBackend, RoundObservation};
 use crate::service::scheduler::SchedulerEvent;
 
 /// One marketplace, one Task Cache, many tenants: the cache every
@@ -73,8 +76,8 @@ pub(crate) struct StagedPost {
 /// whose posts stage locally until `run`, whose `run` yields to the
 /// scheduler instead of driving the clock, and whose usage counters
 /// report the *query's attributed share* of the market, read from its
-/// committed groups (so per-query metering, budgets and reports work
-/// unchanged).
+/// committed groups (so its budget and report measure the query, as a
+/// `Session`'s do).
 ///
 /// The backend hands out its own dense local group ids at post time
 /// (operators need an id then). Every staged post is committed at the
@@ -239,8 +242,8 @@ impl<B: CrowdBackend> CrowdBackend for TenantBackend<B> {
     }
 
     // The usage counters report this query's attributed share, so the
-    // query's metering epoch and budget guard measure the tenant,
-    // not the whole market. The group list is locked first.
+    // query's budget guard measures the query, not the whole market.
+    // The group list is locked first.
 
     fn hits_posted(&self) -> usize {
         let groups = lock(&self.groups);
@@ -259,5 +262,12 @@ impl<B: CrowdBackend> CrowdBackend for TenantBackend<B> {
 
     fn default_assignments(&self) -> u32 {
         self.market().default_assignments()
+    }
+}
+
+impl<B: CrowdBackend> QueryBackend for TenantBackend<B> {
+    fn query_usage(&self) -> (BackendUsage, Vec<RoundObservation>) {
+        let groups = lock(&self.groups);
+        self.market().query_usage(&groups)
     }
 }

@@ -7,8 +7,9 @@
 //!
 //! ```text
 //!   Session ── StatisticsStore (selectivities, κ/σ, latency)
-//!     └─ MeteringBackend      per-query HIT/assignment/$ epochs
-//!          └─ CachingBackend  Figure 1's Task Cache, at the HIT level
+//!     └─ MeteringBackend      the current query's groups, and its totals
+//!          └─ CachingBackend  Figure 1's Task Cache, at the HIT level;
+//!               │             a query's cost is read from its groups
 //!               └─ B          your backend (Marketplace, Replay, …)
 //! ```
 //!
@@ -102,8 +103,8 @@ pub struct ExecConfig {
     pub lint: LintConfig,
 }
 
-/// Per-query execution report, with resource numbers from the query's
-/// [`MeteringBackend`] epoch and the optimizer's plan report.
+/// Per-query execution report, with resource numbers read from the
+/// Task Cache groups the query posted and the optimizer's plan report.
 #[derive(Debug, Clone)]
 pub struct QueryReport {
     pub relation: Relation,
@@ -340,6 +341,8 @@ impl<'c, B: CrowdBackend> Session<'c, B> {
     }
 
     /// The session's backend stack (metering over caching over yours).
+    /// Its usage counters are the last query's; the totals of every
+    /// query of the session are on `backend().inner()`, the Task Cache.
     pub fn backend(&self) -> &MeteringBackend<CachingBackend<B>> {
         &self.backend
     }
@@ -381,10 +384,7 @@ impl<'c, B: CrowdBackend> Session<'c, B> {
     ) -> Result<QueryReport> {
         let prepared = prepare(parse_query(sql)?, self.catalog, config, &self.stats)?;
         let diagnostics = prepared.gate(sql, config, &self.stats, budget_dollars)?;
-        // Batch boundary for the cache's eviction bound: entries the
-        // previous query touched become evictable, entries this query
-        // touches are pinned until it finishes.
-        self.backend.inner_mut().begin_batch();
+        self.backend.next_query();
         let mut learned = StatisticsStore::new();
         let (outcome, usage) = execute_plan(
             self.catalog,
@@ -398,7 +398,7 @@ impl<'c, B: CrowdBackend> Session<'c, B> {
             // A failed query's live postings are abandoned; release
             // their in-flight dedup slots so a retry re-posts instead
             // of piggybacking on work nobody is driving.
-            self.backend.inner_mut().release_all_in_flight();
+            self.backend.release_query();
         }
         if let Some(store) = &self.store {
             store.append_stats_delta(&learned);

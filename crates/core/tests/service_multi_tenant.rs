@@ -427,9 +427,44 @@ fn a_self_repeating_query_hits_the_one_shared_cache() {
     assert_eq!(served.relation, direct.relation);
     assert_eq!(served.hits_posted, direct.hits_posted);
     assert_eq!(served.cost_dollars, direct.cost_dollars);
+    assert_eq!(served.assignments, direct.assignments);
+    assert_eq!(served.elapsed_secs, direct.elapsed_secs);
+    assert_eq!(svc.statistics(), session.statistics());
     let stats = served.service.as_ref().unwrap();
     assert!(served.hits_posted > 0);
     assert_eq!(stats.shared_cache_hits, served.hits_posted as u64);
     assert_eq!(stats.saved_dollars, served.cost_dollars);
     assert_eq!(svc.market().stats(), session.cache_stats());
+}
+
+/// A query that times out leaves its live HITs outstanding. They
+/// complete during a later batch's marketplace steps, and the market
+/// pays for them then; that batch charges them to the query's tenant,
+/// so the tenants' spend still sums to the market's.
+#[test]
+fn late_work_of_a_timed_out_query_is_charged_to_its_tenant() {
+    let (catalog, market) = world(7);
+    let mut config = ExecConfig::default();
+    config.filter.limit_secs = 1.0;
+    let mut svc = QueryService::with_config(Arc::clone(&catalog), market, config);
+    svc.register_tenant("alice", None);
+    svc.register_tenant("bob", None);
+    svc.submit("alice", FILTER_SQL).unwrap();
+    let timed_out = svc.run_pending().pop().unwrap();
+    assert!(
+        matches!(timed_out, Err(QurkError::CrowdIncomplete { .. })),
+        "{timed_out:?}"
+    );
+    svc.submit("bob", SORT_SQL).unwrap();
+    let sorted = svc.run_pending().pop().unwrap().unwrap();
+
+    let alice = svc.tenant_spent("alice").unwrap();
+    let bob = svc.tenant_spent("bob").unwrap();
+    assert_eq!(bob, sorted.cost_dollars, "bob pays for his own work");
+    assert!(alice > 0.0, "alice's late work is charged to her");
+    let total = svc.market().spend_dollars();
+    assert!(
+        (alice + bob - total).abs() < 1e-9,
+        "alice ${alice} + bob ${bob} != market ${total}"
+    );
 }

@@ -10,7 +10,8 @@
 //!    requested number of assignments, each from a distinct worker.
 //! 3. `now` is monotone non-decreasing; latencies are non-negative.
 //! 4. `hits_posted` / `spend_dollars` / `assignments_completed` are
-//!    monotone counters.
+//!    monotone counters (a `MeteringBackend`'s, over the current
+//!    query).
 
 use std::collections::{HashMap, HashSet};
 
@@ -128,11 +129,21 @@ fn caching_backend_satisfies_contract() {
     check_contract(&mut b, &items);
 }
 
+/// A `MeteringBackend` counts the current query's groups only: over
+/// a cache that already paid for other work, its counters start at 0.
 #[test]
 fn metering_backend_satisfies_contract() {
     let (m, items) = marketplace(10, 73);
-    let mut b = MeteringBackend::new(m);
+    let mut cache = CachingBackend::new(m);
+    let earlier = cache.post_group(filter_specs(&items[6..], 2));
+    cache.run_to_completion();
+    let _ = cache.assignments(earlier);
+    let mut b = MeteringBackend::new(cache);
+    assert_eq!(b.hits_posted(), 0);
+    assert_eq!(b.spend_dollars(), 0.0);
     check_contract(&mut b, &items);
+    assert_eq!(b.assignments_completed(), 2 * 3);
+    assert_eq!(b.inner().assignments_completed(), 2 * 5 + 2 * 3);
 }
 
 #[test]
@@ -171,7 +182,7 @@ fn operators_agree_across_backends() {
     };
     let metered = {
         let (m, items) = marketplace(12, 76);
-        let mut b = MeteringBackend::new(m);
+        let mut b = MeteringBackend::new(CachingBackend::new(m));
         FilterOp::default().run(&mut b, "p", &items).unwrap()
     };
     assert_eq!(direct, cached);

@@ -80,6 +80,25 @@ fn zero_time_budget_times_out_not_hangs() {
         matches!(err, Err(QurkError::CrowdIncomplete { .. })),
         "{err:?}"
     );
+    // The timed-out filter's HITs stay outstanding and complete while
+    // the next query runs. The market pays for them then, but the
+    // next query pays only for its own work.
+    let report = session
+        .query("SELECT id FROM t ORDER BY byD(t.img)")
+        .report()
+        .unwrap();
+    assert!(report.hits_posted > 0);
+    assert_eq!(report.assignments, report.hits_posted as u64 * 5);
+    assert!(
+        (report.cost_dollars - report.assignments as f64 * 0.015).abs() < 1e-9,
+        "charged ${} for {} assignments",
+        report.cost_dollars,
+        report.assignments
+    );
+    assert!(
+        session.backend().inner().assignments_completed() > report.assignments,
+        "the filter's late work completed during the sort"
+    );
 }
 
 #[test]
