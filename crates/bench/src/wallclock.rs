@@ -932,23 +932,45 @@ mod tests {
     use std::collections::HashSet;
 
     /// Baseline faithfulness: the naive EM reimplementation and the
-    /// optimized combiner agree on posteriors and priors, so the bench
-    /// measures layout, not different math.
+    /// optimized combiner agree bit for bit on posteriors and priors,
+    /// so the bench measures layout, not different math. Both kernel
+    /// widths run: the compiled-in 2 labels (the paper's join costs)
+    /// and a runtime 3 or 4 (`categorical`, with the corpus's labels
+    /// spread over all of them), at 0, 1 and 5 iterations, and over a
+    /// corpus with no votes.
     #[test]
     fn naive_em_matches_optimized_em() {
-        let obs = em_corpus(4000, 5, 40);
-        let cfg = QualityAdjustConfig::paper_join();
-        let (naive_post, naive_priors) =
-            naive_em(&obs, cfg.num_labels, cfg.iterations, cfg.smoothing);
-        let out = QualityAdjust::new(cfg).run(&obs);
-        assert_eq!(naive_post.len(), out.posteriors.len());
-        for (a, b) in naive_post.iter().zip(&out.posteriors) {
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.to_bits(), y.to_bits(), "posterior drift: {x} vs {y}");
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for k in [2usize, 3, 4] {
+            let mut corpus = em_corpus(4000, 5, 40);
+            if k > 2 {
+                for o in &mut corpus {
+                    o.label = (o.item + o.label * (1 + o.worker % (k - 1))) % k;
+                }
             }
-        }
-        for (x, y) in naive_priors.iter().zip(&out.priors) {
-            assert_eq!(x.to_bits(), y.to_bits(), "prior drift: {x} vs {y}");
+            for obs in [corpus, Vec::new()] {
+                for iterations in [0, 1, 5] {
+                    let mut cfg = if k == 2 {
+                        QualityAdjustConfig::paper_join()
+                    } else {
+                        QualityAdjustConfig::categorical(k)
+                    };
+                    cfg.iterations = iterations;
+                    let (naive_post, naive_priors) =
+                        naive_em(&obs, cfg.num_labels, cfg.iterations, cfg.smoothing);
+                    let out = QualityAdjust::new(cfg).run(&obs);
+                    let case = format!("k={k}, {} votes, {iterations} iterations", obs.len());
+                    assert_eq!(naive_post.len(), out.posteriors.len(), "{case}");
+                    for (a, b) in naive_post.iter().zip(&out.posteriors) {
+                        assert_eq!(bits(a), bits(b), "posterior drift, {case}");
+                    }
+                    assert_eq!(
+                        bits(&naive_priors),
+                        bits(&out.priors),
+                        "prior drift, {case}"
+                    );
+                }
+            }
         }
     }
 

@@ -35,13 +35,19 @@
 //! [`QualityAdjust::run`] is a thin adapter that groups a
 //! [`LabelObservation`] list first. Inside, posteriors are one
 //! `num_items × k` buffer, confusion matrices one `num_workers × k × k`
-//! buffer, and the per-item E-step scratch is reused across items and
-//! iterations: a run allocates the same handful of buffers however many
-//! items it has. The output keeps those buffers ([`FlatRows`]), read
-//! through per-item and per-worker accessors. The arithmetic is
-//! performed in exactly the same order as the reference nested-`Vec`
-//! formulation (kept as `qurk-bench`'s baseline), so results are
-//! bit-identical; only the memory layout changed.
+//! buffer, and each vote is encoded once as the `u32` index of its
+//! confusion cell: a run allocates the same handful of buffers however
+//! many items it has. The output keeps those buffers ([`FlatRows`]),
+//! read through per-item and per-worker accessors.
+//!
+//! Each iteration is one pass over the votes: the E-step adds every
+//! posterior it computes into the next M-step's sums right away. The
+//! kernel is generic over its label count, compiled once at the
+//! constant 2 (the join's yes/no, where every per-label loop unrolls)
+//! and once at a runtime `k`. The arithmetic is performed in exactly
+//! the same order as the reference nested-`Vec` formulation (kept as
+//! `qurk-bench`'s baseline), so results are bit-identical; only the
+//! memory layout and the number of passes changed.
 // lint:hot-path
 
 /// One worker response: `worker` assigned `label` to `item`.
@@ -273,10 +279,26 @@ impl QualityAdjust {
     /// EM has one past the largest of them.
     ///
     /// Panics if `offsets` does not describe `votes` (it must start at
-    /// 0, never decrease and end at `votes.len()`) or if any label is
-    /// out of range.
+    /// 0, never decrease and end at `votes.len()`), if any label is
+    /// out of range, or if a worker id is so large that its confusion
+    /// cells overflow a `u32` index.
     pub fn run_grouped(&self, offsets: &[usize], votes: &[(usize, usize)]) -> QualityAdjustOutput {
-        let k = self.config.num_labels;
+        match self.config.num_labels {
+            2 => self.run_width(Fixed::<2>, offsets, votes),
+            k => self.run_width(Dyn(k), offsets, votes),
+        }
+    }
+
+    /// [`Self::run_grouped`] at label count `width`: one kernel,
+    /// compiled once per [`Width`].
+    fn run_width<W: Width>(
+        &self,
+        width: W,
+        offsets: &[usize],
+        votes: &[(usize, usize)],
+    ) -> QualityAdjustOutput {
+        let k = width.k();
+        let kk = k * k;
         let num_items = offsets.len().saturating_sub(1);
         assert!(
             offsets.first().is_none_or(|&o| o == 0)
@@ -285,91 +307,85 @@ impl QualityAdjust {
             "offsets must group all {} votes by item",
             votes.len()
         );
+        // Each vote as its confusion cell: `cells[v] + t * k` indexes
+        // π_w[t][l] in the flat `confusion[(w*k + t)*k + l]`.
         let mut num_workers = 0;
+        let mut cells = Vec::with_capacity(votes.len());
         for &(w, l) in votes {
             assert!(l < k, "label {l} out of range {k}");
             num_workers = num_workers.max(w + 1);
+            cells.push(u32::try_from(w * kk + l).expect("confusion cells fit in u32"));
         }
-        let item_votes = |item: usize| &votes[offsets[item]..offsets[item + 1]];
 
         let mut worker_answer_counts = vec![0usize; num_workers];
         for &(w, _) in votes {
             worker_answer_counts[w] += 1;
         }
 
+        let iterations = self.config.iterations;
+        let s = self.config.smoothing;
+        // `confusion` and `prior_sums` accumulate the next M-step's
+        // sums while the pass before it computes the posteriors they
+        // sum, each added in right after it is computed: items and
+        // votes in input order, so every float sum has the order of a
+        // separate M-step pass (bit-identical). With no iterations,
+        // nothing is accumulated and the outputs keep their initial
+        // values.
+        let mut confusion = vec![if iterations > 0 { s } else { 0.0 }; num_workers * kk];
+        let mut prior_sums = vec![s; k];
+        let mut priors = vec![1.0 / k as f64; k];
+        let mut log_confusion = vec![0.0f64; num_workers * kk];
+        let mut log_priors = vec![0.0f64; k];
+
         // --- Initialization: posteriors from raw vote proportions. ---
         // `posteriors[item*k..][..k]` is item's distribution (flat).
         let mut posteriors = vec![1e-9f64; num_items * k];
         for item in 0..num_items {
-            let row = &mut posteriors[item * k..(item + 1) * k];
-            for &(_, l) in item_votes(item) {
+            let (lo, hi) = (offsets[item], offsets[item + 1]);
+            let row = &mut posteriors[item * k..][..k];
+            for &(_, l) in &votes[lo..hi] {
                 row[l] += 1.0;
             }
             normalize_in_place(row);
+            if iterations > 0 {
+                accumulate(width, &mut confusion, &mut prior_sums, &cells[lo..hi], row);
+            }
         }
 
-        // `confusion[(w*k + t)*k + l]` = π_w[t][l] (flat k×k per worker).
-        let mut confusion = vec![0.0f64; num_workers * k * k];
-        let mut priors = vec![1.0 / k as f64; k];
-        // E-step scratch, reused across items and iterations. The logs
-        // of `confusion` and `priors` change once per iteration, so the
-        // E-step computes them once up front and its inner loop only
-        // adds (same values, same summation order: bit-identical).
-        let mut log_p = vec![0.0f64; k];
-        let mut log_confusion = vec![0.0f64; num_workers * k * k];
-        let mut log_priors = vec![0.0f64; k];
-
-        for _ in 0..self.config.iterations {
-            // --- M-step: confusion matrices and priors. ---
-            let s = self.config.smoothing;
-            confusion.fill(s);
-            for item in 0..num_items {
-                for &(w, l) in item_votes(item) {
-                    let base = w * k * k;
-                    for t in 0..k {
-                        confusion[base + t * k + l] += posteriors[item * k + t];
-                    }
-                }
-            }
-            for row in confusion.chunks_mut(k) {
+        for iteration in 1..=iterations {
+            // --- M-step: close the sums the last pass accumulated. ---
+            for row in confusion.chunks_exact_mut(k) {
                 normalize_in_place(row);
             }
-            priors.fill(s);
-            for post in posteriors.chunks(k) {
-                for (t, &p) in post.iter().enumerate() {
-                    priors[t] += p;
-                }
-            }
+            priors.copy_from_slice(&prior_sums);
             normalize_in_place(&mut priors);
-
-            // --- E-step: item posteriors (log space for stability). ---
+            // The logs change once per iteration, so the E-step's
+            // inner loop only adds.
             for (lc, &c) in log_confusion.iter_mut().zip(&confusion) {
                 *lc = c.max(1e-300).ln();
             }
             for (lp, &p) in log_priors.iter_mut().zip(&priors) {
                 *lp = p.max(1e-300).ln();
             }
+            // The last iteration's confusion is the output: keep it.
+            let next = iteration < iterations;
+            if next {
+                confusion.fill(s);
+                prior_sums.fill(s);
+            }
+
+            // --- E-step: item posteriors (log space for stability). ---
             for item in 0..num_items {
-                let vs = item_votes(item);
-                let row = &mut posteriors[item * k..(item + 1) * k];
-                if vs.is_empty() {
-                    // In-place copy — no per-item allocation.
+                let item_cells = &cells[offsets[item]..offsets[item + 1]];
+                let row = &mut posteriors[item * k..][..k];
+                if item_cells.is_empty() {
                     row.copy_from_slice(&priors);
-                    continue;
+                } else {
+                    posterior(width, row, &log_priors, &log_confusion, item_cells);
                 }
-                log_p.copy_from_slice(&log_priors);
-                for &(w, l) in vs {
-                    let base = w * k * k;
-                    for (t, lp) in log_p.iter_mut().enumerate() {
-                        *lp += log_confusion[base + t * k + l];
-                    }
+                if next {
+                    accumulate(width, &mut confusion, &mut prior_sums, item_cells, row);
                 }
-                let max = log_p.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                for lp in log_p.iter_mut() {
-                    *lp = (*lp - max).exp();
-                }
-                normalize_in_place(&mut log_p);
-                row.copy_from_slice(&log_p);
             }
         }
 
@@ -464,6 +480,87 @@ impl QualityAdjust {
         // Workers with no answers keep score 1 (unknown = spam-neutral)
         // but are excluded by `spammers()` via the count check.
         scores
+    }
+}
+
+/// One item's E-step: its posterior, into `row`, from the logs of the
+/// priors and of the confusion cells its votes name.
+#[inline(always)]
+fn posterior<W: Width>(
+    width: W,
+    row: &mut [f64],
+    log_priors: &[f64],
+    log_confusion: &[f64],
+    cells: &[u32],
+) {
+    let k = width.k();
+    let row = &mut row[..k];
+    // Label by label, each sum in a register; every label's sum still
+    // adds its votes in input order.
+    for (t, lp) in row.iter_mut().enumerate() {
+        let mut sum = log_priors[t];
+        for &c in cells {
+            sum += log_confusion[c as usize + t * k];
+        }
+        *lp = sum;
+    }
+    // Every log is clamped at ln(1e-300), so the sums are finite and
+    // the max term's exp(0) is exactly 1.
+    let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    for lp in row.iter_mut() {
+        *lp = if *lp == max { 1.0 } else { (*lp - max).exp() };
+    }
+    normalize_in_place(row);
+}
+
+/// Add one item's posterior `row` to the next M-step's sums: the
+/// confusion cells its votes name, and the priors.
+#[inline(always)]
+fn accumulate<W: Width>(
+    width: W,
+    confusion: &mut [f64],
+    prior_sums: &mut [f64],
+    cells: &[u32],
+    row: &[f64],
+) {
+    let k = width.k();
+    let row = &row[..k];
+    for (t, &p) in row.iter().enumerate() {
+        for &c in cells {
+            confusion[c as usize + t * k] += p;
+        }
+    }
+    for (sum, &p) in prior_sums[..k].iter_mut().zip(row) {
+        *sum += p;
+    }
+}
+
+/// The label count an EM kernel is compiled for: a constant
+/// ([`Fixed`]), which unrolls every per-label loop, or a runtime value
+/// ([`Dyn`]).
+trait Width: Copy {
+    fn k(self) -> usize;
+}
+
+/// `K` labels, known at compile time.
+#[derive(Clone, Copy)]
+struct Fixed<const K: usize>;
+
+impl<const K: usize> Width for Fixed<K> {
+    #[inline(always)]
+    fn k(self) -> usize {
+        K
+    }
+}
+
+/// A label count known only at run time.
+#[derive(Clone, Copy)]
+struct Dyn(usize);
+
+impl Width for Dyn {
+    #[inline(always)]
+    fn k(self) -> usize {
+        self.0
     }
 }
 

@@ -487,6 +487,13 @@ struct CacheGroup {
 pub struct CachingBackend<B> {
     inner: B,
     cache: ReplayTrace,
+    /// Spec keys of groups released with live work outstanding
+    /// ([`Self::release_in_flight`]), each mapped to the last group
+    /// that posted it live: their late answers are paid for, so
+    /// [`Self::fold_released`] folds each group once it completes. A
+    /// retry released in turn takes the keys over, so a query that
+    /// keeps failing holds each of its keys once.
+    released: HashMap<u64, usize>,
     /// Spec keys posted live but not yet folded into the cache, mapped
     /// to the virtual group that owns the live posting. A subsequent
     /// identical spec piggybacks on the in-flight work
@@ -525,6 +532,7 @@ impl<B: CrowdBackend> CachingBackend<B> {
         CachingBackend {
             inner,
             cache: ReplayTrace::default(),
+            released: HashMap::new(),
             pending: HashMap::new(),
             hits: Vec::new(),
             groups: Vec::new(),
@@ -804,7 +812,10 @@ impl<B: CrowdBackend> CachingBackend<B> {
             let VirtualSource::Live { inner_hit_pos } = source else {
                 continue;
             };
-            self.pending.remove(&key);
+            // A released group's key may have been re-posted live since.
+            if self.pending.get(&key) == Some(&group.0) {
+                self.pending.remove(&key);
+            }
             self.touch(key);
             if self.cached(h).is_some() {
                 continue;
@@ -834,11 +845,39 @@ impl<B: CrowdBackend> CachingBackend<B> {
     /// completion — a leak that turns into a hang or a miss. After
     /// release, an identical spec re-posts live. A group that already
     /// recorded is untouched (its keys are in the cache, not pending).
+    /// The market still pays for the released group's live work, so
+    /// the cache folds it once it completes: at a `Session`'s next
+    /// query, or when the service next charges late work.
     pub fn release_in_flight(&mut self, group: HitGroupId) {
         if self.groups.get(group.0).is_none_or(|g| g.recorded) {
             return;
         }
-        self.pending.retain(|_, owner| *owner != group.0);
+        let released = &mut self.released;
+        self.pending.retain(|&key, owner| {
+            if *owner != group.0 {
+                return true;
+            }
+            released.insert(key, group.0);
+            false
+        });
+    }
+
+    /// Fold every released group whose live work has completed, and
+    /// forget its keys: what the market paid for is in the cache, so a
+    /// retry of the failed query replays it instead of paying again. A
+    /// key cached by another group is forgotten too. Groups fold in
+    /// posting order. A `Session` calls this at each query's start, the
+    /// service when it charges late work.
+    pub(crate) fn fold_released(&mut self) {
+        let mut groups: Vec<usize> = self.released.values().copied().collect();
+        groups.sort_unstable();
+        groups.dedup();
+        for g in groups {
+            self.record_group(HitGroupId(g));
+        }
+        let (groups, cache) = (&self.groups, &self.cache);
+        self.released
+            .retain(|key, g| !groups[*g].recorded && !cache.entries.contains_key(key));
     }
 
     /// Number of spec keys posted live but not yet folded (in-flight
@@ -1254,11 +1293,14 @@ impl<B: CrowdBackend> MeteringBackend<B> {
 }
 
 impl<B: CrowdBackend> MeteringBackend<CachingBackend<B>> {
-    /// Start the next query: forget the last one's groups, and mark a
-    /// batch boundary for the cache's eviction bound (entries the last
-    /// query touched become evictable, those this one touches stay
-    /// pinned until it finishes).
+    /// Start the next query: fold the completed groups of failed
+    /// queries ([`CachingBackend::fold_released`]), forget the last
+    /// query's groups, and mark a batch boundary for the cache's
+    /// eviction bound (entries the last query touched become
+    /// evictable, those this one touches stay pinned until it
+    /// finishes).
     pub(crate) fn next_query(&mut self) {
+        self.inner.fold_released();
         self.groups.clear();
         self.inner.begin_batch();
     }
@@ -1645,6 +1687,41 @@ pub(crate) mod tests {
         b.release_in_flight(g2);
         let g3 = b.post_group(filter_specs(&items));
         assert_eq!(b.assignments(g3).len(), 6 * 5, "cache still serves");
+    }
+
+    /// A released group is folded once its late work completes. One
+    /// that never completes (a replay trace without its answers) keeps
+    /// its keys until a retry posts them live and is released in turn,
+    /// so a query that keeps failing holds each of its keys once.
+    #[test]
+    fn released_groups_fold_or_give_way_to_a_retry() {
+        let (m, items) = market(4);
+        let mut b = CachingBackend::new(m);
+        let g = b.post_group(filter_specs(&items));
+        b.release_in_flight(g);
+        assert_eq!(b.run_to_completion(), RunOutcome::Completed);
+        b.fold_released();
+        assert!(b.released.is_empty(), "folded and forgotten");
+        assert_eq!(b.len(), 4, "the late answers are cached");
+
+        let mut b = CachingBackend::new(ReplayBackend::from_trace(ReplayTrace::default()));
+        let g = b.post_group(filter_specs(&items));
+        b.run(60.0);
+        b.release_in_flight(g);
+        let owners = |b: &CachingBackend<ReplayBackend>| {
+            let mut o: Vec<usize> = b.released.values().copied().collect();
+            o.dedup();
+            (b.released.len(), o)
+        };
+        b.fold_released();
+        assert_eq!(owners(&b), (4, vec![g.0]), "unanswered, not retried: kept");
+        for _ in 0..3 {
+            let retry = b.post_group(filter_specs(&items));
+            b.run(60.0);
+            b.release_in_flight(retry);
+            b.fold_released();
+            assert_eq!(owners(&b), (4, vec![retry.0]), "the retry takes over");
+        }
     }
 
     /// Regression: a cached entry whose answers do not fit its spec

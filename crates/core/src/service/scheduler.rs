@@ -742,9 +742,12 @@ impl<B: CrowdBackend + 'static> QueryService<B> {
     /// Charge each trailing group's tenant for the assignments it
     /// completed since its last charge (the market paid for them in
     /// this batch's steps), journaling the tenant record, and drop the
-    /// groups with nothing left outstanding.
+    /// groups with nothing left outstanding. Failed queries' groups
+    /// that completed are folded into the cache here, a deterministic
+    /// point, so journal order does not depend on thread timing.
     fn charge_trailing(&mut self) {
-        let market = lock(&self.market);
+        let mut market = lock(&self.market);
+        market.fold_released();
         self.trailing.retain_mut(|t| {
             let done = market.query_assignments(&[t.group]);
             if done > t.charged {

@@ -467,4 +467,9 @@ fn late_work_of_a_timed_out_query_is_charged_to_its_tenant() {
         (alice + bob - total).abs() < 1e-9,
         "alice ${alice} + bob ${bob} != market ${total}"
     );
+    // What the market paid for alice's late work is in the cache: her
+    // retry replays it instead of paying again.
+    svc.submit("alice", FILTER_SQL).unwrap();
+    let retry = svc.run_pending().pop().unwrap().unwrap();
+    assert_eq!(retry.hits_posted, 0, "alice's retry paid again");
 }

@@ -99,6 +99,17 @@ fn zero_time_budget_times_out_not_hangs() {
         session.backend().inner().assignments_completed() > report.assignments,
         "the filter's late work completed during the sort"
     );
+    // The market paid for that late work, so it is in the cache: a
+    // retry of the filter posts nothing live.
+    let retry = session
+        .query("SELECT id FROM t WHERE p(t.img)")
+        .filter(FilterOp {
+            limit_secs: 1.0,
+            ..Default::default()
+        })
+        .report()
+        .unwrap();
+    assert_eq!(retry.hits_posted, 0, "the retry paid again");
 }
 
 #[test]
